@@ -78,6 +78,20 @@ def assign_labels(aset: AnchorSet, gt_boxes: np.ndarray, image_w: float,
     return RpnTargets(labels, deltas, matched, np.zeros(n, dtype=bool))
 
 
+def sample_fg_bg(fg: np.ndarray, bg: np.ndarray, max_fg: int, total: int,
+                 rng: Rng) -> tuple[np.ndarray, np.ndarray]:
+    """Up to max_fg of the fg indices, padded to total with bg indices.
+
+    Each side is a sorted random subset when it has more candidates than
+    slots (fg drawn first), else taken whole. Returns (take_fg, take_bg).
+    """
+    n_fg = min(max_fg, fg.size)
+    take_fg = fg[np.sort(rng.choice(fg.size, n_fg))] if n_fg < fg.size else fg
+    n_bg = min(total - n_fg, bg.size)
+    take_bg = bg[np.sort(rng.choice(bg.size, n_bg))] if n_bg < bg.size else bg
+    return take_fg, take_bg
+
+
 def sample_minibatch(targets: RpnTargets, rng: Rng, batch: int = 256,
                      max_pos: int = 128) -> RpnTargets:
     """Fill sample_mask: up to max_pos positives, padded to batch with negatives."""
@@ -85,10 +99,7 @@ def sample_minibatch(targets: RpnTargets, rng: Rng, batch: int = 256,
     neg = np.flatnonzero(targets.labels == NEGATIVE)
     if pos.size + neg.size == 0:
         raise NoLabeledAnchorsError("no labeled anchors in image")
-    n_pos = min(max_pos, pos.size)
-    take_pos = pos[np.sort(rng.choice(pos.size, n_pos))] if n_pos < pos.size else pos
-    n_neg = min(batch - n_pos, neg.size)
-    take_neg = neg[np.sort(rng.choice(neg.size, n_neg))] if n_neg < neg.size else neg
+    take_pos, take_neg = sample_fg_bg(pos, neg, max_pos, batch, rng)
     mask = np.zeros_like(targets.sample_mask)
     mask[take_pos] = True
     mask[take_neg] = True

@@ -1,8 +1,8 @@
 """Axis-aligned box geometry: IoU, delta encode/decode, clipping, greedy NMS.
 
 Boxes are continuous half-open rectangles (x1, y1, x2, y2), origin top-left,
-area = (x2-x1)*(y2-y1). Array entry points take (N, 4) float arrays; the
-dataclass API wraps them for single boxes.
+area = (x2-x1)*(y2-y1). Every entry point takes (N, 4) float arrays; `Box`
+and `ScoredBox` carry single detections out of the pipeline.
 """
 from __future__ import annotations
 
@@ -43,18 +43,6 @@ class Box:
 
 
 @dataclass(frozen=True)
-class BoxDelta:
-    tx: float
-    ty: float
-    tw: float
-    th: float
-
-    def __post_init__(self):
-        if not all(math.isfinite(v) for v in (self.tx, self.ty, self.tw, self.th)):
-            raise ValueError("box delta components must be finite")
-
-
-@dataclass(frozen=True)
 class ScoredBox:
     box: Box
     score: float
@@ -65,13 +53,6 @@ class ScoredBox:
             raise ValueError(f"score {self.score} outside [0, 1]")
         if self.class_id < 0:
             raise ValueError("class_id must be >= 0")
-
-
-def boxes_to_array(boxes) -> np.ndarray:
-    if len(boxes) == 0:
-        return np.zeros((0, 4), dtype=np.float64)
-    return np.stack([b.to_array() if isinstance(b, Box) else np.asarray(b, dtype=np.float64)
-                     for b in boxes])
 
 
 def iou_matrix_arr(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -89,10 +70,6 @@ def iou_matrix_arr(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     out = np.zeros_like(inter)
     np.divide(inter, union, out=out, where=union > 0)
     return out
-
-
-def iou_matrix(a, b) -> np.ndarray:
-    return iou_matrix_arr(boxes_to_array(a), boxes_to_array(b))
 
 
 def encode_arr(gt: np.ndarray, anchors: np.ndarray) -> np.ndarray:
@@ -124,17 +101,6 @@ def decode_arr(deltas: np.ndarray, anchors: np.ndarray) -> np.ndarray:
     return np.stack([cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2], axis=1)
 
 
-def encode(gt: Box, anchor: Box) -> BoxDelta:
-    t = encode_arr(gt.to_array()[None], anchor.to_array()[None])[0]
-    return BoxDelta(*t)
-
-
-def decode(delta: BoxDelta, anchor: Box) -> Box:
-    b = decode_arr(np.array([[delta.tx, delta.ty, delta.tw, delta.th]]),
-                   anchor.to_array()[None])[0]
-    return Box(*b)
-
-
 def clip_arr(boxes: np.ndarray, image_w: float, image_h: float) -> np.ndarray:
     boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
     out = np.empty_like(boxes)
@@ -143,12 +109,6 @@ def clip_arr(boxes: np.ndarray, image_w: float, image_h: float) -> np.ndarray:
     out[:, 2] = np.clip(boxes[:, 2], 0, image_w)
     out[:, 3] = np.clip(boxes[:, 3], 0, image_h)
     return out
-
-
-def clip(b: Box, image_w: float, image_h: float) -> Box:
-    if image_w <= 0 or image_h <= 0:
-        raise ValueError("image dimensions must be positive")
-    return Box(*clip_arr(b.to_array()[None], image_w, image_h)[0])
 
 
 def nms_arr(boxes: np.ndarray, scores: np.ndarray, iou_threshold: float,
@@ -206,10 +166,3 @@ def nms_arr(boxes: np.ndarray, scores: np.ndarray, iou_threshold: float,
                 suppressed[start:win_stop] |= iou[bi] > iou_threshold
     return np.asarray(keep, dtype=np.int64)
 
-
-def nms(items: list[ScoredBox], iou_threshold: float) -> list[int]:
-    if not items:
-        return []
-    boxes = boxes_to_array([s.box for s in items])
-    scores = np.array([s.score for s in items], dtype=np.float64)
-    return list(nms_arr(boxes, scores, iou_threshold))

@@ -3,24 +3,23 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from .anchors import grid_anchors, inside_mask
-from .boxes import clip_arr
 from .config import RunConfig
 from .dataio import gen_synthetic, image_to_input, load_manifest
 from .detector import DetectorHead, detect
-from .evaluation import DEFAULT_IOU_GRID, bench, mean_ap, recall_curve
-from .nn import load_checkpoint, restore_params
-from .onestage import OneStageHead, one_stage_detect, train_onestage
+from .evaluation import bench, mean_ap, recall_curve
+from .onestage import train_onestage
 from .rng import Rng
-from .rpn import Backbone, ProposalParams, RpnHead, propose_arrays
-from .tensor import Tensor
-from .training import (TrainState, alternate_4step, joint_train,
-                       proposals_for_scenes, save_state, train_rpn,
-                       write_loss_log)
+from .rpn import Backbone, RpnHead
+from .training import (TrainState, alternate_4step, joint_train, save_state,
+                       train_rpn, write_loss_log)
+
+# ablate modes that read a trained RPN checkpoint
+CKPT_MODES = ("no-reg", "no-cls", "n-sweep")
 
 
 def _load_config(args) -> RunConfig:
@@ -46,37 +45,23 @@ def _out_dir(args, cfg: RunConfig) -> Path:
     return out
 
 
-def _build_models(cfg: RunConfig, want_rpn=False, want_det=False, want_onestage=False):
+def _build_models(cfg: RunConfig, want_det=False) -> TrainState:
+    """Backbone and RPN head, plus the detector head if asked, in checkpoint order."""
     init = Rng(cfg.seed).substream("init")
     bb = Backbone(init, channels=cfg.backbone_channels)
-    state = TrainState(backbone=bb)
-    k = cfg.anchor_config().k
-    if want_rpn:
-        state.rpn_head = RpnHead(init, bb.out_dim, k, cfg.rpn_head_dim)
+    acfg = cfg.anchor_config()
+    state = TrainState(backbone=bb, anchor_cfg=acfg,
+                       rpn_head=RpnHead(init, bb.out_dim, acfg.k, cfg.rpn_head_dim))
     if want_det:
         state.det_head = DetectorHead(init, bb.out_dim, cfg.detector_n_classes)
-    if want_onestage:
-        state.onestage_head = OneStageHead(init, bb.out_dim, k,
-                                           cfg.detector_n_classes, cfg.rpn_head_dim)
-    return state
-
-
-def _restore(state: TrainState, ckpt_path):
-    from .training import _state_params
-    restore_params(_state_params(state), load_checkpoint(ckpt_path))
     return state
 
 
 def _rpn_proposals_csv(scenes, state, cfg: RunConfig, n: int) -> str:
-    p = cfg.proposal_params(train=False)
-    p = ProposalParams(p.nms_iou, p.pre_nms_top, n, p.min_size)
+    p = replace(cfg.proposal_params(train=False), post_nms_top=n)
     rows = ["image,rank,score,x1,y1,x2,y2"]
     for s in scenes:
-        aset = grid_anchors(cfg.anchor_config(), s.width // state.backbone.stride,
-                            s.height // state.backbone.stride)
-        feats = state.backbone.forward(Tensor(image_to_input(s.image)))
-        cls, reg = state.rpn_head.forward(feats)
-        boxes, scores = propose_arrays(cls.data, reg.data, aset, s.width, s.height, p)
+        _, boxes, scores = state.propose_scene(s, p)
         for r, (b, sc) in enumerate(zip(boxes, scores)):
             rows.append(f"{s.path},{r},{sc:.9g},{b[0]:.9g},{b[1]:.9g},"
                         f"{b[2]:.9g},{b[3]:.9g}")
@@ -113,7 +98,7 @@ def cmd_train_rpn(args):
     cfg = _load_config(args)
     out = _out_dir(args, cfg)
     scenes = _load_scenes(args.data)
-    state = _build_models(cfg, want_rpn=True)
+    state = _build_models(cfg)
     sched = cfg.schedule(iters=args.iters)
     train_rpn(scenes, state, sched, cfg.anchor_config(), cfg.loss_weights(),
               batch=cfg.rpn_batch, max_pos=cfg.rpn_max_pos)
@@ -170,7 +155,7 @@ def cmd_propose(args):
     cfg = _load_config(args)
     out = _out_dir(args, cfg)
     scenes = _load_scenes(args.data)
-    state = _restore(_build_models(cfg, want_rpn=True), args.ckpt)
+    state = _build_models(cfg).load(args.ckpt)
     csv = _rpn_proposals_csv(scenes, state, cfg, args.n)
     (out / "proposals.csv").write_text(csv)
     print(f"wrote proposals for {len(scenes)} images to {out / 'proposals.csv'}")
@@ -180,15 +165,11 @@ def cmd_detect(args):
     cfg = _load_config(args)
     out = _out_dir(args, cfg)
     scenes = _load_scenes(args.data)
-    state = _restore(_build_models(cfg, want_rpn=True, want_det=True), args.ckpt)
+    state = _build_models(cfg, want_det=True).load(args.ckpt)
     p = cfg.proposal_params(train=False)
     rows = ["image,class,score,x1,y1,x2,y2"]
     for s in scenes:
-        aset = grid_anchors(cfg.anchor_config(), s.width // state.backbone.stride,
-                            s.height // state.backbone.stride)
-        feats = state.backbone.forward(Tensor(image_to_input(s.image)))
-        cls, reg = state.rpn_head.forward(feats)
-        boxes, _ = propose_arrays(cls.data, reg.data, aset, s.width, s.height, p)
+        feats, boxes, _ = state.propose_scene(s, p)
         dets = detect(feats, boxes, state.det_head, 1.0 / state.backbone.stride,
                       s.width, s.height, cfg.detector_score_thresh,
                       cfg.detector_nms_iou, cfg.detector_max_per_image)
@@ -248,22 +229,16 @@ def cmd_bench(args):
     cfg = _load_config(args)
     out = _out_dir(args, cfg)
     scenes = _load_scenes(args.data)[:max(args.n_timed, 1)]
-    state = _restore(_build_models(cfg, want_rpn=True, want_det=True), args.ckpt)
+    state = _build_models(cfg, want_det=True).load(args.ckpt)
     p = cfg.proposal_params(train=False)
-    acfg = cfg.anchor_config()
 
     def conv_fn(scene):
         # all dense convolution: shared trunk + RPN-specific conv layers
-        feats = state.backbone.forward(Tensor(image_to_input(scene.image)))
-        cls, reg = state.rpn_head.forward(feats)
-        return scene, feats, cls, reg
+        return (scene, *state.rpn_forward(image_to_input(scene.image)))
 
     def proposal_fn(triple):
         scene, feats, cls, reg = triple
-        aset = grid_anchors(acfg, scene.width // state.backbone.stride,
-                            scene.height // state.backbone.stride)
-        boxes, _ = propose_arrays(cls.data, reg.data, aset, scene.width,
-                                  scene.height, p)
+        boxes, _ = state.propose(cls.data, reg.data, scene.width, scene.height, p)
         return scene, boxes
 
     def region_fn(triple, props):
@@ -284,22 +259,18 @@ def cmd_ablate(args):
     out = _out_dir(args, cfg)
     scenes = _load_scenes(args.data)
     gt_boxes, _ = _scenes_gt(scenes)
-    acfg = cfg.anchor_config()
     p = cfg.proposal_params(train=False)
 
-    if args.mode in ("no-reg", "no-cls", "n-sweep"):
-        state = _restore(_build_models(cfg, want_rpn=True), args.ckpt)
+    if args.mode in CKPT_MODES:
+        state = _build_models(cfg).load(args.ckpt)
 
     if args.mode == "no-reg":
         # proposals become the clipped raw anchors, ranked by objectness
         props = []
         for s in scenes:
-            aset = grid_anchors(acfg, s.width // state.backbone.stride,
-                                s.height // state.backbone.stride)
-            feats = state.backbone.forward(Tensor(image_to_input(s.image)))
-            cls, _ = state.rpn_head.forward(feats)
-            zero_reg = np.zeros((4 * acfg.k,) + cls.shape[1:], dtype=cls.data.dtype)
-            boxes, _s = propose_arrays(cls.data, zero_reg, aset, s.width, s.height, p)
+            _, cls, reg = state.rpn_forward(image_to_input(s.image))
+            boxes, _ = state.propose(cls.data, np.zeros_like(reg.data), s.width,
+                                     s.height, p)
             props.append(boxes)
         curve = recall_curve(props, gt_boxes, args.n)
         (out / "recall_no_reg.csv").write_text(curve.to_csv())
@@ -309,29 +280,17 @@ def cmd_ablate(args):
         rng = Rng(cfg.seed, "sampling")
         props = []
         for s in scenes:
-            aset = grid_anchors(acfg, s.width // state.backbone.stride,
-                                s.height // state.backbone.stride)
-            feats = state.backbone.forward(Tensor(image_to_input(s.image)))
-            cls, reg = state.rpn_head.forward(feats)
-            big = ProposalParams(p.nms_iou, len(aset), len(aset), p.min_size)
-            boxes, _sc = propose_arrays(cls.data, reg.data, aset,
-                                        s.width, s.height, big)
+            n_all = len(state.anchors(s.width, s.height))
+            _, boxes, _ = state.propose_scene(
+                s, replace(p, pre_nms_top=n_all, post_nms_top=n_all))
             props.append(boxes[rng.permutation(boxes.shape[0])][:args.n])
         curve = recall_curve(props, gt_boxes, args.n)
         (out / "recall_no_cls.csv").write_text(curve.to_csv())
         print(curve.to_csv(), end="")
     elif args.mode == "n-sweep":
-        props = []
         budgets = sorted(args.budgets)
-        full = ProposalParams(p.nms_iou, p.pre_nms_top, max(budgets), p.min_size)
-        for s in scenes:
-            aset = grid_anchors(acfg, s.width // state.backbone.stride,
-                                s.height // state.backbone.stride)
-            feats = state.backbone.forward(Tensor(image_to_input(s.image)))
-            cls, reg = state.rpn_head.forward(feats)
-            boxes, _sc = propose_arrays(cls.data, reg.data, aset,
-                                        s.width, s.height, full)
-            props.append(boxes)
+        full = replace(p, post_nms_top=max(budgets))
+        props = [state.propose_scene(s, full)[1] for s in scenes]
         rows = ["n,tau,recall"]
         for n in budgets:
             c = recall_curve(props, gt_boxes, n)
@@ -350,11 +309,10 @@ def cmd_ablate(args):
         for name, scales, ratios in settings:
             sub = RunConfig.from_file(out / "config.txt")
             sub.anchors_scales, sub.anchors_ratios = scales, ratios
-            state = _build_models(sub, want_rpn=True)
+            state = _build_models(sub)
             train_rpn(scenes, state, sub.schedule(iters=args.iters),
                       sub.anchor_config(), sub.loss_weights())
-            props = proposals_for_scenes(scenes, state.backbone, state.rpn_head,
-                                         sub.anchor_config(), p)
+            props = [state.propose_scene(s, p)[1] for s in scenes]
             c = recall_curve(props, gt_boxes, args.n)
             rows.append(f"{name},{c.at(0.5):.6g},{c.at(0.7):.6g}")
         (out / "anchor_settings.csv").write_text("\n".join(rows) + "\n")
@@ -364,11 +322,10 @@ def cmd_ablate(args):
         for lam in args.lambdas:
             sub = RunConfig.from_file(out / "config.txt")
             sub.rpn_lambda = lam
-            state = _build_models(sub, want_rpn=True)
+            state = _build_models(sub)
             train_rpn(scenes, state, sub.schedule(iters=args.iters),
                       sub.anchor_config(), sub.loss_weights())
-            props = proposals_for_scenes(scenes, state.backbone, state.rpn_head,
-                                         sub.anchor_config(), p)
+            props = [state.propose_scene(s, p)[1] for s in scenes]
             c = recall_curve(props, gt_boxes, args.n)
             last = state.loss_log[-1]
             rows.append(f"{lam:g},{c.at(0.5):.6g},{c.at(0.7):.6g},"
@@ -444,8 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ablate", help="ablation pipelines")
     common(p)
     p.add_argument("--mode", required=True,
-                   choices=["no-reg", "no-cls", "n-sweep", "anchor-settings",
-                            "lambda-sweep"])
+                   choices=[*CKPT_MODES, "anchor-settings", "lambda-sweep"])
     p.add_argument("--data", required=True)
     p.add_argument("--ckpt", help="trained RPN checkpoint (no-reg/no-cls/n-sweep)")
     p.add_argument("--n", type=int, default=300)
@@ -461,6 +417,8 @@ def run(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "mode", None) in CKPT_MODES and args.ckpt is None:
+            parser.error(f"ablate --mode {args.mode} requires --ckpt")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

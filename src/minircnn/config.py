@@ -20,16 +20,13 @@ def _ints(s: str) -> tuple[int, ...]:
 @dataclass
 class RunConfig:
     seed: int = 7
-    threads: int = 1
 
     data_n_images: int = 500
     data_image_size: int = 128
     data_max_objects: int = 5
-    data_rescale_side: int = 0          # 0: keep native size
 
     anchors_scales: tuple[float, ...] = (16.0, 32.0, 64.0)
     anchors_ratios: tuple[float, ...] = (0.5, 1.0, 2.0)
-    anchors_stride: int = 8
 
     backbone_channels: tuple[int, ...] = (16, 32, 64, 64)
 
@@ -62,7 +59,6 @@ class RunConfig:
     train_weight_decay: float = 0.0005
     train_joint_iters: int = 8000
 
-    eval_n_proposals: int = 300
     eval_iou_thresh: float = 0.5
 
     _PARSERS = {
@@ -120,8 +116,7 @@ class RunConfig:
     # typed views over the flat fields ---------------------------------
     def anchor_config(self):
         from .anchors import AnchorConfig
-        return AnchorConfig(self.anchors_scales, self.anchors_ratios,
-                            self.anchors_stride)
+        return AnchorConfig(self.anchors_scales, self.anchors_ratios)
 
     def loss_weights(self):
         from .rpn import LossWeights

@@ -1,4 +1,4 @@
-"""Synthetic shapes dataset, PPM/JSONL IO, shorter-side rescaling.
+"""Synthetic shapes dataset and PPM/JSONL IO.
 
 Images are binary PPM (P6, 8-bit RGB); annotations live in a JSON Lines
 manifest, one object per line:
@@ -211,36 +211,6 @@ def load_manifest(path) -> DatasetManifest:
                 raise ManifestError(f"{path}:{lineno}: missing image file {img}")
             entries.append(e)
     return DatasetManifest(root=root, entries=entries)
-
-
-def rescale_shorter_side(image: np.ndarray, boxes: np.ndarray,
-                         s: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """Scale so the shorter image side becomes s px; bilinear resampling.
-
-    Returns (image, boxes, scale_factor); box coordinates are multiplied by
-    the same uniform factor.
-    """
-    if s < 1:
-        raise ValueError("target side must be >= 1")
-    h, w = image.shape[:2]
-    scale = s / min(w, h)
-    nw, nh = int(round(w * scale)), int(round(h * scale))
-    if (nw, nh) == (w, h):
-        return image.copy(), np.asarray(boxes, dtype=np.float64) * scale, scale
-    xs = (np.arange(nw) + 0.5) / scale - 0.5
-    ys = (np.arange(nh) + 0.5) / scale - 0.5
-    x0 = np.clip(np.floor(xs).astype(np.int64), 0, w - 1)
-    y0 = np.clip(np.floor(ys).astype(np.int64), 0, h - 1)
-    x1 = np.minimum(x0 + 1, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
-    fx = np.clip(xs - x0, 0.0, 1.0)
-    fy = np.clip(ys - y0, 0.0, 1.0)
-    img = image.astype(np.float64)
-    top = img[y0][:, x0] * (1 - fx)[None, :, None] + img[y0][:, x1] * fx[None, :, None]
-    bot = img[y1][:, x0] * (1 - fx)[None, :, None] + img[y1][:, x1] * fx[None, :, None]
-    out = top * (1 - fy)[:, None, None] + bot * fy[:, None, None]
-    out = np.clip(np.rint(out), 0, 255).astype(np.uint8)
-    return out, np.asarray(boxes, dtype=np.float64) * scale, scale
 
 
 def image_to_input(image: np.ndarray) -> np.ndarray:

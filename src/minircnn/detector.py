@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
+from .assignment import sample_fg_bg
 from .boxes import Box, ScoredBox, clip_arr, decode_arr, encode_arr, iou_matrix_arr, nms_arr
 from .nn import Param, gaussian_init
 from .rng import Rng
@@ -107,11 +108,8 @@ def sample_rois(proposals: np.ndarray, gt_boxes: np.ndarray, gt_classes: np.ndar
         arg = np.zeros(cand.shape[0], dtype=np.int64)
     fg = np.flatnonzero(best >= cfg.fg_iou)
     bg = np.flatnonzero((best >= cfg.bg_iou_lo) & (best < cfg.fg_iou))
-    max_fg = int(cfg.fg_fraction * cfg.rois_per_image)
-    n_fg = min(max_fg, fg.size)
-    take_fg = fg[np.sort(rng.choice(fg.size, n_fg))] if n_fg < fg.size else fg
-    n_bg = min(cfg.rois_per_image - n_fg, bg.size)
-    take_bg = bg[np.sort(rng.choice(bg.size, n_bg))] if n_bg < bg.size else bg
+    take_fg, take_bg = sample_fg_bg(fg, bg, int(cfg.fg_fraction * cfg.rois_per_image),
+                                    cfg.rois_per_image, rng)
     idx = np.concatenate([take_fg, take_bg])
     rois = cand[idx]
     labels = np.zeros(idx.size, dtype=np.int64)
@@ -153,15 +151,31 @@ def detect(features: Tensor, proposals: np.ndarray, head: DetectorHead,
     if proposals.shape[0] == 0:
         return []
     cls_logits, deltas = detector_forward(features, proposals, head, spatial_scale)
-    probs = class_probs(cls_logits)
     per_class = deltas.data.reshape(proposals.shape[0], head.n_classes, 4)
+    return classwise_detections(class_probs(cls_logits), per_class, proposals,
+                                image_w, image_h, score_thresh, nms_iou,
+                                max_per_image)
+
+
+def classwise_detections(probs: np.ndarray, per_class: np.ndarray,
+                         ref_boxes: np.ndarray, image_w: float, image_h: float,
+                         score_thresh: float, nms_iou: float,
+                         max_per_image: int) -> list[ScoredBox]:
+    """Class-wise post-process shared by both detectors.
+
+    probs (N, C+1) holds class probabilities with background in column 0;
+    per_class (N, C, 4) the class-specific deltas against ref_boxes (N, 4).
+    For each class c >= 1, rows scoring at least score_thresh are decoded,
+    clipped and NMS-filtered; the top max_per_image over all classes are
+    returned, best first.
+    """
     out = []
-    for c in range(1, head.n_classes + 1):
+    for c in range(1, probs.shape[1]):
         scores = probs[:, c]
         keep = scores >= score_thresh
         if not np.any(keep):
             continue
-        boxes = decode_arr(per_class[keep, c - 1].astype(np.float64), proposals[keep])
+        boxes = decode_arr(per_class[keep, c - 1].astype(np.float64), ref_boxes[keep])
         boxes = clip_arr(boxes, image_w, image_h)
         sel = nms_arr(boxes, scores[keep], nms_iou)
         for i in sel:

@@ -5,11 +5,11 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
-from .anchors import AnchorConfig, AnchorSet, grid_anchors, inside_mask
-from .boxes import (Box, ScoredBox, clip_arr, decode_arr, encode_arr,
-                    iou_matrix_arr, nms_arr)
+from .anchors import AnchorConfig, AnchorSet, inside_mask
+from .assignment import sample_fg_bg
+from .boxes import ScoredBox, encode_arr, iou_matrix_arr
 from .dataio import Scene, image_to_input
-from .detector import RoiSampleConfig
+from .detector import RoiSampleConfig, classwise_detections
 from .nn import SgdConfig, sgd_step
 from .rng import Rng
 from .rpn import Backbone, ConvLayer
@@ -89,39 +89,28 @@ def train_onestage(scenes: list[Scene], sched: TrainSchedule,
     if backbone is None:
         backbone = Backbone(init, channels=channels)
     head = OneStageHead(init, backbone.out_dim, anchor_cfg.k, n_classes, head_dim)
-    state = TrainState(backbone=backbone, onestage_head=head)
+    state = TrainState(backbone=backbone, onestage_head=head, anchor_cfg=anchor_cfg)
 
     rng = Rng(sched.seed)
     feeder = _Feeder(len(scenes), rng.substream("data"))
     sample_rng = rng.substream("sampling")
     inputs = [image_to_input(s.image) for s in scenes]
-    asets, assigned = {}, []
-    for s in scenes:
-        key = (s.width, s.height)
-        if key not in asets:
-            a = grid_anchors(anchor_cfg, s.width // backbone.stride,
-                             s.height // backbone.stride)
-            inside_mask(a, s.width, s.height)
-            asets[key] = a
-        assigned.append(_assign_windows(asets[key], s, roi_cfg))
-    params = backbone.params + head.params
+    assigned = [_assign_windows(state.anchors(s.width, s.height), s, roi_cfg)
+                for s in scenes]
+    params = state.params
 
     for it in range(sched.total_iters):
         i = feeder.next()
         labels, targets = assigned[i]
-        fg = np.flatnonzero(labels > 0)
-        bg = np.flatnonzero(labels == 0)
-        max_fg = int(roi_cfg.fg_fraction * roi_cfg.rois_per_image)
-        n_fg = min(max_fg, fg.size)
-        take_fg = fg[np.sort(sample_rng.choice(fg.size, n_fg))] if n_fg < fg.size else fg
-        n_bg = min(roi_cfg.rois_per_image - n_fg, bg.size)
-        take_bg = bg[np.sort(sample_rng.choice(bg.size, n_bg))] if n_bg < bg.size else bg
+        take_fg, take_bg = sample_fg_bg(
+            np.flatnonzero(labels > 0), np.flatnonzero(labels == 0),
+            int(roi_cfg.fg_fraction * roi_cfg.rois_per_image), roi_cfg.rois_per_image,
+            sample_rng)
         idx = np.concatenate([take_fg, take_bg])
         if idx.size == 0:
             log.warning("skipping image %d: no labelable windows", i)
             continue
-        feats = backbone.forward(Tensor(inputs[i]))
-        cls, reg = head.forward(feats)
+        cls, reg = head.forward(state.features(inputs[i]))
         logits = T.take_rows(_flatten_cls(cls, head.k, n_classes), idx)
         loss = T.mul(T.tsum(T.softmax_logloss(logits, labels[idx])), 1.0 / idx.size)
         cv = loss.item()
@@ -149,21 +138,5 @@ def one_stage_detect(features: Tensor, head: OneStageHead, aset: AnchorSet,
     cls, reg = head.forward(features)
     probs = T.softmax(_flatten_cls(cls, head.k, head.n_classes).data, axis=1)
     per_class = _flatten_reg(reg, head.k, head.n_classes).data
-    out = []
-    for c in range(1, head.n_classes + 1):
-        scores = probs[:, c]
-        keep = scores >= score_thresh
-        if not np.any(keep):
-            continue
-        boxes = decode_arr(per_class[keep, c - 1].astype(np.float64), aset.boxes[keep])
-        boxes = clip_arr(boxes, image_w, image_h)
-        sel = nms_arr(boxes, scores[keep], nms_iou)
-        for i in sel:
-            out.append(ScoredBox(Box(*boxes[i]), float(scores[keep][i]), c))
-    out.sort(key=lambda s: -s.score)
-    return out[:max_per_image]
-
-
-def dense_candidate_count(aset: AnchorSet, n_classes: int) -> int:
-    """Scored candidate boxes emitted pre-NMS: every window, every class."""
-    return len(aset) * n_classes
+    return classwise_detections(probs, per_class, aset.boxes, image_w, image_h,
+                                score_thresh, nms_iou, max_per_image)

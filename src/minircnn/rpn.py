@@ -9,7 +9,7 @@ import numpy as np
 from . import tensor as T
 from .anchors import AnchorSet
 from .assignment import RpnTargets
-from .boxes import ScoredBox, Box, clip_arr, decode_arr
+from .boxes import clip_arr, decode_arr
 from .nn import Param, gaussian_init
 from .rng import Rng
 from .tensor import Tensor
@@ -77,6 +77,10 @@ class Backbone:
         self.convs = [ConvLayer(f"backbone.conv{i + 1}", chans[i], chans[i + 1], 3, 1,
                                 rng, stddev=None)
                       for i in range(4)]
+
+    def grid_size(self, image_w: int, image_h: int) -> tuple[int, int]:
+        """Feature map (width, height) for an image; each padded pool rounds up."""
+        return -(-image_w // self.stride), -(-image_h // self.stride)
 
     def forward(self, x: Tensor) -> Tensor:
         for i, conv in enumerate(self.convs):
@@ -192,10 +196,3 @@ def propose_arrays(cls_data: np.ndarray, reg_data: np.ndarray, aset: AnchorSet,
         keep = nms_arr(boxes, scores, p.nms_iou, max_keep=p.post_nms_top)
     return boxes[keep], scores[keep]
 
-
-def generate_proposals(cls_scores: Tensor, reg_deltas: Tensor, aset: AnchorSet,
-                       image_w: float, image_h: float,
-                       p: ProposalParams) -> list[ScoredBox]:
-    boxes, scores = propose_arrays(cls_scores.data, reg_deltas.data, aset,
-                                   image_w, image_h, p)
-    return [ScoredBox(Box(*b), float(s), 0) for b, s in zip(boxes, scores)]

@@ -36,9 +36,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def zero_grad(self):
         self.grad = None
 
@@ -102,10 +99,6 @@ def _make(data, parents, backward) -> Tensor:
         out._parents = tuple(parents)
         out._backward = backward
     return out
-
-
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x))
 
 
 # core ops --------------------------------------------------------------

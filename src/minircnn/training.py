@@ -4,17 +4,18 @@ from __future__ import annotations
 
 import hashlib
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .anchors import AnchorConfig, grid_anchors, inside_mask
+from .anchors import AnchorConfig, AnchorSet, grid_anchors, inside_mask
 from .assignment import NoLabeledAnchorsError, assign_labels, sample_minibatch
 from .dataio import Scene, image_to_input
 from .detector import (DetectorHead, RoiSampleConfig, detector_forward,
                        detector_loss, sample_rois)
-from .nn import Param, SgdConfig, save_checkpoint, sgd_step
+from .nn import (Param, SgdConfig, load_checkpoint, restore_params,
+                 save_checkpoint, sgd_step)
 from .rng import Rng
 from .rpn import (Backbone, LossWeights, ProposalParams, RpnHead, propose_arrays,
                   rpn_loss)
@@ -44,13 +45,63 @@ class TrainSchedule:
 
 @dataclass
 class TrainState:
+    """The model: one backbone whose features the optional heads share, the
+    anchor configuration the RPN and one-stage heads predict against, and
+    the training record."""
     backbone: Backbone
     rpn_head: RpnHead | None = None
     det_head: DetectorHead | None = None
     onestage_head: object | None = None
+    anchor_cfg: AnchorConfig = field(default_factory=AnchorConfig)
     shared_frozen: bool = False
     iteration: int = 0
     loss_log: list[dict] = field(default_factory=list)
+    _anchor_sets: dict = field(default_factory=dict, init=False, repr=False,
+                               compare=False)
+
+    @property
+    def params(self) -> list[Param]:
+        """Backbone parameters, then each present head's, in checkpoint order."""
+        heads = (self.rpn_head, self.det_head, self.onestage_head)
+        return self.backbone.params + [p for h in heads if h is not None
+                                       for p in h.params]
+
+    def load(self, path) -> "TrainState":
+        restore_params(self.params, load_checkpoint(path))
+        return self
+
+    def anchors(self, image_w: int, image_h: int) -> AnchorSet:
+        """Anchors over the backbone's feature grid for this image size, with
+        the inside mask set; built once per size and anchor configuration."""
+        key = (self.anchor_cfg, image_w, image_h)
+        if key not in self._anchor_sets:
+            cfg = replace(self.anchor_cfg, stride=self.backbone.stride)
+            aset = grid_anchors(cfg, *self.backbone.grid_size(image_w, image_h))
+            inside_mask(aset, image_w, image_h)
+            self._anchor_sets[key] = aset
+        return self._anchor_sets[key]
+
+    def features(self, x: np.ndarray) -> Tensor:
+        """Shared conv features of one (3, H, W) network input."""
+        return self.backbone.forward(Tensor(x))
+
+    def rpn_forward(self, x: np.ndarray) -> tuple[Tensor, Tensor, Tensor]:
+        """Shared features, then the RPN head's raw scores and deltas."""
+        feats = self.features(x)
+        return (feats, *self.rpn_head.forward(feats))
+
+    def propose(self, cls_data: np.ndarray, reg_data: np.ndarray, image_w: int,
+                image_h: int, p: ProposalParams) -> tuple[np.ndarray, np.ndarray]:
+        """Proposals (boxes, scores) from raw RPN head outputs for one image."""
+        return propose_arrays(cls_data, reg_data, self.anchors(image_w, image_h),
+                              image_w, image_h, p)
+
+    def propose_scene(self, scene: Scene,
+                      p: ProposalParams) -> tuple[Tensor, np.ndarray, np.ndarray]:
+        """One scene through backbone, RPN head and proposal layer:
+        (features, boxes, scores)."""
+        feats, cls, reg = self.rpn_forward(image_to_input(scene.image))
+        return (feats, *self.propose(cls.data, reg.data, scene.width, scene.height, p))
 
 
 def backbone_checksum(backbone: Backbone) -> str:
@@ -96,30 +147,27 @@ class _Feeder:
         return i
 
 
-def _precompute(scenes: list[Scene], cfg: AnchorConfig, backbone_stride: int):
-    """Per-scene inputs, anchor sets, and assigned labels (image-size cached)."""
-    inputs, asets, targets = [], {}, []
-    for s in scenes:
-        inputs.append(image_to_input(s.image))
-        key = (s.width, s.height)
-        if key not in asets:
-            fa = grid_anchors(cfg, s.width // backbone_stride, s.height // backbone_stride)
-            inside_mask(fa, s.width, s.height)
-            asets[key] = fa
-        targets.append(assign_labels(asets[key], s.boxes, s.width, s.height))
-    return inputs, [asets[(s.width, s.height)] for s in scenes], targets
+def _precompute(scenes: list[Scene], state: TrainState):
+    """Per-scene network inputs, anchor sets and assigned labels."""
+    inputs = [image_to_input(s.image) for s in scenes]
+    asets = [state.anchors(s.width, s.height) for s in scenes]
+    targets = [assign_labels(a, s.boxes, s.width, s.height)
+               for a, s in zip(asets, scenes)]
+    return inputs, asets, targets
 
 
 def train_rpn(scenes: list[Scene], state: TrainState, sched: TrainSchedule,
               anchor_cfg: AnchorConfig, weights: LossWeights,
               batch: int = 256, max_pos: int = 128) -> TrainState:
-    """Image-centric SGD on the RPN loss; one image per minibatch."""
+    """Image-centric SGD on the RPN loss; one image per minibatch. `state`
+    takes `anchor_cfg` as its anchor configuration."""
     if not scenes:
         raise ValueError("empty dataset")
+    state.anchor_cfg = anchor_cfg
     rng = Rng(sched.seed)
     feeder = _Feeder(len(scenes), rng.substream("data"))
     sample_rng = rng.substream("sampling")
-    inputs, asets, targets = _precompute(scenes, anchor_cfg, state.backbone.stride)
+    inputs, asets, targets = _precompute(scenes, state)
     params = state.rpn_head.params
     if not state.shared_frozen:
         params = state.backbone.params + params
@@ -132,8 +180,7 @@ def train_rpn(scenes: list[Scene], state: TrainState, sched: TrainSchedule,
         except NoLabeledAnchorsError:
             log.warning("skipping image %d: no labelable anchors", i)
             continue
-        feats = state.backbone.forward(Tensor(inputs[i]))
-        cls, reg = state.rpn_head.forward(feats)
+        _, cls, reg = state.rpn_forward(inputs[i])
         w = LossWeights(weights.lam, weights.n_cls,
                         float(asets[i].feature_w * asets[i].feature_h))
         loss, cv, rv = rpn_loss(cls, reg, t, anchor_cfg.k, w)
@@ -149,18 +196,8 @@ def train_rpn(scenes: list[Scene], state: TrainState, sched: TrainSchedule,
 def proposals_for_scenes(scenes: list[Scene], backbone: Backbone, head: RpnHead,
                          anchor_cfg: AnchorConfig,
                          p: ProposalParams) -> list[np.ndarray]:
-    out = []
-    asets = {}
-    for s in scenes:
-        key = (s.width, s.height)
-        if key not in asets:
-            asets[key] = grid_anchors(anchor_cfg, s.width // backbone.stride,
-                                      s.height // backbone.stride)
-        feats = backbone.forward(Tensor(image_to_input(s.image)))
-        cls, reg = head.forward(feats)
-        boxes, _ = propose_arrays(cls.data, reg.data, asets[key], s.width, s.height, p)
-        out.append(boxes)
-    return out
+    model = TrainState(backbone=backbone, rpn_head=head, anchor_cfg=anchor_cfg)
+    return [model.propose_scene(s, p)[1] for s in scenes]
 
 
 def train_detector(scenes: list[Scene], proposals: list[np.ndarray],
@@ -186,8 +223,8 @@ def train_detector(scenes: list[Scene], proposals: list[np.ndarray],
         if batch.labels.shape[0] == 0:
             log.warning("skipping image %d: no RoI candidates", i)
             continue
-        feats = state.backbone.forward(Tensor(inputs[i]))
-        cls, reg = detector_forward(feats, batch.rois, state.det_head, scale)
+        cls, reg = detector_forward(state.features(inputs[i]), batch.rois,
+                                    state.det_head, scale)
         loss, cv, rv = detector_loss(cls, reg, batch)
         loss.backward()
         lr = sched.lr_at(it)
@@ -239,11 +276,12 @@ def alternate_4step(scenes: list[Scene], sched_rpn: TrainSchedule,
     assert backbone_checksum(bb2) == pre, "frozen backbone changed in step 4"
 
     final = TrainState(backbone=bb2, rpn_head=rpn3, det_head=det,
+                       anchor_cfg=anchor_cfg,
                        loss_log=s1.loss_log + s2.loss_log + s3.loss_log + s4.loss_log)
     if out_dir is not None:
         out_dir = Path(out_dir)
         for name, st in (("step1", s1), ("step2", s2), ("step3", s3), ("step4", s4)):
-            save_checkpoint(_state_params(st), out_dir / f"{name}.frpn")
+            save_checkpoint(st.params, out_dir / f"{name}.frpn")
     return final
 
 
@@ -263,13 +301,14 @@ def joint_train(scenes: list[Scene], sched: TrainSchedule, anchor_cfg: AnchorCon
     backbone = Backbone(init, channels=channels)
     rpn_head = RpnHead(init, backbone.out_dim, anchor_cfg.k, head_dim)
     det_head = DetectorHead(init, backbone.out_dim, n_classes)
-    state = TrainState(backbone=backbone, rpn_head=rpn_head, det_head=det_head)
+    state = TrainState(backbone=backbone, rpn_head=rpn_head, det_head=det_head,
+                       anchor_cfg=anchor_cfg)
 
     rng = Rng(sched.seed)
     feeder = _Feeder(len(scenes), rng.substream("data"))
     sample_rng = rng.substream("sampling")
-    inputs, asets, targets = _precompute(scenes, anchor_cfg, backbone.stride)
-    params = backbone.params + rpn_head.params + det_head.params
+    inputs, asets, targets = _precompute(scenes, state)
+    params = state.params
     scale = 1.0 / backbone.stride
 
     for it in range(sched.total_iters):
@@ -280,14 +319,13 @@ def joint_train(scenes: list[Scene], sched: TrainSchedule, anchor_cfg: AnchorCon
         except NoLabeledAnchorsError:
             log.warning("skipping image %d: no labelable anchors", i)
             continue
-        feats = backbone.forward(Tensor(inputs[i]))
-        cls, reg = rpn_head.forward(feats)
+        feats, cls, reg = state.rpn_forward(inputs[i])
         w = LossWeights(weights.lam, weights.n_cls,
                         float(asets[i].feature_w * asets[i].feature_h))
         rloss, rcv, rrv = rpn_loss(cls, reg, t, anchor_cfg.k, w)
         # detached proposal coordinates: raw arrays only, no tape
-        boxes, _ = propose_arrays(cls.data, reg.data, asets[i], s.width, s.height,
-                                  train_proposals)
+        boxes, _ = state.propose(cls.data, reg.data, s.width, s.height,
+                                 train_proposals)
         batch = sample_rois(boxes, s.boxes, s.classes, roi_cfg, sample_rng)
         lr = sched.lr_at(it)
         row = {"iteration": state.iteration, "lr": lr, "loss_cls": rcv,
@@ -306,19 +344,8 @@ def joint_train(scenes: list[Scene], sched: TrainSchedule, anchor_cfg: AnchorCon
     return state
 
 
-def _state_params(state: TrainState) -> list[Param]:
-    params = list(state.backbone.params)
-    if state.rpn_head is not None:
-        params += state.rpn_head.params
-    if state.det_head is not None:
-        params += state.det_head.params
-    if state.onestage_head is not None:
-        params += state.onestage_head.params
-    return params
-
-
 def save_state(state: TrainState, path):
-    save_checkpoint(_state_params(state), path)
+    save_checkpoint(state.params, path)
 
 
 def write_loss_log(state: TrainState, path):

@@ -1,4 +1,4 @@
-"""Shared test helpers."""
+"""Independent reference implementations the geometry tests compare against."""
 
 from __future__ import annotations
 

@@ -28,7 +28,7 @@ from minircnn.tensor import Tensor, gradcheck
 from minircnn.training import (TrainSchedule, TrainState, alternate_4step,
                                proposals_for_scenes, train_rpn)
 
-from conftest import brute_iou, brute_nms, random_boxes
+from oracles import brute_iou, brute_nms, random_boxes
 
 
 @pytest.fixture

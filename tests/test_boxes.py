@@ -10,21 +10,15 @@ from hypothesis import strategies as st
 from minircnn.boxes import (
     DELTA_CLAMP,
     Box,
-    BoxDelta,
     ScoredBox,
-    clip,
     clip_arr,
-    decode,
     decode_arr,
-    encode,
     encode_arr,
-    iou_matrix,
     iou_matrix_arr,
-    nms,
     nms_arr,
 )
 
-from conftest import brute_iou, brute_nms, random_boxes
+from oracles import brute_iou, brute_nms, random_boxes
 
 
 class TestTypes:
@@ -40,24 +34,25 @@ class TestTypes:
         with pytest.raises(ValueError):
             ScoredBox(Box(0, 0, 1, 1), 0.5, -1)
 
-    def test_box_delta_finite(self):
-        with pytest.raises(ValueError):
-            BoxDelta(float("nan"), 0, 0, 0)
-
     def test_zero_area_box_allowed(self):
         b = Box(3, 3, 3, 3)
         assert b.area == 0
 
 
+def arr(*boxes) -> np.ndarray:
+    """(N, 4) float array from 4-tuples."""
+    return np.array(boxes, dtype=np.float64).reshape(-1, 4)
+
+
 class TestIou:
     def test_identical(self):
-        assert iou_matrix([Box(0, 0, 10, 10)], [Box(0, 0, 10, 10)])[0, 0] == 1.0
+        assert iou_matrix_arr(arr((0, 0, 10, 10)), arr((0, 0, 10, 10)))[0, 0] == 1.0
 
     def test_disjoint(self):
-        assert iou_matrix([Box(0, 0, 10, 10)], [Box(20, 20, 30, 30)])[0, 0] == 0.0
+        assert iou_matrix_arr(arr((0, 0, 10, 10)), arr((20, 20, 30, 30)))[0, 0] == 0.0
 
     def test_quarter_overlap(self):
-        got = iou_matrix([Box(0, 0, 10, 10)], [Box(5, 5, 15, 15)])[0, 0]
+        got = iou_matrix_arr(arr((0, 0, 10, 10)), arr((5, 5, 15, 15)))[0, 0]
         assert got == pytest.approx(25.0 / 175.0, abs=1e-12)
 
     def test_degenerate_zero_area(self):
@@ -83,27 +78,26 @@ class TestIou:
 
 class TestEncodeDecode:
     def test_identity(self):
-        d = encode(Box(0, 0, 10, 10), Box(0, 0, 10, 10))
-        assert (d.tx, d.ty, d.tw, d.th) == (0, 0, 0, 0)
+        d = encode_arr(arr((0, 0, 10, 10)), arr((0, 0, 10, 10)))
+        assert tuple(d[0]) == (0, 0, 0, 0)
 
     def test_hand_example(self):
-        anchor = Box(0, 0, 16, 16)          # center (8,8), 16x16
-        gt = Box(-4, 0, 28, 16)             # center (12,8), 32x16
-        d = encode(gt, anchor)
-        assert d.tx == pytest.approx(0.25, abs=1e-12)
-        assert d.ty == pytest.approx(0.0, abs=1e-12)
-        assert d.tw == pytest.approx(math.log(2.0), abs=1e-12)
-        assert d.th == pytest.approx(0.0, abs=1e-12)
+        anchor = arr((0, 0, 16, 16))        # center (8,8), 16x16
+        gt = arr((-4, 0, 28, 16))           # center (12,8), 32x16
+        tx, ty, tw, th = encode_arr(gt, anchor)[0]
+        assert tx == pytest.approx(0.25, abs=1e-12)
+        assert ty == pytest.approx(0.0, abs=1e-12)
+        assert tw == pytest.approx(math.log(2.0), abs=1e-12)
+        assert th == pytest.approx(0.0, abs=1e-12)
 
     def test_decode_zero_is_anchor(self):
-        anchor = Box(3, 7, 20, 31)
-        b = decode(BoxDelta(0, 0, 0, 0), anchor)
-        assert (b.x1, b.y1, b.x2, b.y2) == pytest.approx(
-            (anchor.x1, anchor.y1, anchor.x2, anchor.y2), abs=1e-12)
+        anchor = arr((3, 7, 20, 31))
+        b = decode_arr(np.zeros((1, 4)), anchor)
+        assert tuple(b[0]) == pytest.approx(tuple(anchor[0]), abs=1e-12)
 
     def test_decode_hand_example(self):
-        b = decode(BoxDelta(0, 0, math.log(2), math.log(2)), Box(0, 0, 16, 16))
-        assert (b.x1, b.y1, b.x2, b.y2) == pytest.approx((-8, -8, 24, 24), abs=1e-9)
+        b = decode_arr(arr((0, 0, math.log(2), math.log(2))), arr((0, 0, 16, 16)))
+        assert tuple(b[0]) == pytest.approx((-8, -8, 24, 24), abs=1e-9)
 
     def test_roundtrip_10k(self):
         # size ratios stay below the decode clamp exp(log(1000/16)) = 62.5
@@ -136,26 +130,25 @@ class TestEncodeDecode:
     def test_roundtrip_property(self, origins, sizes):
         gx, gy, ax, ay = origins
         gw, gh, aw, ah = sizes
-        gt = Box(gx, gy, gx + gw, gy + gh)
-        anchor = Box(ax, ay, ax + aw, ay + ah)
-        back = decode(encode(gt, anchor), anchor)
-        for got, want in zip((back.x1, back.y1, back.x2, back.y2),
-                             (gt.x1, gt.y1, gt.x2, gt.y2)):
+        gt = arr((gx, gy, gx + gw, gy + gh))
+        anchor = arr((ax, ay, ax + aw, ay + ah))
+        back = decode_arr(encode_arr(gt, anchor), anchor)
+        for got, want in zip(back[0], gt[0]):
             assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
 
 
 class TestClip:
     def test_inside_untouched(self):
-        b = clip(Box(2, 2, 8, 8), 100, 100)
-        assert (b.x1, b.y1, b.x2, b.y2) == (2, 2, 8, 8)
+        b = clip_arr(arr((2, 2, 8, 8)), 100, 100)
+        assert tuple(b[0]) == (2, 2, 8, 8)
 
     def test_clamps(self):
-        b = clip(Box(-5, -5, 10, 10), 100, 100)
-        assert (b.x1, b.y1, b.x2, b.y2) == (0, 0, 10, 10)
+        b = clip_arr(arr((-5, -5, 10, 10)), 100, 100)
+        assert tuple(b[0]) == (0, 0, 10, 10)
 
     def test_fully_outside_collapses(self):
-        b = clip(Box(-20, -20, -10, -10), 100, 100)
-        assert (b.x1, b.y1, b.x2, b.y2) == (0, 0, 0, 0)
+        b = clip_arr(arr((-20, -20, -10, -10)), 100, 100)
+        assert tuple(b[0]) == (0, 0, 0, 0)
 
     def test_idempotent(self):
         rng = np.random.default_rng(3)
@@ -167,21 +160,18 @@ class TestClip:
 
 class TestNms:
     def test_single(self):
-        assert nms([ScoredBox(Box(0, 0, 10, 10), 0.5, 0)], 0.7) == [0]
+        assert list(nms_arr(arr((0, 0, 10, 10)), np.array([0.5]), 0.7)) == [0]
 
     def test_empty(self):
-        assert nms([], 0.7) == []
+        assert list(nms_arr(arr(), np.zeros(0), 0.7)) == []
 
     def test_hand_example(self):
-        items = [ScoredBox(Box(0, 0, 10, 10), 0.9, 0),
-                 ScoredBox(Box(0, 0, 10, 11), 0.8, 0),
-                 ScoredBox(Box(20, 20, 30, 30), 0.7, 0)]
-        assert nms(items, 0.7) == [0, 2]
+        boxes = arr((0, 0, 10, 10), (0, 0, 10, 11), (20, 20, 30, 30))
+        assert list(nms_arr(boxes, np.array([0.9, 0.8, 0.7]), 0.7)) == [0, 2]
 
     def test_disjoint_all_kept_sorted(self):
-        items = [ScoredBox(Box(30 * i, 0, 30 * i + 10, 10), s, 0)
-                 for i, s in enumerate([0.2, 0.9, 0.5])]
-        assert nms(items, 0.5) == [1, 2, 0]
+        boxes = arr(*[(30 * i, 0, 30 * i + 10, 10) for i in range(3)])
+        assert list(nms_arr(boxes, np.array([0.2, 0.9, 0.5]), 0.5)) == [1, 2, 0]
 
     def test_strict_threshold_boundary(self):
         # IoU exactly 0.5: survives at thr=0.5 (strict >), suppressed below.

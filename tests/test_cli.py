@@ -1,8 +1,12 @@
 """End-to-end CLI: subcommands, config handling, exit codes, artifacts."""
 
+import json
+import sys
+
 import numpy as np
 import pytest
 
+from minircnn import anchors
 from minircnn.cli import run
 from minircnn.config import RunConfig
 
@@ -140,7 +144,82 @@ class TestInferenceCommands:
             ["conv", "proposal", "region-wise", "total", "rate_images_per_sec"]
 
 
+def count_calls(monkeypatch, fn) -> list:
+    """Route every minircnn module's binding of `fn` through a call recorder."""
+    calls = []
+
+    def recorded(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "minircnn" or name.startswith("minircnn."):
+            for attr, obj in list(vars(mod).items()):
+                if obj is fn:
+                    monkeypatch.setattr(mod, attr, recorded)
+    return calls
+
+
+class TestModelReuse:
+    def test_detect_builds_anchors_once_per_image_size(self, alt_run, tmp_path,
+                                                       monkeypatch):
+        lines = []
+        for sub, size, n in (("a", "48", "3"), ("b", "56", "2")):
+            assert run(["gen-data", "--out", str(tmp_path / sub), "--n", n,
+                        "--image-size", size, *TINY, "--seed", "11"]) == 0
+            for line in (tmp_path / sub / "manifest.jsonl").read_text().splitlines():
+                e = json.loads(line)
+                e["image"] = f"{sub}/{e['image']}"
+                lines.append(json.dumps(e))
+        manifest = tmp_path / "manifest.jsonl"
+        manifest.write_text("\n".join(lines) + "\n")
+        calls = count_calls(monkeypatch, anchors.grid_anchors)
+        assert run(["detect", "--out", str(tmp_path / "dets"), "--ckpt",
+                    str(alt_run / "final.frpn"), "--data", str(manifest),
+                    *TINY, "--seed", "11"]) == 0
+        assert len(calls) == 2
+
+    def test_image_side_not_a_multiple_of_stride(self, tmp_path):
+        data = tmp_path / "data"
+        assert run(["gen-data", "--out", str(data), "--n", "2", *TINY,
+                    "--image-size", "100", "--seed", "11"]) == 0
+        assert run(["train-rpn", "--out", str(tmp_path / "rpn"), "--data",
+                    str(data), "--iters", "2", *TINY, "--seed", "11"]) == 0
+        assert run(["propose", "--out", str(tmp_path / "props"), "--ckpt",
+                    str(tmp_path / "rpn" / "rpn.frpn"), "--data", str(data),
+                    "--n", "10", *TINY, "--seed", "11"]) == 0
+        rows = (tmp_path / "props" / "proposals.csv").read_text().strip().split("\n")
+        assert len(rows) > 1
+
+
 class TestAblate:
+    @pytest.mark.parametrize("mode,args,name,header", [
+        ("no-reg", ["--n", "10"], "recall_no_reg.csv", "tau,recall,n_proposals"),
+        ("no-cls", ["--n", "10"], "recall_no_cls.csv", "tau,recall,n_proposals"),
+        ("anchor-settings", ["--n", "10", "--iters", "2"], "anchor_settings.csv",
+         "setting,recall_at_0.5,recall_at_0.7"),
+        ("lambda-sweep", ["--n", "10", "--iters", "2", "--lambdas", "1", "10"],
+         "lambda_sweep.csv",
+         "lambda,recall_at_0.5,recall_at_0.7,final_loss_cls,final_loss_reg"),
+    ])
+    def test_mode_deterministic(self, dataset, rpn_run, tmp_path, mode, args, name,
+                                header):
+        outs = []
+        for rep in ("a", "b"):
+            assert run(["ablate", "--mode", mode, "--out", str(tmp_path / rep),
+                        "--data", str(dataset), "--ckpt",
+                        str(rpn_run / "rpn.frpn"), *args, *TINY,
+                        "--seed", "11"]) == 0
+            outs.append((tmp_path / rep / name).read_bytes())
+        assert outs[0] == outs[1]
+        assert outs[0].decode().split("\n")[0] == header
+
+    @pytest.mark.parametrize("mode", ["no-reg", "no-cls", "n-sweep"])
+    def test_checkpoint_modes_require_ckpt(self, dataset, tmp_path, capsys, mode):
+        assert run(["ablate", "--mode", mode, "--out", str(tmp_path),
+                    "--data", str(dataset)]) == 2
+        assert "--ckpt" in capsys.readouterr().err
+
     def test_n_sweep(self, dataset, rpn_run, tmp_path):
         assert run(["ablate", "--mode", "n-sweep", "--out", str(tmp_path),
                     "--data", str(dataset), "--ckpt",
@@ -159,6 +238,13 @@ class TestExitCodes:
     def test_unknown_config_key_rejected(self, tmp_path):
         assert run(["gen-data", "--out", str(tmp_path), "--n", "1",
                     "--set", "no.such.key", "1"]) == 1
+
+    @pytest.mark.parametrize("key", ["threads", "data.rescale_side",
+                                     "eval.n_proposals", "anchors.stride"])
+    def test_removed_config_keys_rejected(self, tmp_path, capsys, key):
+        assert run(["gen-data", "--out", str(tmp_path), "--n", "1",
+                    "--set", key, "1"]) == 1
+        assert "unknown config key" in capsys.readouterr().err
 
     def test_bad_usage_exit_2(self, capsys):
         assert run(["gen-data"]) == 2          # missing required --out

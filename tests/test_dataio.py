@@ -1,4 +1,4 @@
-"""Synthetic dataset generation, PPM/manifest IO, shorter-side rescale."""
+"""Synthetic dataset generation and PPM/manifest IO."""
 
 import json
 
@@ -16,7 +16,6 @@ from minircnn.dataio import (
     load_manifest,
     make_scene,
     read_ppm,
-    rescale_shorter_side,
     write_ppm,
 )
 from minircnn.rng import Rng
@@ -194,56 +193,6 @@ class TestManifest:
         path = tmp_path / "empty.jsonl"
         path.write_text("")
         assert len(load_manifest(path)) == 0
-
-
-class TestRescale:
-    def test_noop_when_square_at_target(self):
-        img = np.random.default_rng(2).integers(0, 256, (96, 96, 3),
-                                                dtype=np.uint8)
-        boxes = np.array([[4.0, 4.0, 30.0, 40.0]])
-        out, b, scale = rescale_shorter_side(img, boxes, 96)
-        assert scale == 1.0
-        assert np.array_equal(out, img)
-        assert np.array_equal(b, boxes)
-
-    def test_500x375_to_600(self):
-        img = np.zeros((375, 500, 3), dtype=np.uint8)
-        boxes = np.array([[10.0, 20.0, 110.0, 170.0]])
-        out, b, scale = rescale_shorter_side(img, boxes, 600)
-        assert scale == pytest.approx(1.6)
-        assert out.shape == (600, 800, 3)
-        np.testing.assert_allclose(b, boxes * 1.6)
-
-    def test_up_and_down_96_192(self):
-        img = np.random.default_rng(3).integers(0, 256, (128, 128, 3),
-                                                dtype=np.uint8)
-        boxes = np.array([[8.0, 8.0, 64.0, 96.0]])
-        for s in (96, 192):
-            out, b, scale = rescale_shorter_side(img, boxes, s)
-            assert out.shape == (s, s, 3)
-            np.testing.assert_allclose(b, boxes * (s / 128.0))
-
-    def test_box_scaling_preserves_iou(self):
-        rng = np.random.default_rng(4)
-        img = np.zeros((64, 64, 3), dtype=np.uint8)
-        a = np.array([[5.0, 5.0, 30.0, 30.0], [10.0, 10.0, 40.0, 50.0]])
-        _, scaled, _ = rescale_shorter_side(img, a, 192)
-        before = iou_matrix_arr(a[:1], a[1:])[0, 0]
-        after = iou_matrix_arr(scaled[:1], scaled[1:])[0, 0]
-        assert after == pytest.approx(before, rel=1e-12)
-
-    def test_exact_roundtrip_boxes(self):
-        img = np.zeros((64, 64, 3), dtype=np.uint8)
-        boxes = np.array([[3.0, 4.0, 20.0, 30.0]])
-        _, b2, _ = rescale_shorter_side(img, boxes, 128)
-        img2 = np.zeros((128, 128, 3), dtype=np.uint8)
-        _, b3, _ = rescale_shorter_side(img2, b2, 64)
-        np.testing.assert_allclose(b3, boxes, atol=1e-9)
-
-    def test_invalid_target(self):
-        with pytest.raises(ValueError):
-            rescale_shorter_side(np.zeros((8, 8, 3), dtype=np.uint8),
-                                 np.zeros((0, 4)), 0)
 
 
 class TestImageToInput:

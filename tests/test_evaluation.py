@@ -15,7 +15,7 @@ from minircnn.evaluation import (
     voc_ap,
 )
 
-from conftest import brute_iou, random_boxes
+from oracles import brute_iou, random_boxes
 
 
 def det(x1, y1, x2, y2, score, cls=1):

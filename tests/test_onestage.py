@@ -11,7 +11,6 @@ from minircnn.onestage import (
     OneStageHead,
     _flatten_cls,
     _flatten_reg,
-    dense_candidate_count,
     one_stage_detect,
     train_onestage,
 )
@@ -70,16 +69,27 @@ class TestHeadShapes:
         assert all(n.startswith("onestage.") for n in names)
 
 
+def dense_candidate_count(aset) -> int:
+    """Class-specific boxes the head emits over the anchor set's grid, one
+    per window and class, as `one_stage_detect` scores them before NMS."""
+    head, dim = make_head()
+    _, reg = head.forward(Tensor(np.zeros((dim, aset.feature_h, aset.feature_w),
+                                          dtype=np.float32)))
+    per_class = _flatten_reg(reg, K, C)
+    assert per_class.shape[0] == len(aset)
+    return per_class.shape[0] * per_class.shape[1]
+
+
 class TestDenseCount:
     def test_formula(self):
         aset = grid_anchors(ACFG, 8, 8)
-        assert dense_candidate_count(aset, C) == 8 * 8 * K * C
+        assert dense_candidate_count(aset) == 8 * 8 * K * C
 
     def test_dwarfs_a_proposal_budget(self):
         # 128x128 at stride 8: the dense stage scores far more candidates
         # than a 300-proposal region stage ever considers.
         aset = grid_anchors(ACFG, 16, 16)
-        assert dense_candidate_count(aset, C) >= 10 * 300
+        assert dense_candidate_count(aset) >= 10 * 300
 
 
 class TestDetect:

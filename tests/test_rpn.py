@@ -15,7 +15,6 @@ from minircnn.rpn import (
     RpnHead,
     flatten_deltas,
     flatten_scores,
-    generate_proposals,
     objectness_probs,
     propose_arrays,
     rpn_loss,
@@ -242,10 +241,11 @@ class TestProposals:
 
     def test_generate_proposals_scored_boxes(self):
         cfg, aset, cls, reg, image = self._setup()
-        out = generate_proposals(Tensor(cls), Tensor(reg), aset, image, image,
-                                 ProposalParams(post_nms_top=20, pre_nms_top=100))
-        assert len(out) <= 20
-        assert all(0 <= s.score <= 1 and s.class_id == 0 for s in out)
+        boxes, scores = propose_arrays(cls, reg, aset, image, image,
+                                       ProposalParams(post_nms_top=20, pre_nms_top=100))
+        assert boxes.shape == (scores.size, 4) and scores.size <= 20
+        assert np.all((scores >= 0) & (scores <= 1))
+        assert np.all(boxes[:, 2:] >= boxes[:, :2])
 
     def test_params_validation(self):
         with pytest.raises(ValueError):
