@@ -117,7 +117,8 @@ def cmd_train_alt(args):
                             cfg.loss_weights(), cfg.roi_sample_config(),
                             cfg.detector_n_classes, cfg.rpn_head_dim,
                             cfg.proposal_params(train=True), out_dir=out,
-                            channels=cfg.backbone_channels)
+                            channels=cfg.backbone_channels,
+                            batch=cfg.rpn_batch, max_pos=cfg.rpn_max_pos)
     save_state(state, out / "final.frpn")
     write_loss_log(state, out / "loss.csv")
     print(f"4-step training done; unified checkpoint {out / 'final.frpn'}")
@@ -132,7 +133,8 @@ def cmd_train_joint(args):
                         cfg.loss_weights(), cfg.roi_sample_config(),
                         cfg.detector_n_classes, cfg.rpn_head_dim,
                         cfg.proposal_params(train=True),
-                        channels=cfg.backbone_channels)
+                        channels=cfg.backbone_channels,
+                        batch=cfg.rpn_batch, max_pos=cfg.rpn_max_pos)
     save_state(state, out / "joint.frpn")
     write_loss_log(state, out / "loss.csv")
     print(f"joint training done; checkpoint {out / 'joint.frpn'}")
@@ -311,7 +313,8 @@ def cmd_ablate(args):
             sub.anchors_scales, sub.anchors_ratios = scales, ratios
             state = _build_models(sub)
             train_rpn(scenes, state, sub.schedule(iters=args.iters),
-                      sub.anchor_config(), sub.loss_weights())
+                      sub.anchor_config(), sub.loss_weights(),
+                      batch=sub.rpn_batch, max_pos=sub.rpn_max_pos)
             props = [state.propose_scene(s, p)[1] for s in scenes]
             c = recall_curve(props, gt_boxes, args.n)
             rows.append(f"{name},{c.at(0.5):.6g},{c.at(0.7):.6g}")
@@ -324,7 +327,8 @@ def cmd_ablate(args):
             sub.rpn_lambda = lam
             state = _build_models(sub)
             train_rpn(scenes, state, sub.schedule(iters=args.iters),
-                      sub.anchor_config(), sub.loss_weights())
+                      sub.anchor_config(), sub.loss_weights(),
+                      batch=sub.rpn_batch, max_pos=sub.rpn_max_pos)
             props = [state.propose_scene(s, p)[1] for s in scenes]
             c = recall_curve(props, gt_boxes, args.n)
             last = state.loss_log[-1]

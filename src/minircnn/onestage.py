@@ -12,7 +12,7 @@ from .dataio import Scene, image_to_input
 from .detector import RoiSampleConfig, classwise_detections
 from .nn import SgdConfig, sgd_step
 from .rng import Rng
-from .rpn import Backbone, ConvLayer
+from .rpn import Backbone, ConvLayer, anchor_rows
 from .tensor import Tensor
 from .training import TrainSchedule, TrainState, _Feeder
 
@@ -42,18 +42,6 @@ class OneStageHead:
     @property
     def params(self):
         return self.trunk.params + self.cls.params + self.reg.params
-
-
-def _flatten_cls(cls: Tensor, k: int, n_classes: int) -> Tensor:
-    _, h, w = cls.shape
-    return cls.reshape(k, n_classes + 1, h, w).transpose(2, 3, 0, 1) \
-              .reshape(h * w * k, n_classes + 1)
-
-
-def _flatten_reg(reg: Tensor, k: int, n_classes: int) -> Tensor:
-    _, h, w = reg.shape
-    return reg.reshape(k, n_classes, 4, h, w).transpose(3, 4, 0, 1, 2) \
-              .reshape(h * w * k, n_classes, 4)
 
 
 def _assign_windows(aset: AnchorSet, scene: Scene, cfg: RoiSampleConfig):
@@ -111,12 +99,12 @@ def train_onestage(scenes: list[Scene], sched: TrainSchedule,
             log.warning("skipping image %d: no labelable windows", i)
             continue
         cls, reg = head.forward(state.features(inputs[i]))
-        logits = T.take_rows(_flatten_cls(cls, head.k, n_classes), idx)
+        logits = T.take_rows(anchor_rows(cls, head.k, n_classes + 1), idx)
         loss = T.mul(T.tsum(T.softmax_logloss(logits, labels[idx])), 1.0 / idx.size)
         cv = loss.item()
         rv = 0.0
         if take_fg.size:
-            per_class = T.take_rows(_flatten_reg(reg, head.k, n_classes), take_fg)
+            per_class = T.take_rows(anchor_rows(reg, head.k, n_classes, 4), take_fg)
             pred = T.select_class(per_class, labels[take_fg] - 1)
             tgt = Tensor(targets[take_fg].astype(cls.dtype))
             reg_term = T.mul(T.tsum(T.smooth_l1(pred - tgt)), 1.0 / take_fg.size)
@@ -136,7 +124,7 @@ def one_stage_detect(features: Tensor, head: OneStageHead, aset: AnchorSet,
                      nms_iou: float = 0.3, max_per_image: int = 100) -> list[ScoredBox]:
     """Class-wise decode + NMS straight from the dense windows."""
     cls, reg = head.forward(features)
-    probs = T.softmax(_flatten_cls(cls, head.k, head.n_classes).data, axis=1)
-    per_class = _flatten_reg(reg, head.k, head.n_classes).data
+    probs = T.softmax(anchor_rows(cls, head.k, head.n_classes + 1).data, axis=1)
+    per_class = anchor_rows(reg, head.k, head.n_classes, 4).data
     return classwise_detections(probs, per_class, aset.boxes, image_w, image_h,
                                 score_thresh, nms_iou, max_per_image)

@@ -123,16 +123,17 @@ class RpnHead:
         return self.trunk.params + self.cls.params + self.reg.params
 
 
-def flatten_scores(cls_scores: Tensor, k: int) -> Tensor:
-    """(2k,H,W) -> (H*W*k, 2) logits in anchor order (grid row-major, anchor fastest)."""
-    _, h, w = cls_scores.shape
-    return cls_scores.reshape(k, 2, h, w).transpose(2, 3, 0, 1).reshape(h * w * k, 2)
+def anchor_rows(head_map, k: int, *per):
+    """(k*prod(per), H, W) head map -> (H*W*k, *per) rows in anchor order
+    (grid row-major, anchor fastest), for a Tensor or a raw array alike.
 
-
-def flatten_deltas(reg_deltas: Tensor, k: int) -> Tensor:
-    """(4k,H,W) -> (H*W*k, 4) in anchor order."""
-    _, h, w = reg_deltas.shape
-    return reg_deltas.reshape(k, 4, h, w).transpose(2, 3, 0, 1).reshape(h * w * k, 4)
+    Channel layout is anchor-major: anchor a owns channels
+    [a*prod(per), (a+1)*prod(per)), read as a `per`-shaped block.
+    """
+    _, h, w = head_map.shape
+    n = len(per)
+    return head_map.reshape(k, *per, h, w).transpose(n + 1, n + 2, *range(n + 1)) \
+                   .reshape(h * w * k, *per)
 
 
 def rpn_loss(cls_scores: Tensor, reg_deltas: Tensor, targets: RpnTargets,
@@ -147,14 +148,17 @@ def rpn_loss(cls_scores: Tensor, reg_deltas: Tensor, targets: RpnTargets,
     sampled = targets.sampled_idx
     if sampled.size == 0:
         raise ValueError("rpn_loss requires a sampled minibatch")
-    logits = flatten_scores(cls_scores, k)
+    logits = anchor_rows(cls_scores, k, 2)
+    if logits.shape[0] != targets.labels.shape[0]:
+        raise ValueError(f"rpn_loss: head outputs give {logits.shape[0]} anchor rows, "
+                         f"the targets label {targets.labels.shape[0]} anchors")
     lab = targets.labels[sampled].astype(np.int64)   # 0 = background, 1 = object
     cls_term = T.mul(T.tsum(T.softmax_logloss(T.take_rows(logits, sampled), lab)),
                      1.0 / weights.n_cls)
 
     pos = targets.positive_idx
     if pos.size > 0:
-        pred = T.take_rows(flatten_deltas(reg_deltas, k), pos)
+        pred = T.take_rows(anchor_rows(reg_deltas, k, 4), pos)
         tgt = Tensor(targets.target_deltas[pos].astype(cls_scores.dtype))
         reg_term = T.mul(T.tsum(T.smooth_l1(pred - tgt)), weights.lam / weights.n_reg)
         loss = cls_term + reg_term
@@ -167,9 +171,7 @@ def rpn_loss(cls_scores: Tensor, reg_deltas: Tensor, targets: RpnTargets,
 
 def objectness_probs(cls_data: np.ndarray, k: int) -> np.ndarray:
     """(2k,H,W) raw scores -> per-anchor object probability, anchor order."""
-    _, h, w = cls_data.shape
-    logits = cls_data.reshape(k, 2, h, w).transpose(2, 3, 0, 1).reshape(-1, 2)
-    return T.softmax(logits, axis=1)[:, 1]
+    return T.softmax(anchor_rows(cls_data, k, 2), axis=1)[:, 1]
 
 
 def propose_arrays(cls_data: np.ndarray, reg_data: np.ndarray, aset: AnchorSet,
@@ -183,7 +185,10 @@ def propose_arrays(cls_data: np.ndarray, reg_data: np.ndarray, aset: AnchorSet,
     """
     k = aset.k
     scores = objectness_probs(cls_data, k)
-    deltas = flatten_deltas(Tensor(reg_data), k).data
+    if scores.shape[0] != len(aset):
+        raise ValueError(f"propose_arrays: head outputs give {scores.shape[0]} anchor "
+                         f"rows, the anchor set has {len(aset)} anchors")
+    deltas = anchor_rows(reg_data, k, 4)
     boxes = clip_arr(decode_arr(deltas, aset.boxes), image_w, image_h)
     big = ((boxes[:, 2] - boxes[:, 0]) >= p.min_size) & \
           ((boxes[:, 3] - boxes[:, 1]) >= p.min_size)

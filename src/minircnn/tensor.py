@@ -42,17 +42,19 @@ class Tensor:
     def backward(self):
         if self.data.ndim != 0:
             raise ShapeError("backward() requires a scalar loss node")
-        topo, seen = [], set()
-
-        def visit(t):
-            if id(t) in seen:
-                return
-            seen.add(id(t))
-            for p in t._parents:
-                visit(p)
-            topo.append(t)
-
-        visit(self)
+        # depth-first post-order, parents in _parents order, without recursion
+        topo, seen = [], {id(self)}
+        stack = [(self, iter(self._parents))]
+        while stack:
+            t, parents = stack[-1]
+            for p in parents:
+                if id(p) not in seen:
+                    seen.add(id(p))
+                    stack.append((p, iter(p._parents)))
+                    break
+            else:
+                stack.pop()
+                topo.append(t)
         self.grad = np.ones((), dtype=self.data.dtype)
         for t in reversed(topo):
             if t._backward is not None and t.grad is not None:
@@ -322,40 +324,96 @@ def maxpool2x2(x: Tensor) -> Tensor:
     return _make(y, (x,), bwd)
 
 
+def _floor_log2(n: np.ndarray) -> np.ndarray:
+    """floor(log2(n)) of positive integers below 2**53, exactly."""
+    return np.frexp(n.astype(np.float64))[1].astype(np.int64) - 1
+
+
+def _bin_edges(lo: np.ndarray, hi: np.ndarray, size: int, P: int):
+    """Per-RoI bin ranges [start, end) along one axis of extent `size`.
+
+    lo, hi: (N,) scaled RoI edges. Returns (N, P) int64 starts and ends: bin
+    b covers [floor(b*L/P), ceil((b+1)*L/P)) from the RoI's first cell, with
+    L the RoI extent in cells (at least 1), clamped to at least one cell
+    inside the map.
+    """
+    c0 = np.minimum(np.floor(lo).astype(np.int64), size - 1)[:, None]
+    L = np.maximum(1, np.ceil(hi).astype(np.int64)[:, None] - c0)
+    b = np.arange(P)
+    start = np.clip(c0 + (b * L) // P, 0, size - 1)
+    end = np.minimum(np.maximum(c0 - (-(b + 1) * L // P), start + 1), size)
+    return start, end
+
+
+def _rank_table(x: np.ndarray):
+    """Sparse table of per-channel rank keys over x:(C,H,W).
+
+    The ranks order each channel's H*W cells so that the cell np.argmax
+    would pick from any set holds the largest rank: higher values rank
+    higher, NaN above every number, and among equals the lower flat index.
+    A stable sort of the reversed channel gives exactly that order. Channel
+    c's cell of rank r has key r*C + c, so keys compare as ranks within a
+    channel. Returns (cells, values, table): cells[key] is the key's flat
+    H*W index, values[key] its value, and table[a, b, i, j, c] the largest
+    key over rows [i, i + 2**a) and columns [j, j + 2**b) of channel c.
+    """
+    C, H, W = x.shape
+    HW = H * W
+    flat = x.reshape(C, HW)
+    order = (HW - 1) - np.argsort(flat[:, ::-1], axis=1, kind="stable")
+    cidx = np.arange(C)
+    keys = np.empty((C, HW), dtype=np.int32)
+    np.put_along_axis(keys, order, np.arange(0, HW * C, C, dtype=np.int32)[None, :]
+                      + cidx[:, None].astype(np.int32), axis=1)
+    cells = order.T.ravel()
+    values = flat[cidx[None, :], order.T].ravel()
+    LA, LB = H.bit_length(), W.bit_length()    # floor(log2) + 1 levels
+    table = np.zeros((LA, LB, H, W, C), dtype=np.int32)
+    table[0, 0] = keys.T.reshape(H, W, C)
+    for a in range(1, LA):
+        h = 1 << (a - 1)
+        np.maximum(table[a - 1, 0, :H - h], table[a - 1, 0, h:], out=table[a, 0, :H - h])
+    for b in range(1, LB):
+        w = 1 << (b - 1)
+        np.maximum(table[:, b - 1, :, :W - w], table[:, b - 1, :, w:],
+                   out=table[:, b, :, :W - w])
+    return cells, values, table
+
+
 def roi_pool(x: Tensor, rois: np.ndarray, spatial_scale: float, out_size: int) -> Tensor:
     """Max-pool image-coordinate RoIs from x:(C,H,W) into (N,C,P,P).
 
     Bin b of P covers feature cells [floor(b*L/P), ceil((b+1)*L/P)) where L
-    is the RoI extent in cells, at least one cell per bin. Backward routes
-    gradient to argmax cells only; RoI coordinates get no gradient.
+    is the RoI extent in cells, at least one cell per bin. Each bin takes the
+    cell np.argmax picks (the first maximum in row-major order, NaN before
+    any number), found with four lookups in a sparse table of per-channel
+    ranks. Backward routes gradient to argmax cells only; RoI coordinates
+    get no gradient.
     """
     C, H, W = x.shape
     rois = np.asarray(rois, dtype=np.float64).reshape(-1, 4)
-    N, P = rois.shape[0], out_size
-    y = np.empty((N, C, P, P), dtype=x.dtype)
-    arg = np.empty((N, C, P, P), dtype=np.int64)
-    fi = np.arange(H * W).reshape(H, W)
+    scaled = rois * spatial_scale
+    bad = np.flatnonzero(~(np.abs(scaled) < 2.0 ** 31).all(axis=1))
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(f"roi_pool: RoI row {i} {rois[i].tolist()} is not finite "
+                         "or lies beyond 2**31 feature cells")
+    rs, re = _bin_edges(scaled[:, 1], scaled[:, 3], H, out_size)
+    cs, ce = _bin_edges(scaled[:, 0], scaled[:, 2], W, out_size)
+    kh, kw = _floor_log2(re - rs), _floor_log2(ce - cs)
+    r2, c2 = re - (1 << kh), ce - (1 << kw)
+    level = (kh[:, :, None] * W.bit_length() + kw[:, None, :]) * H     # (N, P, P)
+
+    cells, values, table = _rank_table(x.data)
+    table = table.reshape(-1, C)
+    key = np.take(table, (level + rs[:, :, None]) * W + cs[:, None, :], axis=0)
+    for r, c in ((rs, c2), (r2, cs), (r2, c2)):
+        np.maximum(key, np.take(table, (level + r[:, :, None]) * W + c[:, None, :],
+                                axis=0), out=key)
+    key = np.ascontiguousarray(key.transpose(0, 3, 1, 2))     # (N, C, P, P)
+    arg = cells[key]
+    y = values[key]
     cidx = np.arange(C)
-    for n in range(N):
-        x1, y1, x2, y2 = rois[n] * spatial_scale
-        c0 = min(int(np.floor(x1)), W - 1)
-        r0 = min(int(np.floor(y1)), H - 1)
-        Lx = max(1, int(np.ceil(x2)) - c0)
-        Ly = max(1, int(np.ceil(y2)) - r0)
-        for bi in range(P):
-            rs = r0 + (bi * Ly) // P
-            re = r0 + -(-(bi + 1) * Ly // P)
-            rs = min(max(rs, 0), H - 1)
-            re = min(max(re, rs + 1), H)
-            for bj in range(P):
-                cs = c0 + (bj * Lx) // P
-                ce = c0 + -(-(bj + 1) * Lx // P)
-                cs = min(max(cs, 0), W - 1)
-                ce = min(max(ce, cs + 1), W)
-                sub = x.data[:, rs:re, cs:ce].reshape(C, -1)
-                am = sub.argmax(axis=1)
-                y[n, :, bi, bj] = sub[cidx, am]
-                arg[n, :, bi, bj] = fi[rs:re, cs:ce].ravel()[am]
 
     def bwd(g):
         dx = np.zeros((C, H * W), dtype=x.dtype)

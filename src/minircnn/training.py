@@ -241,8 +241,10 @@ def alternate_4step(scenes: list[Scene], sched_rpn: TrainSchedule,
                     n_classes: int, head_dim: int = 64,
                     train_proposals: ProposalParams | None = None,
                     out_dir=None,
-                    channels=(16, 32, 64, 64)) -> TrainState:
-    """The pragmatic 4-step alternating scheme; ends with one shared backbone."""
+                    channels=(16, 32, 64, 64),
+                    batch: int = 256, max_pos: int = 128) -> TrainState:
+    """The pragmatic 4-step alternating scheme; ends with one shared backbone.
+    Both RPN steps sample `batch` anchors per image, at most `max_pos` positive."""
     if train_proposals is None:
         train_proposals = ProposalParams(post_nms_top=2000, pre_nms_top=6000)
     seed = sched_rpn.seed
@@ -252,7 +254,7 @@ def alternate_4step(scenes: list[Scene], sched_rpn: TrainSchedule,
     bb1 = Backbone(init, channels=channels)
     rpn1 = RpnHead(init, bb1.out_dim, anchor_cfg.k, head_dim)
     s1 = TrainState(backbone=bb1, rpn_head=rpn1)
-    train_rpn(scenes, s1, sched_rpn, anchor_cfg, weights)
+    train_rpn(scenes, s1, sched_rpn, anchor_cfg, weights, batch, max_pos)
     props = proposals_for_scenes(scenes, bb1, rpn1, anchor_cfg, train_proposals)
 
     # step 2: separate detector network on step-1 proposals (fresh backbone,
@@ -266,7 +268,7 @@ def alternate_4step(scenes: list[Scene], sched_rpn: TrainSchedule,
     rpn3 = RpnHead(init, bb2.out_dim, anchor_cfg.k, head_dim)
     s3 = TrainState(backbone=bb2, rpn_head=rpn3, shared_frozen=True)
     pre = backbone_checksum(bb2)
-    train_rpn(scenes, s3, sched_rpn, anchor_cfg, weights)
+    train_rpn(scenes, s3, sched_rpn, anchor_cfg, weights, batch, max_pos)
     assert backbone_checksum(bb2) == pre, "frozen backbone changed in step 3"
 
     # step 4: fine-tune the detector head, shared conv layers still frozen
@@ -289,10 +291,12 @@ def joint_train(scenes: list[Scene], sched: TrainSchedule, anchor_cfg: AnchorCon
                 weights: LossWeights, roi_cfg: RoiSampleConfig, n_classes: int,
                 head_dim: int = 64,
                 train_proposals: ProposalParams | None = None,
-                channels=(16, 32, 64, 64)) -> TrainState:
+                channels=(16, 32, 64, 64),
+                batch: int = 256, max_pos: int = 128) -> TrainState:
     """Approximate joint training: both losses share one backbone; proposals
     are generated from detached head outputs, so no gradient flows through
-    box coordinates."""
+    box coordinates. The RPN samples `batch` anchors per image, at most
+    `max_pos` positive."""
     if not scenes:
         raise ValueError("empty dataset")
     if train_proposals is None:
@@ -315,7 +319,7 @@ def joint_train(scenes: list[Scene], sched: TrainSchedule, anchor_cfg: AnchorCon
         i = feeder.next()
         s = scenes[i]
         try:
-            t = sample_minibatch(targets[i], sample_rng)
+            t = sample_minibatch(targets[i], sample_rng, batch=batch, max_pos=max_pos)
         except NoLabeledAnchorsError:
             log.warning("skipping image %d: no labelable anchors", i)
             continue
@@ -326,13 +330,13 @@ def joint_train(scenes: list[Scene], sched: TrainSchedule, anchor_cfg: AnchorCon
         # detached proposal coordinates: raw arrays only, no tape
         boxes, _ = state.propose(cls.data, reg.data, s.width, s.height,
                                  train_proposals)
-        batch = sample_rois(boxes, s.boxes, s.classes, roi_cfg, sample_rng)
+        roi_batch = sample_rois(boxes, s.boxes, s.classes, roi_cfg, sample_rng)
         lr = sched.lr_at(it)
         row = {"iteration": state.iteration, "lr": lr, "loss_cls": rcv,
                "loss_reg": rrv, "loss_det_cls": 0.0, "loss_det_reg": 0.0}
-        if batch.labels.shape[0]:
-            dcls, dreg = detector_forward(feats, batch.rois, det_head, scale)
-            dloss, dcv, drv = detector_loss(dcls, dreg, batch)
+        if roi_batch.labels.shape[0]:
+            dcls, dreg = detector_forward(feats, roi_batch.rois, det_head, scale)
+            dloss, dcv, drv = detector_loss(dcls, dreg, roi_batch)
             total = rloss + dloss
             row["loss_det_cls"], row["loss_det_reg"] = dcv, drv
         else:

@@ -1,4 +1,5 @@
-"""Independent reference implementations the geometry tests compare against."""
+"""Independent reference implementations the geometry and tensor tests compare
+against."""
 
 from __future__ import annotations
 
@@ -39,3 +40,40 @@ def brute_nms(boxes: np.ndarray, scores: np.ndarray, thresh: float) -> list[int]
             if brute_iou(boxes[i], boxes[j]) > thresh:
                 alive.discard(j)
     return keep
+
+
+def roi_pool_loop(x: np.ndarray, rois: np.ndarray, spatial_scale: float,
+                  out_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """RoI max pooling one RoI, bin row and bin column at a time.
+
+    x:(C,H,W) -> (y, arg), both (N,C,P,P): the pooled values and the flat
+    H*W index each one came from (np.argmax's first maximum per bin).
+    """
+    C, H, W = x.shape
+    rois = np.asarray(rois, dtype=np.float64).reshape(-1, 4)
+    N, P = rois.shape[0], out_size
+    y = np.empty((N, C, P, P), dtype=x.dtype)
+    arg = np.empty((N, C, P, P), dtype=np.int64)
+    fi = np.arange(H * W).reshape(H, W)
+    cidx = np.arange(C)
+    for n in range(N):
+        x1, y1, x2, y2 = rois[n] * spatial_scale
+        c0 = min(int(np.floor(x1)), W - 1)
+        r0 = min(int(np.floor(y1)), H - 1)
+        Lx = max(1, int(np.ceil(x2)) - c0)
+        Ly = max(1, int(np.ceil(y2)) - r0)
+        for bi in range(P):
+            rs = r0 + (bi * Ly) // P
+            re = r0 + -(-(bi + 1) * Ly // P)
+            rs = min(max(rs, 0), H - 1)
+            re = min(max(re, rs + 1), H)
+            for bj in range(P):
+                cs = c0 + (bj * Lx) // P
+                ce = c0 + -(-(bj + 1) * Lx // P)
+                cs = min(max(cs, 0), W - 1)
+                ce = min(max(ce, cs + 1), W)
+                sub = x[:, rs:re, cs:ce].reshape(C, -1)
+                am = sub.argmax(axis=1)
+                y[n, :, bi, bj] = sub[cidx, am]
+                arg[n, :, bi, bj] = fi[rs:re, cs:ce].ravel()[am]
+    return y, arg

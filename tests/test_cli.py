@@ -1,12 +1,13 @@
 """End-to-end CLI: subcommands, config handling, exit codes, artifacts."""
 
+import inspect
 import json
 import sys
 
 import numpy as np
 import pytest
 
-from minircnn import anchors
+from minircnn import anchors, training
 from minircnn.cli import run
 from minircnn.config import RunConfig
 
@@ -190,6 +191,37 @@ class TestModelReuse:
                     "--n", "10", *TINY, "--seed", "11"]) == 0
         rows = (tmp_path / "props" / "proposals.csv").read_text().strip().split("\n")
         assert len(rows) > 1
+
+
+class TestRpnSampling:
+    """rpn.batch and rpn.max_pos reach every RPN minibatch draw."""
+
+    @pytest.mark.parametrize("command", [
+        ["train-rpn", "--iters", "3"],
+        ["train-alt", "--iters", "3"],
+        ["train-joint", "--iters", "3"],
+        ["ablate", "--mode", "anchor-settings", "--n", "10", "--iters", "2"],
+        ["ablate", "--mode", "lambda-sweep", "--n", "10", "--iters", "2",
+         "--lambdas", "1"],
+    ], ids=["train-rpn", "train-alt", "train-joint", "anchor-settings",
+            "lambda-sweep"])
+    def test_minibatch_size_from_config(self, dataset, tmp_path, monkeypatch,
+                                        command):
+        real = training.sample_minibatch
+        sig = inspect.signature(real)
+        drawn = []
+
+        def spy(*args, **kwargs):
+            bound = sig.bind(*args, **kwargs)
+            bound.apply_defaults()
+            drawn.append((bound.arguments["batch"], bound.arguments["max_pos"]))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(training, "sample_minibatch", spy)
+        assert run([*command, "--out", str(tmp_path), "--data", str(dataset),
+                    *TINY, "--set", "rpn.batch", "64", "--set", "rpn.max_pos", "32",
+                    "--seed", "11"]) == 0
+        assert drawn and set(drawn) == {(64, 32)}
 
 
 class TestAblate:

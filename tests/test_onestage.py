@@ -9,13 +9,11 @@ from minircnn.dataio import make_scene
 from minircnn.detector import RoiSampleConfig
 from minircnn.onestage import (
     OneStageHead,
-    _flatten_cls,
-    _flatten_reg,
     one_stage_detect,
     train_onestage,
 )
 from minircnn.rng import Rng
-from minircnn.rpn import Backbone
+from minircnn.rpn import Backbone, anchor_rows
 from minircnn.tensor import Tensor
 from minircnn.training import TrainSchedule
 
@@ -43,7 +41,7 @@ class TestHeadShapes:
         feats = Tensor(np.random.default_rng(1).normal(size=(dim, 4, 4))
                        .astype(np.float32))
         cls, _ = head.forward(feats)
-        probs = T.softmax(_flatten_cls(cls, K, C).data, axis=1)
+        probs = T.softmax(anchor_rows(cls, K, C + 1).data, axis=1)
         assert probs.shape == (4 * 4 * K, C + 1)
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-6)
 
@@ -53,8 +51,8 @@ class TestHeadShapes:
         h, w = 3, 5
         cls = Tensor(rng.normal(size=((C + 1) * K, h, w)).astype(np.float32))
         reg = Tensor(rng.normal(size=(4 * C * K, h, w)).astype(np.float32))
-        fc = _flatten_cls(cls, K, C).data
-        fr = _flatten_reg(reg, K, C).data
+        fc = anchor_rows(cls, K, C + 1).data
+        fr = anchor_rows(reg, K, C, 4).data
         y, x, a = 2, 4, 3
         row = (y * w + x) * K + a
         np.testing.assert_array_equal(
@@ -75,7 +73,7 @@ def dense_candidate_count(aset) -> int:
     head, dim = make_head()
     _, reg = head.forward(Tensor(np.zeros((dim, aset.feature_h, aset.feature_w),
                                           dtype=np.float32)))
-    per_class = _flatten_reg(reg, K, C)
+    per_class = anchor_rows(reg, K, C, 4)
     assert per_class.shape[0] == len(aset)
     return per_class.shape[0] * per_class.shape[1]
 

@@ -13,8 +13,7 @@ from minircnn.rpn import (
     LossWeights,
     ProposalParams,
     RpnHead,
-    flatten_deltas,
-    flatten_scores,
+    anchor_rows,
     objectness_probs,
     propose_arrays,
     rpn_loss,
@@ -71,7 +70,7 @@ class TestHeadStructure:
         # anchor-major channels: cls channels [2a, 2a+1] belong to anchor a
         k, h, w = 3, 2, 2
         data = np.arange(2 * k * h * w, dtype=np.float64).reshape(2 * k, h, w)
-        flat = flatten_scores(Tensor(data), k).data
+        flat = anchor_rows(Tensor(data), k, 2).data
         assert flat.shape == (h * w * k, 2)
         # first grid cell (0,0), anchor 0 -> channels 0 and 1 at (0,0)
         np.testing.assert_array_equal(flat[0], [data[0, 0, 0], data[1, 0, 0]])
@@ -155,6 +154,13 @@ class TestRpnLoss:
         t.sample_mask[:] = False
         cls, reg = self._outputs(aset)
         with pytest.raises(ValueError):
+            rpn_loss(cls, reg, t, aset.k, LossWeights())
+
+    def test_anchor_count_mismatch_names_both_counts(self):
+        cfg, aset, t = micro_setup(image=32)      # 4x4 grid, 64 anchors
+        _, big, _ = micro_setup(image=40)          # 5x5 grid, 100 anchors
+        cls, reg = self._outputs(big)
+        with pytest.raises(ValueError, match=r"rpn_loss: .*100 .*64"):
             rpn_loss(cls, reg, t, aset.k, LossWeights())
 
     def test_gradcheck_64bit_micro_instance(self):
@@ -246,6 +252,13 @@ class TestProposals:
         assert boxes.shape == (scores.size, 4) and scores.size <= 20
         assert np.all((scores >= 0) & (scores <= 1))
         assert np.all(boxes[:, 2:] >= boxes[:, :2])
+
+    def test_anchor_count_mismatch_names_both_counts(self):
+        # head outputs on an 8x8 grid against anchors built for a 7x7 grid
+        cfg, _, cls, reg, image = self._setup()
+        aset = grid_anchors(cfg, 7, 7)
+        with pytest.raises(ValueError, match=r"propose_arrays: .*576 .*441"):
+            propose_arrays(cls, reg, aset, image, image, ProposalParams())
 
     def test_params_validation(self):
         with pytest.raises(ValueError):

@@ -5,11 +5,17 @@ redrawn or nudged so no relu/smooth-L1/max argument sits within 1e-3 of a tie
 or branch boundary.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import minircnn.tensor as T
 from minircnn.tensor import ShapeError, Tensor, gradcheck
+from oracles import roi_pool_loop
 
 
 def t64(arr, grad=True):
@@ -119,6 +125,71 @@ class TestRoiPoolForward:
         x = t64(rng.normal(size=(1, 10, 10)))
         y = T.roi_pool(x, np.array([[1.0, 2.0, 9.0, 8.0]]), 1.0, 3)
         assert y.data.max() == pytest.approx(x.data[0, 2:8, 1:9].max())
+
+    def test_no_rois(self):
+        x = t64(np.ones((3, 5, 4)))
+        y = T.roi_pool(x, np.zeros((0, 4)), 1.0, 3)
+        assert y.data.shape == (0, 3, 3, 3) and y.data.dtype == np.float64
+        T.tsum(y).backward()
+        np.testing.assert_array_equal(x.grad, np.zeros((3, 5, 4)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_roi_rejected(self, bad):
+        x = t64(np.ones((2, 4, 4)))
+        rois = np.array([[0.0, 0.0, 2.0, 2.0], [1.0, bad, 3.0, 3.0]])
+        with pytest.raises(ValueError, match=r"roi_pool: RoI row 1 "):
+            T.roi_pool(x, rois, 1.0, 2)
+
+
+# Cell values rich in ties the loop breaks by first occurrence: repeated
+# palette values, both signed zeros (equal, distinct bits) and NaN.
+PALETTE = [0.0, -0.0, 1.0, -1.0, 0.5, 2.0, np.nan]
+
+
+@st.composite
+def roi_pool_cases(draw):
+    C, H, W = draw(st.integers(1, 8)), draw(st.integers(1, 20)), draw(st.integers(1, 20))
+    P = draw(st.integers(1, 7))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    scale = draw(st.sampled_from([1.0, 0.5, 0.125]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(C, H, W))
+    kind = draw(st.sampled_from(["normal", "relu", "palette"]))
+    if kind == "relu":
+        x = np.where(x > 0, x, 0.0)
+    elif kind == "palette":
+        x = rng.choice(PALETTE, size=(C, H, W))
+    x = x.astype(dtype)
+    N = draw(st.integers(1, 12))
+    # RoIs reach past every edge of the map; some have zero or negative extent
+    ext = np.array([W, H, W, H]) / scale
+    rois = rng.uniform(-0.5, 1.5, size=(N, 4)) * ext
+    degenerate = rng.random(N) < 0.25
+    rois[degenerate, 2:] = rois[degenerate, :2]
+    g = rng.normal(size=(N, C, P, P)).astype(dtype)
+    return x, rois, scale, P, g
+
+
+class TestRoiPoolMatchesLoop:
+    """The sparse-table pooling against the per-bin loop, bit for bit."""
+
+    @given(roi_pool_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_forward_and_backward_bytes(self, case):
+        x, rois, scale, P, g = case
+        y_ref, arg_ref = roi_pool_loop(x, rois, scale, P)
+        xt = Tensor(x.copy(), requires_grad=True)
+        y = T.roi_pool(xt, rois, scale, P)
+        assert y.data.dtype == x.dtype and y.data.shape == y_ref.shape
+        assert np.array_equal(y.data.view(np.uint8), y_ref.view(np.uint8))
+        T.tsum(T.mul(y, Tensor(g))).backward()
+        C, H, W = x.shape
+        dx = np.zeros((C, H * W), dtype=x.dtype)
+        c = np.broadcast_to(np.arange(C)[None, :, None, None], arg_ref.shape)
+        np.add.at(dx, (c.ravel(), arg_ref.ravel()), g.ravel())
+        assert np.array_equal(xt.grad.view(np.uint8),
+                              dx.reshape(C, H, W).view(np.uint8))
 
 
 class TestGradchecks:
@@ -259,3 +330,26 @@ class TestBackwardMechanics:
         T.tsum(a).backward()
         a.zero_grad()
         assert a.grad is None
+
+    def test_deep_chain_beyond_recursion_limit(self):
+        a = t64([2.0])
+        y = a
+        for _ in range(1500):
+            y = T.mul(y, 1.0)
+        T.tsum(y).backward()
+        np.testing.assert_array_equal(a.grad, [1.0])
+
+    def test_tape_freed_without_cycle_collector(self):
+        # backward() must not tie the graph into a reference cycle, or every
+        # training step's activations live on until the cyclic collector runs
+        gc.disable()
+        try:
+            a = t64(np.ones(8))
+            h = T.mul(a, 2.0)
+            alive = weakref.ref(h.data)
+            loss = T.tsum(h)
+            loss.backward()
+            del h, loss
+            assert alive() is None
+        finally:
+            gc.enable()
