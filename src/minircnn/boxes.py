@@ -111,58 +111,166 @@ def clip_arr(boxes: np.ndarray, image_w: float, image_h: float) -> np.ndarray:
     return out
 
 
+# Greedy NMS over candidate pairs. For two boxes whose IoU is computed above
+# tau, the width ratio and the height ratio both lie in (tau, 1/tau), and
+# |x1_i - x1_j| < (1 - tau) * max(w_i, w_j). Every bound below is loosened by
+# _SLACK, far more than rounding moves a computed IoU, so a pair left out
+# has a computed IoU <= tau.
+_SLACK = 2.0 ** -30
+# Where tau * area, tau * width or tau * height is below _TINY, products
+# round to subnormals and the bounds above need not hold; pairs of such rows
+# are also searched with tau = 0 (overlap only).
+_TINY = 2.0 ** -960
+# Live boxes per greedy block. The candidate test inside a block runs on all
+# its pairs, and each block repeats a fixed set-up: of 32, 64, 96 and 128,
+# 64 was fastest on ~200-box class-wise calls and within 10 % of the best
+# on 2,304-box proposal calls. The first block has half as many: on
+# clustered boxes the top few suppress most of the rest.
+_BLOCK = 64
+_BLOCK_PAIRS = np.triu_indices(_BLOCK, 1)
+_NEAR_W = np.repeat([-1, 0, 1], 3)
+_NEAR_H = np.tile([-1, 0, 1], 3)
+
+
+class _PairIndex:
+    """Candidate partners among `rows` at pruning threshold t.
+
+    Widths and heights fall in log classes of width log(1/t), so a partner
+    lies in one of the 3 x 3 neighbouring (width, height) classes, and its
+    x1 within a row's reach. Rows are sorted by class, then x1, so each
+    neighbouring class holds a row's partners in one slice. Per-row arrays
+    are indexed by row number.
+    """
+
+    def __init__(self, x1, w, h, rows, t):
+        V = rows.size
+        x, wr = x1[rows], w[rows]
+        xs = np.sort(x)
+        c = np.floor(np.log(np.stack([wr, h[rows]])) / (-math.log(t) if t else math.inf))
+        # merging the classes past 4096 keeps every neighbour a neighbour
+        c = np.minimum(c - c.min(1, keepdims=True, initial=np.inf), 4096)
+        K = c[1].max(initial=0) + 2
+        # max(w_i, w_j) <= min(w_i / t, widest row), as the width ratio bounds w_j
+        wmax = wr.max(initial=0)
+        span = np.divide(wr, t, out=np.full(V, wmax), where=wr <= t * wmax)
+        reach = (1 - t) * span * (1 + _SLACK)
+        cols = np.stack([c[0], c[1], np.searchsorted(xs, x),
+                         np.searchsorted(xs, np.nextafter(x - reach, -np.inf)),
+                         np.searchsorted(xs, np.nextafter(x + reach, np.inf), "right"),
+                         (c[0] * K + c[1]) * (V + 1)])
+        key = cols[5] + cols[2]
+        s = np.argsort(key)
+        self.rows, self.key = rows[s], key[s]
+        table = np.zeros((6, x1.size))
+        table[:, rows] = cols
+        # classes, x1 rank, x1 rank range of partners, first key of the class
+        self.cw, self.ch, self.rank, self.lo, self.hi, self.group = table
+        self.near_groups = (_NEAR_W * K + _NEAR_H) * (V + 1)
+
+    def near(self, a, b):
+        """Whether row b is a candidate partner of row a, pair by pair."""
+        rb = self.rank.take(b)
+        return ((np.abs(self.cw.take(a) - self.cw.take(b)) <= 1)
+                & (np.abs(self.ch.take(a) - self.ch.take(b)) <= 1)
+                & (rb >= self.lo.take(a)) & (rb < self.hi.take(a)))
+
+    def partners(self, src):
+        """Every (i, j) with j a candidate partner of i, for i in src."""
+        q = self.group.take(src)[:, None] + self.near_groups
+        start = np.searchsorted(self.key, q + self.lo.take(src)[:, None]).ravel()
+        count = np.searchsorted(self.key, q + self.hi.take(src)[:, None]).ravel() - start
+        j = np.arange(count.sum()) + np.repeat(start - np.cumsum(count) + count, count)
+        return np.repeat(np.repeat(src, 9), count), self.rows.take(j)
+
+
+def _greedy_keep(ranked: np.ndarray, iou_threshold: float, limit: int) -> np.ndarray:
+    """Positions of the first `limit` boxes greedy NMS keeps among `ranked`,
+    which is in descending score order."""
+    n = ranked.shape[0]
+    x1, y1, x2, y2 = ranked.T.copy()
+    w = x2 - x1
+    h = y2 - y1
+    areas = w * h
+    t = iou_threshold * (1 - _SLACK)
+    # other rows have IoU 0 or NaN with every row: they neither suppress nor
+    # get suppressed
+    valid = (w > 0) & (h > 0) & (areas > 0) & (areas < np.inf)
+    index = _PairIndex(x1, w, h, np.flatnonzero(valid), t)
+    tiny = valid & (t * np.minimum(areas, np.minimum(w, h)) < (_TINY if t else 0.0))
+    tiny_index = _PairIndex(x1, w, h, np.flatnonzero(tiny), 0.0) if tiny.any() else None
+
+    def over(i, j):
+        """IoU(i, j) > threshold for pairs of valid rows, i ranked first."""
+        ix1 = np.maximum(x1.take(i), x1.take(j))
+        iy1 = np.maximum(y1.take(i), y1.take(j))
+        ix2 = np.minimum(x2.take(i), x2.take(j))
+        iy2 = np.minimum(y2.take(i), y2.take(j))
+        inter = np.maximum(ix2 - ix1, 0.0) * np.maximum(iy2 - iy1, 0.0)
+        return inter / (areas.take(i) + areas.take(j) - inter) > iou_threshold
+
+    # Blocks of up to _BLOCK unsuppressed boxes in score order. Greedy runs
+    # inside a block over its candidate pairs; then the boxes it keeps
+    # suppress their later candidate partners all at once.
+    suppressed = np.zeros(n, dtype=bool)
+    kept = stop = 0
+    size = _BLOCK // 2
+    while stop < n and kept < limit:
+        block = stop + np.flatnonzero(~suppressed[stop:])[:size]
+        size = _BLOCK
+        if not block.size:
+            break
+        stop = int(block[-1]) + 1
+        src = block[valid.take(block)]
+        k = src.size
+        la, lb = (_BLOCK_PAIRS if k == _BLOCK
+                  else (v[_BLOCK_PAIRS[1] < k] for v in _BLOCK_PAIRS))
+        a, b = src.take(la), src.take(lb)
+        near = index.near(a, b)
+        if tiny_index:
+            near |= tiny.take(a) & tiny.take(b) & tiny_index.near(a, b)
+        hit = near.nonzero()[0]
+        hit = hit[over(a.take(hit), b.take(hit))]
+        gone = bytearray(k)
+        for p, q in zip(la.take(hit).tolist(), lb.take(hit).tolist()):
+            if not gone[p]:
+                gone[q] = 1
+        gone = np.frombuffer(gone, dtype=bool)
+        suppressed[src[gone]] = True
+        kept += block.size - int(gone.sum())
+        if stop < n:
+            keep = src[~gone]
+            i, j = index.partners(keep)
+            if tiny_index:
+                ti, tj = tiny_index.partners(keep[tiny.take(keep)])
+                i, j = np.concatenate([i, ti]), np.concatenate([j, tj])
+            later = (j >= stop) & ~suppressed.take(j)
+            i, j = i[later], j[later]
+            suppressed[j[over(i, j)]] = True
+    return np.flatnonzero(~suppressed[:stop])[:limit]
+
+
 def nms_arr(boxes: np.ndarray, scores: np.ndarray, iou_threshold: float,
             max_keep: int | None = None) -> np.ndarray:
-    """Greedy NMS with strict > suppression; score ties keep original order."""
+    """Greedy NMS with strict > suppression; score ties keep original order.
+
+    Returns the indices of the kept boxes, best first, at most max_keep of
+    them. IoU is computed only for the candidate pairs of a `_PairIndex`,
+    which holds every pair whose computed IoU can exceed the threshold, so
+    the result equals an all-pairs greedy scan.
+    """
     if not 0 <= iou_threshold <= 1:
         raise ValueError("iou_threshold must be in [0, 1]")
     boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
     scores = np.asarray(scores, dtype=np.float64).reshape(-1)
     n = boxes.shape[0]
     order = np.argsort(-scores, kind="stable")
-    x1, y1, x2, y2 = (boxes[order, j] for j in range(4))
-    areas = (x2 - x1) * (y2 - y1)
-    limit = n if max_keep is None else max_keep
-
-    def iou_block(rows, cols):
-        """IoU matrix between candidate index ranges (score order)."""
-        ix1 = np.maximum(x1[rows, None], x1[None, cols])
-        iy1 = np.maximum(y1[rows, None], y1[None, cols])
-        ix2 = np.minimum(x2[rows, None], x2[None, cols])
-        iy2 = np.minimum(y2[rows, None], y2[None, cols])
-        inter = np.maximum(ix2 - ix1, 0.0) * np.maximum(iy2 - iy1, 0.0)
-        union = areas[rows, None] + areas[None, cols] - inter
-        iou = np.zeros_like(inter)
-        np.divide(inter, union, out=iou, where=union > 0)
-        return iou
-
-    # Windowed greedy scan. Work scales with how far the scan actually gets,
-    # not with n: suppression masks stay inside the current window, and a new
-    # window is batch-suppressed by everything kept so far on entry.
-    suppressed = np.zeros(n, dtype=bool)
-    keep: list[int] = []       # original indices, output order
-    keep_pos: list[int] = []   # score-order positions of kept boxes
-    B, W = 64, 1024
-    for win_start in range(0, n, W):
-        if len(keep) >= limit:
-            break
-        win_stop = min(win_start + W, n)
-        window = slice(win_start, win_stop)
-        if keep_pos:
-            m = iou_block(np.asarray(keep_pos), window)
-            suppressed[window] |= (m > iou_threshold).any(axis=0)
-        for start in range(win_start, win_stop, B):
-            if len(keep) >= limit:
-                break
-            stop = min(start + B, win_stop)
-            iou = iou_block(slice(start, stop), slice(start, win_stop))
-            for bi in range(stop - start):
-                if suppressed[start + bi]:
-                    continue
-                keep.append(int(order[start + bi]))
-                keep_pos.append(start + bi)
-                if len(keep) >= limit:
-                    break
-                suppressed[start:win_stop] |= iou[bi] > iou_threshold
-    return np.asarray(keep, dtype=np.int64)
-
+    ranked = boxes[order]
+    limit = n if max_keep is None else max(max_keep, 0)
+    # Greedy decisions on a score-order prefix do not depend on the boxes
+    # after it, and a capped call usually fills its cap early.
+    m = min(n, 2 * limit)
+    while True:
+        keep = _greedy_keep(ranked[:m], iou_threshold, limit)
+        if keep.size >= limit or m == n:
+            return order[keep]
+        m = min(n, 2 * m)

@@ -101,7 +101,7 @@ def cmd_train_rpn(args):
     state = _build_models(cfg)
     sched = cfg.schedule(iters=args.iters)
     train_rpn(scenes, state, sched, cfg.anchor_config(), cfg.loss_weights(),
-              batch=cfg.rpn_batch, max_pos=cfg.rpn_max_pos)
+              **cfg.rpn_sampling())
     save_state(state, out / "rpn.frpn")
     write_loss_log(state, out / "loss.csv")
     print(f"trained RPN for {sched.total_iters} iters; checkpoint {out / 'rpn.frpn'}")
@@ -118,7 +118,7 @@ def cmd_train_alt(args):
                             cfg.detector_n_classes, cfg.rpn_head_dim,
                             cfg.proposal_params(train=True), out_dir=out,
                             channels=cfg.backbone_channels,
-                            batch=cfg.rpn_batch, max_pos=cfg.rpn_max_pos)
+                            **cfg.rpn_sampling())
     save_state(state, out / "final.frpn")
     write_loss_log(state, out / "loss.csv")
     print(f"4-step training done; unified checkpoint {out / 'final.frpn'}")
@@ -134,7 +134,7 @@ def cmd_train_joint(args):
                         cfg.detector_n_classes, cfg.rpn_head_dim,
                         cfg.proposal_params(train=True),
                         channels=cfg.backbone_channels,
-                        batch=cfg.rpn_batch, max_pos=cfg.rpn_max_pos)
+                        **cfg.rpn_sampling())
     save_state(state, out / "joint.frpn")
     write_loss_log(state, out / "loss.csv")
     print(f"joint training done; checkpoint {out / 'joint.frpn'}")
@@ -314,7 +314,7 @@ def cmd_ablate(args):
             state = _build_models(sub)
             train_rpn(scenes, state, sub.schedule(iters=args.iters),
                       sub.anchor_config(), sub.loss_weights(),
-                      batch=sub.rpn_batch, max_pos=sub.rpn_max_pos)
+                      **sub.rpn_sampling())
             props = [state.propose_scene(s, p)[1] for s in scenes]
             c = recall_curve(props, gt_boxes, args.n)
             rows.append(f"{name},{c.at(0.5):.6g},{c.at(0.7):.6g}")
@@ -328,7 +328,7 @@ def cmd_ablate(args):
             state = _build_models(sub)
             train_rpn(scenes, state, sub.schedule(iters=args.iters),
                       sub.anchor_config(), sub.loss_weights(),
-                      batch=sub.rpn_batch, max_pos=sub.rpn_max_pos)
+                      **sub.rpn_sampling())
             props = [state.propose_scene(s, p)[1] for s in scenes]
             c = recall_curve(props, gt_boxes, args.n)
             last = state.loss_log[-1]

@@ -122,6 +122,20 @@ class RunConfig:
         from .rpn import LossWeights
         return LossWeights(self.rpn_lambda, float(self.rpn_batch))
 
+    def rpn_sampling(self) -> dict:
+        """Keyword arguments of the training loops for RPN anchor labelling
+        and minibatch sampling; rejects IoU thresholds outside [0, 1] and
+        rpn.neg_iou above rpn.pos_iou."""
+        for key, v in (("rpn.pos_iou", self.rpn_pos_iou),
+                       ("rpn.neg_iou", self.rpn_neg_iou)):
+            if not 0 <= v <= 1:
+                raise ValueError(f"{key}={v} is outside [0, 1]")
+        if self.rpn_neg_iou > self.rpn_pos_iou:
+            raise ValueError(f"rpn.neg_iou={self.rpn_neg_iou} exceeds "
+                             f"rpn.pos_iou={self.rpn_pos_iou}")
+        return dict(batch=self.rpn_batch, max_pos=self.rpn_max_pos,
+                    pos_iou=self.rpn_pos_iou, neg_iou=self.rpn_neg_iou)
+
     def proposal_params(self, train: bool):
         from .rpn import ProposalParams
         return ProposalParams(

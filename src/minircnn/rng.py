@@ -73,15 +73,15 @@ class Rng:
         return lo + np.floor(self.uniform(n) * (hi - lo)).astype(np.int64)
 
     def permutation(self, n: int) -> np.ndarray:
-        """Fisher-Yates permutation of range(n)."""
-        out = np.arange(n)
+        """Fisher-Yates permutation of range(n): for i = n-1 down to 1, swap
+        i with floor(u * (i + 1)), one uniform draw u per step."""
         if n <= 1:
-            return out
-        u = self.uniform(n - 1)
-        for i in range(n - 1, 0, -1):
-            j = int(u[n - 1 - i] * (i + 1))
+            return np.arange(n)
+        targets = (self.uniform(n - 1) * np.arange(n, 1, -1)).astype(np.int64)
+        out = list(range(n))
+        for i, j in zip(range(n - 1, 0, -1), targets.tolist()):
             out[i], out[j] = out[j], out[i]
-        return out
+        return np.array(out)
 
     def choice(self, n: int, k: int) -> np.ndarray:
         """k distinct indices from range(n), in random order."""

@@ -9,7 +9,7 @@ import numpy as np
 from . import tensor as T
 from .anchors import AnchorSet
 from .assignment import RpnTargets
-from .boxes import clip_arr, decode_arr
+from .boxes import clip_arr, decode_arr, nms_arr
 from .nn import Param, gaussian_init
 from .rng import Rng
 from .tensor import Tensor
@@ -197,7 +197,6 @@ def propose_arrays(cls_data: np.ndarray, reg_data: np.ndarray, aset: AnchorSet,
     boxes, scores = boxes[order], scores[order]
     keep = np.asarray([], dtype=np.int64)
     if boxes.shape[0]:
-        from .boxes import nms_arr
         keep = nms_arr(boxes, scores, p.nms_iou, max_keep=p.post_nms_top)
     return boxes[keep], scores[keep]
 

@@ -147,27 +147,30 @@ class _Feeder:
         return i
 
 
-def _precompute(scenes: list[Scene], state: TrainState):
+def _precompute(scenes: list[Scene], state: TrainState, pos_iou: float,
+                neg_iou: float):
     """Per-scene network inputs, anchor sets and assigned labels."""
     inputs = [image_to_input(s.image) for s in scenes]
     asets = [state.anchors(s.width, s.height) for s in scenes]
-    targets = [assign_labels(a, s.boxes, s.width, s.height)
+    targets = [assign_labels(a, s.boxes, s.width, s.height, pos_iou, neg_iou)
                for a, s in zip(asets, scenes)]
     return inputs, asets, targets
 
 
 def train_rpn(scenes: list[Scene], state: TrainState, sched: TrainSchedule,
               anchor_cfg: AnchorConfig, weights: LossWeights,
-              batch: int = 256, max_pos: int = 128) -> TrainState:
+              batch: int = 256, max_pos: int = 128, pos_iou: float = 0.7,
+              neg_iou: float = 0.3) -> TrainState:
     """Image-centric SGD on the RPN loss; one image per minibatch. `state`
-    takes `anchor_cfg` as its anchor configuration."""
+    takes `anchor_cfg` as its anchor configuration. Anchors are labelled
+    with the pos_iou/neg_iou thresholds of `assign_labels`."""
     if not scenes:
         raise ValueError("empty dataset")
     state.anchor_cfg = anchor_cfg
     rng = Rng(sched.seed)
     feeder = _Feeder(len(scenes), rng.substream("data"))
     sample_rng = rng.substream("sampling")
-    inputs, asets, targets = _precompute(scenes, state)
+    inputs, asets, targets = _precompute(scenes, state, pos_iou, neg_iou)
     params = state.rpn_head.params
     if not state.shared_frozen:
         params = state.backbone.params + params
@@ -242,9 +245,11 @@ def alternate_4step(scenes: list[Scene], sched_rpn: TrainSchedule,
                     train_proposals: ProposalParams | None = None,
                     out_dir=None,
                     channels=(16, 32, 64, 64),
-                    batch: int = 256, max_pos: int = 128) -> TrainState:
+                    batch: int = 256, max_pos: int = 128, pos_iou: float = 0.7,
+                    neg_iou: float = 0.3) -> TrainState:
     """The pragmatic 4-step alternating scheme; ends with one shared backbone.
-    Both RPN steps sample `batch` anchors per image, at most `max_pos` positive."""
+    Both RPN steps label anchors with pos_iou/neg_iou and sample `batch`
+    anchors per image, at most `max_pos` positive."""
     if train_proposals is None:
         train_proposals = ProposalParams(post_nms_top=2000, pre_nms_top=6000)
     seed = sched_rpn.seed
@@ -254,7 +259,8 @@ def alternate_4step(scenes: list[Scene], sched_rpn: TrainSchedule,
     bb1 = Backbone(init, channels=channels)
     rpn1 = RpnHead(init, bb1.out_dim, anchor_cfg.k, head_dim)
     s1 = TrainState(backbone=bb1, rpn_head=rpn1)
-    train_rpn(scenes, s1, sched_rpn, anchor_cfg, weights, batch, max_pos)
+    train_rpn(scenes, s1, sched_rpn, anchor_cfg, weights, batch, max_pos,
+              pos_iou, neg_iou)
     props = proposals_for_scenes(scenes, bb1, rpn1, anchor_cfg, train_proposals)
 
     # step 2: separate detector network on step-1 proposals (fresh backbone,
@@ -268,7 +274,8 @@ def alternate_4step(scenes: list[Scene], sched_rpn: TrainSchedule,
     rpn3 = RpnHead(init, bb2.out_dim, anchor_cfg.k, head_dim)
     s3 = TrainState(backbone=bb2, rpn_head=rpn3, shared_frozen=True)
     pre = backbone_checksum(bb2)
-    train_rpn(scenes, s3, sched_rpn, anchor_cfg, weights, batch, max_pos)
+    train_rpn(scenes, s3, sched_rpn, anchor_cfg, weights, batch, max_pos,
+              pos_iou, neg_iou)
     assert backbone_checksum(bb2) == pre, "frozen backbone changed in step 3"
 
     # step 4: fine-tune the detector head, shared conv layers still frozen
@@ -292,11 +299,12 @@ def joint_train(scenes: list[Scene], sched: TrainSchedule, anchor_cfg: AnchorCon
                 head_dim: int = 64,
                 train_proposals: ProposalParams | None = None,
                 channels=(16, 32, 64, 64),
-                batch: int = 256, max_pos: int = 128) -> TrainState:
+                batch: int = 256, max_pos: int = 128, pos_iou: float = 0.7,
+                neg_iou: float = 0.3) -> TrainState:
     """Approximate joint training: both losses share one backbone; proposals
     are generated from detached head outputs, so no gradient flows through
-    box coordinates. The RPN samples `batch` anchors per image, at most
-    `max_pos` positive."""
+    box coordinates. The RPN labels anchors with pos_iou/neg_iou and samples
+    `batch` anchors per image, at most `max_pos` positive."""
     if not scenes:
         raise ValueError("empty dataset")
     if train_proposals is None:
@@ -311,7 +319,7 @@ def joint_train(scenes: list[Scene], sched: TrainSchedule, anchor_cfg: AnchorCon
     rng = Rng(sched.seed)
     feeder = _Feeder(len(scenes), rng.substream("data"))
     sample_rng = rng.substream("sampling")
-    inputs, asets, targets = _precompute(scenes, state)
+    inputs, asets, targets = _precompute(scenes, state, pos_iou, neg_iou)
     params = state.params
     scale = 1.0 / backbone.stride
 

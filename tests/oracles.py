@@ -42,6 +42,19 @@ def brute_nms(boxes: np.ndarray, scores: np.ndarray, thresh: float) -> list[int]
     return keep
 
 
+def permutation_loop(rng, n: int) -> np.ndarray:
+    """Fisher-Yates permutation of range(n) drawn from `rng`, one swap per
+    numpy element assignment."""
+    out = np.arange(n)
+    if n <= 1:
+        return out
+    u = rng.uniform(n - 1)
+    for i in range(n - 1, 0, -1):
+        j = int(u[n - 1 - i] * (i + 1))
+        out[i], out[j] = out[j], out[i]
+    return out
+
+
 def roi_pool_loop(x: np.ndarray, rois: np.ndarray, spatial_scale: float,
                   out_size: int) -> tuple[np.ndarray, np.ndarray]:
     """RoI max pooling one RoI, bin row and bin column at a time.

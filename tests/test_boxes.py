@@ -137,6 +137,21 @@ class TestEncodeDecode:
             assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
 
 
+    @pytest.mark.parametrize("bound", [DELTA_CLAMP, -DELTA_CLAMP])
+    def test_roundtrip_at_clamp_bound(self, bound):
+        anchor = arr((4, 4, 20, 20))
+        deltas = np.array([[0.25, -0.5, bound, -bound]])
+        back = encode_arr(decode_arr(deltas, anchor), anchor)
+        assert tuple(back[0]) == pytest.approx(tuple(deltas[0]), abs=1e-12)
+
+    @pytest.mark.parametrize("bound", [DELTA_CLAMP, -DELTA_CLAMP])
+    def test_beyond_clamp_roundtrips_to_bound(self, bound):
+        anchor = arr((4, 4, 20, 20))
+        deltas = np.array([[0.25, -0.5, 3 * bound, -3 * bound]])
+        back = encode_arr(decode_arr(deltas, anchor), anchor)
+        assert tuple(back[0]) == pytest.approx((0.25, -0.5, bound, -bound), abs=1e-12)
+
+
 class TestClip:
     def test_inside_untouched(self):
         b = clip_arr(arr((2, 2, 8, 8)), 100, 100)
@@ -206,9 +221,61 @@ class TestNms:
             np.fill_diagonal(m, 0.0)
             assert m.max() <= 0.7
 
+    @pytest.mark.parametrize("b, thr", [((0, 0, 10, 20), 0.5), ((0, 0, 7, 10), 0.7),
+                                        ((0, 0, 10, 10), 1.0)])
+    def test_iou_equal_to_threshold_survives(self, b, thr):
+        boxes = arr((0, 0, 10, 10), b)
+        assert iou_matrix_arr(boxes[:1], boxes[1:])[0, 0] == thr
+        assert list(nms_arr(boxes, np.array([0.9, 0.8]), thr)) == [0, 1]
+        assert list(nms_arr(boxes, np.array([0.9, 0.8]), math.nextafter(thr, 0))) == [0]
+
+    def test_subnormal_areas(self):
+        # areas round to 2 and 1 units of the smallest subnormal, so the
+        # computed IoU is 0.5 although the width ratio is 0.25
+        tiny = 5e-324
+        boxes = arr((0, 0, 2.4, tiny), (0, 0, 0.6, tiny))
+        assert brute_iou(boxes[0], boxes[1]) == 0.5
+        assert list(nms_arr(boxes, np.array([0.9, 0.8]), 0.45)) == [0]
+
     def test_max_keep(self):
         rng = np.random.default_rng(6)
         boxes = random_boxes(rng, 50, hi=500, min_size=1.0)
         scores = rng.uniform(0, 1, 50)
         full = list(nms_arr(boxes, scores, 0.7))
         assert list(nms_arr(boxes, scores, 0.7, max_keep=5)) == full[:5]
+
+
+@st.composite
+def nms_cases(draw):
+    """Boxes on a coarse lattice (ties, duplicates) or continuous, with
+    zero-size, inverted and non-finite rows; repeated or distinct scores."""
+    n = draw(st.integers(0, 80))
+    if draw(st.booleans()):
+        origin, size = st.integers(0, 6).map(float), st.integers(-1, 4).map(float)
+    else:
+        origin, size = st.floats(0, 50), st.floats(-1, 40)
+    rows = draw(st.lists(st.tuples(origin, origin, size, size), min_size=n, max_size=n))
+    xy = np.array(rows, dtype=np.float64).reshape(-1, 4)
+    boxes = np.concatenate([xy[:, :2], xy[:, :2] + xy[:, 2:]], axis=1)
+    for i, j, v in draw(st.lists(st.tuples(st.integers(0, max(n - 1, 0)),
+                                           st.integers(0, 3),
+                                           st.sampled_from([np.nan, np.inf, -np.inf])),
+                                 max_size=3 if n else 0)):
+        boxes[i, j] = v
+    boxes *= draw(st.sampled_from([1.0, 1e6]))
+    score = st.sampled_from([0.2, 0.5, 0.9]) if draw(st.booleans()) else st.floats(0, 1)
+    scores = np.array(draw(st.lists(score, min_size=n, max_size=n)), dtype=np.float64)
+    thr = draw(st.one_of(st.sampled_from([0.0, 0.3, 0.5, 0.7, 1.0]), st.floats(0, 1)))
+    max_keep = draw(st.one_of(st.none(), st.integers(1, max(n, 1))))
+    return boxes, scores, thr, max_keep
+
+
+class TestNmsMatchesBruteForce:
+    @given(nms_cases())
+    @settings(max_examples=400, deadline=None)
+    def test_keep_equals_brute_prefix(self, case):
+        boxes, scores, thr, max_keep = case
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = list(nms_arr(boxes, scores, thr, max_keep=max_keep))
+            want = brute_nms(boxes, scores, thr)[:max_keep]
+        assert got == want

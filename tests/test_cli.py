@@ -224,6 +224,45 @@ class TestRpnSampling:
         assert drawn and set(drawn) == {(64, 32)}
 
 
+class TestRpnLabelThresholds:
+    """rpn.pos_iou and rpn.neg_iou reach every RPN anchor labelling."""
+
+    @pytest.mark.parametrize("command", [
+        ["train-rpn", "--iters", "3"],
+        ["train-alt", "--iters", "3"],
+        ["train-joint", "--iters", "3"],
+        ["ablate", "--mode", "anchor-settings", "--n", "10", "--iters", "2"],
+        ["ablate", "--mode", "lambda-sweep", "--n", "10", "--iters", "2",
+         "--lambdas", "1"],
+    ], ids=["train-rpn", "train-alt", "train-joint", "anchor-settings",
+            "lambda-sweep"])
+    def test_thresholds_from_config(self, dataset, tmp_path, monkeypatch, command):
+        real = training.assign_labels
+        sig = inspect.signature(real)
+        seen = []
+
+        def spy(*args, **kwargs):
+            bound = sig.bind(*args, **kwargs)
+            bound.apply_defaults()
+            seen.append((bound.arguments["pos_iou"], bound.arguments["neg_iou"]))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(training, "assign_labels", spy)
+        assert run([*command, "--out", str(tmp_path), "--data", str(dataset),
+                    *TINY, "--set", "rpn.pos_iou", "0.95", "--set", "rpn.neg_iou",
+                    "0.05", "--seed", "11"]) == 0
+        assert seen and set(seen) == {(0.95, 0.05)}
+
+    @pytest.mark.parametrize("key,value", [("rpn.pos_iou", "1.5"),
+                                           ("rpn.neg_iou", "-0.1"),
+                                           ("rpn.neg_iou", "0.8")])
+    def test_bad_thresholds_rejected(self, dataset, tmp_path, capsys, key, value):
+        for command in ("train-rpn", "train-joint"):
+            assert run([command, "--out", str(tmp_path), "--data", str(dataset),
+                        "--iters", "1", *TINY, "--set", key, value]) == 1
+            assert key in capsys.readouterr().err
+
+
 class TestAblate:
     @pytest.mark.parametrize("mode,args,name,header", [
         ("no-reg", ["--n", "10"], "recall_no_reg.csv", "tau,recall,n_proposals"),

@@ -1,8 +1,11 @@
 """Deterministic counter-based PRNG: substreams, reproducibility, statistics."""
 
 import numpy as np
+import pytest
 
 from minircnn.rng import Rng
+
+from oracles import permutation_loop
 
 
 class TestDeterminism:
@@ -50,7 +53,6 @@ class TestDistributions:
         draws = Rng(5, "sampling").randint(3, 13, 1000)
         assert draws.min() >= 3 and draws.max() < 13
         assert len(np.unique(draws)) == 10
-        import pytest
         with pytest.raises(ValueError):
             Rng(5, "sampling").randint(4, 4)
 
@@ -62,3 +64,13 @@ class TestDistributions:
         c = Rng(1, "sampling").choice(50, 20)
         assert len(set(c.tolist())) == 20
         assert c.min() >= 0 and c.max() < 50
+
+
+class TestPermutationMatchesLoop:
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 17, 256, 2409])
+    def test_same_bytes_and_draws(self, n):
+        for seed in range(20):
+            fast, loop = Rng(seed, "data"), Rng(seed, "data")
+            got, want = fast.permutation(n), permutation_loop(loop, n)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            assert fast.next_u64(1) == loop.next_u64(1)
