@@ -64,7 +64,7 @@ def assign_labels(aset: AnchorSet, gt_boxes: np.ndarray, image_w: float,
     lab = np.full(ins.shape[0], IGNORE, dtype=np.int8)
     lab[best < neg_iou] = NEGATIVE
     pos = best >= pos_iou
-    gt_best = iou.max(axis=0)
+    gt_best = iou.max(axis=0, initial=0.0)           # 0 when no anchor is inside
     for j in range(gt_boxes.shape[0]):
         if gt_best[j] > 0:
             pos |= iou[:, j] == gt_best[j]            # rule (i), all argmax anchors

@@ -15,8 +15,8 @@ from .evaluation import bench, mean_ap, recall_curve
 from .onestage import train_onestage
 from .rng import Rng
 from .rpn import Backbone, RpnHead
-from .training import (TrainState, alternate_4step, joint_train, save_state,
-                       train_rpn, write_loss_log)
+from .training import (TrainState, alternate_4step, joint_train, save_state, train,
+                       write_loss_log)
 
 # ablate modes that read a trained RPN checkpoint
 CKPT_MODES = ("no-reg", "no-cls", "n-sweep")
@@ -100,8 +100,7 @@ def cmd_train_rpn(args):
     scenes = _load_scenes(args.data)
     state = _build_models(cfg)
     sched = cfg.schedule(iters=args.iters)
-    train_rpn(scenes, state, sched, cfg.anchor_config(), cfg.loss_weights(),
-              **cfg.rpn_sampling())
+    train(scenes, state, sched, cfg.loss_weights(), **cfg.rpn_sampling())
     save_state(state, out / "rpn.frpn")
     write_loss_log(state, out / "loss.csv")
     print(f"trained RPN for {sched.total_iters} iters; checkpoint {out / 'rpn.frpn'}")
@@ -312,9 +311,8 @@ def cmd_ablate(args):
             sub = RunConfig.from_file(out / "config.txt")
             sub.anchors_scales, sub.anchors_ratios = scales, ratios
             state = _build_models(sub)
-            train_rpn(scenes, state, sub.schedule(iters=args.iters),
-                      sub.anchor_config(), sub.loss_weights(),
-                      **sub.rpn_sampling())
+            train(scenes, state, sub.schedule(iters=args.iters), sub.loss_weights(),
+                  **sub.rpn_sampling())
             props = [state.propose_scene(s, p)[1] for s in scenes]
             c = recall_curve(props, gt_boxes, args.n)
             rows.append(f"{name},{c.at(0.5):.6g},{c.at(0.7):.6g}")
@@ -326,9 +324,8 @@ def cmd_ablate(args):
             sub = RunConfig.from_file(out / "config.txt")
             sub.rpn_lambda = lam
             state = _build_models(sub)
-            train_rpn(scenes, state, sub.schedule(iters=args.iters),
-                      sub.anchor_config(), sub.loss_weights(),
-                      **sub.rpn_sampling())
+            train(scenes, state, sub.schedule(iters=args.iters), sub.loss_weights(),
+                  **sub.rpn_sampling())
             props = [state.propose_scene(s, p)[1] for s in scenes]
             c = recall_curve(props, gt_boxes, args.n)
             last = state.loss_log[-1]

@@ -61,6 +61,10 @@ class RunConfig:
 
     eval_iou_thresh: float = 0.5
 
+    # IoU thresholds, each in [0, 1]
+    _IOU_FIELDS = ("rpn_pos_iou", "rpn_neg_iou", "proposals_nms_iou",
+                   "detector_fg_iou", "detector_nms_iou", "eval_iou_thresh")
+
     _PARSERS = {
         "anchors_scales": _floats,
         "anchors_ratios": _floats,
@@ -80,10 +84,10 @@ class RunConfig:
         valid = {f.name for f in fields(self)}
         if name not in valid:
             raise KeyError(f"unknown config key: {key}")
-        if name in self._PARSERS:
-            setattr(self, name, self._PARSERS[name](value))
-        else:
-            setattr(self, name, type(getattr(self, name))(value))
+        value = self._PARSERS.get(name, type(getattr(self, name)))(value)
+        if name in self._IOU_FIELDS and not 0 <= value <= 1:
+            raise ValueError(f"{self._field_to_key(name)}={value} is outside [0, 1]")
+        setattr(self, name, value)
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
@@ -97,8 +101,8 @@ class RunConfig:
             key, value = (s.strip() for s in line.split("=", 1))
             try:
                 cfg.set_key(key, value)
-            except KeyError as exc:
-                raise KeyError(f"{path}:{lineno}: {exc.args[0]}") from None
+            except (KeyError, ValueError) as exc:
+                raise type(exc)(f"{path}:{lineno}: {exc.args[0]}") from None
         return cfg
 
     def to_text(self) -> str:
@@ -123,13 +127,8 @@ class RunConfig:
         return LossWeights(self.rpn_lambda, float(self.rpn_batch))
 
     def rpn_sampling(self) -> dict:
-        """Keyword arguments of the training loops for RPN anchor labelling
-        and minibatch sampling; rejects IoU thresholds outside [0, 1] and
-        rpn.neg_iou above rpn.pos_iou."""
-        for key, v in (("rpn.pos_iou", self.rpn_pos_iou),
-                       ("rpn.neg_iou", self.rpn_neg_iou)):
-            if not 0 <= v <= 1:
-                raise ValueError(f"{key}={v} is outside [0, 1]")
+        """Keyword arguments of the training loop for RPN anchor labelling
+        and minibatch sampling; rejects rpn.neg_iou above rpn.pos_iou."""
         if self.rpn_neg_iou > self.rpn_pos_iou:
             raise ValueError(f"rpn.neg_iou={self.rpn_neg_iou} exceeds "
                              f"rpn.pos_iou={self.rpn_pos_iou}")

@@ -21,10 +21,9 @@ INIT_STDDEV = 0.01
 class LossWeights:
     lam: float = 10.0
     n_cls: float = 256.0
-    n_reg: float = 256.0  # number of anchor locations, recomputed per image
 
     def __post_init__(self):
-        if self.lam <= 0 or self.n_cls <= 0 or self.n_reg <= 0:
+        if self.lam <= 0 or self.n_cls <= 0:
             raise ValueError("loss weights must be positive")
 
 
@@ -140,9 +139,9 @@ def rpn_loss(cls_scores: Tensor, reg_deltas: Tensor, targets: RpnTargets,
              k: int, weights: LossWeights) -> tuple[Tensor, float, float]:
     """Two-term objectness + box loss.
 
-    cls: mean log-loss over the sampled minibatch (normalized by n_cls).
+    cls: log-loss summed over the sampled minibatch, divided by n_cls.
     reg: smooth-L1 over ALL positive-labeled anchors, summed over the four
-    delta components, scaled by lam / n_reg.
+    delta components, scaled by lam / N_reg, N_reg = H*W anchor locations.
     Returns (loss, cls_term_value, reg_term_value).
     """
     sampled = targets.sampled_idx
@@ -160,7 +159,8 @@ def rpn_loss(cls_scores: Tensor, reg_deltas: Tensor, targets: RpnTargets,
     if pos.size > 0:
         pred = T.take_rows(anchor_rows(reg_deltas, k, 4), pos)
         tgt = Tensor(targets.target_deltas[pos].astype(cls_scores.dtype))
-        reg_term = T.mul(T.tsum(T.smooth_l1(pred - tgt)), weights.lam / weights.n_reg)
+        n_reg = reg_deltas.shape[1] * reg_deltas.shape[2]
+        reg_term = T.mul(T.tsum(T.smooth_l1(pred - tgt)), weights.lam / n_reg)
         loss = cls_term + reg_term
         reg_val = reg_term.item()
     else:

@@ -1,5 +1,5 @@
-"""Training loops: RPN alone, the 4-step alternating scheme, and
-approximate joint training over a shared backbone."""
+"""One SGD loop over the heads a model holds; the 4-step alternating
+scheme and approximate joint training over a shared backbone are built on it."""
 from __future__ import annotations
 
 import hashlib
@@ -22,6 +22,9 @@ from .rpn import (Backbone, LossWeights, ProposalParams, RpnHead, propose_arrays
 from .tensor import Tensor
 
 log = logging.getLogger(__name__)
+
+# proposals per image that the detector trains on
+TRAIN_PROPOSALS = ProposalParams(post_nms_top=2000, pre_nms_top=6000)
 
 
 @dataclass
@@ -147,93 +150,76 @@ class _Feeder:
         return i
 
 
-def _precompute(scenes: list[Scene], state: TrainState, pos_iou: float,
-                neg_iou: float):
-    """Per-scene network inputs, anchor sets and assigned labels."""
-    inputs = [image_to_input(s.image) for s in scenes]
-    asets = [state.anchors(s.width, s.height) for s in scenes]
-    targets = [assign_labels(a, s.boxes, s.width, s.height, pos_iou, neg_iou)
-               for a, s in zip(asets, scenes)]
-    return inputs, asets, targets
+def train(scenes: list[Scene], state: TrainState, sched: TrainSchedule,
+          weights: LossWeights = LossWeights(),
+          roi_cfg: RoiSampleConfig = RoiSampleConfig(),
+          proposals: list[np.ndarray] | None = None,
+          train_proposals: ProposalParams = TRAIN_PROPOSALS,
+          batch: int = 256, max_pos: int = 128, pos_iou: float = 0.7,
+          neg_iou: float = 0.3) -> TrainState:
+    """Image-centric SGD, one image per minibatch, on the summed losses of the
+    heads `state` holds; the backbone trains unless `state.shared_frozen`.
 
-
-def train_rpn(scenes: list[Scene], state: TrainState, sched: TrainSchedule,
-              anchor_cfg: AnchorConfig, weights: LossWeights,
-              batch: int = 256, max_pos: int = 128, pos_iou: float = 0.7,
-              neg_iou: float = 0.3) -> TrainState:
-    """Image-centric SGD on the RPN loss; one image per minibatch. `state`
-    takes `anchor_cfg` as its anchor configuration. Anchors are labelled
-    with the pos_iou/neg_iou thresholds of `assign_labels`."""
+    The RPN loss runs on `batch` sampled anchors (at most `max_pos`
+    positive), labelled with the pos_iou/neg_iou thresholds of
+    `assign_labels`. The detector loss runs on RoIs sampled from the fixed
+    per-scene `proposals`, or, when none are given, from the RPN's own
+    detached `train_proposals` (approximate joint training: no gradient
+    flows through box coordinates). A step with no labelable anchors, or a
+    detector-only step with no RoI candidates, is skipped.
+    """
     if not scenes:
         raise ValueError("empty dataset")
-    state.anchor_cfg = anchor_cfg
+    rpn, det = state.rpn_head, state.det_head
+    if rpn is None and (det is None or proposals is None):
+        raise ValueError("train needs an RPN head, or a detector head and proposals")
     rng = Rng(sched.seed)
     feeder = _Feeder(len(scenes), rng.substream("data"))
     sample_rng = rng.substream("sampling")
-    inputs, asets, targets = _precompute(scenes, state, pos_iou, neg_iou)
-    params = state.rpn_head.params
+    inputs = [image_to_input(s.image) for s in scenes]
+    if rpn is not None:
+        targets = [assign_labels(state.anchors(s.width, s.height), s.boxes, s.width,
+                                 s.height, pos_iou, neg_iou) for s in scenes]
+    params = [p for h in (rpn, det) if h is not None for p in h.params]
     if not state.shared_frozen:
         params = state.backbone.params + params
     state.backbone.set_trainable(not state.shared_frozen)
 
     for it in range(sched.total_iters):
         i = feeder.next()
-        try:
-            t = sample_minibatch(targets[i], sample_rng, batch=batch, max_pos=max_pos)
-        except NoLabeledAnchorsError:
-            log.warning("skipping image %d: no labelable anchors", i)
-            continue
-        _, cls, reg = state.rpn_forward(inputs[i])
-        w = LossWeights(weights.lam, weights.n_cls,
-                        float(asets[i].feature_w * asets[i].feature_h))
-        loss, cv, rv = rpn_loss(cls, reg, t, anchor_cfg.k, w)
+        s = scenes[i]
+        row = {"iteration": state.iteration, "lr": sched.lr_at(it)}
+        feats = loss = None
+        if rpn is not None:
+            try:
+                t = sample_minibatch(targets[i], sample_rng, batch=batch,
+                                     max_pos=max_pos)
+            except NoLabeledAnchorsError:
+                log.warning("skipping image %d: no labelable anchors", i)
+                continue
+            feats, cls, reg = state.rpn_forward(inputs[i])
+            loss, row["loss_cls"], row["loss_reg"] = rpn_loss(
+                cls, reg, t, state.anchor_cfg.k, weights)
+        if det is not None:
+            # proposal coordinates are raw arrays, off the tape
+            boxes = proposals[i] if proposals is not None else \
+                state.propose(cls.data, reg.data, s.width, s.height, train_proposals)[0]
+            roi_batch = sample_rois(boxes, s.boxes, s.classes, roi_cfg, sample_rng)
+            row["loss_det_cls"] = row["loss_det_reg"] = 0.0
+            if roi_batch.labels.shape[0]:
+                if feats is None:
+                    feats = state.features(inputs[i])
+                dcls, dreg = detector_forward(feats, roi_batch.rois, det,
+                                              1.0 / state.backbone.stride)
+                dloss, row["loss_det_cls"], row["loss_det_reg"] = detector_loss(
+                    dcls, dreg, roi_batch)
+                loss = dloss if loss is None else loss + dloss
+            elif loss is None:
+                log.warning("skipping image %d: no RoI candidates", i)
+                continue
         loss.backward()
-        lr = sched.lr_at(it)
-        sgd_step(params, SgdConfig(lr, sched.momentum, sched.weight_decay))
-        state.loss_log.append({"iteration": state.iteration, "lr": lr,
-                               "loss_cls": cv, "loss_reg": rv})
-        state.iteration += 1
-    return state
-
-
-def proposals_for_scenes(scenes: list[Scene], backbone: Backbone, head: RpnHead,
-                         anchor_cfg: AnchorConfig,
-                         p: ProposalParams) -> list[np.ndarray]:
-    model = TrainState(backbone=backbone, rpn_head=head, anchor_cfg=anchor_cfg)
-    return [model.propose_scene(s, p)[1] for s in scenes]
-
-
-def train_detector(scenes: list[Scene], proposals: list[np.ndarray],
-                   state: TrainState, sched: TrainSchedule,
-                   roi_cfg: RoiSampleConfig) -> TrainState:
-    """SGD on the detector loss over sampled RoIs from fixed proposals."""
-    if not scenes:
-        raise ValueError("empty dataset")
-    rng = Rng(sched.seed)
-    feeder = _Feeder(len(scenes), rng.substream("data"))
-    sample_rng = rng.substream("sampling")
-    inputs = [image_to_input(s.image) for s in scenes]
-    params = state.det_head.params
-    if not state.shared_frozen:
-        params = state.backbone.params + params
-    state.backbone.set_trainable(not state.shared_frozen)
-    scale = 1.0 / state.backbone.stride
-
-    for it in range(sched.total_iters):
-        i = feeder.next()
-        batch = sample_rois(proposals[i], scenes[i].boxes, scenes[i].classes,
-                            roi_cfg, sample_rng)
-        if batch.labels.shape[0] == 0:
-            log.warning("skipping image %d: no RoI candidates", i)
-            continue
-        cls, reg = detector_forward(state.features(inputs[i]), batch.rois,
-                                    state.det_head, scale)
-        loss, cv, rv = detector_loss(cls, reg, batch)
-        loss.backward()
-        lr = sched.lr_at(it)
-        sgd_step(params, SgdConfig(lr, sched.momentum, sched.weight_decay))
-        state.loss_log.append({"iteration": state.iteration, "lr": lr,
-                               "loss_det_cls": cv, "loss_det_reg": rv})
+        sgd_step(params, SgdConfig(row["lr"], sched.momentum, sched.weight_decay))
+        state.loss_log.append(row)
         state.iteration += 1
     return state
 
@@ -242,7 +228,7 @@ def alternate_4step(scenes: list[Scene], sched_rpn: TrainSchedule,
                     sched_det: TrainSchedule, anchor_cfg: AnchorConfig,
                     weights: LossWeights, roi_cfg: RoiSampleConfig,
                     n_classes: int, head_dim: int = 64,
-                    train_proposals: ProposalParams | None = None,
+                    train_proposals: ProposalParams = TRAIN_PROPOSALS,
                     out_dir=None,
                     channels=(16, 32, 64, 64),
                     batch: int = 256, max_pos: int = 128, pos_iou: float = 0.7,
@@ -250,41 +236,37 @@ def alternate_4step(scenes: list[Scene], sched_rpn: TrainSchedule,
     """The pragmatic 4-step alternating scheme; ends with one shared backbone.
     Both RPN steps label anchors with pos_iou/neg_iou and sample `batch`
     anchors per image, at most `max_pos` positive."""
-    if train_proposals is None:
-        train_proposals = ProposalParams(post_nms_top=2000, pre_nms_top=6000)
-    seed = sched_rpn.seed
-    init = Rng(seed).substream("init")
+    rpn_kw = dict(batch=batch, max_pos=max_pos, pos_iou=pos_iou, neg_iou=neg_iou)
+    init = Rng(sched_rpn.seed).substream("init")
 
     # step 1: train RPN end to end from scratch
     bb1 = Backbone(init, channels=channels)
-    rpn1 = RpnHead(init, bb1.out_dim, anchor_cfg.k, head_dim)
-    s1 = TrainState(backbone=bb1, rpn_head=rpn1)
-    train_rpn(scenes, s1, sched_rpn, anchor_cfg, weights, batch, max_pos,
-              pos_iou, neg_iou)
-    props = proposals_for_scenes(scenes, bb1, rpn1, anchor_cfg, train_proposals)
+    s1 = TrainState(backbone=bb1, anchor_cfg=anchor_cfg,
+                    rpn_head=RpnHead(init, bb1.out_dim, anchor_cfg.k, head_dim))
+    train(scenes, s1, sched_rpn, weights, **rpn_kw)
+    props = [s1.propose_scene(s, train_proposals)[1] for s in scenes]
 
     # step 2: separate detector network on step-1 proposals (fresh backbone,
     # random init standing in for the paper's ImageNet initialization)
     bb2 = Backbone(init, channels=channels)
     det = DetectorHead(init, bb2.out_dim, n_classes)
     s2 = TrainState(backbone=bb2, det_head=det)
-    train_detector(scenes, props, s2, sched_det, roi_cfg)
+    train(scenes, s2, sched_det, roi_cfg=roi_cfg, proposals=props)
 
     # step 3: re-init the RPN head on step-2's backbone, conv layers frozen
-    rpn3 = RpnHead(init, bb2.out_dim, anchor_cfg.k, head_dim)
-    s3 = TrainState(backbone=bb2, rpn_head=rpn3, shared_frozen=True)
+    s3 = TrainState(backbone=bb2, anchor_cfg=anchor_cfg, shared_frozen=True,
+                    rpn_head=RpnHead(init, bb2.out_dim, anchor_cfg.k, head_dim))
     pre = backbone_checksum(bb2)
-    train_rpn(scenes, s3, sched_rpn, anchor_cfg, weights, batch, max_pos,
-              pos_iou, neg_iou)
+    train(scenes, s3, sched_rpn, weights, **rpn_kw)
     assert backbone_checksum(bb2) == pre, "frozen backbone changed in step 3"
 
     # step 4: fine-tune the detector head, shared conv layers still frozen
-    props = proposals_for_scenes(scenes, bb2, rpn3, anchor_cfg, train_proposals)
+    props = [s3.propose_scene(s, train_proposals)[1] for s in scenes]
     s4 = TrainState(backbone=bb2, det_head=det, shared_frozen=True)
-    train_detector(scenes, props, s4, sched_det, roi_cfg)
+    train(scenes, s4, sched_det, roi_cfg=roi_cfg, proposals=props)
     assert backbone_checksum(bb2) == pre, "frozen backbone changed in step 4"
 
-    final = TrainState(backbone=bb2, rpn_head=rpn3, det_head=det,
+    final = TrainState(backbone=bb2, rpn_head=s3.rpn_head, det_head=det,
                        anchor_cfg=anchor_cfg,
                        loss_log=s1.loss_log + s2.loss_log + s3.loss_log + s4.loss_log)
     if out_dir is not None:
@@ -297,63 +279,21 @@ def alternate_4step(scenes: list[Scene], sched_rpn: TrainSchedule,
 def joint_train(scenes: list[Scene], sched: TrainSchedule, anchor_cfg: AnchorConfig,
                 weights: LossWeights, roi_cfg: RoiSampleConfig, n_classes: int,
                 head_dim: int = 64,
-                train_proposals: ProposalParams | None = None,
+                train_proposals: ProposalParams = TRAIN_PROPOSALS,
                 channels=(16, 32, 64, 64),
                 batch: int = 256, max_pos: int = 128, pos_iou: float = 0.7,
                 neg_iou: float = 0.3) -> TrainState:
-    """Approximate joint training: both losses share one backbone; proposals
-    are generated from detached head outputs, so no gradient flows through
-    box coordinates. The RPN labels anchors with pos_iou/neg_iou and samples
-    `batch` anchors per image, at most `max_pos` positive."""
-    if not scenes:
-        raise ValueError("empty dataset")
-    if train_proposals is None:
-        train_proposals = ProposalParams(post_nms_top=2000, pre_nms_top=6000)
+    """Approximate joint training: a fresh backbone, RPN head and detector
+    head, trained together by `train` on the RPN's own proposals."""
     init = Rng(sched.seed).substream("init")
     backbone = Backbone(init, channels=channels)
     rpn_head = RpnHead(init, backbone.out_dim, anchor_cfg.k, head_dim)
     det_head = DetectorHead(init, backbone.out_dim, n_classes)
     state = TrainState(backbone=backbone, rpn_head=rpn_head, det_head=det_head,
                        anchor_cfg=anchor_cfg)
-
-    rng = Rng(sched.seed)
-    feeder = _Feeder(len(scenes), rng.substream("data"))
-    sample_rng = rng.substream("sampling")
-    inputs, asets, targets = _precompute(scenes, state, pos_iou, neg_iou)
-    params = state.params
-    scale = 1.0 / backbone.stride
-
-    for it in range(sched.total_iters):
-        i = feeder.next()
-        s = scenes[i]
-        try:
-            t = sample_minibatch(targets[i], sample_rng, batch=batch, max_pos=max_pos)
-        except NoLabeledAnchorsError:
-            log.warning("skipping image %d: no labelable anchors", i)
-            continue
-        feats, cls, reg = state.rpn_forward(inputs[i])
-        w = LossWeights(weights.lam, weights.n_cls,
-                        float(asets[i].feature_w * asets[i].feature_h))
-        rloss, rcv, rrv = rpn_loss(cls, reg, t, anchor_cfg.k, w)
-        # detached proposal coordinates: raw arrays only, no tape
-        boxes, _ = state.propose(cls.data, reg.data, s.width, s.height,
-                                 train_proposals)
-        roi_batch = sample_rois(boxes, s.boxes, s.classes, roi_cfg, sample_rng)
-        lr = sched.lr_at(it)
-        row = {"iteration": state.iteration, "lr": lr, "loss_cls": rcv,
-               "loss_reg": rrv, "loss_det_cls": 0.0, "loss_det_reg": 0.0}
-        if roi_batch.labels.shape[0]:
-            dcls, dreg = detector_forward(feats, roi_batch.rois, det_head, scale)
-            dloss, dcv, drv = detector_loss(dcls, dreg, roi_batch)
-            total = rloss + dloss
-            row["loss_det_cls"], row["loss_det_reg"] = dcv, drv
-        else:
-            total = rloss
-        total.backward()
-        sgd_step(params, SgdConfig(lr, sched.momentum, sched.weight_decay))
-        state.loss_log.append(row)
-        state.iteration += 1
-    return state
+    return train(scenes, state, sched, weights, roi_cfg,
+                 train_proposals=train_proposals, batch=batch, max_pos=max_pos,
+                 pos_iou=pos_iou, neg_iou=neg_iou)
 
 
 def save_state(state: TrainState, path):

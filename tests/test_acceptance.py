@@ -25,8 +25,7 @@ from minircnn.rng import Rng
 from minircnn.rpn import (Backbone, LossWeights, ProposalParams, RpnHead,
                           propose_arrays, rpn_loss)
 from minircnn.tensor import Tensor, gradcheck
-from minircnn.training import (TrainSchedule, TrainState, alternate_4step,
-                               proposals_for_scenes, train_rpn)
+from minircnn.training import TrainSchedule, TrainState, alternate_4step, train
 
 from oracles import brute_iou, brute_nms, random_boxes
 
@@ -66,19 +65,17 @@ def shapes_data():
 @pytest.fixture(scope="session")
 def trained_rpn(shapes_data):
     """The criterion-5 model: 5k iterations on the full 500-scene set."""
-    train, test = shapes_data
+    scenes, test = shapes_data
     init = Rng(7, "init")
     bb = Backbone(init)
-    state = TrainState(backbone=bb,
+    state = TrainState(backbone=bb, anchor_cfg=ACFG,
                        rpn_head=RpnHead(init, bb.out_dim, ACFG.k))
     t0 = time.perf_counter()
-    train_rpn(train, state, TrainSchedule(total_iters=5000, seed=7),
-              ACFG, LossWeights())
+    train(scenes, state, TrainSchedule(total_iters=5000, seed=7), LossWeights())
     elapsed = time.perf_counter() - t0
     # one 1000-deep proposal list serves budgets 50/300/1000 (score-ordered)
-    props = proposals_for_scenes(
-        test, state.backbone, state.rpn_head, ACFG,
-        ProposalParams(pre_nms_top=6000, post_nms_top=1000))
+    p = ProposalParams(pre_nms_top=6000, post_nms_top=1000)
+    props = [state.propose_scene(s, p)[1] for s in test]
     return {"state": state, "test": test, "props": props, "elapsed": elapsed}
 
 

@@ -76,6 +76,15 @@ class TestAssignLabels:
         assert np.all(t.labels[aset.inside] == NEGATIVE)
         assert np.all(t.labels[~aset.inside] == IGNORE)
 
+    def test_no_inside_anchor_all_ignore(self):
+        # an 8 px image: every anchor crosses the border
+        aset = small_aset(8)
+        assert not aset.inside.any()
+        t = assign_labels(aset, np.array([[1.0, 1.0, 6.0, 6.0]]), 8, 8)
+        assert np.all(t.labels == IGNORE)
+        with pytest.raises(NoLabeledAnchorsError):
+            sample_minibatch(t, Rng(0, "sampling"))
+
     def test_every_gt_owns_a_positive(self):
         rng = np.random.default_rng(11)
         for _ in range(50):

@@ -50,6 +50,14 @@ def alt_run(dataset, tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="module")
+def det_run(dataset, alt_run, tmp_path_factory):
+    out = tmp_path_factory.mktemp("dets")
+    assert run(["detect", "--out", str(out), "--ckpt", str(alt_run / "final.frpn"),
+                "--data", str(dataset), *TINY, "--seed", "11"]) == 0
+    return out
+
+
 class TestGenData:
     def test_artifacts(self, dataset):
         assert (dataset / "manifest.jsonl").is_file()
@@ -118,16 +126,12 @@ class TestInferenceCommands:
         vals = [float(ln.split(",")[1]) for ln in lines[1:]]
         assert all(0.0 <= v <= 1.0 for v in vals)
 
-    def test_detect_then_eval_map(self, dataset, alt_run, tmp_path):
-        d_out = tmp_path / "dets"
-        assert run(["detect", "--out", str(d_out), "--ckpt",
-                    str(alt_run / "final.frpn"), "--data", str(dataset),
-                    *TINY, "--seed", "11"]) == 0
-        assert (d_out / "detections.csv").read_text() \
+    def test_detect_then_eval_map(self, dataset, det_run, tmp_path):
+        assert (det_run / "detections.csv").read_text() \
             .startswith("image,class,score,x1,y1,x2,y2")
         m_out = tmp_path / "map"
         assert run(["eval-map", "--out", str(m_out), "--detections",
-                    str(d_out / "detections.csv"), "--manifest",
+                    str(det_run / "detections.csv"), "--manifest",
                     str(dataset / "manifest.jsonl"), *TINY,
                     "--seed", "11"]) == 0
         text = (m_out / "map.csv").read_text().strip().split("\n")
@@ -261,6 +265,36 @@ class TestRpnLabelThresholds:
             assert run([command, "--out", str(tmp_path), "--data", str(dataset),
                         "--iters", "1", *TINY, "--set", key, value]) == 1
             assert key in capsys.readouterr().err
+
+
+class TestIouKeysRejected:
+    """An IoU key outside [0, 1] fails before any work, naming the key."""
+
+    # rpn.pos_iou and rpn.neg_iou: TestRpnLabelThresholds
+    @pytest.mark.parametrize("key,value", [("proposals.nms_iou", "1.5"),
+                                           ("detector.fg_iou", "1.5"),
+                                           ("detector.nms_iou", "-0.1"),
+                                           ("eval.iou_thresh", "1.5")])
+    def test_each_command_names_the_key(self, dataset, rpn_run, alt_run, det_run,
+                                        tmp_path, capsys, key, value):
+        commands = [
+            ["train-joint", "--data", str(dataset), "--iters", "2"],
+            ["propose", "--ckpt", str(rpn_run / "rpn.frpn"), "--data", str(dataset)],
+            ["detect", "--ckpt", str(alt_run / "final.frpn"), "--data", str(dataset)],
+            ["eval-map", "--detections", str(det_run / "detections.csv"),
+             "--manifest", str(dataset / "manifest.jsonl")],
+        ]
+        for command in commands:
+            assert run([*command, "--out", str(tmp_path / "out"), *TINY,
+                        "--set", key, value, "--seed", "11"]) == 1, command
+            assert key in capsys.readouterr().err, command
+
+    def test_config_file_error_names_the_line(self, tmp_path, capsys):
+        (tmp_path / "run.cfg").write_text("seed=3\ndetector.fg_iou=2\n")
+        assert run(["gen-data", "--out", str(tmp_path / "data"), "--n", "1",
+                    "--config", str(tmp_path / "run.cfg")]) == 1
+        assert "run.cfg:2: detector.fg_iou=2.0 is outside [0, 1]" in \
+            capsys.readouterr().err
 
 
 class TestAblate:

@@ -118,16 +118,22 @@ class TestRpnLoss:
         assert loss.item() == pytest.approx(0.0, abs=1e-10)
 
     def test_normalizers_enter_exactly(self):
-        cfg, aset, t = micro_setup()
-        cls, reg = self._outputs(aset)
-        _, c1, r1 = rpn_loss(cls, reg, t, aset.k, LossWeights())
-        _, c2, r2 = rpn_loss(cls, reg, t, aset.k,
-                             LossWeights(lam=10.0, n_cls=512.0, n_reg=256.0))
-        assert c2 == pytest.approx(c1 / 2.0, rel=1e-12)
-        assert r2 == pytest.approx(r1, rel=1e-12)
-        _, _, r3 = rpn_loss(cls, reg, t, aset.k,
-                            LossWeights(lam=10.0, n_cls=256.0, n_reg=1024.0))
-        assert r3 == pytest.approx(r1 / 4.0, rel=1e-12)
+        # cls is divided by n_cls; reg is scaled by lam / (H*W) of the head map
+        for image in (32, 56):
+            cfg, aset, t = micro_setup(image=image)
+            cls, reg = self._outputs(aset)
+            _, c1, r1 = rpn_loss(cls, reg, t, aset.k, LossWeights())
+            _, c2, r2 = rpn_loss(cls, reg, t, aset.k,
+                                 LossWeights(lam=10.0, n_cls=512.0))
+            assert c2 == pytest.approx(c1 / 2.0, rel=1e-12)
+            assert r2 == pytest.approx(r1, rel=1e-12)
+            pos = t.positive_idx
+            assert pos.size
+            x = anchor_rows(reg.data, aset.k, 4)[pos] - t.target_deltas[pos]
+            smooth = np.where(np.abs(x) < 1, 0.5 * x * x, np.abs(x) - 0.5).sum()
+            n_reg = aset.feature_w * aset.feature_h
+            assert n_reg == (image // 8) ** 2
+            assert r1 == pytest.approx(10.0 / n_reg * smooth, rel=1e-12)
 
     def test_lambda_scales_reg_gradient_exactly(self):
         cfg, aset, t = micro_setup()

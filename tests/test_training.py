@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from minircnn import training
 from minircnn.anchors import AnchorConfig
 from minircnn.dataio import make_scene
-from minircnn.detector import RoiSampleConfig
+from minircnn.detector import DetectorHead, RoiSampleConfig
 from minircnn.nn import save_checkpoint
 from minircnn.rng import Rng
 from minircnn.rpn import Backbone, LossWeights, ProposalParams, RpnHead
@@ -15,9 +16,7 @@ from minircnn.training import (
     alternate_4step,
     backbone_checksum,
     joint_train,
-    proposals_for_scenes,
-    train_detector,
-    train_rpn,
+    train,
     write_loss_log,
 )
 
@@ -35,7 +34,8 @@ def scenes(n=3, seed=9):
 def fresh_rpn_state(seed=1):
     init = Rng(seed, "init")
     bb = Backbone(init)
-    return TrainState(backbone=bb, rpn_head=RpnHead(init, bb.out_dim, ACFG.k, 8))
+    return TrainState(backbone=bb, rpn_head=RpnHead(init, bb.out_dim, ACFG.k, 8),
+                      anchor_cfg=ACFG)
 
 
 def params_of(state):
@@ -72,39 +72,35 @@ class TestSchedule:
 class TestTrainRpn:
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
-            train_rpn([], fresh_rpn_state(), TrainSchedule(total_iters=1),
-                      ACFG, WEIGHTS)
+            train([], fresh_rpn_state(), TrainSchedule(total_iters=1), WEIGHTS)
 
     def test_zero_iters_leaves_params_unchanged(self):
         data = scenes()
         st = fresh_rpn_state()
         before = [p.value.data.copy() for p in params_of(st)]
-        train_rpn(data, st, TrainSchedule(total_iters=0), ACFG, WEIGHTS)
+        train(data, st, TrainSchedule(total_iters=0), WEIGHTS)
         for p, b in zip(params_of(st), before):
             np.testing.assert_array_equal(p.value.data, b)
         assert st.iteration == 0 and st.loss_log == []
 
     def test_loss_log_and_iteration_counter(self):
         st = fresh_rpn_state()
-        train_rpn(scenes(), st, TrainSchedule(total_iters=6, seed=3),
-                  ACFG, WEIGHTS)
+        train(scenes(), st, TrainSchedule(total_iters=6, seed=3), WEIGHTS)
         assert st.iteration == 6
         assert [r["iteration"] for r in st.loss_log] == list(range(6))
-        assert {"lr", "loss_cls", "loss_reg"} <= set(st.loss_log[0])
+        assert list(st.loss_log[0]) == ["iteration", "lr", "loss_cls", "loss_reg"]
 
     def test_deterministic_given_seed(self):
         data = scenes()
         a, b = fresh_rpn_state(7), fresh_rpn_state(7)
         for st in (a, b):
-            train_rpn(data, st, TrainSchedule(total_iters=5, seed=4),
-                      ACFG, WEIGHTS)
+            train(data, st, TrainSchedule(total_iters=5, seed=4), WEIGHTS)
         assert_states_equal(a, b)
         assert a.loss_log == b.loss_log
 
     def test_loss_decreases_over_short_run(self):
         st = fresh_rpn_state(2)
-        train_rpn(scenes(4), st, TrainSchedule(total_iters=100, seed=2),
-                  ACFG, WEIGHTS)
+        train(scenes(4), st, TrainSchedule(total_iters=100, seed=2), WEIGHTS)
         first = np.mean([r["loss_cls"] for r in st.loss_log[:10]])
         last = np.mean([r["loss_cls"] for r in st.loss_log[-10:]])
         assert last < first
@@ -114,8 +110,7 @@ class TestTrainRpn:
         st.shared_frozen = True
         pre = backbone_checksum(st.backbone)
         head_pre = [p.value.data.copy() for p in st.rpn_head.params]
-        train_rpn(scenes(), st, TrainSchedule(total_iters=4, seed=5),
-                  ACFG, WEIGHTS)
+        train(scenes(), st, TrainSchedule(total_iters=4, seed=5), WEIGHTS)
         assert backbone_checksum(st.backbone) == pre
         changed = any(not np.array_equal(p.value.data, b)
                       for p, b in zip(st.rpn_head.params, head_pre))
@@ -126,17 +121,23 @@ class TestTrainDetector:
     def test_runs_and_logs(self):
         data = scenes()
         st = fresh_rpn_state(6)
-        train_rpn(data, st, TrainSchedule(total_iters=20, seed=6),
-                  ACFG, WEIGHTS)
-        props = proposals_for_scenes(data, st.backbone, st.rpn_head, ACFG, PROPS)
-        from minircnn.detector import DetectorHead
+        train(data, st, TrainSchedule(total_iters=20, seed=6), WEIGHTS)
+        props = [st.propose_scene(s, PROPS)[1] for s in data]
         det = TrainState(backbone=st.backbone,
                          det_head=DetectorHead(Rng(1, "init"),
                                                st.backbone.out_dim, 3))
-        train_detector(data, props, det, TrainSchedule(total_iters=4, seed=6),
-                       ROI)
+        train(data, det, TrainSchedule(total_iters=4, seed=6), roi_cfg=ROI,
+              proposals=props)
         assert det.iteration == 4
-        assert {"loss_det_cls", "loss_det_reg"} <= set(det.loss_log[0])
+        assert list(det.loss_log[0]) == ["iteration", "lr", "loss_det_cls",
+                                         "loss_det_reg"]
+
+    def test_needs_proposals_without_an_rpn_head(self):
+        bb = Backbone(Rng(1, "init"))
+        det = TrainState(backbone=bb, det_head=DetectorHead(Rng(1, "init"),
+                                                            bb.out_dim, 3))
+        with pytest.raises(ValueError, match="proposals"):
+            train(scenes(), det, TrainSchedule(total_iters=1), roi_cfg=ROI)
 
 
 class TestAlternate4Step:
@@ -186,10 +187,57 @@ class TestJointTrain:
 class TestLossLogCsv:
     def test_written_file(self, tmp_path):
         st = fresh_rpn_state(8)
-        train_rpn(scenes(2), st, TrainSchedule(total_iters=3, seed=8),
-                  ACFG, WEIGHTS)
+        train(scenes(2), st, TrainSchedule(total_iters=3, seed=8), WEIGHTS)
         path = tmp_path / "log.csv"
         write_loss_log(st, path)
         lines = path.read_text().strip().split("\n")
         assert lines[0].split(",")[0] == "iteration"
         assert len(lines) == 1 + 3
+
+
+class TestSkips:
+    """Steps with nothing to learn from: skipped, or logged as zero."""
+
+    def empty_scene(self, image_size=64):
+        s = make_scene(Rng(3, "data"), image_size=image_size, max_objects=1)
+        s.boxes, s.classes = np.zeros((0, 4)), np.zeros(0, dtype=np.int64)
+        return s
+
+    def count_steps(self, monkeypatch):
+        steps = []
+        real = training.sgd_step
+        monkeypatch.setattr(training, "sgd_step",
+                            lambda params, cfg: steps.append(1) or real(params, cfg))
+        return steps
+
+    def test_rpn_step_without_labelable_anchors(self, monkeypatch, caplog):
+        steps = self.count_steps(monkeypatch)
+        st = fresh_rpn_state()
+        # at 8 px every anchor crosses the border, so none is labelable
+        train([self.empty_scene(8)], st, TrainSchedule(total_iters=1), WEIGHTS)
+        assert [r.getMessage() for r in caplog.records] == \
+            ["skipping image 0: no labelable anchors"]
+        assert st.loss_log == [] and st.iteration == 0 and steps == []
+
+    def test_detector_step_without_roi_candidates(self, monkeypatch, caplog):
+        steps = self.count_steps(monkeypatch)
+        bb = Backbone(Rng(1, "init"))
+        st = TrainState(backbone=bb,
+                        det_head=DetectorHead(Rng(1, "init"), bb.out_dim, 3))
+        train([self.empty_scene()], st, TrainSchedule(total_iters=1), roi_cfg=ROI,
+              proposals=[np.zeros((0, 4))])
+        assert [r.getMessage() for r in caplog.records] == \
+            ["skipping image 0: no RoI candidates"]
+        assert st.loss_log == [] and st.iteration == 0 and steps == []
+
+    def test_joint_step_with_empty_roi_batch_still_steps(self, monkeypatch, caplog):
+        steps = self.count_steps(monkeypatch)
+        # no gt boxes and no proposal above min_size: no RoI candidates
+        st = joint_train([self.empty_scene()], TrainSchedule(total_iters=1), ACFG,
+                         WEIGHTS, ROI, n_classes=3, head_dim=8,
+                         train_proposals=ProposalParams(min_size=1e9))
+        assert caplog.records == [] and steps == [1] and st.iteration == 1
+        (row,) = st.loss_log
+        assert list(row) == ["iteration", "lr", "loss_cls", "loss_reg",
+                             "loss_det_cls", "loss_det_reg"]
+        assert row["loss_det_cls"] == row["loss_det_reg"] == 0.0
