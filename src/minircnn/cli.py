@@ -57,17 +57,6 @@ def _build_models(cfg: RunConfig, want_det=False) -> TrainState:
     return state
 
 
-def _rpn_proposals_csv(scenes, state, cfg: RunConfig, n: int) -> str:
-    p = replace(cfg.proposal_params(train=False), post_nms_top=n)
-    rows = ["image,rank,score,x1,y1,x2,y2"]
-    for s in scenes:
-        _, boxes, scores = state.propose_scene(s, p)
-        for r, (b, sc) in enumerate(zip(boxes, scores)):
-            rows.append(f"{s.path},{r},{sc:.9g},{b[0]:.9g},{b[1]:.9g},"
-                        f"{b[2]:.9g},{b[3]:.9g}")
-    return "\n".join(rows) + "\n"
-
-
 def _read_grouped_csv(path, score_col, box_cols, extra_cols=()):
     groups: dict[str, list] = {}
     with open(path) as f:
@@ -82,11 +71,15 @@ def _read_grouped_csv(path, score_col, box_cols, extra_cols=()):
     return groups
 
 
+def _report(path: Path, text: str):
+    """Write a CSV report and echo it to stdout."""
+    path.write_text(text)
+    print(text, end="")
+
+
 # subcommand handlers ---------------------------------------------------
 
-def cmd_gen_data(args):
-    cfg = _load_config(args)
-    out = _out_dir(args, cfg)
+def cmd_gen_data(args, cfg: RunConfig, out: Path):
     n = args.n if args.n is not None else cfg.data_n_images
     size = args.image_size if args.image_size is not None else cfg.data_image_size
     gen_synthetic(out, n, image_size=size, seed=cfg.seed,
@@ -94,9 +87,7 @@ def cmd_gen_data(args):
     print(f"wrote {n} images + manifest under {out}")
 
 
-def cmd_train_rpn(args):
-    cfg = _load_config(args)
-    out = _out_dir(args, cfg)
+def cmd_train_rpn(args, cfg: RunConfig, out: Path):
     scenes = _load_scenes(args.data)
     state = _build_models(cfg)
     sched = cfg.schedule(iters=args.iters)
@@ -106,9 +97,7 @@ def cmd_train_rpn(args):
     print(f"trained RPN for {sched.total_iters} iters; checkpoint {out / 'rpn.frpn'}")
 
 
-def cmd_train_alt(args):
-    cfg = _load_config(args)
-    out = _out_dir(args, cfg)
+def cmd_train_alt(args, cfg: RunConfig, out: Path):
     scenes = _load_scenes(args.data)
     iters = args.iters if args.iters is not None else cfg.train_iters
     state = alternate_4step(scenes, cfg.schedule(iters=iters),
@@ -123,9 +112,7 @@ def cmd_train_alt(args):
     print(f"4-step training done; unified checkpoint {out / 'final.frpn'}")
 
 
-def cmd_train_joint(args):
-    cfg = _load_config(args)
-    out = _out_dir(args, cfg)
+def cmd_train_joint(args, cfg: RunConfig, out: Path):
     scenes = _load_scenes(args.data)
     iters = args.iters if args.iters is not None else cfg.train_joint_iters
     state = joint_train(scenes, cfg.schedule_det(iters=iters), cfg.anchor_config(),
@@ -139,9 +126,7 @@ def cmd_train_joint(args):
     print(f"joint training done; checkpoint {out / 'joint.frpn'}")
 
 
-def cmd_train_onestage(args):
-    cfg = _load_config(args)
-    out = _out_dir(args, cfg)
+def cmd_train_onestage(args, cfg: RunConfig, out: Path):
     scenes = _load_scenes(args.data)
     iters = args.iters if args.iters is not None else cfg.train_iters
     state = train_onestage(scenes, cfg.schedule_det(iters=iters), cfg.anchor_config(),
@@ -152,19 +137,21 @@ def cmd_train_onestage(args):
     print(f"one-stage training done; checkpoint {out / 'onestage.frpn'}")
 
 
-def cmd_propose(args):
-    cfg = _load_config(args)
-    out = _out_dir(args, cfg)
+def cmd_propose(args, cfg: RunConfig, out: Path):
     scenes = _load_scenes(args.data)
     state = _build_models(cfg).load(args.ckpt)
-    csv = _rpn_proposals_csv(scenes, state, cfg, args.n)
-    (out / "proposals.csv").write_text(csv)
+    p = replace(cfg.proposal_params(train=False), post_nms_top=args.n)
+    rows = ["image,rank,score,x1,y1,x2,y2"]
+    for s in scenes:
+        _, boxes, scores = state.propose_scene(s, p)
+        for r, (b, sc) in enumerate(zip(boxes, scores)):
+            rows.append(f"{s.path},{r},{sc:.9g},{b[0]:.9g},{b[1]:.9g},"
+                        f"{b[2]:.9g},{b[3]:.9g}")
+    (out / "proposals.csv").write_text("\n".join(rows) + "\n")
     print(f"wrote proposals for {len(scenes)} images to {out / 'proposals.csv'}")
 
 
-def cmd_detect(args):
-    cfg = _load_config(args)
-    out = _out_dir(args, cfg)
+def cmd_detect(args, cfg: RunConfig, out: Path):
     scenes = _load_scenes(args.data)
     state = _build_models(cfg, want_det=True).load(args.ckpt)
     p = cfg.proposal_params(train=False)
@@ -182,32 +169,20 @@ def cmd_detect(args):
     print(f"wrote detections for {len(scenes)} images to {out / 'detections.csv'}")
 
 
-def _scenes_gt(scenes):
-    return [s.boxes for s in scenes], [s.classes for s in scenes]
-
-
-def cmd_eval_recall(args):
-    cfg = _load_config(args)
-    out = _out_dir(args, cfg)
-    m = load_manifest(args.manifest)
-    scenes = [m.load_scene(i) for i in range(len(m))]
+def cmd_eval_recall(args, cfg: RunConfig, out: Path):
+    scenes = _load_scenes(args.manifest)
     groups = _read_grouped_csv(args.proposals, "score", ("x1", "y1", "x2", "y2"))
     props = []
     for s in scenes:
         recs = sorted(groups.get(s.path, []), key=lambda r: -float(r["score"]))
         props.append(np.array([[float(r["x1"]), float(r["y1"]), float(r["x2"]),
                                 float(r["y2"])] for r in recs]).reshape(-1, 4))
-    gt_boxes, _ = _scenes_gt(scenes)
-    curve = recall_curve(props, gt_boxes, args.n)
-    (out / "recall.csv").write_text(curve.to_csv())
-    print(curve.to_csv(), end="")
+    _report(out / "recall.csv",
+            recall_curve(props, [s.boxes for s in scenes], args.n).to_csv())
 
 
-def cmd_eval_map(args):
-    cfg = _load_config(args)
-    out = _out_dir(args, cfg)
-    m = load_manifest(args.manifest)
-    scenes = [m.load_scene(i) for i in range(len(m))]
+def cmd_eval_map(args, cfg: RunConfig, out: Path):
+    scenes = _load_scenes(args.manifest)
     groups = _read_grouped_csv(args.detections, "score", ("x1", "y1", "x2", "y2"),
                                extra_cols=("class",))
     from .boxes import Box, ScoredBox
@@ -216,19 +191,16 @@ def cmd_eval_map(args):
         dets.append([ScoredBox(Box(float(r["x1"]), float(r["y1"]), float(r["x2"]),
                                    float(r["y2"])), float(r["score"]), int(r["class"]))
                      for r in groups.get(s.path, [])])
-    gt_boxes, gt_classes = _scenes_gt(scenes)
-    mp, per_class = mean_ap(dets, gt_boxes, gt_classes,
-                            range(1, cfg.detector_n_classes + 1),
-                            cfg.eval_iou_thresh)
+    mp, per_class = mean_ap(dets, [s.boxes for s in scenes],
+                            [s.classes for s in scenes],
+                            range(1, cfg.detector_n_classes + 1), cfg.eval_iou_thresh)
     rows = ["class,ap"] + [f"{c},{ap:.6g}" for c, ap in sorted(per_class.items())]
     rows.append(f"mAP,{mp:.6g}")
     (out / "map.csv").write_text("\n".join(rows) + "\n")
     print(f"mAP@{cfg.eval_iou_thresh:g} = {mp:.4f}")
 
 
-def cmd_bench(args):
-    cfg = _load_config(args)
-    out = _out_dir(args, cfg)
+def cmd_bench(args, cfg: RunConfig, out: Path):
     scenes = _load_scenes(args.data)[:max(args.n_timed, 1)]
     state = _build_models(cfg, want_det=True).load(args.ckpt)
     p = cfg.proposal_params(train=False)
@@ -251,15 +223,12 @@ def cmd_bench(args):
 
     report = bench(conv_fn, proposal_fn, region_fn, scenes,
                    n_warmup=args.n_warmup, n_timed=args.n_timed)
-    (out / "timing.csv").write_text(report.to_csv())
-    print(report.to_csv(), end="")
+    _report(out / "timing.csv", report.to_csv())
 
 
-def cmd_ablate(args):
-    cfg = _load_config(args)
-    out = _out_dir(args, cfg)
+def cmd_ablate(args, cfg: RunConfig, out: Path):
     scenes = _load_scenes(args.data)
-    gt_boxes, _ = _scenes_gt(scenes)
+    gt_boxes = [s.boxes for s in scenes]
     p = cfg.proposal_params(train=False)
 
     if args.mode in CKPT_MODES:
@@ -274,8 +243,7 @@ def cmd_ablate(args):
                                      s.height, p)
             props.append(boxes)
         curve = recall_curve(props, gt_boxes, args.n)
-        (out / "recall_no_reg.csv").write_text(curve.to_csv())
-        print(curve.to_csv(), end="")
+        _report(out / "recall_no_reg.csv", curve.to_csv())
     elif args.mode == "no-cls":
         # unscored: decoded boxes in seeded random order
         rng = Rng(cfg.seed, "sampling")
@@ -286,8 +254,7 @@ def cmd_ablate(args):
                 s, replace(p, pre_nms_top=n_all, post_nms_top=n_all))
             props.append(boxes[rng.permutation(boxes.shape[0])][:args.n])
         curve = recall_curve(props, gt_boxes, args.n)
-        (out / "recall_no_cls.csv").write_text(curve.to_csv())
-        print(curve.to_csv(), end="")
+        _report(out / "recall_no_cls.csv", curve.to_csv())
     elif args.mode == "n-sweep":
         budgets = sorted(args.budgets)
         full = replace(p, post_nms_top=max(budgets))
@@ -296,8 +263,7 @@ def cmd_ablate(args):
         for n in budgets:
             c = recall_curve(props, gt_boxes, n)
             rows += [f"{n},{t:.6g},{r:.6g}" for t, r in zip(c.iou_grid, c.recall)]
-        (out / "recall_n_sweep.csv").write_text("\n".join(rows) + "\n")
-        print("\n".join(rows))
+        _report(out / "recall_n_sweep.csv", "\n".join(rows) + "\n")
     elif args.mode == "anchor-settings":
         settings = [
             ("3s3r", cfg.anchors_scales, cfg.anchors_ratios),
@@ -308,31 +274,29 @@ def cmd_ablate(args):
         ]
         rows = ["setting,recall_at_0.5,recall_at_0.7"]
         for name, scales, ratios in settings:
-            sub = RunConfig.from_file(out / "config.txt")
-            sub.anchors_scales, sub.anchors_ratios = scales, ratios
-            state = _build_models(sub)
-            train(scenes, state, sub.schedule(iters=args.iters), sub.loss_weights(),
-                  **sub.rpn_sampling())
-            props = [state.propose_scene(s, p)[1] for s in scenes]
-            c = recall_curve(props, gt_boxes, args.n)
+            _, c = _retrain_recall(out, scenes, gt_boxes, p, args,
+                                   anchors_scales=scales, anchors_ratios=ratios)
             rows.append(f"{name},{c.at(0.5):.6g},{c.at(0.7):.6g}")
-        (out / "anchor_settings.csv").write_text("\n".join(rows) + "\n")
-        print("\n".join(rows))
+        _report(out / "anchor_settings.csv", "\n".join(rows) + "\n")
     elif args.mode == "lambda-sweep":
         rows = ["lambda,recall_at_0.5,recall_at_0.7,final_loss_cls,final_loss_reg"]
         for lam in args.lambdas:
-            sub = RunConfig.from_file(out / "config.txt")
-            sub.rpn_lambda = lam
-            state = _build_models(sub)
-            train(scenes, state, sub.schedule(iters=args.iters), sub.loss_weights(),
-                  **sub.rpn_sampling())
-            props = [state.propose_scene(s, p)[1] for s in scenes]
-            c = recall_curve(props, gt_boxes, args.n)
+            state, c = _retrain_recall(out, scenes, gt_boxes, p, args, rpn_lambda=lam)
             last = state.loss_log[-1]
             rows.append(f"{lam:g},{c.at(0.5):.6g},{c.at(0.7):.6g},"
                         f"{last['loss_cls']:.6g},{last['loss_reg']:.6g}")
-        (out / "lambda_sweep.csv").write_text("\n".join(rows) + "\n")
-        print("\n".join(rows))
+        _report(out / "lambda_sweep.csv", "\n".join(rows) + "\n")
+
+
+def _retrain_recall(out: Path, scenes, gt_boxes, p, args, **overrides):
+    """A fresh RPN trained for `args.iters` under the run's config with the
+    field `overrides`, and the recall curve of its top `args.n` proposals."""
+    sub = replace(RunConfig.from_file(out / "config.txt"), **overrides)
+    state = _build_models(sub)
+    train(scenes, state, sub.schedule(iters=args.iters), sub.loss_weights(),
+          **sub.rpn_sampling())
+    props = [state.propose_scene(s, p)[1] for s in scenes]
+    return state, recall_curve(props, gt_boxes, args.n)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -423,7 +387,8 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        args.fn(args)
+        cfg = _load_config(args)
+        args.fn(args, cfg, _out_dir(args, cfg))
         return 0
     except (KeyboardInterrupt,):
         return 1
@@ -434,3 +399,7 @@ def run(argv=None) -> int:
 
 def main():
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

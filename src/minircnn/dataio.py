@@ -199,6 +199,9 @@ def load_manifest(path) -> DatasetManifest:
                 e = json.loads(line)
                 w, h = int(e["width"]), int(e["height"])
                 for o in e["objects"]:
+                    if type(o["class"]) is not int or o["class"] not in CLASS_NAMES:
+                        raise ManifestError(
+                            f"{path}:{lineno}: unknown class {o['class']!r}")
                     if not (0 <= o["x1"] <= o["x2"] <= w and 0 <= o["y1"] <= o["y2"] <= h):
                         raise ManifestError(
                             f"{path}:{lineno}: object box outside image bounds")

@@ -9,7 +9,7 @@ import numpy as np
 from . import tensor as T
 from .assignment import sample_fg_bg
 from .boxes import Box, ScoredBox, clip_arr, decode_arr, encode_arr, iou_matrix_arr, nms_arr
-from .nn import Param, gaussian_init
+from .nn import Param, gaussian_init, multitask_loss
 from .rng import Rng
 from .tensor import Tensor
 
@@ -21,14 +21,13 @@ FC_DIM = 256
 class RoiSampleConfig:
     rois_per_image: int = 64
     fg_fraction: float = 0.25
-    fg_iou: float = 0.5
-    bg_iou_lo: float = 0.0  # background: max IoU in [bg_iou_lo, fg_iou)
+    fg_iou: float = 0.5     # foreground: max IoU at least fg_iou, else background
 
     def __post_init__(self):
         if not 0 < self.fg_fraction < 1:
             raise ValueError("fg_fraction must be in (0, 1)")
-        if self.bg_iou_lo >= self.fg_iou:
-            raise ValueError("background range must lie below fg_iou")
+        if self.fg_iou <= 0:
+            raise ValueError("fg_iou must be > 0")
 
 
 @dataclass
@@ -90,6 +89,28 @@ def class_probs(cls_logits: Tensor) -> np.ndarray:
     return T.softmax(cls_logits.data, axis=1)
 
 
+def label_boxes(boxes: np.ndarray, gt_boxes: np.ndarray, gt_classes: np.ndarray,
+                fg_iou: float) -> tuple[np.ndarray, np.ndarray]:
+    """Fast R-CNN labels of boxes (N, 4) against gt boxes (G, 4): the class of
+    the best-IoU gt box (ties to the lowest index) where that IoU reaches
+    fg_iou, else 0 (background); and that gt index, 0 without gt boxes."""
+    if gt_boxes.shape[0] == 0:
+        return np.zeros(boxes.shape[0], dtype=np.int64), \
+            np.zeros(boxes.shape[0], dtype=np.int64)
+    iou = iou_matrix_arr(boxes, gt_boxes)
+    arg = iou.argmax(axis=1)
+    return np.where(iou.max(axis=1) >= fg_iou, gt_classes[arg], 0), arg
+
+
+def check_classes(scenes, n_classes: int):
+    """Reject a scene whose gt classes fall outside a head's 1..n_classes."""
+    for i, s in enumerate(scenes):
+        bad = s.classes[(s.classes < 1) | (s.classes > n_classes)]
+        if bad.size:
+            raise ValueError(f"image {s.path or i}: class {bad[0]} is outside the "
+                             f"head's classes 1..{n_classes}")
+
+
 def sample_rois(proposals: np.ndarray, gt_boxes: np.ndarray, gt_classes: np.ndarray,
                 cfg: RoiSampleConfig, rng: Rng) -> RoiBatch:
     """Detector-stage sampling: gt boxes appended, fg/bg split by IoU at 0.5."""
@@ -97,27 +118,17 @@ def sample_rois(proposals: np.ndarray, gt_boxes: np.ndarray, gt_classes: np.ndar
     gt_boxes = np.asarray(gt_boxes, dtype=np.float64).reshape(-1, 4)
     gt_classes = np.asarray(gt_classes, dtype=np.int64)
     cand = np.concatenate([proposals, gt_boxes]) if gt_boxes.size else proposals
-    if cand.shape[0] == 0:
-        return RoiBatch(np.zeros((0, 4)), np.zeros(0, dtype=np.int64), np.zeros((0, 4)))
-    if gt_boxes.shape[0]:
-        iou = iou_matrix_arr(cand, gt_boxes)
-        best = iou.max(axis=1)
-        arg = iou.argmax(axis=1)
-    else:
-        best = np.zeros(cand.shape[0])
-        arg = np.zeros(cand.shape[0], dtype=np.int64)
-    fg = np.flatnonzero(best >= cfg.fg_iou)
-    bg = np.flatnonzero((best >= cfg.bg_iou_lo) & (best < cfg.fg_iou))
-    take_fg, take_bg = sample_fg_bg(fg, bg, int(cfg.fg_fraction * cfg.rois_per_image),
+    labels, arg = label_boxes(cand, gt_boxes, gt_classes, cfg.fg_iou)
+    take_fg, take_bg = sample_fg_bg(np.flatnonzero(labels > 0),
+                                    np.flatnonzero(labels == 0),
+                                    int(cfg.fg_fraction * cfg.rois_per_image),
                                     cfg.rois_per_image, rng)
     idx = np.concatenate([take_fg, take_bg])
     rois = cand[idx]
-    labels = np.zeros(idx.size, dtype=np.int64)
-    labels[:take_fg.size] = gt_classes[arg[take_fg]]
     targets = np.zeros((idx.size, 4))
     if take_fg.size:
         targets[:take_fg.size] = encode_arr(gt_boxes[arg[take_fg]], rois[:take_fg.size])
-    return RoiBatch(rois, labels, targets)
+    return RoiBatch(rois, labels[idx], targets)
 
 
 def detector_loss(cls_logits: Tensor, deltas: Tensor,
@@ -127,19 +138,11 @@ def detector_loss(cls_logits: Tensor, deltas: Tensor,
     n = batch.labels.shape[0]
     if n == 0:
         raise ValueError("detector_loss requires a nonempty RoI batch")
-    cls_term = T.mul(T.tsum(T.softmax_logloss(cls_logits, batch.labels)), 1.0 / n)
     fg = np.flatnonzero(batch.labels > 0)
-    if fg.size:
-        per_class = deltas.reshape(n, -1, 4)
-        pred = T.select_class(T.take_rows(per_class, fg), batch.labels[fg] - 1)
-        tgt = Tensor(batch.targets[fg].astype(deltas.dtype))
-        reg_term = T.mul(T.tsum(T.smooth_l1(pred - tgt)), 1.0 / fg.size)
-        loss = cls_term + reg_term
-        reg_val = reg_term.item()
-    else:
-        loss = cls_term
-        reg_val = 0.0
-    return loss, cls_term.item(), reg_val
+    pred = T.select_class(T.take_rows(deltas.reshape(n, -1, 4), fg),
+                          batch.labels[fg] - 1) if fg.size else None
+    return multitask_loss(cls_logits, batch.labels, 1.0 / n,
+                          pred, batch.targets[fg], 1.0 / max(fg.size, 1))
 
 
 def detect(features: Tensor, proposals: np.ndarray, head: DetectorHead,

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import tensor as T
 from .rng import Rng
 from .tensor import Tensor
 
@@ -52,6 +53,20 @@ def sgd_step(params: list[Param], cfg: SgdConfig):
         p.velocity += g + cfg.weight_decay * p.value.data
         p.value.data -= cfg.lr * p.velocity
         p.value.grad = None
+
+
+def multitask_loss(logits: Tensor, labels: np.ndarray, cls_scale: float,
+                   pred: Tensor | None, targets: np.ndarray,
+                   reg_scale: float) -> tuple[Tensor, float, float]:
+    """Fast R-CNN's two-term loss: cls_scale times the summed log-loss of the
+    `logits` rows, plus reg_scale times the summed smooth-L1 of `pred` minus
+    `targets`, if pred is not None. Returns (loss, cls value, reg value)."""
+    cls = T.mul(T.tsum(T.softmax_logloss(logits, labels)), cls_scale)
+    if pred is None:
+        return cls, cls.item(), 0.0
+    tgt = Tensor(targets.astype(pred.dtype))
+    reg = T.mul(T.tsum(T.smooth_l1(pred - tgt)), reg_scale)
+    return cls + reg, cls.item(), reg.item()
 
 
 def gaussian_init(shape, stddev: float, rng: Rng) -> np.ndarray:

@@ -5,61 +5,39 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
-from .anchors import AnchorConfig, AnchorSet, inside_mask
+from .anchors import AnchorConfig, AnchorSet
 from .assignment import sample_fg_bg
-from .boxes import ScoredBox, encode_arr, iou_matrix_arr
+from .boxes import ScoredBox, encode_arr
 from .dataio import Scene, image_to_input
-from .detector import RoiSampleConfig, classwise_detections
-from .nn import SgdConfig, sgd_step
+from .detector import RoiSampleConfig, check_classes, classwise_detections, label_boxes
+from .nn import SgdConfig, multitask_loss, sgd_step
 from .rng import Rng
-from .rpn import Backbone, ConvLayer, anchor_rows
+from .rpn import Backbone, ConvHead, anchor_rows
 from .tensor import Tensor
-from .training import TrainSchedule, TrainState, _Feeder
+from .training import TrainSchedule, TrainState, _Feeder, require_steps
 
 import logging
 
 log = logging.getLogger(__name__)
 
 
-class OneStageHead:
-    """Same trunk shape as the RPN head, but class-specific siblings:
-    cls emits (C+1)*k channels, reg 4*C*k (per-class boxes per window)."""
+class OneStageHead(ConvHead):
+    """The sliding-window head with C object classes: per-class boxes per window."""
 
     def __init__(self, rng: Rng, backbone_dim: int, k: int, n_classes: int,
                  head_dim: int = 64):
-        self.k = k
-        self.n_classes = n_classes
-        self.trunk = ConvLayer("onestage.trunk", backbone_dim, head_dim, 3, 1, rng)
-        self.cls = ConvLayer("onestage.cls", head_dim, (n_classes + 1) * k, 1, 0, rng)
-        self.reg = ConvLayer("onestage.reg", head_dim, 4 * n_classes * k, 1, 0, rng)
-        assert self.cls.w.value.shape[0] == (n_classes + 1) * k
-        assert self.reg.w.value.shape[0] == 4 * n_classes * k
-
-    def forward(self, features: Tensor) -> tuple[Tensor, Tensor]:
-        t = T.relu(self.trunk(features))
-        return self.cls(t), self.reg(t)
-
-    @property
-    def params(self):
-        return self.trunk.params + self.cls.params + self.reg.params
+        super().__init__("onestage", rng, backbone_dim, k, n_classes, head_dim)
 
 
 def _assign_windows(aset: AnchorSet, scene: Scene, cfg: RoiSampleConfig):
-    """Detector-style fg/bg split applied to dense windows (inside only)."""
-    inside = aset.inside if aset.inside is not None else \
-        inside_mask(aset, scene.width, scene.height)
+    """Detector-style fg/bg labels of the windows inside the image, -1 for
+    the rest, and the regression targets of the foreground windows."""
     labels = np.full(len(aset), -1, dtype=np.int64)   # -1 = not a candidate
     targets = np.zeros((len(aset), 4))
-    ins = np.flatnonzero(inside)
-    if scene.boxes.shape[0] == 0:
-        labels[ins] = 0
-        return labels, targets
-    iou = iou_matrix_arr(aset.boxes[ins], scene.boxes)
-    best = iou.max(axis=1)
-    arg = iou.argmax(axis=1)
-    labels[ins] = 0
-    fg = best >= cfg.fg_iou
-    labels[ins[fg]] = scene.classes[arg[fg]]
+    ins = np.flatnonzero(aset.inside)
+    labels[ins], arg = label_boxes(aset.boxes[ins], scene.boxes, scene.classes,
+                                   cfg.fg_iou)
+    fg = labels[ins] > 0
     if np.any(fg):
         targets[ins[fg]] = encode_arr(scene.boxes[arg[fg]], aset.boxes[ins[fg]])
     return labels, targets
@@ -73,6 +51,7 @@ def train_onestage(scenes: list[Scene], sched: TrainSchedule,
     """SGD on detector-style sampling over dense windows."""
     if not scenes:
         raise ValueError("empty dataset")
+    check_classes(scenes, n_classes)
     init = Rng(sched.seed).substream("init")
     if backbone is None:
         backbone = Backbone(init, channels=channels)
@@ -86,6 +65,7 @@ def train_onestage(scenes: list[Scene], sched: TrainSchedule,
     assigned = [_assign_windows(state.anchors(s.width, s.height), s, roi_cfg)
                 for s in scenes]
     params = state.params
+    skip = None
 
     for it in range(sched.total_iters):
         i = feeder.next()
@@ -96,27 +76,23 @@ def train_onestage(scenes: list[Scene], sched: TrainSchedule,
             sample_rng)
         idx = np.concatenate([take_fg, take_bg])
         if idx.size == 0:
-            log.warning("skipping image %d: no labelable windows", i)
+            skip = "no labelable windows"
+            log.warning("skipping image %d: %s", i, skip)
             continue
         cls, reg = head.forward(state.features(inputs[i]))
         logits = T.take_rows(anchor_rows(cls, head.k, n_classes + 1), idx)
-        loss = T.mul(T.tsum(T.softmax_logloss(logits, labels[idx])), 1.0 / idx.size)
-        cv = loss.item()
-        rv = 0.0
-        if take_fg.size:
-            per_class = T.take_rows(anchor_rows(reg, head.k, n_classes, 4), take_fg)
-            pred = T.select_class(per_class, labels[take_fg] - 1)
-            tgt = Tensor(targets[take_fg].astype(cls.dtype))
-            reg_term = T.mul(T.tsum(T.smooth_l1(pred - tgt)), 1.0 / take_fg.size)
-            rv = reg_term.item()
-            loss = loss + reg_term
+        pred = T.select_class(
+            T.take_rows(anchor_rows(reg, head.k, n_classes, 4), take_fg),
+            labels[take_fg] - 1) if take_fg.size else None
+        loss, cv, rv = multitask_loss(logits, labels[idx], 1.0 / idx.size, pred,
+                                      targets[take_fg], 1.0 / max(take_fg.size, 1))
         loss.backward()
         lr = sched.lr_at(it)
         sgd_step(params, SgdConfig(lr, sched.momentum, sched.weight_decay))
         state.loss_log.append({"iteration": state.iteration, "lr": lr,
                                "loss_det_cls": cv, "loss_det_reg": rv})
         state.iteration += 1
-    return state
+    return require_steps(state, 0, sched, skip)
 
 
 def one_stage_detect(features: Tensor, head: OneStageHead, aset: AnchorSet,

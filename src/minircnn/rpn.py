@@ -10,7 +10,7 @@ from . import tensor as T
 from .anchors import AnchorSet
 from .assignment import RpnTargets
 from .boxes import clip_arr, decode_arr, nms_arr
-from .nn import Param, gaussian_init
+from .nn import Param, gaussian_init, multitask_loss
 from .rng import Rng
 from .tensor import Tensor
 
@@ -52,7 +52,7 @@ class ConvLayer:
         self.b = Param(f"{name}.b", np.zeros(out_ch, dtype=np.float32))
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.conv2d(x, self.w.value, self.b.value, stride=1, pad=self.pad)
+        return T.conv2d(x, self.w.value, self.b.value, pad=self.pad)
 
     @property
     def params(self) -> list[Param]:
@@ -97,21 +97,19 @@ class Backbone:
             p.value.requires_grad = trainable
 
 
-class RpnHead:
-    """3x3 trunk conv + ReLU, then sibling 1x1 convs: 2k scores, 4k deltas.
+class ConvHead:
+    """Sliding-window head: 3x3 trunk conv + ReLU, then sibling 1x1 convs with
+    (C+1)k class scores (class 0 = background) and 4Ck deltas for C classes
+    and k anchors per window, anchor-major as `anchor_rows` reads them."""
 
-    Channel layout is anchor-major: cls channels [2a, 2a+1] and reg channels
-    [4a..4a+3] belong to anchor a; cls channel 2a+1 is the object score.
-    """
-
-    def __init__(self, rng: Rng, backbone_dim: int, k: int, head_dim: int = 64):
+    def __init__(self, name: str, rng: Rng, backbone_dim: int, k: int,
+                 n_classes: int, head_dim: int = 64):
         self.k = k
+        self.n_classes = n_classes
         self.head_dim = head_dim
-        self.trunk = ConvLayer("rpn.trunk", backbone_dim, head_dim, 3, 1, rng)
-        self.cls = ConvLayer("rpn.cls", head_dim, 2 * k, 1, 0, rng)
-        self.reg = ConvLayer("rpn.reg", head_dim, 4 * k, 1, 0, rng)
-        assert self.cls.w.value.shape[0] == 2 * k
-        assert self.reg.w.value.shape[0] == 4 * k
+        self.trunk = ConvLayer(f"{name}.trunk", backbone_dim, head_dim, 3, 1, rng)
+        self.cls = ConvLayer(f"{name}.cls", head_dim, (n_classes + 1) * k, 1, 0, rng)
+        self.reg = ConvLayer(f"{name}.reg", head_dim, 4 * n_classes * k, 1, 0, rng)
 
     def forward(self, features: Tensor) -> tuple[Tensor, Tensor]:
         t = T.relu(self.trunk(features))
@@ -120,6 +118,13 @@ class RpnHead:
     @property
     def params(self) -> list[Param]:
         return self.trunk.params + self.cls.params + self.reg.params
+
+
+class RpnHead(ConvHead):
+    """The class-agnostic head (C = 1); cls channel 2a+1 is anchor a's object score."""
+
+    def __init__(self, rng: Rng, backbone_dim: int, k: int, head_dim: int = 64):
+        super().__init__("rpn", rng, backbone_dim, k, 1, head_dim)
 
 
 def anchor_rows(head_map, k: int, *per):
@@ -152,21 +157,11 @@ def rpn_loss(cls_scores: Tensor, reg_deltas: Tensor, targets: RpnTargets,
         raise ValueError(f"rpn_loss: head outputs give {logits.shape[0]} anchor rows, "
                          f"the targets label {targets.labels.shape[0]} anchors")
     lab = targets.labels[sampled].astype(np.int64)   # 0 = background, 1 = object
-    cls_term = T.mul(T.tsum(T.softmax_logloss(T.take_rows(logits, sampled), lab)),
-                     1.0 / weights.n_cls)
-
     pos = targets.positive_idx
-    if pos.size > 0:
-        pred = T.take_rows(anchor_rows(reg_deltas, k, 4), pos)
-        tgt = Tensor(targets.target_deltas[pos].astype(cls_scores.dtype))
-        n_reg = reg_deltas.shape[1] * reg_deltas.shape[2]
-        reg_term = T.mul(T.tsum(T.smooth_l1(pred - tgt)), weights.lam / n_reg)
-        loss = cls_term + reg_term
-        reg_val = reg_term.item()
-    else:
-        loss = cls_term
-        reg_val = 0.0
-    return loss, cls_term.item(), reg_val
+    pred = T.take_rows(anchor_rows(reg_deltas, k, 4), pos) if pos.size else None
+    n_reg = reg_deltas.shape[1] * reg_deltas.shape[2]
+    return multitask_loss(T.take_rows(logits, sampled), lab, 1.0 / weights.n_cls,
+                          pred, targets.target_deltas[pos], weights.lam / n_reg)
 
 
 def objectness_probs(cls_data: np.ndarray, k: int) -> np.ndarray:

@@ -267,31 +267,21 @@ def _corr(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.tensordot(w, win, axes=([1, 2, 3], [0, 3, 4]))
 
 
-def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
-    """x:(C,H,W), w:(O,C,KH,KW), b:(O,) -> (O,Ho,Wo)."""
+def conv2d(x: Tensor, w: Tensor, b: Tensor, pad: int = 0) -> Tensor:
+    """Stride-1 convolution, x:(C,H,W), w:(O,C,KH,KW), b:(O,) -> (O,Ho,Wo)."""
     C, H, W = x.shape
-    O, Cw, KH, KW = w.shape
+    _, Cw, KH, KW = w.shape
     if Cw != C:
         raise ShapeError(f"conv2d: input has {C} channels, weight expects {Cw}")
     xp = np.pad(x.data, ((0, 0), (pad, pad), (pad, pad))) if pad else x.data
-    win = sliding_window_view(xp, (KH, KW), axis=(1, 2))[:, ::stride, ::stride]
+    win = sliding_window_view(xp, (KH, KW), axis=(1, 2))
     y = np.tensordot(w.data, win, axes=([1, 2, 3], [0, 3, 4])) + b.data[:, None, None]
 
     def bwd(g):
         _accum(b, g.sum(axis=(1, 2)))
         _accum(w, np.tensordot(g, win, axes=([1, 2], [1, 2])))
         if x.requires_grad or x._backward is not None:
-            Ho, Wo = g.shape[1], g.shape[2]
-            if stride > 1:  # dilate the output gradient
-                gd = np.zeros((O, (Ho - 1) * stride + 1, (Wo - 1) * stride + 1),
-                              dtype=g.dtype)
-                gd[:, ::stride, ::stride] = g
-            else:
-                gd = g
-            Hp, Wp = H + 2 * pad, W + 2 * pad
-            ph = Hp + KH - 1 - gd.shape[1]
-            pw = Wp + KW - 1 - gd.shape[2]
-            gp = np.pad(gd, ((0, 0), (KH - 1, ph - (KH - 1)), (KW - 1, pw - (KW - 1))))
+            gp = np.pad(g, ((0, 0), (KH - 1, KH - 1), (KW - 1, KW - 1)))
             wf = w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)  # (C,O,KH,KW)
             dxp = _corr(gp, wf)
             _accum(x, dxp[:, pad:pad + H, pad:pad + W])

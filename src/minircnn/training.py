@@ -12,8 +12,8 @@ import numpy as np
 from .anchors import AnchorConfig, AnchorSet, grid_anchors, inside_mask
 from .assignment import NoLabeledAnchorsError, assign_labels, sample_minibatch
 from .dataio import Scene, image_to_input
-from .detector import (DetectorHead, RoiSampleConfig, detector_forward,
-                       detector_loss, sample_rois)
+from .detector import (DetectorHead, RoiSampleConfig, check_classes,
+                       detector_forward, detector_loss, sample_rois)
 from .nn import (Param, SgdConfig, load_checkpoint, restore_params,
                  save_checkpoint, sgd_step)
 from .rng import Rng
@@ -166,13 +166,16 @@ def train(scenes: list[Scene], state: TrainState, sched: TrainSchedule,
     per-scene `proposals`, or, when none are given, from the RPN's own
     detached `train_proposals` (approximate joint training: no gradient
     flows through box coordinates). A step with no labelable anchors, or a
-    detector-only step with no RoI candidates, is skipped.
+    detector-only step with no RoI candidates, is skipped; a run that skips
+    every step raises.
     """
     if not scenes:
         raise ValueError("empty dataset")
     rpn, det = state.rpn_head, state.det_head
     if rpn is None and (det is None or proposals is None):
         raise ValueError("train needs an RPN head, or a detector head and proposals")
+    if det is not None:
+        check_classes(scenes, det.n_classes)
     rng = Rng(sched.seed)
     feeder = _Feeder(len(scenes), rng.substream("data"))
     sample_rng = rng.substream("sampling")
@@ -184,6 +187,7 @@ def train(scenes: list[Scene], state: TrainState, sched: TrainSchedule,
     if not state.shared_frozen:
         params = state.backbone.params + params
     state.backbone.set_trainable(not state.shared_frozen)
+    start, skip = state.iteration, None
 
     for it in range(sched.total_iters):
         i = feeder.next()
@@ -195,7 +199,8 @@ def train(scenes: list[Scene], state: TrainState, sched: TrainSchedule,
                 t = sample_minibatch(targets[i], sample_rng, batch=batch,
                                      max_pos=max_pos)
             except NoLabeledAnchorsError:
-                log.warning("skipping image %d: no labelable anchors", i)
+                skip = "no labelable anchors"
+                log.warning("skipping image %d: %s", i, skip)
                 continue
             feats, cls, reg = state.rpn_forward(inputs[i])
             loss, row["loss_cls"], row["loss_reg"] = rpn_loss(
@@ -215,12 +220,22 @@ def train(scenes: list[Scene], state: TrainState, sched: TrainSchedule,
                     dcls, dreg, roi_batch)
                 loss = dloss if loss is None else loss + dloss
             elif loss is None:
-                log.warning("skipping image %d: no RoI candidates", i)
+                skip = "no RoI candidates"
+                log.warning("skipping image %d: %s", i, skip)
                 continue
         loss.backward()
         sgd_step(params, SgdConfig(row["lr"], sched.momentum, sched.weight_decay))
         state.loss_log.append(row)
         state.iteration += 1
+    return require_steps(state, start, sched, skip)
+
+
+def require_steps(state: TrainState, start: int, sched: TrainSchedule,
+                  skip: str | None) -> TrainState:
+    """`state`, or an error naming `skip` if iterations ran but none stepped."""
+    if sched.total_iters and state.iteration == start:
+        raise RuntimeError(f"no training step taken: all {sched.total_iters} "
+                           f"iterations skipped their image ({skip})")
     return state
 
 
@@ -236,6 +251,7 @@ def alternate_4step(scenes: list[Scene], sched_rpn: TrainSchedule,
     """The pragmatic 4-step alternating scheme; ends with one shared backbone.
     Both RPN steps label anchors with pos_iou/neg_iou and sample `batch`
     anchors per image, at most `max_pos` positive."""
+    check_classes(scenes, n_classes)
     rpn_kw = dict(batch=batch, max_pos=max_pos, pos_iou=pos_iou, neg_iou=neg_iou)
     init = Rng(sched_rpn.seed).substream("init")
 

@@ -2,11 +2,16 @@
 
 import inspect
 import json
+import os
+import shutil
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import minircnn
 from minircnn import anchors, training
 from minircnn.cli import run
 from minircnn.config import RunConfig
@@ -355,3 +360,70 @@ class TestExitCodes:
         assert run(["gen-data"]) == 2          # missing required --out
         assert run(["no-such-command"]) == 2
         capsys.readouterr()
+
+
+class TestFailEarly:
+    """Runs that could only train on nothing or on wrong labels exit 1."""
+
+    @pytest.mark.parametrize("command,reason", [
+        ("train-rpn", "no labelable anchors"),
+        ("train-joint", "no labelable anchors"),
+        ("train-onestage", "no labelable windows"),
+    ])
+    def test_every_step_skipped(self, dataset, tmp_path, capsys, caplog, command,
+                                reason):
+        # 64 and 128 px anchors cross the border of every 48 px image
+        assert run([command, "--out", str(tmp_path), "--data", str(dataset),
+                    "--iters", "2", *TINY, "--set", "anchors.scales", "64,128",
+                    "--seed", "11"]) == 1
+        err = capsys.readouterr().err
+        assert f"error: no training step taken: all 2 iterations skipped their " \
+               f"image ({reason})" in err
+        skips = [r.getMessage() for r in caplog.records]
+        assert len(skips) == 2 and all(m.startswith("skipping image ") and
+                                       m.endswith(reason) for m in skips)
+        assert not (tmp_path / "loss.csv").exists()
+
+    def with_class(self, dataset, tmp_path, cls) -> Path:
+        data = tmp_path / "data"
+        shutil.copytree(dataset, data)
+        manifest = data / "manifest.jsonl"
+        lines = manifest.read_text().splitlines()
+        entry = json.loads(lines[0])
+        entry["objects"][0]["class"] = cls
+        manifest.write_text("\n".join([json.dumps(entry), *lines[1:]]) + "\n")
+        return data
+
+    @pytest.mark.parametrize("cls", [0, 7])
+    def test_unknown_class_names_the_line(self, dataset, tmp_path, capsys, cls):
+        data = self.with_class(dataset, tmp_path, cls)
+        for command in ("train-joint", "train-onestage"):
+            assert run([command, "--out", str(tmp_path / "out"), "--data",
+                        str(data), "--iters", "2", *TINY, "--seed", "11"]) == 1
+            assert f"manifest.jsonl:1: unknown class {cls}" in capsys.readouterr().err
+
+    def test_class_above_the_head_names_the_image(self, dataset, tmp_path, capsys):
+        data = self.with_class(dataset, tmp_path, 3)
+        image = json.loads((data / "manifest.jsonl").read_text().splitlines()[0])
+        for command in ("train-alt", "train-joint", "train-onestage"):
+            assert run([command, "--out", str(tmp_path / "out"), "--data",
+                        str(data), "--iters", "2", *TINY, "--set",
+                        "detector.n_classes", "2", "--seed", "11"]) == 1
+            assert f"image {image['image']}: class 3 is outside the head's " \
+                   f"classes 1..2" in capsys.readouterr().err
+
+
+class TestModuleEntryPoint:
+    @pytest.mark.parametrize("module", ["minircnn", "minircnn.cli"])
+    def test_runs_the_cli(self, tmp_path, module):
+        env = dict(os.environ, PYTHONPATH=str(Path(minircnn.__file__).parents[1]))
+        out = tmp_path / "data"
+        done = subprocess.run([sys.executable, "-m", module, "gen-data", "--out",
+                               str(out), "--n", "1", *TINY], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == f"wrote 1 images + manifest under {out}\n"
+        assert (out / "manifest.jsonl").is_file()
+        usage = subprocess.run([sys.executable, "-m", module, "gen-data"], env=env,
+                               capture_output=True, text=True, timeout=120)
+        assert usage.returncode == 2 and "--out" in usage.stderr

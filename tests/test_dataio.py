@@ -189,6 +189,20 @@ class TestManifest:
         with pytest.raises(ManifestError):
             load_manifest(path)
 
+    @pytest.mark.parametrize("cls", [0, 7, "1", 1.0, True])
+    def test_unknown_class_rejected(self, tmp_path, cls):
+        d = tmp_path / "ds"
+        gen_synthetic(d, 2, seed=5)
+        path = d / "manifest.jsonl"
+        lines = path.read_text().splitlines()
+        entry = json.loads(lines[1])
+        entry["objects"][-1]["class"] = cls
+        lines[1] = json.dumps(entry)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ManifestError,
+                           match=f"manifest.jsonl:2: unknown class {cls!r}"):
+            load_manifest(path)
+
     def test_empty_manifest_valid(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         path.write_text("")

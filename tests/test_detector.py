@@ -8,12 +8,15 @@ from minircnn.detector import (
     DetectorHead,
     RoiBatch,
     RoiSampleConfig,
+    check_classes,
     class_probs,
     detect,
     detector_forward,
     detector_loss,
+    label_boxes,
     sample_rois,
 )
+from minircnn.dataio import Scene
 from minircnn.rng import Rng
 from minircnn.tensor import Tensor
 
@@ -117,6 +120,46 @@ class TestSampleRois:
         batch = sample_rois(props, np.zeros((0, 4)), np.zeros(0, dtype=int),
                             RoiSampleConfig(), Rng(4, "sampling"))
         assert np.all(batch.labels == 0)
+
+
+class TestLabelBoxes:
+    GT = np.array([[0.0, 0.0, 10.0, 10.0], [0.0, 0.0, 10.0, 10.0],
+                   [20.0, 20.0, 30.0, 30.0]])
+    CLS = np.array([2, 1, 3])
+
+    def test_classes_and_best_gt(self):
+        boxes = np.array([[0.0, 0.0, 10.0, 10.0],     # IoU 1 with gt 0 and 1
+                          [20.0, 20.0, 30.0, 35.0],   # IoU 2/3 with gt 2
+                          [20.0, 20.0, 30.0, 40.0],   # IoU 1/2 with gt 2
+                          [50.0, 50.0, 60.0, 60.0]])  # no overlap
+        labels, best = label_boxes(boxes, self.GT, self.CLS, 0.6)
+        np.testing.assert_array_equal(labels, [2, 3, 0, 0])
+        np.testing.assert_array_equal(best, [0, 2, 2, 0])   # ties: lowest index
+        assert labels.dtype == np.int64
+
+    def test_fg_iou_is_inclusive(self):
+        boxes = np.array([[20.0, 20.0, 30.0, 40.0]])      # IoU exactly 1/2
+        assert label_boxes(boxes, self.GT, self.CLS, 0.5)[0][0] == 3
+
+    def test_no_gt_all_background(self):
+        labels, best = label_boxes(np.ones((3, 4)), np.zeros((0, 4)),
+                                   np.zeros(0, dtype=np.int64), 0.5)
+        np.testing.assert_array_equal(labels, 0)
+        np.testing.assert_array_equal(best, 0)
+
+    @pytest.mark.parametrize("fg_iou", [0.0, -0.5])
+    def test_nonpositive_fg_iou_rejected(self, fg_iou):
+        with pytest.raises(ValueError, match="fg_iou"):
+            RoiSampleConfig(fg_iou=fg_iou)
+
+    @pytest.mark.parametrize("cls", [0, 4])
+    def test_check_classes_names_the_image(self, cls):
+        ok = Scene(np.zeros((8, 8, 3), np.uint8), self.GT, self.CLS, path="a.ppm")
+        bad = Scene(np.zeros((8, 8, 3), np.uint8), self.GT, np.array([1, cls, 2]),
+                    path="images/b.ppm")
+        check_classes([ok], 3)
+        with pytest.raises(ValueError, match=f"images/b.ppm: class {cls}"):
+            check_classes([ok, bad], 3)
 
 
 class TestDetectorLoss:

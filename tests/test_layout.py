@@ -1,0 +1,56 @@
+"""One home for each idea the heads share: the two-term loss, the IoU
+labelling and the sliding-window head."""
+
+import ast
+from pathlib import Path
+
+import minircnn
+
+SRC = Path(minircnn.__file__).parent
+
+
+def modules() -> dict[str, ast.Module]:
+    return {p.stem: ast.parse(p.read_text(), str(p)) for p in SRC.glob("*.py")}
+
+
+def call_scopes(name: str) -> set[str]:
+    """`module.def[.def...]` of every call of `name`, bare or as an attribute;
+    just `module` for a call outside any def."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}"
+            elif isinstance(child, ast.Call):
+                f = child.func
+                if getattr(f, "id", None) == name or getattr(f, "attr", None) == name:
+                    found.add(scope)
+            visit(child, inner)
+
+    for mod, tree in modules().items():
+        visit(tree, mod)
+    return found
+
+
+def test_loss_terms_only_in_multitask_loss():
+    assert call_scopes("softmax_logloss") == {"nn.multitask_loss"}
+    assert call_scopes("smooth_l1") == {"nn.multitask_loss"}
+
+
+def test_iou_matrix_only_in_the_two_labellers_and_evaluation():
+    scopes = call_scopes("iou_matrix_arr")
+    assert {"assignment.assign_labels", "detector.label_boxes"} <= scopes
+    assert all(s in ("assignment.assign_labels", "detector.label_boxes")
+               or s.split(".")[0] in ("evaluation", "dataio") for s in scopes), scopes
+
+
+def test_heads_inherit_the_conv_head():
+    classes = {node.name: node for tree in modules().values()
+               for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
+    for name in ("RpnHead", "OneStageHead"):
+        node = classes[name]
+        assert [getattr(b, "id", None) for b in node.bases] == ["ConvHead"]
+        own = {d.name for d in node.body if isinstance(d, ast.FunctionDef)}
+        assert not own & {"forward", "params"}, name

@@ -9,11 +9,13 @@ from minircnn.nn import (
     SgdConfig,
     gaussian_init,
     load_checkpoint,
+    multitask_loss,
     restore_params,
     save_checkpoint,
     sgd_step,
 )
 from minircnn.rng import Rng
+from minircnn.tensor import Tensor
 
 def make_param(name, value, grad):
     p = Param(name, np.asarray(value, dtype=np.float32))
@@ -65,6 +67,34 @@ class TestSgdStep:
             SgdConfig(lr=0.1, momentum=1.0, weight_decay=0.0)
         with pytest.raises(ValueError):
             SgdConfig(lr=0.1, momentum=0.5, weight_decay=-1.0)
+
+
+class TestMultitaskLoss:
+    LOGITS = np.array([[0.0, 0.0], [1.0, -1.0], [2.0, 0.5]])
+    LABELS = np.array([1, 0, 0])
+
+    def logloss(self):
+        z = self.LOGITS - self.LOGITS.max(axis=1, keepdims=True)
+        logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+        return -logp[np.arange(3), self.LABELS].sum()
+
+    def test_class_term_only_without_pred(self):
+        loss, cls, reg = multitask_loss(Tensor(self.LOGITS), self.LABELS, 0.25,
+                                        None, np.zeros((0, 4)), 1.0)
+        assert cls == pytest.approx(0.25 * self.logloss()) and reg == 0.0
+        assert loss.item() == cls
+
+    def test_both_terms_scaled(self):
+        pred = Tensor(np.array([[0.5, 0.0, -3.0, 0.0]]), requires_grad=True)
+        targets = np.zeros((1, 4))
+        loss, cls, reg = multitask_loss(Tensor(self.LOGITS), self.LABELS, 0.5,
+                                        pred, targets, 2.0)
+        # smooth-L1: 0.5 * 0.5**2 + (3 - 0.5)
+        assert reg == pytest.approx(2.0 * (0.125 + 2.5))
+        assert cls == pytest.approx(0.5 * self.logloss())
+        assert loss.item() == pytest.approx(cls + reg)
+        loss.backward()
+        np.testing.assert_allclose(pred.grad, [[1.0, 0.0, -2.0, 0.0]])
 
 
 class TestGaussianInit:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from minircnn import onestage
 from minircnn import tensor as T
 from minircnn.anchors import AnchorConfig, grid_anchors, inside_mask
 from minircnn.dataio import make_scene
@@ -13,7 +14,7 @@ from minircnn.onestage import (
     train_onestage,
 )
 from minircnn.rng import Rng
-from minircnn.rpn import Backbone, anchor_rows
+from minircnn.rpn import Backbone, ConvHead, anchor_rows
 from minircnn.tensor import Tensor
 from minircnn.training import TrainSchedule
 
@@ -59,6 +60,13 @@ class TestHeadShapes:
             fc[row], cls.data.reshape(K, C + 1, h, w)[a, :, y, x])
         np.testing.assert_array_equal(
             fr[row], reg.data.reshape(K, C, 4, h, w)[a, :, :, y, x])
+
+    def test_is_a_class_specific_conv_head(self):
+        head, dim = make_head(4)
+        conv = ConvHead("onestage", Rng(4, "init"), dim, K, C, 8)
+        for a, b in zip(head.params, conv.params, strict=True):
+            assert a.name == b.name
+            np.testing.assert_array_equal(a.value.data, b.value.data)
 
     def test_param_names_unique(self):
         head, _ = make_head()
@@ -162,6 +170,29 @@ class TestTraining:
         for pa, pb in zip(a.backbone.params + a.onestage_head.params,
                           b.backbone.params + b.onestage_head.params):
             np.testing.assert_array_equal(pa.value.data, pb.value.data)
+
+    def test_every_step_skipped_raises(self, caplog):
+        # at 8 px every window crosses the border, so none is labelable
+        scene = make_scene(Rng(9, "data"), image_size=64)
+        scene.image = scene.image[:8, :8]
+        scene.boxes = np.zeros((0, 4))
+        scene.classes = np.zeros(0, dtype=np.int64)
+        with pytest.raises(RuntimeError, match=r"all 2 iterations skipped their "
+                           r"image \(no labelable windows\)"):
+            train_onestage([scene], TrainSchedule(total_iters=2, seed=0), ACFG,
+                           RoiSampleConfig(), C, head_dim=8)
+        assert [r.getMessage() for r in caplog.records] == \
+            ["skipping image 0: no labelable windows"] * 2
+
+    @pytest.mark.parametrize("cls", [0, C + 1])
+    def test_class_outside_the_head_rejected(self, monkeypatch, cls):
+        scenes = self.make_scenes(2)
+        scenes[1].classes[0] = cls
+        scenes[1].path = "images/000001.ppm"
+        monkeypatch.setattr(onestage, "sgd_step", None)   # no step may run
+        with pytest.raises(ValueError, match=f"images/000001.ppm: class {cls}"):
+            train_onestage(scenes, TrainSchedule(total_iters=2, seed=0), ACFG,
+                           RoiSampleConfig(), C, head_dim=8)
 
     def test_loss_moves(self):
         scenes = self.make_scenes(2)

@@ -10,6 +10,7 @@ from minircnn.boxes import iou_matrix_arr
 from minircnn.rng import Rng
 from minircnn.rpn import (
     Backbone,
+    ConvHead,
     LossWeights,
     ProposalParams,
     RpnHead,
@@ -39,6 +40,17 @@ class TestHeadStructure:
             head = RpnHead(rng, 16, k)
             assert head.cls.w.value.shape[0] == 2 * k
             assert head.reg.w.value.shape[0] == 4 * k
+
+    def test_is_the_one_class_conv_head(self):
+        # same parameter names, shapes and init draws as ConvHead with C = 1
+        rpn, conv = RpnHead(Rng(3, "init"), 8, 5, 16), \
+            ConvHead("rpn", Rng(3, "init"), 8, 5, 1, 16)
+        assert [p.name for p in rpn.params] == \
+            ["rpn.trunk.w", "rpn.trunk.b", "rpn.cls.w", "rpn.cls.b", "rpn.reg.w",
+             "rpn.reg.b"]
+        for a, b in zip(rpn.params, conv.params, strict=True):
+            assert a.name == b.name
+            np.testing.assert_array_equal(a.value.data, b.value.data)
 
     def test_spatial_dims_preserved(self):
         rng = Rng(1, "init")

@@ -258,14 +258,12 @@ class TestGradchecks:
     def test_conv2d(self):
         rng = np.random.default_rng(17)
         for i in range(self.N):
-            stride = 1 if i % 2 == 0 else 2
             pad = i % 3
             x = rand64(rng, (2, 6, 6))
             w = rand64(rng, (3, 2, 3, 3))
             b = rand64(rng, (3,))
             assert gradcheck(
-                lambda x, w, b: T.tsum(
-                    T.mul(T.conv2d(x, w, b, stride=stride, pad=pad), 0.5)),
+                lambda x, w, b: T.tsum(T.mul(T.conv2d(x, w, b, pad=pad), 0.5)),
                 [x, w, b]) < self.TOL
 
     def test_maxpool2x2(self):

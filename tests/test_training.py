@@ -214,7 +214,9 @@ class TestSkips:
         steps = self.count_steps(monkeypatch)
         st = fresh_rpn_state()
         # at 8 px every anchor crosses the border, so none is labelable
-        train([self.empty_scene(8)], st, TrainSchedule(total_iters=1), WEIGHTS)
+        with pytest.raises(RuntimeError, match=r"no training step taken: all 1 "
+                           r"iterations skipped their image \(no labelable anchors\)"):
+            train([self.empty_scene(8)], st, TrainSchedule(total_iters=1), WEIGHTS)
         assert [r.getMessage() for r in caplog.records] == \
             ["skipping image 0: no labelable anchors"]
         assert st.loss_log == [] and st.iteration == 0 and steps == []
@@ -224,11 +226,34 @@ class TestSkips:
         bb = Backbone(Rng(1, "init"))
         st = TrainState(backbone=bb,
                         det_head=DetectorHead(Rng(1, "init"), bb.out_dim, 3))
-        train([self.empty_scene()], st, TrainSchedule(total_iters=1), roi_cfg=ROI,
-              proposals=[np.zeros((0, 4))])
+        with pytest.raises(RuntimeError, match=r"\(no RoI candidates\)"):
+            train([self.empty_scene()], st, TrainSchedule(total_iters=1), roi_cfg=ROI,
+                  proposals=[np.zeros((0, 4))])
         assert [r.getMessage() for r in caplog.records] == \
             ["skipping image 0: no RoI candidates"]
         assert st.loss_log == [] and st.iteration == 0 and steps == []
+
+    def test_zero_iterations_take_no_step_and_pass(self):
+        st = fresh_rpn_state()
+        assert train([self.empty_scene(8)], st, TrainSchedule(total_iters=0),
+                     WEIGHTS) is st and st.iteration == 0
+
+    def test_one_step_is_enough(self):
+        # one epoch: the 8 px scene is skipped, the 64 px one trains
+        st = fresh_rpn_state()
+        train([self.empty_scene(8), self.empty_scene()], st,
+              TrainSchedule(total_iters=2), WEIGHTS)
+        assert st.iteration == 1
+
+    def test_detector_class_outside_the_head_rejected(self, monkeypatch):
+        steps = self.count_steps(monkeypatch)
+        data = scenes(2)
+        data[0].classes[-1] = 4
+        with pytest.raises(ValueError, match="image 0: class 4 is outside the "
+                           r"head's classes 1\.\.3"):
+            joint_train(data, TrainSchedule(total_iters=2), ACFG, WEIGHTS, ROI,
+                        n_classes=3, head_dim=8, train_proposals=PROPS)
+        assert steps == []
 
     def test_joint_step_with_empty_roi_batch_still_steps(self, monkeypatch, caplog):
         steps = self.count_steps(monkeypatch)
