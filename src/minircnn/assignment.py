@@ -5,7 +5,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .anchors import AnchorSet, inside_mask
+from .anchors import AnchorSet
 from .boxes import encode_arr, iou_matrix_arr
 from .rng import Rng
 
@@ -34,8 +34,7 @@ class RpnTargets:
         return np.flatnonzero(self.sample_mask)
 
 
-def assign_labels(aset: AnchorSet, gt_boxes: np.ndarray, image_w: float,
-                  image_h: float, pos_iou: float = 0.7,
+def assign_labels(aset: AnchorSet, gt_boxes: np.ndarray, pos_iou: float = 0.7,
                   neg_iou: float = 0.3) -> RpnTargets:
     """Label anchors positive/negative/ignore and compute regression targets.
 
@@ -45,14 +44,15 @@ def assign_labels(aset: AnchorSet, gt_boxes: np.ndarray, image_w: float,
     Positives are matched to their single highest-IoU gt, ties to the
     lowest gt index.
     """
+    if aset.inside is None:
+        raise ValueError("assign_labels needs the anchors' inside mask (inside_mask)")
     n = len(aset)
-    inside = aset.inside if aset.inside is not None else inside_mask(aset, image_w, image_h)
     labels = np.full(n, IGNORE, dtype=np.int8)
     deltas = np.zeros((n, 4), dtype=np.float64)
     matched = np.full(n, -1, dtype=np.int64)
     gt_boxes = np.asarray(gt_boxes, dtype=np.float64).reshape(-1, 4)
 
-    ins = np.flatnonzero(inside)
+    ins = np.flatnonzero(aset.inside)
     if gt_boxes.shape[0] == 0:
         labels[ins] = NEGATIVE
         return RpnTargets(labels, deltas, matched, np.zeros(n, dtype=bool))
@@ -85,7 +85,7 @@ def sample_fg_bg(fg: np.ndarray, bg: np.ndarray, max_fg: int, total: int,
     Each side is a sorted random subset when it has more candidates than
     slots (fg drawn first), else taken whole. Returns (take_fg, take_bg).
     """
-    n_fg = min(max_fg, fg.size)
+    n_fg = min(max_fg, total, fg.size)
     take_fg = fg[np.sort(rng.choice(fg.size, n_fg))] if n_fg < fg.size else fg
     n_bg = min(total - n_fg, bg.size)
     take_bg = bg[np.sort(rng.choice(bg.size, n_bg))] if n_bg < bg.size else bg

@@ -57,18 +57,27 @@ def _build_models(cfg: RunConfig, want_det=False) -> TrainState:
     return state
 
 
-def _read_grouped_csv(path, score_col, box_cols, extra_cols=()):
-    groups: dict[str, list] = {}
+def _read_scene_rows(path, scenes, extra_cols=()) -> list[list[tuple]]:
+    """Each scene's (score, box, *extra_cols) rows of a proposals or detections
+    CSV, matched by image path. A row whose image is not in the manifest, or
+    whose box is non-finite or inverted, is rejected naming file:line."""
+    groups = {s.path: [] for s in scenes}
     with open(path) as f:
         header = f.readline().strip().split(",")
-        idx = {c: header.index(c) for c in ("image", score_col, *box_cols, *extra_cols)}
-        for line in f:
+        cols = ("image", "score", "x1", "y1", "x2", "y2", *extra_cols)
+        idx = [header.index(c) for c in cols]
+        for lineno, line in enumerate(f, start=2):
             parts = line.strip().split(",")
-            if not parts or parts == [""]:
+            if parts == [""]:
                 continue
-            rec = {c: parts[i] for c, i in idx.items()}
-            groups.setdefault(rec["image"], []).append(rec)
-    return groups
+            image, score, *rest = (parts[i] for i in idx)
+            box = [float(v) for v in rest[:4]]
+            if image not in groups:
+                raise ValueError(f"{path}:{lineno}: image {image} is not in the manifest")
+            if not (np.isfinite(box).all() and box[0] <= box[2] and box[1] <= box[3]):
+                raise ValueError(f"{path}:{lineno}: box {box} is non-finite or inverted")
+            groups[image].append((float(score), box, *rest[4:]))
+    return [groups[s.path] for s in scenes]
 
 
 def _report(path: Path, text: str):
@@ -91,7 +100,7 @@ def cmd_train_rpn(args, cfg: RunConfig, out: Path):
     scenes = _load_scenes(args.data)
     state = _build_models(cfg)
     sched = cfg.schedule(iters=args.iters)
-    train(scenes, state, sched, cfg.loss_weights(), **cfg.rpn_sampling())
+    train(scenes, state, sched, cfg.loss_weights())
     save_state(state, out / "rpn.frpn")
     write_loss_log(state, out / "loss.csv")
     print(f"trained RPN for {sched.total_iters} iters; checkpoint {out / 'rpn.frpn'}")
@@ -105,8 +114,7 @@ def cmd_train_alt(args, cfg: RunConfig, out: Path):
                             cfg.loss_weights(), cfg.roi_sample_config(),
                             cfg.detector_n_classes, cfg.rpn_head_dim,
                             cfg.proposal_params(train=True), out_dir=out,
-                            channels=cfg.backbone_channels,
-                            **cfg.rpn_sampling())
+                            channels=cfg.backbone_channels)
     save_state(state, out / "final.frpn")
     write_loss_log(state, out / "loss.csv")
     print(f"4-step training done; unified checkpoint {out / 'final.frpn'}")
@@ -119,8 +127,7 @@ def cmd_train_joint(args, cfg: RunConfig, out: Path):
                         cfg.loss_weights(), cfg.roi_sample_config(),
                         cfg.detector_n_classes, cfg.rpn_head_dim,
                         cfg.proposal_params(train=True),
-                        channels=cfg.backbone_channels,
-                        **cfg.rpn_sampling())
+                        channels=cfg.backbone_channels)
     save_state(state, out / "joint.frpn")
     write_loss_log(state, out / "loss.csv")
     print(f"joint training done; checkpoint {out / 'joint.frpn'}")
@@ -171,26 +178,17 @@ def cmd_detect(args, cfg: RunConfig, out: Path):
 
 def cmd_eval_recall(args, cfg: RunConfig, out: Path):
     scenes = _load_scenes(args.manifest)
-    groups = _read_grouped_csv(args.proposals, "score", ("x1", "y1", "x2", "y2"))
-    props = []
-    for s in scenes:
-        recs = sorted(groups.get(s.path, []), key=lambda r: -float(r["score"]))
-        props.append(np.array([[float(r["x1"]), float(r["y1"]), float(r["x2"]),
-                                float(r["y2"])] for r in recs]).reshape(-1, 4))
+    props = [np.array([box for _, box in sorted(rows, key=lambda r: -r[0])])
+             .reshape(-1, 4) for rows in _read_scene_rows(args.proposals, scenes)]
     _report(out / "recall.csv",
             recall_curve(props, [s.boxes for s in scenes], args.n).to_csv())
 
 
 def cmd_eval_map(args, cfg: RunConfig, out: Path):
     scenes = _load_scenes(args.manifest)
-    groups = _read_grouped_csv(args.detections, "score", ("x1", "y1", "x2", "y2"),
-                               extra_cols=("class",))
     from .boxes import Box, ScoredBox
-    dets = []
-    for s in scenes:
-        dets.append([ScoredBox(Box(float(r["x1"]), float(r["y1"]), float(r["x2"]),
-                                   float(r["y2"])), float(r["score"]), int(r["class"]))
-                     for r in groups.get(s.path, [])])
+    dets = [[ScoredBox(Box(*box), score, int(c)) for score, box, c in rows]
+            for rows in _read_scene_rows(args.detections, scenes, ("class",))]
     mp, per_class = mean_ap(dets, [s.boxes for s in scenes],
                             [s.classes for s in scenes],
                             range(1, cfg.detector_n_classes + 1), cfg.eval_iou_thresh)
@@ -274,27 +272,26 @@ def cmd_ablate(args, cfg: RunConfig, out: Path):
         ]
         rows = ["setting,recall_at_0.5,recall_at_0.7"]
         for name, scales, ratios in settings:
-            _, c = _retrain_recall(out, scenes, gt_boxes, p, args,
+            _, c = _retrain_recall(cfg, scenes, gt_boxes, p, args,
                                    anchors_scales=scales, anchors_ratios=ratios)
             rows.append(f"{name},{c.at(0.5):.6g},{c.at(0.7):.6g}")
         _report(out / "anchor_settings.csv", "\n".join(rows) + "\n")
     elif args.mode == "lambda-sweep":
         rows = ["lambda,recall_at_0.5,recall_at_0.7,final_loss_cls,final_loss_reg"]
         for lam in args.lambdas:
-            state, c = _retrain_recall(out, scenes, gt_boxes, p, args, rpn_lambda=lam)
+            state, c = _retrain_recall(cfg, scenes, gt_boxes, p, args, rpn_lambda=lam)
             last = state.loss_log[-1]
             rows.append(f"{lam:g},{c.at(0.5):.6g},{c.at(0.7):.6g},"
                         f"{last['loss_cls']:.6g},{last['loss_reg']:.6g}")
         _report(out / "lambda_sweep.csv", "\n".join(rows) + "\n")
 
 
-def _retrain_recall(out: Path, scenes, gt_boxes, p, args, **overrides):
+def _retrain_recall(cfg: RunConfig, scenes, gt_boxes, p, args, **overrides):
     """A fresh RPN trained for `args.iters` under the run's config with the
     field `overrides`, and the recall curve of its top `args.n` proposals."""
-    sub = replace(RunConfig.from_file(out / "config.txt"), **overrides)
+    sub = replace(cfg, **overrides)
     state = _build_models(sub)
-    train(scenes, state, sub.schedule(iters=args.iters), sub.loss_weights(),
-          **sub.rpn_sampling())
+    train(scenes, state, sub.schedule(iters=args.iters), sub.loss_weights())
     props = [state.propose_scene(s, p)[1] for s in scenes]
     return state, recall_curve(props, gt_boxes, args.n)
 

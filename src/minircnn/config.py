@@ -17,6 +17,12 @@ def _ints(s: str) -> tuple[int, ...]:
     return tuple(int(x) for x in str(s).split(",") if x != "")
 
 
+def _float_text(x: float) -> str:
+    """`{:g}` where it reads back as x, else the shortest text that does."""
+    g = f"{x:g}"
+    return g if float(g) == x else repr(x)
+
+
 @dataclass
 class RunConfig:
     seed: int = 7
@@ -110,7 +116,8 @@ class RunConfig:
         for f in fields(self):
             v = getattr(self, f.name)
             if isinstance(v, tuple):
-                v = ",".join(f"{x:g}" if isinstance(x, float) else str(x) for x in v)
+                v = ",".join(_float_text(x) if isinstance(x, float) else str(x)
+                             for x in v)
             lines.append(f"{self._field_to_key(f.name)}={v}")
         return "\n".join(lines) + "\n"
 
@@ -124,16 +131,8 @@ class RunConfig:
 
     def loss_weights(self):
         from .rpn import LossWeights
-        return LossWeights(self.rpn_lambda, float(self.rpn_batch))
-
-    def rpn_sampling(self) -> dict:
-        """Keyword arguments of the training loop for RPN anchor labelling
-        and minibatch sampling; rejects rpn.neg_iou above rpn.pos_iou."""
-        if self.rpn_neg_iou > self.rpn_pos_iou:
-            raise ValueError(f"rpn.neg_iou={self.rpn_neg_iou} exceeds "
-                             f"rpn.pos_iou={self.rpn_pos_iou}")
-        return dict(batch=self.rpn_batch, max_pos=self.rpn_max_pos,
-                    pos_iou=self.rpn_pos_iou, neg_iou=self.rpn_neg_iou)
+        return LossWeights(self.rpn_lambda, self.rpn_batch, self.rpn_max_pos,
+                           self.rpn_pos_iou, self.rpn_neg_iou)
 
     def proposal_params(self, train: bool):
         from .rpn import ProposalParams

@@ -132,17 +132,17 @@ def sample_rois(proposals: np.ndarray, gt_boxes: np.ndarray, gt_classes: np.ndar
 
 
 def detector_loss(cls_logits: Tensor, deltas: Tensor,
-                  batch: RoiBatch) -> tuple[Tensor, float, float]:
+                  rois: RoiBatch) -> tuple[Tensor, float, float]:
     """Mean class log-loss + mean per-row smooth-L1 over foreground rows'
     matched-class delta slice, weighted 1:1."""
-    n = batch.labels.shape[0]
+    n = rois.labels.shape[0]
     if n == 0:
         raise ValueError("detector_loss requires a nonempty RoI batch")
-    fg = np.flatnonzero(batch.labels > 0)
+    fg = np.flatnonzero(rois.labels > 0)
     pred = T.select_class(T.take_rows(deltas.reshape(n, -1, 4), fg),
-                          batch.labels[fg] - 1) if fg.size else None
-    return multitask_loss(cls_logits, batch.labels, 1.0 / n,
-                          pred, batch.targets[fg], 1.0 / max(fg.size, 1))
+                          rois.labels[fg] - 1) if fg.size else None
+    return multitask_loss(cls_logits, rois.labels, 1.0 / n,
+                          pred, rois.targets[fg], 1.0 / max(fg.size, 1))
 
 
 def detect(features: Tensor, proposals: np.ndarray, head: DetectorHead,

@@ -46,15 +46,13 @@ def _assign_windows(aset: AnchorSet, scene: Scene, cfg: RoiSampleConfig):
 def train_onestage(scenes: list[Scene], sched: TrainSchedule,
                    anchor_cfg: AnchorConfig, roi_cfg: RoiSampleConfig,
                    n_classes: int, head_dim: int = 64,
-                   backbone: Backbone | None = None,
                    channels=(16, 32, 64, 64)) -> TrainState:
     """SGD on detector-style sampling over dense windows."""
     if not scenes:
         raise ValueError("empty dataset")
     check_classes(scenes, n_classes)
     init = Rng(sched.seed).substream("init")
-    if backbone is None:
-        backbone = Backbone(init, channels=channels)
+    backbone = Backbone(init, channels=channels)
     head = OneStageHead(init, backbone.out_dim, anchor_cfg.k, n_classes, head_dim)
     state = TrainState(backbone=backbone, onestage_head=head, anchor_cfg=anchor_cfg)
 

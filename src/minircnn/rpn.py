@@ -19,12 +19,22 @@ INIT_STDDEV = 0.01
 
 @dataclass
 class LossWeights:
+    """The RPN objective: lam weighs the box term; `batch` anchors are sampled
+    per image (at most `max_pos` positive) from labels set by the IoU
+    thresholds pos_iou/neg_iou, and the log-loss is divided by `batch`."""
     lam: float = 10.0
-    n_cls: float = 256.0
+    batch: int = 256
+    max_pos: int = 128
+    pos_iou: float = 0.7
+    neg_iou: float = 0.3
 
     def __post_init__(self):
-        if self.lam <= 0 or self.n_cls <= 0:
-            raise ValueError("loss weights must be positive")
+        if self.lam <= 0 or self.batch <= 0 or self.max_pos < 0:
+            raise ValueError("rpn.lambda and rpn.batch must be positive, "
+                             "rpn.max_pos non-negative")
+        if self.neg_iou > self.pos_iou:
+            raise ValueError(f"rpn.neg_iou={self.neg_iou} exceeds "
+                             f"rpn.pos_iou={self.pos_iou}")
 
 
 @dataclass
@@ -144,7 +154,7 @@ def rpn_loss(cls_scores: Tensor, reg_deltas: Tensor, targets: RpnTargets,
              k: int, weights: LossWeights) -> tuple[Tensor, float, float]:
     """Two-term objectness + box loss.
 
-    cls: log-loss summed over the sampled minibatch, divided by n_cls.
+    cls: log-loss summed over the sampled minibatch, divided by `batch`.
     reg: smooth-L1 over ALL positive-labeled anchors, summed over the four
     delta components, scaled by lam / N_reg, N_reg = H*W anchor locations.
     Returns (loss, cls_term_value, reg_term_value).
@@ -160,7 +170,7 @@ def rpn_loss(cls_scores: Tensor, reg_deltas: Tensor, targets: RpnTargets,
     pos = targets.positive_idx
     pred = T.take_rows(anchor_rows(reg_deltas, k, 4), pos) if pos.size else None
     n_reg = reg_deltas.shape[1] * reg_deltas.shape[2]
-    return multitask_loss(T.take_rows(logits, sampled), lab, 1.0 / weights.n_cls,
+    return multitask_loss(T.take_rows(logits, sampled), lab, 1.0 / weights.batch,
                           pred, targets.target_deltas[pos], weights.lam / n_reg)
 
 

@@ -154,15 +154,12 @@ def train(scenes: list[Scene], state: TrainState, sched: TrainSchedule,
           weights: LossWeights = LossWeights(),
           roi_cfg: RoiSampleConfig = RoiSampleConfig(),
           proposals: list[np.ndarray] | None = None,
-          train_proposals: ProposalParams = TRAIN_PROPOSALS,
-          batch: int = 256, max_pos: int = 128, pos_iou: float = 0.7,
-          neg_iou: float = 0.3) -> TrainState:
+          train_proposals: ProposalParams = TRAIN_PROPOSALS) -> TrainState:
     """Image-centric SGD, one image per minibatch, on the summed losses of the
     heads `state` holds; the backbone trains unless `state.shared_frozen`.
 
-    The RPN loss runs on `batch` sampled anchors (at most `max_pos`
-    positive), labelled with the pos_iou/neg_iou thresholds of
-    `assign_labels`. The detector loss runs on RoIs sampled from the fixed
+    The RPN loss runs on anchors labelled and sampled as `weights` says.
+    The detector loss runs on RoIs sampled from the fixed
     per-scene `proposals`, or, when none are given, from the RPN's own
     detached `train_proposals` (approximate joint training: no gradient
     flows through box coordinates). A step with no labelable anchors, or a
@@ -181,8 +178,8 @@ def train(scenes: list[Scene], state: TrainState, sched: TrainSchedule,
     sample_rng = rng.substream("sampling")
     inputs = [image_to_input(s.image) for s in scenes]
     if rpn is not None:
-        targets = [assign_labels(state.anchors(s.width, s.height), s.boxes, s.width,
-                                 s.height, pos_iou, neg_iou) for s in scenes]
+        targets = [assign_labels(state.anchors(s.width, s.height), s.boxes,
+                                 weights.pos_iou, weights.neg_iou) for s in scenes]
     params = [p for h in (rpn, det) if h is not None for p in h.params]
     if not state.shared_frozen:
         params = state.backbone.params + params
@@ -196,8 +193,8 @@ def train(scenes: list[Scene], state: TrainState, sched: TrainSchedule,
         feats = loss = None
         if rpn is not None:
             try:
-                t = sample_minibatch(targets[i], sample_rng, batch=batch,
-                                     max_pos=max_pos)
+                t = sample_minibatch(targets[i], sample_rng, weights.batch,
+                                     weights.max_pos)
             except NoLabeledAnchorsError:
                 skip = "no labelable anchors"
                 log.warning("skipping image %d: %s", i, skip)
@@ -245,21 +242,16 @@ def alternate_4step(scenes: list[Scene], sched_rpn: TrainSchedule,
                     n_classes: int, head_dim: int = 64,
                     train_proposals: ProposalParams = TRAIN_PROPOSALS,
                     out_dir=None,
-                    channels=(16, 32, 64, 64),
-                    batch: int = 256, max_pos: int = 128, pos_iou: float = 0.7,
-                    neg_iou: float = 0.3) -> TrainState:
-    """The pragmatic 4-step alternating scheme; ends with one shared backbone.
-    Both RPN steps label anchors with pos_iou/neg_iou and sample `batch`
-    anchors per image, at most `max_pos` positive."""
+                    channels=(16, 32, 64, 64)) -> TrainState:
+    """The pragmatic 4-step alternating scheme; ends with one shared backbone."""
     check_classes(scenes, n_classes)
-    rpn_kw = dict(batch=batch, max_pos=max_pos, pos_iou=pos_iou, neg_iou=neg_iou)
     init = Rng(sched_rpn.seed).substream("init")
 
     # step 1: train RPN end to end from scratch
     bb1 = Backbone(init, channels=channels)
     s1 = TrainState(backbone=bb1, anchor_cfg=anchor_cfg,
                     rpn_head=RpnHead(init, bb1.out_dim, anchor_cfg.k, head_dim))
-    train(scenes, s1, sched_rpn, weights, **rpn_kw)
+    train(scenes, s1, sched_rpn, weights)
     props = [s1.propose_scene(s, train_proposals)[1] for s in scenes]
 
     # step 2: separate detector network on step-1 proposals (fresh backbone,
@@ -273,7 +265,7 @@ def alternate_4step(scenes: list[Scene], sched_rpn: TrainSchedule,
     s3 = TrainState(backbone=bb2, anchor_cfg=anchor_cfg, shared_frozen=True,
                     rpn_head=RpnHead(init, bb2.out_dim, anchor_cfg.k, head_dim))
     pre = backbone_checksum(bb2)
-    train(scenes, s3, sched_rpn, weights, **rpn_kw)
+    train(scenes, s3, sched_rpn, weights)
     assert backbone_checksum(bb2) == pre, "frozen backbone changed in step 3"
 
     # step 4: fine-tune the detector head, shared conv layers still frozen
@@ -296,9 +288,7 @@ def joint_train(scenes: list[Scene], sched: TrainSchedule, anchor_cfg: AnchorCon
                 weights: LossWeights, roi_cfg: RoiSampleConfig, n_classes: int,
                 head_dim: int = 64,
                 train_proposals: ProposalParams = TRAIN_PROPOSALS,
-                channels=(16, 32, 64, 64),
-                batch: int = 256, max_pos: int = 128, pos_iou: float = 0.7,
-                neg_iou: float = 0.3) -> TrainState:
+                channels=(16, 32, 64, 64)) -> TrainState:
     """Approximate joint training: a fresh backbone, RPN head and detector
     head, trained together by `train` on the RPN's own proposals."""
     init = Rng(sched.seed).substream("init")
@@ -307,9 +297,7 @@ def joint_train(scenes: list[Scene], sched: TrainSchedule, anchor_cfg: AnchorCon
     det_head = DetectorHead(init, backbone.out_dim, n_classes)
     state = TrainState(backbone=backbone, rpn_head=rpn_head, det_head=det_head,
                        anchor_cfg=anchor_cfg)
-    return train(scenes, state, sched, weights, roi_cfg,
-                 train_proposals=train_proposals, batch=batch, max_pos=max_pos,
-                 pos_iou=pos_iou, neg_iou=neg_iou)
+    return train(scenes, state, sched, weights, roi_cfg, train_proposals=train_proposals)
 
 
 def save_state(state: TrainState, path):

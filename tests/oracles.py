@@ -1,5 +1,5 @@
 """Independent reference implementations the geometry and tensor tests compare
-against."""
+against, and the finite-difference check of every op's gradient."""
 
 from __future__ import annotations
 
@@ -90,3 +90,33 @@ def roi_pool_loop(x: np.ndarray, rois: np.ndarray, spatial_scale: float,
                 y[n, :, bi, bj] = sub[cidx, am]
                 arg[n, :, bi, bj] = fi[rs:re, cs:ce].ravel()[am]
     return y, arg
+
+
+def gradcheck(fn, tensors, eps: float = 1e-5, rtol: float = 1e-4) -> float:
+    """Central finite-difference check of fn(*tensors) -> scalar Tensor.
+
+    Returns the worst relative error over all inputs with requires_grad.
+    Tensors must hold float64 data for the stated tolerance to be meaningful.
+    """
+    out = fn(*tensors)
+    for t in tensors:
+        t.zero_grad()
+    out.backward()
+    worst = 0.0
+    for t in tensors:
+        if not t.requires_grad:
+            continue
+        g = t.grad if t.grad is not None else np.zeros_like(t.data)
+        flat = t.data.reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + eps
+            fp = fn(*tensors).item()
+            flat[i] = orig - eps
+            fm = fn(*tensors).item()
+            flat[i] = orig
+            num = (fp - fm) / (2 * eps)
+            ana = g.reshape(-1)[i]
+            denom = max(abs(num), abs(ana), 1.0)
+            worst = max(worst, abs(num - ana) / denom)
+    return worst

@@ -24,10 +24,10 @@ from minircnn.onestage import one_stage_detect, train_onestage
 from minircnn.rng import Rng
 from minircnn.rpn import (Backbone, LossWeights, ProposalParams, RpnHead,
                           propose_arrays, rpn_loss)
-from minircnn.tensor import Tensor, gradcheck
+from minircnn.tensor import Tensor
 from minircnn.training import TrainSchedule, TrainState, alternate_4step, train
 
-from oracles import brute_iou, brute_nms, random_boxes
+from oracles import brute_iou, brute_nms, gradcheck, random_boxes
 
 
 @pytest.fixture
@@ -225,7 +225,7 @@ class TestCriterion2GradientSuite:
         aset = grid_anchors(mini, 4, 4)
         inside_mask(aset, 32, 32)
         gt = np.array([[4.0, 4.0, 14.0, 14.0], [16.0, 10.0, 30.0, 26.0]])
-        tgt = assign_labels(aset, gt, 32, 32)
+        tgt = assign_labels(aset, gt)
         for i in range(20):
             tgt_i = sample_minibatch(tgt, Rng(i, "sampling"), batch=16,
                                      max_pos=8)
@@ -270,7 +270,7 @@ class TestCriterion4LossStructure:
         aset = grid_anchors(cfg, 4, 4)
         inside_mask(aset, 32, 32)
         gt = np.array([[4.0, 4.0, 14.0, 14.0], [16.0, 10.0, 30.0, 26.0]])
-        t = assign_labels(aset, gt, 32, 32)
+        t = assign_labels(aset, gt)
         t = sample_minibatch(t, Rng(seed, "sampling"), batch=16, max_pos=8)
         rng = np.random.default_rng(seed)
         cls = Tensor(rng.normal(size=(2 * cfg.k, 4, 4)), requires_grad=True)

@@ -170,6 +170,30 @@ def count_calls(monkeypatch, fn) -> list:
     return calls
 
 
+class TestEvalRowsRejected:
+    """eval-recall and eval-map reject a row they cannot use, naming file:line."""
+
+    @pytest.mark.parametrize("row", [
+        "images/unknown.ppm,1,0.9,1,1,5,5",
+        "{image},1,0.9,nan,1,5,5",
+        "{image},1,0.9,1,1,5,inf",
+        "{image},1,0.9,6,1,5,5",
+        "{image},1,0.9,1,6,5,5",
+    ], ids=["unknown-image", "nan", "inf", "x1>x2", "y1>y2"])
+    def test_bad_row_names_the_line(self, dataset, tmp_path, capsys, row):
+        image = json.loads((dataset / "manifest.jsonl").read_text()
+                           .splitlines()[0])["image"]
+        csv = tmp_path / "rows.csv"
+        csv.write_text(f"image,class,score,x1,y1,x2,y2\n{image},1,0.9,1,1,5,5\n"
+                       f"{row.format(image=image)}\n")
+        manifest = str(dataset / "manifest.jsonl")
+        for command in (["eval-recall", "--proposals", str(csv)],
+                        ["eval-map", "--detections", str(csv)]):
+            assert run([*command, "--manifest", manifest, "--out",
+                        str(tmp_path / "out"), *TINY]) == 1, command
+            assert f"{csv}:3: " in capsys.readouterr().err, command
+
+
 class TestModelReuse:
     def test_detect_builds_anchors_once_per_image_size(self, alt_run, tmp_path,
                                                        monkeypatch):
@@ -233,6 +257,26 @@ class TestRpnSampling:
         assert drawn and set(drawn) == {(64, 32)}
 
 
+class TestConfigEcho:
+    """The config.txt a run writes reads back as the run's config."""
+
+    def test_tuple_floats_roundtrip(self, dataset, tmp_path, monkeypatch):
+        from minircnn import cli
+        real, scales = cli.train, []
+
+        def spy(scenes, state, *args, **kwargs):
+            scales.append(state.anchor_cfg.scales)
+            return real(scenes, state, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "train", spy)
+        assert run(["ablate", "--mode", "anchor-settings", "--n", "10", "--iters",
+                    "2", "--out", str(tmp_path), "--data", str(dataset), *TINY,
+                    "--set", "anchors.scales", "16.1234567,32", "--seed", "11"]) == 0
+        cfg = RunConfig.from_file(tmp_path / "config.txt")
+        assert cfg.anchors_scales == (16.1234567, 32.0)
+        assert scales[0] == (16.1234567, 32.0)
+
+
 class TestRpnLabelThresholds:
     """rpn.pos_iou and rpn.neg_iou reach every RPN anchor labelling."""
 
@@ -270,6 +314,14 @@ class TestRpnLabelThresholds:
             assert run([command, "--out", str(tmp_path), "--data", str(dataset),
                         "--iters", "1", *TINY, "--set", key, value]) == 1
             assert key in capsys.readouterr().err
+
+
+class TestRpnMaxPosRejected:
+    def test_negative_max_pos_names_the_key(self, dataset, tmp_path, capsys):
+        for command in ("train-rpn", "train-alt", "train-joint"):
+            assert run([command, "--out", str(tmp_path), "--data", str(dataset),
+                        "--iters", "1", *TINY, "--set", "rpn.max_pos", "-1"]) == 1
+            assert "rpn.max_pos" in capsys.readouterr().err
 
 
 class TestIouKeysRejected:

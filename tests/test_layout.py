@@ -1,5 +1,5 @@
 """One home for each idea the heads share: the two-term loss, the IoU
-labelling and the sliding-window head."""
+labelling, the sliding-window head and the RPN objective."""
 
 import ast
 from pathlib import Path
@@ -54,3 +54,30 @@ def test_heads_inherit_the_conv_head():
         assert [getattr(b, "id", None) for b in node.bases] == ["ConvHead"]
         own = {d.name for d in node.body if isinstance(d, ast.FunctionDef)}
         assert not own & {"forward", "params"}, name
+
+
+def test_rpn_objective_lives_in_loss_weights():
+    """The RPN's minibatch and IoU thresholds reach the loop only inside
+    `LossWeights`; the labeller and the sampler are their one reader."""
+    keys = {"batch", "max_pos", "pos_iou", "neg_iou"}
+    takers = set()
+    classes = {}
+    for mod, tree in modules().items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = node.args
+                names = {x.arg for x in a.posonlyargs + a.args + a.kwonlyargs}
+                if names & keys:
+                    takers.add(f"{mod}.{node.name}")
+            elif isinstance(node, ast.ClassDef):
+                classes[node.name] = node
+    assert takers == {"assignment.assign_labels", "assignment.sample_minibatch"}
+
+    def members(cls):
+        body = classes[cls].body
+        return {n.name for n in body if isinstance(n, ast.FunctionDef)} | \
+               {n.target.id for n in body if isinstance(n, ast.AnnAssign)}
+
+    assert "rpn_sampling" not in members("RunConfig")
+    assert "n_cls" not in members("LossWeights")
+    assert {"lam", "batch", "max_pos", "pos_iou", "neg_iou"} <= members("LossWeights")

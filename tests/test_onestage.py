@@ -152,14 +152,6 @@ class TestTraining:
         assert {"loss_det_cls", "loss_det_reg"} <= set(st.loss_log[0])
         assert st.onestage_head is not None and st.rpn_head is None
 
-    def test_shared_backbone_is_used_not_copied(self):
-        scenes = self.make_scenes()
-        bb = Backbone(Rng(4, "init"))
-        st = train_onestage(scenes, TrainSchedule(total_iters=2, seed=2),
-                            ACFG, RoiSampleConfig(), C, head_dim=8,
-                            backbone=bb)
-        assert st.backbone is bb
-
     def test_deterministic_given_seed(self):
         scenes = self.make_scenes()
         sched = TrainSchedule(total_iters=5, seed=3)

@@ -20,6 +20,7 @@ from minircnn.rpn import (
     rpn_loss,
 )
 from minircnn.tensor import Tensor
+from oracles import gradcheck
 
 
 def micro_setup(seed=0, image=32):
@@ -28,7 +29,7 @@ def micro_setup(seed=0, image=32):
     aset = grid_anchors(cfg, image // 8, image // 8)
     inside_mask(aset, image, image)
     gt = np.array([[4.0, 4.0, 14.0, 14.0], [16.0, 10.0, 30.0, 26.0]])
-    t = assign_labels(aset, gt, image, image)
+    t = assign_labels(aset, gt)
     t = sample_minibatch(t, Rng(seed, "sampling"), batch=16, max_pos=8)
     return cfg, aset, t
 
@@ -92,6 +93,23 @@ class TestHeadStructure:
         np.testing.assert_array_equal(flat[k], [data[0, 0, 1], data[1, 0, 1]])
 
 
+class TestLossWeights:
+    def test_defaults_are_the_papers(self):
+        w = LossWeights()
+        assert (w.lam, w.batch, w.max_pos, w.pos_iou, w.neg_iou) == \
+            (10.0, 256, 128, 0.7, 0.3)
+
+    def test_neg_iou_above_pos_iou_names_both(self):
+        with pytest.raises(ValueError, match=r"rpn\.neg_iou=0\.5 .*rpn\.pos_iou=0\.3"):
+            LossWeights(pos_iou=0.3, neg_iou=0.5)
+        LossWeights(pos_iou=0.5, neg_iou=0.5)
+
+    @pytest.mark.parametrize("kw", [dict(lam=0.0), dict(batch=0), dict(max_pos=-1)])
+    def test_non_positive_rejected(self, kw):
+        with pytest.raises(ValueError, match="positive"):
+            LossWeights(**kw)
+
+
 class TestRpnLoss:
     def _outputs(self, aset, rng_seed=3, dtype=np.float64):
         k = aset.k
@@ -130,13 +148,13 @@ class TestRpnLoss:
         assert loss.item() == pytest.approx(0.0, abs=1e-10)
 
     def test_normalizers_enter_exactly(self):
-        # cls is divided by n_cls; reg is scaled by lam / (H*W) of the head map
+        # cls is divided by batch; reg is scaled by lam / (H*W) of the head map
         for image in (32, 56):
             cfg, aset, t = micro_setup(image=image)
             cls, reg = self._outputs(aset)
             _, c1, r1 = rpn_loss(cls, reg, t, aset.k, LossWeights())
             _, c2, r2 = rpn_loss(cls, reg, t, aset.k,
-                                 LossWeights(lam=10.0, n_cls=512.0))
+                                 LossWeights(lam=10.0, batch=512))
             assert c2 == pytest.approx(c1 / 2.0, rel=1e-12)
             assert r2 == pytest.approx(r1, rel=1e-12)
             pos = t.positive_idx
@@ -188,7 +206,7 @@ class TestRpnLoss:
         def fn(cls, reg):
             return rpn_loss(cls, reg, t, aset.k, LossWeights())[0]
 
-        assert T.gradcheck(fn, [cls, reg]) < 1e-4
+        assert gradcheck(fn, [cls, reg]) < 1e-4
 
     def test_gradcheck_through_head_convs(self):
         # full chain in float64: trunk conv + sibling 1x1 convs -> loss
@@ -208,7 +226,7 @@ class TestRpnLoss:
             return rpn_loss(T.conv2d(h, wc, bc), T.conv2d(h, wr, br),
                             t, k, LossWeights())[0]
 
-        assert T.gradcheck(fn, [wt, bt, wc, bc, wr, br]) < 1e-4
+        assert gradcheck(fn, [wt, bt, wc, bc, wr, br]) < 1e-4
 
 
 class TestProposals:

@@ -14,8 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import minircnn.tensor as T
-from minircnn.tensor import ShapeError, Tensor, gradcheck
-from oracles import roi_pool_loop
+from minircnn.tensor import ShapeError, Tensor
+from oracles import gradcheck, roi_pool_loop
 
 
 def t64(arr, grad=True):
