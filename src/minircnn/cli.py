@@ -10,11 +10,10 @@ import numpy as np
 
 from .config import RunConfig
 from .dataio import gen_synthetic, image_to_input, load_manifest
-from .detector import DetectorHead, detect
+from .detector import detect
 from .evaluation import bench, mean_ap, recall_curve
 from .onestage import train_onestage
 from .rng import Rng
-from .rpn import Backbone, RpnHead
 from .training import (TrainState, alternate_4step, joint_train, save_state, train,
                        write_loss_log)
 
@@ -45,38 +44,42 @@ def _out_dir(args, cfg: RunConfig) -> Path:
     return out
 
 
-def _build_models(cfg: RunConfig, want_det=False) -> TrainState:
-    """Backbone and RPN head, plus the detector head if asked, in checkpoint order."""
-    init = Rng(cfg.seed).substream("init")
-    bb = Backbone(init, channels=cfg.backbone_channels)
-    acfg = cfg.anchor_config()
-    state = TrainState(backbone=bb, anchor_cfg=acfg,
-                       rpn_head=RpnHead(init, bb.out_dim, acfg.k, cfg.rpn_head_dim))
-    if want_det:
-        state.det_head = DetectorHead(init, bb.out_dim, cfg.detector_n_classes)
-    return state
+def _dims(cfg: RunConfig) -> tuple:
+    """The model shape `TrainState.build` and `TrainState.open` take."""
+    return (cfg.anchor_config(), cfg.backbone_channels, cfg.rpn_head_dim,
+            cfg.detector_n_classes)
 
 
-def _read_scene_rows(path, scenes, extra_cols=()) -> list[list[tuple]]:
-    """Each scene's (score, box, *extra_cols) rows of a proposals or detections
-    CSV, matched by image path. A row whose image is not in the manifest, or
-    whose box is non-finite or inverted, is rejected naming file:line."""
+def _read_scene_rows(path, scenes, n_classes=None) -> list[list[tuple]]:
+    """Each scene's (score, box) rows of a proposals CSV, or (score, box, class)
+    rows of a detections CSV if `n_classes` is given, matched by image path. A
+    row that does not parse, or whose image, score, box or class the pipeline
+    could not have written, is rejected naming file:line."""
     groups = {s.path: [] for s in scenes}
     with open(path) as f:
         header = f.readline().strip().split(",")
-        cols = ("image", "score", "x1", "y1", "x2", "y2", *extra_cols)
+        cols = ("image", "score", "x1", "y1", "x2", "y2") + ("class",) * bool(n_classes)
         idx = [header.index(c) for c in cols]
         for lineno, line in enumerate(f, start=2):
             parts = line.strip().split(",")
             if parts == [""]:
                 continue
-            image, score, *rest = (parts[i] for i in idx)
-            box = [float(v) for v in rest[:4]]
+            where = f"{path}:{lineno}"
+            try:
+                image, *rest = (parts[i] for i in idx)
+                score, *box = (float(v) for v in rest[:5])
+                cls = [int(v) for v in rest[5:]]
+            except (IndexError, ValueError) as exc:
+                raise ValueError(f"{where}: {exc}") from None
             if image not in groups:
-                raise ValueError(f"{path}:{lineno}: image {image} is not in the manifest")
+                raise ValueError(f"{where}: image {image} is not in the manifest")
+            if not 0 <= score <= 1:
+                raise ValueError(f"{where}: score {score} is outside [0, 1]")
             if not (np.isfinite(box).all() and box[0] <= box[2] and box[1] <= box[3]):
-                raise ValueError(f"{path}:{lineno}: box {box} is non-finite or inverted")
-            groups[image].append((float(score), box, *rest[4:]))
+                raise ValueError(f"{where}: box {box} is non-finite or inverted")
+            if cls and not 1 <= cls[0] <= n_classes:
+                raise ValueError(f"{where}: class {cls[0]} is outside 1..{n_classes}")
+            groups[image].append((score, box, *cls))
     return [groups[s.path] for s in scenes]
 
 
@@ -98,7 +101,7 @@ def cmd_gen_data(args, cfg: RunConfig, out: Path):
 
 def cmd_train_rpn(args, cfg: RunConfig, out: Path):
     scenes = _load_scenes(args.data)
-    state = _build_models(cfg)
+    state = TrainState.build(cfg.seed, *_dims(cfg), ("rpn",))
     sched = cfg.schedule(iters=args.iters)
     train(scenes, state, sched, cfg.loss_weights())
     save_state(state, out / "rpn.frpn")
@@ -146,7 +149,7 @@ def cmd_train_onestage(args, cfg: RunConfig, out: Path):
 
 def cmd_propose(args, cfg: RunConfig, out: Path):
     scenes = _load_scenes(args.data)
-    state = _build_models(cfg).load(args.ckpt)
+    state = TrainState.open(args.ckpt, *_dims(cfg)).require("rpn")
     p = replace(cfg.proposal_params(train=False), post_nms_top=args.n)
     rows = ["image,rank,score,x1,y1,x2,y2"]
     for s in scenes:
@@ -160,15 +163,12 @@ def cmd_propose(args, cfg: RunConfig, out: Path):
 
 def cmd_detect(args, cfg: RunConfig, out: Path):
     scenes = _load_scenes(args.data)
-    state = _build_models(cfg, want_det=True).load(args.ckpt)
+    state = TrainState.open(args.ckpt, *_dims(cfg))
     p = cfg.proposal_params(train=False)
     rows = ["image,class,score,x1,y1,x2,y2"]
     for s in scenes:
-        feats, boxes, _ = state.propose_scene(s, p)
-        dets = detect(feats, boxes, state.det_head, 1.0 / state.backbone.stride,
-                      s.width, s.height, cfg.detector_score_thresh,
-                      cfg.detector_nms_iou, cfg.detector_max_per_image)
-        for d in dets:
+        for d in state.detect(s, p, cfg.detector_score_thresh, cfg.detector_nms_iou,
+                              cfg.detector_max_per_image):
             b = d.box
             rows.append(f"{s.path},{d.class_id},{d.score:.9g},{b.x1:.9g},"
                         f"{b.y1:.9g},{b.x2:.9g},{b.y2:.9g}")
@@ -187,8 +187,9 @@ def cmd_eval_recall(args, cfg: RunConfig, out: Path):
 def cmd_eval_map(args, cfg: RunConfig, out: Path):
     scenes = _load_scenes(args.manifest)
     from .boxes import Box, ScoredBox
-    dets = [[ScoredBox(Box(*box), score, int(c)) for score, box, c in rows]
-            for rows in _read_scene_rows(args.detections, scenes, ("class",))]
+    dets = [[ScoredBox(Box(*box), score, c) for score, box, c in rows]
+            for rows in _read_scene_rows(args.detections, scenes,
+                                         cfg.detector_n_classes)]
     mp, per_class = mean_ap(dets, [s.boxes for s in scenes],
                             [s.classes for s in scenes],
                             range(1, cfg.detector_n_classes + 1), cfg.eval_iou_thresh)
@@ -200,7 +201,7 @@ def cmd_eval_map(args, cfg: RunConfig, out: Path):
 
 def cmd_bench(args, cfg: RunConfig, out: Path):
     scenes = _load_scenes(args.data)[:max(args.n_timed, 1)]
-    state = _build_models(cfg, want_det=True).load(args.ckpt)
+    state = TrainState.open(args.ckpt, *_dims(cfg)).require("rpn", "det")
     p = cfg.proposal_params(train=False)
 
     def conv_fn(scene):
@@ -208,13 +209,11 @@ def cmd_bench(args, cfg: RunConfig, out: Path):
         return (scene, *state.rpn_forward(image_to_input(scene.image)))
 
     def proposal_fn(triple):
-        scene, feats, cls, reg = triple
-        boxes, _ = state.propose(cls.data, reg.data, scene.width, scene.height, p)
-        return scene, boxes
+        scene, _, cls, reg = triple
+        return state.propose(cls.data, reg.data, scene.width, scene.height, p)[0]
 
-    def region_fn(triple, props):
+    def region_fn(triple, boxes):
         scene, feats = triple[0], triple[1]
-        _, boxes = props
         return detect(feats, boxes, state.det_head, 1.0 / state.backbone.stride,
                       scene.width, scene.height, cfg.detector_score_thresh,
                       cfg.detector_nms_iou, cfg.detector_max_per_image)
@@ -230,7 +229,7 @@ def cmd_ablate(args, cfg: RunConfig, out: Path):
     p = cfg.proposal_params(train=False)
 
     if args.mode in CKPT_MODES:
-        state = _build_models(cfg).load(args.ckpt)
+        state = TrainState.open(args.ckpt, *_dims(cfg)).require("rpn")
 
     if args.mode == "no-reg":
         # proposals become the clipped raw anchors, ranked by objectness
@@ -290,7 +289,7 @@ def _retrain_recall(cfg: RunConfig, scenes, gt_boxes, p, args, **overrides):
     """A fresh RPN trained for `args.iters` under the run's config with the
     field `overrides`, and the recall curve of its top `args.n` proposals."""
     sub = replace(cfg, **overrides)
-    state = _build_models(sub)
+    state = TrainState.build(sub.seed, *_dims(sub), ("rpn",))
     train(scenes, state, sub.schedule(iters=args.iters), sub.loss_weights())
     props = [state.propose_scene(s, p)[1] for s in scenes]
     return state, recall_curve(props, gt_boxes, args.n)
@@ -333,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=300)
     p.set_defaults(fn=cmd_propose)
 
-    p = sub.add_parser("detect", help="run the full two-stage detector")
+    p = sub.add_parser("detect", help="run the detector a checkpoint holds")
     common(p)
     p.add_argument("--ckpt", required=True)
     p.add_argument("--data", required=True)

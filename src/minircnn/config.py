@@ -78,21 +78,17 @@ class RunConfig:
     }
 
     @staticmethod
-    def _key_to_field(key: str) -> str:
-        return key.replace(".", "_").replace("-", "_")
-
-    @staticmethod
     def _field_to_key(name: str) -> str:
         return name.replace("_", ".", 1) if "_" in name else name
 
     def set_key(self, key: str, value: str):
-        name = self._key_to_field(key)
-        valid = {f.name for f in fields(self)}
-        if name not in valid:
+        """Set the field that `key`, spelled as `to_text` writes it, names."""
+        name = {self._field_to_key(f.name): f.name for f in fields(self)}.get(key)
+        if name is None:
             raise KeyError(f"unknown config key: {key}")
         value = self._PARSERS.get(name, type(getattr(self, name)))(value)
         if name in self._IOU_FIELDS and not 0 <= value <= 1:
-            raise ValueError(f"{self._field_to_key(name)}={value} is outside [0, 1]")
+            raise ValueError(f"{key}={value} is outside [0, 1]")
         setattr(self, name, value)
 
     @classmethod

@@ -89,21 +89,30 @@ def save_checkpoint(params: list[Param], path):
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
+    """name -> array of a checkpoint; truncated or trailing bytes are rejected."""
     with open(path, "rb") as f:
+        def read(n: int) -> bytes:
+            data = f.read(n)
+            if len(data) < n:
+                raise ValueError(f"{path}: truncated after {f.tell()} bytes")
+            return data
+
         if f.read(4) != CHECKPOINT_MAGIC:
             raise ValueError(f"{path}: not a checkpoint file")
-        version, count = struct.unpack("<II", f.read(8))
+        version, count = struct.unpack("<II", read(8))
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"{path}: unsupported version {version}")
         out = {}
         for _ in range(count):
-            (nlen,) = struct.unpack("<H", f.read(2))
-            name = f.read(nlen).decode("utf-8")
-            (rank,) = struct.unpack("<B", f.read(1))
-            shape = struct.unpack(f"<{rank}I", f.read(4 * rank))
+            (nlen,) = struct.unpack("<H", read(2))
+            name = read(nlen).decode("utf-8")
+            (rank,) = struct.unpack("<B", read(1))
+            shape = struct.unpack(f"<{rank}I", read(4 * rank))
             n = int(np.prod(shape)) if rank else 1
-            data = np.frombuffer(f.read(4 * n), dtype="<f4").reshape(shape)
+            data = np.frombuffer(read(4 * n), dtype="<f4").reshape(shape)
             out[name] = data.astype(np.float32)
+        if f.read(1):
+            raise ValueError(f"{path}: trailing bytes after its {count} entries")
         return out
 
 

@@ -7,26 +7,17 @@ import numpy as np
 from . import tensor as T
 from .anchors import AnchorConfig, AnchorSet
 from .assignment import sample_fg_bg
-from .boxes import ScoredBox, encode_arr
+from .boxes import encode_arr
 from .dataio import Scene, image_to_input
-from .detector import RoiSampleConfig, check_classes, classwise_detections, label_boxes
+from .detector import RoiSampleConfig, check_classes, label_boxes
 from .nn import SgdConfig, multitask_loss, sgd_step
 from .rng import Rng
-from .rpn import Backbone, ConvHead, anchor_rows
-from .tensor import Tensor
+from .rpn import OneStageHead, anchor_rows  # noqa: F401  (OneStageHead re-exported)
 from .training import TrainSchedule, TrainState, _Feeder, require_steps
 
 import logging
 
 log = logging.getLogger(__name__)
-
-
-class OneStageHead(ConvHead):
-    """The sliding-window head with C object classes: per-class boxes per window."""
-
-    def __init__(self, rng: Rng, backbone_dim: int, k: int, n_classes: int,
-                 head_dim: int = 64):
-        super().__init__("onestage", rng, backbone_dim, k, n_classes, head_dim)
 
 
 def _assign_windows(aset: AnchorSet, scene: Scene, cfg: RoiSampleConfig):
@@ -51,10 +42,9 @@ def train_onestage(scenes: list[Scene], sched: TrainSchedule,
     if not scenes:
         raise ValueError("empty dataset")
     check_classes(scenes, n_classes)
-    init = Rng(sched.seed).substream("init")
-    backbone = Backbone(init, channels=channels)
-    head = OneStageHead(init, backbone.out_dim, anchor_cfg.k, n_classes, head_dim)
-    state = TrainState(backbone=backbone, onestage_head=head, anchor_cfg=anchor_cfg)
+    state = TrainState.build(sched.seed, anchor_cfg, channels, head_dim, n_classes,
+                             ("onestage",))
+    head = state.onestage_head
 
     rng = Rng(sched.seed)
     feeder = _Feeder(len(scenes), rng.substream("data"))
@@ -92,13 +82,3 @@ def train_onestage(scenes: list[Scene], sched: TrainSchedule,
         state.iteration += 1
     return require_steps(state, 0, sched, skip)
 
-
-def one_stage_detect(features: Tensor, head: OneStageHead, aset: AnchorSet,
-                     image_w: float, image_h: float, score_thresh: float = 0.05,
-                     nms_iou: float = 0.3, max_per_image: int = 100) -> list[ScoredBox]:
-    """Class-wise decode + NMS straight from the dense windows."""
-    cls, reg = head.forward(features)
-    probs = T.softmax(anchor_rows(cls, head.k, head.n_classes + 1).data, axis=1)
-    per_class = anchor_rows(reg, head.k, head.n_classes, 4).data
-    return classwise_detections(probs, per_class, aset.boxes, image_w, image_h,
-                                score_thresh, nms_iou, max_per_image)

@@ -85,6 +85,6 @@ class Rng:
 
     def choice(self, n: int, k: int) -> np.ndarray:
         """k distinct indices from range(n), in random order."""
-        if k > n:
+        if not 0 <= k <= n:
             raise ValueError(f"cannot choose {k} from {n}")
         return self.permutation(n)[:k]

@@ -1,5 +1,5 @@
-"""Region proposal head: shared backbone trunk, objectness/regression
-siblings, the two-term training loss, and proposal generation."""
+"""Shared backbone trunk, the sliding-window heads (RPN and one-stage), the
+RPN's two-term training loss, and proposal generation."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -135,6 +135,14 @@ class RpnHead(ConvHead):
 
     def __init__(self, rng: Rng, backbone_dim: int, k: int, head_dim: int = 64):
         super().__init__("rpn", rng, backbone_dim, k, 1, head_dim)
+
+
+class OneStageHead(ConvHead):
+    """The sliding-window head with C object classes: per-class boxes per window."""
+
+    def __init__(self, rng: Rng, backbone_dim: int, k: int, n_classes: int,
+                 head_dim: int = 64):
+        super().__init__("onestage", rng, backbone_dim, k, n_classes, head_dim)
 
 
 def anchor_rows(head_map, k: int, *per):

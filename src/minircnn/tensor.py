@@ -72,13 +72,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def sum(self):
-        return tsum(self)
-
-    def mean(self):
-        n = self.data.size
-        return mul(tsum(self), 1.0 / n)
-
     def reshape(self, *shape):
         return reshape(self, shape)
 

@@ -12,19 +12,24 @@ import numpy as np
 from .anchors import AnchorConfig, AnchorSet, grid_anchors, inside_mask
 from .assignment import NoLabeledAnchorsError, assign_labels, sample_minibatch
 from .dataio import Scene, image_to_input
-from .detector import (DetectorHead, RoiSampleConfig, check_classes,
-                       detector_forward, detector_loss, sample_rois)
+from .boxes import ScoredBox
+from .detector import (DetectorHead, RoiSampleConfig, check_classes, class_probs,
+                       classwise_detections, detect, detector_forward,
+                       detector_loss, sample_rois)
 from .nn import (Param, SgdConfig, load_checkpoint, restore_params,
                  save_checkpoint, sgd_step)
 from .rng import Rng
-from .rpn import (Backbone, LossWeights, ProposalParams, RpnHead, propose_arrays,
-                  rpn_loss)
+from .rpn import (Backbone, LossWeights, OneStageHead, ProposalParams, RpnHead,
+                  anchor_rows, propose_arrays, rpn_loss)
 from .tensor import Tensor
 
 log = logging.getLogger(__name__)
 
 # proposals per image that the detector trains on
 TRAIN_PROPOSALS = ProposalParams(post_nms_top=2000, pre_nms_top=6000)
+
+# the heads a model may hold, in checkpoint order; each owns the entries `<head>.*`
+HEADS = ("rpn", "det", "onestage")
 
 
 @dataclass
@@ -54,7 +59,7 @@ class TrainState:
     backbone: Backbone
     rpn_head: RpnHead | None = None
     det_head: DetectorHead | None = None
-    onestage_head: object | None = None
+    onestage_head: OneStageHead | None = None
     anchor_cfg: AnchorConfig = field(default_factory=AnchorConfig)
     shared_frozen: bool = False
     iteration: int = 0
@@ -62,16 +67,52 @@ class TrainState:
     _anchor_sets: dict = field(default_factory=dict, init=False, repr=False,
                                compare=False)
 
+    @classmethod
+    def build(cls, seed: int, anchor_cfg: AnchorConfig, channels, head_dim: int,
+              n_classes: int, heads) -> "TrainState":
+        """A backbone and the named `heads`, drawn from the seed's "init"
+        stream in checkpoint order."""
+        init = Rng(seed).substream("init")
+        bb = Backbone(init, channels=channels)
+        make = {"rpn": lambda: RpnHead(init, bb.out_dim, anchor_cfg.k, head_dim),
+                "det": lambda: DetectorHead(init, bb.out_dim, n_classes),
+                "onestage": lambda: OneStageHead(init, bb.out_dim, anchor_cfg.k,
+                                                 n_classes, head_dim)}
+        return cls(bb, anchor_cfg=anchor_cfg, **{
+            f"{h}_head": make[h]() for h in sorted(heads, key=HEADS.index)})
+
+    @classmethod
+    def open(cls, path, anchor_cfg: AnchorConfig, channels, head_dim: int,
+             n_classes: int) -> "TrainState":
+        """The backbone and each head that owns an entry of checkpoint `path`,
+        restored; any entry left over, missing or misshapen is an error."""
+        saved = load_checkpoint(path)
+        state = cls.build(0, anchor_cfg, channels, head_dim, n_classes,
+                          {name.split(".")[0] for name in saved} & set(HEADS))
+        try:
+            restore_params(state.params, saved)
+        except (KeyError, ValueError) as exc:
+            raise ValueError(f"{path}: {exc.args[0]}") from None
+        stray = saved.keys() - {p.name for p in state.params}
+        if stray:
+            raise ValueError(f"{path}: entry '{min(stray)}' belongs to no head")
+        return state
+
+    def require(self, *heads: str) -> "TrainState":
+        """This state, or an error naming the first of `heads` it lacks."""
+        held = [h for h in HEADS if getattr(self, f"{h}_head") is not None]
+        missing = [h for h in heads if h not in held]
+        if missing:
+            raise ValueError(f"the model has no '{missing[0]}' head; it holds "
+                             f"{', '.join(['backbone', *held])}")
+        return self
+
     @property
     def params(self) -> list[Param]:
         """Backbone parameters, then each present head's, in checkpoint order."""
         heads = (self.rpn_head, self.det_head, self.onestage_head)
         return self.backbone.params + [p for h in heads if h is not None
                                        for p in h.params]
-
-    def load(self, path) -> "TrainState":
-        restore_params(self.params, load_checkpoint(path))
-        return self
 
     def anchors(self, image_w: int, image_h: int) -> AnchorSet:
         """Anchors over the backbone's feature grid for this image size, with
@@ -106,6 +147,21 @@ class TrainState:
         feats, cls, reg = self.rpn_forward(image_to_input(scene.image))
         return (feats, *self.propose(cls.data, reg.data, scene.width, scene.height, p))
 
+    def detect(self, scene: Scene, p: ProposalParams, score_thresh: float,
+               nms_iou: float, max_per_image: int) -> list[ScoredBox]:
+        """One scene's detections by the detector the model holds: Fast R-CNN
+        on the RPN's `p` proposals, or the one-stage head on its dense windows."""
+        post = (scene.width, scene.height, score_thresh, nms_iou, max_per_image)
+        if self.det_head is None and self.onestage_head is not None:
+            head = self.onestage_head
+            cls, reg = head.forward(self.features(image_to_input(scene.image)))
+            return classwise_detections(
+                class_probs(anchor_rows(cls, head.k, head.n_classes + 1)),
+                anchor_rows(reg, head.k, head.n_classes, 4).data,
+                self.anchors(scene.width, scene.height).boxes, *post)
+        feats, boxes, _ = self.require("det", "rpn").propose_scene(scene, p)
+        return detect(feats, boxes, self.det_head, 1.0 / self.backbone.stride, *post)
+
 
 def backbone_checksum(backbone: Backbone) -> str:
     h = hashlib.sha256()
@@ -118,11 +174,7 @@ def _log_csv(rows: list[dict], path):
     if not rows:
         Path(path).write_text("")
         return
-    keys = []
-    for r in rows:
-        for k in r:
-            if k not in keys:
-                keys.append(k)
+    keys = list(dict.fromkeys(k for r in rows for k in r))   # first-seen order
     lines = [",".join(keys)]
     for r in rows:
         lines.append(",".join(
@@ -291,12 +343,8 @@ def joint_train(scenes: list[Scene], sched: TrainSchedule, anchor_cfg: AnchorCon
                 channels=(16, 32, 64, 64)) -> TrainState:
     """Approximate joint training: a fresh backbone, RPN head and detector
     head, trained together by `train` on the RPN's own proposals."""
-    init = Rng(sched.seed).substream("init")
-    backbone = Backbone(init, channels=channels)
-    rpn_head = RpnHead(init, backbone.out_dim, anchor_cfg.k, head_dim)
-    det_head = DetectorHead(init, backbone.out_dim, n_classes)
-    state = TrainState(backbone=backbone, rpn_head=rpn_head, det_head=det_head,
-                       anchor_cfg=anchor_cfg)
+    state = TrainState.build(sched.seed, anchor_cfg, channels, head_dim, n_classes,
+                             ("rpn", "det"))
     return train(scenes, state, sched, weights, roi_cfg, train_proposals=train_proposals)
 
 

@@ -20,7 +20,7 @@ from minircnn.dataio import image_to_input, make_scene
 from minircnn.detector import RoiBatch, RoiSampleConfig, detect, detector_loss
 from minircnn.evaluation import bench, mean_ap, recall_curve
 from minircnn.nn import load_checkpoint
-from minircnn.onestage import one_stage_detect, train_onestage
+from minircnn.onestage import train_onestage
 from minircnn.rng import Rng
 from minircnn.rpn import (Backbone, LossWeights, ProposalParams, RpnHead,
                           propose_arrays, rpn_loss)
@@ -99,17 +99,9 @@ def matched_pair(shapes_data, tmp_path_factory):
     test_props = ProposalParams(pre_nms_top=6000, post_nms_top=300)
     aset = grid_anchors(ACFG, IMAGE_SIZE // 8, IMAGE_SIZE // 8)
 
-    dets_two, dets_one = [], []
-    for s in test:
-        feats2 = two.backbone.forward(Tensor(image_to_input(s.image)))
-        cls, reg = two.rpn_head.forward(feats2)
-        boxes, _ = propose_arrays(cls.data, reg.data, aset, s.width, s.height,
-                                  test_props)
-        dets_two.append(detect(feats2, boxes, two.det_head, 1 / 8,
-                               s.width, s.height))
-        feats1 = one.backbone.forward(Tensor(image_to_input(s.image)))
-        dets_one.append(one_stage_detect(feats1, one.onestage_head, aset,
-                                         s.width, s.height))
+    # score threshold 0.05, NMS IoU 0.3, at most 100 detections per image
+    dets_two = [two.detect(s, test_props, 0.05, 0.3, 100) for s in test]
+    dets_one = [one.detect(s, test_props, 0.05, 0.3, 100) for s in test]
     map_two, _ = mean_ap(dets_two, gt_boxes, gt_classes, [1, 2, 3])
     map_one, _ = mean_ap(dets_one, gt_boxes, gt_classes, [1, 2, 3])
     return {"two": two, "one": one, "map_two": map_two, "map_one": map_one,

@@ -15,6 +15,9 @@ import minircnn
 from minircnn import anchors, training
 from minircnn.cli import run
 from minircnn.config import RunConfig
+from minircnn.dataio import load_manifest
+from minircnn.nn import Param, load_checkpoint, save_checkpoint
+from minircnn.training import TrainState
 
 # One tiny shared config: small images, tiny backbone/heads, few anchors.
 TINY = [
@@ -51,6 +54,14 @@ def rpn_run(dataset, tmp_path_factory):
 def alt_run(dataset, tmp_path_factory):
     out = tmp_path_factory.mktemp("alt")
     assert run(["train-alt", "--out", str(out), "--data", str(dataset),
+                "--iters", "4", *TINY, "--seed", "11"]) == 0
+    return out
+
+
+@pytest.fixture(scope="module")
+def onestage_run(dataset, tmp_path_factory):
+    out = tmp_path_factory.mktemp("onestage")
+    assert run(["train-onestage", "--out", str(out), "--data", str(dataset),
                 "--iters", "4", *TINY, "--seed", "11"]) == 0
     return out
 
@@ -154,6 +165,82 @@ class TestInferenceCommands:
             ["conv", "proposal", "region-wise", "total", "rate_images_per_sec"]
 
 
+class TestCheckpointHeads:
+    """A checkpoint opens as the heads it holds; `detect` runs either
+    detector, and a command that needs a head the file lacks names it."""
+
+    def test_detect_on_a_onestage_checkpoint(self, dataset, onestage_run, tmp_path):
+        ckpt = onestage_run / "onestage.frpn"
+        assert run(["detect", "--out", str(tmp_path / "dets"), "--ckpt", str(ckpt),
+                    "--data", str(dataset), *TINY, "--seed", "11"]) == 0
+        cfg = RunConfig.from_file(tmp_path / "dets" / "config.txt")
+        state = TrainState.open(ckpt, cfg.anchor_config(), cfg.backbone_channels,
+                                cfg.rpn_head_dim, cfg.detector_n_classes)
+        assert state.onestage_head is not None and state.det_head is None
+        m = load_manifest(dataset / "manifest.jsonl")
+        want = ["image,class,score,x1,y1,x2,y2"]
+        for s in (m.load_scene(i) for i in range(len(m))):
+            want += [f"{s.path},{d.class_id},{d.score:.9g},{d.box.x1:.9g},"
+                     f"{d.box.y1:.9g},{d.box.x2:.9g},{d.box.y2:.9g}"
+                     for d in state.detect(s, cfg.proposal_params(train=False),
+                                           cfg.detector_score_thresh,
+                                           cfg.detector_nms_iou,
+                                           cfg.detector_max_per_image)]
+        assert len(want) > 1
+        assert (tmp_path / "dets" / "detections.csv").read_text() == \
+            "\n".join(want) + "\n"
+        assert run(["eval-map", "--out", str(tmp_path / "map"), "--detections",
+                    str(tmp_path / "dets" / "detections.csv"), "--manifest",
+                    str(dataset / "manifest.jsonl"), *TINY, "--seed", "11"]) == 0
+        assert (tmp_path / "map" / "map.csv").read_text().split("\n")[-2] \
+            .startswith("mAP,")
+
+    @pytest.mark.parametrize("command,ckpt,head", [
+        (["detect"], "rpn/rpn.frpn", "det"),
+        (["detect"], "alt/step2.frpn", "rpn"),
+        (["propose"], "onestage/onestage.frpn", "rpn"),
+        (["bench", "--n-warmup", "0", "--n-timed", "1"], "onestage/onestage.frpn",
+         "rpn"),
+        (["bench", "--n-warmup", "0", "--n-timed", "1"], "rpn/rpn.frpn", "det"),
+        (["ablate", "--mode", "no-reg"], "onestage/onestage.frpn", "rpn"),
+        (["ablate", "--mode", "no-cls"], "onestage/onestage.frpn", "rpn"),
+        (["ablate", "--mode", "n-sweep"], "onestage/onestage.frpn", "rpn"),
+    ], ids=["detect-rpn", "detect-step2", "propose-onestage", "bench-onestage",
+            "bench-rpn", "no-reg-onestage", "no-cls-onestage", "n-sweep-onestage"])
+    def test_missing_head_is_named(self, dataset, rpn_run, alt_run, onestage_run,
+                                   tmp_path, capsys, command, ckpt, head):
+        runs = {"rpn": rpn_run, "alt": alt_run, "onestage": onestage_run}
+        run_dir, name = ckpt.split("/")
+        assert run([*command, "--out", str(tmp_path), "--ckpt",
+                    str(runs[run_dir] / name), "--data", str(dataset), *TINY,
+                    "--seed", "11"]) == 1
+        err = capsys.readouterr().err
+        assert f"the model has no '{head}' head" in err and "NoneType" not in err
+
+    @pytest.mark.parametrize("entry", ["rpn.extra.w", "fpn.w"])
+    def test_entry_no_head_owns_is_named(self, dataset, rpn_run, tmp_path, capsys,
+                                         entry):
+        saved = load_checkpoint(rpn_run / "rpn.frpn")
+        ckpt = tmp_path / "extra.frpn"
+        save_checkpoint([Param(n, v) for n, v in saved.items()] +
+                        [Param(entry, np.zeros(3))], ckpt)
+        assert run(["propose", "--out", str(tmp_path / "p"), "--ckpt", str(ckpt),
+                    "--data", str(dataset), "--n", "10", *TINY]) == 1
+        assert f"{ckpt}: entry '{entry}' belongs to no head" in \
+            capsys.readouterr().err
+
+    @pytest.mark.parametrize("damage,message", [("truncate", "truncated after"),
+                                                ("append", "trailing bytes")])
+    def test_damaged_checkpoint_is_named(self, dataset, rpn_run, tmp_path, capsys,
+                                         damage, message):
+        raw = (rpn_run / "rpn.frpn").read_bytes()
+        ckpt = tmp_path / "damaged.frpn"
+        ckpt.write_bytes(raw[:-7] if damage == "truncate" else raw + b"\x00")
+        assert run(["propose", "--out", str(tmp_path / "p"), "--ckpt", str(ckpt),
+                    "--data", str(dataset), "--n", "10", *TINY]) == 1
+        assert f"{ckpt}: {message}" in capsys.readouterr().err
+
+
 def count_calls(monkeypatch, fn) -> list:
     """Route every minircnn module's binding of `fn` through a call recorder."""
     calls = []
@@ -173,24 +260,32 @@ def count_calls(monkeypatch, fn) -> list:
 class TestEvalRowsRejected:
     """eval-recall and eval-map reject a row they cannot use, naming file:line."""
 
-    @pytest.mark.parametrize("row", [
-        "images/unknown.ppm,1,0.9,1,1,5,5",
-        "{image},1,0.9,nan,1,5,5",
-        "{image},1,0.9,1,1,5,inf",
-        "{image},1,0.9,6,1,5,5",
-        "{image},1,0.9,1,6,5,5",
-    ], ids=["unknown-image", "nan", "inf", "x1>x2", "y1>y2"])
-    def test_bad_row_names_the_line(self, dataset, tmp_path, capsys, row):
+    BOTH = ("eval-recall", "eval-map")
+
+    @pytest.mark.parametrize("row,commands", [
+        ("images/unknown.ppm,1,0.9,1,1,5,5", BOTH),
+        ("{image},1,0.9,nan,1,5,5", BOTH),
+        ("{image},1,0.9,1,1,5,inf", BOTH),
+        ("{image},1,0.9,6,1,5,5", BOTH),
+        ("{image},1,0.9,1,6,5,5", BOTH),
+        ("{image},1,1.5,1,1,5,5", BOTH),
+        ("{image},1,0.9,abc,1,5,5", BOTH),
+        ("{image},1,0.9,1,1,5", BOTH),
+        ("{image},9,0.9,1,1,5,5", ("eval-map",)),    # TINY holds 3 classes
+        ("{image},1.0,0.9,1,1,5,5", ("eval-map",)),
+    ], ids=["unknown-image", "nan", "inf", "x1>x2", "y1>y2", "score>1",
+            "x1-not-a-number", "short-row", "class>C", "class-not-an-int"])
+    def test_bad_row_names_the_line(self, dataset, tmp_path, capsys, row, commands):
         image = json.loads((dataset / "manifest.jsonl").read_text()
                            .splitlines()[0])["image"]
         csv = tmp_path / "rows.csv"
         csv.write_text(f"image,class,score,x1,y1,x2,y2\n{image},1,0.9,1,1,5,5\n"
                        f"{row.format(image=image)}\n")
         manifest = str(dataset / "manifest.jsonl")
-        for command in (["eval-recall", "--proposals", str(csv)],
-                        ["eval-map", "--detections", str(csv)]):
-            assert run([*command, "--manifest", manifest, "--out",
-                        str(tmp_path / "out"), *TINY]) == 1, command
+        flags = {"eval-recall": "--proposals", "eval-map": "--detections"}
+        for command in commands:
+            assert run([command, flags[command], str(csv), "--manifest", manifest,
+                        "--out", str(tmp_path / "out"), *TINY]) == 1, command
             assert f"{csv}:3: " in capsys.readouterr().err, command
 
 
@@ -324,6 +419,17 @@ class TestRpnMaxPosRejected:
             assert "rpn.max_pos" in capsys.readouterr().err
 
 
+class TestRoisPerImageRejected:
+    @pytest.mark.parametrize("value", ["0", "-4"])
+    def test_below_one_names_the_key(self, dataset, tmp_path, capsys, value):
+        for command in ("train-alt", "train-joint", "train-onestage"):
+            assert run([command, "--out", str(tmp_path), "--data", str(dataset),
+                        "--iters", "1", *TINY, "--set", "detector.rois_per_image",
+                        value]) == 1
+            assert f"detector.rois_per_image={value} is below 1" in \
+                capsys.readouterr().err
+
+
 class TestIouKeysRejected:
     """An IoU key outside [0, 1] fails before any work, naming the key."""
 
@@ -400,6 +506,13 @@ class TestExitCodes:
     def test_unknown_config_key_rejected(self, tmp_path):
         assert run(["gen-data", "--out", str(tmp_path), "--n", "1",
                     "--set", "no.such.key", "1"]) == 1
+
+    @pytest.mark.parametrize("key", ["rpn.head.dim", "rpn-head-dim", "rpn_head_dim",
+                                     "data.image.size"])
+    def test_only_the_written_spelling_of_a_key(self, tmp_path, capsys, key):
+        assert run(["gen-data", "--out", str(tmp_path), "--n", "1",
+                    "--set", key, "8"]) == 1
+        assert f"unknown config key: {key}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key", ["threads", "data.rescale_side",
                                      "eval.n_proposals", "anchors.stride"])

@@ -153,6 +153,11 @@ class TestLabelBoxes:
         with pytest.raises(ValueError, match="fg_iou"):
             RoiSampleConfig(fg_iou=fg_iou)
 
+    @pytest.mark.parametrize("n", [0, -4])
+    def test_rois_per_image_below_one_rejected(self, n):
+        with pytest.raises(ValueError, match=f"detector.rois_per_image={n} is below 1"):
+            RoiSampleConfig(rois_per_image=n)
+
     @pytest.mark.parametrize("cls", [0, 4])
     def test_check_classes_names_the_image(self, cls):
         ok = Scene(np.zeros((8, 8, 3), np.uint8), self.GT, self.CLS, path="a.ppm")

@@ -1,5 +1,5 @@
 """One home for each idea the heads share: the two-term loss, the IoU
-labelling, the sliding-window head and the RPN objective."""
+labelling, the sliding-window head, the RPN objective and the model object."""
 
 import ast
 from pathlib import Path
@@ -81,3 +81,35 @@ def test_rpn_objective_lives_in_loss_weights():
     assert "rpn_sampling" not in members("RunConfig")
     assert "n_cls" not in members("LossWeights")
     assert {"lam", "batch", "max_pos", "pos_iou", "neg_iou"} <= members("LossWeights")
+
+
+def test_one_place_builds_and_opens_the_model():
+    """The backbone and heads are drawn only by `TrainState.build` (and by
+    the 4-step scheme, whose two backbones share one stream); a checkpoint
+    is read only by `TrainState.open`."""
+    build, four_step = "training.TrainState.build", "training.alternate_4step"
+    for cls in ("Backbone", "RpnHead", "DetectorHead", "OneStageHead"):
+        scopes = call_scopes(cls)
+        assert build in scopes and scopes <= {build, four_step}, (cls, scopes)
+    assert call_scopes("load_checkpoint") == {"training.TrainState.open"}
+
+
+def test_the_per_caller_model_paths_are_gone():
+    names = set()
+    for tree in modules().values():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.arg):
+                names.add(node.arg)
+            elif isinstance(node, ast.keyword):
+                names.add(node.arg)
+    assert not {"one_stage_detect", "_build_models", "want_det"} & names
+    assert "load" not in {d.name for tree in modules().values()
+                          for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+                          and c.name == "TrainState"
+                          for d in c.body if isinstance(d, ast.FunctionDef)}

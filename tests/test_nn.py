@@ -169,3 +169,22 @@ class TestCheckpoint:
         path.write_bytes(b"XXXX" + b"\x00" * 20)
         with pytest.raises(ValueError):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("keep", [6, 13, 20, -5, -1])
+    def test_truncated_file_rejected(self, tmp_path, keep):
+        # inside the header, a name, a shape and the data
+        path = tmp_path / "ck.frpn"
+        save_checkpoint(self._params(), path)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:keep])
+        with pytest.raises(ValueError, match=f"ck.frpn: truncated after "
+                           f"{len(raw[:keep])} bytes"):
+            load_checkpoint(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "ck.frpn"
+        save_checkpoint(self._params(), path)
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(ValueError, match="ck.frpn: trailing bytes after its 2 "
+                           "entries"):
+            load_checkpoint(path)

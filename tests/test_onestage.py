@@ -5,18 +5,14 @@ import pytest
 
 from minircnn import onestage
 from minircnn import tensor as T
-from minircnn.anchors import AnchorConfig, grid_anchors, inside_mask
-from minircnn.dataio import make_scene
-from minircnn.detector import RoiSampleConfig
-from minircnn.onestage import (
-    OneStageHead,
-    one_stage_detect,
-    train_onestage,
-)
+from minircnn.anchors import AnchorConfig, grid_anchors
+from minircnn.dataio import image_to_input, make_scene
+from minircnn.detector import RoiSampleConfig, classwise_detections
+from minircnn.onestage import OneStageHead, train_onestage
 from minircnn.rng import Rng
-from minircnn.rpn import Backbone, ConvHead, anchor_rows
+from minircnn.rpn import ConvHead, ProposalParams, anchor_rows
 from minircnn.tensor import Tensor
-from minircnn.training import TrainSchedule
+from minircnn.training import TrainSchedule, TrainState
 
 K = 4        # 2 scales x 2 ratios in the micro config below
 C = 3
@@ -77,7 +73,7 @@ class TestHeadShapes:
 
 def dense_candidate_count(aset) -> int:
     """Class-specific boxes the head emits over the anchor set's grid, one
-    per window and class, as `one_stage_detect` scores them before NMS."""
+    per window and class, as `TrainState.detect` scores them before NMS."""
     head, dim = make_head()
     _, reg = head.forward(Tensor(np.zeros((dim, aset.feature_h, aset.feature_w),
                                           dtype=np.float32)))
@@ -99,19 +95,19 @@ class TestDenseCount:
 
 
 class TestDetect:
+    """`TrainState.detect` on a model that holds the one-stage head only."""
+
     def setup_method(self):
-        self.rng = Rng(5, "init")
-        self.backbone = Backbone(self.rng)
-        self.head = OneStageHead(self.rng, self.backbone.out_dim, K, C,
-                                 head_dim=8)
-        self.aset = grid_anchors(ACFG, 8, 8)
-        inside_mask(self.aset, 64, 64)
-        feats = np.random.default_rng(3).normal(size=(self.backbone.out_dim, 8, 8))
-        self.feats = Tensor(feats.astype(np.float32))
+        self.state = TrainState.build(5, ACFG, (16, 32, 64, 64), 8, C,
+                                      ("onestage",))
+        self.scene = make_scene(Rng(3, "data"), image_size=64)
+
+    def detect(self, score_thresh, max_per_image=100):
+        return self.state.detect(self.scene, ProposalParams(), score_thresh, 0.3,
+                                 max_per_image)
 
     def test_output_invariants(self):
-        dets = one_stage_detect(self.feats, self.head, self.aset, 64, 64,
-                                score_thresh=0.0, max_per_image=50)
+        dets = self.detect(score_thresh=0.0, max_per_image=50)
         assert 0 < len(dets) <= 50
         scores = [d.score for d in dets]
         assert scores == sorted(scores, reverse=True)
@@ -121,15 +117,21 @@ class TestDetect:
             assert 0 <= d.box.y1 <= d.box.y2 <= 64
 
     def test_impossible_threshold_empty(self):
-        assert one_stage_detect(self.feats, self.head, self.aset, 64, 64,
-                                score_thresh=1.01) == []
+        assert self.detect(score_thresh=1.01) == []
 
     def test_deterministic(self):
-        a = one_stage_detect(self.feats, self.head, self.aset, 64, 64,
-                             score_thresh=0.0)
-        b = one_stage_detect(self.feats, self.head, self.aset, 64, 64,
-                             score_thresh=0.0)
-        assert a == b
+        assert self.detect(score_thresh=0.0) == self.detect(score_thresh=0.0)
+
+    def test_scores_the_dense_windows(self):
+        # every window of the anchor grid is a candidate, as no proposal
+        # stage runs: the class-wise post-process of the head's own outputs
+        head = self.state.onestage_head
+        cls, reg = head.forward(self.state.features(image_to_input(self.scene.image)))
+        want = classwise_detections(
+            T.softmax(anchor_rows(cls, K, C + 1).data, axis=1),
+            anchor_rows(reg, K, C, 4).data, self.state.anchors(64, 64).boxes,
+            64, 64, 0.0, 0.3, 100)
+        assert self.detect(score_thresh=0.0) == want
 
 
 class TestTraining:

@@ -65,6 +65,11 @@ class TestDistributions:
         assert len(set(c.tolist())) == 20
         assert c.min() >= 0 and c.max() < 50
 
+    @pytest.mark.parametrize("k", [-1, 51])
+    def test_choice_outside_0_to_n_rejected(self, k):
+        with pytest.raises(ValueError, match=f"cannot choose {k} from 50"):
+            Rng(1, "sampling").choice(50, k)
+
 
 class TestPermutationMatchesLoop:
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 17, 256, 2409])

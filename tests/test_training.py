@@ -1,5 +1,7 @@
 """Training loops: schedules, determinism, freezing, and the 4-step scheme."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from minircnn import training
 from minircnn.anchors import AnchorConfig
 from minircnn.dataio import make_scene
 from minircnn.detector import DetectorHead, RoiSampleConfig
-from minircnn.nn import save_checkpoint
+from minircnn.nn import Param, save_checkpoint
 from minircnn.rng import Rng
 from minircnn.rpn import Backbone, LossWeights, ProposalParams, RpnHead
 from minircnn.training import (
@@ -182,6 +184,61 @@ class TestJointTrain:
                             ACFG, WEIGHTS, ROI, n_classes=3, head_dim=8,
                             train_proposals=PROPS) for _ in range(2)]
         assert_states_equal(*runs)
+
+
+CH = (4, 8, 8, 8)
+
+
+class TestBuildAndOpen:
+    """`TrainState.build` draws a model, `TrainState.open` reads one back."""
+
+    def test_build_draws_as_the_heads_did(self):
+        init = Rng(3, "init")
+        bb = Backbone(init, channels=CH)
+        rpn = RpnHead(init, bb.out_dim, ACFG.k, 8)
+        det = DetectorHead(init, bb.out_dim, 3)
+        want = TrainState(backbone=bb, rpn_head=rpn, det_head=det)
+        # heads are drawn in checkpoint order, whatever order they are named in
+        assert_states_equal(TrainState.build(3, ACFG, CH, 8, 3, ("det", "rpn")), want)
+
+    @pytest.mark.parametrize("heads", [("rpn",), ("det",), ("rpn", "det"),
+                                       ("onestage",)])
+    def test_open_holds_the_heads_saved(self, tmp_path, heads):
+        built = TrainState.build(4, ACFG, CH, 8, 3, heads)
+        save_checkpoint(built.params, tmp_path / "m.frpn")
+        opened = TrainState.open(tmp_path / "m.frpn", ACFG, CH, 8, 3)
+        assert_states_equal(opened, built)
+        assert opened.anchor_cfg == ACFG
+
+    def test_open_rejects_an_entry_no_head_owns(self, tmp_path):
+        params = TrainState.build(4, ACFG, CH, 8, 3, ("rpn",)).params
+        path = tmp_path / "m.frpn"
+        save_checkpoint(params + [Param("rpn.extra.w", np.zeros(2))], path)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: entry 'rpn.extra.w' "
+                                                  "belongs to no head")):
+            TrainState.open(path, ACFG, CH, 8, 3)
+
+    def test_open_names_the_file_of_a_missing_or_misshapen_parameter(self, tmp_path):
+        params = TrainState.build(4, ACFG, CH, 8, 3, ("rpn", "det")).params
+        path = tmp_path / "m.frpn"
+        save_checkpoint([p for p in params if p.name != "det.reg.b"], path)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: ") + ".*'det.reg.b'"):
+            TrainState.open(path, ACFG, CH, 8, 3)
+        save_checkpoint(params, path)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: shape mismatch")):
+            TrainState.open(path, ACFG, CH, 8, 5)
+
+    def test_require_names_the_missing_head(self):
+        state = TrainState.build(4, ACFG, CH, 8, 3, ("det",))
+        assert state.require("det") is state
+        with pytest.raises(ValueError, match="no 'rpn' head; it holds backbone, det"):
+            state.require("det", "rpn")
+
+    @pytest.mark.parametrize("heads,missing", [(("rpn",), "det"), (("det",), "rpn")])
+    def test_two_stage_detect_needs_both_heads(self, heads, missing):
+        state = TrainState.build(4, ACFG, CH, 8, 3, heads)
+        with pytest.raises(ValueError, match=f"no '{missing}' head"):
+            state.detect(scenes(1)[0], PROPS, 0.05, 0.3, 100)
 
 
 class TestLossLogCsv:
