@@ -260,49 +260,95 @@ def _corr(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.tensordot(w, win, axes=([1, 2, 3], [0, 3, 4]))
 
 
+def _window_rows(x: np.ndarray, KH: int, KW: int) -> np.ndarray:
+    """x's (C,KH,KW) windows as the (Ho*Wo, C*KH*KW) matrix np.tensordot
+    would multiply: a view if the reshape allows one, else a C-order copy,
+    filled per kernel offset from an (H,W,C) copy of x (faster than copying
+    the window view itself, whose inner runs are only KW long)."""
+    C = x.shape[0]
+    win = sliding_window_view(x, (KH, KW), axis=(1, 2))
+    Ho, Wo = win.shape[1], win.shape[2]
+    try:
+        return win.transpose(1, 2, 0, 3, 4).reshape(Ho * Wo, -1, copy=False)
+    except ValueError:
+        xt = np.ascontiguousarray(x.transpose(1, 2, 0))
+        rows = np.empty((Ho, Wo, C, KH, KW), dtype=x.dtype)
+        for u in range(KH):
+            for v in range(KW):
+                rows[:, :, :, u, v] = xt[u:u + Ho, v:v + Wo]
+        return rows.reshape(Ho * Wo, -1)
+
+
 def conv2d(x: Tensor, w: Tensor, b: Tensor, pad: int = 0) -> Tensor:
-    """Stride-1 convolution, x:(C,H,W), w:(O,C,KH,KW), b:(O,) -> (O,Ho,Wo)."""
+    """Stride-1 convolution, x:(C,H,W), w:(O,C,KH,KW), b:(O,) -> (O,Ho,Wo).
+
+    y and dx are valid correlations (`_corr`). dW is one GEMM of g against
+    the padded input's window rows, built only in backward and laid out as
+    np.tensordot lays them out, so that BLAS takes the same path and dW
+    keeps its bytes.
+    """
     C, H, W = x.shape
-    _, Cw, KH, KW = w.shape
+    O, Cw, KH, KW = w.shape
     if Cw != C:
         raise ShapeError(f"conv2d: input has {C} channels, weight expects {Cw}")
     xp = np.pad(x.data, ((0, 0), (pad, pad), (pad, pad))) if pad else x.data
-    win = sliding_window_view(xp, (KH, KW), axis=(1, 2))
-    y = np.tensordot(w.data, win, axes=([1, 2, 3], [0, 3, 4])) + b.data[:, None, None]
+    y = _corr(xp, w.data) + b.data[:, None, None]
 
     def bwd(g):
         _accum(b, g.sum(axis=(1, 2)))
-        _accum(w, np.tensordot(g, win, axes=([1, 2], [1, 2])))
+        _accum(w, np.dot(g.reshape(O, -1), _window_rows(xp, KH, KW)).reshape(w.shape))
         if x.requires_grad or x._backward is not None:
             gp = np.pad(g, ((0, 0), (KH - 1, KH - 1), (KW - 1, KW - 1)))
             wf = w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)  # (C,O,KH,KW)
-            dxp = _corr(gp, wf)
-            _accum(x, dxp[:, pad:pad + H, pad:pad + W])
+            _accum(x, _corr(gp, wf)[:, pad:pad + H, pad:pad + W])
 
     return _make(y, (x, w, b), bwd)
 
 
 def maxpool2x2(x: Tensor) -> Tensor:
-    """Non-overlapping 2x2 max pooling; odd extents padded with -inf."""
+    """Non-overlapping 2x2 max pooling; odd extents padded with -inf.
+
+    Each output is the cell np.argmax would pick from its window: the first
+    maximum in row-major order, NaN before any number. It is the np.maximum
+    of the four stride-2 quarters, re-read from the first equal or NaN
+    quarter where that maximum is NaN or, if the input holds a sign bit,
+    zero (np.maximum may return either zero of a -0.0/+0.0 tie). Backward
+    rebuilds each quarter's first-hit mask from y and gives that quarter's
+    cells g's bits where it hits and +0.0 elsewhere.
+    """
     C, H, W = x.shape
     d = x.data
     if H % 2 or W % 2:
         d = np.pad(d, ((0, 0), (0, H % 2), (0, W % 2)), constant_values=-np.inf)
-    Hp, Wp = d.shape[1], d.shape[2]
-    Ho, Wo = Hp // 2, Wp // 2
-    v = d.reshape(C, Ho, 2, Wo, 2).transpose(0, 1, 3, 2, 4).reshape(C, Ho, Wo, 4)
-    idx = v.argmax(axis=3)
-    y = np.take_along_axis(v, idx[..., None], axis=3)[..., 0]
+    corners = ((0, 0), (0, 1), (1, 0), (1, 1))      # row-major within a window
+    quarters = [d[:, i::2, j::2] for i, j in corners]
+    y = np.maximum(np.maximum(quarters[0], quarters[1]),
+                   np.maximum(quarters[2], quarters[3]))
+    fix = y != y
+    has_nan = fix.any()
+    if np.signbit(d).any():        # else no window holds a -0.0
+        fix |= y == 0
+    fix = np.nonzero(fix)
+    if fix[0].size:
+        ys = y[fix]
+        for q in reversed(quarters):
+            qs = q[fix]
+            np.copyto(ys, qs, where=(qs == ys) | (qs != qs))
+        y[fix] = ys
 
     def bwd(g):
-        rows = 2 * np.arange(Ho)[None, :, None] + idx // 2
-        cols = 2 * np.arange(Wo)[None, None, :] + idx % 2
-        keep = (rows < H) & (cols < W)
-        dx = np.zeros_like(x.data).reshape(C, H * W)
-        flat = rows * W + cols
-        c = np.broadcast_to(np.arange(C)[:, None, None], idx.shape)
-        dx[c[keep], flat[keep]] = g[keep]
-        _accum(x, dx.reshape(C, H, W))
+        bits = np.dtype(f"u{x.dtype.itemsize}")
+        dx = np.empty(d.shape, dtype=x.dtype)
+        free = np.ones(y.shape, dtype=bool)
+        for (i, j), q in zip(corners, quarters):
+            hit = q == y
+            if has_nan:
+                hit |= q != q
+            hit &= free
+            free ^= hit
+            np.bitwise_and(g.view(bits), np.negative(hit, dtype=bits),
+                           out=dx[:, i::2, j::2].view(bits))
+        _accum(x, dx[:, :H, :W])
 
     return _make(y, (x,), bwd)
 

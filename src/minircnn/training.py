@@ -6,6 +6,7 @@ import hashlib
 import logging
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -51,6 +52,11 @@ class TrainSchedule:
         return self.lr if iteration < self.lr_drop_at else self.lr * 0.1
 
 
+# the init stream of a model whose every parameter is restored next: zeros
+# in place of normals, so nothing is drawn
+_RESTORED = SimpleNamespace(normal=np.zeros)
+
+
 @dataclass
 class TrainState:
     """The model: one backbone whose features the optional heads share, the
@@ -72,7 +78,14 @@ class TrainState:
               n_classes: int, heads) -> "TrainState":
         """A backbone and the named `heads`, drawn from the seed's "init"
         stream in checkpoint order."""
-        init = Rng(seed).substream("init")
+        return cls._assemble(Rng(seed).substream("init"), anchor_cfg, channels,
+                             head_dim, n_classes, heads)
+
+    @classmethod
+    def _assemble(cls, init, anchor_cfg: AnchorConfig, channels, head_dim: int,
+                  n_classes: int, heads) -> "TrainState":
+        """The backbone, then the named `heads` in checkpoint order, each
+        drawing its weights from `init`'s normals."""
         bb = Backbone(init, channels=channels)
         make = {"rpn": lambda: RpnHead(init, bb.out_dim, anchor_cfg.k, head_dim),
                 "det": lambda: DetectorHead(init, bb.out_dim, n_classes),
@@ -87,8 +100,8 @@ class TrainState:
         """The backbone and each head that owns an entry of checkpoint `path`,
         restored; any entry left over, missing or misshapen is an error."""
         saved = load_checkpoint(path)
-        state = cls.build(0, anchor_cfg, channels, head_dim, n_classes,
-                          {name.split(".")[0] for name in saved} & set(HEADS))
+        state = cls._assemble(_RESTORED, anchor_cfg, channels, head_dim, n_classes,
+                              {name.split(".")[0] for name in saved} & set(HEADS))
         try:
             restore_params(state.params, saved)
         except (KeyError, ValueError) as exc:

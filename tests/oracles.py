@@ -4,6 +4,9 @@ against, and the finite-difference check of every op's gradient."""
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+
+from minircnn.tensor import ShapeError, Tensor, _accum, _make
 
 
 def random_boxes(rng: np.random.Generator, n: int, lo: float = 0.0,
@@ -90,6 +93,57 @@ def roi_pool_loop(x: np.ndarray, rois: np.ndarray, spatial_scale: float,
                 y[n, :, bi, bj] = sub[cidx, am]
                 arg[n, :, bi, bj] = fi[rs:re, cs:ce].ravel()[am]
     return y, arg
+
+
+def conv2d_tensordot(x: Tensor, w: Tensor, b: Tensor, pad: int = 0) -> Tensor:
+    """Stride-1 convolution as one `tensordot` over the window view; dx is
+    the full correlation of g with the flipped kernel, cropped to H x W."""
+    C, H, W = x.shape
+    _, Cw, KH, KW = w.shape
+    if Cw != C:
+        raise ShapeError(f"conv2d: input has {C} channels, weight expects {Cw}")
+    xp = np.pad(x.data, ((0, 0), (pad, pad), (pad, pad))) if pad else x.data
+    win = sliding_window_view(xp, (KH, KW), axis=(1, 2))
+    y = np.tensordot(w.data, win, axes=([1, 2, 3], [0, 3, 4])) + b.data[:, None, None]
+
+    def bwd(g):
+        _accum(b, g.sum(axis=(1, 2)))
+        _accum(w, np.tensordot(g, win, axes=([1, 2], [1, 2])))
+        if x.requires_grad or x._backward is not None:
+            gp = np.pad(g, ((0, 0), (KH - 1, KH - 1), (KW - 1, KW - 1)))
+            wf = w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)  # (C,O,KH,KW)
+            gwin = sliding_window_view(gp, (KH, KW), axis=(1, 2))
+            dxp = np.tensordot(wf, gwin, axes=([1, 2, 3], [0, 3, 4]))
+            _accum(x, dxp[:, pad:pad + H, pad:pad + W])
+
+    return _make(y, (x, w, b), bwd)
+
+
+def maxpool2x2_argmax(x: Tensor) -> Tensor:
+    """2x2 max pooling through `argmax` over each window's four cells, which
+    picks the first maximum in row-major order (NaN before any number); odd
+    extents padded with -inf. Backward scatters g to the argmax cells."""
+    C, H, W = x.shape
+    d = x.data
+    if H % 2 or W % 2:
+        d = np.pad(d, ((0, 0), (0, H % 2), (0, W % 2)), constant_values=-np.inf)
+    Hp, Wp = d.shape[1], d.shape[2]
+    Ho, Wo = Hp // 2, Wp // 2
+    v = d.reshape(C, Ho, 2, Wo, 2).transpose(0, 1, 3, 2, 4).reshape(C, Ho, Wo, 4)
+    idx = v.argmax(axis=3)
+    y = np.take_along_axis(v, idx[..., None], axis=3)[..., 0]
+
+    def bwd(g):
+        rows = 2 * np.arange(Ho)[None, :, None] + idx // 2
+        cols = 2 * np.arange(Wo)[None, None, :] + idx % 2
+        keep = (rows < H) & (cols < W)
+        dx = np.zeros_like(x.data).reshape(C, H * W)
+        flat = rows * W + cols
+        c = np.broadcast_to(np.arange(C)[:, None, None], idx.shape)
+        dx[c[keep], flat[keep]] = g[keep]
+        _accum(x, dx.reshape(C, H, W))
+
+    return _make(y, (x,), bwd)
 
 
 def gradcheck(fn, tensors, eps: float = 1e-5, rtol: float = 1e-4) -> float:

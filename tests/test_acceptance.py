@@ -1,7 +1,7 @@
 """Acceptance gate: the ten system-level criteria, one test each.
 
-Each test prints one `ACCEPTANCE <n> <name>: PASS|FAIL` line to the live
-terminal (via the terminal reporter, so it survives output capture).
+Each test reports one `ACCEPTANCE <n> <name>: PASS|FAIL` line through the
+`announce` fixture (conftest.py), printed in the run's terminal summary.
 Expensive artifacts — the trained RPN and the matched two-stage/one-stage
 pair — are built once per session and shared across criteria.
 """
@@ -28,23 +28,6 @@ from minircnn.tensor import Tensor
 from minircnn.training import TrainSchedule, TrainState, alternate_4step, train
 
 from oracles import brute_iou, brute_nms, gradcheck, random_boxes
-
-
-@pytest.fixture
-def announce(request):
-    reporter = request.config.pluginmanager.get_plugin("terminalreporter")
-
-    def _report(num, name, ok, detail=""):
-        verdict = "PASS" if ok else "FAIL"
-        line = f"ACCEPTANCE {num} {name}: {verdict}"
-        if detail:
-            line += f"  ({detail})"
-        if reporter is not None:
-            reporter.write_line("")
-            reporter.write_line(line)
-        assert ok, line
-
-    return _report
 
 
 # shared expensive artifacts -------------------------------------------------

@@ -84,10 +84,10 @@ def test_rpn_objective_lives_in_loss_weights():
 
 
 def test_one_place_builds_and_opens_the_model():
-    """The backbone and heads are drawn only by `TrainState.build` (and by
-    the 4-step scheme, whose two backbones share one stream); a checkpoint
-    is read only by `TrainState.open`."""
-    build, four_step = "training.TrainState.build", "training.alternate_4step"
+    """The backbone and heads are made only by `TrainState._assemble`, for
+    `build` and `open` (and by the 4-step scheme, whose two backbones share
+    one stream); a checkpoint is read only by `TrainState.open`."""
+    build, four_step = "training.TrainState._assemble", "training.alternate_4step"
     for cls in ("Backbone", "RpnHead", "DetectorHead", "OneStageHead"):
         scopes = call_scopes(cls)
         assert build in scopes and scopes <= {build, four_step}, (cls, scopes)

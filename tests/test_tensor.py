@@ -6,6 +6,7 @@ or branch boundary.
 """
 
 import gc
+import itertools
 import weakref
 
 import numpy as np
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 import minircnn.tensor as T
 from minircnn.tensor import ShapeError, Tensor
-from oracles import gradcheck, roi_pool_loop
+from oracles import conv2d_tensordot, gradcheck, maxpool2x2_argmax, roi_pool_loop
 
 
 def t64(arr, grad=True):
@@ -190,6 +191,90 @@ class TestRoiPoolMatchesLoop:
         np.add.at(dx, (c.ravel(), arg_ref.ravel()), g.ravel())
         assert np.array_equal(xt.grad.view(np.uint8),
                               dx.reshape(C, H, W).view(np.uint8))
+
+
+# The trunk ops' special values: signed zeros, NaN and both infinities.
+TRUNK_PALETTE = PALETTE + [np.inf, -np.inf]
+
+
+def trunk_array(draw, rng, shape, dtype):
+    """Normal, ReLU-clipped (ties at +0.0) or palette values of `shape`."""
+    x = rng.normal(size=shape)
+    kind = draw(st.sampled_from(["normal", "relu", "palette"]))
+    if kind == "relu":
+        x = np.where(x > 0, x, 0.0)
+    elif kind == "palette":
+        x = rng.choice(TRUNK_PALETTE, size=shape)
+    return x.astype(dtype)
+
+
+def tape_bytes(op, arrays, needs_grad, seed, **kw):
+    """op's output, then each input's gradient (None if it takes none) after
+    backward of sum(y * g) for a seeded normal g, all as raw bytes."""
+    ts = [Tensor(a.copy(), requires_grad=r) for a, r in zip(arrays, needs_grad)]
+    with np.errstate(invalid="ignore", over="ignore"):
+        y = op(*ts, **kw)
+        g = np.random.default_rng(seed).normal(size=y.shape).astype(y.dtype)
+        T.tsum(T.mul(y, Tensor(g))).backward()
+    return [None if a is None else (a.dtype, a.shape, np.ascontiguousarray(a).tobytes())
+            for a in [y.data] + [t.grad for t in ts]]
+
+
+@st.composite
+def conv_cases(draw):
+    C, O = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    K, pad = draw(st.sampled_from([1, 3])), draw(st.sampled_from([0, 1]))
+    lo = max(1, K - 2 * pad)
+    H, W = draw(st.integers(lo, 11)), draw(st.integers(lo, 11))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = trunk_array(draw, rng, (C, H, W), dtype)
+    w = trunk_array(draw, rng, (O, C, K, K), dtype)
+    b = rng.normal(size=O).astype(dtype)
+    return x, w, b, pad, draw(st.booleans()), draw(st.integers(0, 2**32 - 1))
+
+
+@st.composite
+def pool_cases(draw):
+    C, H, W = draw(st.integers(1, 6)), draw(st.integers(1, 13)), draw(st.integers(1, 13))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return trunk_array(draw, rng, (C, H, W), dtype), draw(st.integers(0, 2**32 - 1))
+
+
+class TestTrunkOpsMatchOracles:
+    """conv2d and maxpool2x2 against the tensordot and argmax forms they
+    replaced: output and every gradient, byte for byte."""
+
+    @given(conv_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_conv2d_bytes(self, case):
+        x, w, b, pad, x_grad, seed = case
+        got, want = (tape_bytes(op, (x, w, b), (x_grad, True, True), seed, pad=pad)
+                     for op in (T.conv2d, conv2d_tensordot))
+        assert (got[1] is None) == (not x_grad)
+        assert got == want
+
+    @given(pool_cases())
+    @settings(max_examples=500, deadline=None)
+    def test_maxpool2x2_bytes(self, case):
+        x, seed = case
+        for x_grad in (True, False):
+            got, want = (tape_bytes(op, (x,), (x_grad,), seed)
+                         for op in (T.maxpool2x2, maxpool2x2_argmax))
+            assert got == want
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_a_zero_window_keeps_its_first_zero(self, dtype):
+        # all 16 sign patterns of four zeros, one window each; np.maximum
+        # alone returns the other zero for some of them
+        cells = np.array(list(itertools.product([0.0, -0.0], repeat=4)), dtype=dtype)
+        x = cells.reshape(16, 2, 2).transpose(1, 0, 2).reshape(1, 2, 32)
+        got, want = (tape_bytes(op, (x,), (True,), 0)
+                     for op in (T.maxpool2x2, maxpool2x2_argmax))
+        assert got == want
+        y = T.maxpool2x2(Tensor(x)).data
+        assert np.array_equal(np.signbit(y[0, 0]), np.signbit(cells[:, 0]))
 
 
 class TestGradchecks:

@@ -210,6 +210,18 @@ class TestBuildAndOpen:
         assert_states_equal(opened, built)
         assert opened.anchor_cfg == ACFG
 
+    def test_open_draws_nothing(self, tmp_path, monkeypatch):
+        built = TrainState.build(4, ACFG, CH, 8, 3, ("rpn", "det", "onestage"))
+        save_checkpoint(built.params, tmp_path / "m.frpn")
+
+        def no_draws(self, n=1):
+            raise AssertionError("TrainState.open drew from an Rng")
+
+        monkeypatch.setattr(Rng, "next_u64", no_draws)
+        opened = TrainState.open(tmp_path / "m.frpn", ACFG, CH, 8, 3)
+        assert [(p.name, p.value.data.tobytes()) for p in opened.params] == \
+               [(p.name, p.value.data.tobytes()) for p in built.params]
+
     def test_open_rejects_an_entry_no_head_owns(self, tmp_path):
         params = TrainState.build(4, ACFG, CH, 8, 3, ("rpn",)).params
         path = tmp_path / "m.frpn"
