@@ -10,7 +10,6 @@ import numpy as np
 
 from .config import RunConfig
 from .dataio import gen_synthetic, image_to_input, load_manifest
-from .detector import detect
 from .evaluation import bench, mean_ap, recall_curve
 from .onestage import train_onestage
 from .rng import Rng
@@ -48,6 +47,12 @@ def _dims(cfg: RunConfig) -> tuple:
     """The model shape `TrainState.build` and `TrainState.open` take."""
     return (cfg.anchor_config(), cfg.backbone_channels, cfg.rpn_head_dim,
             cfg.detector_n_classes)
+
+
+def _detect_args(cfg: RunConfig) -> tuple:
+    """The proposals and post-process `TrainState.detect` and `.stages` take."""
+    return (cfg.proposal_params(train=False), cfg.detector_score_thresh,
+            cfg.detector_nms_iou, cfg.detector_max_per_image)
 
 
 def _read_scene_rows(path, scenes, n_classes=None) -> list[list[tuple]]:
@@ -111,9 +116,8 @@ def cmd_train_rpn(args, cfg: RunConfig, out: Path):
 
 def cmd_train_alt(args, cfg: RunConfig, out: Path):
     scenes = _load_scenes(args.data)
-    iters = args.iters if args.iters is not None else cfg.train_iters
-    state = alternate_4step(scenes, cfg.schedule(iters=iters),
-                            cfg.schedule_det(iters=iters), cfg.anchor_config(),
+    state = alternate_4step(scenes, cfg.schedule(iters=args.iters),
+                            cfg.schedule_det(iters=args.iters), cfg.anchor_config(),
                             cfg.loss_weights(), cfg.roi_sample_config(),
                             cfg.detector_n_classes, cfg.rpn_head_dim,
                             cfg.proposal_params(train=True), out_dir=out,
@@ -138,8 +142,8 @@ def cmd_train_joint(args, cfg: RunConfig, out: Path):
 
 def cmd_train_onestage(args, cfg: RunConfig, out: Path):
     scenes = _load_scenes(args.data)
-    iters = args.iters if args.iters is not None else cfg.train_iters
-    state = train_onestage(scenes, cfg.schedule_det(iters=iters), cfg.anchor_config(),
+    state = train_onestage(scenes, cfg.schedule_det(iters=args.iters),
+                           cfg.anchor_config(),
                            cfg.roi_sample_config(), cfg.detector_n_classes,
                            cfg.rpn_head_dim, channels=cfg.backbone_channels)
     save_state(state, out / "onestage.frpn")
@@ -164,11 +168,9 @@ def cmd_propose(args, cfg: RunConfig, out: Path):
 def cmd_detect(args, cfg: RunConfig, out: Path):
     scenes = _load_scenes(args.data)
     state = TrainState.open(args.ckpt, *_dims(cfg))
-    p = cfg.proposal_params(train=False)
     rows = ["image,class,score,x1,y1,x2,y2"]
     for s in scenes:
-        for d in state.detect(s, p, cfg.detector_score_thresh, cfg.detector_nms_iou,
-                              cfg.detector_max_per_image):
+        for d in state.detect(s, *_detect_args(cfg)):
             b = d.box
             rows.append(f"{s.path},{d.class_id},{d.score:.9g},{b.x1:.9g},"
                         f"{b.y1:.9g},{b.x2:.9g},{b.y2:.9g}")
@@ -200,25 +202,9 @@ def cmd_eval_map(args, cfg: RunConfig, out: Path):
 
 
 def cmd_bench(args, cfg: RunConfig, out: Path):
-    scenes = _load_scenes(args.data)[:max(args.n_timed, 1)]
-    state = TrainState.open(args.ckpt, *_dims(cfg)).require("rpn", "det")
-    p = cfg.proposal_params(train=False)
-
-    def conv_fn(scene):
-        # all dense convolution: shared trunk + RPN-specific conv layers
-        return (scene, *state.rpn_forward(image_to_input(scene.image)))
-
-    def proposal_fn(triple):
-        scene, _, cls, reg = triple
-        return state.propose(cls.data, reg.data, scene.width, scene.height, p)[0]
-
-    def region_fn(triple, boxes):
-        scene, feats = triple[0], triple[1]
-        return detect(feats, boxes, state.det_head, 1.0 / state.backbone.stride,
-                      scene.width, scene.height, cfg.detector_score_thresh,
-                      cfg.detector_nms_iou, cfg.detector_max_per_image)
-
-    report = bench(conv_fn, proposal_fn, region_fn, scenes,
+    scenes = _load_scenes(args.data)[:args.n_timed]
+    state = TrainState.open(args.ckpt, *_dims(cfg))
+    report = bench(*state.stages(*_detect_args(cfg)), scenes,
                    n_warmup=args.n_warmup, n_timed=args.n_timed)
     _report(out / "timing.csv", report.to_csv())
 
@@ -262,13 +248,10 @@ def cmd_ablate(args, cfg: RunConfig, out: Path):
             rows += [f"{n},{t:.6g},{r:.6g}" for t, r in zip(c.iou_grid, c.recall)]
         _report(out / "recall_n_sweep.csv", "\n".join(rows) + "\n")
     elif args.mode == "anchor-settings":
-        settings = [
-            ("3s3r", cfg.anchors_scales, cfg.anchors_ratios),
-            ("3s1r", cfg.anchors_scales, (1.0,)),
-            ("1s3r", (cfg.anchors_scales[len(cfg.anchors_scales) // 2],),
-             cfg.anchors_ratios),
-            ("1s1r", (cfg.anchors_scales[len(cfg.anchors_scales) // 2],), (1.0,)),
-        ]
+        mid = (cfg.anchors_scales[len(cfg.anchors_scales) // 2],)
+        settings = [("3s3r", cfg.anchors_scales, cfg.anchors_ratios),
+                    ("3s1r", cfg.anchors_scales, (1.0,)),
+                    ("1s3r", mid, cfg.anchors_ratios), ("1s1r", mid, (1.0,))]
         rows = ["setting,recall_at_0.5,recall_at_0.7"]
         for name, scales, ratios in settings:
             _, c = _retrain_recall(cfg, scenes, gt_boxes, p, args,
@@ -300,13 +283,12 @@ def build_parser() -> argparse.ArgumentParser:
                                  description="desk-scale two-stage detector")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, out=True):
+    def common(p):
         p.add_argument("--config", help="run-config file (key=value lines)")
         p.add_argument("--seed", type=int, help="override config seed")
         p.add_argument("--set", nargs=2, action="append", metavar=("KEY", "VALUE"),
                        help="override a single config key")
-        if out:
-            p.add_argument("--out", required=True, help="output directory")
+        p.add_argument("--out", required=True, help="output directory")
 
     p = sub.add_parser("gen-data", help="generate the synthetic shapes dataset")
     common(p)
@@ -380,6 +362,9 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
         if getattr(args, "mode", None) in CKPT_MODES and args.ckpt is None:
             parser.error(f"ablate --mode {args.mode} requires --ckpt")
+        for flag, least in (("n_warmup", 0), ("n_timed", 1)):
+            if getattr(args, flag, least) < least:
+                parser.error(f"--{flag.replace('_', '-')} must be at least {least}")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -144,8 +144,7 @@ class RunConfig:
         return RoiSampleConfig(self.detector_rois_per_image,
                                self.detector_fg_fraction, self.detector_fg_iou)
 
-    def schedule(self, iters: int | None = None, seed: int | None = None,
-                 lr: float | None = None):
+    def schedule(self, iters: int | None = None, lr: float | None = None):
         from .training import TrainSchedule
         n = self.train_iters if iters is None else iters
         return TrainSchedule(total_iters=n,
@@ -153,7 +152,7 @@ class RunConfig:
                              lr_drop_at=int(self.train_lr_drop_frac * n),
                              momentum=self.train_momentum,
                              weight_decay=self.train_weight_decay,
-                             seed=self.seed if seed is None else seed)
+                             seed=self.seed)
 
-    def schedule_det(self, iters: int | None = None, seed: int | None = None):
-        return self.schedule(iters, seed, lr=self.train_det_lr)
+    def schedule_det(self, iters: int | None = None):
+        return self.schedule(iters, lr=self.train_det_lr)

@@ -55,17 +55,13 @@ class LinearLayer:
 class DetectorHead:
     """pooled features -> fc1/ReLU -> fc2/ReLU -> sibling cls (C+1) / reg (4C)."""
 
-    def __init__(self, rng: Rng, backbone_dim: int, n_classes: int,
-                 pool_size: int = ROI_POOL_SIZE, fc_dim: int = FC_DIM):
+    def __init__(self, rng: Rng, backbone_dim: int, n_classes: int):
         self.n_classes = n_classes
-        self.pool_size = pool_size
-        in_dim = backbone_dim * pool_size * pool_size
-        self.fc1 = LinearLayer("det.fc1", in_dim, fc_dim, rng)
-        self.fc2 = LinearLayer("det.fc2", fc_dim, fc_dim, rng)
-        self.cls = LinearLayer("det.cls", fc_dim, n_classes + 1, rng)
-        self.reg = LinearLayer("det.reg", fc_dim, 4 * n_classes, rng)
-        assert self.cls.w.value.shape[1] == n_classes + 1
-        assert self.reg.w.value.shape[1] == 4 * n_classes
+        in_dim = backbone_dim * ROI_POOL_SIZE * ROI_POOL_SIZE
+        self.fc1 = LinearLayer("det.fc1", in_dim, FC_DIM, rng)
+        self.fc2 = LinearLayer("det.fc2", FC_DIM, FC_DIM, rng)
+        self.cls = LinearLayer("det.cls", FC_DIM, n_classes + 1, rng)
+        self.reg = LinearLayer("det.reg", FC_DIM, 4 * n_classes, rng)
 
     @property
     def params(self) -> list[Param]:
@@ -80,7 +76,7 @@ def detector_forward(features: Tensor, proposals: np.ndarray, head: DetectorHead
         dt = features.dtype
         return Tensor(np.zeros((0, head.n_classes + 1), dtype=dt)), \
             Tensor(np.zeros((0, 4 * head.n_classes), dtype=dt))
-    pooled = T.roi_pool(features, proposals, spatial_scale, head.pool_size)
+    pooled = T.roi_pool(features, proposals, spatial_scale, ROI_POOL_SIZE)
     flat = pooled.reshape(proposals.shape[0], -1)
     h = T.relu(head.fc1(flat))
     h = T.relu(head.fc2(h))
@@ -153,8 +149,6 @@ def detect(features: Tensor, proposals: np.ndarray, head: DetectorHead,
            max_per_image: int = 100) -> list[ScoredBox]:
     """Class-wise decode + NMS over proposals; returns detections, class_id >= 1."""
     proposals = np.asarray(proposals, dtype=np.float64).reshape(-1, 4)
-    if proposals.shape[0] == 0:
-        return []
     cls_logits, deltas = detector_forward(features, proposals, head, spatial_scale)
     per_class = deltas.data.reshape(proposals.shape[0], head.n_classes, 4)
     return classwise_detections(class_probs(cls_logits), per_class, proposals,

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,8 +47,7 @@ class TimingReport:
 
 def recall_curve(proposals_per_image: list[np.ndarray],
                  gt_per_image: list[np.ndarray],
-                 n_proposals: int,
-                 iou_grid: tuple[float, ...] = DEFAULT_IOU_GRID) -> RecallCurve:
+                 n_proposals: int) -> RecallCurve:
     """Fraction of gt boxes covered by >= 1 of the top-N proposals per threshold.
 
     A proposal may cover multiple gt boxes; proposals must arrive sorted by
@@ -60,15 +59,12 @@ def recall_curve(proposals_per_image: list[np.ndarray],
         if gts.shape[0] == 0:
             continue
         props = np.asarray(props, dtype=np.float64).reshape(-1, 4)[:n_proposals]
-        if props.shape[0] == 0:
-            best.append(np.zeros(gts.shape[0]))
-        else:
-            best.append(iou_matrix_arr(gts, props).max(axis=1))
+        best.append(iou_matrix_arr(gts, props).max(axis=1, initial=0.0))
     if not best:
         raise ValueError("recall_curve requires at least one ground-truth box")
     best = np.concatenate(best)
-    rec = tuple(float(np.mean(best >= tau)) for tau in iou_grid)
-    return RecallCurve(tuple(iou_grid), rec, n_proposals)
+    rec = tuple(float(np.mean(best >= tau)) for tau in DEFAULT_IOU_GRID)
+    return RecallCurve(DEFAULT_IOU_GRID, rec, n_proposals)
 
 
 def voc_ap(detections_per_image: list[list], gt_boxes_per_image: list[np.ndarray],
@@ -140,6 +136,9 @@ def bench(conv_fn, proposal_fn, region_fn, inputs: list, n_warmup: int = 2,
     conv_fn(x) -> features; proposal_fn(features) -> proposals;
     region_fn(features, proposals) -> detections.
     """
+    if n_timed < 1 or n_warmup < 0:
+        raise ValueError(f"bench needs n_timed >= 1 and n_warmup >= 0, "
+                         f"not {n_timed} and {n_warmup}")
     seq = (inputs * ((n_warmup + n_timed) // len(inputs) + 1))[:n_warmup + n_timed]
     conv_t, prop_t, reg_t, tot_t = [], [], [], []
     for j, x in enumerate(seq):

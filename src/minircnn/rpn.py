@@ -76,13 +76,12 @@ class Backbone:
     -> conv3x3x64/ReLU.
     """
 
-    def __init__(self, rng: Rng, in_ch: int = 3, channels=(16, 32, 64, 64)):
-        self.channels = tuple(channels)
-        if len(self.channels) != 4:
+    def __init__(self, rng: Rng, channels=(16, 32, 64, 64)):
+        chans = (3, *channels)
+        if len(chans) != 5:
             raise ValueError("backbone takes exactly 4 channel widths")
-        self.out_dim = self.channels[-1]
+        self.out_dim = chans[-1]
         self.stride = 8
-        chans = (in_ch,) + self.channels
         self.convs = [ConvLayer(f"backbone.conv{i + 1}", chans[i], chans[i + 1], 3, 1,
                                 rng, stddev=None)
                       for i in range(4)]
@@ -116,7 +115,6 @@ class ConvHead:
                  n_classes: int, head_dim: int = 64):
         self.k = k
         self.n_classes = n_classes
-        self.head_dim = head_dim
         self.trunk = ConvLayer(f"{name}.trunk", backbone_dim, head_dim, 3, 1, rng)
         self.cls = ConvLayer(f"{name}.cls", head_dim, (n_classes + 1) * k, 1, 0, rng)
         self.reg = ConvLayer(f"{name}.reg", head_dim, 4 * n_classes * k, 1, 0, rng)

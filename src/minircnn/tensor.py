@@ -80,12 +80,14 @@ class Tensor:
 
 
 def _accum(t: Tensor, g: np.ndarray):
+    """Add g to t.grad: the first g is kept as given (it may be shared or a
+    read-only view), so a grad is never written in place."""
     if not t.requires_grad and t._backward is None:
         return
     if t.grad is None:
-        t.grad = g.astype(t.data.dtype, copy=True)
+        t.grad = g.astype(t.data.dtype, copy=False)
     else:
-        t.grad += g
+        t.grad = np.add(t.grad, g).astype(t.data.dtype, copy=False)
 
 
 def _make(data, parents, backward) -> Tensor:

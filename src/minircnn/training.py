@@ -160,20 +160,42 @@ class TrainState:
         feats, cls, reg = self.rpn_forward(image_to_input(scene.image))
         return (feats, *self.propose(cls.data, reg.data, scene.width, scene.height, p))
 
+    def stages(self, p: ProposalParams, score_thresh: float, nms_iou: float,
+               max_per_image: int):
+        """The detector the model holds as the stages `evaluation.bench` times:
+        conv(scene) -> c, proposal(c) -> boxes, region(c, boxes) -> detections.
+        Two-stage: the RPN's `p` proposals, then Fast R-CNN on them; one-stage:
+        the head's dense windows, then the class-wise post-process of its output."""
+        one = self.det_head is None and self.onestage_head is not None
+        head = self.onestage_head if one else self.require("det", "rpn").rpn_head
+
+        def conv(scene: Scene):
+            feats = self.features(image_to_input(scene.image))
+            return (scene, feats, *head.forward(feats))
+
+        def proposal(c) -> np.ndarray:
+            scene, _, cls, reg = c
+            if one:
+                return self.anchors(scene.width, scene.height).boxes
+            return self.propose(cls.data, reg.data, scene.width, scene.height, p)[0]
+
+        def region(c, boxes: np.ndarray) -> list[ScoredBox]:
+            scene, feats, cls, reg = c
+            post = (scene.width, scene.height, score_thresh, nms_iou, max_per_image)
+            if not one:
+                return detect(feats, boxes, self.det_head, 1 / self.backbone.stride, *post)
+            probs = class_probs(anchor_rows(cls, head.k, head.n_classes + 1))
+            return classwise_detections(
+                probs, anchor_rows(reg, head.k, head.n_classes, 4).data, boxes, *post)
+
+        return conv, proposal, region
+
     def detect(self, scene: Scene, p: ProposalParams, score_thresh: float,
                nms_iou: float, max_per_image: int) -> list[ScoredBox]:
-        """One scene's detections by the detector the model holds: Fast R-CNN
-        on the RPN's `p` proposals, or the one-stage head on its dense windows."""
-        post = (scene.width, scene.height, score_thresh, nms_iou, max_per_image)
-        if self.det_head is None and self.onestage_head is not None:
-            head = self.onestage_head
-            cls, reg = head.forward(self.features(image_to_input(scene.image)))
-            return classwise_detections(
-                class_probs(anchor_rows(cls, head.k, head.n_classes + 1)),
-                anchor_rows(reg, head.k, head.n_classes, 4).data,
-                self.anchors(scene.width, scene.height).boxes, *post)
-        feats, boxes, _ = self.require("det", "rpn").propose_scene(scene, p)
-        return detect(feats, boxes, self.det_head, 1.0 / self.backbone.stride, *post)
+        """One scene's detections by the detector the model holds (`stages`)."""
+        conv, proposal, region = self.stages(p, score_thresh, nms_iou, max_per_image)
+        c = conv(scene)
+        return region(c, proposal(c))
 
 
 def backbone_checksum(backbone: Backbone) -> str:

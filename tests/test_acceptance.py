@@ -17,13 +17,12 @@ from minircnn.assignment import assign_labels, sample_minibatch
 from minircnn.boxes import decode_arr, encode_arr, iou_matrix_arr, nms_arr
 from minircnn.cli import run as cli_run
 from minircnn.dataio import image_to_input, make_scene
-from minircnn.detector import RoiBatch, RoiSampleConfig, detect, detector_loss
+from minircnn.detector import RoiBatch, RoiSampleConfig, detector_loss
 from minircnn.evaluation import bench, mean_ap, recall_curve
 from minircnn.nn import load_checkpoint
 from minircnn.onestage import train_onestage
 from minircnn.rng import Rng
-from minircnn.rpn import (Backbone, LossWeights, ProposalParams, RpnHead,
-                          propose_arrays, rpn_loss)
+from minircnn.rpn import LossWeights, ProposalParams, rpn_loss
 from minircnn.tensor import Tensor
 from minircnn.training import TrainSchedule, TrainState, alternate_4step, train
 
@@ -49,10 +48,7 @@ def shapes_data():
 def trained_rpn(shapes_data):
     """The criterion-5 model: 5k iterations on the full 500-scene set."""
     scenes, test = shapes_data
-    init = Rng(7, "init")
-    bb = Backbone(init)
-    state = TrainState(backbone=bb, anchor_cfg=ACFG,
-                       rpn_head=RpnHead(init, bb.out_dim, ACFG.k))
+    state = TrainState.build(7, ACFG, (16, 32, 64, 64), 64, 3, ("rpn",))
     t0 = time.perf_counter()
     train(scenes, state, TrainSchedule(total_iters=5000, seed=7), LossWeights())
     elapsed = time.perf_counter() - t0
@@ -80,7 +76,6 @@ def matched_pair(shapes_data, tmp_path_factory):
     gt_boxes = [s.boxes for s in test]
     gt_classes = [s.classes for s in test]
     test_props = ProposalParams(pre_nms_top=6000, post_nms_top=300)
-    aset = grid_anchors(ACFG, IMAGE_SIZE // 8, IMAGE_SIZE // 8)
 
     # score threshold 0.05, NMS IoU 0.3, at most 100 detections per image
     dets_two = [two.detect(s, test_props, 0.05, 0.3, 100) for s in test]
@@ -88,8 +83,7 @@ def matched_pair(shapes_data, tmp_path_factory):
     map_two, _ = mean_ap(dets_two, gt_boxes, gt_classes, [1, 2, 3])
     map_one, _ = mean_ap(dets_one, gt_boxes, gt_classes, [1, 2, 3])
     return {"two": two, "one": one, "map_two": map_two, "map_one": map_one,
-            "ckpt_dir": ckpt_dir, "test": test, "aset": aset,
-            "test_props": test_props}
+            "ckpt_dir": ckpt_dir, "test": test, "test_props": test_props}
 
 
 # the ten criteria -----------------------------------------------------------
@@ -300,13 +294,11 @@ class TestCriterion6Ablations:
 
         # (a) no regression: proposals are clipped anchors ranked by score
         p = ProposalParams(pre_nms_top=6000, post_nms_top=300)
-        aset = grid_anchors(ACFG, IMAGE_SIZE // 8, IMAGE_SIZE // 8)
         noreg = []
         for s in test:
-            feats = state.backbone.forward(Tensor(image_to_input(s.image)))
-            cls, reg = state.rpn_head.forward(feats)
-            boxes, _ = propose_arrays(cls.data, np.zeros_like(reg.data), aset,
-                                      s.width, s.height, p)
+            _, cls, reg = state.rpn_forward(image_to_input(s.image))
+            boxes, _ = state.propose(cls.data, np.zeros_like(reg.data), s.width,
+                                     s.height, p)
             noreg.append(boxes)
         noreg70 = recall_curve(noreg, gts, 300).at(0.7)
         a_ok = full70 - noreg70 >= 0.10
@@ -392,29 +384,9 @@ class TestCriterion9Determinism:
 
 class TestCriterion10Timing:
     def test_proposal_faster_than_conv(self, announce, matched_pair):
-        two = matched_pair["two"]
-        aset = matched_pair["aset"]
-        p = matched_pair["test_props"]
-
-        def conv_fn(scene):
-            # all dense convolution: shared trunk + RPN-specific convs
-            feats = two.backbone.forward(Tensor(image_to_input(scene.image)))
-            cls, reg = two.rpn_head.forward(feats)
-            return scene, feats, cls, reg
-
-        def proposal_fn(triple):
-            scene, _, cls, reg = triple
-            boxes, _s = propose_arrays(cls.data, reg.data, aset, scene.width,
-                                       scene.height, p)
-            return boxes
-
-        def region_fn(triple, boxes):
-            scene, feats = triple[0], triple[1]
-            return detect(feats, boxes, two.det_head, 1 / 8, scene.width,
-                          scene.height)
-
-        r = bench(conv_fn, proposal_fn, region_fn, matched_pair["test"][:10],
-                  n_warmup=2, n_timed=10)
+        # conv: the shared trunk and the RPN's convs; proposal: decode + NMS
+        stages = matched_pair["two"].stages(matched_pair["test_props"], 0.05, 0.3, 100)
+        r = bench(*stages, matched_pair["test"][:10], n_warmup=2, n_timed=10)
         announce(10, "timing", r.proposal_ms < r.conv_ms,
                  f"conv={r.conv_ms:.1f}ms, proposal={r.proposal_ms:.1f}ms, "
                  f"region-wise={r.region_ms:.1f}ms, total={r.total_ms:.1f}ms")

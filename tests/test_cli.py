@@ -164,6 +164,15 @@ class TestInferenceCommands:
         assert [ln.split(",")[0] for ln in lines[1:]] == \
             ["conv", "proposal", "region-wise", "total", "rate_images_per_sec"]
 
+    @pytest.mark.parametrize("flag,value", [("--n-timed", "0"), ("--n-warmup", "-3")])
+    def test_bad_bench_count_names_the_flag(self, dataset, alt_run, tmp_path, capsys,
+                                            flag, value):
+        assert run(["bench", "--out", str(tmp_path), "--ckpt",
+                    str(alt_run / "final.frpn"), "--data", str(dataset),
+                    flag, value, *TINY, "--seed", "11"]) == 2
+        assert f"{flag} must be at least" in capsys.readouterr().err
+        assert not (tmp_path / "timing.csv").exists()
+
 
 class TestCheckpointHeads:
     """A checkpoint opens as the heads it holds; `detect` runs either
@@ -195,18 +204,26 @@ class TestCheckpointHeads:
         assert (tmp_path / "map" / "map.csv").read_text().split("\n")[-2] \
             .startswith("mAP,")
 
+    def test_bench_on_a_onestage_checkpoint(self, dataset, onestage_run, tmp_path):
+        assert run(["bench", "--out", str(tmp_path), "--ckpt",
+                    str(onestage_run / "onestage.frpn"), "--data", str(dataset),
+                    "--n-warmup", "0", "--n-timed", "2", *TINY, "--seed", "11"]) == 0
+        rows = [ln.split(",") for ln in
+                (tmp_path / "timing.csv").read_text().strip().split("\n")[1:]]
+        assert [r[0] for r in rows] == \
+            ["conv", "proposal", "region-wise", "total", "rate_images_per_sec"]
+        assert all(np.isfinite(float(r[1])) and float(r[1]) >= 0 for r in rows)
+
     @pytest.mark.parametrize("command,ckpt,head", [
         (["detect"], "rpn/rpn.frpn", "det"),
         (["detect"], "alt/step2.frpn", "rpn"),
         (["propose"], "onestage/onestage.frpn", "rpn"),
-        (["bench", "--n-warmup", "0", "--n-timed", "1"], "onestage/onestage.frpn",
-         "rpn"),
         (["bench", "--n-warmup", "0", "--n-timed", "1"], "rpn/rpn.frpn", "det"),
         (["ablate", "--mode", "no-reg"], "onestage/onestage.frpn", "rpn"),
         (["ablate", "--mode", "no-cls"], "onestage/onestage.frpn", "rpn"),
         (["ablate", "--mode", "n-sweep"], "onestage/onestage.frpn", "rpn"),
-    ], ids=["detect-rpn", "detect-step2", "propose-onestage", "bench-onestage",
-            "bench-rpn", "no-reg-onestage", "no-cls-onestage", "n-sweep-onestage"])
+    ], ids=["detect-rpn", "detect-step2", "propose-onestage", "bench-rpn",
+            "no-reg-onestage", "no-cls-onestage", "n-sweep-onestage"])
     def test_missing_head_is_named(self, dataset, rpn_run, alt_run, onestage_run,
                                    tmp_path, capsys, command, ckpt, head):
         runs = {"rpn": rpn_run, "alt": alt_run, "onestage": onestage_run}

@@ -238,3 +238,12 @@ class TestBench:
         stages = [ln.split(",")[0] for ln in lines[1:]]
         assert stages == ["conv", "proposal", "region-wise", "total",
                           "rate_images_per_sec"]
+
+    @pytest.mark.parametrize("n_warmup,n_timed", [(0, 0), (-3, 2)],
+                             ids=["no-timed", "negative-warmup"])
+    def test_bad_counts_rejected(self, n_warmup, n_timed):
+        called = []
+        with pytest.raises(ValueError, match="n_timed >= 1 and n_warmup >= 0"):
+            bench(called.append, lambda f: f, lambda f, p: [], [0],
+                  n_warmup=n_warmup, n_timed=n_timed)
+        assert not called

@@ -13,9 +13,9 @@ def modules() -> dict[str, ast.Module]:
     return {p.stem: ast.parse(p.read_text(), str(p)) for p in SRC.glob("*.py")}
 
 
-def call_scopes(name: str) -> set[str]:
-    """`module.def[.def...]` of every call of `name`, bare or as an attribute;
-    just `module` for a call outside any def."""
+def call_scopes(name: str, bare: bool = False) -> set[str]:
+    """`module.def[.def...]` of every call of `name`, bare or (unless `bare`)
+    as an attribute; just `module` for a call outside any def."""
     found = set()
 
     def visit(node, scope):
@@ -25,7 +25,8 @@ def call_scopes(name: str) -> set[str]:
                 inner = f"{scope}.{child.name}"
             elif isinstance(child, ast.Call):
                 f = child.func
-                if getattr(f, "id", None) == name or getattr(f, "attr", None) == name:
+                if getattr(f, "id", None) == name or \
+                        (not bare and getattr(f, "attr", None) == name):
                     found.add(scope)
             visit(child, inner)
 
@@ -92,6 +93,18 @@ def test_one_place_builds_and_opens_the_model():
         scopes = call_scopes(cls)
         assert build in scopes and scopes <= {build, four_step}, (cls, scopes)
     assert call_scopes("load_checkpoint") == {"training.TrainState.open"}
+
+
+def test_one_detection_chain():
+    """Proposals and detections are made only by the stages `TrainState`
+    defines, for either detector; `detector.detect` is the two-stage region
+    stage and calls the class-wise post-process the one-stage head shares."""
+    for name in ("detect", "propose_arrays", "classwise_detections"):
+        scopes = call_scopes(name, bare=True)
+        allowed = {"detector.detect"} if name == "classwise_detections" else set()
+        assert scopes and all(s.startswith("training.TrainState.") or s in allowed
+                              for s in scopes), (name, scopes)
+    assert "detector.detect" in call_scopes("classwise_detections", bare=True)
 
 
 def test_the_per_caller_model_paths_are_gone():

@@ -396,6 +396,19 @@ class TestBackwardMechanics:
         T.tsum(T.add(T.mul(a, a), a)).backward()
         np.testing.assert_allclose(a.grad, [5.0])  # d(a^2 + a)/da = 2a + 1
 
+    def test_shared_gradient_survives_a_later_accumulation(self):
+        # reshape hands s a view of v's grad and add hands that one array to
+        # both a and b; a's second accumulation must not write through it
+        a, b = t64([1.0, 2.0]), t64([3.0, 4.0])
+        s = T.add(a, b)
+        v = T.reshape(s, (2, 1))
+        T.add(T.tsum(T.mul(a, a)), T.tsum(T.mul(v, 3.0))).backward()
+        assert np.shares_memory(b.grad, v.grad)      # handed over, not copied
+        np.testing.assert_array_equal(a.grad, [5.0, 7.0])    # 2a + 3
+        np.testing.assert_array_equal(b.grad, [3.0, 3.0])
+        np.testing.assert_array_equal(s.grad, [3.0, 3.0])
+        np.testing.assert_array_equal(v.grad, [[3.0], [3.0]])
+
     def test_no_grad_tensor_untouched(self):
         a = t64([1.0, 2.0])
         b = Tensor(np.array([3.0, 4.0]), requires_grad=False)
