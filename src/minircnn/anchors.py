@@ -8,8 +8,8 @@ import numpy as np
 
 @dataclass(frozen=True)
 class AnchorConfig:
-    scales: tuple[float, ...] = (16.0, 32.0, 64.0)  # side lengths, px
-    ratios: tuple[float, ...] = (0.5, 1.0, 2.0)     # width : height
+    scales: tuple[float, ...]   # side lengths, px
+    ratios: tuple[float, ...]   # width : height
     stride: int = 8
 
     def __post_init__(self):

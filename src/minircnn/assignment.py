@@ -34,8 +34,8 @@ class RpnTargets:
         return np.flatnonzero(self.sample_mask)
 
 
-def assign_labels(aset: AnchorSet, gt_boxes: np.ndarray, pos_iou: float = 0.7,
-                  neg_iou: float = 0.3) -> RpnTargets:
+def assign_labels(aset: AnchorSet, gt_boxes: np.ndarray, pos_iou: float,
+                  neg_iou: float) -> RpnTargets:
     """Label anchors positive/negative/ignore and compute regression targets.
 
     Cross-boundary anchors stay IGNORE. An anchor is positive if it is an
@@ -92,8 +92,8 @@ def sample_fg_bg(fg: np.ndarray, bg: np.ndarray, max_fg: int, total: int,
     return take_fg, take_bg
 
 
-def sample_minibatch(targets: RpnTargets, rng: Rng, batch: int = 256,
-                     max_pos: int = 128) -> RpnTargets:
+def sample_minibatch(targets: RpnTargets, rng: Rng, batch: int,
+                     max_pos: int) -> RpnTargets:
     """Fill sample_mask: up to max_pos positives, padded to batch with negatives."""
     pos = np.flatnonzero(targets.labels == POSITIVE)
     neg = np.flatnonzero(targets.labels == NEGATIVE)

@@ -21,11 +21,13 @@ CKPT_MODES = ("no-reg", "no-cls", "n-sweep")
 
 
 def _load_config(args) -> RunConfig:
+    """`--config`, then each `--set`, then each flag whose dest is a key."""
     cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
-    for key, value in getattr(args, "set", None) or []:
+    for key, value in args.set or []:
         cfg.set_key(key, value)
+    for key in RunConfig.keys():
+        if getattr(args, key, None) is not None:
+            cfg.set_key(key, str(getattr(args, key)))
     return cfg
 
 
@@ -97,31 +99,28 @@ def _report(path: Path, text: str):
 # subcommand handlers ---------------------------------------------------
 
 def cmd_gen_data(args, cfg: RunConfig, out: Path):
-    n = args.n if args.n is not None else cfg.data_n_images
-    size = args.image_size if args.image_size is not None else cfg.data_image_size
-    gen_synthetic(out, n, image_size=size, seed=cfg.seed,
-                  max_objects=cfg.data_max_objects)
-    print(f"wrote {n} images + manifest under {out}")
+    gen_synthetic(out, cfg.data_n_images, image_size=cfg.data_image_size,
+                  seed=cfg.seed, max_objects=cfg.data_max_objects)
+    print(f"wrote {cfg.data_n_images} images + manifest under {out}")
 
 
 def cmd_train_rpn(args, cfg: RunConfig, out: Path):
     scenes = _load_scenes(args.data)
     state = TrainState.build(cfg.seed, *_dims(cfg), ("rpn",))
-    sched = cfg.schedule(iters=args.iters)
-    train(scenes, state, sched, cfg.loss_weights())
+    train(scenes, state, cfg.schedule(), cfg.loss_weights(), cfg.roi_sample_config(),
+          cfg.proposal_params(train=True))
     save_state(state, out / "rpn.frpn")
     write_loss_log(state, out / "loss.csv")
-    print(f"trained RPN for {sched.total_iters} iters; checkpoint {out / 'rpn.frpn'}")
+    print(f"trained RPN for {cfg.train_iters} iters; checkpoint {out / 'rpn.frpn'}")
 
 
 def cmd_train_alt(args, cfg: RunConfig, out: Path):
     scenes = _load_scenes(args.data)
-    state = alternate_4step(scenes, cfg.schedule(iters=args.iters),
-                            cfg.schedule_det(iters=args.iters), cfg.anchor_config(),
-                            cfg.loss_weights(), cfg.roi_sample_config(),
-                            cfg.detector_n_classes, cfg.rpn_head_dim,
-                            cfg.proposal_params(train=True), out_dir=out,
-                            channels=cfg.backbone_channels)
+    state = alternate_4step(scenes, cfg.schedule(), cfg.schedule_det(),
+                            cfg.anchor_config(), cfg.loss_weights(),
+                            cfg.roi_sample_config(), cfg.detector_n_classes,
+                            cfg.rpn_head_dim, cfg.proposal_params(train=True),
+                            cfg.backbone_channels, out_dir=out)
     save_state(state, out / "final.frpn")
     write_loss_log(state, out / "loss.csv")
     print(f"4-step training done; unified checkpoint {out / 'final.frpn'}")
@@ -129,12 +128,10 @@ def cmd_train_alt(args, cfg: RunConfig, out: Path):
 
 def cmd_train_joint(args, cfg: RunConfig, out: Path):
     scenes = _load_scenes(args.data)
-    iters = args.iters if args.iters is not None else cfg.train_joint_iters
-    state = joint_train(scenes, cfg.schedule_det(iters=iters), cfg.anchor_config(),
-                        cfg.loss_weights(), cfg.roi_sample_config(),
+    state = joint_train(scenes, cfg.schedule_det(iters=cfg.train_joint_iters),
+                        cfg.anchor_config(), cfg.loss_weights(), cfg.roi_sample_config(),
                         cfg.detector_n_classes, cfg.rpn_head_dim,
-                        cfg.proposal_params(train=True),
-                        channels=cfg.backbone_channels)
+                        cfg.proposal_params(train=True), channels=cfg.backbone_channels)
     save_state(state, out / "joint.frpn")
     write_loss_log(state, out / "loss.csv")
     print(f"joint training done; checkpoint {out / 'joint.frpn'}")
@@ -142,8 +139,7 @@ def cmd_train_joint(args, cfg: RunConfig, out: Path):
 
 def cmd_train_onestage(args, cfg: RunConfig, out: Path):
     scenes = _load_scenes(args.data)
-    state = train_onestage(scenes, cfg.schedule_det(iters=args.iters),
-                           cfg.anchor_config(),
+    state = train_onestage(scenes, cfg.schedule_det(), cfg.anchor_config(),
                            cfg.roi_sample_config(), cfg.detector_n_classes,
                            cfg.rpn_head_dim, channels=cfg.backbone_channels)
     save_state(state, out / "onestage.frpn")
@@ -154,7 +150,7 @@ def cmd_train_onestage(args, cfg: RunConfig, out: Path):
 def cmd_propose(args, cfg: RunConfig, out: Path):
     scenes = _load_scenes(args.data)
     state = TrainState.open(args.ckpt, *_dims(cfg)).require("rpn")
-    p = replace(cfg.proposal_params(train=False), post_nms_top=args.n)
+    p = cfg.proposal_params(train=False)
     rows = ["image,rank,score,x1,y1,x2,y2"]
     for s in scenes:
         _, boxes, scores = state.propose_scene(s, p)
@@ -203,6 +199,8 @@ def cmd_eval_map(args, cfg: RunConfig, out: Path):
 
 def cmd_bench(args, cfg: RunConfig, out: Path):
     scenes = _load_scenes(args.data)[:args.n_timed]
+    if not scenes:
+        raise ValueError(f"{args.data} holds no images to time")
     state = TrainState.open(args.ckpt, *_dims(cfg))
     report = bench(*state.stages(*_detect_args(cfg)), scenes,
                    n_warmup=args.n_warmup, n_timed=args.n_timed)
@@ -240,7 +238,10 @@ def cmd_ablate(args, cfg: RunConfig, out: Path):
         _report(out / "recall_no_cls.csv", curve.to_csv())
     elif args.mode == "n-sweep":
         budgets = sorted(args.budgets)
-        full = replace(p, post_nms_top=max(budgets))
+        if budgets[-1] > p.pre_nms_top:
+            raise ValueError(f"--budgets {budgets[-1]} exceeds "
+                             f"proposals.pre_nms_top={p.pre_nms_top}")
+        full = replace(p, post_nms_top=budgets[-1])
         props = [state.propose_scene(s, full)[1] for s in scenes]
         rows = ["n,tau,recall"]
         for n in budgets:
@@ -273,7 +274,8 @@ def _retrain_recall(cfg: RunConfig, scenes, gt_boxes, p, args, **overrides):
     field `overrides`, and the recall curve of its top `args.n` proposals."""
     sub = replace(cfg, **overrides)
     state = TrainState.build(sub.seed, *_dims(sub), ("rpn",))
-    train(scenes, state, sub.schedule(iters=args.iters), sub.loss_weights())
+    train(scenes, state, sub.schedule(iters=args.iters), sub.loss_weights(),
+          sub.roi_sample_config(), sub.proposal_params(train=True))
     props = [state.propose_scene(s, p)[1] for s in scenes]
     return state, recall_curve(props, gt_boxes, args.n)
 
@@ -285,15 +287,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", help="run-config file (key=value lines)")
-        p.add_argument("--seed", type=int, help="override config seed")
+        p.add_argument("--seed", type=int, help="sets seed")
         p.add_argument("--set", nargs=2, action="append", metavar=("KEY", "VALUE"),
                        help="override a single config key")
         p.add_argument("--out", required=True, help="output directory")
 
     p = sub.add_parser("gen-data", help="generate the synthetic shapes dataset")
     common(p)
-    p.add_argument("--n", type=int, help="number of images")
-    p.add_argument("--image-size", type=int, help="square image side, px")
+    p.add_argument("--n", type=int, dest="data.n_images", metavar="N",
+                   help="sets data.n_images")
+    p.add_argument("--image-size", type=int, dest="data.image_size",
+                   metavar="IMAGE_SIZE", help="sets data.image_size")
     p.set_defaults(fn=cmd_gen_data)
 
     for name, fn, hlp in (("train-rpn", cmd_train_rpn, "train the RPN alone"),
@@ -304,14 +308,16 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=hlp)
         common(p)
         p.add_argument("--data", required=True, help="dataset dir or manifest")
-        p.add_argument("--iters", type=int, help="iterations (per step)")
+        key = "train.joint_iters" if name == "train-joint" else "train.iters"
+        p.add_argument("--iters", type=int, dest=key, metavar="ITERS", help=f"sets {key}")
         p.set_defaults(fn=fn)
 
     p = sub.add_parser("propose", help="write top-N proposals per image")
     common(p)
     p.add_argument("--ckpt", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--n", type=int, default=300)
+    p.add_argument("--n", type=int, dest="proposals.post_nms_top_test", metavar="N",
+                   help="sets proposals.post_nms_top_test")
     p.set_defaults(fn=cmd_propose)
 
     p = sub.add_parser("detect", help="run the detector a checkpoint holds")

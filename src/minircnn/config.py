@@ -2,6 +2,10 @@
 
 File format: one `section.key=value` per line, `#` comments, blank lines
 ignored. Unknown keys are rejected. Lists are comma-separated.
+
+The library takes each run value as an argument, so the defaults below are
+the package's. The CLI applies `--config`, each `--set`, then the flags whose
+dest is a key, and writes the result as `config.txt`, which reproduces the run.
 """
 from __future__ import annotations
 
@@ -71,24 +75,31 @@ class RunConfig:
     _IOU_FIELDS = ("rpn_pos_iou", "rpn_neg_iou", "proposals_nms_iou",
                    "detector_fg_iou", "detector_nms_iou", "eval_iou_thresh")
 
+    # least values of counts and sizes
+    _LEAST = {"data_n_images": 1, "proposals_min_size": 0, "train_iters": 0,
+              "train_joint_iters": 0}
+
     _PARSERS = {
         "anchors_scales": _floats,
         "anchors_ratios": _floats,
         "backbone_channels": _ints,
     }
 
-    @staticmethod
-    def _field_to_key(name: str) -> str:
-        return name.replace("_", ".", 1) if "_" in name else name
+    @classmethod
+    def keys(cls) -> dict[str, str]:
+        """Each key, spelled as `to_text` writes it, and the field it names."""
+        return {f.name.replace("_", ".", 1): f.name for f in fields(cls)}
 
     def set_key(self, key: str, value: str):
-        """Set the field that `key`, spelled as `to_text` writes it, names."""
-        name = {self._field_to_key(f.name): f.name for f in fields(self)}.get(key)
+        """Set the field that `key` names, rejecting a value out of its range."""
+        name = self.keys().get(key)
         if name is None:
             raise KeyError(f"unknown config key: {key}")
         value = self._PARSERS.get(name, type(getattr(self, name)))(value)
         if name in self._IOU_FIELDS and not 0 <= value <= 1:
             raise ValueError(f"{key}={value} is outside [0, 1]")
+        if name in self._LEAST and value < self._LEAST[name]:
+            raise ValueError(f"{key}={value} is below {self._LEAST[name]}")
         setattr(self, name, value)
 
     @classmethod
@@ -109,12 +120,12 @@ class RunConfig:
 
     def to_text(self) -> str:
         lines = []
-        for f in fields(self):
-            v = getattr(self, f.name)
+        for key, name in self.keys().items():
+            v = getattr(self, name)
             if isinstance(v, tuple):
                 v = ",".join(_float_text(x) if isinstance(x, float) else str(x)
                              for x in v)
-            lines.append(f"{self._field_to_key(f.name)}={v}")
+            lines.append(f"{key}={v}")
         return "\n".join(lines) + "\n"
 
     def write(self, path):
@@ -132,12 +143,10 @@ class RunConfig:
 
     def proposal_params(self, train: bool):
         from .rpn import ProposalParams
-        return ProposalParams(
-            nms_iou=self.proposals_nms_iou,
-            pre_nms_top=self.proposals_pre_nms_top,
-            post_nms_top=self.proposals_post_nms_top_train if train
-            else self.proposals_post_nms_top_test,
-            min_size=self.proposals_min_size)
+        return ProposalParams(self.proposals_nms_iou, self.proposals_pre_nms_top,
+                              self.proposals_post_nms_top_train if train
+                              else self.proposals_post_nms_top_test,
+                              self.proposals_min_size)
 
     def roi_sample_config(self):
         from .detector import RoiSampleConfig
@@ -147,12 +156,9 @@ class RunConfig:
     def schedule(self, iters: int | None = None, lr: float | None = None):
         from .training import TrainSchedule
         n = self.train_iters if iters is None else iters
-        return TrainSchedule(total_iters=n,
-                             lr=self.train_lr if lr is None else lr,
-                             lr_drop_at=int(self.train_lr_drop_frac * n),
-                             momentum=self.train_momentum,
-                             weight_decay=self.train_weight_decay,
-                             seed=self.seed)
+        return TrainSchedule(n, self.train_lr if lr is None else lr,
+                             int(self.train_lr_drop_frac * n), self.train_momentum,
+                             self.train_weight_decay, self.seed)
 
     def schedule_det(self, iters: int | None = None):
         return self.schedule(iters, lr=self.train_det_lr)

@@ -19,9 +19,9 @@ FC_DIM = 256
 
 @dataclass
 class RoiSampleConfig:
-    rois_per_image: int = 64
-    fg_fraction: float = 0.25
-    fg_iou: float = 0.5     # foreground: max IoU at least fg_iou, else background
+    rois_per_image: int
+    fg_fraction: float
+    fg_iou: float     # foreground: max IoU at least fg_iou, else background
 
     def __post_init__(self):
         if self.rois_per_image < 1:
@@ -111,7 +111,7 @@ def check_classes(scenes, n_classes: int):
 
 def sample_rois(proposals: np.ndarray, gt_boxes: np.ndarray, gt_classes: np.ndarray,
                 cfg: RoiSampleConfig, rng: Rng) -> RoiBatch:
-    """Detector-stage sampling: gt boxes appended, fg/bg split by IoU at 0.5."""
+    """Detector-stage sampling: gt boxes appended, fg/bg split by IoU at `cfg.fg_iou`."""
     proposals = np.asarray(proposals, dtype=np.float64).reshape(-1, 4)
     gt_boxes = np.asarray(gt_boxes, dtype=np.float64).reshape(-1, 4)
     gt_classes = np.asarray(gt_classes, dtype=np.int64)
@@ -145,8 +145,8 @@ def detector_loss(cls_logits: Tensor, deltas: Tensor,
 
 def detect(features: Tensor, proposals: np.ndarray, head: DetectorHead,
            spatial_scale: float, image_w: float, image_h: float,
-           score_thresh: float = 0.05, nms_iou: float = 0.3,
-           max_per_image: int = 100) -> list[ScoredBox]:
+           score_thresh: float, nms_iou: float,
+           max_per_image: int) -> list[ScoredBox]:
     """Class-wise decode + NMS over proposals; returns detections, class_id >= 1."""
     proposals = np.asarray(proposals, dtype=np.float64).reshape(-1, 4)
     cls_logits, deltas = detector_forward(features, proposals, head, spatial_scale)

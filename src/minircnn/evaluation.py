@@ -69,7 +69,7 @@ def recall_curve(proposals_per_image: list[np.ndarray],
 
 def voc_ap(detections_per_image: list[list], gt_boxes_per_image: list[np.ndarray],
            gt_classes_per_image: list[np.ndarray], class_id: int,
-           iou_thresh: float = 0.5) -> float | None:
+           iou_thresh: float) -> float | None:
     """Average precision for one class; None when the class is absent from gt.
 
     Detections are ScoredBox lists. Greedy score-descending matching, each gt
@@ -116,7 +116,7 @@ def _area_ap(rec: np.ndarray, prec: np.ndarray) -> float:
 
 
 def mean_ap(detections_per_image, gt_boxes_per_image, gt_classes_per_image,
-            class_ids, iou_thresh: float = 0.5) -> tuple[float, dict[int, float]]:
+            class_ids, iou_thresh: float) -> tuple[float, dict[int, float]]:
     """mAP over classes present in gt; absent classes are excluded."""
     per_class = {}
     for c in class_ids:
@@ -129,8 +129,8 @@ def mean_ap(detections_per_image, gt_boxes_per_image, gt_classes_per_image,
     return float(np.mean(list(per_class.values()))), per_class
 
 
-def bench(conv_fn, proposal_fn, region_fn, inputs: list, n_warmup: int = 2,
-          n_timed: int = 10) -> TimingReport:
+def bench(conv_fn, proposal_fn, region_fn, inputs: list, n_warmup: int,
+          n_timed: int) -> TimingReport:
     """Median per-stage wall-clock over n_timed inputs after n_warmup discarded.
 
     conv_fn(x) -> features; proposal_fn(features) -> proposals;

@@ -17,8 +17,8 @@ CHECKPOINT_VERSION = 1
 @dataclass
 class SgdConfig:
     lr: float
-    momentum: float = 0.9
-    weight_decay: float = 0.0005
+    momentum: float
+    weight_decay: float
 
     def __post_init__(self):
         if self.lr <= 0:

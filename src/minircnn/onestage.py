@@ -36,8 +36,7 @@ def _assign_windows(aset: AnchorSet, scene: Scene, cfg: RoiSampleConfig):
 
 def train_onestage(scenes: list[Scene], sched: TrainSchedule,
                    anchor_cfg: AnchorConfig, roi_cfg: RoiSampleConfig,
-                   n_classes: int, head_dim: int = 64,
-                   channels=(16, 32, 64, 64)) -> TrainState:
+                   n_classes: int, head_dim: int, channels) -> TrainState:
     """SGD on detector-style sampling over dense windows."""
     if not scenes:
         raise ValueError("empty dataset")

@@ -22,11 +22,11 @@ class LossWeights:
     """The RPN objective: lam weighs the box term; `batch` anchors are sampled
     per image (at most `max_pos` positive) from labels set by the IoU
     thresholds pos_iou/neg_iou, and the log-loss is divided by `batch`."""
-    lam: float = 10.0
-    batch: int = 256
-    max_pos: int = 128
-    pos_iou: float = 0.7
-    neg_iou: float = 0.3
+    lam: float
+    batch: int
+    max_pos: int
+    pos_iou: float
+    neg_iou: float
 
     def __post_init__(self):
         if self.lam <= 0 or self.batch <= 0 or self.max_pos < 0:
@@ -39,10 +39,10 @@ class LossWeights:
 
 @dataclass
 class ProposalParams:
-    nms_iou: float = 0.7
-    pre_nms_top: int = 6000
-    post_nms_top: int = 300   # 2000 at train time
-    min_size: float = 2.0
+    nms_iou: float
+    pre_nms_top: int
+    post_nms_top: int
+    min_size: float
 
     def __post_init__(self):
         if not 0 <= self.nms_iou <= 1:
@@ -76,7 +76,7 @@ class Backbone:
     -> conv3x3x64/ReLU.
     """
 
-    def __init__(self, rng: Rng, channels=(16, 32, 64, 64)):
+    def __init__(self, rng: Rng, channels):
         chans = (3, *channels)
         if len(chans) != 5:
             raise ValueError("backbone takes exactly 4 channel widths")
@@ -112,7 +112,7 @@ class ConvHead:
     and k anchors per window, anchor-major as `anchor_rows` reads them."""
 
     def __init__(self, name: str, rng: Rng, backbone_dim: int, k: int,
-                 n_classes: int, head_dim: int = 64):
+                 n_classes: int, head_dim: int):
         self.k = k
         self.n_classes = n_classes
         self.trunk = ConvLayer(f"{name}.trunk", backbone_dim, head_dim, 3, 1, rng)
@@ -131,7 +131,7 @@ class ConvHead:
 class RpnHead(ConvHead):
     """The class-agnostic head (C = 1); cls channel 2a+1 is anchor a's object score."""
 
-    def __init__(self, rng: Rng, backbone_dim: int, k: int, head_dim: int = 64):
+    def __init__(self, rng: Rng, backbone_dim: int, k: int, head_dim: int):
         super().__init__("rpn", rng, backbone_dim, k, 1, head_dim)
 
 
@@ -139,7 +139,7 @@ class OneStageHead(ConvHead):
     """The sliding-window head with C object classes: per-class boxes per window."""
 
     def __init__(self, rng: Rng, backbone_dim: int, k: int, n_classes: int,
-                 head_dim: int = 64):
+                 head_dim: int):
         super().__init__("onestage", rng, backbone_dim, k, n_classes, head_dim)
 
 

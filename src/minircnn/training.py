@@ -26,9 +26,6 @@ from .tensor import Tensor
 
 log = logging.getLogger(__name__)
 
-# proposals per image that the detector trains on
-TRAIN_PROPOSALS = ProposalParams(post_nms_top=2000, pre_nms_top=6000)
-
 # the heads a model may hold, in checkpoint order; each owns the entries `<head>.*`
 HEADS = ("rpn", "det", "onestage")
 
@@ -36,15 +33,13 @@ HEADS = ("rpn", "det", "onestage")
 @dataclass
 class TrainSchedule:
     total_iters: int
-    lr: float = 0.06
-    lr_drop_at: int | None = None   # default: 75% of total_iters
-    momentum: float = 0.9
-    weight_decay: float = 0.0005
-    seed: int = 0
+    lr: float
+    lr_drop_at: int
+    momentum: float
+    weight_decay: float
+    seed: int
 
     def __post_init__(self):
-        if self.lr_drop_at is None:
-            self.lr_drop_at = (3 * self.total_iters) // 4
         if self.lr_drop_at > self.total_iters:
             raise ValueError("lr_drop_at must not exceed total_iters")
 
@@ -63,10 +58,10 @@ class TrainState:
     anchor configuration the RPN and one-stage heads predict against, and
     the training record."""
     backbone: Backbone
+    anchor_cfg: AnchorConfig
     rpn_head: RpnHead | None = None
     det_head: DetectorHead | None = None
     onestage_head: OneStageHead | None = None
-    anchor_cfg: AnchorConfig = field(default_factory=AnchorConfig)
     shared_frozen: bool = False
     iteration: int = 0
     loss_log: list[dict] = field(default_factory=list)
@@ -86,12 +81,12 @@ class TrainState:
                   n_classes: int, heads) -> "TrainState":
         """The backbone, then the named `heads` in checkpoint order, each
         drawing its weights from `init`'s normals."""
-        bb = Backbone(init, channels=channels)
+        bb = Backbone(init, channels)
         make = {"rpn": lambda: RpnHead(init, bb.out_dim, anchor_cfg.k, head_dim),
                 "det": lambda: DetectorHead(init, bb.out_dim, n_classes),
                 "onestage": lambda: OneStageHead(init, bb.out_dim, anchor_cfg.k,
                                                  n_classes, head_dim)}
-        return cls(bb, anchor_cfg=anchor_cfg, **{
+        return cls(bb, anchor_cfg, **{
             f"{h}_head": make[h]() for h in sorted(heads, key=HEADS.index)})
 
     @classmethod
@@ -205,20 +200,6 @@ def backbone_checksum(backbone: Backbone) -> str:
     return h.hexdigest()
 
 
-def _log_csv(rows: list[dict], path):
-    if not rows:
-        Path(path).write_text("")
-        return
-    keys = list(dict.fromkeys(k for r in rows for k in r))   # first-seen order
-    lines = [",".join(keys)]
-    for r in rows:
-        lines.append(",".join(
-            "" if k not in r else
-            (f"{r[k]:.6g}" if isinstance(r[k], float) else str(r[k]))
-            for k in keys))
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
 class _Feeder:
     """Deterministic epoch-shuffled scene order from the 'data' stream."""
 
@@ -238,10 +219,9 @@ class _Feeder:
 
 
 def train(scenes: list[Scene], state: TrainState, sched: TrainSchedule,
-          weights: LossWeights = LossWeights(),
-          roi_cfg: RoiSampleConfig = RoiSampleConfig(),
-          proposals: list[np.ndarray] | None = None,
-          train_proposals: ProposalParams = TRAIN_PROPOSALS) -> TrainState:
+          weights: LossWeights, roi_cfg: RoiSampleConfig,
+          train_proposals: ProposalParams,
+          proposals: list[np.ndarray] | None = None) -> TrainState:
     """Image-centric SGD, one image per minibatch, on the summed losses of the
     heads `state` holds; the backbone trains unless `state.shared_frozen`.
 
@@ -326,43 +306,41 @@ def require_steps(state: TrainState, start: int, sched: TrainSchedule,
 def alternate_4step(scenes: list[Scene], sched_rpn: TrainSchedule,
                     sched_det: TrainSchedule, anchor_cfg: AnchorConfig,
                     weights: LossWeights, roi_cfg: RoiSampleConfig,
-                    n_classes: int, head_dim: int = 64,
-                    train_proposals: ProposalParams = TRAIN_PROPOSALS,
-                    out_dir=None,
-                    channels=(16, 32, 64, 64)) -> TrainState:
+                    n_classes: int, head_dim: int, train_proposals: ProposalParams,
+                    channels, out_dir=None) -> TrainState:
     """The pragmatic 4-step alternating scheme; ends with one shared backbone."""
     check_classes(scenes, n_classes)
     init = Rng(sched_rpn.seed).substream("init")
+    objectives = (weights, roi_cfg, train_proposals)
 
     # step 1: train RPN end to end from scratch
-    bb1 = Backbone(init, channels=channels)
-    s1 = TrainState(backbone=bb1, anchor_cfg=anchor_cfg,
+    bb1 = Backbone(init, channels)
+    s1 = TrainState(bb1, anchor_cfg,
                     rpn_head=RpnHead(init, bb1.out_dim, anchor_cfg.k, head_dim))
-    train(scenes, s1, sched_rpn, weights)
+    train(scenes, s1, sched_rpn, *objectives)
     props = [s1.propose_scene(s, train_proposals)[1] for s in scenes]
 
     # step 2: separate detector network on step-1 proposals (fresh backbone,
     # random init standing in for the paper's ImageNet initialization)
-    bb2 = Backbone(init, channels=channels)
+    bb2 = Backbone(init, channels)
     det = DetectorHead(init, bb2.out_dim, n_classes)
-    s2 = TrainState(backbone=bb2, det_head=det)
-    train(scenes, s2, sched_det, roi_cfg=roi_cfg, proposals=props)
+    s2 = TrainState(bb2, anchor_cfg, det_head=det)
+    train(scenes, s2, sched_det, *objectives, proposals=props)
 
     # step 3: re-init the RPN head on step-2's backbone, conv layers frozen
-    s3 = TrainState(backbone=bb2, anchor_cfg=anchor_cfg, shared_frozen=True,
+    s3 = TrainState(bb2, anchor_cfg, shared_frozen=True,
                     rpn_head=RpnHead(init, bb2.out_dim, anchor_cfg.k, head_dim))
     pre = backbone_checksum(bb2)
-    train(scenes, s3, sched_rpn, weights)
+    train(scenes, s3, sched_rpn, *objectives)
     assert backbone_checksum(bb2) == pre, "frozen backbone changed in step 3"
 
     # step 4: fine-tune the detector head, shared conv layers still frozen
     props = [s3.propose_scene(s, train_proposals)[1] for s in scenes]
-    s4 = TrainState(backbone=bb2, det_head=det, shared_frozen=True)
-    train(scenes, s4, sched_det, roi_cfg=roi_cfg, proposals=props)
+    s4 = TrainState(bb2, anchor_cfg, det_head=det, shared_frozen=True)
+    train(scenes, s4, sched_det, *objectives, proposals=props)
     assert backbone_checksum(bb2) == pre, "frozen backbone changed in step 4"
 
-    final = TrainState(backbone=bb2, rpn_head=s3.rpn_head, det_head=det,
-                       anchor_cfg=anchor_cfg,
+    final = TrainState(bb2, anchor_cfg, rpn_head=s3.rpn_head, det_head=det,
                        loss_log=s1.loss_log + s2.loss_log + s3.loss_log + s4.loss_log)
     if out_dir is not None:
         out_dir = Path(out_dir)
@@ -373,14 +351,13 @@ def alternate_4step(scenes: list[Scene], sched_rpn: TrainSchedule,
 
 def joint_train(scenes: list[Scene], sched: TrainSchedule, anchor_cfg: AnchorConfig,
                 weights: LossWeights, roi_cfg: RoiSampleConfig, n_classes: int,
-                head_dim: int = 64,
-                train_proposals: ProposalParams = TRAIN_PROPOSALS,
-                channels=(16, 32, 64, 64)) -> TrainState:
+                head_dim: int, train_proposals: ProposalParams,
+                channels) -> TrainState:
     """Approximate joint training: a fresh backbone, RPN head and detector
     head, trained together by `train` on the RPN's own proposals."""
     state = TrainState.build(sched.seed, anchor_cfg, channels, head_dim, n_classes,
                              ("rpn", "det"))
-    return train(scenes, state, sched, weights, roi_cfg, train_proposals=train_proposals)
+    return train(scenes, state, sched, weights, roi_cfg, train_proposals)
 
 
 def save_state(state: TrainState, path):
@@ -388,4 +365,15 @@ def save_state(state: TrainState, path):
 
 
 def write_loss_log(state: TrainState, path):
-    _log_csv(state.loss_log, path)
+    rows = state.loss_log
+    if not rows:
+        Path(path).write_text("")
+        return
+    keys = list(dict.fromkeys(k for r in rows for k in r))   # first-seen order
+    lines = [",".join(keys)]
+    for r in rows:
+        lines.append(",".join(
+            "" if k not in r else
+            (f"{r[k]:.6g}" if isinstance(r[k], float) else str(r[k]))
+            for k in keys))
+    Path(path).write_text("\n".join(lines) + "\n")

@@ -7,6 +7,7 @@ pair — are built once per session and shared across criteria.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,15 +18,17 @@ from minircnn.assignment import assign_labels, sample_minibatch
 from minircnn.boxes import decode_arr, encode_arr, iou_matrix_arr, nms_arr
 from minircnn.cli import run as cli_run
 from minircnn.dataio import image_to_input, make_scene
-from minircnn.detector import RoiBatch, RoiSampleConfig, detector_loss
+from minircnn.detector import RoiBatch, detector_loss
 from minircnn.evaluation import bench, mean_ap, recall_curve
 from minircnn.nn import load_checkpoint
 from minircnn.onestage import train_onestage
 from minircnn.rng import Rng
-from minircnn.rpn import LossWeights, ProposalParams, rpn_loss
+from minircnn.rpn import rpn_loss
 from minircnn.tensor import Tensor
-from minircnn.training import TrainSchedule, TrainState, alternate_4step, train
+from minircnn.training import TrainState, alternate_4step, train
 
+from defaults import (ANCHORS, CHANNELS, HEAD_DIM, IOU_THRESH, LABEL_IOUS, POST, ROI,
+                      TEST_PROPOSALS, TRAIN_PROPOSALS, WEIGHTS, schedule)
 from oracles import brute_iou, brute_nms, gradcheck, random_boxes
 
 
@@ -33,7 +36,6 @@ from oracles import brute_iou, brute_nms, gradcheck, random_boxes
 
 N_TRAIN, N_TEST = 500, 100
 IMAGE_SIZE = 128
-ACFG = AnchorConfig()          # scales 16/32/64, ratios 0.5/1/2, stride 8
 
 
 @pytest.fixture(scope="session")
@@ -48,12 +50,12 @@ def shapes_data():
 def trained_rpn(shapes_data):
     """The criterion-5 model: 5k iterations on the full 500-scene set."""
     scenes, test = shapes_data
-    state = TrainState.build(7, ACFG, (16, 32, 64, 64), 64, 3, ("rpn",))
+    state = TrainState.build(7, ANCHORS, CHANNELS, HEAD_DIM, 3, ("rpn",))
     t0 = time.perf_counter()
-    train(scenes, state, TrainSchedule(total_iters=5000, seed=7), LossWeights())
+    train(scenes, state, schedule(5000, seed=7), WEIGHTS, ROI, TRAIN_PROPOSALS)
     elapsed = time.perf_counter() - t0
     # one 1000-deep proposal list serves budgets 50/300/1000 (score-ordered)
-    p = ProposalParams(pre_nms_top=6000, post_nms_top=1000)
+    p = replace(TEST_PROPOSALS, post_nms_top=1000)
     props = [state.propose_scene(s, p)[1] for s in test]
     return {"state": state, "test": test, "props": props, "elapsed": elapsed}
 
@@ -63,25 +65,22 @@ def matched_pair(shapes_data, tmp_path_factory):
     """Two-stage vs one-stage at matched backbone and iteration budget."""
     train, test = shapes_data
     train, test = train[:150], test[:40]
-    roi_cfg = RoiSampleConfig()
     ckpt_dir = tmp_path_factory.mktemp("alt_steps")
-    two = alternate_4step(train, TrainSchedule(total_iters=1000, seed=7),
-                          TrainSchedule(total_iters=1000, lr=0.01, seed=7),
-                          ACFG, LossWeights(), roi_cfg, n_classes=3,
-                          out_dir=ckpt_dir)
-    one = train_onestage(train, TrainSchedule(total_iters=4000, lr=0.01,
-                                              seed=7),
-                         ACFG, roi_cfg, n_classes=3)
+    two = alternate_4step(train, schedule(1000, seed=7), schedule(1000, 7, det=True),
+                          ANCHORS, WEIGHTS, ROI, 3, HEAD_DIM, TRAIN_PROPOSALS,
+                          CHANNELS, out_dir=ckpt_dir)
+    one = train_onestage(train, schedule(4000, 7, det=True), ANCHORS, ROI, 3, HEAD_DIM,
+                         CHANNELS)
 
     gt_boxes = [s.boxes for s in test]
     gt_classes = [s.classes for s in test]
-    test_props = ProposalParams(pre_nms_top=6000, post_nms_top=300)
+    test_props = TEST_PROPOSALS     # at most 300 per image
 
     # score threshold 0.05, NMS IoU 0.3, at most 100 detections per image
-    dets_two = [two.detect(s, test_props, 0.05, 0.3, 100) for s in test]
-    dets_one = [one.detect(s, test_props, 0.05, 0.3, 100) for s in test]
-    map_two, _ = mean_ap(dets_two, gt_boxes, gt_classes, [1, 2, 3])
-    map_one, _ = mean_ap(dets_one, gt_boxes, gt_classes, [1, 2, 3])
+    dets_two = [two.detect(s, test_props, *POST) for s in test]
+    dets_one = [one.detect(s, test_props, *POST) for s in test]
+    map_two, _ = mean_ap(dets_two, gt_boxes, gt_classes, [1, 2, 3], IOU_THRESH)
+    map_one, _ = mean_ap(dets_one, gt_boxes, gt_classes, [1, 2, 3], IOU_THRESH)
     return {"two": two, "one": one, "map_two": map_two, "map_one": map_one,
             "ckpt_dir": ckpt_dir, "test": test, "test_props": test_props}
 
@@ -194,7 +193,7 @@ class TestCriterion2GradientSuite:
         aset = grid_anchors(mini, 4, 4)
         inside_mask(aset, 32, 32)
         gt = np.array([[4.0, 4.0, 14.0, 14.0], [16.0, 10.0, 30.0, 26.0]])
-        tgt = assign_labels(aset, gt)
+        tgt = assign_labels(aset, gt, *LABEL_IOUS)
         for i in range(20):
             tgt_i = sample_minibatch(tgt, Rng(i, "sampling"), batch=16,
                                      max_pos=8)
@@ -202,7 +201,7 @@ class TestCriterion2GradientSuite:
             reg = t64(rng.normal(size=(4 * mini.k, 4, 4)) * 0.1)
             check("rpn_loss",
                   lambda cls, reg: rpn_loss(cls, reg, tgt_i, mini.k,
-                                            LossWeights())[0], [cls, reg])
+                                            WEIGHTS)[0], [cls, reg])
             n, C = 6, 3
             labels = rng.integers(0, C + 1, size=n)
             labels[0] = 1 + (i % C)                 # guarantee a foreground row
@@ -239,7 +238,7 @@ class TestCriterion4LossStructure:
         aset = grid_anchors(cfg, 4, 4)
         inside_mask(aset, 32, 32)
         gt = np.array([[4.0, 4.0, 14.0, 14.0], [16.0, 10.0, 30.0, 26.0]])
-        t = assign_labels(aset, gt)
+        t = assign_labels(aset, gt, *LABEL_IOUS)
         t = sample_minibatch(t, Rng(seed, "sampling"), batch=16, max_pos=8)
         rng = np.random.default_rng(seed)
         cls = Tensor(rng.normal(size=(2 * cfg.k, 4, 4)), requires_grad=True)
@@ -251,8 +250,8 @@ class TestCriterion4LossStructure:
         cfg, aset, t, cls, reg = self._micro()
         # (a) no positives in the batch -> regression term exactly zero
         t.labels[t.labels == 1] = -1
-        t0 = sample_minibatch(t, Rng(0, "sampling"), batch=16)
-        loss, cls_val, reg_val = rpn_loss(cls, reg, t0, cfg.k, LossWeights())
+        t0 = sample_minibatch(t, Rng(0, "sampling"), 16, WEIGHTS.max_pos)
+        loss, cls_val, reg_val = rpn_loss(cls, reg, t0, cfg.k, WEIGHTS)
         loss.backward()
         zero_ok = reg_val == 0.0 and (reg.grad is None
                                       or np.all(reg.grad == 0.0))
@@ -264,7 +263,7 @@ class TestCriterion4LossStructure:
         for lam in (10.0, 10.0 * c):
             cls.zero_grad(), reg.zero_grad()
             loss, _, _ = rpn_loss(cls, reg, t, cfg.k,
-                                  LossWeights(lam=lam))
+                                  replace(WEIGHTS, lam=lam))
             loss.backward()
             grads.append((cls.grad.copy(), reg.grad.copy()))
         lam_ok = (np.allclose(grads[1][1], c * grads[0][1], rtol=1e-12,
@@ -293,7 +292,7 @@ class TestCriterion6Ablations:
         full70 = recall_curve(props, gts, 300).at(0.7)
 
         # (a) no regression: proposals are clipped anchors ranked by score
-        p = ProposalParams(pre_nms_top=6000, post_nms_top=300)
+        p = TEST_PROPOSALS
         noreg = []
         for s in test:
             _, cls, reg = state.rpn_forward(image_to_input(s.image))
@@ -385,7 +384,7 @@ class TestCriterion9Determinism:
 class TestCriterion10Timing:
     def test_proposal_faster_than_conv(self, announce, matched_pair):
         # conv: the shared trunk and the RPN's convs; proposal: decode + NMS
-        stages = matched_pair["two"].stages(matched_pair["test_props"], 0.05, 0.3, 100)
+        stages = matched_pair["two"].stages(matched_pair["test_props"], *POST)
         r = bench(*stages, matched_pair["test"][:10], n_warmup=2, n_timed=10)
         announce(10, "timing", r.proposal_ms < r.conv_ms,
                  f"conv={r.conv_ms:.1f}ms, proposal={r.proposal_ms:.1f}ms, "

@@ -13,10 +13,12 @@ from minircnn.anchors import (
     inside_mask,
 )
 
+from defaults import ANCHORS
+
 
 class TestConfig:
     def test_k(self):
-        assert AnchorConfig().k == 9
+        assert ANCHORS.k == 9
         assert AnchorConfig(scales=(16.0,), ratios=(1.0, 2.0), stride=8).k == 2
 
     def test_invalid_rejected(self):
@@ -42,7 +44,7 @@ class TestBaseAnchors:
         assert w > h
 
     def test_count_and_order(self):
-        cfg = AnchorConfig()
+        cfg = ANCHORS
         base = base_anchors(cfg)
         assert base.shape == (9, 4)
         # scales outer, ratios inner: first three share scale 16
@@ -55,14 +57,14 @@ class TestBaseAnchors:
                                                 16 * math.sqrt(2)], rtol=1e-12)
 
     def test_centered_at_origin(self):
-        base = base_anchors(AnchorConfig())
+        base = base_anchors(ANCHORS)
         np.testing.assert_allclose(base[:, 0] + base[:, 2], 0, atol=1e-9)
         np.testing.assert_allclose(base[:, 1] + base[:, 3], 0, atol=1e-9)
 
 
 class TestGridAnchors:
     def test_single_cell(self):
-        aset = grid_anchors(AnchorConfig(), 1, 1)
+        aset = grid_anchors(ANCHORS, 1, 1)
         assert len(aset) == 9
         cx = (aset.boxes[:, 0] + aset.boxes[:, 2]) / 2
         cy = (aset.boxes[:, 1] + aset.boxes[:, 3]) / 2
@@ -70,7 +72,7 @@ class TestGridAnchors:
         np.testing.assert_allclose(cy, 4.0, atol=1e-9)
 
     def test_count_law(self):
-        for w, h, cfg in [(60, 40, PAPER_CONFIG), (16, 16, AnchorConfig()),
+        for w, h, cfg in [(60, 40, PAPER_CONFIG), (16, 16, ANCHORS),
                           (3, 7, AnchorConfig(scales=(8.0, 16.0), ratios=(1.0,),
                                               stride=4))]:
             aset = grid_anchors(cfg, w, h)
@@ -81,7 +83,7 @@ class TestGridAnchors:
         assert len(grid_anchors(PAPER_CONFIG, 60, 40)) == 21600
 
     def test_translation_invariance(self):
-        cfg = AnchorConfig()
+        cfg = ANCHORS
         aset = grid_anchors(cfg, 10, 8)
         k = cfg.k
         grid = aset.boxes.reshape(8, 10, k, 4)
@@ -93,7 +95,7 @@ class TestGridAnchors:
         np.testing.assert_allclose(shift_i[..., [0, 2]], 0, atol=1e-9)
 
     def test_positive_extent(self):
-        aset = grid_anchors(AnchorConfig(), 5, 5)
+        aset = grid_anchors(ANCHORS, 5, 5)
         assert np.all(aset.boxes[:, 2] > aset.boxes[:, 0])
         assert np.all(aset.boxes[:, 3] > aset.boxes[:, 1])
 
@@ -122,7 +124,7 @@ class TestInsideMask:
         assert 5000 <= n_inside <= 8000
 
     def test_monotone_in_image_size(self):
-        aset = grid_anchors(AnchorConfig(), 8, 8)
+        aset = grid_anchors(ANCHORS, 8, 8)
         small = inside_mask(aset, 50, 50)
         big = inside_mask(aset, 64, 64)
         assert np.all(big[small])

@@ -1,5 +1,7 @@
 """End-to-end CLI: subcommands, config handling, exit codes, artifacts."""
 
+import argparse
+import importlib.util
 import inspect
 import json
 import os
@@ -13,7 +15,7 @@ import pytest
 
 import minircnn
 from minircnn import anchors, training
-from minircnn.cli import run
+from minircnn.cli import build_parser, run
 from minircnn.config import RunConfig
 from minircnn.dataio import load_manifest
 from minircnn.nn import Param, load_checkpoint, save_checkpoint
@@ -32,6 +34,12 @@ TINY = [
     "--set", "proposals.post_nms_top_train", "50",
     "--set", "proposals.post_nms_top_test", "20",
 ]
+
+
+def written(out: Path) -> dict[str, bytes]:
+    """Every file under `out`, by its path relative to `out`."""
+    return {str(p.relative_to(out)): p.read_bytes()
+            for p in sorted(out.rglob("*")) if p.is_file()}
 
 
 @pytest.fixture(scope="module")
@@ -163,6 +171,15 @@ class TestInferenceCommands:
         assert lines[0] == "stage,ms"
         assert [ln.split(",")[0] for ln in lines[1:]] == \
             ["conv", "proposal", "region-wise", "total", "rate_images_per_sec"]
+
+    def test_bench_on_data_without_images(self, alt_run, tmp_path, capsys):
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        (empty / "manifest.jsonl").write_text("")
+        assert run(["bench", "--out", str(tmp_path / "out"), "--ckpt",
+                    str(alt_run / "final.frpn"), "--data", str(empty), *TINY]) == 1
+        assert f"{empty} holds no images" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "timing.csv").exists()
 
     @pytest.mark.parametrize("flag,value", [("--n-timed", "0"), ("--n-warmup", "-3")])
     def test_bad_bench_count_names_the_flag(self, dataset, alt_run, tmp_path, capsys,
@@ -388,6 +405,34 @@ class TestConfigEcho:
         assert cfg.anchors_scales == (16.1234567, 32.0)
         assert scales[0] == (16.1234567, 32.0)
 
+    @pytest.mark.parametrize("command,flags", [
+        ("gen-data", ["--n", "3", "--image-size", "40"]),
+        ("train-rpn", ["--iters", "3"]),
+        ("train-alt", ["--iters", "2"]),
+        ("train-joint", ["--iters", "3"]),
+        ("train-onestage", ["--iters", "3"]),
+        ("propose", ["--n", "7"]),
+    ])
+    def test_config_txt_alone_reproduces_the_run(self, dataset, rpn_run, tmp_path,
+                                                 command, flags):
+        inputs = {"gen-data": [],
+                  "propose": ["--ckpt", str(rpn_run / "rpn.frpn"), "--data",
+                              str(dataset)]}.get(command, ["--data", str(dataset)])
+        first, again = tmp_path / "first", tmp_path / "again"
+        assert run([command, "--out", str(first), *inputs, *TINY, *flags,
+                    "--seed", "5"]) == 0
+        assert run([command, "--out", str(again), *inputs, "--config",
+                    str(first / "config.txt")]) == 0
+        assert written(again) == written(first)
+
+    def test_propose_keeps_post_nms_top_test(self, dataset, rpn_run, tmp_path):
+        assert run(["propose", "--out", str(tmp_path), "--ckpt",
+                    str(rpn_run / "rpn.frpn"), "--data", str(dataset), *TINY]) == 0
+        rows = (tmp_path / "proposals.csv").read_text().strip().split("\n")[1:]
+        per_image = [sum(r.startswith(f"{p.relative_to(dataset)},") for r in rows)
+                     for p in sorted(dataset.glob("images/*.ppm"))]
+        assert len(per_image) == 4 and 0 < max(per_image) <= 20
+
 
 class TestRpnLabelThresholds:
     """rpn.pos_iou and rpn.neg_iou reach every RPN anchor labelling."""
@@ -505,6 +550,16 @@ class TestAblate:
                     "--data", str(dataset)]) == 2
         assert "--ckpt" in capsys.readouterr().err
 
+    def test_n_sweep_budget_above_pre_nms_top_names_both(self, dataset, rpn_run,
+                                                         tmp_path, capsys):
+        # the default budgets 50 300 1000 against TINY's pre_nms_top of 100
+        assert run(["ablate", "--mode", "n-sweep", "--out", str(tmp_path),
+                    "--data", str(dataset), "--ckpt", str(rpn_run / "rpn.frpn"),
+                    *TINY, "--seed", "11"]) == 1
+        assert "--budgets 1000 exceeds proposals.pre_nms_top=100" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "recall_n_sweep.csv").exists()
+
     def test_n_sweep(self, dataset, rpn_run, tmp_path):
         assert run(["ablate", "--mode", "n-sweep", "--out", str(tmp_path),
                     "--data", str(dataset), "--ckpt",
@@ -537,6 +592,28 @@ class TestExitCodes:
         assert run(["gen-data", "--out", str(tmp_path), "--n", "1",
                     "--set", key, "1"]) == 1
         assert "unknown config key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,args,message", [
+        ("train-rpn", ["--iters", "-3"], "train.iters=-3 is below 0"),
+        ("train-onestage", ["--set", "train.iters", "-1"], "train.iters=-1 is below 0"),
+        ("train-joint", ["--iters", "-3"], "train.joint_iters=-3 is below 0"),
+        ("gen-data", ["--n", "0"], "data.n_images=0 is below 1"),
+        ("train-rpn", ["--iters", "1", "--set", "proposals.min_size", "-1"],
+         "proposals.min_size=-1.0 is below 0"),
+    ], ids=["iters", "set-iters", "joint-iters", "n-images", "min-size"])
+    def test_value_below_its_range_names_the_key(self, dataset, tmp_path, capsys,
+                                                 command, args, message):
+        data = [] if command == "gen-data" else ["--data", str(dataset)]
+        assert run([command, "--out", str(tmp_path), *data, *TINY, *args]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "config.txt").exists()
+
+    def test_a_flag_wins_over_set(self, tmp_path):
+        assert run(["gen-data", "--out", str(tmp_path), *TINY, "--set", "seed", "3",
+                    "--seed", "4", "--n", "1", "--set", "data.n_images", "2"]) == 0
+        cfg = RunConfig.from_file(tmp_path / "config.txt")
+        assert (cfg.seed, cfg.data_n_images) == (4, 1)
+        assert len(list(tmp_path.glob("images/*.ppm"))) == 1
 
     def test_bad_usage_exit_2(self, capsys):
         assert run(["gen-data"]) == 2          # missing required --out
@@ -609,3 +686,23 @@ class TestModuleEntryPoint:
         usage = subprocess.run([sys.executable, "-m", module, "gen-data"], env=env,
                                capture_output=True, text=True, timeout=120)
         assert usage.returncode == 2 and "--out" in usage.stderr
+
+
+class TestIdentityMatrix:
+    """`tools/identity.py` runs every subcommand and every ablate mode."""
+
+    def test_matrix_names_every_subcommand_and_ablate_mode(self, monkeypatch):
+        path = Path(__file__).parents[1] / "tools" / "identity.py"
+        spec = importlib.util.spec_from_file_location("identity", path)
+        tool = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, "identity", tool)
+        spec.loader.exec_module(tool)
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        modes = next(a for a in sub.choices["ablate"]._actions
+                     if a.dest == "mode").choices
+        argvs = [case.argv for case in tool.matrix()]
+        assert set(sub.choices) <= {argv[0] for argv in argvs}
+        assert set(modes) <= {argv[argv.index("--mode") + 1] for argv in argvs
+                              if argv[0] == "ablate" and "--mode" in argv}
+        assert tool.TINY == TINY

@@ -1,5 +1,7 @@
 """Second-stage head: RoI sampling, forward, loss, class-wise inference."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,6 @@ import minircnn.tensor as T
 from minircnn.detector import (
     DetectorHead,
     RoiBatch,
-    RoiSampleConfig,
     check_classes,
     class_probs,
     detect,
@@ -19,6 +20,8 @@ from minircnn.detector import (
 from minircnn.dataio import Scene
 from minircnn.rng import Rng
 from minircnn.tensor import Tensor
+
+from defaults import POST, ROI
 from oracles import gradcheck
 
 
@@ -84,7 +87,7 @@ class TestSampleRois:
 
     def test_gt_proposal_is_foreground_zero_deltas(self):
         batch = sample_rois(self.GT[:1].copy(), self.GT, self.CLS,
-                            RoiSampleConfig(), Rng(0, "sampling"))
+                            ROI, Rng(0, "sampling"))
         i = next(j for j, r in enumerate(batch.rois)
                  if np.allclose(r, self.GT[0]))
         assert batch.labels[i] == 1
@@ -92,7 +95,7 @@ class TestSampleRois:
 
     def test_low_iou_is_background(self):
         props = np.array([[0.0, 0.0, 12.0, 12.0]])  # IoU < 0.5 with both gt
-        batch = sample_rois(props, self.GT, self.CLS, RoiSampleConfig(),
+        batch = sample_rois(props, self.GT, self.CLS, ROI,
                             Rng(0, "sampling"))
         bg = [lab for r, lab in zip(batch.rois, batch.labels)
               if np.allclose(r, props[0])]
@@ -104,7 +107,7 @@ class TestSampleRois:
         y1 = rng.uniform(0, 80, 500)
         props = np.stack([x1, y1, x1 + rng.uniform(10, 48, 500),
                           y1 + rng.uniform(10, 48, 500)], axis=1)
-        cfg = RoiSampleConfig()
+        cfg = ROI
         batch = sample_rois(props, self.GT, self.CLS, cfg, Rng(2, "sampling"))
         assert len(batch.labels) <= cfg.rois_per_image
         assert (batch.labels > 0).sum() <= int(cfg.fg_fraction
@@ -112,14 +115,14 @@ class TestSampleRois:
 
     def test_fg_labels_match_gt_classes(self):
         batch = sample_rois(self.GT.copy(), self.GT, self.CLS,
-                            RoiSampleConfig(), Rng(3, "sampling"))
+                            ROI, Rng(3, "sampling"))
         for lab in batch.labels:
             assert lab in (0, 1, 3)
 
     def test_degenerate_scene_all_background(self):
         props = np.array([[0.0, 0.0, 5.0, 5.0]])
         batch = sample_rois(props, np.zeros((0, 4)), np.zeros(0, dtype=int),
-                            RoiSampleConfig(), Rng(4, "sampling"))
+                            ROI, Rng(4, "sampling"))
         assert np.all(batch.labels == 0)
 
 
@@ -151,12 +154,12 @@ class TestLabelBoxes:
     @pytest.mark.parametrize("fg_iou", [0.0, -0.5])
     def test_nonpositive_fg_iou_rejected(self, fg_iou):
         with pytest.raises(ValueError, match="fg_iou"):
-            RoiSampleConfig(fg_iou=fg_iou)
+            replace(ROI, fg_iou=fg_iou)
 
     @pytest.mark.parametrize("n", [0, -4])
     def test_rois_per_image_below_one_rejected(self, n):
         with pytest.raises(ValueError, match=f"detector.rois_per_image={n} is below 1"):
-            RoiSampleConfig(rois_per_image=n)
+            replace(ROI, rois_per_image=n)
 
     @pytest.mark.parametrize("cls", [0, 4])
     def test_check_classes_names_the_image(self, cls):
@@ -232,7 +235,7 @@ class TestDetect:
     def test_returns_positive_classes_only(self):
         head = make_head()
         props = np.array([[0.0, 0.0, 60.0, 60.0], [30.0, 30.0, 100.0, 90.0]])
-        out = detect(feat(7), props, head, 1 / 8, 128, 128)
+        out = detect(feat(7), props, head, 1 / 8, 128, 128, *POST)
         assert all(d.class_id >= 1 for d in out)
         assert all(0 <= d.score <= 1 for d in out)
         for d in out:
@@ -242,13 +245,13 @@ class TestDetect:
     def test_high_threshold_empty(self):
         head = make_head()
         props = np.array([[0.0, 0.0, 60.0, 60.0]])
-        out = detect(feat(7), props, head, 1 / 8, 128, 128, score_thresh=1.01)
+        out = detect(feat(7), props, head, 1 / 8, 128, 128, 1.01, *POST[1:])
         assert out == []
 
     def test_duplicate_proposals_collapse(self):
         head = make_head()
         props = np.array([[8.0, 8.0, 72.0, 72.0], [8.0, 8.0, 72.0, 72.0]])
-        out = detect(feat(8), props, head, 1 / 8, 128, 128, score_thresh=0.0)
+        out = detect(feat(8), props, head, 1 / 8, 128, 128, 0.0, *POST[1:])
         per_class = {}
         for d in out:
             per_class[d.class_id] = per_class.get(d.class_id, 0) + 1
@@ -256,7 +259,7 @@ class TestDetect:
 
     def test_empty_proposals(self):
         head = make_head()
-        assert detect(feat(), np.zeros((0, 4)), head, 1 / 8, 128, 128) == []
+        assert detect(feat(), np.zeros((0, 4)), head, 1 / 8, 128, 128, *POST) == []
 
     def test_max_per_image(self):
         head = make_head()
@@ -265,6 +268,5 @@ class TestDetect:
         y1 = rng.uniform(0, 60, 200)
         props = np.stack([x1, y1, x1 + rng.uniform(20, 60, 200),
                           y1 + rng.uniform(20, 60, 200)], axis=1)
-        out = detect(feat(9), props, head, 1 / 8, 128, 128,
-                     score_thresh=0.0, max_per_image=7)
+        out = detect(feat(9), props, head, 1 / 8, 128, 128, 0.0, POST[1], 7)
         assert len(out) <= 7

@@ -15,6 +15,7 @@ from minircnn.evaluation import (
     voc_ap,
 )
 
+from defaults import IOU_THRESH
 from oracles import brute_iou, random_boxes
 
 
@@ -126,32 +127,32 @@ class TestVocAp:
     def test_single_perfect(self):
         dets = [[det(0, 0, 10, 10, 0.9)]]
         gt = [self.GT1[0][:1]]
-        assert voc_ap(dets, gt, [np.array([1])], 1) == pytest.approx(1.0)
+        assert voc_ap(dets, gt, [np.array([1])], 1, IOU_THRESH) == pytest.approx(1.0)
 
     def test_all_misses(self):
         dets = [[det(60, 60, 70, 70, 0.9)]]
-        assert voc_ap(dets, self.GT1, self.CLS1, 1) == pytest.approx(0.0)
+        assert voc_ap(dets, self.GT1, self.CLS1, 1, IOU_THRESH) == pytest.approx(0.0)
 
     def test_hand_example_08333(self):
         dets = [[det(0, 0, 10, 10, 0.9),          # hit gt 0
                  det(60, 60, 70, 70, 0.8),        # miss
                  det(30, 30, 50, 50, 0.7)]]       # hit gt 1
-        ap = voc_ap(dets, self.GT1, self.CLS1, 1)
+        ap = voc_ap(dets, self.GT1, self.CLS1, 1, IOU_THRESH)
         assert ap == pytest.approx(0.5 * 1.0 + 0.5 * (2.0 / 3.0), abs=1e-9)
 
     def test_absent_class_none(self):
         dets = [[det(0, 0, 10, 10, 0.9, cls=2)]]
-        assert voc_ap(dets, self.GT1, self.CLS1, 2) is None
+        assert voc_ap(dets, self.GT1, self.CLS1, 2, IOU_THRESH) is None
 
     def test_duplicate_detection_counts_as_false_positive(self):
         # Each gt may be matched once; a second hit on the same box is a FP.
         dets = [[det(0, 0, 10, 10, 0.9),
                  det(0, 0, 10, 10, 0.8),          # duplicate of the first
                  det(30, 30, 50, 50, 0.7)]]
-        ap = voc_ap(dets, self.GT1, self.CLS1, 1)
+        ap = voc_ap(dets, self.GT1, self.CLS1, 1, IOU_THRESH)
         assert ap == pytest.approx(0.5 * 1.0 + 0.5 * (2.0 / 3.0), abs=1e-9)
         no_dup = [[dets[0][0], dets[0][2]]]
-        assert voc_ap(no_dup, self.GT1, self.CLS1, 1) == pytest.approx(1.0)
+        assert voc_ap(no_dup, self.GT1, self.CLS1, 1, IOU_THRESH) == pytest.approx(1.0)
 
     def test_matches_brute_force_100_instances(self):
         rng = np.random.default_rng(3)
@@ -168,7 +169,7 @@ class TestVocAp:
                 dets.append([det(*b, s) for b, s in zip(boxes, scores)])
                 raw.append(list(zip(scores, boxes)))
             want = brute_ap(raw, gts)
-            got = voc_ap(dets, gts, clss, 1)
+            got = voc_ap(dets, gts, clss, 1, IOU_THRESH)
             if want is None:
                 assert got is None
             else:
@@ -181,7 +182,7 @@ class TestVocAp:
             cls = [np.ones(4, dtype=int)]
             boxes = random_boxes(rng, 8, hi=60, min_size=5)
             dets = [[det(*b, s) for b, s in zip(boxes, rng.uniform(0, 1, 8))]]
-            ap = voc_ap(dets, gt, cls, 1)
+            ap = voc_ap(dets, gt, cls, 1, IOU_THRESH)
             assert 0.0 <= ap <= 1.0
 
 
@@ -190,20 +191,20 @@ class TestMeanAp:
         gt = [np.array([[0.0, 0.0, 10.0, 10.0]])]
         cls = [np.array([2])]
         dets = [[det(0, 0, 10, 10, 0.9, cls=2)]]
-        mp, per = mean_ap(dets, gt, cls, [1, 2, 3])
+        mp, per = mean_ap(dets, gt, cls, [1, 2, 3], IOU_THRESH)
         assert set(per) == {2}
         assert mp == pytest.approx(per[2]) == pytest.approx(1.0)
 
     def test_no_evaluable_classes_raises(self):
         with pytest.raises(ValueError):
-            mean_ap([[]], [np.zeros((0, 4))], [np.zeros(0, dtype=int)], [1])
+            mean_ap([[]], [np.zeros((0, 4))], [np.zeros(0, dtype=int)], [1], IOU_THRESH)
 
     def test_mean_over_classes(self):
         gt = [np.array([[0.0, 0.0, 10.0, 10.0], [30.0, 30.0, 40.0, 40.0]])]
         cls = [np.array([1, 2])]
         dets = [[det(0, 0, 10, 10, 0.9, cls=1),
                  det(90, 90, 99, 99, 0.9, cls=2)]]
-        mp, per = mean_ap(dets, gt, cls, [1, 2])
+        mp, per = mean_ap(dets, gt, cls, [1, 2], IOU_THRESH)
         assert per[1] == pytest.approx(1.0)
         assert per[2] == pytest.approx(0.0)
         assert mp == pytest.approx(0.5)

@@ -7,12 +7,14 @@ from minircnn import onestage
 from minircnn import tensor as T
 from minircnn.anchors import AnchorConfig, grid_anchors
 from minircnn.dataio import image_to_input, make_scene
-from minircnn.detector import RoiSampleConfig, classwise_detections
+from minircnn.detector import classwise_detections
 from minircnn.onestage import OneStageHead, train_onestage
 from minircnn.rng import Rng
-from minircnn.rpn import ConvHead, ProposalParams, anchor_rows
+from minircnn.rpn import ConvHead, anchor_rows
 from minircnn.tensor import Tensor
-from minircnn.training import TrainSchedule, TrainState
+from minircnn.training import TrainState
+
+from defaults import CHANNELS, HEAD_DIM, POST, ROI, TEST_PROPOSALS, schedule
 
 K = 4        # 2 scales x 2 ratios in the micro config below
 C = 3
@@ -98,12 +100,11 @@ class TestDetect:
     """`TrainState.detect` on a model that holds the one-stage head only."""
 
     def setup_method(self):
-        self.state = TrainState.build(5, ACFG, (16, 32, 64, 64), 8, C,
-                                      ("onestage",))
+        self.state = TrainState.build(5, ACFG, CHANNELS, 8, C, ("onestage",))
         self.scene = make_scene(Rng(3, "data"), image_size=64)
 
-    def detect(self, score_thresh, max_per_image=100):
-        return self.state.detect(self.scene, ProposalParams(), score_thresh, 0.3,
+    def detect(self, score_thresh, max_per_image=POST[2]):
+        return self.state.detect(self.scene, TEST_PROPOSALS, score_thresh, POST[1],
                                  max_per_image)
 
     def test_output_invariants(self):
@@ -141,14 +142,13 @@ class TestTraining:
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
-            train_onestage([], TrainSchedule(total_iters=1, seed=0), ACFG,
-                           RoiSampleConfig(), C)
+            train_onestage([], schedule(1, seed=0), ACFG, ROI, C, HEAD_DIM, CHANNELS)
 
     def test_smoke_and_state(self):
         scenes = self.make_scenes()
-        sched = TrainSchedule(total_iters=8, seed=2)
-        st = train_onestage(scenes, sched, ACFG, RoiSampleConfig(), C,
-                            head_dim=8)
+        sched = schedule(8, seed=2)
+        st = train_onestage(scenes, sched, ACFG, ROI, C,
+                            head_dim=8, channels=CHANNELS)
         assert st.iteration == 8
         assert len(st.loss_log) == 8
         assert {"loss_det_cls", "loss_det_reg"} <= set(st.loss_log[0])
@@ -156,11 +156,11 @@ class TestTraining:
 
     def test_deterministic_given_seed(self):
         scenes = self.make_scenes()
-        sched = TrainSchedule(total_iters=5, seed=3)
-        a = train_onestage(scenes, sched, ACFG, RoiSampleConfig(), C,
-                           head_dim=8)
-        b = train_onestage(scenes, sched, ACFG, RoiSampleConfig(), C,
-                           head_dim=8)
+        sched = schedule(5, seed=3)
+        a = train_onestage(scenes, sched, ACFG, ROI, C,
+                           head_dim=8, channels=CHANNELS)
+        b = train_onestage(scenes, sched, ACFG, ROI, C,
+                           head_dim=8, channels=CHANNELS)
         for pa, pb in zip(a.backbone.params + a.onestage_head.params,
                           b.backbone.params + b.onestage_head.params):
             np.testing.assert_array_equal(pa.value.data, pb.value.data)
@@ -173,8 +173,8 @@ class TestTraining:
         scene.classes = np.zeros(0, dtype=np.int64)
         with pytest.raises(RuntimeError, match=r"all 2 iterations skipped their "
                            r"image \(no labelable windows\)"):
-            train_onestage([scene], TrainSchedule(total_iters=2, seed=0), ACFG,
-                           RoiSampleConfig(), C, head_dim=8)
+            train_onestage([scene], schedule(2, seed=0), ACFG,
+                           ROI, C, head_dim=8, channels=CHANNELS)
         assert [r.getMessage() for r in caplog.records] == \
             ["skipping image 0: no labelable windows"] * 2
 
@@ -185,13 +185,13 @@ class TestTraining:
         scenes[1].path = "images/000001.ppm"
         monkeypatch.setattr(onestage, "sgd_step", None)   # no step may run
         with pytest.raises(ValueError, match=f"images/000001.ppm: class {cls}"):
-            train_onestage(scenes, TrainSchedule(total_iters=2, seed=0), ACFG,
-                           RoiSampleConfig(), C, head_dim=8)
+            train_onestage(scenes, schedule(2, seed=0), ACFG,
+                           ROI, C, head_dim=8, channels=CHANNELS)
 
     def test_loss_moves(self):
         scenes = self.make_scenes(2)
-        st = train_onestage(scenes, TrainSchedule(total_iters=30, seed=6),
-                            ACFG, RoiSampleConfig(), C, head_dim=8)
+        st = train_onestage(scenes, schedule(30, seed=6),
+                            ACFG, ROI, C, head_dim=8, channels=CHANNELS)
         first = np.mean([r["loss_det_cls"] for r in st.loss_log[:5]])
         last = np.mean([r["loss_det_cls"] for r in st.loss_log[-5:]])
         assert last < first

@@ -1,5 +1,7 @@
 """RPN head structure, Eq.-style two-term loss, and the proposal pipeline."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,8 +13,6 @@ from minircnn.rng import Rng
 from minircnn.rpn import (
     Backbone,
     ConvHead,
-    LossWeights,
-    ProposalParams,
     RpnHead,
     anchor_rows,
     objectness_probs,
@@ -20,6 +20,9 @@ from minircnn.rpn import (
     rpn_loss,
 )
 from minircnn.tensor import Tensor
+
+from defaults import (CHANNELS, HEAD_DIM, LABEL_IOUS, MINIBATCH, TEST_PROPOSALS,
+                      TRAIN_PROPOSALS, WEIGHTS)
 from oracles import gradcheck
 
 
@@ -29,7 +32,7 @@ def micro_setup(seed=0, image=32):
     aset = grid_anchors(cfg, image // 8, image // 8)
     inside_mask(aset, image, image)
     gt = np.array([[4.0, 4.0, 14.0, 14.0], [16.0, 10.0, 30.0, 26.0]])
-    t = assign_labels(aset, gt)
+    t = assign_labels(aset, gt, *LABEL_IOUS)
     t = sample_minibatch(t, Rng(seed, "sampling"), batch=16, max_pos=8)
     return cfg, aset, t
 
@@ -38,7 +41,7 @@ class TestHeadStructure:
     def test_channel_law(self):
         rng = Rng(0, "init")
         for k in (1, 5, 9):
-            head = RpnHead(rng, 16, k)
+            head = RpnHead(rng, 16, k, HEAD_DIM)
             assert head.cls.w.value.shape[0] == 2 * k
             assert head.reg.w.value.shape[0] == 4 * k
 
@@ -95,19 +98,19 @@ class TestHeadStructure:
 
 class TestLossWeights:
     def test_defaults_are_the_papers(self):
-        w = LossWeights()
+        w = WEIGHTS
         assert (w.lam, w.batch, w.max_pos, w.pos_iou, w.neg_iou) == \
             (10.0, 256, 128, 0.7, 0.3)
 
     def test_neg_iou_above_pos_iou_names_both(self):
         with pytest.raises(ValueError, match=r"rpn\.neg_iou=0\.5 .*rpn\.pos_iou=0\.3"):
-            LossWeights(pos_iou=0.3, neg_iou=0.5)
-        LossWeights(pos_iou=0.5, neg_iou=0.5)
+            replace(WEIGHTS, pos_iou=0.3, neg_iou=0.5)
+        replace(WEIGHTS, pos_iou=0.5, neg_iou=0.5)
 
     @pytest.mark.parametrize("kw", [dict(lam=0.0), dict(batch=0), dict(max_pos=-1)])
     def test_non_positive_rejected(self, kw):
         with pytest.raises(ValueError, match="positive"):
-            LossWeights(**kw)
+            replace(WEIGHTS, **kw)
 
 
 class TestRpnLoss:
@@ -123,9 +126,9 @@ class TestRpnLoss:
     def test_zero_positives_reg_term_zero(self):
         cfg, aset, t = micro_setup()
         t.labels[t.labels == 1] = -1  # demote all positives to ignore
-        t = sample_minibatch(t, Rng(0, "sampling"), batch=16)
+        t = sample_minibatch(t, Rng(0, "sampling"), batch=16, max_pos=MINIBATCH[1])
         cls, reg = self._outputs(aset)
-        loss, cls_val, reg_val = rpn_loss(cls, reg, t, aset.k, LossWeights())
+        loss, cls_val, reg_val = rpn_loss(cls, reg, t, aset.k, WEIGHTS)
         assert reg_val == 0.0
         assert loss.item() == pytest.approx(cls_val)
         loss.backward()
@@ -144,7 +147,7 @@ class TestRpnLoss:
         deltas[pos] = t.target_deltas[pos]
         reg = Tensor(deltas.reshape(h, w, k, 4).transpose(2, 3, 0, 1)
                      .reshape(4 * k, h, w))
-        loss, _, _ = rpn_loss(cls, reg, t, k, LossWeights())
+        loss, _, _ = rpn_loss(cls, reg, t, k, WEIGHTS)
         assert loss.item() == pytest.approx(0.0, abs=1e-10)
 
     def test_normalizers_enter_exactly(self):
@@ -152,9 +155,9 @@ class TestRpnLoss:
         for image in (32, 56):
             cfg, aset, t = micro_setup(image=image)
             cls, reg = self._outputs(aset)
-            _, c1, r1 = rpn_loss(cls, reg, t, aset.k, LossWeights())
+            _, c1, r1 = rpn_loss(cls, reg, t, aset.k, WEIGHTS)
             _, c2, r2 = rpn_loss(cls, reg, t, aset.k,
-                                 LossWeights(lam=10.0, batch=512))
+                                 replace(WEIGHTS, lam=10.0, batch=512))
             assert c2 == pytest.approx(c1 / 2.0, rel=1e-12)
             assert r2 == pytest.approx(r1, rel=1e-12)
             pos = t.positive_idx
@@ -170,7 +173,7 @@ class TestRpnLoss:
         grads = {}
         for c, lam in ((1.0, 10.0), (3.0, 30.0)):
             cls, reg = self._outputs(aset)
-            loss, _, _ = rpn_loss(cls, reg, t, aset.k, LossWeights(lam=lam))
+            loss, _, _ = rpn_loss(cls, reg, t, aset.k, replace(WEIGHTS, lam=lam))
             loss.backward()
             grads[c] = (reg.grad.copy(), cls.grad.copy())
         np.testing.assert_allclose(grads[3.0][0], 3.0 * grads[1.0][0], rtol=1e-12)
@@ -179,10 +182,10 @@ class TestRpnLoss:
     def test_reg_runs_over_all_positives_not_only_sampled(self):
         cfg, aset, t = micro_setup()
         cls, reg = self._outputs(aset)
-        _, _, r_full = rpn_loss(cls, reg, t, aset.k, LossWeights())
+        _, _, r_full = rpn_loss(cls, reg, t, aset.k, WEIGHTS)
         # recompute with a different sampled minibatch: reg term unchanged
         t2 = sample_minibatch(t, Rng(99, "sampling"), batch=8, max_pos=0)
-        _, _, r_resampled = rpn_loss(cls, reg, t2, aset.k, LossWeights())
+        _, _, r_resampled = rpn_loss(cls, reg, t2, aset.k, WEIGHTS)
         assert r_resampled == pytest.approx(r_full, rel=1e-12)
 
     def test_no_sampled_anchors_raises(self):
@@ -190,21 +193,21 @@ class TestRpnLoss:
         t.sample_mask[:] = False
         cls, reg = self._outputs(aset)
         with pytest.raises(ValueError):
-            rpn_loss(cls, reg, t, aset.k, LossWeights())
+            rpn_loss(cls, reg, t, aset.k, WEIGHTS)
 
     def test_anchor_count_mismatch_names_both_counts(self):
         cfg, aset, t = micro_setup(image=32)      # 4x4 grid, 64 anchors
         _, big, _ = micro_setup(image=40)          # 5x5 grid, 100 anchors
         cls, reg = self._outputs(big)
         with pytest.raises(ValueError, match=r"rpn_loss: .*100 .*64"):
-            rpn_loss(cls, reg, t, aset.k, LossWeights())
+            rpn_loss(cls, reg, t, aset.k, WEIGHTS)
 
     def test_gradcheck_64bit_micro_instance(self):
         cfg, aset, t = micro_setup()
         cls, reg = self._outputs(aset)
 
         def fn(cls, reg):
-            return rpn_loss(cls, reg, t, aset.k, LossWeights())[0]
+            return rpn_loss(cls, reg, t, aset.k, WEIGHTS)[0]
 
         assert gradcheck(fn, [cls, reg]) < 1e-4
 
@@ -224,7 +227,7 @@ class TestRpnLoss:
         def fn(wt, bt, wc, bc, wr, br):
             h = T.relu(T.conv2d(x, wt, bt, pad=1))
             return rpn_loss(T.conv2d(h, wc, bc), T.conv2d(h, wr, br),
-                            t, k, LossWeights())[0]
+                            t, k, WEIGHTS)[0]
 
         assert gradcheck(fn, [wt, bt, wc, bc, wr, br]) < 1e-4
 
@@ -242,8 +245,7 @@ class TestProposals:
     def test_zero_deltas_yield_clipped_anchors(self):
         cfg, aset, cls, reg, image = self._setup()
         boxes, scores = propose_arrays(cls, np.zeros_like(reg), aset, image,
-                                       image, ProposalParams(post_nms_top=2000,
-                                                             pre_nms_top=6000))
+                                       image, TRAIN_PROPOSALS)
         clipped = np.clip(aset.boxes, 0, image)
         probs = objectness_probs(cls, cfg.k)
         big = ((clipped[:, 2] - clipped[:, 0]) >= 2.0) & \
@@ -256,7 +258,7 @@ class TestProposals:
 
     def test_count_and_order_invariants(self):
         cfg, aset, cls, reg, image = self._setup()
-        p = ProposalParams(post_nms_top=50, pre_nms_top=300)
+        p = replace(TEST_PROPOSALS, post_nms_top=50, pre_nms_top=300)
         boxes, scores = propose_arrays(cls, reg, aset, image, image, p)
         assert boxes.shape[0] <= 50
         assert np.all(np.diff(scores) <= 1e-12)  # descending
@@ -268,15 +270,14 @@ class TestProposals:
     def test_no_surviving_pair_above_nms_iou(self):
         cfg, aset, cls, reg, image = self._setup()
         boxes, _ = propose_arrays(cls, reg, aset, image, image,
-                                  ProposalParams(post_nms_top=2000,
-                                                 pre_nms_top=6000))
+                                  TRAIN_PROPOSALS)
         m = iou_matrix_arr(boxes, boxes)
         np.fill_diagonal(m, 0.0)
         assert m.max() <= 0.7
 
     def test_deterministic(self):
         cfg, aset, cls, reg, image = self._setup()
-        p = ProposalParams()
+        p = TEST_PROPOSALS
         a, sa = propose_arrays(cls, reg, aset, image, image, p)
         b, sb = propose_arrays(cls, reg, aset, image, image, p)
         assert np.array_equal(a, b) and np.array_equal(sa, sb)
@@ -284,7 +285,8 @@ class TestProposals:
     def test_generate_proposals_scored_boxes(self):
         cfg, aset, cls, reg, image = self._setup()
         boxes, scores = propose_arrays(cls, reg, aset, image, image,
-                                       ProposalParams(post_nms_top=20, pre_nms_top=100))
+                                       replace(TEST_PROPOSALS, post_nms_top=20,
+                                               pre_nms_top=100))
         assert boxes.shape == (scores.size, 4) and scores.size <= 20
         assert np.all((scores >= 0) & (scores <= 1))
         assert np.all(boxes[:, 2:] >= boxes[:, :2])
@@ -294,25 +296,25 @@ class TestProposals:
         cfg, _, cls, reg, image = self._setup()
         aset = grid_anchors(cfg, 7, 7)
         with pytest.raises(ValueError, match=r"propose_arrays: .*576 .*441"):
-            propose_arrays(cls, reg, aset, image, image, ProposalParams())
+            propose_arrays(cls, reg, aset, image, image, TEST_PROPOSALS)
 
     def test_params_validation(self):
         with pytest.raises(ValueError):
-            ProposalParams(nms_iou=1.5)
+            replace(TEST_PROPOSALS, nms_iou=1.5)
         with pytest.raises(ValueError):
-            ProposalParams(pre_nms_top=10, post_nms_top=20)
+            replace(TEST_PROPOSALS, pre_nms_top=10, post_nms_top=20)
 
 
 class TestBackbone:
     def test_stride_and_channels(self):
-        bb = Backbone(Rng(0, "init"))
+        bb = Backbone(Rng(0, "init"), CHANNELS)
         assert bb.stride == 8
         x = Tensor(np.zeros((3, 128, 128), dtype=np.float32))
         feats = bb.forward(x)
         assert feats.shape == (bb.out_dim, 16, 16)
 
     def test_deterministic_init(self):
-        a = Backbone(Rng(4, "init"))
-        b = Backbone(Rng(4, "init"))
+        a = Backbone(Rng(4, "init"), CHANNELS)
+        b = Backbone(Rng(4, "init"), CHANNELS)
         for pa, pb in zip(a.params, b.params):
             assert np.array_equal(pa.value.data, pb.value.data)

@@ -1,6 +1,7 @@
 """Training loops: schedules, determinism, freezing, and the 4-step scheme."""
 
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,12 +9,11 @@ import pytest
 from minircnn import training
 from minircnn.anchors import AnchorConfig
 from minircnn.dataio import make_scene
-from minircnn.detector import DetectorHead, RoiSampleConfig
+from minircnn.detector import DetectorHead
 from minircnn.nn import Param, save_checkpoint
 from minircnn.rng import Rng
-from minircnn.rpn import Backbone, LossWeights, ProposalParams, RpnHead
+from minircnn.rpn import Backbone, RpnHead
 from minircnn.training import (
-    TrainSchedule,
     TrainState,
     alternate_4step,
     backbone_checksum,
@@ -22,10 +22,13 @@ from minircnn.training import (
     write_loss_log,
 )
 
+import defaults
+from defaults import CHANNELS, TEST_PROPOSALS, WEIGHTS, schedule
+
 ACFG = AnchorConfig(scales=(8.0, 16.0), ratios=(1.0, 2.0), stride=8)
-WEIGHTS = LossWeights()
-ROI = RoiSampleConfig(rois_per_image=16)
-PROPS = ProposalParams(pre_nms_top=200, post_nms_top=50)
+ROI = replace(defaults.ROI, rois_per_image=16)
+PROPS = replace(TEST_PROPOSALS, pre_nms_top=200, post_nms_top=50)
+OBJECTIVES = (WEIGHTS, ROI, PROPS)     # what `train` samples and proposes with
 
 
 def scenes(n=3, seed=9):
@@ -35,9 +38,8 @@ def scenes(n=3, seed=9):
 
 def fresh_rpn_state(seed=1):
     init = Rng(seed, "init")
-    bb = Backbone(init)
-    return TrainState(backbone=bb, rpn_head=RpnHead(init, bb.out_dim, ACFG.k, 8),
-                      anchor_cfg=ACFG)
+    bb = Backbone(init, CHANNELS)
+    return TrainState(bb, ACFG, rpn_head=RpnHead(init, bb.out_dim, ACFG.k, 8))
 
 
 def params_of(state):
@@ -57,37 +59,37 @@ def assert_states_equal(a, b):
 
 class TestSchedule:
     def test_lr_drop(self):
-        s = TrainSchedule(total_iters=1000, lr=0.1, lr_drop_at=600)
+        s = replace(schedule(1000, seed=0), lr=0.1, lr_drop_at=600)
         assert s.lr_at(0) == 0.1
         assert s.lr_at(599) == 0.1
         assert s.lr_at(600) == pytest.approx(0.01)
         assert s.lr_at(999) == pytest.approx(0.01)
 
     def test_default_drop_is_three_quarters(self):
-        assert TrainSchedule(total_iters=1000).lr_drop_at == 750
+        assert schedule(1000, seed=0).lr_drop_at == 750
 
     def test_drop_past_end_rejected(self):
         with pytest.raises(ValueError):
-            TrainSchedule(total_iters=10, lr_drop_at=11)
+            replace(schedule(10, seed=0), lr_drop_at=11)
 
 
 class TestTrainRpn:
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
-            train([], fresh_rpn_state(), TrainSchedule(total_iters=1), WEIGHTS)
+            train([], fresh_rpn_state(), schedule(1, seed=0), *OBJECTIVES)
 
     def test_zero_iters_leaves_params_unchanged(self):
         data = scenes()
         st = fresh_rpn_state()
         before = [p.value.data.copy() for p in params_of(st)]
-        train(data, st, TrainSchedule(total_iters=0), WEIGHTS)
+        train(data, st, schedule(0, seed=0), *OBJECTIVES)
         for p, b in zip(params_of(st), before):
             np.testing.assert_array_equal(p.value.data, b)
         assert st.iteration == 0 and st.loss_log == []
 
     def test_loss_log_and_iteration_counter(self):
         st = fresh_rpn_state()
-        train(scenes(), st, TrainSchedule(total_iters=6, seed=3), WEIGHTS)
+        train(scenes(), st, schedule(6, seed=3), *OBJECTIVES)
         assert st.iteration == 6
         assert [r["iteration"] for r in st.loss_log] == list(range(6))
         assert list(st.loss_log[0]) == ["iteration", "lr", "loss_cls", "loss_reg"]
@@ -96,13 +98,13 @@ class TestTrainRpn:
         data = scenes()
         a, b = fresh_rpn_state(7), fresh_rpn_state(7)
         for st in (a, b):
-            train(data, st, TrainSchedule(total_iters=5, seed=4), WEIGHTS)
+            train(data, st, schedule(5, seed=4), *OBJECTIVES)
         assert_states_equal(a, b)
         assert a.loss_log == b.loss_log
 
     def test_loss_decreases_over_short_run(self):
         st = fresh_rpn_state(2)
-        train(scenes(4), st, TrainSchedule(total_iters=100, seed=2), WEIGHTS)
+        train(scenes(4), st, schedule(100, seed=2), *OBJECTIVES)
         first = np.mean([r["loss_cls"] for r in st.loss_log[:10]])
         last = np.mean([r["loss_cls"] for r in st.loss_log[-10:]])
         assert last < first
@@ -112,7 +114,7 @@ class TestTrainRpn:
         st.shared_frozen = True
         pre = backbone_checksum(st.backbone)
         head_pre = [p.value.data.copy() for p in st.rpn_head.params]
-        train(scenes(), st, TrainSchedule(total_iters=4, seed=5), WEIGHTS)
+        train(scenes(), st, schedule(4, seed=5), *OBJECTIVES)
         assert backbone_checksum(st.backbone) == pre
         changed = any(not np.array_equal(p.value.data, b)
                       for p, b in zip(st.rpn_head.params, head_pre))
@@ -123,31 +125,29 @@ class TestTrainDetector:
     def test_runs_and_logs(self):
         data = scenes()
         st = fresh_rpn_state(6)
-        train(data, st, TrainSchedule(total_iters=20, seed=6), WEIGHTS)
+        train(data, st, schedule(20, seed=6), *OBJECTIVES)
         props = [st.propose_scene(s, PROPS)[1] for s in data]
-        det = TrainState(backbone=st.backbone,
+        det = TrainState(st.backbone, ACFG,
                          det_head=DetectorHead(Rng(1, "init"),
                                                st.backbone.out_dim, 3))
-        train(data, det, TrainSchedule(total_iters=4, seed=6), roi_cfg=ROI,
-              proposals=props)
+        train(data, det, schedule(4, seed=6), *OBJECTIVES, proposals=props)
         assert det.iteration == 4
         assert list(det.loss_log[0]) == ["iteration", "lr", "loss_det_cls",
                                          "loss_det_reg"]
 
     def test_needs_proposals_without_an_rpn_head(self):
-        bb = Backbone(Rng(1, "init"))
-        det = TrainState(backbone=bb, det_head=DetectorHead(Rng(1, "init"),
-                                                            bb.out_dim, 3))
+        bb = Backbone(Rng(1, "init"), CHANNELS)
+        det = TrainState(bb, ACFG, det_head=DetectorHead(Rng(1, "init"), bb.out_dim, 3))
         with pytest.raises(ValueError, match="proposals"):
-            train(scenes(), det, TrainSchedule(total_iters=1), roi_cfg=ROI)
+            train(scenes(), det, schedule(1, seed=0), *OBJECTIVES)
 
 
 class TestAlternate4Step:
     def run(self, seed=0, out_dir=None):
         return alternate_4step(
-            scenes(4), TrainSchedule(total_iters=15, seed=seed),
-            TrainSchedule(total_iters=10, seed=seed), ACFG, WEIGHTS, ROI,
-            n_classes=3, head_dim=8, train_proposals=PROPS, out_dir=out_dir)
+            scenes(4), schedule(15, seed),
+            schedule(10, seed), ACFG, WEIGHTS, ROI, n_classes=3, head_dim=8,
+            train_proposals=PROPS, channels=CHANNELS, out_dir=out_dir)
 
     def test_final_state_shares_one_backbone(self):
         st = self.run()
@@ -170,9 +170,9 @@ class TestAlternate4Step:
 
 class TestJointTrain:
     def test_log_contains_both_losses_each_row(self):
-        st = joint_train(scenes(3), TrainSchedule(total_iters=6, seed=1),
+        st = joint_train(scenes(3), schedule(6, seed=1),
                          ACFG, WEIGHTS, ROI, n_classes=3, head_dim=8,
-                         train_proposals=PROPS)
+                         train_proposals=PROPS, channels=CHANNELS)
         assert st.iteration == 6
         for r in st.loss_log:
             assert {"loss_cls", "loss_reg", "loss_det_cls",
@@ -180,9 +180,10 @@ class TestJointTrain:
         assert st.rpn_head is not None and st.det_head is not None
 
     def test_deterministic(self):
-        runs = [joint_train(scenes(3), TrainSchedule(total_iters=4, seed=2),
+        runs = [joint_train(scenes(3), schedule(4, seed=2),
                             ACFG, WEIGHTS, ROI, n_classes=3, head_dim=8,
-                            train_proposals=PROPS) for _ in range(2)]
+                            train_proposals=PROPS, channels=CHANNELS)
+                for _ in range(2)]
         assert_states_equal(*runs)
 
 
@@ -197,7 +198,7 @@ class TestBuildAndOpen:
         bb = Backbone(init, channels=CH)
         rpn = RpnHead(init, bb.out_dim, ACFG.k, 8)
         det = DetectorHead(init, bb.out_dim, 3)
-        want = TrainState(backbone=bb, rpn_head=rpn, det_head=det)
+        want = TrainState(bb, ACFG, rpn_head=rpn, det_head=det)
         # heads are drawn in checkpoint order, whatever order they are named in
         assert_states_equal(TrainState.build(3, ACFG, CH, 8, 3, ("det", "rpn")), want)
 
@@ -250,13 +251,13 @@ class TestBuildAndOpen:
     def test_two_stage_detect_needs_both_heads(self, heads, missing):
         state = TrainState.build(4, ACFG, CH, 8, 3, heads)
         with pytest.raises(ValueError, match=f"no '{missing}' head"):
-            state.detect(scenes(1)[0], PROPS, 0.05, 0.3, 100)
+            state.detect(scenes(1)[0], PROPS, *defaults.POST)
 
 
 class TestLossLogCsv:
     def test_written_file(self, tmp_path):
         st = fresh_rpn_state(8)
-        train(scenes(2), st, TrainSchedule(total_iters=3, seed=8), WEIGHTS)
+        train(scenes(2), st, schedule(3, seed=8), *OBJECTIVES)
         path = tmp_path / "log.csv"
         write_loss_log(st, path)
         lines = path.read_text().strip().split("\n")
@@ -285,18 +286,17 @@ class TestSkips:
         # at 8 px every anchor crosses the border, so none is labelable
         with pytest.raises(RuntimeError, match=r"no training step taken: all 1 "
                            r"iterations skipped their image \(no labelable anchors\)"):
-            train([self.empty_scene(8)], st, TrainSchedule(total_iters=1), WEIGHTS)
+            train([self.empty_scene(8)], st, schedule(1, seed=0), *OBJECTIVES)
         assert [r.getMessage() for r in caplog.records] == \
             ["skipping image 0: no labelable anchors"]
         assert st.loss_log == [] and st.iteration == 0 and steps == []
 
     def test_detector_step_without_roi_candidates(self, monkeypatch, caplog):
         steps = self.count_steps(monkeypatch)
-        bb = Backbone(Rng(1, "init"))
-        st = TrainState(backbone=bb,
-                        det_head=DetectorHead(Rng(1, "init"), bb.out_dim, 3))
+        bb = Backbone(Rng(1, "init"), CHANNELS)
+        st = TrainState(bb, ACFG, det_head=DetectorHead(Rng(1, "init"), bb.out_dim, 3))
         with pytest.raises(RuntimeError, match=r"\(no RoI candidates\)"):
-            train([self.empty_scene()], st, TrainSchedule(total_iters=1), roi_cfg=ROI,
+            train([self.empty_scene()], st, schedule(1, seed=0), *OBJECTIVES,
                   proposals=[np.zeros((0, 4))])
         assert [r.getMessage() for r in caplog.records] == \
             ["skipping image 0: no RoI candidates"]
@@ -304,14 +304,14 @@ class TestSkips:
 
     def test_zero_iterations_take_no_step_and_pass(self):
         st = fresh_rpn_state()
-        assert train([self.empty_scene(8)], st, TrainSchedule(total_iters=0),
-                     WEIGHTS) is st and st.iteration == 0
+        assert train([self.empty_scene(8)], st, schedule(0, seed=0),
+                     *OBJECTIVES) is st and st.iteration == 0
 
     def test_one_step_is_enough(self):
         # one epoch: the 8 px scene is skipped, the 64 px one trains
         st = fresh_rpn_state()
         train([self.empty_scene(8), self.empty_scene()], st,
-              TrainSchedule(total_iters=2), WEIGHTS)
+              schedule(2, seed=0), *OBJECTIVES)
         assert st.iteration == 1
 
     def test_detector_class_outside_the_head_rejected(self, monkeypatch):
@@ -320,16 +320,18 @@ class TestSkips:
         data[0].classes[-1] = 4
         with pytest.raises(ValueError, match="image 0: class 4 is outside the "
                            r"head's classes 1\.\.3"):
-            joint_train(data, TrainSchedule(total_iters=2), ACFG, WEIGHTS, ROI,
-                        n_classes=3, head_dim=8, train_proposals=PROPS)
+            joint_train(data, schedule(2, seed=0), ACFG, WEIGHTS, ROI,
+                        n_classes=3, head_dim=8, train_proposals=PROPS,
+                        channels=CHANNELS)
         assert steps == []
 
     def test_joint_step_with_empty_roi_batch_still_steps(self, monkeypatch, caplog):
         steps = self.count_steps(monkeypatch)
         # no gt boxes and no proposal above min_size: no RoI candidates
-        st = joint_train([self.empty_scene()], TrainSchedule(total_iters=1), ACFG,
+        st = joint_train([self.empty_scene()], schedule(1, seed=0), ACFG,
                          WEIGHTS, ROI, n_classes=3, head_dim=8,
-                         train_proposals=ProposalParams(min_size=1e9))
+                         train_proposals=replace(TEST_PROPOSALS, min_size=1e9),
+                         channels=CHANNELS)
         assert caplog.records == [] and steps == [1] and st.iteration == 1
         (row,) = st.loss_log
         assert list(row) == ["iteration", "lr", "loss_cls", "loss_reg",

@@ -1,0 +1,262 @@
+"""Byte identity of every CLI output between the working tree and a revision.
+
+    python tools/identity.py --parent <rev> [--work DIR]
+
+Runs one fixed matrix of `minircnn` commands under the TINY config of
+tests/test_cli.py twice: once with the package sources of the working tree,
+once with those of `<rev>` (exported with `git archive`, so the repository
+gains no worktree entry). The matrix makes train and test data, runs the four
+trainings, `propose` and `eval-recall` on every checkpoint that holds an RPN,
+`detect` and `eval-map` on every detector checkpoint, `bench`, all five
+`ablate` modes and a set of rejected inputs.
+
+Every file written is compared byte for byte, except `timing.csv`, whose
+figures are wall-clock times and which is compared by its row names. Exit
+codes, stdout and stderr are compared with the output directory masked. The
+report names the numpy and BLAS build, each difference, and ends in one
+verdict line. Exit status 0 means identical, 1 different, 2 unusable.
+"""
+from __future__ import annotations
+
+import argparse
+import io
+import os
+import platform
+import shutil
+import subprocess
+import sys
+import tarfile
+import tempfile
+from dataclasses import dataclass
+from pathlib import Path
+
+import numpy as np
+
+REPO = Path(__file__).resolve().parents[1]
+
+# the small shared config of tests/test_cli.py
+TINY = [
+    "--set", "data.image_size", "48",
+    "--set", "data.max_objects", "2",
+    "--set", "backbone.channels", "4,8,8,8",
+    "--set", "anchors.scales", "8,16",
+    "--set", "anchors.ratios", "1,2",
+    "--set", "rpn.head_dim", "8",
+    "--set", "detector.rois_per_image", "8",
+    "--set", "proposals.pre_nms_top", "100",
+    "--set", "proposals.post_nms_top_train", "50",
+    "--set", "proposals.post_nms_top_test", "20",
+]
+SEED = ["--seed", "11"]
+# one thread everywhere, so a BLAS call sums in the same order on both sides
+ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+
+
+@dataclass(frozen=True)
+class Case:
+    """One `minircnn` command; `{root}` in `argv` is the side's output root,
+    and the command writes under `{root}/<name>`."""
+    name: str
+    argv: tuple[str, ...]
+
+
+def matrix() -> list[Case]:
+    cases = []
+
+    def add(name, command, *args, out=True):
+        argv = [command, *(["--out", f"{{root}}/{name}"] if out else []), *args]
+        cases.append(Case(name, tuple(argv)))
+
+    train, test = "{root}/train", "{root}/test"
+    manifest = f"{test}/manifest.jsonl"
+    ckpt = {"rpn": "{root}/train-rpn/rpn.frpn", "final": "{root}/train-alt/final.frpn",
+            "joint": "{root}/train-joint/joint.frpn",
+            "onestage": "{root}/train-onestage/onestage.frpn"}
+
+    add("train", "gen-data", "--n", "4", *TINY, *SEED)
+    add("test", "gen-data", "--n", "3", *TINY, "--seed", "12")
+    add("train-rpn", "train-rpn", "--data", train, "--iters", "4", *TINY, *SEED)
+    for command in ("train-alt", "train-joint", "train-onestage"):
+        add(command, command, "--data", train, "--iters", "3", *TINY, *SEED)
+    for name in ("rpn", "final", "joint"):
+        add(f"propose-{name}", "propose", "--ckpt", ckpt[name], "--data", test,
+            "--n", "10", *TINY, *SEED)
+        add(f"eval-recall-{name}", "eval-recall", "--proposals",
+            f"{{root}}/propose-{name}/proposals.csv", "--manifest", manifest,
+            "--n", "10", *TINY, *SEED)
+    for name in ("final", "joint", "onestage"):
+        add(f"detect-{name}", "detect", "--ckpt", ckpt[name], "--data", test,
+            *TINY, *SEED)
+        add(f"eval-map-{name}", "eval-map", "--detections",
+            f"{{root}}/detect-{name}/detections.csv", "--manifest", manifest,
+            *TINY, *SEED)
+    for name in ("final", "onestage"):
+        add(f"bench-{name}", "bench", "--ckpt", ckpt[name], "--data", test,
+            "--n-warmup", "0", "--n-timed", "2", *TINY, *SEED)
+    ablate = ["--data", test, "--ckpt", ckpt["rpn"], *TINY, *SEED]
+    add("ablate-no-reg", "ablate", "--mode", "no-reg", "--n", "10", *ablate)
+    add("ablate-no-cls", "ablate", "--mode", "no-cls", "--n", "10", *ablate)
+    add("ablate-n-sweep", "ablate", "--mode", "n-sweep", "--budgets", "5", "10",
+        *ablate)
+    add("ablate-anchor-settings", "ablate", "--mode", "anchor-settings", "--n", "10",
+        "--iters", "2", *ablate)
+    add("ablate-lambda-sweep", "ablate", "--mode", "lambda-sweep", "--n", "10",
+        "--iters", "2", "--lambdas", "1", "10", *ablate)
+
+    # rejected inputs; each `--set` comes after TINY's, so that it wins
+    data = ["--data", train, *TINY, *SEED]
+    add("reject-usage", "gen-data", out=False)
+    add("reject-unknown-key", "gen-data", "--n", "1", "--set", "no.such.key", "1")
+    add("reject-missing-data", "train-rpn", "--data", "{root}/nope", "--iters", "1")
+    add("reject-iou-key", "train-joint", *data, "--iters", "2", "--set",
+        "proposals.nms_iou", "1.5")
+    add("reject-neg-above-pos", "train-rpn", *data, "--iters", "1", "--set",
+        "rpn.neg_iou", "0.8")
+    add("reject-max-pos", "train-alt", *data, "--iters", "1", "--set", "rpn.max_pos",
+        "-1")
+    add("reject-rois-per-image", "train-onestage", *data, "--iters", "1", "--set",
+        "detector.rois_per_image", "0")
+    add("reject-all-skipped", "train-rpn", *data, "--iters", "2", "--set",
+        "anchors.scales", "64,128")
+    add("reject-missing-head", "detect", "--ckpt", ckpt["rpn"], "--data", test,
+        *TINY, *SEED)
+    add("reject-no-ckpt", "ablate", "--mode", "no-reg", "--data", test)
+    add("reject-n-timed", "bench", "--ckpt", ckpt["final"], "--data", test,
+        "--n-timed", "0", *TINY)
+    add("reject-bench-empty", "bench", "--ckpt", ckpt["final"], "--data",
+        "{root}/empty", *TINY)
+    add("reject-budgets", "ablate", "--mode", "n-sweep", *ablate)
+    add("reject-iters", "train-rpn", *data, "--iters", "-3")
+    add("reject-n-images", "gen-data", *TINY, "--n", "0")
+    add("reject-min-size", "train-rpn", *data, "--iters", "1", "--set",
+        "proposals.min_size", "-1")
+    return cases
+
+
+@dataclass
+class Outcome:
+    code: int
+    stdout: str
+    stderr: str
+
+
+def run_side(src: Path, root: Path) -> dict[str, Outcome]:
+    """The matrix with the package under `src`, writing under `root`."""
+    root.mkdir(parents=True)
+    (root / "empty").mkdir()
+    (root / "empty" / "manifest.jsonl").write_text("")
+    env = dict(os.environ, PYTHONPATH=str(src), **ENV)
+    outcomes = {}
+    for case in matrix():
+        argv = [a.replace("{root}", str(root)) for a in case.argv]
+        done = subprocess.run([sys.executable, "-m", "minircnn", *argv], env=env,
+                              cwd=root, capture_output=True, text=True, timeout=600)
+        stdout = done.stdout
+        if case.argv[0] == "bench":     # bench echoes its timing.csv
+            stdout = comparable("timing.csv", stdout.encode()).decode()
+        outcomes[case.name] = Outcome(done.returncode,
+                                      stdout.replace(str(root), "<out>"),
+                                      done.stderr.replace(str(root), "<out>"))
+    return outcomes
+
+
+def export_src(rev: str, dest: Path) -> Path:
+    """The `src/` tree of revision `rev`, written under `dest`."""
+    tar = subprocess.run(["git", "archive", "--format=tar", rev, "src"], cwd=REPO,
+                         capture_output=True, check=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(tar)) as t:
+        t.extractall(dest, filter="data")
+    return dest / "src"
+
+
+def files(root: Path) -> dict[str, bytes]:
+    return {str(p.relative_to(root)): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def comparable(name: str, data: bytes) -> bytes:
+    """A file as compared: `timing.csv` by the first field of each row."""
+    if Path(name).name == "timing.csv":
+        return b"\n".join(line.split(b",")[0] for line in data.splitlines())
+    return data
+
+
+def line_diff(a: bytes, b: bytes, limit: int = 4) -> list[str]:
+    """The first lines at which two text files differ, as `-parent +tree`."""
+    try:
+        la, lb = a.decode().splitlines(), b.decode().splitlines()
+    except UnicodeDecodeError:
+        return [f"binary, {len(a)} against {len(b)} bytes"]
+    out = []
+    for i in range(max(len(la), len(lb))):
+        x = la[i] if i < len(la) else "<none>"
+        y = lb[i] if i < len(lb) else "<none>"
+        if x != y:
+            out.append(f"line {i + 1}: -{x} +{y}")
+    return out[:limit] + ([f"... {len(out) - limit} more lines"] if len(out) > limit
+                          else [])
+
+
+def build_facts() -> str:
+    cfg = np.show_config(mode="dicts")
+    blas = cfg.get("Build Dependencies", {}).get("blas", {})
+    return (f"python {platform.python_version()}, numpy {np.__version__}, "
+            f"BLAS {blas.get('name', '?')} {blas.get('version', '?')}, "
+            f"{platform.machine()}, threads pinned: "
+            + " ".join(f"{k}={v}" for k, v in ENV.items()))
+
+
+def compare(parent: dict, tree: dict, parent_root: Path,
+            tree_root: Path) -> tuple[list[tuple[str, list[str]]], int]:
+    """Each difference, as a heading and the first lines that differ, and
+    the number of files compared."""
+    diffs = []
+    for name, a in parent.items():
+        b = tree[name]
+        if a.code != b.code:
+            diffs.append((f"{name}: exit code differs", [f"-{a.code} +{b.code}"]))
+        for what in ("stdout", "stderr"):
+            x, y = getattr(a, what), getattr(b, what)
+            if x != y:
+                diffs.append((f"{name}: {what} differs",
+                              line_diff(x.encode(), y.encode())))
+    fa, fb = files(parent_root), files(tree_root)
+    for name in sorted(fa.keys() | fb.keys()):
+        if name not in fa or name not in fb:
+            diffs.append((f"{name}: only in {'parent' if name in fa else 'tree'}", []))
+        elif comparable(name, fa[name]) != comparable(name, fb[name]):
+            diffs.append((f"{name}: differs", line_diff(fa[name], fb[name])))
+    return diffs, len(fa.keys() | fb.keys())
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--parent", required=True, help="revision to compare against")
+    ap.add_argument("--work", help="directory for both runs (kept); default: a "
+                    "temporary directory, removed afterwards")
+    args = ap.parse_args(argv)
+    work = Path(args.work) if args.work else Path(tempfile.mkdtemp(prefix="identity-"))
+    try:
+        try:
+            parent_src = export_src(args.parent, work / "parent-src")
+        except subprocess.CalledProcessError as exc:
+            print(f"identity: cannot export {args.parent}: {exc.stderr.decode()}",
+                  file=sys.stderr)
+            return 2
+        print(build_facts())
+        parent = run_side(parent_src, work / "parent")
+        tree = run_side(REPO / "src", work / "tree")
+        diffs, n_files = compare(parent, tree, work / "parent", work / "tree")
+        for heading, details in diffs:
+            print(heading, *(f"    {d}" for d in details), sep="\n")
+        verdict = f"different in {len(diffs)} places" if diffs else "identical"
+        print(f"verdict: {verdict} ({len(parent)} commands, {n_files} files; "
+              f"{args.parent} against the working tree)")
+        return 1 if diffs else 0
+    finally:
+        if not args.work:
+            shutil.rmtree(work, ignore_errors=True)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
