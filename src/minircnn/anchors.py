@@ -15,10 +15,6 @@ class AnchorConfig:
     def __post_init__(self):
         object.__setattr__(self, "scales", tuple(float(s) for s in self.scales))
         object.__setattr__(self, "ratios", tuple(float(r) for r in self.ratios))
-        if not self.scales or any(s <= 0 for s in self.scales):
-            raise ValueError("scales must be positive")
-        if not self.ratios or any(r <= 0 for r in self.ratios):
-            raise ValueError("ratios must be positive")
         if self.stride < 1:
             raise ValueError("stride must be >= 1")
 

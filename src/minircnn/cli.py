@@ -28,6 +28,7 @@ def _load_config(args) -> RunConfig:
     for key in RunConfig.keys():
         if getattr(args, key, None) is not None:
             cfg.set_key(key, str(getattr(args, key)))
+    cfg.check()
     return cfg
 
 
@@ -36,13 +37,6 @@ def _load_scenes(data):
     manifest = path if path.is_file() else path / "manifest.jsonl"
     m = load_manifest(manifest)
     return [m.load_scene(i) for i in range(len(m))]
-
-
-def _out_dir(args, cfg: RunConfig) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    cfg.write(out / "config.txt")
-    return out
 
 
 def _dims(cfg: RunConfig) -> tuple:
@@ -368,14 +362,18 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
         if getattr(args, "mode", None) in CKPT_MODES and args.ckpt is None:
             parser.error(f"ablate --mode {args.mode} requires --ckpt")
-        for flag, least in (("n_warmup", 0), ("n_timed", 1)):
-            if getattr(args, flag, least) < least:
+        for flag, least in (("n_warmup", 0), ("n_timed", 1), ("iters", 1), ("n", 1),
+                            ("budgets", 1)):
+            if min(np.atleast_1d(getattr(args, flag, least))) < least:
                 parser.error(f"--{flag.replace('_', '-')} must be at least {least}")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
         cfg = _load_config(args)
-        args.fn(args, cfg, _out_dir(args, cfg))
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        args.fn(args, cfg, out)
+        cfg.write(out / "config.txt")    # only a run that succeeds leaves its record
         return 0
     except (KeyboardInterrupt,):
         return 1

@@ -4,8 +4,10 @@ File format: one `section.key=value` per line, `#` comments, blank lines
 ignored. Unknown keys are rejected. Lists are comma-separated.
 
 The library takes each run value as an argument, so the defaults below are
-the package's. The CLI applies `--config`, each `--set`, then the flags whose
-dest is a key, and writes the result as `config.txt`, which reproduces the run.
+the package's, and `RunConfig._RANGES` is the one table of the values each
+key accepts. The CLI applies `--config`, each `--set`, then the flags whose
+dest is a key, checks the result, and once the run succeeds writes it as
+`config.txt`, which reproduces the run.
 """
 from __future__ import annotations
 
@@ -71,35 +73,76 @@ class RunConfig:
 
     eval_iou_thresh: float = 0.5
 
-    # IoU thresholds, each in [0, 1]
-    _IOU_FIELDS = ("rpn_pos_iou", "rpn_neg_iou", "proposals_nms_iou",
-                   "detector_fg_iou", "detector_nms_iou", "eval_iou_thresh")
+    # the values each key accepts; for a list key, those of each entry, and
+    # the list may not be empty. `seed` takes any int.
+    _RANGES = {key: interval for interval, keys in {
+        "[1, inf)": "data.n_images data.max_objects backbone.channels rpn.head_dim "
+                    "rpn.batch proposals.pre_nms_top proposals.post_nms_top_train "
+                    "proposals.post_nms_top_test detector.n_classes "
+                    "detector.rois_per_image detector.max_per_image",
+        "[5, inf)": "data.image_size",
+        "(0, inf)": "anchors.scales anchors.ratios rpn.lambda train.lr train.det_lr",
+        "[0, inf)": "rpn.max_pos proposals.min_size train.iters train.joint_iters "
+                    "train.weight_decay",
+        "[0, 1]": "rpn.pos_iou rpn.neg_iou proposals.nms_iou detector.nms_iou "
+                  "detector.score_thresh eval.iou_thresh train.lr_drop_frac",
+        "(0, 1]": "detector.fg_iou",
+        "(0, 1)": "detector.fg_fraction",
+        "[0, 1)": "train.momentum",
+    }.items() for key in keys.split()}
 
-    # least values of counts and sizes
-    _LEAST = {"data_n_images": 1, "proposals_min_size": 0, "train_iters": 0,
-              "train_joint_iters": 0}
+    _LENGTHS = {"backbone.channels": 4}     # list keys of a fixed length
 
-    _PARSERS = {
-        "anchors_scales": _floats,
-        "anchors_ratios": _floats,
-        "backbone_channels": _ints,
-    }
+    # (a, b): key a may not exceed key b
+    _ORDERED = (("rpn.neg_iou", "rpn.pos_iou"),
+                ("proposals.post_nms_top_train", "proposals.pre_nms_top"),
+                ("proposals.post_nms_top_test", "proposals.pre_nms_top"))
+
+    _PARSERS = {"anchors.scales": _floats, "anchors.ratios": _floats,
+                "backbone.channels": _ints}
 
     @classmethod
     def keys(cls) -> dict[str, str]:
         """Each key, spelled as `to_text` writes it, and the field it names."""
         return {f.name.replace("_", ".", 1): f.name for f in fields(cls)}
 
+    def check(self):
+        """Reject a key outside its range, or a pair of keys out of order."""
+        value = {key: getattr(self, name) for key, name in self.keys().items()}
+        for key in self._RANGES:
+            self._check_range(key, value[key])
+        for a, b in self._ORDERED:
+            if value[a] > value[b]:
+                raise ValueError(f"{a}={value[a]} exceeds {b}={value[b]}")
+
+    __post_init__ = check
+
+    @classmethod
+    def _check_range(cls, key: str, value):
+        interval, n, is_list = cls._RANGES[key], cls._LENGTHS.get(key), key in cls._PARSERS
+        if is_list and (n and len(value) != n or not value):
+            raise ValueError(f"{key} takes {n or 'one or more'} entries, not {len(value)}")
+        lo, hi = (float(x) for x in interval[1:-1].split(","))
+        for v in value if is_list else (value,):
+            # written as "v is inside", so that NaN is outside
+            if not ((lo < v if interval[0] == "(" else lo <= v) and
+                    (v < hi if interval[-1] == ")" else v <= hi)):
+                what = f"{key} entry {v}" if is_list else f"{key}={v}"
+                raise ValueError(f"{what} is below {lo:g}" if v < lo and hi == float("inf")
+                                 else f"{what} is outside {interval}")
+
     def set_key(self, key: str, value: str):
-        """Set the field that `key` names, rejecting a value out of its range."""
+        """Set the field that `key` names, rejecting a value outside its range;
+        `check` tests the pairs of keys."""
         name = self.keys().get(key)
         if name is None:
             raise KeyError(f"unknown config key: {key}")
-        value = self._PARSERS.get(name, type(getattr(self, name)))(value)
-        if name in self._IOU_FIELDS and not 0 <= value <= 1:
-            raise ValueError(f"{key}={value} is outside [0, 1]")
-        if name in self._LEAST and value < self._LEAST[name]:
-            raise ValueError(f"{key}={value} is below {self._LEAST[name]}")
+        try:
+            value = self._PARSERS.get(key, type(getattr(self, name)))(value)
+        except ValueError as exc:
+            raise ValueError(f"{key}: {exc}") from None
+        if key in self._RANGES:
+            self._check_range(key, value)
         setattr(self, name, value)
 
     @classmethod

@@ -162,8 +162,6 @@ def make_scene(rng: Rng, image_size: int = 128, max_objects: int = 5) -> Scene:
 def gen_synthetic(out_dir, n_images: int, image_size: int = 128, seed: int = 0,
                   max_objects: int = 5) -> Path:
     """Write n_images scenes + manifest.jsonl under out_dir; returns manifest path."""
-    if n_images < 1:
-        raise ValueError("n_images must be >= 1")
     out_dir = Path(out_dir)
     (out_dir / "images").mkdir(parents=True, exist_ok=True)
     rng = Rng(seed, "data")

@@ -23,14 +23,6 @@ class RoiSampleConfig:
     fg_fraction: float
     fg_iou: float     # foreground: max IoU at least fg_iou, else background
 
-    def __post_init__(self):
-        if self.rois_per_image < 1:
-            raise ValueError(f"detector.rois_per_image={self.rois_per_image} is below 1")
-        if not 0 < self.fg_fraction < 1:
-            raise ValueError("fg_fraction must be in (0, 1)")
-        if self.fg_iou <= 0:
-            raise ValueError("fg_iou must be > 0")
-
 
 @dataclass
 class RoiBatch:

@@ -20,14 +20,6 @@ class SgdConfig:
     momentum: float
     weight_decay: float
 
-    def __post_init__(self):
-        if self.lr <= 0:
-            raise ValueError("lr must be > 0")
-        if not 0 <= self.momentum < 1:
-            raise ValueError("momentum must be in [0, 1)")
-        if self.weight_decay < 0:
-            raise ValueError("weight_decay must be >= 0")
-
 
 class Param:
     def __init__(self, name: str, value: np.ndarray):

@@ -28,14 +28,6 @@ class LossWeights:
     pos_iou: float
     neg_iou: float
 
-    def __post_init__(self):
-        if self.lam <= 0 or self.batch <= 0 or self.max_pos < 0:
-            raise ValueError("rpn.lambda and rpn.batch must be positive, "
-                             "rpn.max_pos non-negative")
-        if self.neg_iou > self.pos_iou:
-            raise ValueError(f"rpn.neg_iou={self.neg_iou} exceeds "
-                             f"rpn.pos_iou={self.pos_iou}")
-
 
 @dataclass
 class ProposalParams:
@@ -43,12 +35,6 @@ class ProposalParams:
     pre_nms_top: int
     post_nms_top: int
     min_size: float
-
-    def __post_init__(self):
-        if not 0 <= self.nms_iou <= 1:
-            raise ValueError("nms_iou must be in [0, 1]")
-        if self.post_nms_top > self.pre_nms_top:
-            raise ValueError("post_nms_top must not exceed pre_nms_top")
 
 
 class ConvLayer:
@@ -78,8 +64,6 @@ class Backbone:
 
     def __init__(self, rng: Rng, channels):
         chans = (3, *channels)
-        if len(chans) != 5:
-            raise ValueError("backbone takes exactly 4 channel widths")
         self.out_dim = chans[-1]
         self.stride = 8
         self.convs = [ConvLayer(f"backbone.conv{i + 1}", chans[i], chans[i + 1], 3, 1,

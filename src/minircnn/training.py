@@ -39,10 +39,6 @@ class TrainSchedule:
     weight_decay: float
     seed: int
 
-    def __post_init__(self):
-        if self.lr_drop_at > self.total_iters:
-            raise ValueError("lr_drop_at must not exceed total_iters")
-
     def lr_at(self, iteration: int) -> float:
         return self.lr if iteration < self.lr_drop_at else self.lr * 0.1
 

@@ -1,6 +1,7 @@
 """Anchor pyramid generation and inside-image classification."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from minircnn.anchors import (
     inside_mask,
 )
 
-from defaults import ANCHORS
+from defaults import ANCHORS, CFG
 
 
 class TestConfig:
@@ -22,10 +23,11 @@ class TestConfig:
         assert AnchorConfig(scales=(16.0,), ratios=(1.0, 2.0), stride=8).k == 2
 
     def test_invalid_rejected(self):
-        with pytest.raises(ValueError):
-            AnchorConfig(scales=(0.0,), ratios=(1.0,), stride=8)
-        with pytest.raises(ValueError):
-            AnchorConfig(scales=(16.0,), ratios=(-1.0,), stride=8)
+        # scales and ratios are config keys, checked by `RunConfig`
+        with pytest.raises(ValueError, match="anchors.scales entry 0.0 "):
+            replace(CFG, anchors_scales=(0.0,), anchors_ratios=(1.0,))
+        with pytest.raises(ValueError, match="anchors.ratios entry -1.0 "):
+            replace(CFG, anchors_scales=(16.0,), anchors_ratios=(-1.0,))
         with pytest.raises(ValueError):
             AnchorConfig(scales=(16.0,), ratios=(1.0,), stride=0)
 

@@ -190,6 +190,24 @@ class TestInferenceCommands:
         assert f"{flag} must be at least" in capsys.readouterr().err
         assert not (tmp_path / "timing.csv").exists()
 
+    @pytest.mark.parametrize("command,flag,values", [
+        (["ablate", "--mode", "lambda-sweep", "--lambdas", "1"], "--iters", ["0"]),
+        (["ablate", "--mode", "anchor-settings"], "--iters", ["-3"]),
+        (["ablate", "--mode", "no-reg"], "--n", ["0"]),
+        (["eval-recall"], "--n", ["-3"]),
+        (["ablate", "--mode", "n-sweep"], "--budgets", ["5", "0"]),
+    ], ids=["lambda-sweep-iters", "anchor-settings-iters", "ablate-n", "eval-recall-n",
+            "budgets"])
+    def test_bad_sweep_count_names_the_flag(self, dataset, rpn_run, tmp_path, capsys,
+                                            command, flag, values):
+        inputs = (["--proposals", str(dataset / "manifest.jsonl"), "--manifest",
+                   str(dataset / "manifest.jsonl")] if command[0] == "eval-recall" else
+                  ["--data", str(dataset), "--ckpt", str(rpn_run / "rpn.frpn")])
+        assert run([*command, "--out", str(tmp_path / "out"), *inputs, flag, *values,
+                    *TINY, "--seed", "11"]) == 2
+        assert f"{flag} must be at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestCheckpointHeads:
     """A checkpoint opens as the heads it holds; `detect` runs either
@@ -518,8 +536,72 @@ class TestIouKeysRejected:
         (tmp_path / "run.cfg").write_text("seed=3\ndetector.fg_iou=2\n")
         assert run(["gen-data", "--out", str(tmp_path / "data"), "--n", "1",
                     "--config", str(tmp_path / "run.cfg")]) == 1
-        assert "run.cfg:2: detector.fg_iou=2.0 is outside [0, 1]" in \
+        assert "run.cfg:2: detector.fg_iou=2.0 is outside (0, 1]" in \
             capsys.readouterr().err
+
+
+class TestRangesCheckedFirst:
+    """A key outside its range fails when the config is read, before any data
+    is loaded or any model built, naming the key."""
+
+    @pytest.mark.parametrize("command,args,key", [
+        ("train-rpn", ["--set", "train.momentum", "1.5"], "train.momentum"),
+        ("train-rpn", ["--set", "train.lr_drop_frac", "1.5"], "train.lr_drop_frac"),
+        ("train-rpn", ["--set", "backbone.channels", "0,8,8,8"], "backbone.channels"),
+        ("train-rpn", ["--set", "rpn.head_dim", "0"], "rpn.head_dim"),
+        ("gen-data", ["--set", "data.max_objects", "0"], "data.max_objects"),
+        ("gen-data", ["--set", "data.image_size", "4"], "data.image_size"),
+        ("train-rpn", ["--set", "anchors.ratios", "0,1"], "anchors.ratios"),
+        ("train-rpn", ["--set", "anchors.scales", ""], "anchors.scales"),
+        ("train-rpn", ["--set", "rpn.batch", "0"], "rpn.batch"),
+        ("train-rpn", ["--set", "train.lr", "nan"], "train.lr"),
+        ("train-rpn", ["--set", "train.weight_decay", "nan"], "train.weight_decay"),
+        ("train-rpn", ["--set", "rpn.lambda", "nan"], "rpn.lambda"),
+        ("gen-data", ["--set", "data.image_size", "abc"], "data.image_size"),
+        ("detect", ["--set", "detector.max_per_image", "-1"], "detector.max_per_image"),
+        ("detect", ["--set", "detector.max_per_image", "-5"], "detector.max_per_image"),
+        ("propose", ["--n", "0"], "proposals.post_nms_top_test"),
+        ("propose", ["--n", "-5"], "proposals.post_nms_top_test"),
+        ("propose", ["--set", "proposals.min_size", "nan"], "proposals.min_size"),
+        ("detect", ["--set", "detector.score_thresh", "2"], "detector.score_thresh"),
+        ("gen-data", ["--set", "train.momentum", "1.5"], "train.momentum"),
+    ], ids=["momentum", "lr-drop-frac", "zero-width", "head-dim", "max-objects",
+            "image-size-4", "zero-ratio", "no-scales", "rpn-batch", "lr-nan",
+            "weight-decay-nan", "lambda-nan", "image-size-abc", "max-per-image-1",
+            "max-per-image-5", "propose-n-0", "propose-n-5", "min-size-nan",
+            "score-thresh", "gen-data-momentum"])
+    def test_rejected_before_any_work(self, dataset, rpn_run, alt_run, tmp_path, capsys,
+                                      command, args, key):
+        inputs = {"gen-data": ["--n", "1"],
+                  "train-rpn": ["--data", str(dataset), "--iters", "1"],
+                  "propose": ["--ckpt", str(rpn_run / "rpn.frpn"), "--data", str(dataset)],
+                  "detect": ["--ckpt", str(alt_run / "final.frpn"), "--data",
+                             str(dataset)]}[command]
+        out = tmp_path / "out"
+        assert run([command, "--out", str(out), *inputs, *TINY, *args]) == 1
+        assert f"error: {key}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("pairs", [
+        [("rpn.neg_iou", "0.8"), ("rpn.pos_iou", "0.9")],
+        [("rpn.pos_iou", "0.9"), ("rpn.neg_iou", "0.8")],
+    ], ids=["neg-first", "pos-first"])
+    def test_pairs_of_keys_in_any_order(self, dataset, tmp_path, pairs):
+        sets = [a for key, value in pairs for a in ("--set", key, value)]
+        assert run(["train-rpn", "--out", str(tmp_path), "--data", str(dataset),
+                    "--iters", "1", *TINY, *sets, "--seed", "11"]) == 0
+        cfg = RunConfig.from_file(tmp_path / "config.txt")
+        assert (cfg.rpn_neg_iou, cfg.rpn_pos_iou) == (0.8, 0.9)
+        # TINY sets proposals.pre_nms_top to 100 while post_nms_top_train is
+        # still 2000, and lowers post_nms_top_train only after
+        assert (cfg.proposals_pre_nms_top, cfg.proposals_post_nms_top_train) == (100, 50)
+
+    def test_pair_out_of_order_names_both(self, tmp_path, capsys):
+        assert run(["gen-data", "--out", str(tmp_path / "out"), "--n", "1", *TINY,
+                    "--set", "proposals.post_nms_top_test", "101"]) == 1
+        assert "proposals.post_nms_top_test=101 exceeds proposals.pre_nms_top=100" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestAblate:
@@ -607,6 +689,18 @@ class TestExitCodes:
         assert run([command, "--out", str(tmp_path), *data, *TINY, *args]) == 1
         assert message in capsys.readouterr().err
         assert not (tmp_path / "config.txt").exists()
+
+    @pytest.mark.parametrize("command", ["missing-data", "missing-head"])
+    def test_failed_run_leaves_no_config_txt(self, dataset, rpn_run, tmp_path, capsys,
+                                             command):
+        out = tmp_path / "out"
+        argv = {"missing-data": ["train-rpn", "--data", str(tmp_path / "nope"),
+                                 "--iters", "1"],
+                "missing-head": ["detect", "--ckpt", str(rpn_run / "rpn.frpn"),
+                                 "--data", str(dataset), *TINY]}[command]
+        assert run([*argv, "--out", str(out)]) == 1
+        assert "error: " in capsys.readouterr().err
+        assert not (out / "config.txt").exists()
 
     def test_a_flag_wins_over_set(self, tmp_path):
         assert run(["gen-data", "--out", str(tmp_path), *TINY, "--set", "seed", "3",

@@ -1,9 +1,10 @@
 """Run configuration: every key the config accepts is one the package reads,
-and the config is the one home of each default."""
+and the config is the one home of each default and of each key's range."""
 
 import ast
 import inspect
-from dataclasses import fields
+import re
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -82,3 +83,88 @@ def test_data_generator_defaults_are_the_configs(fn):
     cfg = RunConfig()
     assert params["image_size"].default == cfg.data_image_size
     assert params["max_objects"].default == cfg.data_max_objects
+
+
+# an out-of-range value of every key but `seed`, as `--set` spells it
+OUT_OF_RANGE = {
+    "data.n_images": "0", "data.image_size": "4", "data.max_objects": "0",
+    "anchors.scales": "8,0", "anchors.ratios": "-1", "backbone.channels": "4,8,8",
+    "rpn.head_dim": "0", "rpn.lambda": "0", "rpn.batch": "0", "rpn.max_pos": "-1",
+    "rpn.pos_iou": "1.5", "rpn.neg_iou": "-0.1", "proposals.nms_iou": "1.01",
+    "proposals.pre_nms_top": "0", "proposals.post_nms_top_train": "0",
+    "proposals.post_nms_top_test": "-5", "proposals.min_size": "-1",
+    "detector.n_classes": "0", "detector.rois_per_image": "0",
+    "detector.fg_fraction": "1", "detector.fg_iou": "0", "detector.score_thresh": "2",
+    "detector.nms_iou": "-0.1", "detector.max_per_image": "-1", "train.iters": "-3",
+    "train.lr": "0", "train.det_lr": "-0.01", "train.lr_drop_frac": "1.5",
+    "train.momentum": "1", "train.weight_decay": "-1", "train.joint_iters": "-1",
+    "eval.iou_thresh": "1.5",
+}
+FLOAT_KEYS = [f.name.replace("_", ".", 1) for f in fields(RunConfig)
+              if "float" in str(f.type)]
+
+
+def typed(name: str, text: str):
+    """`text` as the value of field `name`, the way `RunConfig` stores it."""
+    default = getattr(RunConfig(), name)
+    if isinstance(default, tuple):
+        return tuple(type(default[0])(x) for x in text.split(","))
+    return type(default)(text)
+
+
+def test_every_key_but_seed_has_an_out_of_range_case():
+    assert set(OUT_OF_RANGE) == set(RunConfig.keys()) - {"seed"}
+    assert "anchors.scales" in FLOAT_KEYS and "train.lr" in FLOAT_KEYS
+
+
+@pytest.mark.parametrize("key,value", [*OUT_OF_RANGE.items(),
+                                       *((key, "nan") for key in FLOAT_KEYS)])
+def test_out_of_range_names_the_key(tmp_path, key, value):
+    """Rejected by `set_key`, by `from_file` naming the line, and by
+    `RunConfig(...)`; NaN is outside every range."""
+    names_key = f"{re.escape(key)}[ =]"
+    with pytest.raises(ValueError, match=f"^{names_key}"):
+        RunConfig().set_key(key, value)
+    path = tmp_path / "run.cfg"
+    path.write_text(f"seed=3\n{key}={value}\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: {names_key}"):
+        RunConfig.from_file(path)
+    with pytest.raises(ValueError, match=f"^{names_key}"):
+        RunConfig(**{RunConfig.keys()[key]: typed(RunConfig.keys()[key], value)})
+
+
+@pytest.mark.parametrize("key,value", [("data.image_size", "5"), ("detector.fg_iou", "1"),
+                                       ("train.momentum", "0"), ("train.lr_drop_frac", "0"),
+                                       ("proposals.min_size", "0"), ("seed", "-3")])
+def test_range_ends_are_accepted(key, value):
+    cfg = RunConfig()
+    cfg.set_key(key, value)
+    assert getattr(cfg, RunConfig.keys()[key]) == float(value)
+
+
+def test_a_value_that_does_not_parse_names_the_key():
+    with pytest.raises(ValueError, match="^data.image_size: invalid literal"):
+        RunConfig().set_key("data.image_size", "abc")
+    with pytest.raises(ValueError, match="^backbone.channels: invalid literal"):
+        RunConfig().set_key("backbone.channels", "4,8.5,8,8")
+
+
+@pytest.mark.parametrize("low,high,low_value,high_value", [
+    ("rpn.neg_iou", "rpn.pos_iou", 0.8, 0.75),
+    ("proposals.post_nms_top_train", "proposals.pre_nms_top", 101, 100),
+    ("proposals.post_nms_top_test", "proposals.pre_nms_top", 101, 100),
+])
+def test_pairs_of_keys_are_checked_once_all_are_set(low, high, low_value, high_value):
+    names = RunConfig.keys()
+    base = RunConfig(proposals_post_nms_top_train=50, proposals_post_nms_top_test=20)
+    cfg = replace(base)
+    cfg.set_key(low, str(low_value))         # `set_key` checks no pair
+    cfg.set_key(high, str(high_value))
+    message = f"{low}={low_value} exceeds {high}={high_value}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        cfg.check()
+    with pytest.raises(ValueError, match=re.escape(message)):
+        replace(base, **{names[low]: low_value, names[high]: high_value})
+    cfg.set_key(high, str(low_value))
+    cfg.check()
+

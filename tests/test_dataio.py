@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from minircnn.boxes import iou_matrix_arr
+from minircnn.config import RunConfig
 from minircnn.dataio import (
     NUM_CLASSES,
     ManifestError,
@@ -146,8 +147,9 @@ class TestGenSynthetic:
             (d2 / "manifest.jsonl").read_bytes()
 
     def test_zero_images_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            gen_synthetic(tmp_path / "z", 0, seed=1)
+        # data.n_images is a config key, checked by `RunConfig`
+        with pytest.raises(ValueError, match="data.n_images=0 is below 1"):
+            RunConfig(data_n_images=0, seed=1)
 
 
 class TestManifest:

@@ -21,7 +21,7 @@ from minircnn.dataio import Scene
 from minircnn.rng import Rng
 from minircnn.tensor import Tensor
 
-from defaults import POST, ROI
+from defaults import CFG, POST, ROI
 from oracles import gradcheck
 
 
@@ -151,15 +151,16 @@ class TestLabelBoxes:
         np.testing.assert_array_equal(labels, 0)
         np.testing.assert_array_equal(best, 0)
 
+    # the RoI sampler's settings are config keys, checked by `RunConfig`
     @pytest.mark.parametrize("fg_iou", [0.0, -0.5])
     def test_nonpositive_fg_iou_rejected(self, fg_iou):
-        with pytest.raises(ValueError, match="fg_iou"):
-            replace(ROI, fg_iou=fg_iou)
+        with pytest.raises(ValueError, match=f"detector.fg_iou={fg_iou} "):
+            replace(CFG, detector_fg_iou=fg_iou)
 
     @pytest.mark.parametrize("n", [0, -4])
     def test_rois_per_image_below_one_rejected(self, n):
         with pytest.raises(ValueError, match=f"detector.rois_per_image={n} is below 1"):
-            replace(ROI, rois_per_image=n)
+            replace(CFG, detector_rois_per_image=n)
 
     @pytest.mark.parametrize("cls", [0, 4])
     def test_check_classes_names_the_image(self, cls):

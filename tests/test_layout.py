@@ -1,10 +1,20 @@
 """One home for each idea the heads share: the two-term loss, the IoU
-labelling, the sliding-window head, the RPN objective and the model object."""
+labelling, the sliding-window head, the RPN objective, the model object and
+the range of each config key."""
 
 import ast
+from dataclasses import fields
 from pathlib import Path
 
+import pytest
+
 import minircnn
+from minircnn.anchors import AnchorConfig
+from minircnn.config import RunConfig
+from minircnn.detector import RoiSampleConfig
+from minircnn.nn import SgdConfig
+from minircnn.rpn import LossWeights, ProposalParams
+from minircnn.training import TrainSchedule
 
 SRC = Path(minircnn.__file__).parent
 
@@ -126,3 +136,23 @@ def test_the_per_caller_model_paths_are_gone():
                           for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
                           and c.name == "TrainState"
                           for d in c.body if isinstance(d, ast.FunctionDef)}
+
+
+def test_the_typed_views_check_no_range():
+    """`RunConfig` checks each key's range once; the views built from it do
+    not check again, and `AnchorConfig` checks only `stride`, which is not a key."""
+    for cls in (LossWeights, ProposalParams, RoiSampleConfig, SgdConfig, TrainSchedule):
+        assert "__post_init__" not in vars(cls), cls.__name__
+    post = next(node for node in ast.walk(modules()["anchors"])
+                if isinstance(node, ast.FunctionDef) and node.name == "__post_init__")
+    guards = [node.test for node in ast.walk(post) if isinstance(node, ast.If)]
+    raises = [node for node in ast.walk(post) if isinstance(node, ast.Raise)]
+    assert len(raises) == len(guards) == 1 and "stride" in ast.unparse(guards[0])
+    AnchorConfig(scales=(), ratios=(-1.0,), stride=8)
+    with pytest.raises(ValueError, match="stride"):
+        AnchorConfig(scales=(8.0,), ratios=(1.0,), stride=0)
+
+
+def test_every_key_but_seed_has_a_range():
+    keys = {f.name.replace("_", ".", 1) for f in fields(RunConfig)}
+    assert set(RunConfig._RANGES) == keys - {"seed"}

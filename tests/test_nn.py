@@ -1,5 +1,7 @@
 """SGD with momentum + weight decay, Gaussian init, checkpoint round-trips."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,9 @@ from minircnn.nn import (
 )
 from minircnn.rng import Rng
 from minircnn.tensor import Tensor
+
+from defaults import CFG
+
 
 def make_param(name, value, grad):
     p = Param(name, np.asarray(value, dtype=np.float32))
@@ -61,12 +66,13 @@ class TestSgdStep:
             sgd_step([p], SgdConfig(lr=0.1, momentum=0.9, weight_decay=0.0))
 
     def test_config_invariants(self):
-        with pytest.raises(ValueError):
-            SgdConfig(lr=0.0, momentum=0.9, weight_decay=0.0)
-        with pytest.raises(ValueError):
-            SgdConfig(lr=0.1, momentum=1.0, weight_decay=0.0)
-        with pytest.raises(ValueError):
-            SgdConfig(lr=0.1, momentum=0.5, weight_decay=-1.0)
+        # the SGD settings are config keys, checked by `RunConfig`
+        with pytest.raises(ValueError, match="train.lr=0.0 "):
+            replace(CFG, train_lr=0.0, train_momentum=0.9, train_weight_decay=0.0)
+        with pytest.raises(ValueError, match="train.momentum=1.0 "):
+            replace(CFG, train_lr=0.1, train_momentum=1.0, train_weight_decay=0.0)
+        with pytest.raises(ValueError, match="train.weight_decay=-1.0 "):
+            replace(CFG, train_lr=0.1, train_momentum=0.5, train_weight_decay=-1.0)
 
 
 class TestMultitaskLoss:

@@ -21,8 +21,8 @@ from minircnn.rpn import (
 )
 from minircnn.tensor import Tensor
 
-from defaults import (CHANNELS, HEAD_DIM, LABEL_IOUS, MINIBATCH, TEST_PROPOSALS,
-                      TRAIN_PROPOSALS, WEIGHTS)
+from defaults import (CFG, CHANNELS, HEAD_DIM, LABEL_IOUS, MINIBATCH,
+                      TEST_PROPOSALS, TRAIN_PROPOSALS, WEIGHTS)
 from oracles import gradcheck
 
 
@@ -102,15 +102,18 @@ class TestLossWeights:
         assert (w.lam, w.batch, w.max_pos, w.pos_iou, w.neg_iou) == \
             (10.0, 256, 128, 0.7, 0.3)
 
+    # the RPN objective's settings are config keys, checked by `RunConfig`
     def test_neg_iou_above_pos_iou_names_both(self):
         with pytest.raises(ValueError, match=r"rpn\.neg_iou=0\.5 .*rpn\.pos_iou=0\.3"):
-            replace(WEIGHTS, pos_iou=0.3, neg_iou=0.5)
-        replace(WEIGHTS, pos_iou=0.5, neg_iou=0.5)
+            replace(CFG, rpn_pos_iou=0.3, rpn_neg_iou=0.5)
+        replace(CFG, rpn_pos_iou=0.5, rpn_neg_iou=0.5)
 
-    @pytest.mark.parametrize("kw", [dict(lam=0.0), dict(batch=0), dict(max_pos=-1)])
+    @pytest.mark.parametrize("kw", [dict(rpn_lambda=0.0), dict(rpn_batch=0),
+                                    dict(rpn_max_pos=-1)])
     def test_non_positive_rejected(self, kw):
-        with pytest.raises(ValueError, match="positive"):
-            replace(WEIGHTS, **kw)
+        [(name, value)] = kw.items()
+        with pytest.raises(ValueError, match=f"{name.replace('_', '.', 1)}={value} "):
+            replace(CFG, **kw)
 
 
 class TestRpnLoss:
@@ -299,10 +302,13 @@ class TestProposals:
             propose_arrays(cls, reg, aset, image, image, TEST_PROPOSALS)
 
     def test_params_validation(self):
-        with pytest.raises(ValueError):
-            replace(TEST_PROPOSALS, nms_iou=1.5)
-        with pytest.raises(ValueError):
-            replace(TEST_PROPOSALS, pre_nms_top=10, post_nms_top=20)
+        # the proposal settings are config keys, checked by `RunConfig`
+        with pytest.raises(ValueError, match=r"proposals\.nms_iou=1\.5 "):
+            replace(CFG, proposals_nms_iou=1.5)
+        with pytest.raises(ValueError, match="proposals.post_nms_top_test=20 exceeds "
+                                             "proposals.pre_nms_top=10"):
+            replace(CFG, proposals_pre_nms_top=10, proposals_post_nms_top_train=5,
+                    proposals_post_nms_top_test=20)
 
 
 class TestBackbone:

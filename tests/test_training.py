@@ -69,8 +69,9 @@ class TestSchedule:
         assert schedule(1000, seed=0).lr_drop_at == 750
 
     def test_drop_past_end_rejected(self):
-        with pytest.raises(ValueError):
-            replace(schedule(10, seed=0), lr_drop_at=11)
+        # the drop point is the config key train.lr_drop_frac, checked by `RunConfig`
+        with pytest.raises(ValueError, match=r"train\.lr_drop_frac=1\.5 is outside"):
+            replace(defaults.CFG, train_lr_drop_frac=1.5)
 
 
 class TestTrainRpn:

@@ -8,7 +8,7 @@ once with those of `<rev>` (exported with `git archive`, so the repository
 gains no worktree entry). The matrix makes train and test data, runs the four
 trainings, `propose` and `eval-recall` on every checkpoint that holds an RPN,
 `detect` and `eval-map` on every detector checkpoint, `bench`, all five
-`ablate` modes and a set of rejected inputs.
+`ablate` modes, a set of rejected inputs and one accepted order of `--set`s.
 
 Every file written is compared byte for byte, except `timing.csv`, whose
 figures are wall-clock times and which is compared by its row names. Exit
@@ -130,6 +130,22 @@ def matrix() -> list[Case]:
     add("reject-n-images", "gen-data", *TINY, "--n", "0")
     add("reject-min-size", "train-rpn", *data, "--iters", "1", "--set",
         "proposals.min_size", "-1")
+    add("reject-momentum", "train-rpn", *data, "--iters", "1", "--set",
+        "train.momentum", "1.5")
+    add("reject-image-size", "gen-data", "--n", "1", *TINY, "--set",
+        "data.image_size", "4")
+    add("reject-max-per-image", "detect", "--ckpt", ckpt["final"], "--data", test,
+        *TINY, *SEED, "--set", "detector.max_per_image", "-1")
+    add("reject-propose-n", "propose", "--ckpt", ckpt["rpn"], "--data", test,
+        *TINY, *SEED, "--n", "0")
+    add("reject-min-size-nan", "propose", "--ckpt", ckpt["rpn"], "--data", test,
+        *TINY, *SEED, "--set", "proposals.min_size", "nan")
+    add("reject-eval-recall-n", "eval-recall", "--proposals",
+        "{root}/propose-rpn/proposals.csv", "--manifest", manifest, "--n", "-3",
+        *TINY, *SEED)
+    # accepted: the pairs of keys are checked once every `--set` is applied
+    add("set-order", "train-rpn", *data, "--iters", "1", "--set", "rpn.neg_iou",
+        "0.8", "--set", "rpn.pos_iou", "0.9")
     return cases
 
 
