@@ -26,8 +26,9 @@ def _load_config(args) -> RunConfig:
     for key, value in args.set or []:
         cfg.set_key(key, value)
     for key in RunConfig.keys():
-        if getattr(args, key, None) is not None:
-            cfg.set_key(key, str(getattr(args, key)))
+        value = getattr(args, key, None)
+        if value is not None:    # a list flag's values, comma-separated
+            cfg.set_key(key, ",".join(map(str, np.atleast_1d(value))))
     cfg.check()
     return cfg
 
@@ -60,6 +61,9 @@ def _read_scene_rows(path, scenes, n_classes=None) -> list[list[tuple]]:
     with open(path) as f:
         header = f.readline().strip().split(",")
         cols = ("image", "score", "x1", "y1", "x2", "y2") + ("class",) * bool(n_classes)
+        missing = [c for c in cols if c not in header]
+        if missing:
+            raise ValueError(f"{path}:1: the header has no '{missing[0]}' column")
         idx = [header.index(c) for c in cols]
         for lineno, line in enumerate(f, start=2):
             parts = line.strip().split(",")
@@ -98,11 +102,15 @@ def cmd_gen_data(args, cfg: RunConfig, out: Path):
     print(f"wrote {cfg.data_n_images} images + manifest under {out}")
 
 
-def cmd_train_rpn(args, cfg: RunConfig, out: Path):
-    scenes = _load_scenes(args.data)
+def _train_rpn(cfg: RunConfig, scenes) -> TrainState:
+    """A fresh RPN trained under `cfg`."""
     state = TrainState.build(cfg.seed, *_dims(cfg), ("rpn",))
-    train(scenes, state, cfg.schedule(), cfg.loss_weights(), cfg.roi_sample_config(),
-          cfg.proposal_params(train=True))
+    return train(scenes, state, cfg.schedule(), cfg.loss_weights(),
+                 cfg.roi_sample_config(), cfg.proposal_params(train=True))
+
+
+def cmd_train_rpn(args, cfg: RunConfig, out: Path):
+    state = _train_rpn(cfg, _load_scenes(args.data))
     save_state(state, out / "rpn.frpn")
     write_loss_log(state, out / "loss.csv")
     print(f"trained RPN for {cfg.train_iters} iters; checkpoint {out / 'rpn.frpn'}")
@@ -173,7 +181,8 @@ def cmd_eval_recall(args, cfg: RunConfig, out: Path):
     props = [np.array([box for _, box in sorted(rows, key=lambda r: -r[0])])
              .reshape(-1, 4) for rows in _read_scene_rows(args.proposals, scenes)]
     _report(out / "recall.csv",
-            recall_curve(props, [s.boxes for s in scenes], args.n).to_csv())
+            recall_curve(props, [s.boxes for s in scenes],
+                         cfg.proposals_post_nms_top_test).to_csv())
 
 
 def cmd_eval_map(args, cfg: RunConfig, out: Path):
@@ -192,19 +201,19 @@ def cmd_eval_map(args, cfg: RunConfig, out: Path):
 
 
 def cmd_bench(args, cfg: RunConfig, out: Path):
-    scenes = _load_scenes(args.data)[:args.n_timed]
+    scenes = _load_scenes(args.data)[:cfg.bench_n_timed]
     if not scenes:
         raise ValueError(f"{args.data} holds no images to time")
     state = TrainState.open(args.ckpt, *_dims(cfg))
     report = bench(*state.stages(*_detect_args(cfg)), scenes,
-                   n_warmup=args.n_warmup, n_timed=args.n_timed)
+                   n_warmup=cfg.bench_n_warmup, n_timed=cfg.bench_n_timed)
     _report(out / "timing.csv", report.to_csv())
 
 
 def cmd_ablate(args, cfg: RunConfig, out: Path):
     scenes = _load_scenes(args.data)
     gt_boxes = [s.boxes for s in scenes]
-    p = cfg.proposal_params(train=False)
+    p = cfg.proposal_params(train=False)    # its post_nms_top is the N of recall@N
 
     if args.mode in CKPT_MODES:
         state = TrainState.open(args.ckpt, *_dims(cfg)).require("rpn")
@@ -217,8 +226,6 @@ def cmd_ablate(args, cfg: RunConfig, out: Path):
             boxes, _ = state.propose(cls.data, np.zeros_like(reg.data), s.width,
                                      s.height, p)
             props.append(boxes)
-        curve = recall_curve(props, gt_boxes, args.n)
-        _report(out / "recall_no_reg.csv", curve.to_csv())
     elif args.mode == "no-cls":
         # unscored: decoded boxes in seeded random order
         rng = Rng(cfg.seed, "sampling")
@@ -227,13 +234,11 @@ def cmd_ablate(args, cfg: RunConfig, out: Path):
             n_all = len(state.anchors(s.width, s.height))
             _, boxes, _ = state.propose_scene(
                 s, replace(p, pre_nms_top=n_all, post_nms_top=n_all))
-            props.append(boxes[rng.permutation(boxes.shape[0])][:args.n])
-        curve = recall_curve(props, gt_boxes, args.n)
-        _report(out / "recall_no_cls.csv", curve.to_csv())
+            props.append(boxes[rng.permutation(boxes.shape[0])][:p.post_nms_top])
     elif args.mode == "n-sweep":
-        budgets = sorted(args.budgets)
+        budgets = sorted(cfg.ablate_budgets)
         if budgets[-1] > p.pre_nms_top:
-            raise ValueError(f"--budgets {budgets[-1]} exceeds "
+            raise ValueError(f"ablate.budgets entry {budgets[-1]} exceeds "
                              f"proposals.pre_nms_top={p.pre_nms_top}")
         full = replace(p, post_nms_top=budgets[-1])
         props = [state.propose_scene(s, full)[1] for s in scenes]
@@ -249,29 +254,29 @@ def cmd_ablate(args, cfg: RunConfig, out: Path):
                     ("1s3r", mid, cfg.anchors_ratios), ("1s1r", mid, (1.0,))]
         rows = ["setting,recall_at_0.5,recall_at_0.7"]
         for name, scales, ratios in settings:
-            _, c = _retrain_recall(cfg, scenes, gt_boxes, p, args,
+            _, c = _retrain_recall(cfg, scenes, gt_boxes, p,
                                    anchors_scales=scales, anchors_ratios=ratios)
             rows.append(f"{name},{c.at(0.5):.6g},{c.at(0.7):.6g}")
         _report(out / "anchor_settings.csv", "\n".join(rows) + "\n")
     elif args.mode == "lambda-sweep":
         rows = ["lambda,recall_at_0.5,recall_at_0.7,final_loss_cls,final_loss_reg"]
-        for lam in args.lambdas:
-            state, c = _retrain_recall(cfg, scenes, gt_boxes, p, args, rpn_lambda=lam)
+        for lam in cfg.ablate_lambdas:
+            state, c = _retrain_recall(cfg, scenes, gt_boxes, p, rpn_lambda=lam)
             last = state.loss_log[-1]
             rows.append(f"{lam:g},{c.at(0.5):.6g},{c.at(0.7):.6g},"
                         f"{last['loss_cls']:.6g},{last['loss_reg']:.6g}")
         _report(out / "lambda_sweep.csv", "\n".join(rows) + "\n")
+    if args.mode in ("no-reg", "no-cls"):
+        _report(out / f"recall_{args.mode.replace('-', '_')}.csv",
+                recall_curve(props, gt_boxes, p.post_nms_top).to_csv())
 
 
-def _retrain_recall(cfg: RunConfig, scenes, gt_boxes, p, args, **overrides):
-    """A fresh RPN trained for `args.iters` under the run's config with the
-    field `overrides`, and the recall curve of its top `args.n` proposals."""
-    sub = replace(cfg, **overrides)
-    state = TrainState.build(sub.seed, *_dims(sub), ("rpn",))
-    train(scenes, state, sub.schedule(iters=args.iters), sub.loss_weights(),
-          sub.roi_sample_config(), sub.proposal_params(train=True))
+def _retrain_recall(cfg: RunConfig, scenes, gt_boxes, p, **overrides):
+    """A fresh RPN trained for `ablate.iters` under `cfg` with the field
+    `overrides`, and the recall curve of its top `p.post_nms_top` proposals."""
+    state = _train_rpn(replace(cfg, train_iters=cfg.ablate_iters, **overrides), scenes)
     props = [state.propose_scene(s, p)[1] for s in scenes]
-    return state, recall_curve(props, gt_boxes, args.n)
+    return state, recall_curve(props, gt_boxes, p.post_nms_top)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -279,19 +284,21 @@ def build_parser() -> argparse.ArgumentParser:
                                  description="desk-scale two-stage detector")
     sub = ap.add_subparsers(dest="command", required=True)
 
+    def key_flag(p, flag, key, type=int, **kw):    # `_load_config` applies it
+        p.add_argument(flag, type=type, dest=key, help=f"sets {key}",
+                       metavar=flag[2:].upper().replace("-", "_"), **kw)
+
     def common(p):
         p.add_argument("--config", help="run-config file (key=value lines)")
-        p.add_argument("--seed", type=int, help="sets seed")
+        key_flag(p, "--seed", "seed")
         p.add_argument("--set", nargs=2, action="append", metavar=("KEY", "VALUE"),
                        help="override a single config key")
         p.add_argument("--out", required=True, help="output directory")
 
     p = sub.add_parser("gen-data", help="generate the synthetic shapes dataset")
     common(p)
-    p.add_argument("--n", type=int, dest="data.n_images", metavar="N",
-                   help="sets data.n_images")
-    p.add_argument("--image-size", type=int, dest="data.image_size",
-                   metavar="IMAGE_SIZE", help="sets data.image_size")
+    key_flag(p, "--n", "data.n_images")
+    key_flag(p, "--image-size", "data.image_size")
     p.set_defaults(fn=cmd_gen_data)
 
     for name, fn, hlp in (("train-rpn", cmd_train_rpn, "train the RPN alone"),
@@ -302,16 +309,15 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=hlp)
         common(p)
         p.add_argument("--data", required=True, help="dataset dir or manifest")
-        key = "train.joint_iters" if name == "train-joint" else "train.iters"
-        p.add_argument("--iters", type=int, dest=key, metavar="ITERS", help=f"sets {key}")
+        key_flag(p, "--iters", "train.joint_iters" if name == "train-joint"
+                 else "train.iters")
         p.set_defaults(fn=fn)
 
     p = sub.add_parser("propose", help="write top-N proposals per image")
     common(p)
     p.add_argument("--ckpt", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--n", type=int, dest="proposals.post_nms_top_test", metavar="N",
-                   help="sets proposals.post_nms_top_test")
+    key_flag(p, "--n", "proposals.post_nms_top_test")
     p.set_defaults(fn=cmd_propose)
 
     p = sub.add_parser("detect", help="run the detector a checkpoint holds")
@@ -324,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--proposals", required=True)
     p.add_argument("--manifest", required=True)
-    p.add_argument("--n", type=int, default=300)
+    key_flag(p, "--n", "proposals.post_nms_top_test")
     p.set_defaults(fn=cmd_eval_recall)
 
     p = sub.add_parser("eval-map", help="VOC-style mAP from detections CSV")
@@ -337,8 +343,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--ckpt", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--n-warmup", type=int, default=2)
-    p.add_argument("--n-timed", type=int, default=10)
+    key_flag(p, "--n-warmup", "bench.n_warmup")
+    key_flag(p, "--n-timed", "bench.n_timed")
     p.set_defaults(fn=cmd_bench)
 
     p = sub.add_parser("ablate", help="ablation pipelines")
@@ -347,11 +353,10 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=[*CKPT_MODES, "anchor-settings", "lambda-sweep"])
     p.add_argument("--data", required=True)
     p.add_argument("--ckpt", help="trained RPN checkpoint (no-reg/no-cls/n-sweep)")
-    p.add_argument("--n", type=int, default=300)
-    p.add_argument("--iters", type=int, default=500,
-                   help="training budget for sweep modes")
-    p.add_argument("--budgets", type=int, nargs="+", default=[50, 300, 1000])
-    p.add_argument("--lambdas", type=float, nargs="+", default=[0.1, 1.0, 10.0, 100.0])
+    key_flag(p, "--n", "proposals.post_nms_top_test")
+    key_flag(p, "--iters", "ablate.iters")
+    key_flag(p, "--budgets", "ablate.budgets", nargs="+")
+    key_flag(p, "--lambdas", "ablate.lambdas", type=float, nargs="+")
     p.set_defaults(fn=cmd_ablate)
     return ap
 
@@ -362,10 +367,6 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
         if getattr(args, "mode", None) in CKPT_MODES and args.ckpt is None:
             parser.error(f"ablate --mode {args.mode} requires --ckpt")
-        for flag, least in (("n_warmup", 0), ("n_timed", 1), ("iters", 1), ("n", 1),
-                            ("budgets", 1)):
-            if min(np.atleast_1d(getattr(args, flag, least))) < least:
-                parser.error(f"--{flag.replace('_', '-')} must be at least {least}")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

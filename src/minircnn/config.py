@@ -15,12 +15,11 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 
-def _floats(s: str) -> tuple[float, ...]:
-    return tuple(float(x) for x in str(s).split(",") if x != "")
-
-
-def _ints(s: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in str(s).split(",") if x != "")
+def _parse(text: str, like):
+    """`text` as a value of the type of `like`, a tuple's entries comma-separated."""
+    if isinstance(like, tuple):
+        return tuple(type(like[0])(x) for x in str(text).split(",") if x != "")
+    return type(like)(text)
 
 
 def _float_text(x: float) -> str:
@@ -73,17 +72,27 @@ class RunConfig:
 
     eval_iou_thresh: float = 0.5
 
+    # `ablate`: the training budget of its sweep modes, n-sweep's N, lambda-sweep's λ
+    ablate_iters: int = 500
+    ablate_budgets: tuple[int, ...] = (50, 300, 1000)
+    ablate_lambdas: tuple[float, ...] = (0.1, 1.0, 10.0, 100.0)
+
+    bench_n_warmup: int = 2
+    bench_n_timed: int = 10
+
     # the values each key accepts; for a list key, those of each entry, and
     # the list may not be empty. `seed` takes any int.
     _RANGES = {key: interval for interval, keys in {
         "[1, inf)": "data.n_images data.max_objects backbone.channels rpn.head_dim "
                     "rpn.batch proposals.pre_nms_top proposals.post_nms_top_train "
                     "proposals.post_nms_top_test detector.n_classes "
-                    "detector.rois_per_image detector.max_per_image",
+                    "detector.rois_per_image detector.max_per_image ablate.iters "
+                    "ablate.budgets bench.n_timed",
         "[5, inf)": "data.image_size",
-        "(0, inf)": "anchors.scales anchors.ratios rpn.lambda train.lr train.det_lr",
+        "(0, inf)": "anchors.scales anchors.ratios rpn.lambda train.lr train.det_lr "
+                    "ablate.lambdas",
         "[0, inf)": "rpn.max_pos proposals.min_size train.iters train.joint_iters "
-                    "train.weight_decay",
+                    "train.weight_decay bench.n_warmup",
         "[0, 1]": "rpn.pos_iou rpn.neg_iou proposals.nms_iou detector.nms_iou "
                   "detector.score_thresh eval.iou_thresh train.lr_drop_frac",
         "(0, 1]": "detector.fg_iou",
@@ -97,9 +106,6 @@ class RunConfig:
     _ORDERED = (("rpn.neg_iou", "rpn.pos_iou"),
                 ("proposals.post_nms_top_train", "proposals.pre_nms_top"),
                 ("proposals.post_nms_top_test", "proposals.pre_nms_top"))
-
-    _PARSERS = {"anchors.scales": _floats, "anchors.ratios": _floats,
-                "backbone.channels": _ints}
 
     @classmethod
     def keys(cls) -> dict[str, str]:
@@ -119,7 +125,8 @@ class RunConfig:
 
     @classmethod
     def _check_range(cls, key: str, value):
-        interval, n, is_list = cls._RANGES[key], cls._LENGTHS.get(key), key in cls._PARSERS
+        interval, n = cls._RANGES[key], cls._LENGTHS.get(key)
+        is_list = isinstance(value, (tuple, list))
         if is_list and (n and len(value) != n or not value):
             raise ValueError(f"{key} takes {n or 'one or more'} entries, not {len(value)}")
         lo, hi = (float(x) for x in interval[1:-1].split(","))
@@ -138,7 +145,7 @@ class RunConfig:
         if name is None:
             raise KeyError(f"unknown config key: {key}")
         try:
-            value = self._PARSERS.get(key, type(getattr(self, name)))(value)
+            value = _parse(value, getattr(RunConfig, name))     # the field's default
         except ValueError as exc:
             raise ValueError(f"{key}: {exc}") from None
         if key in self._RANGES:

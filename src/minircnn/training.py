@@ -28,6 +28,10 @@ log = logging.getLogger(__name__)
 
 # the heads a model may hold, in checkpoint order; each owns the entries `<head>.*`
 HEADS = ("rpn", "det", "onestage")
+# the config keys that shape a checkpoint entry, by the first part its name holds
+SHAPE_KEYS = {"backbone.": "backbone.channels", ".trunk.": "rpn.head_dim",
+              "rpn.": "anchors.scales and anchors.ratios", "det.": "detector.n_classes",
+              "onestage.": "anchors.scales, anchors.ratios and detector.n_classes"}
 
 
 @dataclass
@@ -93,10 +97,15 @@ class TrainState:
         saved = load_checkpoint(path)
         state = cls._assemble(_RESTORED, anchor_cfg, channels, head_dim, n_classes,
                               {name.split(".")[0] for name in saved} & set(HEADS))
-        try:
-            restore_params(state.params, saved)
-        except (KeyError, ValueError) as exc:
-            raise ValueError(f"{path}: {exc.args[0]}") from None
+        for p in state.params:      # backbone first: its shape fixes the heads'
+            if p.name not in saved:
+                raise ValueError(f"{path}: checkpoint missing parameter '{p.name}'")
+            got, want = saved[p.name].shape, p.value.data.shape
+            if got != want:
+                key = next(k for part, k in SHAPE_KEYS.items() if part in p.name)
+                raise ValueError(f"{path}: shape mismatch for '{p.name}': {got} in the "
+                                 f"file, {want} from this run's {key}")
+        restore_params(state.params, saved)
         stray = saved.keys() - {p.name for p in state.params}
         if stray:
             raise ValueError(f"{path}: entry '{min(stray)}' belongs to no head")

@@ -5,6 +5,7 @@ import importlib.util
 import inspect
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -184,11 +185,13 @@ class TestInferenceCommands:
     @pytest.mark.parametrize("flag,value", [("--n-timed", "0"), ("--n-warmup", "-3")])
     def test_bad_bench_count_names_the_flag(self, dataset, alt_run, tmp_path, capsys,
                                             flag, value):
-        assert run(["bench", "--out", str(tmp_path), "--ckpt",
+        """Rejected as the config key the flag sets, before any data is read."""
+        key = {"--n-timed": "bench.n_timed", "--n-warmup": "bench.n_warmup"}[flag]
+        assert run(["bench", "--out", str(tmp_path / "out"), "--ckpt",
                     str(alt_run / "final.frpn"), "--data", str(dataset),
-                    flag, value, *TINY, "--seed", "11"]) == 2
-        assert f"{flag} must be at least" in capsys.readouterr().err
-        assert not (tmp_path / "timing.csv").exists()
+                    flag, value, *TINY, "--seed", "11"]) == 1
+        assert f"error: {key}={value} is below" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command,flag,values", [
         (["ablate", "--mode", "lambda-sweep", "--lambdas", "1"], "--iters", ["0"]),
@@ -196,16 +199,20 @@ class TestInferenceCommands:
         (["ablate", "--mode", "no-reg"], "--n", ["0"]),
         (["eval-recall"], "--n", ["-3"]),
         (["ablate", "--mode", "n-sweep"], "--budgets", ["5", "0"]),
+        (["ablate", "--mode", "lambda-sweep"], "--lambdas", ["0"]),
     ], ids=["lambda-sweep-iters", "anchor-settings-iters", "ablate-n", "eval-recall-n",
-            "budgets"])
+            "budgets", "lambdas"])
     def test_bad_sweep_count_names_the_flag(self, dataset, rpn_run, tmp_path, capsys,
                                             command, flag, values):
+        """Rejected as the config key the flag sets, before any data is read."""
+        key = {"--iters": "ablate.iters", "--n": "proposals.post_nms_top_test",
+               "--budgets": "ablate.budgets", "--lambdas": "ablate.lambdas"}[flag]
         inputs = (["--proposals", str(dataset / "manifest.jsonl"), "--manifest",
                    str(dataset / "manifest.jsonl")] if command[0] == "eval-recall" else
                   ["--data", str(dataset), "--ckpt", str(rpn_run / "rpn.frpn")])
         assert run([*command, "--out", str(tmp_path / "out"), *inputs, flag, *values,
-                    *TINY, "--seed", "11"]) == 2
-        assert f"{flag} must be at least 1" in capsys.readouterr().err
+                    *TINY, "--seed", "11"]) == 1
+        assert f"error: {key}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
 
@@ -268,6 +275,21 @@ class TestCheckpointHeads:
                     "--seed", "11"]) == 1
         err = capsys.readouterr().err
         assert f"the model has no '{head}' head" in err and "NoneType" not in err
+
+    @pytest.mark.parametrize("command,ckpt,key,entry", [
+        ("detect", "alt/final.frpn", "detector.n_classes 2", "det.cls.w"),
+        ("propose", "rpn/rpn.frpn", "rpn.head_dim 16", "rpn.trunk.w"),
+        ("detect", "alt/final.frpn", "anchors.scales 8,16,32", "rpn.cls.w"),
+    ], ids=["n-classes", "head-dim", "anchor-scales"])
+    def test_shape_mismatch_names_the_key(self, dataset, rpn_run, alt_run, tmp_path,
+                                          capsys, command, ckpt, key, entry):
+        runs = {"rpn": rpn_run, "alt": alt_run}
+        run_dir, name = ckpt.split("/")
+        assert run([command, "--out", str(tmp_path), "--ckpt", str(runs[run_dir] / name),
+                    "--data", str(dataset), *TINY, "--set", *key.split()]) == 1
+        err = capsys.readouterr().err
+        assert f"{runs[run_dir] / name}: shape mismatch for '{entry}'" in err
+        assert f"from this run's {key.split()[0]}" in err
 
     @pytest.mark.parametrize("entry", ["rpn.extra.w", "fpn.w"])
     def test_entry_no_head_owns_is_named(self, dataset, rpn_run, tmp_path, capsys,
@@ -339,6 +361,21 @@ class TestEvalRowsRejected:
             assert run([command, flags[command], str(csv), "--manifest", manifest,
                         "--out", str(tmp_path / "out"), *TINY]) == 1, command
             assert f"{csv}:3: " in capsys.readouterr().err, command
+
+    @pytest.mark.parametrize("command,header,column", [
+        ("eval-map", "image,rank,score,x1,y1,x2,y2\n", "class"),
+        ("eval-recall", "", "image"),
+    ], ids=["detections-without-class", "empty-file"])
+    def test_header_without_a_column_names_line_one(self, dataset, tmp_path, capsys,
+                                                     command, header, column):
+        csv = tmp_path / "rows.csv"
+        csv.write_text(header)
+        flag = {"eval-recall": "--proposals", "eval-map": "--detections"}[command]
+        assert run([command, flag, str(csv), "--manifest",
+                    str(dataset / "manifest.jsonl"), "--out", str(tmp_path / "out"),
+                    *TINY]) == 1
+        assert f"error: {csv}:1: the header has no '{column}' column" in \
+            capsys.readouterr().err
 
 
 class TestModelReuse:
@@ -638,9 +675,27 @@ class TestAblate:
         assert run(["ablate", "--mode", "n-sweep", "--out", str(tmp_path),
                     "--data", str(dataset), "--ckpt", str(rpn_run / "rpn.frpn"),
                     *TINY, "--seed", "11"]) == 1
-        assert "--budgets 1000 exceeds proposals.pre_nms_top=100" in \
+        assert "ablate.budgets entry 1000 exceeds proposals.pre_nms_top=100" in \
             capsys.readouterr().err
         assert not (tmp_path / "recall_n_sweep.csv").exists()
+
+    def test_no_reg_ranks_n_proposals(self, dataset, rpn_run, tmp_path, monkeypatch):
+        """`--n` sets proposals.post_nms_top_test, which both ranks the
+        proposals and is the N of the recall curve, in every mode."""
+        from minircnn import cli
+        real, ranked = cli.recall_curve, []
+
+        def spy(props, gt_boxes, n):
+            ranked.append(max(len(p) for p in props))
+            return real(props, gt_boxes, n)
+
+        monkeypatch.setattr(cli, "recall_curve", spy)
+        assert run(["ablate", "--mode", "no-reg", "--out", str(tmp_path), "--data",
+                    str(dataset), "--ckpt", str(rpn_run / "rpn.frpn"), *TINY,
+                    "--n", "30", "--seed", "11"]) == 0      # TINY's own N is 20
+        assert ranked == [30]
+        rows = (tmp_path / "recall_no_reg.csv").read_text().strip().split("\n")[1:]
+        assert {r.split(",")[2] for r in rows} == {"30"}
 
     def test_n_sweep(self, dataset, rpn_run, tmp_path):
         assert run(["ablate", "--mode", "n-sweep", "--out", str(tmp_path),
@@ -782,21 +837,76 @@ class TestModuleEntryPoint:
         assert usage.returncode == 2 and "--out" in usage.stderr
 
 
+def subcommands() -> dict[str, argparse.ArgumentParser]:
+    return next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+class TestEveryRunValueIsAKey:
+    # the options that name inputs, outputs or the ablation, not run values
+    NOT_KEYS = {"--config", "--set", "--out", "--mode", "--data", "--ckpt",
+                "--manifest", "--proposals", "--detections"}
+
+    def test_every_option_sets_a_key_or_names_a_path(self):
+        for name, p in subcommands().items():
+            for a in p._actions:
+                if not isinstance(a, argparse._HelpAction):
+                    assert a.option_strings[0] in self.NOT_KEYS or \
+                        a.dest in RunConfig.keys(), (name, a.option_strings)
+
+    def test_the_cli_reads_no_run_value_outside_the_config(self):
+        text = Path(inspect.getsourcefile(run)).read_text()
+        assert not re.findall(r"args\.(?:n|iters|budgets|lambdas|n_warmup|n_timed)\b",
+                              text)
+        assert "must be at least" not in inspect.getsource(run)
+
+
+@pytest.fixture
+def identity(monkeypatch):
+    """The `tools/identity.py` module."""
+    path = Path(__file__).parents[1] / "tools" / "identity.py"
+    spec = importlib.util.spec_from_file_location("identity", path)
+    tool = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "identity", tool)
+    spec.loader.exec_module(tool)
+    return tool
+
+
 class TestIdentityMatrix:
     """`tools/identity.py` runs every subcommand and every ablate mode."""
 
-    def test_matrix_names_every_subcommand_and_ablate_mode(self, monkeypatch):
-        path = Path(__file__).parents[1] / "tools" / "identity.py"
-        spec = importlib.util.spec_from_file_location("identity", path)
-        tool = importlib.util.module_from_spec(spec)
-        monkeypatch.setitem(sys.modules, "identity", tool)
-        spec.loader.exec_module(tool)
-        sub = next(a for a in build_parser()._actions
-                   if isinstance(a, argparse._SubParsersAction))
-        modes = next(a for a in sub.choices["ablate"]._actions
-                     if a.dest == "mode").choices
+    def test_matrix_names_every_subcommand_and_ablate_mode(self, identity):
+        tool, choices = identity, subcommands()
+        modes = next(a for a in choices["ablate"]._actions if a.dest == "mode").choices
         argvs = [case.argv for case in tool.matrix()]
-        assert set(sub.choices) <= {argv[0] for argv in argvs}
+        assert set(choices) <= {argv[0] for argv in argvs}
         assert set(modes) <= {argv[argv.index("--mode") + 1] for argv in argvs
                               if argv[0] == "ablate" and "--mode" in argv}
         assert tool.TINY == TINY
+
+    def test_config_txt_replays_every_command(self, identity, tmp_path):
+        """The matrix, run again with each accepted command taking its first
+        run's config.txt in place of its seed, `--set`s and key flags, writes
+        the same bytes; a rejected command runs again unchanged."""
+        src, cases = Path(minircnn.__file__).parents[1], identity.matrix()
+        first = identity.run_side(src, tmp_path / "first", cases)
+        choices = subcommands()
+
+        def replayed(case):
+            options = choices[case.argv[0]]._option_string_actions
+            argv, skip = [], False
+            for a in case.argv:
+                if a.startswith("--"):      # no value in the matrix starts so
+                    skip = a in options and (a == "--set" or
+                                             options[a].dest in RunConfig.keys())
+                if not skip:
+                    argv.append(a)
+            config = tmp_path / "first" / case.name / "config.txt"
+            return identity.Case(case.name, (*argv, "--config", str(config)))
+
+        again = [replayed(c) if first[c.name].code == 0 else c for c in cases]
+        assert sum("--config" in c.argv for c in again) >= 25
+        second = identity.run_side(src, tmp_path / "second", again)
+        diffs, n_files = identity.compare(first, second, tmp_path / "first",
+                                          tmp_path / "second")
+        assert n_files > 60 and diffs == []

@@ -98,7 +98,8 @@ OUT_OF_RANGE = {
     "detector.nms_iou": "-0.1", "detector.max_per_image": "-1", "train.iters": "-3",
     "train.lr": "0", "train.det_lr": "-0.01", "train.lr_drop_frac": "1.5",
     "train.momentum": "1", "train.weight_decay": "-1", "train.joint_iters": "-1",
-    "eval.iou_thresh": "1.5",
+    "eval.iou_thresh": "1.5", "ablate.iters": "0", "ablate.budgets": "5,0",
+    "ablate.lambdas": "1,0", "bench.n_warmup": "-1", "bench.n_timed": "0",
 }
 FLOAT_KEYS = [f.name.replace("_", ".", 1) for f in fields(RunConfig)
               if "float" in str(f.type)]

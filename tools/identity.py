@@ -95,6 +95,8 @@ def matrix() -> list[Case]:
             "--n-warmup", "0", "--n-timed", "2", *TINY, *SEED)
     ablate = ["--data", test, "--ckpt", ckpt["rpn"], *TINY, *SEED]
     add("ablate-no-reg", "ablate", "--mode", "no-reg", "--n", "10", *ablate)
+    # above TINY's proposals.post_nms_top_test of 20
+    add("ablate-no-reg-n30", "ablate", "--mode", "no-reg", *ablate, "--n", "30")
     add("ablate-no-cls", "ablate", "--mode", "no-cls", "--n", "10", *ablate)
     add("ablate-n-sweep", "ablate", "--mode", "n-sweep", "--budgets", "5", "10",
         *ablate)
@@ -143,6 +145,10 @@ def matrix() -> list[Case]:
     add("reject-eval-recall-n", "eval-recall", "--proposals",
         "{root}/propose-rpn/proposals.csv", "--manifest", manifest, "--n", "-3",
         *TINY, *SEED)
+    add("reject-lambdas", "ablate", "--mode", "lambda-sweep", "--lambdas", "0",
+        *ablate)
+    add("reject-n-warmup", "bench", "--ckpt", ckpt["final"], "--data", test,
+        "--n-warmup", "-1", *TINY)
     # accepted: the pairs of keys are checked once every `--set` is applied
     add("set-order", "train-rpn", *data, "--iters", "1", "--set", "rpn.neg_iou",
         "0.8", "--set", "rpn.pos_iou", "0.9")
@@ -156,14 +162,14 @@ class Outcome:
     stderr: str
 
 
-def run_side(src: Path, root: Path) -> dict[str, Outcome]:
-    """The matrix with the package under `src`, writing under `root`."""
+def run_side(src: Path, root: Path, cases: list[Case]) -> dict[str, Outcome]:
+    """`cases` with the package under `src`, writing under `root`."""
     root.mkdir(parents=True)
     (root / "empty").mkdir()
     (root / "empty" / "manifest.jsonl").write_text("")
     env = dict(os.environ, PYTHONPATH=str(src), **ENV)
     outcomes = {}
-    for case in matrix():
+    for case in cases:
         argv = [a.replace("{root}", str(root)) for a in case.argv]
         done = subprocess.run([sys.executable, "-m", "minircnn", *argv], env=env,
                               cwd=root, capture_output=True, text=True, timeout=600)
@@ -260,8 +266,8 @@ def main(argv=None) -> int:
                   file=sys.stderr)
             return 2
         print(build_facts())
-        parent = run_side(parent_src, work / "parent")
-        tree = run_side(REPO / "src", work / "tree")
+        parent = run_side(parent_src, work / "parent", matrix())
+        tree = run_side(REPO / "src", work / "tree", matrix())
         diffs, n_files = compare(parent, tree, work / "parent", work / "tree")
         for heading, details in diffs:
             print(heading, *(f"    {d}" for d in details), sep="\n")
