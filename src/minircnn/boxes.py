@@ -139,7 +139,8 @@ class _PairIndex:
     lies in one of the 3 x 3 neighbouring (width, height) classes, and its
     x1 within a row's reach. Rows are sorted by class, then x1, so each
     neighbouring class holds a row's partners in one slice. Per-row arrays
-    are indexed by row number.
+    are indexed by row number; `retain` removes decided rows from the slices
+    without moving the others.
     """
 
     def __init__(self, x1, w, h, rows, t):
@@ -174,6 +175,12 @@ class _PairIndex:
                 & (np.abs(self.ch.take(a) - self.ch.take(b)) <= 1)
                 & (rb >= self.lo.take(a)) & (rb < self.hi.take(a)))
 
+    def retain(self, live):
+        """Drop the rows where `live`, indexed by row number, is False, so
+        that they are no one's partner any more."""
+        m = live.take(self.rows)
+        self.rows, self.key = self.rows[m], self.key[m]
+
     def partners(self, src):
         """Every (i, j) with j a candidate partner of i, for i in src."""
         q = self.group.take(src)[:, None] + self.near_groups
@@ -195,9 +202,7 @@ def _greedy_keep(ranked: np.ndarray, iou_threshold: float, limit: int) -> np.nda
     # other rows have IoU 0 or NaN with every row: they neither suppress nor
     # get suppressed
     valid = (w > 0) & (h > 0) & (areas > 0) & (areas < np.inf)
-    index = _PairIndex(x1, w, h, np.flatnonzero(valid), t)
     tiny = valid & (t * np.minimum(areas, np.minimum(w, h)) < (_TINY if t else 0.0))
-    tiny_index = _PairIndex(x1, w, h, np.flatnonzero(tiny), 0.0) if tiny.any() else None
 
     def over(i, j):
         """IoU(i, j) > threshold for pairs of valid rows, i ranked first."""
@@ -208,17 +213,45 @@ def _greedy_keep(ranked: np.ndarray, iou_threshold: float, limit: int) -> np.nda
         inter = np.maximum(ix2 - ix1, 0.0) * np.maximum(iy2 - iy1, 0.0)
         return inter / (areas.take(i) + areas.take(j) - inter) > iou_threshold
 
-    # Blocks of up to _BLOCK unsuppressed boxes in score order. Greedy runs
-    # inside a block over its candidate pairs; then the boxes it keeps
-    # suppress their later candidate partners all at once.
+    def suppress(keep, first):
+        """Suppress each live row from `first` on that a kept row in `keep`
+        overlaps."""
+        live = ~suppressed
+        live[:first] = False
+        index.retain(live)
+        i, j = index.partners(keep)
+        if tiny_index:
+            tiny_index.retain(live)
+            ti, tj = tiny_index.partners(keep[tiny.take(keep)])
+            i, j = np.concatenate([i, ti]), np.concatenate([j, tj])
+        suppressed[j[over(i, j)]] = True
+
+    # Greedy decisions on a score-order prefix do not depend on the rows
+    # after it, and a capped call usually fills its cap early. So the pair
+    # index covers the rows up to `end`, first 2 * limit of them. When the
+    # scan reaches `end` with the cap unfilled, the prefix doubles: the boxes
+    # kept so far suppress the new rows, and the scan goes on from there.
     suppressed = np.zeros(n, dtype=bool)
-    kept = stop = 0
+    kept = stop = end = 0
     size = _BLOCK // 2
     while stop < n and kept < limit:
-        block = stop + np.flatnonzero(~suppressed[stop:])[:size]
+        if stop == end:
+            first, end = end, min(n, max(2 * limit, 2 * end))
+            keep = np.flatnonzero(valid[:first] & ~suppressed[:first])
+            rows = np.concatenate([keep, first + np.flatnonzero(valid[first:end])])
+            index = _PairIndex(x1, w, h, rows, t)
+            tr = rows[tiny.take(rows)]
+            tiny_index = _PairIndex(x1, w, h, tr, 0.0) if tr.size else None
+            if keep.size:
+                suppress(keep, first)
+        # Blocks of up to _BLOCK unsuppressed boxes in score order. Greedy
+        # runs inside a block over its candidate pairs; then the boxes it
+        # keeps suppress their later candidate partners all at once.
+        block = stop + np.flatnonzero(~suppressed[stop:end])[:size]
         size = _BLOCK
         if not block.size:
-            break
+            stop = end
+            continue
         stop = int(block[-1]) + 1
         src = block[valid.take(block)]
         k = src.size
@@ -237,15 +270,8 @@ def _greedy_keep(ranked: np.ndarray, iou_threshold: float, limit: int) -> np.nda
         gone = np.frombuffer(gone, dtype=bool)
         suppressed[src[gone]] = True
         kept += block.size - int(gone.sum())
-        if stop < n:
-            keep = src[~gone]
-            i, j = index.partners(keep)
-            if tiny_index:
-                ti, tj = tiny_index.partners(keep[tiny.take(keep)])
-                i, j = np.concatenate([i, ti]), np.concatenate([j, tj])
-            later = (j >= stop) & ~suppressed.take(j)
-            i, j = i[later], j[later]
-            suppressed[j[over(i, j)]] = True
+        if stop < end:
+            suppress(src[~gone], stop)
     return np.flatnonzero(~suppressed[:stop])[:limit]
 
 
@@ -256,21 +282,14 @@ def nms_arr(boxes: np.ndarray, scores: np.ndarray, iou_threshold: float,
     Returns the indices of the kept boxes, best first, at most max_keep of
     them. IoU is computed only for the candidate pairs of a `_PairIndex`,
     which holds every pair whose computed IoU can exceed the threshold, so
-    the result equals an all-pairs greedy scan.
+    the result equals an all-pairs greedy scan. A capped call scans a
+    prefix of 2 * max_keep boxes in score order, and extends it, without
+    redoing it, while it keeps fewer than max_keep.
     """
     if not 0 <= iou_threshold <= 1:
         raise ValueError("iou_threshold must be in [0, 1]")
     boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
     scores = np.asarray(scores, dtype=np.float64).reshape(-1)
-    n = boxes.shape[0]
     order = np.argsort(-scores, kind="stable")
-    ranked = boxes[order]
-    limit = n if max_keep is None else max(max_keep, 0)
-    # Greedy decisions on a score-order prefix do not depend on the boxes
-    # after it, and a capped call usually fills its cap early.
-    m = min(n, 2 * limit)
-    while True:
-        keep = _greedy_keep(ranked[:m], iou_threshold, limit)
-        if keep.size >= limit or m == n:
-            return order[keep]
-        m = min(n, 2 * m)
+    limit = boxes.shape[0] if max_keep is None else max(max_keep, 0)
+    return order[_greedy_keep(boxes[order], iou_threshold, limit)]

@@ -376,8 +376,9 @@ def _bin_edges(lo: np.ndarray, hi: np.ndarray, size: int, P: int):
     return start, end
 
 
-def _rank_table(x: np.ndarray):
-    """Sparse table of per-channel rank keys over x:(C,H,W).
+def _rank_table(x: np.ndarray, LA: int, LB: int):
+    """Sparse table of per-channel rank keys over x:(C,H,W), LA levels of
+    rows by LB levels of columns.
 
     The ranks order each channel's H*W cells so that the cell np.argmax
     would pick from any set holds the largest rank: higher values rank
@@ -385,8 +386,9 @@ def _rank_table(x: np.ndarray):
     A stable sort of the reversed channel gives exactly that order. Channel
     c's cell of rank r has key r*C + c, so keys compare as ranks within a
     channel. Returns (cells, values, table): cells[key] is the key's flat
-    H*W index, values[key] its value, and table[a, b, i, j, c] the largest
-    key over rows [i, i + 2**a) and columns [j, j + 2**b) of channel c.
+    index c*H*W + cell into x, values[key] its value, and table[a, b, i, j, c]
+    (a < LA, b < LB) the largest key over rows [i, i + 2**a) and columns
+    [j, j + 2**b) of channel c.
     """
     C, H, W = x.shape
     HW = H * W
@@ -396,9 +398,8 @@ def _rank_table(x: np.ndarray):
     keys = np.empty((C, HW), dtype=np.int32)
     np.put_along_axis(keys, order, np.arange(0, HW * C, C, dtype=np.int32)[None, :]
                       + cidx[:, None].astype(np.int32), axis=1)
-    cells = order.T.ravel()
+    cells = (order + cidx[:, None] * HW).T.ravel()
     values = flat[cidx[None, :], order.T].ravel()
-    LA, LB = H.bit_length(), W.bit_length()    # floor(log2) + 1 levels
     table = np.zeros((LA, LB, H, W, C), dtype=np.int32)
     table[0, 0] = keys.T.reshape(H, W, C)
     for a in range(1, LA):
@@ -418,8 +419,9 @@ def roi_pool(x: Tensor, rois: np.ndarray, spatial_scale: float, out_size: int) -
     is the RoI extent in cells, at least one cell per bin. Each bin takes the
     cell np.argmax picks (the first maximum in row-major order, NaN before
     any number), found with four lookups in a sparse table of per-channel
-    ranks. Backward routes gradient to argmax cells only; RoI coordinates
-    get no gradient.
+    ranks. Forward keeps only those int32 rank keys; backward gathers the
+    argmax cells from them and scatters the gradient by flat index into x.
+    RoI coordinates get no gradient.
     """
     C, H, W = x.shape
     rois = np.asarray(rois, dtype=np.float64).reshape(-1, 4)
@@ -433,23 +435,23 @@ def roi_pool(x: Tensor, rois: np.ndarray, spatial_scale: float, out_size: int) -
     cs, ce = _bin_edges(scaled[:, 0], scaled[:, 2], W, out_size)
     kh, kw = _floor_log2(re - rs), _floor_log2(ce - cs)
     r2, c2 = re - (1 << kh), ce - (1 << kw)
-    level = (kh[:, :, None] * W.bit_length() + kw[:, None, :]) * H     # (N, P, P)
+    # levels up to the largest bin's, not to the whole map's
+    LA, LB = int(kh.max(initial=0)) + 1, int(kw.max(initial=0)) + 1
+    level = (kh[:, :, None] * LB + kw[:, None, :]) * H     # (N, P, P)
 
-    cells, values, table = _rank_table(x.data)
+    cells, values, table = _rank_table(x.data, LA, LB)
     table = table.reshape(-1, C)
     key = np.take(table, (level + rs[:, :, None]) * W + cs[:, None, :], axis=0)
     for r, c in ((rs, c2), (r2, cs), (r2, c2)):
         np.maximum(key, np.take(table, (level + r[:, :, None]) * W + c[:, None, :],
                                 axis=0), out=key)
-    key = np.ascontiguousarray(key.transpose(0, 3, 1, 2))     # (N, C, P, P)
-    arg = cells[key]
-    y = values[key]
-    cidx = np.arange(C)
+    key = key.transpose(0, 3, 1, 2)     # (N, C, P, P), a view of the int32 keys
+    # as intp, so that take need not convert them
+    y = values.take(np.array(key, dtype=np.intp, order="C"))
 
     def bwd(g):
-        dx = np.zeros((C, H * W), dtype=x.dtype)
-        c = np.broadcast_to(cidx[None, :, None, None], arg.shape)
-        np.add.at(dx, (c.ravel(), arg.ravel()), g.ravel())
+        dx = np.zeros(C * H * W, dtype=x.dtype)
+        np.add.at(dx, cells.take(key).ravel(), g.ravel())
         _accum(x, dx.reshape(C, H, W))
 
     return _make(y, (x,), bwd)

@@ -279,3 +279,43 @@ class TestNmsMatchesBruteForce:
             got = list(nms_arr(boxes, scores, thr, max_keep=max_keep))
             want = brute_nms(boxes, scores, thr)[:max_keep]
         assert got == want
+
+
+@st.composite
+def capped_cluster_cases(draw):
+    """100-700 boxes whose best-scored `n_near` lie in tight clusters, fewer
+    clusters than max_keep, above loners spread over the image. Each cluster
+    keeps one box, so the first 2 * max_keep rows in score order keep fewer
+    than max_keep, and the scan has to go on past them and past row 64."""
+    n = draw(st.integers(100, 700))
+    max_keep = draw(st.integers(2, 48))
+    n_near = draw(st.integers(max(2 * max_keep, 70), n))
+    k = draw(st.integers(1, max_keep - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    centre = rng.uniform(0, 160, (k, 2))
+    size = rng.uniform(5, 40, (k, 2))
+    member = rng.integers(0, k, n_near)
+    lo = centre[member]
+    near = np.concatenate([lo, lo + size[member]], axis=1)
+    # each edge moves by at most 3 % of the size, so members overlap by IoU > 0.78
+    near += rng.uniform(-0.03, 0.03, (n_near, 4)) * np.tile(size[member], 2)
+    xy = rng.uniform(0, 200, (n - n_near, 2))
+    loners = np.concatenate([xy, xy + rng.uniform(2, 40, (n - n_near, 2))], axis=1)
+    boxes = np.concatenate([near, loners])
+    scores = np.concatenate([rng.uniform(0.5, 1, n_near), rng.uniform(0, 0.5, n - n_near)])
+    if draw(st.booleans()):     # ties, kept in index order
+        scores = np.round(scores, 1)
+    perm = rng.permutation(n)
+    thr = draw(st.one_of(st.sampled_from([0.3, 0.5, 0.7]), st.floats(0.05, 0.75)))
+    return boxes[perm], scores[perm], thr, max_keep
+
+
+class TestCappedNmsResumes:
+    @given(capped_cluster_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_keep_equals_brute_prefix(self, case):
+        boxes, scores, thr, max_keep = case
+        prefix = np.argsort(-scores, kind="stable")[:2 * max_keep]
+        assert len(brute_nms(boxes[prefix], scores[prefix], thr)) < max_keep
+        got = list(nms_arr(boxes, scores, thr, max_keep=max_keep))
+        assert got == brute_nms(boxes, scores, thr)[:max_keep]

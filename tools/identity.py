@@ -2,13 +2,16 @@
 
     python tools/identity.py --parent <rev> [--work DIR]
 
-Runs one fixed matrix of `minircnn` commands under the TINY config of
-tests/test_cli.py twice: once with the package sources of the working tree,
-once with those of `<rev>` (exported with `git archive`, so the repository
-gains no worktree entry). The matrix makes train and test data, runs the four
+Runs one fixed matrix of `minircnn` commands twice: once with the package
+sources of the working tree, once with those of `<rev>` (exported with `git
+archive`, so the repository gains no worktree entry). Under the TINY config of
+tests/test_cli.py the matrix makes train and test data, runs the four
 trainings, `propose` and `eval-recall` on every checkpoint that holds an RPN,
 `detect` and `eval-map` on every detector checkpoint, `bench`, all five
 `ablate` modes, a set of rejected inputs and one accepted order of `--set`s.
+Under the default config at 96 px it makes data, runs `train-joint`, and runs
+`propose` (also at a lower NMS threshold), `detect` and `eval-map` on its
+checkpoint.
 
 Every file written is compared byte for byte, except `timing.csv`, whose
 figures are wall-clock times and which is compared by its row names. Exit
@@ -104,6 +107,23 @@ def matrix() -> list[Case]:
         "--iters", "2", *ablate)
     add("ablate-lambda-sweep", "ablate", "--mode", "lambda-sweep", "--n", "10",
         "--iters", "2", "--lambdas", "1", "10", *ablate)
+
+    # the default config at 96 px: 1,296 anchors, the cap of 300 proposals
+    # and 64-channel RoI pooling, which TINY's 48 px scenes never reach
+    px96 = ["--set", "data.image_size", "96"]
+    on96 = ["--ckpt", "{root}/train-joint-96/joint.frpn", "--data", "{root}/test-96",
+            *px96, *SEED]
+    add("train-96", "gen-data", "--n", "2", *px96, *SEED)
+    add("test-96", "gen-data", "--n", "2", *px96, "--seed", "12")
+    add("train-joint-96", "train-joint", "--data", "{root}/train-96", "--iters", "2",
+        *px96, *SEED)
+    add("propose-96", "propose", *on96)
+    # at this threshold the first 600 proposals keep fewer than 300, so the
+    # capped NMS call extends its prefix twice
+    add("propose-96-nms-0.4", "propose", *on96, "--set", "proposals.nms_iou", "0.4")
+    add("detect-96", "detect", *on96)
+    add("eval-map-96", "eval-map", "--detections", "{root}/detect-96/detections.csv",
+        "--manifest", "{root}/test-96/manifest.jsonl", *px96, *SEED)
 
     # rejected inputs; each `--set` comes after TINY's, so that it wins
     data = ["--data", train, *TINY, *SEED]
