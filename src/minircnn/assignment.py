@@ -1,7 +1,6 @@
-"""Objectness labels, regression targets, and minibatch sampling for anchors."""
+"""Objectness labels and regression targets for anchors, and the fg/bg
+minibatch sampler every head draws its rows with."""
 from __future__ import annotations
-
-from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -14,48 +13,28 @@ NEGATIVE = 0
 IGNORE = -1
 
 
-class NoLabeledAnchorsError(RuntimeError):
-    """Raised when an image yields no labeled anchors to sample from."""
-
-
-@dataclass
-class RpnTargets:
-    labels: np.ndarray          # int8 in {POSITIVE, NEGATIVE, IGNORE}
-    target_deltas: np.ndarray   # (N, 4), defined where labels == POSITIVE
-    matched_gt: np.ndarray      # gt index per anchor, -1 where unmatched
-    sample_mask: np.ndarray     # bool, filled by sample_minibatch
-
-    @property
-    def positive_idx(self) -> np.ndarray:
-        return np.flatnonzero(self.labels == POSITIVE)
-
-    @property
-    def sampled_idx(self) -> np.ndarray:
-        return np.flatnonzero(self.sample_mask)
-
-
 def assign_labels(aset: AnchorSet, gt_boxes: np.ndarray, pos_iou: float,
-                  neg_iou: float) -> RpnTargets:
+                  neg_iou: float) -> tuple[np.ndarray, np.ndarray]:
     """Label anchors positive/negative/ignore and compute regression targets.
 
     Cross-boundary anchors stay IGNORE. An anchor is positive if it is an
     argmax anchor of some gt box (ties: all argmax anchors) or reaches
     pos_iou with any gt; negative if its best IoU is below neg_iou.
     Positives are matched to their single highest-IoU gt, ties to the
-    lowest gt index.
+    lowest gt index. Returns (labels int8, targets (N, 4)), the targets
+    encoded on positive rows only, zero elsewhere.
     """
     if aset.inside is None:
         raise ValueError("assign_labels needs the anchors' inside mask (inside_mask)")
     n = len(aset)
     labels = np.full(n, IGNORE, dtype=np.int8)
     deltas = np.zeros((n, 4), dtype=np.float64)
-    matched = np.full(n, -1, dtype=np.int64)
     gt_boxes = np.asarray(gt_boxes, dtype=np.float64).reshape(-1, 4)
 
     ins = np.flatnonzero(aset.inside)
     if gt_boxes.shape[0] == 0:
         labels[ins] = NEGATIVE
-        return RpnTargets(labels, deltas, matched, np.zeros(n, dtype=bool))
+        return labels, deltas
 
     iou = iou_matrix_arr(aset.boxes[ins], gt_boxes)   # (n_inside, G)
     best = iou.max(axis=1)
@@ -72,35 +51,28 @@ def assign_labels(aset: AnchorSet, gt_boxes: np.ndarray, pos_iou: float,
 
     labels[ins] = lab
     pidx = ins[pos]
-    matched[pidx] = argbest[pos]
-    if pidx.size:
-        deltas[pidx] = encode_arr(gt_boxes[matched[pidx]], aset.boxes[pidx])
-    return RpnTargets(labels, deltas, matched, np.zeros(n, dtype=bool))
+    deltas[pidx] = encode_arr(gt_boxes[argbest[pos]], aset.boxes[pidx])
+    return labels, deltas
 
 
-def sample_fg_bg(fg: np.ndarray, bg: np.ndarray, max_fg: int, total: int,
-                 rng: Rng) -> tuple[np.ndarray, np.ndarray]:
-    """Up to max_fg of the fg indices, padded to total with bg indices.
+def sample_fg_bg(labels: np.ndarray, max_fg: int, total: int, rng: Rng) -> np.ndarray:
+    """Rows of up to max_fg foreground labels (>= 1), padded to total with
+    background (0) rows; ignored (-1) rows are never drawn.
 
     Each side is a sorted random subset when it has more candidates than
-    slots (fg drawn first), else taken whole. Returns (take_fg, take_bg).
+    slots (fg drawn first), else taken whole. Returns the fg rows, then the
+    bg rows.
     """
+    fg, bg = np.flatnonzero(labels > 0), np.flatnonzero(labels == 0)
     n_fg = min(max_fg, total, fg.size)
     take_fg = fg[np.sort(rng.choice(fg.size, n_fg))] if n_fg < fg.size else fg
     n_bg = min(total - n_fg, bg.size)
     take_bg = bg[np.sort(rng.choice(bg.size, n_bg))] if n_bg < bg.size else bg
-    return take_fg, take_bg
+    return np.concatenate([take_fg, take_bg])
 
 
-def sample_minibatch(targets: RpnTargets, rng: Rng, batch: int,
-                     max_pos: int) -> RpnTargets:
-    """Fill sample_mask: up to max_pos positives, padded to batch with negatives."""
-    pos = np.flatnonzero(targets.labels == POSITIVE)
-    neg = np.flatnonzero(targets.labels == NEGATIVE)
-    if pos.size + neg.size == 0:
-        raise NoLabeledAnchorsError("no labeled anchors in image")
-    take_pos, take_neg = sample_fg_bg(pos, neg, max_pos, batch, rng)
-    mask = np.zeros_like(targets.sample_mask)
-    mask[take_pos] = True
-    mask[take_neg] = True
-    return replace(targets, sample_mask=mask)
+def sample_minibatch(labels: np.ndarray, rng: Rng, batch: int,
+                     max_pos: int) -> np.ndarray:
+    """The anchor rows of one RPN minibatch, ascending: up to max_pos
+    positives, padded to batch with negatives; empty when none is drawn."""
+    return np.sort(sample_fg_bg(labels, max_pos, batch, rng))

@@ -9,6 +9,7 @@ Classes: 1 = rectangle, 2 = ellipse, 3 = triangle.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -18,6 +19,9 @@ from .rng import Rng
 
 CLASS_NAMES = {1: "rect", 2: "ellipse", 3: "triangle"}
 NUM_CLASSES = 3
+# magic, width, height and maxval, each field after whitespace or `#` comment
+# lines, then the single whitespace byte before the raster
+_PPM_HEADER = re.compile(rb"P6" + rb"(?:\s|#[^\n]*\n)+(\d+)" * 3 + rb"\s")
 
 
 @dataclass
@@ -47,6 +51,10 @@ class DatasetManifest:
     def load_scene(self, i: int) -> Scene:
         e = self.entries[i]
         img = read_ppm(self.root / e["image"])
+        if img.shape[:2] != (int(e["height"]), int(e["width"])):
+            raise ManifestError(f"{self.root / e['image']}: image is {img.shape[1]}x"
+                                f"{img.shape[0]} px, the manifest says "
+                                f"{e['width']}x{e['height']}")
         boxes = np.array([[o["x1"], o["y1"], o["x2"], o["y2"]] for o in e["objects"]],
                          dtype=np.float64).reshape(-1, 4)
         classes = np.array([o["class"] for o in e["objects"]], dtype=np.int64)
@@ -65,25 +73,16 @@ def write_ppm(path, image: np.ndarray):
 def read_ppm(path) -> np.ndarray:
     with open(path, "rb") as f:
         data = f.read()
-    if not data.startswith(b"P6"):
-        raise ValueError(f"{path}: not a P6 PPM file")
-    fields, pos = [], 2
-    while len(fields) < 3:
-        while pos < len(data) and data[pos:pos + 1].isspace():
-            pos += 1
-        if data[pos:pos + 1] == b"#":
-            while data[pos:pos + 1] not in (b"\n", b""):
-                pos += 1
-            continue
-        start = pos
-        while pos < len(data) and not data[pos:pos + 1].isspace():
-            pos += 1
-        fields.append(int(data[start:pos]))
-    pos += 1  # single whitespace after maxval
-    w, h, maxval = fields
+    header = _PPM_HEADER.match(data)
+    if header is None:
+        raise ValueError(f"{path}: not a 'P6 <width> <height> <maxval>' PPM header")
+    w, h, maxval = map(int, header.groups())
     if maxval != 255:
         raise ValueError(f"{path}: unsupported maxval {maxval}")
-    raster = np.frombuffer(data, dtype=np.uint8, count=w * h * 3, offset=pos)
+    if len(data) - header.end() < w * h * 3:
+        raise ValueError(f"{path}: a {w}x{h} raster needs {w * h * 3} bytes, "
+                         f"{len(data) - header.end()} follow the header")
+    raster = np.frombuffer(data, dtype=np.uint8, count=w * h * 3, offset=header.end())
     return raster.reshape(h, w, 3).copy()
 
 

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
+from .anchors import AnchorSet
 from .assignment import sample_fg_bg
 from .boxes import Box, ScoredBox, clip_arr, decode_arr, encode_arr, iou_matrix_arr, nms_arr
 from .nn import Param, gaussian_init, multitask_loss
@@ -83,13 +84,30 @@ def label_boxes(boxes: np.ndarray, gt_boxes: np.ndarray, gt_classes: np.ndarray,
                 fg_iou: float) -> tuple[np.ndarray, np.ndarray]:
     """Fast R-CNN labels of boxes (N, 4) against gt boxes (G, 4): the class of
     the best-IoU gt box (ties to the lowest index) where that IoU reaches
-    fg_iou, else 0 (background); and that gt index, 0 without gt boxes."""
+    fg_iou, else 0 (background); and the regression targets (N, 4) of the
+    foreground rows toward that gt box, zero elsewhere."""
+    labels = np.zeros(boxes.shape[0], dtype=np.int64)
+    targets = np.zeros((boxes.shape[0], 4))
     if gt_boxes.shape[0] == 0:
-        return np.zeros(boxes.shape[0], dtype=np.int64), \
-            np.zeros(boxes.shape[0], dtype=np.int64)
+        return labels, targets
     iou = iou_matrix_arr(boxes, gt_boxes)
     arg = iou.argmax(axis=1)
-    return np.where(iou.max(axis=1) >= fg_iou, gt_classes[arg], 0), arg
+    fg = iou.max(axis=1) >= fg_iou
+    labels[fg] = gt_classes[arg[fg]]
+    targets[fg] = encode_arr(gt_boxes[arg[fg]], boxes[fg])
+    return labels, targets
+
+
+def label_windows(aset: AnchorSet, gt_boxes: np.ndarray, gt_classes: np.ndarray,
+                  fg_iou: float) -> tuple[np.ndarray, np.ndarray]:
+    """`label_boxes` of the windows inside the image; -1 (ignore) and zero
+    targets for the windows that cross its border."""
+    labels = np.full(len(aset), -1, dtype=np.int64)
+    targets = np.zeros((len(aset), 4))
+    ins = np.flatnonzero(aset.inside)
+    labels[ins], targets[ins] = label_boxes(aset.boxes[ins], gt_boxes, gt_classes,
+                                            fg_iou)
+    return labels, targets
 
 
 def check_classes(scenes, n_classes: int):
@@ -103,22 +121,16 @@ def check_classes(scenes, n_classes: int):
 
 def sample_rois(proposals: np.ndarray, gt_boxes: np.ndarray, gt_classes: np.ndarray,
                 cfg: RoiSampleConfig, rng: Rng) -> RoiBatch:
-    """Detector-stage sampling: gt boxes appended, fg/bg split by IoU at `cfg.fg_iou`."""
+    """Detector-stage sampling: gt boxes appended, fg/bg split by IoU at
+    `cfg.fg_iou`; the foreground rows come first."""
     proposals = np.asarray(proposals, dtype=np.float64).reshape(-1, 4)
     gt_boxes = np.asarray(gt_boxes, dtype=np.float64).reshape(-1, 4)
     gt_classes = np.asarray(gt_classes, dtype=np.int64)
     cand = np.concatenate([proposals, gt_boxes]) if gt_boxes.size else proposals
-    labels, arg = label_boxes(cand, gt_boxes, gt_classes, cfg.fg_iou)
-    take_fg, take_bg = sample_fg_bg(np.flatnonzero(labels > 0),
-                                    np.flatnonzero(labels == 0),
-                                    int(cfg.fg_fraction * cfg.rois_per_image),
-                                    cfg.rois_per_image, rng)
-    idx = np.concatenate([take_fg, take_bg])
-    rois = cand[idx]
-    targets = np.zeros((idx.size, 4))
-    if take_fg.size:
-        targets[:take_fg.size] = encode_arr(gt_boxes[arg[take_fg]], rois[:take_fg.size])
-    return RoiBatch(rois, labels[idx], targets)
+    labels, targets = label_boxes(cand, gt_boxes, gt_classes, cfg.fg_iou)
+    idx = sample_fg_bg(labels, int(cfg.fg_fraction * cfg.rois_per_image),
+                       cfg.rois_per_image, rng)
+    return RoiBatch(cand[idx], labels[idx], targets[idx])
 
 
 def detector_loss(cls_logits: Tensor, deltas: Tensor,

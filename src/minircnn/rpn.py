@@ -8,7 +8,6 @@ import numpy as np
 
 from . import tensor as T
 from .anchors import AnchorSet
-from .assignment import RpnTargets
 from .boxes import clip_arr, decode_arr, nms_arr
 from .nn import Param, gaussian_init, multitask_loss
 from .rng import Rng
@@ -140,28 +139,27 @@ def anchor_rows(head_map, k: int, *per):
                    .reshape(h * w * k, *per)
 
 
-def rpn_loss(cls_scores: Tensor, reg_deltas: Tensor, targets: RpnTargets,
-             k: int, weights: LossWeights) -> tuple[Tensor, float, float]:
-    """Two-term objectness + box loss.
+def rpn_loss(cls_scores: Tensor, reg_deltas: Tensor, labels: np.ndarray,
+             targets: np.ndarray, rows: np.ndarray, k: int,
+             weights: LossWeights) -> tuple[Tensor, float, float]:
+    """Two-term objectness + box loss on `assign_labels`' labels and targets.
 
-    cls: log-loss summed over the sampled minibatch, divided by `batch`.
+    cls: log-loss summed over the sampled anchor `rows`, divided by `batch`.
     reg: smooth-L1 over ALL positive-labeled anchors, summed over the four
     delta components, scaled by lam / N_reg, N_reg = H*W anchor locations.
     Returns (loss, cls_term_value, reg_term_value).
     """
-    sampled = targets.sampled_idx
-    if sampled.size == 0:
+    if rows.size == 0:
         raise ValueError("rpn_loss requires a sampled minibatch")
     logits = anchor_rows(cls_scores, k, 2)
-    if logits.shape[0] != targets.labels.shape[0]:
+    if logits.shape[0] != labels.shape[0]:
         raise ValueError(f"rpn_loss: head outputs give {logits.shape[0]} anchor rows, "
-                         f"the targets label {targets.labels.shape[0]} anchors")
-    lab = targets.labels[sampled].astype(np.int64)   # 0 = background, 1 = object
-    pos = targets.positive_idx
+                         f"the targets label {labels.shape[0]} anchors")
+    pos = np.flatnonzero(labels > 0)
     pred = T.take_rows(anchor_rows(reg_deltas, k, 4), pos) if pos.size else None
     n_reg = reg_deltas.shape[1] * reg_deltas.shape[2]
-    return multitask_loss(T.take_rows(logits, sampled), lab, 1.0 / weights.batch,
-                          pred, targets.target_deltas[pos], weights.lam / n_reg)
+    return multitask_loss(T.take_rows(logits, rows), labels[rows].astype(np.int64),
+                          1.0 / weights.batch, pred, targets[pos], weights.lam / n_reg)
 
 
 def objectness_probs(cls_data: np.ndarray, k: int) -> np.ndarray:

@@ -11,7 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .anchors import AnchorConfig, AnchorSet, grid_anchors, inside_mask
-from .assignment import NoLabeledAnchorsError, assign_labels, sample_minibatch
+from .assignment import assign_labels, sample_minibatch
 from .dataio import Scene, image_to_input
 from .boxes import ScoredBox
 from .detector import (DetectorHead, RoiSampleConfig, check_classes, class_probs,
@@ -234,9 +234,9 @@ def train(scenes: list[Scene], state: TrainState, sched: TrainSchedule,
     The detector loss runs on RoIs sampled from the fixed
     per-scene `proposals`, or, when none are given, from the RPN's own
     detached `train_proposals` (approximate joint training: no gradient
-    flows through box coordinates). A step with no labelable anchors, or a
-    detector-only step with no RoI candidates, is skipped; a run that skips
-    every step raises.
+    flows through box coordinates). A step whose anchor sample is empty, or
+    a detector-only step with no RoI candidates, is skipped; a run that
+    skips every step raises.
     """
     if not scenes:
         raise ValueError("empty dataset")
@@ -250,8 +250,8 @@ def train(scenes: list[Scene], state: TrainState, sched: TrainSchedule,
     sample_rng = rng.substream("sampling")
     inputs = [image_to_input(s.image) for s in scenes]
     if rpn is not None:
-        targets = [assign_labels(state.anchors(s.width, s.height), s.boxes,
-                                 weights.pos_iou, weights.neg_iou) for s in scenes]
+        labelled = [assign_labels(state.anchors(s.width, s.height), s.boxes,
+                                  weights.pos_iou, weights.neg_iou) for s in scenes]
     params = [p for h in (rpn, det) if h is not None for p in h.params]
     if not state.shared_frozen:
         params = state.backbone.params + params
@@ -264,16 +264,16 @@ def train(scenes: list[Scene], state: TrainState, sched: TrainSchedule,
         row = {"iteration": state.iteration, "lr": sched.lr_at(it)}
         feats = loss = None
         if rpn is not None:
-            try:
-                t = sample_minibatch(targets[i], sample_rng, weights.batch,
-                                     weights.max_pos)
-            except NoLabeledAnchorsError:
-                skip = "no labelable anchors"
+            labels, targets = labelled[i]
+            rows = sample_minibatch(labels, sample_rng, weights.batch, weights.max_pos)
+            if rows.size == 0:
+                skip = "no labelable anchors" if np.all(labels < 0) else \
+                    f"no anchor sampled at rpn.max_pos={weights.max_pos}"
                 log.warning("skipping image %d: %s", i, skip)
                 continue
             feats, cls, reg = state.rpn_forward(inputs[i])
             loss, row["loss_cls"], row["loss_reg"] = rpn_loss(
-                cls, reg, t, state.anchor_cfg.k, weights)
+                cls, reg, labels, targets, rows, state.anchor_cfg.k, weights)
         if det is not None:
             # proposal coordinates are raw arrays, off the tape
             boxes = proposals[i] if proposals is not None else \

@@ -193,15 +193,15 @@ class TestCriterion2GradientSuite:
         aset = grid_anchors(mini, 4, 4)
         inside_mask(aset, 32, 32)
         gt = np.array([[4.0, 4.0, 14.0, 14.0], [16.0, 10.0, 30.0, 26.0]])
-        tgt = assign_labels(aset, gt, *LABEL_IOUS)
+        anchor_labels, anchor_targets = assign_labels(aset, gt, *LABEL_IOUS)
         for i in range(20):
-            tgt_i = sample_minibatch(tgt, Rng(i, "sampling"), batch=16,
-                                     max_pos=8)
+            rows = sample_minibatch(anchor_labels, Rng(i, "sampling"), batch=16,
+                                    max_pos=8)
             cls = t64(rng.normal(size=(2 * mini.k, 4, 4)))
             reg = t64(rng.normal(size=(4 * mini.k, 4, 4)) * 0.1)
             check("rpn_loss",
-                  lambda cls, reg: rpn_loss(cls, reg, tgt_i, mini.k,
-                                            WEIGHTS)[0], [cls, reg])
+                  lambda cls, reg: rpn_loss(cls, reg, anchor_labels, anchor_targets,
+                                            rows, mini.k, WEIGHTS)[0], [cls, reg])
             n, C = 6, 3
             labels = rng.integers(0, C + 1, size=n)
             labels[0] = 1 + (i % C)                 # guarantee a foreground row
@@ -238,20 +238,22 @@ class TestCriterion4LossStructure:
         aset = grid_anchors(cfg, 4, 4)
         inside_mask(aset, 32, 32)
         gt = np.array([[4.0, 4.0, 14.0, 14.0], [16.0, 10.0, 30.0, 26.0]])
-        t = assign_labels(aset, gt, *LABEL_IOUS)
-        t = sample_minibatch(t, Rng(seed, "sampling"), batch=16, max_pos=8)
+        labels, targets = assign_labels(aset, gt, *LABEL_IOUS)
+        rows = sample_minibatch(labels, Rng(seed, "sampling"), batch=16, max_pos=8)
         rng = np.random.default_rng(seed)
         cls = Tensor(rng.normal(size=(2 * cfg.k, 4, 4)), requires_grad=True)
         reg = Tensor(rng.normal(size=(4 * cfg.k, 4, 4)) * 0.1,
                      requires_grad=True)
-        return cfg, aset, t, cls, reg
+        return cfg, aset, (labels, targets, rows), cls, reg
 
     def test_zero_positives_and_lambda_scaling(self, announce):
         cfg, aset, t, cls, reg = self._micro()
         # (a) no positives in the batch -> regression term exactly zero
-        t.labels[t.labels == 1] = -1
-        t0 = sample_minibatch(t, Rng(0, "sampling"), 16, WEIGHTS.max_pos)
-        loss, cls_val, reg_val = rpn_loss(cls, reg, t0, cfg.k, WEIGHTS)
+        labels, targets, _ = t
+        labels[labels == 1] = -1
+        rows = sample_minibatch(labels, Rng(0, "sampling"), 16, WEIGHTS.max_pos)
+        loss, cls_val, reg_val = rpn_loss(cls, reg, labels, targets, rows, cfg.k,
+                                          WEIGHTS)
         loss.backward()
         zero_ok = reg_val == 0.0 and (reg.grad is None
                                       or np.all(reg.grad == 0.0))
@@ -262,7 +264,7 @@ class TestCriterion4LossStructure:
         grads = []
         for lam in (10.0, 10.0 * c):
             cls.zero_grad(), reg.zero_grad()
-            loss, _, _ = rpn_loss(cls, reg, t, cfg.k,
+            loss, _, _ = rpn_loss(cls, reg, *t, cfg.k,
                                   replace(WEIGHTS, lam=lam))
             loss.backward()
             grads.append((cls.grad.copy(), reg.grad.copy()))

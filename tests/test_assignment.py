@@ -8,8 +8,8 @@ from minircnn.assignment import (
     IGNORE,
     NEGATIVE,
     POSITIVE,
-    NoLabeledAnchorsError,
     assign_labels,
+    sample_fg_bg,
     sample_minibatch,
 )
 from minircnn.boxes import decode_arr, iou_matrix_arr
@@ -31,20 +31,20 @@ class TestAssignLabels:
         # gt exactly equal to an inside anchor -> IoU 1 -> positive
         idx = np.flatnonzero(aset.inside)[10]
         gt = aset.boxes[idx][None]
-        t = assign_labels(aset, gt, *LABEL_IOUS)
-        assert t.labels[idx] == POSITIVE
+        labels, _ = assign_labels(aset, gt, *LABEL_IOUS)
+        assert labels[idx] == POSITIVE
 
     def test_low_iou_negative(self):
         aset = small_aset()
         gt = np.array([[0.0, 0.0, 20.0, 20.0]])
-        t = assign_labels(aset, gt, *LABEL_IOUS)
+        labels, _ = assign_labels(aset, gt, *LABEL_IOUS)
         ious = iou_matrix_arr(aset.boxes, gt).max(axis=1)
         lows = aset.inside & (ious < 0.3)
         # rule (i) may rescue the single best anchor; all other low-IoU
         # inside anchors must be negative
-        assert np.all(t.labels[lows] != IGNORE)
+        assert np.all(labels[lows] != IGNORE)
         non_argmax_lows = lows & (ious < ious[lows].max())
-        assert np.all(t.labels[non_argmax_lows] == NEGATIVE)
+        assert np.all(labels[non_argmax_lows] == NEGATIVE)
 
     def test_argmax_rescue_below_threshold(self):
         # a gt whose best IoU is < 0.7 still gets its argmax anchor positive
@@ -53,8 +53,8 @@ class TestAssignLabels:
         ious = iou_matrix_arr(aset.boxes, gt)[:, 0]
         ious[~aset.inside] = -1.0
         assert ious.max() < 0.7
-        t = assign_labels(aset, gt, *LABEL_IOUS)
-        assert t.labels[np.argmax(ious)] == POSITIVE
+        labels, _ = assign_labels(aset, gt, *LABEL_IOUS)
+        assert labels[np.argmax(ious)] == POSITIVE
 
     def test_midband_non_argmax_ignored(self):
         aset = small_aset()
@@ -63,29 +63,29 @@ class TestAssignLabels:
         ious_in = np.where(aset.inside, ious, -1.0)
         mid = aset.inside & (ious >= 0.3) & (ious < 0.7) & (ious < ious_in.max())
         if mid.any():
-            t = assign_labels(aset, gt, *LABEL_IOUS)
-            assert np.all(t.labels[mid] == IGNORE)
+            labels, _ = assign_labels(aset, gt, *LABEL_IOUS)
+            assert np.all(labels[mid] == IGNORE)
 
     def test_outside_anchors_ignored(self):
         aset = small_aset()
         gt = np.array([[8.0, 8.0, 24.0, 24.0]])
-        t = assign_labels(aset, gt, *LABEL_IOUS)
-        assert np.all(t.labels[~aset.inside] == IGNORE)
+        labels, _ = assign_labels(aset, gt, *LABEL_IOUS)
+        assert np.all(labels[~aset.inside] == IGNORE)
 
     def test_empty_gt_all_inside_negative(self):
         aset = small_aset()
-        t = assign_labels(aset, np.zeros((0, 4)), *LABEL_IOUS)
-        assert np.all(t.labels[aset.inside] == NEGATIVE)
-        assert np.all(t.labels[~aset.inside] == IGNORE)
+        labels, targets = assign_labels(aset, np.zeros((0, 4)), *LABEL_IOUS)
+        assert np.all(labels[aset.inside] == NEGATIVE)
+        assert np.all(labels[~aset.inside] == IGNORE)
+        assert not targets.any()
 
     def test_no_inside_anchor_all_ignore(self):
         # an 8 px image: every anchor crosses the border
         aset = small_aset(8)
         assert not aset.inside.any()
-        t = assign_labels(aset, np.array([[1.0, 1.0, 6.0, 6.0]]), *LABEL_IOUS)
-        assert np.all(t.labels == IGNORE)
-        with pytest.raises(NoLabeledAnchorsError):
-            sample_minibatch(t, Rng(0, "sampling"), *MINIBATCH)
+        labels, _ = assign_labels(aset, np.array([[1.0, 1.0, 6.0, 6.0]]), *LABEL_IOUS)
+        assert np.all(labels == IGNORE)
+        assert sample_minibatch(labels, Rng(0, "sampling"), *MINIBATCH).size == 0
 
     def test_needs_the_inside_mask(self):
         cfg = AnchorConfig(scales=(8.0,), ratios=(1.0,), stride=8)
@@ -102,14 +102,14 @@ class TestAssignLabels:
             y1 = rng.uniform(0, 40, n)
             gt = np.stack([x1, y1, x1 + rng.uniform(8, 24, n),
                            y1 + rng.uniform(8, 24, n)], axis=1)
-            t = assign_labels(aset, gt, *LABEL_IOUS)
+            labels, _ = assign_labels(aset, gt, *LABEL_IOUS)
             ious = iou_matrix_arr(aset.boxes, gt)
             ious[~aset.inside] = -1.0
             for g in range(n):
                 if ious[:, g].max() > 0:
                     # all argmax anchors of this gt are positive (rule i)
                     argmax = ious[:, g] == ious[:, g].max()
-                    assert np.all(t.labels[argmax] == POSITIVE)
+                    assert np.all(labels[argmax] == POSITIVE)
 
     def test_positive_targets_decode_to_matched_gt(self):
         rng = np.random.default_rng(12)
@@ -118,79 +118,110 @@ class TestAssignLabels:
         y1 = rng.uniform(0, 40, 3)
         gt = np.stack([x1, y1, x1 + rng.uniform(8, 24, 3),
                        y1 + rng.uniform(8, 24, 3)], axis=1)
-        t = assign_labels(aset, gt, *LABEL_IOUS)
-        pos = np.flatnonzero(t.labels == POSITIVE)
+        labels, targets = assign_labels(aset, gt, *LABEL_IOUS)
+        pos = np.flatnonzero(labels == POSITIVE)
         assert pos.size > 0
-        back = decode_arr(t.target_deltas[pos], aset.boxes[pos])
-        want = gt[t.matched_gt[pos]]
+        back = decode_arr(targets[pos], aset.boxes[pos])
+        # matched gt: the highest-IoU one, ties to the lowest index
+        want = gt[iou_matrix_arr(aset.boxes[pos], gt).argmax(axis=1)]
         assert np.abs(back - want).max() <= 1e-9 * max(1.0, np.abs(want).max())
+        assert not targets[labels != POSITIVE].any()
 
     def test_matched_gt_is_highest_iou(self):
         aset = small_aset()
         gt = np.array([[8.0, 8.0, 24.0, 24.0], [10.0, 8.0, 26.0, 24.0]])
-        t = assign_labels(aset, gt, *LABEL_IOUS)
+        labels, targets = assign_labels(aset, gt, *LABEL_IOUS)
         ious = iou_matrix_arr(aset.boxes, gt)
-        for i in np.flatnonzero(t.labels == POSITIVE):
-            assert ious[i, t.matched_gt[i]] == ious[i].max()
+        pos = np.flatnonzero(labels == POSITIVE)
+        assert pos.size > 0
+        back = decode_arr(targets[pos], aset.boxes[pos])
+        for i, box in zip(pos, back):
+            matched = np.abs(gt - box).max(axis=1).argmin()   # the box it encodes
+            assert np.abs(gt[matched] - box).max() <= 1e-9
+            assert ious[i, matched] == ious[i].max()
 
 
 class TestSampleMinibatch:
-    def _targets(self, n_pos, n_neg, n_total=5000):
-        aset = small_aset()
-        gt = np.array([[8.0, 8.0, 24.0, 24.0]])
-        t = assign_labels(aset, gt, *LABEL_IOUS)
-        labels = np.full(len(aset), IGNORE, dtype=np.int8)
+    def _labels(self, n_pos, n_neg):
+        labels = np.full(len(small_aset()), IGNORE, dtype=np.int8)
         labels[:n_pos] = POSITIVE
         labels[n_pos:n_pos + n_neg] = NEGATIVE
-        t.labels[:] = labels[:len(aset)]
-        return t
+        return labels
+
+    def _counts(self, labels, rows):
+        return (labels[rows] == POSITIVE).sum(), (labels[rows] == NEGATIVE).sum()
 
     def test_plenty_of_both(self):
-        t = self._targets(200, 1500)
-        out = sample_minibatch(t, Rng(1, "sampling"), *MINIBATCH)
-        pos = out.sample_mask & (out.labels == POSITIVE)
-        neg = out.sample_mask & (out.labels == NEGATIVE)
-        assert pos.sum() == 128 and neg.sum() == 128
+        labels = self._labels(200, 1500)
+        rows = sample_minibatch(labels, Rng(1, "sampling"), *MINIBATCH)
+        assert self._counts(labels, rows) == (128, 128)
 
     def test_few_positives_padded(self):
-        t = self._targets(30, 1500)
-        out = sample_minibatch(t, Rng(1, "sampling"), *MINIBATCH)
-        assert (out.sample_mask & (out.labels == POSITIVE)).sum() == 30
-        assert (out.sample_mask & (out.labels == NEGATIVE)).sum() == 226
+        labels = self._labels(30, 1500)
+        rows = sample_minibatch(labels, Rng(1, "sampling"), *MINIBATCH)
+        assert self._counts(labels, rows) == (30, 226)
 
     def test_zero_positives_all_negative(self):
-        t = self._targets(0, 1500)
-        out = sample_minibatch(t, Rng(1, "sampling"), *MINIBATCH)
-        assert (out.sample_mask & (out.labels == NEGATIVE)).sum() == 256
+        labels = self._labels(0, 1500)
+        rows = sample_minibatch(labels, Rng(1, "sampling"), *MINIBATCH)
+        assert self._counts(labels, rows) == (0, 256)
 
     def test_batch_below_positive_count_caps_the_draw(self):
-        t = self._targets(30, 1500)
-        out = sample_minibatch(t, Rng(1, "sampling"), 8, MINIBATCH[1])
-        assert (out.sample_mask & (out.labels == POSITIVE)).sum() == 8
-        assert out.sample_mask.sum() == 8
+        labels = self._labels(30, 1500)
+        rows = sample_minibatch(labels, Rng(1, "sampling"), 8, MINIBATCH[1])
+        assert self._counts(labels, rows) == (8, 0)
+        assert rows.size == 8
 
     def test_undershoot_when_scarce(self):
-        t = self._targets(3, 10)
-        out = sample_minibatch(t, Rng(1, "sampling"), *MINIBATCH)
-        assert out.sample_mask.sum() == 13
+        labels = self._labels(3, 10)
+        rows = sample_minibatch(labels, Rng(1, "sampling"), *MINIBATCH)
+        assert rows.size == 13
 
     def test_no_ignored_or_outside_sampled(self):
         aset = small_aset()
-        t = assign_labels(aset, np.array([[8.0, 8.0, 24.0, 24.0]]), *LABEL_IOUS)
-        out = sample_minibatch(t, Rng(2, "sampling"), *MINIBATCH)
-        assert np.all(out.labels[out.sample_mask] != IGNORE)
-        assert not np.any(out.sample_mask & ~aset.inside)
+        labels, _ = assign_labels(aset, np.array([[8.0, 8.0, 24.0, 24.0]]), *LABEL_IOUS)
+        rows = sample_minibatch(labels, Rng(2, "sampling"), *MINIBATCH)
+        assert rows.size
+        assert np.all(labels[rows] != IGNORE)
+        assert np.all(aset.inside[rows])
 
-    def test_zero_labeled_raises(self):
-        t = self._targets(0, 0)
-        with pytest.raises(NoLabeledAnchorsError):
-            sample_minibatch(t, Rng(1, "sampling"), *MINIBATCH)
+    def test_zero_labeled_samples_nothing(self):
+        labels = self._labels(0, 0)
+        rows = sample_minibatch(labels, Rng(1, "sampling"), *MINIBATCH)
+        assert rows.size == 0
+
+    def test_rows_ascending_and_unique(self):
+        labels = self._labels(200, 1500)
+        rows = sample_minibatch(labels, Rng(3, "sampling"), *MINIBATCH)
+        assert np.all(np.diff(rows) > 0)
 
     def test_seed_reproducible_and_labels_untouched(self):
-        t = self._targets(200, 1500)
-        a = sample_minibatch(t, Rng(5, "sampling"), *MINIBATCH)
-        b = sample_minibatch(t, Rng(5, "sampling"), *MINIBATCH)
-        c = sample_minibatch(t, Rng(6, "sampling"), *MINIBATCH)
-        assert np.array_equal(a.sample_mask, b.sample_mask)
-        assert not np.array_equal(a.sample_mask, c.sample_mask)
-        assert np.array_equal(a.labels, c.labels)
+        labels = self._labels(200, 1500)
+        before = labels.copy()
+        a = sample_minibatch(labels, Rng(5, "sampling"), *MINIBATCH)
+        b = sample_minibatch(labels, Rng(5, "sampling"), *MINIBATCH)
+        c = sample_minibatch(labels, Rng(6, "sampling"), *MINIBATCH)
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, c)
+        assert np.array_equal(labels, before)
+
+
+class TestSampleFgBg:
+    """The one sampler: fg rows first, then bg rows, each side sorted."""
+
+    def test_fg_first_then_bg_each_sorted(self):
+        labels = np.array([0, 2, -1, 0, 1, 0, 3, 0, 1, 0])
+        rows = sample_fg_bg(labels, 2, 5, Rng(4, "sampling"))
+        fg, bg = rows[:2], rows[2:]
+        assert np.all(labels[fg] > 0) and np.all(labels[bg] == 0)
+        assert rows.size == 5
+        assert np.all(np.diff(fg) > 0) and np.all(np.diff(bg) > 0)
+
+    def test_takes_a_side_whole_when_it_fits(self):
+        labels = np.array([0, 2, -1, 0, 1, 0])
+        rows = sample_fg_bg(labels, 4, 10, Rng(4, "sampling"))
+        np.testing.assert_array_equal(rows, [1, 4, 0, 3, 5])
+
+    def test_ignored_rows_never_drawn(self):
+        labels = np.full(20, -1)
+        assert sample_fg_bg(labels, 4, 10, Rng(4, "sampling")).size == 0

@@ -792,6 +792,21 @@ class TestFailEarly:
                                        m.endswith(reason) for m in skips)
         assert not (tmp_path / "loss.csv").exists()
 
+    @pytest.mark.parametrize("command", ["train-rpn", "train-joint"])
+    def test_empty_anchor_sample_skipped(self, dataset, tmp_path, capsys, caplog,
+                                         command):
+        # no positive may be drawn and no anchor is negative: every image has
+        # labelled anchors, and its sample is empty
+        assert run([command, "--out", str(tmp_path), "--data", str(dataset),
+                    "--iters", "2", *TINY, "--set", "rpn.max_pos", "0", "--set",
+                    "rpn.neg_iou", "0", "--seed", "11"]) == 1
+        reason = "no anchor sampled at rpn.max_pos=0"
+        assert f"error: no training step taken: all 2 iterations skipped their " \
+               f"image ({reason})" in capsys.readouterr().err
+        skips = [r.getMessage() for r in caplog.records]
+        assert len(skips) == 2 and all(m.endswith(reason) for m in skips)
+        assert not (tmp_path / "loss.csv").exists()
+
     def with_class(self, dataset, tmp_path, cls) -> Path:
         data = tmp_path / "data"
         shutil.copytree(dataset, data)

@@ -45,6 +45,27 @@ class TestPpm:
         write_ppm(b, img)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_short_raster_names_the_file_and_counts(self, tmp_path):
+        path = tmp_path / "x.ppm"
+        write_ppm(path, np.zeros((4, 6, 3), dtype=np.uint8))
+        path.write_bytes(path.read_bytes()[:-10])
+        with pytest.raises(ValueError, match=r"x\.ppm: .*6x4.* 72 bytes.* 62"):
+            read_ppm(path)
+
+    @pytest.mark.parametrize("header", [b"P6\n48 4x\n255\n", b"P6\n48\n",
+                                        b"P5\n4 4\n255\n", b"P6 -4 4 255\n"])
+    def test_malformed_header_names_the_file(self, tmp_path, header):
+        path = tmp_path / "x.ppm"
+        path.write_bytes(header + bytes(48 * 4 * 3))
+        with pytest.raises(ValueError, match=r"x\.ppm: .*PPM header"):
+            read_ppm(path)
+
+    def test_header_comments_skipped(self, tmp_path):
+        img = np.arange(2 * 3 * 3, dtype=np.uint8).reshape(2, 3, 3)
+        path = tmp_path / "x.ppm"
+        path.write_bytes(b"P6\n# made by hand\n3 # width\n2\n255\n" + img.tobytes())
+        assert np.array_equal(read_ppm(path), img)
+
 
 class TestMakeScene:
     def test_deterministic(self):
@@ -190,6 +211,19 @@ class TestManifest:
         path.write_text(json.dumps(entry) + "\n")
         with pytest.raises(ManifestError):
             load_manifest(path)
+
+    def test_image_size_disagreeing_with_its_entry_rejected(self, tmp_path):
+        d = tmp_path / "ds"
+        gen_synthetic(d, 1, image_size=48, seed=5)
+        path = d / "manifest.jsonl"
+        entry = json.loads(path.read_text().splitlines()[0])
+        entry.update(width=400, height=400)
+        entry["objects"] = [{"class": 1, "x1": 100.0, "y1": 100.0, "x2": 300.0,
+                             "y2": 300.0}]
+        path.write_text(json.dumps(entry) + "\n")
+        man = load_manifest(path)        # the entry is in its own bounds
+        with pytest.raises(ManifestError, match=r"000000\.ppm: .*48x48.* 400x400"):
+            man.load_scene(0)
 
     @pytest.mark.parametrize("cls", [0, 7, "1", 1.0, True])
     def test_unknown_class_rejected(self, tmp_path, cls):

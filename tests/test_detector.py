@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 import minircnn.tensor as T
+from minircnn.anchors import AnchorConfig, grid_anchors, inside_mask
+from minircnn.boxes import decode_arr
 from minircnn.detector import (
     DetectorHead,
     RoiBatch,
@@ -15,6 +17,7 @@ from minircnn.detector import (
     detector_forward,
     detector_loss,
     label_boxes,
+    label_windows,
     sample_rois,
 )
 from minircnn.dataio import Scene
@@ -136,20 +139,38 @@ class TestLabelBoxes:
                           [20.0, 20.0, 30.0, 35.0],   # IoU 2/3 with gt 2
                           [20.0, 20.0, 30.0, 40.0],   # IoU 1/2 with gt 2
                           [50.0, 50.0, 60.0, 60.0]])  # no overlap
-        labels, best = label_boxes(boxes, self.GT, self.CLS, 0.6)
-        np.testing.assert_array_equal(labels, [2, 3, 0, 0])
-        np.testing.assert_array_equal(best, [0, 2, 2, 0])   # ties: lowest index
+        labels, targets = label_boxes(boxes, self.GT, self.CLS, 0.6)
+        np.testing.assert_array_equal(labels, [2, 3, 0, 0])  # ties: lowest index
         assert labels.dtype == np.int64
+        # foreground targets encode the best gt box; background rows stay zero
+        np.testing.assert_allclose(decode_arr(targets[:2], boxes[:2]),
+                                   self.GT[[0, 2]], atol=1e-9)
+        np.testing.assert_array_equal(targets[2:], 0.0)
 
     def test_fg_iou_is_inclusive(self):
         boxes = np.array([[20.0, 20.0, 30.0, 40.0]])      # IoU exactly 1/2
         assert label_boxes(boxes, self.GT, self.CLS, 0.5)[0][0] == 3
 
     def test_no_gt_all_background(self):
-        labels, best = label_boxes(np.ones((3, 4)), np.zeros((0, 4)),
-                                   np.zeros(0, dtype=np.int64), 0.5)
+        labels, targets = label_boxes(np.ones((3, 4)), np.zeros((0, 4)),
+                                      np.zeros(0, dtype=np.int64), 0.5)
         np.testing.assert_array_equal(labels, 0)
-        np.testing.assert_array_equal(best, 0)
+        assert targets.shape == (3, 4) and not targets.any()
+
+    def test_windows_across_the_border_are_ignored(self):
+        aset = grid_anchors(AnchorConfig(scales=(8.0, 16.0), ratios=(1.0,), stride=8),
+                            4, 4)
+        inside_mask(aset, 32, 32)
+        gt = np.array([[8.0, 8.0, 16.0, 16.0]])
+        labels, targets = label_windows(aset, gt, np.array([2]), 0.5)
+        ins = aset.inside
+        assert 0 < ins.sum() < len(aset)
+        np.testing.assert_array_equal(labels[~ins], -1)
+        assert not targets[~ins].any()
+        want = label_boxes(aset.boxes[ins], gt, np.array([2]), 0.5)
+        np.testing.assert_array_equal(labels[ins], want[0])
+        np.testing.assert_array_equal(targets[ins], want[1])
+        assert (labels == 2).any()
 
     # the RoI sampler's settings are config keys, checked by `RunConfig`
     @pytest.mark.parametrize("fg_iou", [0.0, -0.5])

@@ -57,6 +57,23 @@ def test_iou_matrix_only_in_the_two_labellers_and_evaluation():
                or s.split(".")[0] in ("evaluation", "dataio") for s in scopes), scopes
 
 
+def test_one_fg_bg_sampler():
+    """Every head draws its minibatch rows from its labels with
+    `assignment.sample_fg_bg`, the one caller of `Rng.choice`."""
+    assert call_scopes("choice") == {"assignment.sample_fg_bg"}
+    assert call_scopes("sample_fg_bg") == {"assignment.sample_minibatch",
+                                           "detector.sample_rois",
+                                           "onestage.train_onestage"}
+
+
+def test_the_rpn_sample_mask_is_gone():
+    """A labeller returns (labels, targets) and a sampler returns rows; no
+    targets object carries a mask or matched gt indices."""
+    for name in ("RpnTargets", "NoLabeledAnchorsError", "sample_mask", "matched_gt",
+                 "_assign_windows"):
+        assert not [p.name for p in SRC.glob("*.py") if name in p.read_text()], name
+
+
 def test_heads_inherit_the_conv_head():
     classes = {node.name: node for tree in modules().values()
                for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}

@@ -27,14 +27,14 @@ from oracles import gradcheck
 
 
 def micro_setup(seed=0, image=32):
-    """Tiny grid + labeled/sampled targets for loss tests."""
+    """Tiny grid + (labels, targets, sampled rows) for loss tests."""
     cfg = AnchorConfig(scales=(8.0, 16.0), ratios=(1.0, 2.0), stride=8)
     aset = grid_anchors(cfg, image // 8, image // 8)
     inside_mask(aset, image, image)
     gt = np.array([[4.0, 4.0, 14.0, 14.0], [16.0, 10.0, 30.0, 26.0]])
-    t = assign_labels(aset, gt, *LABEL_IOUS)
-    t = sample_minibatch(t, Rng(seed, "sampling"), batch=16, max_pos=8)
-    return cfg, aset, t
+    labels, targets = assign_labels(aset, gt, *LABEL_IOUS)
+    rows = sample_minibatch(labels, Rng(seed, "sampling"), batch=16, max_pos=8)
+    return cfg, aset, (labels, targets, rows)
 
 
 class TestHeadStructure:
@@ -127,11 +127,13 @@ class TestRpnLoss:
         return cls, reg
 
     def test_zero_positives_reg_term_zero(self):
-        cfg, aset, t = micro_setup()
-        t.labels[t.labels == 1] = -1  # demote all positives to ignore
-        t = sample_minibatch(t, Rng(0, "sampling"), batch=16, max_pos=MINIBATCH[1])
+        cfg, aset, (labels, targets, _) = micro_setup()
+        labels[labels == 1] = -1  # demote all positives to ignore
+        rows = sample_minibatch(labels, Rng(0, "sampling"), batch=16,
+                                max_pos=MINIBATCH[1])
         cls, reg = self._outputs(aset)
-        loss, cls_val, reg_val = rpn_loss(cls, reg, t, aset.k, WEIGHTS)
+        loss, cls_val, reg_val = rpn_loss(cls, reg, labels, targets, rows, aset.k,
+                                          WEIGHTS)
         assert reg_val == 0.0
         assert loss.item() == pytest.approx(cls_val)
         loss.backward()
@@ -139,18 +141,19 @@ class TestRpnLoss:
 
     def test_perfect_predictions_near_zero(self):
         cfg, aset, t = micro_setup()
+        labels, targets, _ = t
         k = aset.k
         h, w = aset.feature_h, aset.feature_w
         logits = np.zeros((h * w * k, 2))
-        logits[np.arange(len(aset)), t.labels.clip(0)] = 50.0
+        logits[np.arange(len(aset)), labels.clip(0)] = 50.0
         cls = Tensor(logits.reshape(h, w, k, 2).transpose(2, 3, 0, 1)
                      .reshape(2 * k, h, w))
         deltas = np.zeros((len(aset), 4))
-        pos = t.positive_idx
-        deltas[pos] = t.target_deltas[pos]
+        pos = np.flatnonzero(labels == 1)
+        deltas[pos] = targets[pos]
         reg = Tensor(deltas.reshape(h, w, k, 4).transpose(2, 3, 0, 1)
                      .reshape(4 * k, h, w))
-        loss, _, _ = rpn_loss(cls, reg, t, k, WEIGHTS)
+        loss, _, _ = rpn_loss(cls, reg, *t, k, WEIGHTS)
         assert loss.item() == pytest.approx(0.0, abs=1e-10)
 
     def test_normalizers_enter_exactly(self):
@@ -158,14 +161,15 @@ class TestRpnLoss:
         for image in (32, 56):
             cfg, aset, t = micro_setup(image=image)
             cls, reg = self._outputs(aset)
-            _, c1, r1 = rpn_loss(cls, reg, t, aset.k, WEIGHTS)
-            _, c2, r2 = rpn_loss(cls, reg, t, aset.k,
+            _, c1, r1 = rpn_loss(cls, reg, *t, aset.k, WEIGHTS)
+            _, c2, r2 = rpn_loss(cls, reg, *t, aset.k,
                                  replace(WEIGHTS, lam=10.0, batch=512))
             assert c2 == pytest.approx(c1 / 2.0, rel=1e-12)
             assert r2 == pytest.approx(r1, rel=1e-12)
-            pos = t.positive_idx
+            labels, targets, _ = t
+            pos = np.flatnonzero(labels == 1)
             assert pos.size
-            x = anchor_rows(reg.data, aset.k, 4)[pos] - t.target_deltas[pos]
+            x = anchor_rows(reg.data, aset.k, 4)[pos] - targets[pos]
             smooth = np.where(np.abs(x) < 1, 0.5 * x * x, np.abs(x) - 0.5).sum()
             n_reg = aset.feature_w * aset.feature_h
             assert n_reg == (image // 8) ** 2
@@ -176,41 +180,42 @@ class TestRpnLoss:
         grads = {}
         for c, lam in ((1.0, 10.0), (3.0, 30.0)):
             cls, reg = self._outputs(aset)
-            loss, _, _ = rpn_loss(cls, reg, t, aset.k, replace(WEIGHTS, lam=lam))
+            loss, _, _ = rpn_loss(cls, reg, *t, aset.k, replace(WEIGHTS, lam=lam))
             loss.backward()
             grads[c] = (reg.grad.copy(), cls.grad.copy())
         np.testing.assert_allclose(grads[3.0][0], 3.0 * grads[1.0][0], rtol=1e-12)
         np.testing.assert_array_equal(grads[3.0][1], grads[1.0][1])
 
     def test_reg_runs_over_all_positives_not_only_sampled(self):
-        cfg, aset, t = micro_setup()
+        cfg, aset, (labels, targets, rows) = micro_setup()
         cls, reg = self._outputs(aset)
-        _, _, r_full = rpn_loss(cls, reg, t, aset.k, WEIGHTS)
+        _, _, r_full = rpn_loss(cls, reg, labels, targets, rows, aset.k, WEIGHTS)
         # recompute with a different sampled minibatch: reg term unchanged
-        t2 = sample_minibatch(t, Rng(99, "sampling"), batch=8, max_pos=0)
-        _, _, r_resampled = rpn_loss(cls, reg, t2, aset.k, WEIGHTS)
+        rows2 = sample_minibatch(labels, Rng(99, "sampling"), batch=8, max_pos=0)
+        assert not np.any(labels[rows2] == 1)
+        _, _, r_resampled = rpn_loss(cls, reg, labels, targets, rows2, aset.k, WEIGHTS)
         assert r_resampled == pytest.approx(r_full, rel=1e-12)
 
     def test_no_sampled_anchors_raises(self):
-        cfg, aset, t = micro_setup()
-        t.sample_mask[:] = False
+        cfg, aset, (labels, targets, _) = micro_setup()
         cls, reg = self._outputs(aset)
-        with pytest.raises(ValueError):
-            rpn_loss(cls, reg, t, aset.k, WEIGHTS)
+        with pytest.raises(ValueError, match="sampled minibatch"):
+            rpn_loss(cls, reg, labels, targets, np.zeros(0, dtype=np.int64), aset.k,
+                     WEIGHTS)
 
     def test_anchor_count_mismatch_names_both_counts(self):
         cfg, aset, t = micro_setup(image=32)      # 4x4 grid, 64 anchors
         _, big, _ = micro_setup(image=40)          # 5x5 grid, 100 anchors
         cls, reg = self._outputs(big)
         with pytest.raises(ValueError, match=r"rpn_loss: .*100 .*64"):
-            rpn_loss(cls, reg, t, aset.k, WEIGHTS)
+            rpn_loss(cls, reg, *t, aset.k, WEIGHTS)
 
     def test_gradcheck_64bit_micro_instance(self):
         cfg, aset, t = micro_setup()
         cls, reg = self._outputs(aset)
 
         def fn(cls, reg):
-            return rpn_loss(cls, reg, t, aset.k, WEIGHTS)[0]
+            return rpn_loss(cls, reg, *t, aset.k, WEIGHTS)[0]
 
         assert gradcheck(fn, [cls, reg]) < 1e-4
 
@@ -230,7 +235,7 @@ class TestRpnLoss:
         def fn(wt, bt, wc, bc, wr, br):
             h = T.relu(T.conv2d(x, wt, bt, pad=1))
             return rpn_loss(T.conv2d(h, wc, bc), T.conv2d(h, wr, br),
-                            t, k, WEIGHTS)[0]
+                            *t, k, WEIGHTS)[0]
 
         assert gradcheck(fn, [wt, bt, wc, bc, wr, br]) < 1e-4
 

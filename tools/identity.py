@@ -98,8 +98,10 @@ def matrix() -> list[Case]:
             "--n-warmup", "0", "--n-timed", "2", *TINY, *SEED)
     ablate = ["--data", test, "--ckpt", ckpt["rpn"], *TINY, *SEED]
     add("ablate-no-reg", "ablate", "--mode", "no-reg", "--n", "10", *ablate)
-    # above TINY's proposals.post_nms_top_test of 20
+    # above TINY's proposals.post_nms_top_test of 20, and far below it: the
+    # recall of the top 2 differs from the top 20's, so the ranked count shows
     add("ablate-no-reg-n30", "ablate", "--mode", "no-reg", *ablate, "--n", "30")
+    add("ablate-no-reg-n2", "ablate", "--mode", "no-reg", *ablate, "--n", "2")
     add("ablate-no-cls", "ablate", "--mode", "no-cls", "--n", "10", *ablate)
     add("ablate-n-sweep", "ablate", "--mode", "n-sweep", "--budgets", "5", "10",
         *ablate)
