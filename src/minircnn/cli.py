@@ -29,7 +29,7 @@ def _load_config(args) -> RunConfig:
         value = getattr(args, key, None)
         if value is not None:    # a list flag's values, comma-separated
             cfg.set_key(key, ",".join(map(str, np.atleast_1d(value))))
-    cfg.check()
+    cfg.check(*getattr(args, "unread", ()))
     return cfg
 
 
@@ -102,51 +102,46 @@ def cmd_gen_data(args, cfg: RunConfig, out: Path):
     print(f"wrote {cfg.data_n_images} images + manifest under {out}")
 
 
-def _train_rpn(cfg: RunConfig, scenes) -> TrainState:
-    """A fresh RPN trained under `cfg`."""
-    state = TrainState.build(cfg.seed, *_dims(cfg), ("rpn",))
-    return train(scenes, state, cfg.schedule(), cfg.loss_weights(),
-                 cfg.roi_sample_config(), cfg.proposal_params(train=True))
+def _two_stage(cfg: RunConfig) -> tuple:
+    """What `alternate_4step` and `joint_train` take after their schedules."""
+    return (cfg.anchor_config(), cfg.loss_weights(), cfg.roi_sample_config(),
+            cfg.detector_n_classes, cfg.rpn_head_dim, cfg.proposal_params(train=True),
+            cfg.backbone_channels)
 
 
-def cmd_train_rpn(args, cfg: RunConfig, out: Path):
-    state = _train_rpn(cfg, _load_scenes(args.data))
-    save_state(state, out / "rpn.frpn")
-    write_loss_log(state, out / "loss.csv")
-    print(f"trained RPN for {cfg.train_iters} iters; checkpoint {out / 'rpn.frpn'}")
-
-
-def cmd_train_alt(args, cfg: RunConfig, out: Path):
-    scenes = _load_scenes(args.data)
-    state = alternate_4step(scenes, cfg.schedule(), cfg.schedule_det(),
-                            cfg.anchor_config(), cfg.loss_weights(),
-                            cfg.roi_sample_config(), cfg.detector_n_classes,
-                            cfg.rpn_head_dim, cfg.proposal_params(train=True),
-                            cfg.backbone_channels, out_dir=out)
-    save_state(state, out / "final.frpn")
-    write_loss_log(state, out / "loss.csv")
-    print(f"4-step training done; unified checkpoint {out / 'final.frpn'}")
-
-
-def cmd_train_joint(args, cfg: RunConfig, out: Path):
-    scenes = _load_scenes(args.data)
-    state = joint_train(scenes, cfg.schedule_det(iters=cfg.train_joint_iters),
-                        cfg.anchor_config(), cfg.loss_weights(), cfg.roi_sample_config(),
-                        cfg.detector_n_classes, cfg.rpn_head_dim,
-                        cfg.proposal_params(train=True), channels=cfg.backbone_channels)
-    save_state(state, out / "joint.frpn")
-    write_loss_log(state, out / "loss.csv")
-    print(f"joint training done; checkpoint {out / 'joint.frpn'}")
-
-
-def cmd_train_onestage(args, cfg: RunConfig, out: Path):
-    scenes = _load_scenes(args.data)
-    state = train_onestage(scenes, cfg.schedule_det(), cfg.anchor_config(),
+# each train-* command: its help, the key `--iters` sets, the checkpoint it
+# writes, its closing line and its trainer, (cfg, scenes, out dir) -> TrainState
+TRAINERS = {
+    "train-rpn": ("train the RPN alone", "train.iters", "rpn.frpn",
+                  "trained RPN for {cfg.train_iters} iters; checkpoint {ckpt}",
+                  lambda cfg, scenes, out: train(
+                      scenes, TrainState.build(cfg.seed, *_dims(cfg), ("rpn",)),
+                      cfg.schedule(), cfg.loss_weights(), cfg.roi_sample_config(),
+                      cfg.proposal_params(train=True))),
+    "train-alt": ("4-step alternating training", "train.iters", "final.frpn",
+                  "4-step training done; unified checkpoint {ckpt}",
+                  lambda cfg, scenes, out: alternate_4step(
+                      scenes, cfg.schedule(), cfg.schedule_det(), *_two_stage(cfg), out)),
+    "train-joint": ("approximate joint training", "train.joint_iters", "joint.frpn",
+                    "joint training done; checkpoint {ckpt}",
+                    lambda cfg, scenes, out: joint_train(
+                        scenes, cfg.schedule_det(iters=cfg.train_joint_iters),
+                        *_two_stage(cfg))),
+    "train-onestage": ("train the one-stage baseline", "train.iters", "onestage.frpn",
+                       "one-stage training done; checkpoint {ckpt}",
+                       lambda cfg, scenes, out: train_onestage(
+                           scenes, cfg.schedule_det(), cfg.anchor_config(),
                            cfg.roi_sample_config(), cfg.detector_n_classes,
-                           cfg.rpn_head_dim, channels=cfg.backbone_channels)
-    save_state(state, out / "onestage.frpn")
+                           cfg.rpn_head_dim, cfg.backbone_channels)),
+}
+
+
+def cmd_train(args, cfg: RunConfig, out: Path):
+    *_, ckpt, done, trainer = TRAINERS[args.command]
+    state = trainer(cfg, _load_scenes(args.data), out)
+    save_state(state, out / ckpt)
     write_loss_log(state, out / "loss.csv")
-    print(f"one-stage training done; checkpoint {out / 'onestage.frpn'}")
+    print(done.format(cfg=cfg, ckpt=out / ckpt))
 
 
 def cmd_propose(args, cfg: RunConfig, out: Path):
@@ -274,7 +269,8 @@ def cmd_ablate(args, cfg: RunConfig, out: Path):
 def _retrain_recall(cfg: RunConfig, scenes, gt_boxes, p, **overrides):
     """A fresh RPN trained for `ablate.iters` under `cfg` with the field
     `overrides`, and the recall curve of its top `p.post_nms_top` proposals."""
-    state = _train_rpn(replace(cfg, train_iters=cfg.ablate_iters, **overrides), scenes)
+    state = TRAINERS["train-rpn"][-1](
+        replace(cfg, train_iters=cfg.ablate_iters, **overrides), scenes, None)
     props = [state.propose_scene(s, p)[1] for s in scenes]
     return state, recall_curve(props, gt_boxes, p.post_nms_top)
 
@@ -301,17 +297,12 @@ def build_parser() -> argparse.ArgumentParser:
     key_flag(p, "--image-size", "data.image_size")
     p.set_defaults(fn=cmd_gen_data)
 
-    for name, fn, hlp in (("train-rpn", cmd_train_rpn, "train the RPN alone"),
-                          ("train-alt", cmd_train_alt, "4-step alternating training"),
-                          ("train-joint", cmd_train_joint, "approximate joint training"),
-                          ("train-onestage", cmd_train_onestage,
-                           "train the one-stage baseline")):
+    for name, (hlp, iters_key, *_) in TRAINERS.items():
         p = sub.add_parser(name, help=hlp)
         common(p)
         p.add_argument("--data", required=True, help="dataset dir or manifest")
-        key_flag(p, "--iters", "train.joint_iters" if name == "train-joint"
-                 else "train.iters")
-        p.set_defaults(fn=fn)
+        key_flag(p, "--iters", iters_key)
+        p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("propose", help="write top-N proposals per image")
     common(p)
@@ -331,7 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--proposals", required=True)
     p.add_argument("--manifest", required=True)
     key_flag(p, "--n", "proposals.post_nms_top_test")
-    p.set_defaults(fn=cmd_eval_recall)
+    # it ranks a CSV's rows and proposes nothing, so its N is no proposal count
+    p.set_defaults(fn=cmd_eval_recall, unread=("proposals.pre_nms_top",))
 
     p = sub.add_parser("eval-map", help="VOC-style mAP from detections CSV")
     common(p)

@@ -112,13 +112,14 @@ class RunConfig:
         """Each key, spelled as `to_text` writes it, and the field it names."""
         return {f.name.replace("_", ".", 1): f.name for f in fields(cls)}
 
-    def check(self):
-        """Reject a key outside its range, or a pair of keys out of order."""
+    def check(self, *unread: str):
+        """Reject a key outside its range, or a pair of keys out of order
+        unless the run does not read one of the two (`unread`)."""
         value = {key: getattr(self, name) for key, name in self.keys().items()}
         for key in self._RANGES:
             self._check_range(key, value[key])
         for a, b in self._ORDERED:
-            if value[a] > value[b]:
+            if value[a] > value[b] and not {a, b} & set(unread):
                 raise ValueError(f"{a}={value[a]} exceeds {b}={value[b]}")
 
     __post_init__ = check

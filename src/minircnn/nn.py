@@ -97,7 +97,11 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
         out = {}
         for _ in range(count):
             (nlen,) = struct.unpack("<H", read(2))
-            name = read(nlen).decode("utf-8")
+            try:
+                name = read(nlen).decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"{path}: entry name is not UTF-8 at byte "
+                                 f"{f.tell() - nlen + exc.start}") from None
             (rank,) = struct.unpack("<B", read(1))
             shape = struct.unpack(f"<{rank}I", read(4 * rank))
             n = int(np.prod(shape)) if rank else 1

@@ -10,7 +10,7 @@ from .detector import RoiSampleConfig, check_classes, label_windows
 from .nn import SgdConfig, multitask_loss, sgd_step
 from .rng import Rng
 from .rpn import OneStageHead, anchor_rows  # noqa: F401  (OneStageHead re-exported)
-from .training import TrainSchedule, TrainState, _Feeder, require_steps
+from .training import TrainSchedule, TrainState, require_steps, scene_order
 
 import logging
 
@@ -29,7 +29,7 @@ def train_onestage(scenes: list[Scene], sched: TrainSchedule,
     head = state.onestage_head
 
     rng = Rng(sched.seed)
-    feeder = _Feeder(len(scenes), rng.substream("data"))
+    order = scene_order(len(scenes), rng.substream("data"))
     sample_rng = rng.substream("sampling")
     inputs = [image_to_input(s.image) for s in scenes]
     labelled = [label_windows(state.anchors(s.width, s.height), s.boxes, s.classes,
@@ -38,7 +38,7 @@ def train_onestage(scenes: list[Scene], sched: TrainSchedule,
     skip = None
 
     for it in range(sched.total_iters):
-        i = feeder.next()
+        i = next(order)
         labels, targets = labelled[i]
         idx = sample_fg_bg(labels, int(roi_cfg.fg_fraction * roi_cfg.rois_per_image),
                            roi_cfg.rois_per_image, sample_rng)

@@ -72,22 +72,21 @@ class TrainState:
     def build(cls, seed: int, anchor_cfg: AnchorConfig, channels, head_dim: int,
               n_classes: int, heads) -> "TrainState":
         """A backbone and the named `heads`, drawn from the seed's "init"
-        stream in checkpoint order."""
+        stream in the order named."""
         return cls._assemble(Rng(seed).substream("init"), anchor_cfg, channels,
                              head_dim, n_classes, heads)
 
     @classmethod
     def _assemble(cls, init, anchor_cfg: AnchorConfig, channels, head_dim: int,
                   n_classes: int, heads) -> "TrainState":
-        """The backbone, then the named `heads` in checkpoint order, each
+        """The backbone, then the named `heads` in the order named, each
         drawing its weights from `init`'s normals."""
         bb = Backbone(init, channels)
         make = {"rpn": lambda: RpnHead(init, bb.out_dim, anchor_cfg.k, head_dim),
                 "det": lambda: DetectorHead(init, bb.out_dim, n_classes),
                 "onestage": lambda: OneStageHead(init, bb.out_dim, anchor_cfg.k,
                                                  n_classes, head_dim)}
-        return cls(bb, anchor_cfg, **{
-            f"{h}_head": make[h]() for h in sorted(heads, key=HEADS.index)})
+        return cls(bb, anchor_cfg, **{f"{h}_head": make[h]() for h in heads})
 
     @classmethod
     def open(cls, path, anchor_cfg: AnchorConfig, channels, head_dim: int,
@@ -205,22 +204,10 @@ def backbone_checksum(backbone: Backbone) -> str:
     return h.hexdigest()
 
 
-class _Feeder:
-    """Deterministic epoch-shuffled scene order from the 'data' stream."""
-
-    def __init__(self, n: int, rng: Rng):
-        self.n = n
-        self.rng = rng
-        self.order = rng.permutation(n)
-        self.pos = 0
-
-    def next(self) -> int:
-        if self.pos >= self.n:
-            self.order = self.rng.permutation(self.n)
-            self.pos = 0
-        i = int(self.order[self.pos])
-        self.pos += 1
-        return i
+def scene_order(n: int, rng: Rng):
+    """Scene indices without end: each epoch a fresh shuffle of range(n) from `rng`."""
+    while True:
+        yield from rng.permutation(n).tolist()
 
 
 def train(scenes: list[Scene], state: TrainState, sched: TrainSchedule,
@@ -246,7 +233,7 @@ def train(scenes: list[Scene], state: TrainState, sched: TrainSchedule,
     if det is not None:
         check_classes(scenes, det.n_classes)
     rng = Rng(sched.seed)
-    feeder = _Feeder(len(scenes), rng.substream("data"))
+    order = scene_order(len(scenes), rng.substream("data"))
     sample_rng = rng.substream("sampling")
     inputs = [image_to_input(s.image) for s in scenes]
     if rpn is not None:
@@ -259,7 +246,7 @@ def train(scenes: list[Scene], state: TrainState, sched: TrainSchedule,
     start, skip = state.iteration, None
 
     for it in range(sched.total_iters):
-        i = feeder.next()
+        i = next(order)
         s = scenes[i]
         row = {"iteration": state.iteration, "lr": sched.lr_at(it)}
         feats = loss = None
@@ -313,44 +300,40 @@ def alternate_4step(scenes: list[Scene], sched_rpn: TrainSchedule,
                     weights: LossWeights, roi_cfg: RoiSampleConfig,
                     n_classes: int, head_dim: int, train_proposals: ProposalParams,
                     channels, out_dir=None) -> TrainState:
-    """The pragmatic 4-step alternating scheme; ends with one shared backbone."""
+    """The pragmatic 4-step alternating scheme. Steps 2-4 train head subsets
+    of the returned model, whose RPN and detector heads share one backbone."""
     check_classes(scenes, n_classes)
     init = Rng(sched_rpn.seed).substream("init")
+    dims = (anchor_cfg, channels, head_dim, n_classes)
     objectives = (weights, roi_cfg, train_proposals)
+    # one stream draws both models: bb1, rpn1, then bb2, det, rpn3
+    s1 = TrainState._assemble(init, *dims, ("rpn",))
+    final = TrainState._assemble(init, *dims, ("det", "rpn"))
 
     # step 1: train RPN end to end from scratch
-    bb1 = Backbone(init, channels)
-    s1 = TrainState(bb1, anchor_cfg,
-                    rpn_head=RpnHead(init, bb1.out_dim, anchor_cfg.k, head_dim))
     train(scenes, s1, sched_rpn, *objectives)
-    props = [s1.propose_scene(s, train_proposals)[1] for s in scenes]
 
     # step 2: separate detector network on step-1 proposals (fresh backbone,
     # random init standing in for the paper's ImageNet initialization)
-    bb2 = Backbone(init, channels)
-    det = DetectorHead(init, bb2.out_dim, n_classes)
-    s2 = TrainState(bb2, anchor_cfg, det_head=det)
-    train(scenes, s2, sched_det, *objectives, proposals=props)
+    s2 = train(scenes, replace(final, rpn_head=None, loss_log=[]), sched_det, *objectives,
+               proposals=[s1.propose_scene(s, train_proposals)[1] for s in scenes])
 
-    # step 3: re-init the RPN head on step-2's backbone, conv layers frozen
-    s3 = TrainState(bb2, anchor_cfg, shared_frozen=True,
-                    rpn_head=RpnHead(init, bb2.out_dim, anchor_cfg.k, head_dim))
-    pre = backbone_checksum(bb2)
-    train(scenes, s3, sched_rpn, *objectives)
-    assert backbone_checksum(bb2) == pre, "frozen backbone changed in step 3"
+    # step 3: train the RPN head on step-2's backbone, conv layers frozen
+    pre = backbone_checksum(final.backbone)
+    s3 = train(scenes, replace(final, det_head=None, shared_frozen=True, loss_log=[]),
+               sched_rpn, *objectives)
+    assert backbone_checksum(final.backbone) == pre, "frozen backbone changed in step 3"
 
     # step 4: fine-tune the detector head, shared conv layers still frozen
-    props = [s3.propose_scene(s, train_proposals)[1] for s in scenes]
-    s4 = TrainState(bb2, anchor_cfg, det_head=det, shared_frozen=True)
-    train(scenes, s4, sched_det, *objectives, proposals=props)
-    assert backbone_checksum(bb2) == pre, "frozen backbone changed in step 4"
+    props = [final.propose_scene(s, train_proposals)[1] for s in scenes]
+    s4 = train(scenes, replace(final, rpn_head=None, shared_frozen=True, loss_log=[]),
+               sched_det, *objectives, proposals=props)
+    assert backbone_checksum(final.backbone) == pre, "frozen backbone changed in step 4"
 
-    final = TrainState(bb2, anchor_cfg, rpn_head=s3.rpn_head, det_head=det,
-                       loss_log=s1.loss_log + s2.loss_log + s3.loss_log + s4.loss_log)
+    final.loss_log = s1.loss_log + s2.loss_log + s3.loss_log + s4.loss_log
     if out_dir is not None:
-        out_dir = Path(out_dir)
         for name, st in (("step1", s1), ("step2", s2), ("step3", s3), ("step4", s4)):
-            save_checkpoint(st.params, out_dir / f"{name}.frpn")
+            save_checkpoint(st.params, Path(out_dir) / f"{name}.frpn")
     return final
 
 

@@ -303,13 +303,16 @@ class TestCheckpointHeads:
         assert f"{ckpt}: entry '{entry}' belongs to no head" in \
             capsys.readouterr().err
 
-    @pytest.mark.parametrize("damage,message", [("truncate", "truncated after"),
-                                                ("append", "trailing bytes")])
+    @pytest.mark.parametrize("damage,message", [
+        ("truncate", "truncated after"), ("append", "trailing bytes"),
+        # byte 14 is the first byte of the first entry's name
+        ("flip-name", "entry name is not UTF-8 at byte 14")])
     def test_damaged_checkpoint_is_named(self, dataset, rpn_run, tmp_path, capsys,
                                          damage, message):
         raw = (rpn_run / "rpn.frpn").read_bytes()
         ckpt = tmp_path / "damaged.frpn"
-        ckpt.write_bytes(raw[:-7] if damage == "truncate" else raw + b"\x00")
+        ckpt.write_bytes({"truncate": raw[:-7], "append": raw + b"\x00",
+                          "flip-name": raw[:14] + b"\xff" + raw[15:]}[damage])
         assert run(["propose", "--out", str(tmp_path / "p"), "--ckpt", str(ckpt),
                     "--data", str(dataset), "--n", "10", *TINY]) == 1
         assert f"{ckpt}: {message}" in capsys.readouterr().err
@@ -640,6 +643,24 @@ class TestRangesCheckedFirst:
             capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_eval_recall_n_is_not_held_to_pre_nms_top(self, dataset, rpn_run, tmp_path,
+                                                      capsys):
+        """eval-recall ranks a CSV's rows and proposes nothing, so its N may
+        exceed proposals.pre_nms_top; propose still rejects that N."""
+        props, recall = tmp_path / "props", tmp_path / "recall"
+        propose = ["propose", "--ckpt", str(rpn_run / "rpn.frpn"), "--data", str(dataset),
+                   *TINY, "--seed", "11"]
+        assert run([*propose, "--out", str(props)]) == 0
+        assert run(["eval-recall", "--out", str(recall), "--proposals",
+                    str(props / "proposals.csv"), "--manifest",
+                    str(dataset / "manifest.jsonl"), *TINY, "--n", "300"]) == 0
+        rows = (recall / "recall.csv").read_text().strip().split("\n")[1:]
+        assert {r.split(",")[2] for r in rows} == {"300"}
+        assert RunConfig.from_file(recall / "config.txt").proposals_post_nms_top_test == 300
+        assert run([*propose, "--out", str(tmp_path / "p300"), "--n", "300"]) == 1
+        assert "proposals.post_nms_top_test=300 exceeds proposals.pre_nms_top=100" in \
+            capsys.readouterr().err
+
 
 class TestAblate:
     @pytest.mark.parametrize("mode,args,name,header", [
@@ -898,6 +919,13 @@ class TestIdentityMatrix:
         assert set(modes) <= {argv[argv.index("--mode") + 1] for argv in argvs
                               if argv[0] == "ablate" and "--mode" in argv}
         assert tool.TINY == TINY
+
+    def test_a_used_work_dir_is_unusable(self, identity, tmp_path, capsys):
+        """Status 1 means "different", so a work directory an earlier run left
+        is named and reported as unusable (2) before anything runs."""
+        (tmp_path / "parent").mkdir()
+        assert identity.main(["--parent", "HEAD", "--work", str(tmp_path)]) == 2
+        assert f"--work {tmp_path} is not an empty directory" in capsys.readouterr().err
 
     def test_config_txt_replays_every_command(self, identity, tmp_path):
         """The matrix, run again with each accepted command taking its first

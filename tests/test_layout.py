@@ -113,13 +113,20 @@ def test_rpn_objective_lives_in_loss_weights():
 
 def test_one_place_builds_and_opens_the_model():
     """The backbone and heads are made only by `TrainState._assemble`, for
-    `build` and `open` (and by the 4-step scheme, whose two backbones share
-    one stream); a checkpoint is read only by `TrainState.open`."""
-    build, four_step = "training.TrainState._assemble", "training.alternate_4step"
+    `build`, `open` and the 4-step scheme's two models; a checkpoint is read
+    only by `TrainState.open`."""
     for cls in ("Backbone", "RpnHead", "DetectorHead", "OneStageHead"):
-        scopes = call_scopes(cls)
-        assert build in scopes and scopes <= {build, four_step}, (cls, scopes)
+        assert call_scopes(cls) == {"training.TrainState._assemble"}, cls
     assert call_scopes("load_checkpoint") == {"training.TrainState.open"}
+
+
+def test_one_train_handler():
+    """The `train-*` commands share one handler, which alone saves a
+    checkpoint and writes a loss log, once each."""
+    calls = [node.func.id for node in ast.walk(modules()["cli"])
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)]
+    assert calls.count("save_state") == calls.count("write_loss_log") == 1
+    assert call_scopes("save_state") == call_scopes("write_loss_log") == {"cli.cmd_train"}
 
 
 def test_one_detection_chain():

@@ -16,8 +16,10 @@ checkpoint.
 Every file written is compared byte for byte, except `timing.csv`, whose
 figures are wall-clock times and which is compared by its row names. Exit
 codes, stdout and stderr are compared with the output directory masked. The
-report names the numpy and BLAS build, each difference, and ends in one
-verdict line. Exit status 0 means identical, 1 different, 2 unusable.
+report names the numpy and BLAS build, the line count of `src/minircnn` on
+each side, each difference, and ends in one verdict line. Exit status 0 means
+identical, 1 different, 2 unusable (a revision that does not export, or a
+`--work` directory that is not empty).
 """
 from __future__ import annotations
 
@@ -250,6 +252,11 @@ def build_facts() -> str:
             + " ".join(f"{k}={v}" for k, v in ENV.items()))
 
 
+def package_lines(src: Path) -> int:
+    """The line count of the package's modules, as `wc -l` counts them."""
+    return sum(p.read_bytes().count(b"\n") for p in (src / "minircnn").glob("*.py"))
+
+
 def compare(parent: dict, tree: dict, parent_root: Path,
             tree_root: Path) -> tuple[list[tuple[str, list[str]]], int]:
     """Each difference, as a heading and the first lines that differ, and
@@ -279,7 +286,11 @@ def main(argv=None) -> int:
     ap.add_argument("--work", help="directory for both runs (kept); default: a "
                     "temporary directory, removed afterwards")
     args = ap.parse_args(argv)
-    work = Path(args.work) if args.work else Path(tempfile.mkdtemp(prefix="identity-"))
+    work = Path(args.work) if args.work else None
+    if work and work.exists() and (not work.is_dir() or any(work.iterdir())):
+        print(f"identity: --work {work} is not an empty directory", file=sys.stderr)
+        return 2
+    work = work or Path(tempfile.mkdtemp(prefix="identity-"))
     try:
         try:
             parent_src = export_src(args.parent, work / "parent-src")
@@ -288,6 +299,8 @@ def main(argv=None) -> int:
                   file=sys.stderr)
             return 2
         print(build_facts())
+        print(f"src/minircnn: {package_lines(parent_src)} lines at {args.parent}, "
+              f"{package_lines(REPO / 'src')} in the working tree")
         parent = run_side(parent_src, work / "parent", matrix())
         tree = run_side(REPO / "src", work / "tree", matrix())
         diffs, n_files = compare(parent, tree, work / "parent", work / "tree")
