@@ -194,11 +194,14 @@ def select_class(a: Tensor, cls) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0
-    y = np.where(mask, a.data, 0)
+    # np.where(a > 0, a, 0) bit for bit, without its data-dependent select:
+    # fmax maps NaN and negatives to +0.0 (and a zero to either zero), and
+    # adding +0.0 turns -0.0 into +0.0 while leaving every other value as is
+    y = np.fmax(a.data, 0)
+    y += 0
 
     def bwd(g):
-        _accum(a, g * mask)
+        _accum(a, g * (y > 0))      # y > 0 exactly where a > 0
 
     return _make(y, (a,), bwd)
 
@@ -312,11 +315,12 @@ def maxpool2x2(x: Tensor) -> Tensor:
 
     Each output is the cell np.argmax would pick from its window: the first
     maximum in row-major order, NaN before any number. It is the np.maximum
-    of the four stride-2 quarters, re-read from the first equal or NaN
-    quarter where that maximum is NaN or, if the input holds a sign bit,
-    zero (np.maximum may return either zero of a -0.0/+0.0 tie). Backward
-    rebuilds each quarter's first-hit mask from y and gives that quarter's
-    cells g's bits where it hits and +0.0 elsewhere.
+    of the row pairs (contiguous rows), then of their column pairs, re-read
+    from the first equal or NaN stride-2 quarter where that maximum is NaN
+    or, if the input holds a sign bit, zero (np.maximum may return either
+    zero of a -0.0/+0.0 tie). Backward rebuilds each quarter's first-hit
+    mask from y and gives that quarter's cells g's bits where it hits and
+    +0.0 elsewhere.
     """
     C, H, W = x.shape
     d = x.data
@@ -324,14 +328,14 @@ def maxpool2x2(x: Tensor) -> Tensor:
         d = np.pad(d, ((0, 0), (0, H % 2), (0, W % 2)), constant_values=-np.inf)
     corners = ((0, 0), (0, 1), (1, 0), (1, 1))      # row-major within a window
     quarters = [d[:, i::2, j::2] for i, j in corners]
-    y = np.maximum(np.maximum(quarters[0], quarters[1]),
-                   np.maximum(quarters[2], quarters[3]))
+    rows = np.maximum(d[:, 0::2], d[:, 1::2])
+    y = np.maximum(rows[:, :, 0::2], rows[:, :, 1::2])
     fix = y != y
     has_nan = fix.any()
     if np.signbit(d).any():        # else no window holds a -0.0
         fix |= y == 0
-    fix = np.nonzero(fix)
-    if fix[0].size:
+    if fix.any():                  # np.nonzero costs a pass even when none is set
+        fix = np.nonzero(fix)
         ys = y[fix]
         for q in reversed(quarters):
             qs = q[fix]
@@ -376,9 +380,26 @@ def _bin_edges(lo: np.ndarray, hi: np.ndarray, size: int, P: int):
     return start, end
 
 
+def _sparse_table(base: np.ndarray, LA: int, LB: int) -> np.ndarray:
+    """Sparse max table over base:(H,W,C), LA levels of rows by LB levels of
+    columns: table[a, b, i, j, c] (a < LA, b < LB) is the largest entry over
+    rows [i, i + 2**a) and columns [j, j + 2**b) of channel c, wherever that
+    range lies inside the map (elsewhere it holds a partial maximum or 0)."""
+    H, W, C = base.shape
+    table = np.zeros((LA, LB, H, W, C), dtype=base.dtype)
+    table[0, 0] = base
+    for a in range(1, LA):
+        h = 1 << (a - 1)
+        np.maximum(table[a - 1, 0, :H - h], table[a - 1, 0, h:], out=table[a, 0, :H - h])
+    for b in range(1, LB):
+        w = 1 << (b - 1)
+        np.maximum(table[:, b - 1, :, :W - w], table[:, b - 1, :, w:],
+                   out=table[:, b, :, :W - w])
+    return table
+
+
 def _rank_table(x: np.ndarray, LA: int, LB: int):
-    """Sparse table of per-channel rank keys over x:(C,H,W), LA levels of
-    rows by LB levels of columns.
+    """`_sparse_table` of per-channel rank keys over x:(C,H,W).
 
     The ranks order each channel's H*W cells so that the cell np.argmax
     would pick from any set holds the largest rank: higher values rank
@@ -386,9 +407,8 @@ def _rank_table(x: np.ndarray, LA: int, LB: int):
     A stable sort of the reversed channel gives exactly that order. Channel
     c's cell of rank r has key r*C + c, so keys compare as ranks within a
     channel. Returns (cells, values, table): cells[key] is the key's flat
-    index c*H*W + cell into x, values[key] its value, and table[a, b, i, j, c]
-    (a < LA, b < LB) the largest key over rows [i, i + 2**a) and columns
-    [j, j + 2**b) of channel c.
+    index c*H*W + cell into x, values[key] its value, and table the int32
+    sparse table of the keys.
     """
     C, H, W = x.shape
     HW = H * W
@@ -400,16 +420,7 @@ def _rank_table(x: np.ndarray, LA: int, LB: int):
                       + cidx[:, None].astype(np.int32), axis=1)
     cells = (order + cidx[:, None] * HW).T.ravel()
     values = flat[cidx[None, :], order.T].ravel()
-    table = np.zeros((LA, LB, H, W, C), dtype=np.int32)
-    table[0, 0] = keys.T.reshape(H, W, C)
-    for a in range(1, LA):
-        h = 1 << (a - 1)
-        np.maximum(table[a - 1, 0, :H - h], table[a - 1, 0, h:], out=table[a, 0, :H - h])
-    for b in range(1, LB):
-        w = 1 << (b - 1)
-        np.maximum(table[:, b - 1, :, :W - w], table[:, b - 1, :, w:],
-                   out=table[:, b, :, :W - w])
-    return cells, values, table
+    return cells, values, _sparse_table(keys.T.reshape(H, W, C), LA, LB)
 
 
 def roi_pool(x: Tensor, rois: np.ndarray, spatial_scale: float, out_size: int) -> Tensor:
@@ -418,9 +429,13 @@ def roi_pool(x: Tensor, rois: np.ndarray, spatial_scale: float, out_size: int) -
     Bin b of P covers feature cells [floor(b*L/P), ceil((b+1)*L/P)) where L
     is the RoI extent in cells, at least one cell per bin. Each bin takes the
     cell np.argmax picks (the first maximum in row-major order, NaN before
-    any number), found with four lookups in a sparse table of per-channel
-    ranks. Forward keeps only those int32 rank keys; backward gathers the
-    argmax cells from them and scatters the gradient by flat index into x.
+    any number), found with four lookups in a sparse table. Forward builds
+    the `_rank_table` of per-channel ranks when x needs a gradient, or when
+    x holds NaN or -0.0 (where the largest value does not fix the bits
+    np.argmax picks), and keeps only the looked-up int32 rank keys; backward
+    gathers the argmax cells from them and scatters the gradient by flat
+    index into x. Otherwise it builds the same table over x's values and
+    takes the largest of the four lookups, which is the argmax cell's value.
     RoI coordinates get no gradient.
     """
     C, H, W = x.shape
@@ -439,13 +454,23 @@ def roi_pool(x: Tensor, rois: np.ndarray, spatial_scale: float, out_size: int) -
     LA, LB = int(kh.max(initial=0)) + 1, int(kw.max(initial=0)) + 1
     level = (kh[:, :, None] * LB + kw[:, None, :]) * H     # (N, P, P)
 
-    cells, values, table = _rank_table(x.data, LA, LB)
-    table = table.reshape(-1, C)
-    key = np.take(table, (level + rs[:, :, None]) * W + cs[:, None, :], axis=0)
-    for r, c in ((rs, c2), (r2, cs), (r2, c2)):
-        np.maximum(key, np.take(table, (level + r[:, :, None]) * W + c[:, None, :],
-                                axis=0), out=key)
-    key = key.transpose(0, 3, 1, 2)     # (N, C, P, P), a view of the int32 keys
+    def lookup(table):
+        """The largest of the four lookups per bin, (N, C, P, P) as a view."""
+        table = table.reshape(-1, C)
+        top = np.take(table, (level + rs[:, :, None]) * W + cs[:, None, :], axis=0)
+        for r, c in ((rs, c2), (r2, cs), (r2, c2)):
+            np.maximum(top, np.take(table, (level + r[:, :, None]) * W + c[:, None, :],
+                                    axis=0), out=top)
+        return top.transpose(0, 3, 1, 2)
+
+    d = x.data
+    if not (x.requires_grad or x._backward is not None
+            or np.isnan(d).any() or (np.signbit(d) & (d == 0)).any()):
+        y = np.ascontiguousarray(lookup(_sparse_table(d.transpose(1, 2, 0), LA, LB)))
+        return Tensor(y)
+
+    cells, values, table = _rank_table(d, LA, LB)
+    key = lookup(table)         # a view of the int32 keys
     # as intp, so that take need not convert them
     y = values.take(np.array(key, dtype=np.intp, order="C"))
 
@@ -455,4 +480,3 @@ def roi_pool(x: Tensor, rois: np.ndarray, spatial_scale: float, out_size: int) -
         _accum(x, dx.reshape(C, H, W))
 
     return _make(y, (x,), bwd)
-

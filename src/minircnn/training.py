@@ -310,30 +310,35 @@ def alternate_4step(scenes: list[Scene], sched_rpn: TrainSchedule,
     s1 = TrainState._assemble(init, *dims, ("rpn",))
     final = TrainState._assemble(init, *dims, ("det", "rpn"))
 
+    def step(name: str, state: TrainState, sched: TrainSchedule, **kw) -> TrainState:
+        """Train `state`, then checkpoint it as it stands at the step's end
+        (a later step trains some of the same parameters)."""
+        train(scenes, state, sched, *objectives, **kw)
+        if out_dir is not None:
+            save_checkpoint(state.params, Path(out_dir) / f"{name}.frpn")
+        return state
+
     # step 1: train RPN end to end from scratch
-    train(scenes, s1, sched_rpn, *objectives)
+    step("step1", s1, sched_rpn)
 
     # step 2: separate detector network on step-1 proposals (fresh backbone,
     # random init standing in for the paper's ImageNet initialization)
-    s2 = train(scenes, replace(final, rpn_head=None, loss_log=[]), sched_det, *objectives,
-               proposals=[s1.propose_scene(s, train_proposals)[1] for s in scenes])
+    s2 = step("step2", replace(final, rpn_head=None, loss_log=[]), sched_det,
+              proposals=[s1.propose_scene(s, train_proposals)[1] for s in scenes])
 
     # step 3: train the RPN head on step-2's backbone, conv layers frozen
     pre = backbone_checksum(final.backbone)
-    s3 = train(scenes, replace(final, det_head=None, shared_frozen=True, loss_log=[]),
-               sched_rpn, *objectives)
+    s3 = step("step3", replace(final, det_head=None, shared_frozen=True, loss_log=[]),
+              sched_rpn)
     assert backbone_checksum(final.backbone) == pre, "frozen backbone changed in step 3"
 
     # step 4: fine-tune the detector head, shared conv layers still frozen
     props = [final.propose_scene(s, train_proposals)[1] for s in scenes]
-    s4 = train(scenes, replace(final, rpn_head=None, shared_frozen=True, loss_log=[]),
-               sched_det, *objectives, proposals=props)
+    s4 = step("step4", replace(final, rpn_head=None, shared_frozen=True, loss_log=[]),
+              sched_det, proposals=props)
     assert backbone_checksum(final.backbone) == pre, "frozen backbone changed in step 4"
 
     final.loss_log = s1.loss_log + s2.loss_log + s3.loss_log + s4.loss_log
-    if out_dir is not None:
-        for name, st in (("step1", s1), ("step2", s2), ("step3", s3), ("step4", s4)):
-            save_checkpoint(st.params, Path(out_dir) / f"{name}.frpn")
     return final
 
 

@@ -58,6 +58,17 @@ def permutation_loop(rng, n: int) -> np.ndarray:
     return out
 
 
+def relu_where(a: Tensor) -> Tensor:
+    """ReLU through np.where's select; backward masks g with a > 0."""
+    mask = a.data > 0
+    y = np.where(mask, a.data, 0)
+
+    def bwd(g):
+        _accum(a, g * mask)
+
+    return _make(y, (a,), bwd)
+
+
 def roi_pool_loop(x: np.ndarray, rois: np.ndarray, spatial_scale: float,
                   out_size: int) -> tuple[np.ndarray, np.ndarray]:
     """RoI max pooling one RoI, bin row and bin column at a time.

@@ -8,6 +8,7 @@ or branch boundary.
 import gc
 import itertools
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,7 +17,8 @@ from hypothesis import strategies as st
 
 import minircnn.tensor as T
 from minircnn.tensor import ShapeError, Tensor
-from oracles import conv2d_tensordot, gradcheck, maxpool2x2_argmax, roi_pool_loop
+from oracles import (conv2d_tensordot, gradcheck, maxpool2x2_argmax, relu_where,
+                     roi_pool_loop)
 
 
 def t64(arr, grad=True):
@@ -180,6 +182,14 @@ class TestRoiPoolMatchesLoop:
     def test_forward_and_backward_bytes(self, case):
         x, rois, scale, P, g = case
         y_ref, arg_ref = roi_pool_loop(x, rois, scale, P)
+        # without a gradient, forward pools values unless x holds NaN or -0.0
+        special = bool(np.isnan(x).any() or (np.signbit(x) & (x == 0)).any())
+        with mock.patch.object(T, "_rank_table", wraps=T._rank_table) as ranks:
+            y = T.roi_pool(Tensor(x.copy()), rois, scale, P)
+        assert ranks.called == special
+        assert y.data.dtype == x.dtype and y.data.shape == y_ref.shape
+        assert np.array_equal(y.data.view(np.uint8), y_ref.view(np.uint8))
+        assert y._backward is None
         xt = Tensor(x.copy(), requires_grad=True)
         y = T.roi_pool(xt, rois, scale, P)
         assert y.data.dtype == x.dtype and y.data.shape == y_ref.shape
@@ -243,8 +253,8 @@ def pool_cases(draw):
 
 
 class TestTrunkOpsMatchOracles:
-    """conv2d and maxpool2x2 against the tensordot and argmax forms they
-    replaced: output and every gradient, byte for byte."""
+    """conv2d, maxpool2x2 and relu against the tensordot, argmax and np.where
+    forms they replaced: output and every gradient, byte for byte."""
 
     @given(conv_cases())
     @settings(max_examples=300, deadline=None)
@@ -262,6 +272,21 @@ class TestTrunkOpsMatchOracles:
         for x_grad in (True, False):
             got, want = (tape_bytes(op, (x,), (x_grad,), seed)
                          for op in (T.maxpool2x2, maxpool2x2_argmax))
+            assert got == want
+
+    @given(pool_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_relu_bytes(self, case):
+        x, seed = case
+        # subnormals of either sign, which x + 0.0 must keep
+        tiny = np.finfo(x.dtype).smallest_subnormal
+        x = np.concatenate([x.ravel(), np.array([tiny, -tiny, 3 * tiny, -5 * tiny,
+                                                 np.finfo(x.dtype).smallest_normal / 2],
+                                                dtype=x.dtype)])
+        for x_grad in (True, False):
+            got, want = (tape_bytes(op, (x,), (x_grad,), seed)
+                         for op in (T.relu, relu_where))
+            assert (got[1] is None) == (not x_grad)
             assert got == want
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])

@@ -10,7 +10,7 @@ from minircnn import training
 from minircnn.anchors import AnchorConfig
 from minircnn.dataio import make_scene
 from minircnn.detector import DetectorHead
-from minircnn.nn import Param, save_checkpoint
+from minircnn.nn import Param, load_checkpoint, save_checkpoint
 from minircnn.rng import Rng
 from minircnn.rpn import Backbone, RpnHead
 from minircnn.training import (
@@ -167,6 +167,16 @@ class TestAlternate4Step:
         assert names == ["step1.frpn", "step2.frpn", "step3.frpn", "step4.frpn"]
         for p in tmp_path.iterdir():
             assert p.read_bytes()[:4] == b"FRPN"
+
+    def test_each_checkpoint_holds_its_step_end(self, tmp_path):
+        """Step 4 fine-tunes the detector head step 2 trained, on the frozen
+        backbone: step2.frpn keeps step 2's head, not step 4's."""
+        self.run(out_dir=tmp_path)
+        step2, step4 = (load_checkpoint(tmp_path / f"{n}.frpn") for n in ("step2", "step4"))
+        assert step2.keys() == step4.keys()
+        for name in step2:
+            same = np.array_equal(step2[name], step4[name])
+            assert same == name.startswith("backbone."), name
 
 
 class TestJointTrain:
