@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig
-from .dataio import gen_synthetic, image_to_input, load_manifest
+from .dataio import gen_synthetic, load_manifest
 from .evaluation import bench, mean_ap, recall_curve
 from .onestage import train_onestage
 from .rng import Rng
@@ -150,7 +150,7 @@ def cmd_propose(args, cfg: RunConfig, out: Path):
     p = cfg.proposal_params(train=False)
     rows = ["image,rank,score,x1,y1,x2,y2"]
     for s in scenes:
-        _, boxes, scores = state.propose_scene(s, p)
+        boxes, scores = state.propose_scene(s, p)
         for r, (b, sc) in enumerate(zip(boxes, scores)):
             rows.append(f"{s.path},{r},{sc:.9g},{b[0]:.9g},{b[1]:.9g},"
                         f"{b[2]:.9g},{b[3]:.9g}")
@@ -217,7 +217,7 @@ def cmd_ablate(args, cfg: RunConfig, out: Path):
         # proposals become the clipped raw anchors, ranked by objectness
         props = []
         for s in scenes:
-            _, cls, reg = state.rpn_forward(image_to_input(s.image))
+            _, cls, reg = state.forward(s, state.rpn_head)
             boxes, _ = state.propose(cls.data, np.zeros_like(reg.data), s.width,
                                      s.height, p)
             props.append(boxes)
@@ -227,7 +227,7 @@ def cmd_ablate(args, cfg: RunConfig, out: Path):
         props = []
         for s in scenes:
             n_all = len(state.anchors(s.width, s.height))
-            _, boxes, _ = state.propose_scene(
+            boxes, _ = state.propose_scene(
                 s, replace(p, pre_nms_top=n_all, post_nms_top=n_all))
             props.append(boxes[rng.permutation(boxes.shape[0])][:p.post_nms_top])
     elif args.mode == "n-sweep":
@@ -236,7 +236,7 @@ def cmd_ablate(args, cfg: RunConfig, out: Path):
             raise ValueError(f"ablate.budgets entry {budgets[-1]} exceeds "
                              f"proposals.pre_nms_top={p.pre_nms_top}")
         full = replace(p, post_nms_top=budgets[-1])
-        props = [state.propose_scene(s, full)[1] for s in scenes]
+        props = [state.propose_scene(s, full)[0] for s in scenes]
         rows = ["n,tau,recall"]
         for n in budgets:
             c = recall_curve(props, gt_boxes, n)
@@ -271,7 +271,7 @@ def _retrain_recall(cfg: RunConfig, scenes, gt_boxes, p, **overrides):
     `overrides`, and the recall curve of its top `p.post_nms_top` proposals."""
     state = TRAINERS["train-rpn"][-1](
         replace(cfg, train_iters=cfg.ablate_iters, **overrides), scenes, None)
-    props = [state.propose_scene(s, p)[1] for s in scenes]
+    props = [state.propose_scene(s, p)[0] for s in scenes]
     return state, recall_curve(props, gt_boxes, p.post_nms_top)
 
 

@@ -51,7 +51,7 @@ class DatasetManifest:
     def load_scene(self, i: int) -> Scene:
         e = self.entries[i]
         img = read_ppm(self.root / e["image"])
-        if img.shape[:2] != (int(e["height"]), int(e["width"])):
+        if img.shape[:2] != (e["height"], e["width"]):
             raise ManifestError(f"{self.root / e['image']}: image is {img.shape[1]}x"
                                 f"{img.shape[0]} px, the manifest says "
                                 f"{e['width']}x{e['height']}")
@@ -194,7 +194,11 @@ def load_manifest(path) -> DatasetManifest:
                 continue
             try:
                 e = json.loads(line)
-                w, h = int(e["width"]), int(e["height"])
+                w, h = e["width"], e["height"]
+                for key, v in (("width", w), ("height", h)):
+                    if type(v) is not int or v < 1:
+                        raise ManifestError(f"{path}:{lineno}: {key} {v!r} is not "
+                                            "an integer of at least 1")
                 for o in e["objects"]:
                     if type(o["class"]) is not int or o["class"] not in CLASS_NAMES:
                         raise ManifestError(

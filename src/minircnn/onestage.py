@@ -5,7 +5,7 @@ from __future__ import annotations
 from . import tensor as T
 from .anchors import AnchorConfig
 from .assignment import sample_fg_bg
-from .dataio import Scene, image_to_input
+from .dataio import Scene
 from .detector import RoiSampleConfig, check_classes, label_windows
 from .nn import SgdConfig, multitask_loss, sgd_step
 from .rng import Rng
@@ -31,7 +31,6 @@ def train_onestage(scenes: list[Scene], sched: TrainSchedule,
     rng = Rng(sched.seed)
     order = scene_order(len(scenes), rng.substream("data"))
     sample_rng = rng.substream("sampling")
-    inputs = [image_to_input(s.image) for s in scenes]
     labelled = [label_windows(state.anchors(s.width, s.height), s.boxes, s.classes,
                               roi_cfg.fg_iou) for s in scenes]
     params = state.params
@@ -47,7 +46,7 @@ def train_onestage(scenes: list[Scene], sched: TrainSchedule,
             log.warning("skipping image %d: %s", i, skip)
             continue
         fg = idx[labels[idx] > 0]
-        cls, reg = head.forward(state.features(inputs[i]))
+        _, cls, reg = state.forward(scenes[i], head)
         logits = T.take_rows(anchor_rows(cls, head.k, n_classes + 1), idx)
         pred = T.select_class(T.take_rows(anchor_rows(reg, head.k, n_classes, 4), fg),
                               labels[fg] - 1) if fg.size else None

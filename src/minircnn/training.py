@@ -20,8 +20,8 @@ from .detector import (DetectorHead, RoiSampleConfig, check_classes, class_probs
 from .nn import (Param, SgdConfig, load_checkpoint, restore_params,
                  save_checkpoint, sgd_step)
 from .rng import Rng
-from .rpn import (Backbone, LossWeights, OneStageHead, ProposalParams, RpnHead,
-                  anchor_rows, propose_arrays, rpn_loss)
+from .rpn import (Backbone, ConvHead, LossWeights, OneStageHead, ProposalParams,
+                  RpnHead, anchor_rows, propose_arrays, rpn_loss)
 from .tensor import Tensor
 
 log = logging.getLogger(__name__)
@@ -137,14 +137,12 @@ class TrainState:
             self._anchor_sets[key] = aset
         return self._anchor_sets[key]
 
-    def features(self, x: np.ndarray) -> Tensor:
-        """Shared conv features of one (3, H, W) network input."""
-        return self.backbone.forward(Tensor(x))
-
-    def rpn_forward(self, x: np.ndarray) -> tuple[Tensor, Tensor, Tensor]:
-        """Shared features, then the RPN head's raw scores and deltas."""
-        feats = self.features(x)
-        return (feats, *self.rpn_head.forward(feats))
+    def forward(self, scene: Scene, head: ConvHead | None = None):
+        """One scene's image through the shared backbone, then `head`'s raw
+        scores and deltas on those features: (features, cls, reg), with
+        cls and reg None when no head is named."""
+        feats = self.backbone.forward(Tensor(image_to_input(scene.image)))
+        return (feats, *(head.forward(feats) if head is not None else (None, None)))
 
     def propose(self, cls_data: np.ndarray, reg_data: np.ndarray, image_w: int,
                 image_h: int, p: ProposalParams) -> tuple[np.ndarray, np.ndarray]:
@@ -153,11 +151,10 @@ class TrainState:
                               image_w, image_h, p)
 
     def propose_scene(self, scene: Scene,
-                      p: ProposalParams) -> tuple[Tensor, np.ndarray, np.ndarray]:
-        """One scene through backbone, RPN head and proposal layer:
-        (features, boxes, scores)."""
-        feats, cls, reg = self.rpn_forward(image_to_input(scene.image))
-        return (feats, *self.propose(cls.data, reg.data, scene.width, scene.height, p))
+                      p: ProposalParams) -> tuple[np.ndarray, np.ndarray]:
+        """One scene through backbone, RPN head and proposal layer: (boxes, scores)."""
+        _, cls, reg = self.forward(scene, self.require("rpn").rpn_head)
+        return self.propose(cls.data, reg.data, scene.width, scene.height, p)
 
     def stages(self, p: ProposalParams, score_thresh: float, nms_iou: float,
                max_per_image: int):
@@ -169,8 +166,7 @@ class TrainState:
         head = self.onestage_head if one else self.require("det", "rpn").rpn_head
 
         def conv(scene: Scene):
-            feats = self.features(image_to_input(scene.image))
-            return (scene, feats, *head.forward(feats))
+            return (scene, *self.forward(scene, head))
 
         def proposal(c) -> np.ndarray:
             scene, _, cls, reg = c
@@ -235,7 +231,6 @@ def train(scenes: list[Scene], state: TrainState, sched: TrainSchedule,
     rng = Rng(sched.seed)
     order = scene_order(len(scenes), rng.substream("data"))
     sample_rng = rng.substream("sampling")
-    inputs = [image_to_input(s.image) for s in scenes]
     if rpn is not None:
         labelled = [assign_labels(state.anchors(s.width, s.height), s.boxes,
                                   weights.pos_iou, weights.neg_iou) for s in scenes]
@@ -258,7 +253,7 @@ def train(scenes: list[Scene], state: TrainState, sched: TrainSchedule,
                     f"no anchor sampled at rpn.max_pos={weights.max_pos}"
                 log.warning("skipping image %d: %s", i, skip)
                 continue
-            feats, cls, reg = state.rpn_forward(inputs[i])
+            feats, cls, reg = state.forward(s, rpn)
             loss, row["loss_cls"], row["loss_reg"] = rpn_loss(
                 cls, reg, labels, targets, rows, state.anchor_cfg.k, weights)
         if det is not None:
@@ -269,7 +264,7 @@ def train(scenes: list[Scene], state: TrainState, sched: TrainSchedule,
             row["loss_det_cls"] = row["loss_det_reg"] = 0.0
             if roi_batch.labels.shape[0]:
                 if feats is None:
-                    feats = state.features(inputs[i])
+                    feats = state.forward(s)[0]
                 dcls, dreg = detector_forward(feats, roi_batch.rois, det,
                                               1.0 / state.backbone.stride)
                 dloss, row["loss_det_cls"], row["loss_det_reg"] = detector_loss(
@@ -324,7 +319,7 @@ def alternate_4step(scenes: list[Scene], sched_rpn: TrainSchedule,
     # step 2: separate detector network on step-1 proposals (fresh backbone,
     # random init standing in for the paper's ImageNet initialization)
     s2 = step("step2", replace(final, rpn_head=None, loss_log=[]), sched_det,
-              proposals=[s1.propose_scene(s, train_proposals)[1] for s in scenes])
+              proposals=[s1.propose_scene(s, train_proposals)[0] for s in scenes])
 
     # step 3: train the RPN head on step-2's backbone, conv layers frozen
     pre = backbone_checksum(final.backbone)
@@ -333,7 +328,7 @@ def alternate_4step(scenes: list[Scene], sched_rpn: TrainSchedule,
     assert backbone_checksum(final.backbone) == pre, "frozen backbone changed in step 3"
 
     # step 4: fine-tune the detector head, shared conv layers still frozen
-    props = [final.propose_scene(s, train_proposals)[1] for s in scenes]
+    props = [final.propose_scene(s, train_proposals)[0] for s in scenes]
     s4 = step("step4", replace(final, rpn_head=None, shared_frozen=True, loss_log=[]),
               sched_det, proposals=props)
     assert backbone_checksum(final.backbone) == pre, "frozen backbone changed in step 4"

@@ -17,7 +17,7 @@ from minircnn.anchors import AnchorConfig, grid_anchors, inside_mask
 from minircnn.assignment import assign_labels, sample_minibatch
 from minircnn.boxes import decode_arr, encode_arr, iou_matrix_arr, nms_arr
 from minircnn.cli import run as cli_run
-from minircnn.dataio import image_to_input, make_scene
+from minircnn.dataio import make_scene
 from minircnn.detector import RoiBatch, detector_loss
 from minircnn.evaluation import bench, mean_ap, recall_curve
 from minircnn.nn import load_checkpoint
@@ -56,7 +56,7 @@ def trained_rpn(shapes_data):
     elapsed = time.perf_counter() - t0
     # one 1000-deep proposal list serves budgets 50/300/1000 (score-ordered)
     p = replace(TEST_PROPOSALS, post_nms_top=1000)
-    props = [state.propose_scene(s, p)[1] for s in test]
+    props = [state.propose_scene(s, p)[0] for s in test]
     return {"state": state, "test": test, "props": props, "elapsed": elapsed}
 
 
@@ -297,7 +297,7 @@ class TestCriterion6Ablations:
         p = TEST_PROPOSALS
         noreg = []
         for s in test:
-            _, cls, reg = state.rpn_forward(image_to_input(s.image))
+            _, cls, reg = state.forward(s, state.rpn_head)
             boxes, _ = state.propose(cls.data, np.zeros_like(reg.data), s.width,
                                      s.height, p)
             noreg.append(boxes)

@@ -412,6 +412,42 @@ class TestModelReuse:
         rows = (tmp_path / "props" / "proposals.csv").read_text().strip().split("\n")
         assert len(rows) > 1
 
+    @staticmethod
+    def hand_made(data: Path, sides) -> Path:
+        """A manifest of blank `side`x`side` PPMs with no objects, one line each."""
+        (data / "images").mkdir(parents=True)
+        lines = []
+        for i, side in enumerate(sides):
+            name = f"images/{i}.ppm"
+            (data / name).write_bytes(f"P6 {side} {side} 255\n".encode()
+                                      + bytes(3 * side * side))
+            lines.append(json.dumps({"image": name, "width": side, "height": side,
+                                     "objects": []}))
+        (data / "manifest.jsonl").write_text("\n".join(lines) + "\n")
+        return data
+
+    def test_images_smaller_than_the_stride(self, rpn_run, alt_run, tmp_path):
+        data = self.hand_made(tmp_path / "data", (1, 3))
+        assert run(["propose", "--out", str(tmp_path / "props"), "--ckpt",
+                    str(rpn_run / "rpn.frpn"), "--data", str(data), *TINY,
+                    "--seed", "11"]) == 0
+        assert run(["detect", "--out", str(tmp_path / "dets"), "--ckpt",
+                    str(alt_run / "final.frpn"), "--data", str(data), *TINY,
+                    "--set", "detector.score_thresh", "0", "--seed", "11"]) == 0
+        side = {"images/0.ppm": 1, "images/1.ppm": 3}
+        for csv in ("props/proposals.csv", "dets/detections.csv"):
+            rows = [r.split(",") for r in (tmp_path / csv).read_text().splitlines()[1:]]
+            assert rows and all(0 <= float(v) <= side[r[0]] for r in rows for v in r[3:])
+
+    def test_zero_sized_image_names_the_manifest_line(self, rpn_run, tmp_path, capsys):
+        data = self.hand_made(tmp_path / "data", (3, 0))
+        for argv in (["train-rpn", "--iters", "1"],
+                     ["propose", "--ckpt", str(rpn_run / "rpn.frpn")]):
+            assert run([*argv, "--out", str(tmp_path / argv[0]), "--data", str(data),
+                        *TINY, "--seed", "11"]) == 1
+            assert f"{data / 'manifest.jsonl'}:2: width 0 is not an integer of at " \
+                   "least 1" in capsys.readouterr().err
+
 
 class TestRpnSampling:
     """rpn.batch and rpn.max_pos reach every RPN minibatch draw."""

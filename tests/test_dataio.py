@@ -1,6 +1,7 @@
 """Synthetic dataset generation and PPM/manifest IO."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -237,6 +238,23 @@ class TestManifest:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ManifestError,
                            match=f"manifest.jsonl:2: unknown class {cls!r}"):
+            load_manifest(path)
+
+    @pytest.mark.parametrize("key,value", [("width", 0), ("height", 0), ("width", -48),
+                                           ("width", 48.7), ("height", 48.0),
+                                           ("width", "48"), ("height", True),
+                                           ("width", None)])
+    def test_size_not_a_positive_integer_rejected(self, tmp_path, key, value):
+        d = tmp_path / "ds"
+        gen_synthetic(d, 2, image_size=48, seed=5)
+        path = d / "manifest.jsonl"
+        lines = path.read_text().splitlines()
+        entry = json.loads(lines[1])
+        entry[key] = value
+        lines[1] = json.dumps(entry)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ManifestError, match=re.escape(
+                f"manifest.jsonl:2: {key} {value!r} is not an integer of at least 1")):
             load_manifest(path)
 
     def test_empty_manifest_valid(self, tmp_path):

@@ -141,6 +141,24 @@ def test_one_detection_chain():
     assert "detector.detect" in call_scopes("classwise_detections", bare=True)
 
 
+def test_one_way_into_the_model():
+    """An image reaches the network only through `TrainState.forward`, which
+    converts it, runs the backbone once and then the head it is given."""
+    assert call_scopes("image_to_input", bare=True) == {"training.TrainState.forward"}
+
+    def backbone_calls(tree) -> int:
+        return sum(isinstance(n, ast.Call) and getattr(n.func, "attr", None) == "forward"
+                   and getattr(n.func.value, "attr", None) == "backbone"
+                   for n in ast.walk(tree))
+
+    state = next(n for n in ast.walk(modules()["training"])
+                 if isinstance(n, ast.ClassDef) and n.name == "TrainState")
+    methods = {d.name: d for d in state.body if isinstance(d, ast.FunctionDef)}
+    assert backbone_calls(methods["forward"]) == 1
+    assert sum(backbone_calls(tree) for tree in modules().values()) == 1
+    assert not {"features", "rpn_forward"} & methods.keys()
+
+
 def test_the_per_caller_model_paths_are_gone():
     names = set()
     for tree in modules().values():

@@ -6,7 +6,7 @@ import pytest
 from minircnn import onestage
 from minircnn import tensor as T
 from minircnn.anchors import AnchorConfig, grid_anchors
-from minircnn.dataio import image_to_input, make_scene
+from minircnn.dataio import make_scene
 from minircnn.detector import classwise_detections
 from minircnn.onestage import OneStageHead, train_onestage
 from minircnn.rng import Rng
@@ -127,7 +127,7 @@ class TestDetect:
         # every window of the anchor grid is a candidate, as no proposal
         # stage runs: the class-wise post-process of the head's own outputs
         head = self.state.onestage_head
-        cls, reg = head.forward(self.state.features(image_to_input(self.scene.image)))
+        _, cls, reg = self.state.forward(self.scene, head)
         want = classwise_detections(
             T.softmax(anchor_rows(cls, K, C + 1).data, axis=1),
             anchor_rows(reg, K, C, 4).data, self.state.anchors(64, 64).boxes,

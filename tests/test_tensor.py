@@ -147,6 +147,13 @@ class TestRoiPoolForward:
 # Cell values rich in ties the loop breaks by first occurrence: repeated
 # palette values, both signed zeros (equal, distinct bits) and NaN.
 PALETTE = [0.0, -0.0, 1.0, -1.0, 0.5, 2.0, np.nan]
+# RoI pooling's cells also take a second NaN bit pattern, the sign-bit NaN
+# (astype(float32) keeps it), so the bytes show which NaN a bin took. Two
+# more palettes each hold one of NaN and -0.0 without the other, which would
+# send the whole map to the rank table, and nothing that beats their ties.
+SIGN_NAN = np.copysign(np.nan, -1.0)
+ROI_PALETTES = {"palette": PALETTE + [SIGN_NAN], "zeros": [0.0, -0.0, -1.0],
+                "nans": [np.nan, SIGN_NAN, -1.0]}
 
 
 @st.composite
@@ -158,11 +165,11 @@ def roi_pool_cases(draw):
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(C, H, W))
-    kind = draw(st.sampled_from(["normal", "relu", "palette"]))
+    kind = draw(st.sampled_from(["normal", "relu", *ROI_PALETTES]))
     if kind == "relu":
         x = np.where(x > 0, x, 0.0)
-    elif kind == "palette":
-        x = rng.choice(PALETTE, size=(C, H, W))
+    elif kind in ROI_PALETTES:
+        x = rng.choice(ROI_PALETTES[kind], size=(C, H, W))
     x = x.astype(dtype)
     N = draw(st.integers(1, 12))
     # RoIs reach past every edge of the map; some have zero or negative extent

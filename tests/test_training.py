@@ -127,7 +127,7 @@ class TestTrainDetector:
         data = scenes()
         st = fresh_rpn_state(6)
         train(data, st, schedule(20, seed=6), *OBJECTIVES)
-        props = [st.propose_scene(s, PROPS)[1] for s in data]
+        props = [st.propose_scene(s, PROPS)[0] for s in data]
         det = TrainState(st.backbone, ACFG,
                          det_head=DetectorHead(Rng(1, "init"),
                                                st.backbone.out_dim, 3))
@@ -270,6 +270,29 @@ class TestBuildAndOpen:
         state = TrainState.build(4, ACFG, CH, 8, 3, heads)
         with pytest.raises(ValueError, match=f"no '{missing}' head"):
             state.detect(scenes(1)[0], PROPS, *defaults.POST)
+
+    def test_propose_scene_names_the_missing_rpn(self):
+        state = TrainState.build(4, ACFG, CH, 8, 3, ("onestage",))
+        with pytest.raises(ValueError, match="no 'rpn' head; it holds backbone, onestage"):
+            state.propose_scene(scenes(1)[0], PROPS)
+
+    def test_forward_runs_the_head_it_is_given(self):
+        """`forward` runs the backbone, then only the head named; `detect` on
+        a model with an RPN and a one-stage head but no detector names the
+        one-stage head."""
+        state = TrainState.build(4, ACFG, CH, 8, 3, ("rpn", "onestage"))
+        scene = scenes(1)[0]
+        feats, cls, reg = state.forward(scene)
+        assert cls is None and reg is None and feats.data.shape == (CH[-1], 8, 8)
+        for head in (state.rpn_head, state.onestage_head):
+            f, cls, reg = state.forward(scene, head)
+            assert f.data.tobytes() == feats.data.tobytes()
+            want = head.forward(feats)
+            assert (cls.data.tobytes(), reg.data.tobytes()) == \
+                   (want[0].data.tobytes(), want[1].data.tobytes())
+        alone = TrainState(state.backbone, ACFG, onestage_head=state.onestage_head)
+        assert state.detect(scene, PROPS, *defaults.POST) == \
+               alone.detect(scene, PROPS, *defaults.POST)
 
 
 class TestLossLogCsv:

@@ -11,7 +11,9 @@ trainings, `propose` and `eval-recall` on every checkpoint that holds an RPN,
 `ablate` modes, a set of rejected inputs and one accepted order of `--set`s.
 Under the default config at 96 px it makes data, runs `train-joint`, and runs
 `propose` (also at a lower NMS threshold), `detect` and `eval-map` on its
-checkpoint.
+checkpoint. Under TINY at 50 px, where the feature maps have odd sides, it
+makes data, runs `train-joint`, `propose` and `detect` on its checkpoint, and
+`detect` with the 48 px one-stage checkpoint.
 
 Every file written is compared byte for byte, except `timing.csv`, whose
 figures are wall-clock times and which is compared by its row names. Exit
@@ -128,6 +130,18 @@ def matrix() -> list[Case]:
     add("detect-96", "detect", *on96)
     add("eval-map-96", "eval-map", "--detections", "{root}/detect-96/detections.csv",
         "--manifest", "{root}/test-96/manifest.jsonl", *px96, *SEED)
+
+    # TINY at 50 px, whose maps go 50 -> 25 -> 13 -> 7: maxpool2x2 pads odd
+    # maps with -inf and crops its backward, and grid_size rounds up
+    px50 = [*TINY, "--set", "data.image_size", "50"]
+    on50 = ["--data", "{root}/test-50", *px50, *SEED]
+    add("train-50", "gen-data", "--n", "4", *px50, *SEED)
+    add("test-50", "gen-data", "--n", "3", *px50, "--seed", "12")
+    add("train-joint-50", "train-joint", "--data", "{root}/train-50", "--iters", "2",
+        *px50, *SEED)
+    add("propose-50", "propose", "--ckpt", "{root}/train-joint-50/joint.frpn", *on50)
+    add("detect-50", "detect", "--ckpt", "{root}/train-joint-50/joint.frpn", *on50)
+    add("detect-onestage-50", "detect", "--ckpt", ckpt["onestage"], *on50)
 
     # rejected inputs; each `--set` comes after TINY's, so that it wins
     data = ["--data", train, *TINY, *SEED]
