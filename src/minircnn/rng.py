@@ -75,16 +75,36 @@ class Rng:
     def permutation(self, n: int) -> np.ndarray:
         """Fisher-Yates permutation of range(n): for i = n-1 down to 1, swap
         i with floor(u * (i + 1)), one uniform draw u per step."""
-        if n <= 1:
-            return np.arange(n)
-        targets = (self.uniform(n - 1) * np.arange(n, 1, -1)).astype(np.int64)
-        out = list(range(n))
-        for i, j in zip(range(n - 1, 0, -1), targets.tolist()):
-            out[i], out[j] = out[j], out[i]
-        return np.array(out)
+        return self._first_of_permutation(n, n)
 
     def choice(self, n: int, k: int) -> np.ndarray:
-        """k distinct indices from range(n), in random order."""
+        """k distinct indices from range(n), in random order: the first k of
+        `permutation(n)`, from the same draws."""
         if not 0 <= k <= n:
             raise ValueError(f"cannot choose {k} from {n}")
-        return self.permutation(n)[:k]
+        return self._first_of_permutation(n, k)
+
+    def _first_of_permutation(self, n: int, k: int) -> np.ndarray:
+        """permutation(n)[:k], running only its k - 1 swaps below k.
+
+        Each step i >= k fixes position i and moves the value held there to
+        its target. So position t holds, before its own step (t >= k) or
+        after all of them (t < k), what the smallest later step targeting t
+        held before that step, and so on back to a position that no step
+        targets and that holds its own index. Pointer doubling follows the
+        links.
+        """
+        if n <= 1:
+            return np.arange(k)
+        targets = (self.uniform(n - 1) * np.arange(n, 1, -1)).astype(np.int64)
+        steps = np.arange(n - 1, 0, -1)
+        late = (steps >= k) & (targets != steps)
+        src = np.full(n, n)
+        np.minimum.at(src, targets[late], steps[late])
+        src = np.where(src < n, src, np.arange(n))
+        while not np.array_equal(nxt := src[src], src):
+            src = nxt
+        out = src[:k].tolist()
+        for i, j in zip(range(k - 1, 0, -1), targets[n - k:].tolist()):
+            out[i], out[j] = out[j], out[i]
+        return np.array(out, dtype=np.int64)

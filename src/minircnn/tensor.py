@@ -259,10 +259,19 @@ def softmax_logloss(logits: Tensor, labels) -> Tensor:
 
 # spatial ops -----------------------------------------------------------
 
-def _corr(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Valid cross-correlation: x (C,H,W) with w (O,C,KH,KW) -> (O,Ho,Wo)."""
-    win = sliding_window_view(x, (w.shape[2], w.shape[3]), axis=(1, 2))
-    return np.tensordot(w, win, axes=([1, 2, 3], [0, 3, 4]))
+def _cols(a: np.ndarray, KH: int, KW: int, ph: int, pw: int) -> np.ndarray:
+    """The C-order (C*KH*KW, Ho*Wo) column matrix np.tensordot multiplies to
+    correlate a:(C,H,W), zero-padded by ph rows and pw columns, with a
+    (KH,KW) kernel, filled per kernel offset straight from a."""
+    C, H, W = a.shape
+    Ho, Wo = H + 2 * ph - KH + 1, W + 2 * pw - KW + 1
+    cols = np.zeros((C, KH, KW, Ho, Wo), dtype=a.dtype)
+    for u in range(KH):
+        h0, h1 = max(0, ph - u), min(Ho, H + ph - u)
+        for v in range(KW):
+            w0, w1 = max(0, pw - v), min(Wo, W + pw - v)
+            cols[:, u, v, h0:h1, w0:w1] = a[:, h0 + u - ph:h1 + u - ph, w0 + v - pw:w1 + v - pw]
+    return cols.reshape(C * KH * KW, Ho * Wo)
 
 
 def _window_rows(x: np.ndarray, KH: int, KW: int) -> np.ndarray:
@@ -287,25 +296,31 @@ def _window_rows(x: np.ndarray, KH: int, KW: int) -> np.ndarray:
 def conv2d(x: Tensor, w: Tensor, b: Tensor, pad: int = 0) -> Tensor:
     """Stride-1 convolution, x:(C,H,W), w:(O,C,KH,KW), b:(O,) -> (O,Ho,Wo).
 
-    y and dx are valid correlations (`_corr`). dW is one GEMM of g against
-    the padded input's window rows, built only in backward and laid out as
-    np.tensordot lays them out, so that BLAS takes the same path and dW
-    keeps its bytes.
+    y is one GEMM of the flattened kernel against `_cols` of x padded by
+    pad, and dx one GEMM of the flipped kernel against `_cols` of g padded
+    by K-1, cropped to H x W. dW is one GEMM of g against the padded input's
+    window rows, built only in backward. Each operand is laid out as
+    np.tensordot lays it out, so that BLAS takes the same path and y, dx
+    and dW keep their bytes.
     """
     C, H, W = x.shape
     O, Cw, KH, KW = w.shape
+    Ho, Wo = H + 2 * pad - KH + 1, W + 2 * pad - KW + 1
     if Cw != C:
         raise ShapeError(f"conv2d: input has {C} channels, weight expects {Cw}")
-    xp = np.pad(x.data, ((0, 0), (pad, pad), (pad, pad))) if pad else x.data
-    y = _corr(xp, w.data) + b.data[:, None, None]
+    if Ho < 1 or Wo < 1:
+        raise ShapeError(f"conv2d: a {KH}x{KW} kernel does not fit {H}x{W} padded by {pad}")
+    y = np.dot(w.data.reshape(O, -1), _cols(x.data, KH, KW, pad, pad)).reshape(O, Ho, Wo)
+    y += b.data[:, None, None]
 
     def bwd(g):
         _accum(b, g.sum(axis=(1, 2)))
+        xp = np.pad(x.data, ((0, 0), (pad, pad), (pad, pad))) if pad else x.data
         _accum(w, np.dot(g.reshape(O, -1), _window_rows(xp, KH, KW)).reshape(w.shape))
         if x.requires_grad or x._backward is not None:
-            gp = np.pad(g, ((0, 0), (KH - 1, KH - 1), (KW - 1, KW - 1)))
             wf = w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)  # (C,O,KH,KW)
-            _accum(x, _corr(gp, wf)[:, pad:pad + H, pad:pad + W])
+            dx = np.dot(wf.reshape(C, -1), _cols(g, KH, KW, KH - 1, KW - 1))
+            _accum(x, dx.reshape(C, H + 2 * pad, W + 2 * pad)[:, pad:pad + H, pad:pad + W])
 
     return _make(y, (x, w, b), bwd)
 
@@ -429,14 +444,16 @@ def roi_pool(x: Tensor, rois: np.ndarray, spatial_scale: float, out_size: int) -
     Bin b of P covers feature cells [floor(b*L/P), ceil((b+1)*L/P)) where L
     is the RoI extent in cells, at least one cell per bin. Each bin takes the
     cell np.argmax picks (the first maximum in row-major order, NaN before
-    any number), found with four lookups in a sparse table. Forward builds
-    the `_rank_table` of per-channel ranks when x needs a gradient, or when
-    x holds NaN or -0.0 (where the largest value does not fix the bits
-    np.argmax picks), and keeps only the looked-up int32 rank keys; backward
-    gathers the argmax cells from them and scatters the gradient by flat
-    index into x. Otherwise it builds the same table over x's values and
-    takes the largest of the four lookups, which is the argmax cell's value.
-    RoI coordinates get no gradient.
+    any number), found with four lookups in a sparse table. Overlapping
+    RoIs share most bin rectangles, so each distinct one is looked up once
+    and the result gathered per bin. Forward builds the `_rank_table` of
+    per-channel ranks when x needs a gradient, or when x holds NaN or -0.0
+    (where the largest value does not fix the bits np.argmax picks), and
+    keeps only the looked-up rank keys, as a C-order intp array; y gathers
+    the values and backward the argmax cells from it, and scatters the
+    gradient by flat index into x. Otherwise it builds the same table over
+    x's values and takes the largest of the four lookups, which is the
+    argmax cell's value. RoI coordinates get no gradient.
     """
     C, H, W = x.shape
     rois = np.asarray(rois, dtype=np.float64).reshape(-1, 4)
@@ -446,22 +463,28 @@ def roi_pool(x: Tensor, rois: np.ndarray, spatial_scale: float, out_size: int) -
         i = int(bad[0])
         raise ValueError(f"roi_pool: RoI row {i} {rois[i].tolist()} is not finite "
                          "or lies beyond 2**31 feature cells")
-    rs, re = _bin_edges(scaled[:, 1], scaled[:, 3], H, out_size)
-    cs, ce = _bin_edges(scaled[:, 0], scaled[:, 2], W, out_size)
+    N, P = rois.shape[0], out_size
+    rs, re = _bin_edges(scaled[:, 1], scaled[:, 3], H, P)
+    cs, ce = _bin_edges(scaled[:, 0], scaled[:, 2], W, P)
+    # each distinct bin rectangle is looked up once: its id packs (rs, re)
+    # and (cs, ce), and inv maps every bin to its rectangle's place in ids
+    ids, inv = np.unique((rs * (H + 1) + re)[:, :, None] * (W * (W + 1))
+                         + (cs * (W + 1) + ce)[:, None, :], return_inverse=True)
+    rows, cols = np.divmod(ids, W * (W + 1))
+    (rs, re), (cs, ce) = np.divmod(rows, H + 1), np.divmod(cols, W + 1)
     kh, kw = _floor_log2(re - rs), _floor_log2(ce - cs)
-    r2, c2 = re - (1 << kh), ce - (1 << kw)
     # levels up to the largest bin's, not to the whole map's
     LA, LB = int(kh.max(initial=0)) + 1, int(kw.max(initial=0)) + 1
-    level = (kh[:, :, None] * LB + kw[:, None, :]) * H     # (N, P, P)
+    level = (kh * LB + kw) * H
+    corners = [(level + r) * W + c for r in (rs, re - (1 << kh)) for c in (cs, ce - (1 << kw))]
 
     def lookup(table):
         """The largest of the four lookups per bin, (N, C, P, P) as a view."""
         table = table.reshape(-1, C)
-        top = np.take(table, (level + rs[:, :, None]) * W + cs[:, None, :], axis=0)
-        for r, c in ((rs, c2), (r2, cs), (r2, c2)):
-            np.maximum(top, np.take(table, (level + r[:, :, None]) * W + c[:, None, :],
-                                    axis=0), out=top)
-        return top.transpose(0, 3, 1, 2)
+        top = np.take(table, corners[0], axis=0)
+        for idx in corners[1:]:
+            np.maximum(top, np.take(table, idx, axis=0), out=top)
+        return top.take(inv.ravel(), axis=0).reshape(N, P, P, C).transpose(0, 3, 1, 2)
 
     d = x.data
     if not (x.requires_grad or x._backward is not None
@@ -470,9 +493,9 @@ def roi_pool(x: Tensor, rois: np.ndarray, spatial_scale: float, out_size: int) -
         return Tensor(y)
 
     cells, values, table = _rank_table(d, LA, LB)
-    key = lookup(table)         # a view of the int32 keys
-    # as intp, so that take need not convert them
-    y = values.take(np.array(key, dtype=np.intp, order="C"))
+    # the keys as C-order intp, so that take need not convert them
+    key = np.array(lookup(table), dtype=np.intp, order="C")
+    y = values.take(key)
 
     def bwd(g):
         dx = np.zeros(C * H * W, dtype=x.dtype)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minircnn.rng import Rng
 
@@ -79,3 +81,18 @@ class TestPermutationMatchesLoop:
             got, want = fast.permutation(n), permutation_loop(loop, n)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
             assert fast.next_u64(1) == loop.next_u64(1)
+
+
+class TestChoiceMatchesLoop:
+    """choice(n, k) is the loop's permutation(n)[:k], from the same draws."""
+
+    @given(st.one_of(st.integers(0, 40), st.integers(0, 2500)).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(0, n))), st.integers(0, 2**64 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_same_rows_and_draws(self, nk, seed):
+        n, k = nk
+        fast, loop = Rng(seed, "sampling"), Rng(seed, "sampling")
+        got, want = fast.choice(n, k), permutation_loop(loop, n)[:k]
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert fast._counter == loop._counter
+        assert fast.next_u64(1) == loop.next_u64(1)

@@ -77,6 +77,9 @@ class TestForwardValues:
         w = t64(np.zeros((2, 4, 3, 3)))
         with pytest.raises(ShapeError, match="conv2d"):
             T.conv2d(x, w, t64(np.zeros(2)))
+        # a kernel larger than the padded input
+        with pytest.raises(ShapeError, match="conv2d: a 3x3 kernel does not fit 2x5 padded by 0"):
+            T.conv2d(t64(np.zeros((4, 2, 5))), w, t64(np.zeros(2)))
 
     def test_maxpool_halves_dims(self):
         x = t64(np.arange(32, dtype=np.float64).reshape(2, 4, 4))
@@ -181,13 +184,39 @@ def roi_pool_cases(draw):
     return x, rois, scale, P, g
 
 
+@st.composite
+def repeated_roi_cases(draw):
+    """RoIs that share most of their bins: exact duplicates, copies moved by
+    less than one feature cell, RoIs over the whole map, or none at all."""
+    C, H, W = draw(st.integers(1, 6)), draw(st.integers(1, 16)), draw(st.integers(1, 16))
+    P = draw(st.integers(1, 7))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    scale = draw(st.sampled_from([1.0, 0.5, 0.125]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    palette = ROI_PALETTES[draw(st.sampled_from(sorted(ROI_PALETTES)))]
+    x = rng.choice(palette, size=(C, H, W)).astype(dtype)
+    ext = np.array([W, H, W, H]) / scale
+    base = rng.uniform(-0.25, 1.25, size=(draw(st.integers(1, 3)), 4)) * ext
+    reps = draw(st.integers(2, 40))
+    parts = [np.zeros((0, 4))]
+    if draw(st.booleans()):
+        parts.append(base[rng.integers(0, len(base), reps)])
+    if draw(st.booleans()):
+        near = base[rng.integers(0, len(base), reps)]
+        parts.append(near + rng.uniform(-0.99, 0.99, size=near.shape) / scale)
+    if draw(st.booleans()):
+        parts.append(np.tile([0.0, 0.0, W / scale, H / scale], (draw(st.integers(1, 3)), 1)))
+    rois = rng.permutation(np.concatenate(parts))
+    g = rng.normal(size=(len(rois), C, P, P)).astype(dtype)
+    return x, rois, scale, P, g
+
+
 class TestRoiPoolMatchesLoop:
     """The sparse-table pooling against the per-bin loop, bit for bit."""
 
-    @given(roi_pool_cases())
-    @settings(max_examples=300, deadline=None)
-    def test_forward_and_backward_bytes(self, case):
-        x, rois, scale, P, g = case
+    @staticmethod
+    def check_bytes(x, rois, scale, P, g):
+        """Both paths' y against the loop's, and dx against its scatter."""
         y_ref, arg_ref = roi_pool_loop(x, rois, scale, P)
         # without a gradient, forward pools values unless x holds NaN or -0.0
         special = bool(np.isnan(x).any() or (np.signbit(x) & (x == 0)).any())
@@ -208,6 +237,16 @@ class TestRoiPoolMatchesLoop:
         np.add.at(dx, (c.ravel(), arg_ref.ravel()), g.ravel())
         assert np.array_equal(xt.grad.view(np.uint8),
                               dx.reshape(C, H, W).view(np.uint8))
+
+    @given(roi_pool_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_forward_and_backward_bytes(self, case):
+        self.check_bytes(*case)
+
+    @given(repeated_roi_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_bytes_where_most_bins_repeat(self, case):
+        self.check_bytes(*case)
 
 
 # The trunk ops' special values: signed zeros, NaN and both infinities.
@@ -270,6 +309,26 @@ class TestTrunkOpsMatchOracles:
         got, want = (tape_bytes(op, (x, w, b), (x_grad, True, True), seed, pad=pad)
                      for op in (T.conv2d, conv2d_tensordot))
         assert (got[1] is None) == (not x_grad)
+        assert got == want
+
+    # (C, O, H, K, pad) of the package's convolutions: the default backbone
+    # at 128 px (its last layer has the shape of the 3x3 head trunk), the
+    # 1x1 RPN (18, 36) and one-stage (36, 108) outputs on its 16 px map,
+    # the CLI tests' TINY backbone and RPN outputs at 50 px (maps 50, 25,
+    # 13, 7), and a 1x1 kernel with padding
+    @pytest.mark.parametrize("C, O, H, K, pad", [
+        (3, 16, 128, 3, 1), (16, 32, 64, 3, 1), (32, 64, 32, 3, 1), (64, 64, 16, 3, 1),
+        (64, 18, 16, 1, 0), (64, 36, 16, 1, 0), (64, 108, 16, 1, 0),
+        (3, 4, 50, 3, 1), (4, 8, 25, 3, 1), (8, 8, 13, 3, 1), (8, 8, 7, 3, 1),
+        (8, 8, 7, 1, 0), (8, 16, 7, 1, 0), (64, 18, 16, 1, 1)])
+    def test_conv2d_bytes_at_package_sizes(self, C, O, H, K, pad):
+        rng = np.random.default_rng([C, O, H, K, pad])
+        x = np.maximum(rng.normal(size=(C, H, H)), 0).astype(np.float32)
+        w = (0.1 * rng.normal(size=(O, C, K, K))).astype(np.float32)
+        b = rng.normal(size=O).astype(np.float32)
+        got, want = (tape_bytes(op, (x, w, b), (True, True, True), H, pad=pad)
+                     for op in (T.conv2d, conv2d_tensordot))
+        assert all(a is not None for a in got)
         assert got == want
 
     @given(pool_cases())
