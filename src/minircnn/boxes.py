@@ -117,9 +117,9 @@ def clip_arr(boxes: np.ndarray, image_w: float, image_h: float) -> np.ndarray:
 # _SLACK, far more than rounding moves a computed IoU, so a pair left out
 # has a computed IoU <= tau.
 _SLACK = 2.0 ** -30
-# Where tau * area, tau * width or tau * height is below _TINY, products
-# round to subnormals and the bounds above need not hold; pairs of such rows
-# are also searched with tau = 0 (overlap only).
+# If tau * area, tau * width or tau * height is below _TINY for any row, products
+# round to subnormals and the bounds above need not hold, so the whole call prunes
+# by overlap alone (tau = 0). That takes subnormal boxes or a tau below ~1e-260.
 _TINY = 2.0 ** -960
 # Live boxes per greedy block. The candidate test inside a block runs on all
 # its pairs, and each block repeats a fixed set-up: of 32, 64, 96 and 128,
@@ -202,7 +202,8 @@ def _greedy_keep(ranked: np.ndarray, iou_threshold: float, limit: int) -> np.nda
     # other rows have IoU 0 or NaN with every row: they neither suppress nor
     # get suppressed
     valid = (w > 0) & (h > 0) & (areas > 0) & (areas < np.inf)
-    tiny = valid & (t * np.minimum(areas, np.minimum(w, h)) < (_TINY if t else 0.0))
+    if (t * np.minimum(areas, np.minimum(w, h))[valid] < _TINY).any():
+        t = 0.0
 
     def over(i, j):
         """IoU(i, j) > threshold for pairs of valid rows, i ranked first."""
@@ -220,10 +221,6 @@ def _greedy_keep(ranked: np.ndarray, iou_threshold: float, limit: int) -> np.nda
         live[:first] = False
         index.retain(live)
         i, j = index.partners(keep)
-        if tiny_index:
-            tiny_index.retain(live)
-            ti, tj = tiny_index.partners(keep[tiny.take(keep)])
-            i, j = np.concatenate([i, ti]), np.concatenate([j, tj])
         suppressed[j[over(i, j)]] = True
 
     # Greedy decisions on a score-order prefix do not depend on the rows
@@ -240,10 +237,7 @@ def _greedy_keep(ranked: np.ndarray, iou_threshold: float, limit: int) -> np.nda
             keep = np.flatnonzero(valid[:first] & ~suppressed[:first])
             rows = np.concatenate([keep, first + np.flatnonzero(valid[first:end])])
             index = _PairIndex(x1, w, h, rows, t)
-            tr = rows[tiny.take(rows)]
-            tiny_index = _PairIndex(x1, w, h, tr, 0.0) if tr.size else None
-            if keep.size:
-                suppress(keep, first)
+            suppress(keep, first)
         # Blocks of up to _BLOCK unsuppressed boxes in score order. Greedy
         # runs inside a block over its candidate pairs; then the boxes it
         # keeps suppress their later candidate partners all at once.
@@ -258,10 +252,7 @@ def _greedy_keep(ranked: np.ndarray, iou_threshold: float, limit: int) -> np.nda
         la, lb = (_BLOCK_PAIRS if k == _BLOCK
                   else (v[_BLOCK_PAIRS[1] < k] for v in _BLOCK_PAIRS))
         a, b = src.take(la), src.take(lb)
-        near = index.near(a, b)
-        if tiny_index:
-            near |= tiny.take(a) & tiny.take(b) & tiny_index.near(a, b)
-        hit = near.nonzero()[0]
+        hit = index.near(a, b).nonzero()[0]
         hit = hit[over(a.take(hit), b.take(hit))]
         gone = bytearray(k)
         for p, q in zip(la.take(hit).tolist(), lb.take(hit).tolist()):

@@ -222,13 +222,13 @@ def cmd_ablate(args, cfg: RunConfig, out: Path):
                                      s.height, p)
             props.append(boxes)
     elif args.mode == "no-cls":
-        # unscored: decoded boxes in seeded random order
+        # unscored: every decoded box (no IoU exceeds 1), in seeded random order
         rng = Rng(cfg.seed, "sampling")
         props = []
         for s in scenes:
             n_all = len(state.anchors(s.width, s.height))
             boxes, _ = state.propose_scene(
-                s, replace(p, pre_nms_top=n_all, post_nms_top=n_all))
+                s, replace(p, nms_iou=1.0, pre_nms_top=n_all, post_nms_top=n_all))
             props.append(boxes[rng.permutation(boxes.shape[0])][:p.post_nms_top])
     elif args.mode == "n-sweep":
         budgets = sorted(cfg.ablate_budgets)

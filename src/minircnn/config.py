@@ -1,7 +1,7 @@
 """Flat key=value run configuration; every tunable in one place.
 
 File format: one `section.key=value` per line, `#` comments, blank lines
-ignored. Unknown keys are rejected. Lists are comma-separated.
+ignored. Unknown keys and a key set twice are rejected; lists are comma-separated.
 
 The library takes each run value as an argument, so the defaults below are
 the package's, and `RunConfig._RANGES` is the one table of the values each
@@ -155,7 +155,7 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
-        cfg = cls()
+        cfg, seen = cls(), {}
         for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -163,6 +163,9 @@ class RunConfig:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value")
             key, value = (s.strip() for s in line.split("=", 1))
+            if seen.setdefault(key, lineno) != lineno:
+                raise ValueError(f"{path}:{lineno}: {key} is set again; "
+                                 f"line {seen[key]} sets it first")
             try:
                 cfg.set_key(key, value)
             except (KeyError, ValueError) as exc:

@@ -64,13 +64,8 @@ class DetectorHead:
 def detector_forward(features: Tensor, proposals: np.ndarray, head: DetectorHead,
                      spatial_scale: float) -> tuple[Tensor, Tensor]:
     """Run the head on each proposal; returns (cls_logits (N,C+1), deltas (N,4C))."""
-    proposals = np.asarray(proposals, dtype=np.float64).reshape(-1, 4)
-    if proposals.shape[0] == 0:
-        dt = features.dtype
-        return Tensor(np.zeros((0, head.n_classes + 1), dtype=dt)), \
-            Tensor(np.zeros((0, 4 * head.n_classes), dtype=dt))
     pooled = T.roi_pool(features, proposals, spatial_scale, ROI_POOL_SIZE)
-    flat = pooled.reshape(proposals.shape[0], -1)
+    flat = pooled.reshape(-1, features.shape[0] * ROI_POOL_SIZE ** 2)
     h = T.relu(head.fc1(flat))
     h = T.relu(head.fc2(h))
     return head.cls(h), head.reg(h)
@@ -126,7 +121,7 @@ def sample_rois(proposals: np.ndarray, gt_boxes: np.ndarray, gt_classes: np.ndar
     proposals = np.asarray(proposals, dtype=np.float64).reshape(-1, 4)
     gt_boxes = np.asarray(gt_boxes, dtype=np.float64).reshape(-1, 4)
     gt_classes = np.asarray(gt_classes, dtype=np.int64)
-    cand = np.concatenate([proposals, gt_boxes]) if gt_boxes.size else proposals
+    cand = np.concatenate([proposals, gt_boxes])
     labels, targets = label_boxes(cand, gt_boxes, gt_classes, cfg.fg_iou)
     idx = sample_fg_bg(labels, int(cfg.fg_fraction * cfg.rois_per_image),
                        cfg.rois_per_image, rng)
@@ -178,8 +173,6 @@ def classwise_detections(probs: np.ndarray, per_class: np.ndarray,
     for c in range(1, probs.shape[1]):
         scores = probs[:, c]
         keep = scores >= score_thresh
-        if not np.any(keep):
-            continue
         boxes = decode_arr(per_class[keep, c - 1].astype(np.float64), ref_boxes[keep])
         boxes = clip_arr(boxes, image_w, image_h)
         sel = nms_arr(boxes, scores[keep], nms_iou)

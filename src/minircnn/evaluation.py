@@ -98,12 +98,8 @@ def voc_ap(detections_per_image: list[list], gt_boxes_per_image: list[np.ndarray
         if iou[m] >= iou_thresh:
             tp[j] = 1
             used[img][m] = True
-    if len(flat) == 0:
-        return 0.0
     ctp = np.cumsum(tp)
-    rec = ctp / n_gt
-    prec = ctp / np.arange(1, len(flat) + 1)
-    return float(_area_ap(rec, prec))
+    return _area_ap(ctp / n_gt, ctp / np.arange(1, len(flat) + 1))
 
 
 def _area_ap(rec: np.ndarray, prec: np.ndarray) -> float:

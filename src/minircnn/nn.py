@@ -81,7 +81,8 @@ def save_checkpoint(params: list[Param], path):
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
-    """name -> array of a checkpoint; truncated or trailing bytes are rejected."""
+    """name -> array of a checkpoint; truncation, trailing bytes and a repeated
+    name are rejected."""
     with open(path, "rb") as f:
         def read(n: int) -> bytes:
             data = f.read(n)
@@ -102,10 +103,11 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
             except UnicodeDecodeError as exc:
                 raise ValueError(f"{path}: entry name is not UTF-8 at byte "
                                  f"{f.tell() - nlen + exc.start}") from None
+            if name in out:
+                raise ValueError(f"{path}: entry '{name}' appears twice")
             (rank,) = struct.unpack("<B", read(1))
             shape = struct.unpack(f"<{rank}I", read(4 * rank))
-            n = int(np.prod(shape)) if rank else 1
-            data = np.frombuffer(read(4 * n), dtype="<f4").reshape(shape)
+            data = np.frombuffer(read(4 * int(np.prod(shape))), dtype="<f4").reshape(shape)
             out[name] = data.astype(np.float32)
         if f.read(1):
             raise ValueError(f"{path}: trailing bytes after its {count} entries")

@@ -188,8 +188,6 @@ def propose_arrays(cls_data: np.ndarray, reg_data: np.ndarray, aset: AnchorSet,
     boxes, scores = boxes[big], scores[big]
     order = np.argsort(-scores, kind="stable")[:p.pre_nms_top]
     boxes, scores = boxes[order], scores[order]
-    keep = np.asarray([], dtype=np.int64)
-    if boxes.shape[0]:
-        keep = nms_arr(boxes, scores, p.nms_iou, max_keep=p.post_nms_top)
+    keep = nms_arr(boxes, scores, p.nms_iou, max_keep=p.post_nms_top)
     return boxes[keep], scores[keep]
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from minircnn import boxes as boxes_mod
 from minircnn.boxes import (
     DELTA_CLAMP,
     Box,
@@ -319,3 +320,35 @@ class TestCappedNmsResumes:
         assert len(brute_nms(boxes[prefix], scores[prefix], thr)) < max_keep
         got = list(nms_arr(boxes, scores, thr, max_keep=max_keep))
         assert got == brute_nms(boxes, scores, thr)[:max_keep]
+
+
+def subnormal_row(boxes):
+    """The boxes with one more row 5e-324 high, whose area is subnormal."""
+    return np.concatenate([boxes, [[3.0, 0.0, 40.0, 5e-324]]])
+
+
+class TestNmsPrunesByOverlapNearZero:
+    """Where tau times a valid row's area, width or height is below _TINY,
+    the whole call prunes with tau = 0, by overlap alone."""
+
+    @pytest.mark.parametrize("make, thr", [
+        (subnormal_row, 0.3), (subnormal_row, 0.7),
+        (lambda b: b, 5e-324), (lambda b: b, 1e-300),
+        (lambda b: b * 1e-160, 0.3), (lambda b: b * 1e-160, 0.7),
+    ])
+    @pytest.mark.parametrize("max_keep", [None, 8])
+    def test_keep_equals_brute_prefix(self, monkeypatch, make, thr, max_keep):
+        taus = []
+
+        class Recorded(boxes_mod._PairIndex):
+            def __init__(self, x1, w, h, rows, t):
+                taus.append(t)
+                super().__init__(x1, w, h, rows, t)
+
+        monkeypatch.setattr(boxes_mod, "_PairIndex", Recorded)
+        rng = np.random.default_rng(21)
+        boxes = make(random_boxes(rng, 120, hi=60, min_size=1.0))
+        scores = rng.uniform(0, 1, boxes.shape[0])
+        got = list(nms_arr(boxes, scores, thr, max_keep=max_keep))
+        assert got == brute_nms(boxes, scores, thr)[:max_keep]
+        assert taus and set(taus) == {0.0}

@@ -754,6 +754,38 @@ class TestAblate:
         rows = (tmp_path / "recall_no_reg.csv").read_text().strip().split("\n")[1:]
         assert {r.split(",")[2] for r in rows} == {"30"}
 
+    def test_no_cls_samples_every_decoded_box(self, dataset, rpn_run, tmp_path,
+                                              monkeypatch):
+        """Without the cls layer nothing is ranked or suppressed: the boxes
+        no-cls samples from are every decoded box that passes
+        proposals.min_size, although TINY's anchors overlap above the 0.3
+        set here."""
+        from minircnn.boxes import clip_arr, decode_arr, iou_matrix_arr
+        from minircnn.rpn import anchor_rows
+        real, seen = TrainState.propose_scene, []
+
+        def spy(state, scene, p):
+            boxes, scores = real(state, scene, p)
+            seen.append((state, scene, p.min_size, boxes))
+            return boxes, scores
+
+        monkeypatch.setattr(TrainState, "propose_scene", spy)
+        assert run(["ablate", "--mode", "no-cls", "--out", str(tmp_path), "--data",
+                    str(dataset), "--ckpt", str(rpn_run / "rpn.frpn"), *TINY,
+                    "--set", "proposals.nms_iou", "0.3", "--seed", "11"]) == 0
+        assert len(seen) == 4
+        for state, scene, min_size, boxes in seen:
+            aset = state.anchors(scene.width, scene.height)
+            iou = iou_matrix_arr(aset.boxes, aset.boxes)
+            np.fill_diagonal(iou, 0)
+            assert iou.max() > 0.3
+            _, _, reg = state.forward(scene, state.rpn_head)
+            want = clip_arr(decode_arr(anchor_rows(reg.data, aset.k, 4), aset.boxes),
+                            scene.width, scene.height)
+            want = want[((want[:, 2:] - want[:, :2]) >= min_size).all(axis=1)]
+            assert sorted(map(tuple, boxes.tolist())) == \
+                sorted(map(tuple, want.tolist()))
+
     def test_n_sweep(self, dataset, rpn_run, tmp_path):
         assert run(["ablate", "--mode", "n-sweep", "--out", str(tmp_path),
                     "--data", str(dataset), "--ckpt",

@@ -169,3 +169,13 @@ def test_pairs_of_keys_are_checked_once_all_are_set(low, high, low_value, high_v
     cfg.set_key(high, str(low_value))
     cfg.check()
 
+
+
+def test_a_key_set_twice_names_the_file_both_lines_and_the_key(tmp_path):
+    path = tmp_path / "run.txt"
+    path.write_text("seed=3\n# a comment\ntrain.iters=4\nseed=5\n")
+    with pytest.raises(ValueError,
+                       match=re.escape(f"{path}:4: seed is set again; line 1 sets it first")):
+        RunConfig.from_file(path)
+    path.write_text("seed=3\ntrain.iters=4\n")
+    assert RunConfig.from_file(path).seed == 3

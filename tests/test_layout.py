@@ -198,3 +198,21 @@ def test_the_typed_views_check_no_range():
 def test_every_key_but_seed_has_a_range():
     keys = {f.name.replace("_", ".", 1) for f in fields(RunConfig)}
     assert set(RunConfig._RANGES) == keys - {"seed"}
+
+
+def test_one_path_per_input():
+    """NMS builds one pair index per prefix, for every threshold, and the
+    model's per-image steps run an empty batch through the general code: the
+    only branch left in them rejects a bad input."""
+    boxes = (SRC / "boxes.py").read_text()
+    assert boxes.count("_PairIndex(") == 1
+    greedy = next(n for n in ast.walk(modules()["boxes"])
+                  if isinstance(n, ast.FunctionDef) and n.name == "_greedy_keep")
+    assert not [n.id for n in ast.walk(greedy)
+                if isinstance(n, ast.Name) and "tiny" in n.id]
+    defs = {n.name: n for tree in modules().values() for n in ast.walk(tree)
+            if isinstance(n, ast.FunctionDef)}
+    for name in ("detector_forward", "propose_arrays", "classwise_detections"):
+        branches = [n for n in ast.walk(defs[name]) if isinstance(n, (ast.If, ast.IfExp))]
+        assert all(isinstance(n, ast.If) and isinstance(n.body[-1], ast.Raise)
+                   for n in branches), (name, [ast.unparse(n.test) for n in branches])

@@ -187,6 +187,18 @@ class TestCheckpoint:
                            f"{len(raw[:keep])} bytes"):
             load_checkpoint(path)
 
+    def test_repeated_entry_rejected(self, tmp_path):
+        # a third entry that repeats the first's name, its count raised to 3
+        params = self._params()
+        path = tmp_path / "ck.frpn"
+        save_checkpoint(params, path)
+        raw = path.read_bytes()
+        save_checkpoint(params[:1], tmp_path / "one.frpn")
+        entry = (tmp_path / "one.frpn").read_bytes()[12:]
+        path.write_bytes(raw[:8] + (3).to_bytes(4, "little") + raw[12:] + entry)
+        with pytest.raises(ValueError, match="ck.frpn: entry 'a.w' appears twice"):
+            load_checkpoint(path)
+
     def test_trailing_bytes_rejected(self, tmp_path):
         path = tmp_path / "ck.frpn"
         save_checkpoint(self._params(), path)

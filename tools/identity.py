@@ -7,13 +7,14 @@ sources of the working tree, once with those of `<rev>` (exported with `git
 archive`, so the repository gains no worktree entry). Under the TINY config of
 tests/test_cli.py the matrix makes train and test data, runs the four
 trainings, `propose` and `eval-recall` on every checkpoint that holds an RPN,
-`detect` and `eval-map` on every detector checkpoint, `bench`, all five
+`detect` and `eval-map` on every detector checkpoint, `propose` and `detect`
+at NMS thresholds so small that NMS prunes by overlap alone, `bench`, all five
 `ablate` modes, a set of rejected inputs and one accepted order of `--set`s.
 Under the default config at 96 px it makes data, runs `train-joint`, and runs
-`propose` (also at a lower NMS threshold), `detect` and `eval-map` on its
-checkpoint. Under TINY at 50 px, where the feature maps have odd sides, it
-makes data, runs `train-joint`, `propose` and `detect` on its checkpoint, and
-`detect` with the 48 px one-stage checkpoint.
+`propose` (also at a lower NMS threshold), `detect`, `eval-map` and `ablate
+--mode no-cls` on its checkpoint. Under TINY at 50 px, where the feature maps
+have odd sides, it makes data, runs `train-joint`, `propose` and `detect` on
+its checkpoint, and `detect` with the 48 px one-stage checkpoint.
 
 Every file written is compared byte for byte, except `timing.csv`, whose
 figures are wall-clock times and which is compared by its row names. Exit
@@ -97,6 +98,11 @@ def matrix() -> list[Case]:
         add(f"eval-map-{name}", "eval-map", "--detections",
             f"{{root}}/detect-{name}/detections.csv", "--manifest", manifest,
             *TINY, *SEED)
+    # thresholds below ~1e-260: NMS prunes with tau = 0, by overlap alone
+    add("propose-rpn-nms-1e-300", "propose", "--ckpt", ckpt["rpn"], "--data", test,
+        *TINY, *SEED, "--set", "proposals.nms_iou", "1e-300")
+    add("detect-final-nms-5e-324", "detect", "--ckpt", ckpt["final"], "--data", test,
+        *TINY, *SEED, "--set", "detector.nms_iou", "5e-324")
     for name in ("final", "onestage"):
         add(f"bench-{name}", "bench", "--ckpt", ckpt[name], "--data", test,
             "--n-warmup", "0", "--n-timed", "2", *TINY, *SEED)
@@ -130,6 +136,8 @@ def matrix() -> list[Case]:
     add("detect-96", "detect", *on96)
     add("eval-map-96", "eval-map", "--detections", "{root}/detect-96/detections.csv",
         "--manifest", "{root}/test-96/manifest.jsonl", *px96, *SEED)
+    # its 64 px anchors overlap above proposals.nms_iou, so NMS would drop some
+    add("ablate-no-cls-96", "ablate", "--mode", "no-cls", *on96)
 
     # TINY at 50 px, whose maps go 50 -> 25 -> 13 -> 7: maxpool2x2 pads odd
     # maps with -inf and crops its backward, and grid_size rounds up
