@@ -203,9 +203,13 @@ def load_manifest(path) -> DatasetManifest:
                     if type(o["class"]) is not int or o["class"] not in CLASS_NAMES:
                         raise ManifestError(
                             f"{path}:{lineno}: unknown class {o['class']!r}")
-                    if not (0 <= o["x1"] <= o["x2"] <= w and 0 <= o["y1"] <= o["y2"] <= h):
-                        raise ManifestError(
-                            f"{path}:{lineno}: object box outside image bounds")
+                    x1, y1, x2, y2 = box = tuple(o[k] for k in ("x1", "y1", "x2", "y2"))
+                    if any(type(v) not in (int, float) for v in box):
+                        raise ManifestError(f"{path}:{lineno}: object box {box} holds a "
+                                            "value that is not a number")
+                    if not (0 <= x1 < x2 <= w and 0 <= y1 < y2 <= h):
+                        raise ManifestError(f"{path}:{lineno}: object box {box} is empty "
+                                            f"or outside the {w}x{h} image")
             except ManifestError:
                 raise
             except (KeyError, ValueError, TypeError) as exc:

@@ -173,8 +173,8 @@ def propose_arrays(cls_data: np.ndarray, reg_data: np.ndarray, aset: AnchorSet,
     """Proposal pipeline on raw head outputs; returns (boxes (N,4), scores (N,)).
 
     All anchors participate (cross-boundary included); decoded boxes are
-    clipped, sub-min_size boxes dropped, top pre_nms_top scored boxes kept,
-    NMS applied, then truncated to post_nms_top, descending score.
+    clipped, those with a side of 0 or under min_size dropped, the top
+    pre_nms_top by score kept, NMS applied, and post_nms_top returned by score.
     """
     k = aset.k
     scores = objectness_probs(cls_data, k)
@@ -183,8 +183,8 @@ def propose_arrays(cls_data: np.ndarray, reg_data: np.ndarray, aset: AnchorSet,
                          f"rows, the anchor set has {len(aset)} anchors")
     deltas = anchor_rows(reg_data, k, 4)
     boxes = clip_arr(decode_arr(deltas, aset.boxes), image_w, image_h)
-    big = ((boxes[:, 2] - boxes[:, 0]) >= p.min_size) & \
-          ((boxes[:, 3] - boxes[:, 1]) >= p.min_size)
+    side = np.minimum(boxes[:, 2] - boxes[:, 0], boxes[:, 3] - boxes[:, 1])
+    big = (side > 0) & (side >= p.min_size)
     boxes, scores = boxes[big], scores[big]
     order = np.argsort(-scores, kind="stable")[:p.pre_nms_top]
     boxes, scores = boxes[order], scores[order]

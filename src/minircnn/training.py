@@ -11,18 +11,18 @@ from types import SimpleNamespace
 import numpy as np
 
 from .anchors import AnchorConfig, AnchorSet, grid_anchors, inside_mask
-from .assignment import assign_labels, sample_minibatch
+from .assignment import assign_labels, sample_fg_bg, sample_minibatch
 from .dataio import Scene, image_to_input
 from .boxes import ScoredBox
 from .detector import (DetectorHead, RoiSampleConfig, check_classes, class_probs,
                        classwise_detections, detect, detector_forward,
-                       detector_loss, sample_rois)
-from .nn import (Param, SgdConfig, load_checkpoint, restore_params,
+                       detector_loss, label_windows, sample_rois)
+from .nn import (Param, SgdConfig, load_checkpoint, multitask_loss, restore_params,
                  save_checkpoint, sgd_step)
 from .rng import Rng
 from .rpn import (Backbone, ConvHead, LossWeights, OneStageHead, ProposalParams,
                   RpnHead, anchor_rows, propose_arrays, rpn_loss)
-from .tensor import Tensor
+from .tensor import Tensor, select_class, take_rows
 
 log = logging.getLogger(__name__)
 
@@ -206,35 +206,41 @@ def scene_order(n: int, rng: Rng):
         yield from rng.permutation(n).tolist()
 
 
-def train(scenes: list[Scene], state: TrainState, sched: TrainSchedule,
-          weights: LossWeights, roi_cfg: RoiSampleConfig,
-          train_proposals: ProposalParams,
-          proposals: list[np.ndarray] | None = None) -> TrainState:
+def steps(scenes: list[Scene], state: TrainState, sched: TrainSchedule,
+          weights: LossWeights | None, roi_cfg: RoiSampleConfig,
+          train_proposals: ProposalParams | None,
+          proposals: list[np.ndarray] | None = None):
     """Image-centric SGD, one image per minibatch, on the summed losses of the
     heads `state` holds; the backbone trains unless `state.shared_frozen`.
+    Yields (params, SgdConfig) after each backward pass for the caller to apply.
 
-    The RPN loss runs on anchors labelled and sampled as `weights` says.
-    The detector loss runs on RoIs sampled from the fixed
-    per-scene `proposals`, or, when none are given, from the RPN's own
-    detached `train_proposals` (approximate joint training: no gradient
-    flows through box coordinates). A step whose anchor sample is empty, or
-    a detector-only step with no RoI candidates, is skipped; a run that
-    skips every step raises.
+    The RPN loss runs on anchors labelled and sampled as `weights` says. The
+    detector loss runs on RoIs sampled from the fixed per-scene `proposals`,
+    or, when none are given, from the RPN's own detached `train_proposals`
+    (approximate joint training: no gradient flows through box coordinates).
+    A one-stage head trains alone, on dense windows sampled at `roi_cfg`'s
+    sizes. A step whose anchor or window sample is empty, or a detector-only
+    step with no RoI candidates, is skipped; a run that skips every step raises.
     """
     if not scenes:
         raise ValueError("empty dataset")
-    rpn, det = state.rpn_head, state.det_head
-    if rpn is None and (det is None or proposals is None):
-        raise ValueError("train needs an RPN head, or a detector head and proposals")
-    if det is not None:
-        check_classes(scenes, det.n_classes)
+    rpn, det, one = state.rpn_head, state.det_head, state.onestage_head
+    two_stage = rpn is not None or (det is not None and proposals is not None)
+    if two_stage == (one is not None) or (one is not None and det is not None):
+        raise ValueError("training needs an RPN head, a detector head and proposals, "
+                         "or a one-stage head alone")
+    if det is not None or one is not None:
+        check_classes(scenes, (det or one).n_classes)
     rng = Rng(sched.seed)
     order = scene_order(len(scenes), rng.substream("data"))
     sample_rng = rng.substream("sampling")
     if rpn is not None:
         labelled = [assign_labels(state.anchors(s.width, s.height), s.boxes,
                                   weights.pos_iou, weights.neg_iou) for s in scenes]
-    params = [p for h in (rpn, det) if h is not None for p in h.params]
+    if one is not None:
+        windows = [label_windows(state.anchors(s.width, s.height), s.boxes, s.classes,
+                                 roi_cfg.fg_iou) for s in scenes]
+    params = [p for h in (rpn, det, one) if h is not None for p in h.params]
     if not state.shared_frozen:
         params = state.backbone.params + params
     state.backbone.set_trainable(not state.shared_frozen)
@@ -274,19 +280,39 @@ def train(scenes: list[Scene], state: TrainState, sched: TrainSchedule,
                 skip = "no RoI candidates"
                 log.warning("skipping image %d: %s", i, skip)
                 continue
+        if one is not None:
+            labels, targets = windows[i]
+            idx = sample_fg_bg(labels, int(roi_cfg.fg_fraction * roi_cfg.rois_per_image),
+                               roi_cfg.rois_per_image, sample_rng)
+            if idx.size == 0:
+                skip = "no labelable windows"
+                log.warning("skipping image %d: %s", i, skip)
+                continue
+            fg = idx[labels[idx] > 0]
+            _, cls, reg = state.forward(s, one)
+            logits = take_rows(anchor_rows(cls, one.k, one.n_classes + 1), idx)
+            pred = select_class(take_rows(anchor_rows(reg, one.k, one.n_classes, 4), fg),
+                                labels[fg] - 1) if fg.size else None
+            loss, row["loss_det_cls"], row["loss_det_reg"] = multitask_loss(
+                logits, labels[idx], 1.0 / idx.size, pred, targets[fg],
+                1.0 / max(fg.size, 1))
         loss.backward()
-        sgd_step(params, SgdConfig(row["lr"], sched.momentum, sched.weight_decay))
+        yield params, SgdConfig(row["lr"], sched.momentum, sched.weight_decay)
         state.loss_log.append(row)
         state.iteration += 1
-    return require_steps(state, start, sched, skip)
-
-
-def require_steps(state: TrainState, start: int, sched: TrainSchedule,
-                  skip: str | None) -> TrainState:
-    """`state`, or an error naming `skip` if iterations ran but none stepped."""
     if sched.total_iters and state.iteration == start:
         raise RuntimeError(f"no training step taken: all {sched.total_iters} "
                            f"iterations skipped their image ({skip})")
+
+
+def train(scenes: list[Scene], state: TrainState, sched: TrainSchedule,
+          weights: LossWeights, roi_cfg: RoiSampleConfig,
+          train_proposals: ProposalParams,
+          proposals: list[np.ndarray] | None = None) -> TrainState:
+    """`state` trained by `steps`, each step applied here by `sgd_step`."""
+    for params, cfg in steps(scenes, state, sched, weights, roi_cfg, train_proposals,
+                             proposals):
+        sgd_step(params, cfg)   # perfbench times a step between returns of this call
     return state
 
 

@@ -22,19 +22,21 @@ from minircnn.dataio import load_manifest
 from minircnn.nn import Param, load_checkpoint, save_checkpoint
 from minircnn.training import TrainState
 
-# One tiny shared config: small images, tiny backbone/heads, few anchors.
-TINY = [
-    "--set", "data.image_size", "48",
-    "--set", "data.max_objects", "2",
-    "--set", "backbone.channels", "4,8,8,8",
-    "--set", "anchors.scales", "8,16",
-    "--set", "anchors.ratios", "1,2",
-    "--set", "rpn.head_dim", "8",
-    "--set", "detector.rois_per_image", "8",
-    "--set", "proposals.pre_nms_top", "100",
-    "--set", "proposals.post_nms_top_train", "50",
-    "--set", "proposals.post_nms_top_test", "20",
-]
+
+def load_identity():
+    """The `tools/identity.py` module, imported as `identity` (its dataclasses
+    look their module up by that name)."""
+    path = Path(__file__).parents[1] / "tools" / "identity.py"
+    spec = importlib.util.spec_from_file_location("identity", path)
+    tool = sys.modules["identity"] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
+identity = load_identity()
+# One tiny shared config, the one the identity matrix runs: small images, tiny
+# backbone/heads, few anchors.
+TINY = identity.TINY
 
 
 def written(out: Path) -> dict[str, bytes]:
@@ -965,37 +967,25 @@ class TestEveryRunValueIsAKey:
         assert "must be at least" not in inspect.getsource(run)
 
 
-@pytest.fixture
-def identity(monkeypatch):
-    """The `tools/identity.py` module."""
-    path = Path(__file__).parents[1] / "tools" / "identity.py"
-    spec = importlib.util.spec_from_file_location("identity", path)
-    tool = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, "identity", tool)
-    spec.loader.exec_module(tool)
-    return tool
-
-
 class TestIdentityMatrix:
     """`tools/identity.py` runs every subcommand and every ablate mode."""
 
-    def test_matrix_names_every_subcommand_and_ablate_mode(self, identity):
+    def test_matrix_names_every_subcommand_and_ablate_mode(self):
         tool, choices = identity, subcommands()
         modes = next(a for a in choices["ablate"]._actions if a.dest == "mode").choices
         argvs = [case.argv for case in tool.matrix()]
         assert set(choices) <= {argv[0] for argv in argvs}
         assert set(modes) <= {argv[argv.index("--mode") + 1] for argv in argvs
                               if argv[0] == "ablate" and "--mode" in argv}
-        assert tool.TINY == TINY
 
-    def test_a_used_work_dir_is_unusable(self, identity, tmp_path, capsys):
+    def test_a_used_work_dir_is_unusable(self, tmp_path, capsys):
         """Status 1 means "different", so a work directory an earlier run left
         is named and reported as unusable (2) before anything runs."""
         (tmp_path / "parent").mkdir()
         assert identity.main(["--parent", "HEAD", "--work", str(tmp_path)]) == 2
         assert f"--work {tmp_path} is not an empty directory" in capsys.readouterr().err
 
-    def test_config_txt_replays_every_command(self, identity, tmp_path):
+    def test_config_txt_replays_every_command(self, tmp_path):
         """The matrix, run again with each accepted command taking its first
         run's config.txt in place of its seed, `--set`s and key flags, writes
         the same bytes; a rejected command runs again unchanged."""

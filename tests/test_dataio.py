@@ -213,6 +213,21 @@ class TestManifest:
         with pytest.raises(ManifestError):
             load_manifest(path)
 
+    @pytest.mark.parametrize("box, reason", [
+        ((10, 10, 10, 30), "is empty"), ((10.5, 10.5, 30, 10.5), "is empty"),
+        ((True, 10, 30, 30), "not a number"), ((10, 10, 30, "30"), "not a number")])
+    def test_empty_or_non_numeric_box_rejected(self, tmp_path, box, reason):
+        d = tmp_path / "ds"
+        gen_synthetic(d, 2, seed=5)
+        path = d / "manifest.jsonl"
+        lines = path.read_text().splitlines()
+        entry = json.loads(lines[1])
+        entry["objects"][0].update(zip(("x1", "y1", "x2", "y2"), box))
+        lines[1] = json.dumps(entry)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ManifestError, match=f"manifest.jsonl:2: object box .* {reason}"):
+            load_manifest(path)
+
     def test_image_size_disagreeing_with_its_entry_rejected(self, tmp_path):
         d = tmp_path / "ds"
         gen_synthetic(d, 1, image_size=48, seed=5)

@@ -62,8 +62,17 @@ def test_one_fg_bg_sampler():
     `assignment.sample_fg_bg`, the one caller of `Rng.choice`."""
     assert call_scopes("choice") == {"assignment.sample_fg_bg"}
     assert call_scopes("sample_fg_bg") == {"assignment.sample_minibatch",
-                                           "detector.sample_rois",
-                                           "onestage.train_onestage"}
+                                           "detector.sample_rois", "training.steps"}
+
+
+def test_one_sgd_loop():
+    """Every head trains in the one loop, `training.steps`; each trainer only
+    applies the step it yields."""
+    loop = "for it in range(sched.total_iters)"
+    assert sum(p.read_text().count(loop) for p in SRC.glob("*.py")) == 1
+    assert loop in (SRC / "training.py").read_text()
+    assert call_scopes("sgd_step") == {"training.train", "onestage.train_onestage"}
+    assert not [p.name for p in SRC.glob("*.py") if "require_steps" in p.read_text()]
 
 
 def test_the_rpn_sample_mask_is_gone():

@@ -306,6 +306,17 @@ class TestProposals:
         with pytest.raises(ValueError, match=r"propose_arrays: .*576 .*441"):
             propose_arrays(cls, reg, aset, image, image, TEST_PROPOSALS)
 
+    def test_zero_size_boxes_dropped_at_min_size_zero(self):
+        # anchor 0 of every cell decodes wholly right of the image and clips
+        # to zero width; min_size 0 must still drop it
+        cfg, aset, cls, _, image = self._setup()
+        reg = np.zeros((cfg.k, 4, *cls.shape[1:]))
+        reg[0, 0] = 100.0
+        boxes, _ = propose_arrays(cls, reg.reshape(-1, *cls.shape[1:]), aset, image,
+                                  image, replace(TRAIN_PROPOSALS, min_size=0.0))
+        assert boxes.shape[0] > 0
+        assert np.all(boxes[:, 2] > boxes[:, 0]) and np.all(boxes[:, 3] > boxes[:, 1])
+
     def test_params_validation(self):
         # the proposal settings are config keys, checked by `RunConfig`
         with pytest.raises(ValueError, match=r"proposals\.nms_iou=1\.5 "):

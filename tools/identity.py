@@ -4,12 +4,13 @@
 
 Runs one fixed matrix of `minircnn` commands twice: once with the package
 sources of the working tree, once with those of `<rev>` (exported with `git
-archive`, so the repository gains no worktree entry). Under the TINY config of
-tests/test_cli.py the matrix makes train and test data, runs the four
-trainings, `propose` and `eval-recall` on every checkpoint that holds an RPN,
-`detect` and `eval-map` on every detector checkpoint, `propose` and `detect`
-at NMS thresholds so small that NMS prunes by overlap alone, `bench`, all five
-`ablate` modes, a set of rejected inputs and one accepted order of `--set`s.
+archive`, so the repository gains no worktree entry). Under the TINY config
+below, which tests/test_cli.py also runs, the matrix makes train and test
+data, runs the four trainings, `propose` and `eval-recall` on every checkpoint
+that holds an RPN, `detect` and `eval-map` on every detector checkpoint,
+`propose` and `detect` at NMS thresholds so small that NMS prunes by overlap
+alone, `bench`, all five `ablate` modes, a set of rejected inputs and one
+accepted order of `--set`s.
 Under the default config at 96 px it makes data, runs `train-joint`, and runs
 `propose` (also at a lower NMS threshold), `detect`, `eval-map` and `ablate
 --mode no-cls` on its checkpoint. Under TINY at 50 px, where the feature maps
@@ -42,7 +43,7 @@ import numpy as np
 
 REPO = Path(__file__).resolve().parents[1]
 
-# the small shared config of tests/test_cli.py
+# the small config of the matrix, which tests/test_cli.py runs too
 TINY = [
     "--set", "data.image_size", "48",
     "--set", "data.max_objects", "2",
