@@ -23,10 +23,6 @@ class AnchorConfig:
         return len(self.scales) * len(self.ratios)
 
 
-PAPER_CONFIG = AnchorConfig(scales=(128.0, 256.0, 512.0), ratios=(0.5, 1.0, 2.0),
-                            stride=16)
-
-
 @dataclass
 class AnchorSet:
     boxes: np.ndarray           # (W*H*k, 4), row-major grid, anchor fastest

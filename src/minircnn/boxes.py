@@ -26,18 +26,6 @@ class Box:
         if self.x2 < self.x1 or self.y2 < self.y1:
             raise ValueError(f"invalid box {self}")
 
-    @property
-    def width(self) -> float:
-        return self.x2 - self.x1
-
-    @property
-    def height(self) -> float:
-        return self.y2 - self.y1
-
-    @property
-    def area(self) -> float:
-        return self.width * self.height
-
     def to_array(self) -> np.ndarray:
         return np.array([self.x1, self.y1, self.x2, self.y2], dtype=np.float64)
 

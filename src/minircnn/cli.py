@@ -10,6 +10,7 @@ import numpy as np
 
 from .config import RunConfig
 from .dataio import gen_synthetic, load_manifest
+from .detector import check_classes
 from .evaluation import bench, mean_ap, recall_curve
 from .onestage import train_onestage
 from .rng import Rng
@@ -182,6 +183,7 @@ def cmd_eval_recall(args, cfg: RunConfig, out: Path):
 
 def cmd_eval_map(args, cfg: RunConfig, out: Path):
     scenes = _load_scenes(args.manifest)
+    check_classes(scenes, cfg.detector_n_classes)
     from .boxes import Box, ScoredBox
     dets = [[ScoredBox(Box(*box), score, c) for score, box, c in rows]
             for rows in _read_scene_rows(args.detections, scenes,

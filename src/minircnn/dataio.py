@@ -186,7 +186,7 @@ class ManifestError(ValueError):
 def load_manifest(path) -> DatasetManifest:
     path = Path(path)
     root = path.parent
-    entries = []
+    entries, first_line = [], {}
     with open(path) as f:
         for lineno, line in enumerate(f, start=1):
             line = line.strip()
@@ -194,6 +194,9 @@ def load_manifest(path) -> DatasetManifest:
                 continue
             try:
                 e = json.loads(line)
+                if type(e["image"]) is not str or not e["image"]:
+                    raise ManifestError(f"{path}:{lineno}: image {e['image']!r} is not "
+                                        "a file name")
                 w, h = e["width"], e["height"]
                 for key, v in (("width", w), ("height", h)):
                     if type(v) is not int or v < 1:
@@ -217,6 +220,12 @@ def load_manifest(path) -> DatasetManifest:
             img = root / e["image"]
             if not img.exists():
                 raise ManifestError(f"{path}:{lineno}: missing image file {img}")
+            if not img.is_file():
+                raise ManifestError(f"{path}:{lineno}: image {img} is not a file")
+            if img in first_line:
+                raise ManifestError(f"{path}:{lineno}: image {e['image']} is already "
+                                    f"listed on line {first_line[img]}")
+            first_line[img] = lineno
             entries.append(e)
     return DatasetManifest(root=root, entries=entries)
 

@@ -71,10 +71,6 @@ def detector_forward(features: Tensor, proposals: np.ndarray, head: DetectorHead
     return head.cls(h), head.reg(h)
 
 
-def class_probs(cls_logits: Tensor) -> np.ndarray:
-    return T.softmax(cls_logits.data, axis=1)
-
-
 def label_boxes(boxes: np.ndarray, gt_boxes: np.ndarray, gt_classes: np.ndarray,
                 fg_iou: float) -> tuple[np.ndarray, np.ndarray]:
     """Fast R-CNN labels of boxes (N, 4) against gt boxes (G, 4): the class of
@@ -152,7 +148,7 @@ def detect(features: Tensor, proposals: np.ndarray, head: DetectorHead,
     cls_logits, deltas = detector_forward(Tensor(features.data), proposals, head,
                                           spatial_scale)
     per_class = deltas.data.reshape(proposals.shape[0], head.n_classes, 4)
-    return classwise_detections(class_probs(cls_logits), per_class, proposals,
+    return classwise_detections(T.softmax(cls_logits.data, axis=1), per_class, proposals,
                                 image_w, image_h, score_thresh, nms_iou,
                                 max_per_image)
 

@@ -36,9 +36,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def zero_grad(self):
-        self.grad = None
-
     def backward(self):
         if self.data.ndim != 0:
             raise ShapeError("backward() requires a scalar loss node")
@@ -65,12 +62,7 @@ class Tensor:
         return add(self, other)
 
     def __sub__(self, other):
-        return add(self, mul(other, -1.0) if isinstance(other, Tensor) else -other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
+        return add(self, mul(other, -1.0))
 
     def reshape(self, *shape):
         return reshape(self, shape)
@@ -100,23 +92,16 @@ def _make(data, parents, backward) -> Tensor:
 
 # core ops --------------------------------------------------------------
 
-def add(a: Tensor, b) -> Tensor:
-    if isinstance(b, Tensor):
-        if a.shape != b.shape:
-            raise ShapeError(f"add: shape mismatch {a.shape} vs {b.shape}")
-        y = a.data + b.data
-
-        def bwd(g):
-            _accum(a, g)
-            _accum(b, g)
-
-        return _make(y, (a, b), bwd)
-    y = a.data + b
+def add(a: Tensor, b: Tensor) -> Tensor:
+    if a.shape != b.shape:
+        raise ShapeError(f"add: shape mismatch {a.shape} vs {b.shape}")
+    y = a.data + b.data
 
     def bwd(g):
         _accum(a, g)
+        _accum(b, g)
 
-    return _make(y, (a,), bwd)
+    return _make(y, (a, b), bwd)
 
 
 def mul(a: Tensor, b) -> Tensor:

@@ -14,7 +14,7 @@ from .anchors import AnchorConfig, AnchorSet, grid_anchors, inside_mask
 from .assignment import assign_labels, sample_fg_bg, sample_minibatch
 from .dataio import Scene, image_to_input
 from .boxes import ScoredBox
-from .detector import (DetectorHead, RoiSampleConfig, check_classes, class_probs,
+from .detector import (DetectorHead, RoiSampleConfig, check_classes,
                        classwise_detections, detect, detector_forward,
                        detector_loss, label_windows, sample_rois)
 from .nn import (Param, SgdConfig, load_checkpoint, multitask_loss, restore_params,
@@ -22,7 +22,7 @@ from .nn import (Param, SgdConfig, load_checkpoint, multitask_loss, restore_para
 from .rng import Rng
 from .rpn import (Backbone, ConvHead, LossWeights, OneStageHead, ProposalParams,
                   RpnHead, anchor_rows, propose_arrays, rpn_loss)
-from .tensor import Tensor, select_class, take_rows
+from .tensor import Tensor, select_class, softmax, take_rows
 
 log = logging.getLogger(__name__)
 
@@ -179,9 +179,9 @@ class TrainState:
             post = (scene.width, scene.height, score_thresh, nms_iou, max_per_image)
             if not one:
                 return detect(feats, boxes, self.det_head, 1 / self.backbone.stride, *post)
-            probs = class_probs(anchor_rows(cls, head.k, head.n_classes + 1))
+            probs = softmax(anchor_rows(cls.data, head.k, head.n_classes + 1), axis=1)
             return classwise_detections(
-                probs, anchor_rows(reg, head.k, head.n_classes, 4).data, boxes, *post)
+                probs, anchor_rows(reg.data, head.k, head.n_classes, 4), boxes, *post)
 
         return conv, proposal, region
 

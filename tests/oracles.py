@@ -165,7 +165,7 @@ def gradcheck(fn, tensors, eps: float = 1e-5, rtol: float = 1e-4) -> float:
     """
     out = fn(*tensors)
     for t in tensors:
-        t.zero_grad()
+        t.grad = None
     out.backward()
     worst = 0.0
     for t in tensors:

@@ -263,7 +263,7 @@ class TestCriterion4LossStructure:
         c = 3.0
         grads = []
         for lam in (10.0, 10.0 * c):
-            cls.zero_grad(), reg.zero_grad()
+            cls.grad = reg.grad = None
             loss, _, _ = rpn_loss(cls, reg, *t, cfg.k,
                                   replace(WEIGHTS, lam=lam))
             loss.backward()

@@ -6,15 +6,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from minircnn.anchors import (
-    PAPER_CONFIG,
-    AnchorConfig,
-    base_anchors,
-    grid_anchors,
-    inside_mask,
-)
+from minircnn.anchors import AnchorConfig, base_anchors, grid_anchors, inside_mask
 
 from defaults import ANCHORS, CFG
+
+# the paper's anchors: 3 scales x 3 ratios at a stride of 16 px
+PAPER_CONFIG = AnchorConfig(scales=(128.0, 256.0, 512.0), ratios=(0.5, 1.0, 2.0),
+                            stride=16)
 
 
 class TestConfig:

@@ -382,6 +382,22 @@ class TestEvalRowsRejected:
         assert f"error: {csv}:1: the header has no '{column}' column" in \
             capsys.readouterr().err
 
+    def test_classes_above_the_evaluated_ones_rejected(self, dataset, tmp_path, capsys):
+        """Ground truth of a class that eval-map would not score is an error,
+        not a dropped class."""
+        classes = [o["class"] for line in (dataset / "manifest.jsonl").read_text()
+                   .splitlines() for o in json.loads(line)["objects"]]
+        top = max(classes)
+        assert top >= 2
+        csv = tmp_path / "rows.csv"
+        csv.write_text("image,class,score,x1,y1,x2,y2\n")
+        assert run(["eval-map", "--detections", str(csv), "--manifest",
+                    str(dataset / "manifest.jsonl"), "--out", str(tmp_path / "out"),
+                    *TINY, "--set", "detector.n_classes", str(top - 1)]) == 1
+        assert f"class {top} is outside the head's classes 1..{top - 1}" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "out" / "map.csv").exists()
+
 
 class TestModelReuse:
     def test_detect_builds_anchors_once_per_image_size(self, alt_run, tmp_path,

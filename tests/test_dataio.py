@@ -272,6 +272,37 @@ class TestManifest:
                 f"manifest.jsonl:2: {key} {value!r} is not an integer of at least 1")):
             load_manifest(path)
 
+    @pytest.mark.parametrize("image, reason", [
+        (5, "image 5 is not a file name"), ("", "image '' is not a file name"),
+        (None, "image None is not a file name"), ("images", "images is not a file")])
+    def test_image_that_is_not_a_file_rejected(self, tmp_path, image, reason):
+        d = tmp_path / "ds"
+        gen_synthetic(d, 2, seed=5)
+        path = d / "manifest.jsonl"
+        lines = path.read_text().splitlines()
+        entry = json.loads(lines[1])
+        entry["image"] = image
+        lines[1] = json.dumps(entry)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ManifestError,
+                           match=f"manifest.jsonl:2: .*{re.escape(reason)}$"):
+            load_manifest(path)
+
+    @pytest.mark.parametrize("spelling", ["images/000000.ppm", "./images/000000.ppm"])
+    def test_repeated_image_names_both_lines(self, tmp_path, spelling):
+        """A second entry for one image would score its detections twice."""
+        d = tmp_path / "ds"
+        gen_synthetic(d, 3, seed=5)
+        path = d / "manifest.jsonl"
+        lines = path.read_text().splitlines()
+        entry = json.loads(lines[0])
+        entry["image"] = spelling
+        lines[2] = json.dumps(entry)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ManifestError, match=re.escape(
+                f"manifest.jsonl:3: image {spelling} is already listed on line 1")):
+            load_manifest(path)
+
     def test_empty_manifest_valid(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         path.write_text("")

@@ -1,6 +1,6 @@
 """One home for each idea the heads share: the two-term loss, the IoU
 labelling, the sliding-window head, the RPN objective, the model object and
-the range of each config key."""
+the range of each config key; and no package name that only tests read."""
 
 import ast
 from dataclasses import fields
@@ -225,3 +225,60 @@ def test_one_path_per_input():
         branches = [n for n in ast.walk(defs[name]) if isinstance(n, (ast.If, ast.IfExp))]
         assert all(isinstance(n, ast.If) and isinstance(n.body[-1], ast.Raise)
                    for n in branches), (name, [ast.unparse(n.test) for n in branches])
+
+
+def definitions(tree: ast.Module, mod: str) -> list[tuple[str, str, ast.AST]]:
+    """(qualified name, name, node) of each module-level def, class and
+    constant in `tree`, and each method, property and class constant; dunders
+    and dataclass fields left out."""
+    found = []
+
+    def assigned(node, prefix):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return [(f"{prefix}.{n.id}", n.id, node) for t in targets
+                for n in ast.walk(t) if isinstance(n, ast.Name)]
+
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.append((f"{mod}.{node.name}", node.name, node))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            found += assigned(node, mod)
+        if isinstance(node, ast.ClassDef):
+            for m in node.body:
+                if isinstance(m, ast.FunctionDef):
+                    found.append((f"{mod}.{node.name}.{m.name}", m.name, m))
+                elif isinstance(m, ast.Assign):
+                    found += assigned(m, f"{mod}.{node.name}")
+    return [d for d in found if not (d[1].startswith("__") and d[1].endswith("__"))]
+
+
+def reads(tree: ast.Module):
+    """(name, node) of each load by name or as an attribute, each name
+    imported, and each name a `getattr` call spells out."""
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            yield n.id, n
+        elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+            yield n.attr, n
+        elif isinstance(n, ast.ImportFrom):
+            yield from ((a.name, n) for a in n.names)
+        elif isinstance(n, ast.Call) and getattr(n.func, "id", None) == "getattr" \
+                and len(n.args) > 1 and isinstance(n.args[1], ast.Constant):
+            yield n.args[1].value, n
+
+
+def test_every_package_name_is_read():
+    """Each name the package defines is read by the package or the benchmark
+    somewhere outside its own definition; tests alone do not keep it."""
+    package = modules()     # parsed once, so a read's node is one of these
+    bench = SRC.parents[1] / "perfbench"
+    trees = [*package.values(), *(ast.parse(p.read_text(), str(p))
+                                  for p in bench.glob("*.py"))]
+    read = {}
+    for tree in trees:
+        for name, node in reads(tree):
+            read.setdefault(name, set()).add(id(node))
+    unread = [q for mod, tree in package.items()
+              for q, name, node in definitions(tree, mod)
+              if not read.get(name, set()) - {id(n) for n in ast.walk(node)}]
+    assert not unread, unread

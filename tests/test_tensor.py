@@ -512,12 +512,6 @@ class TestBackwardMechanics:
         with pytest.raises(ValueError):
             T.mul(a, 2.0).backward()
 
-    def test_zero_grad(self):
-        a = t64([1.0])
-        T.tsum(a).backward()
-        a.zero_grad()
-        assert a.grad is None
-
     def test_deep_chain_beyond_recursion_limit(self):
         a = t64([2.0])
         y = a

@@ -10,7 +10,10 @@ data, runs the four trainings, `propose` and `eval-recall` on every checkpoint
 that holds an RPN, `detect` and `eval-map` on every detector checkpoint,
 `propose` and `detect` at NMS thresholds so small that NMS prunes by overlap
 alone, `bench`, all five `ablate` modes, a set of rejected inputs and one
-accepted order of `--set`s.
+accepted order of `--set`s. Among the rejected inputs are a manifest that
+lists one image twice and `eval-map` at fewer classes than the data hold;
+`run_side` writes the manifest, and a detections CSV with no rows, before
+the matrix runs.
 Under the default config at 96 px it makes data, runs `train-joint`, and runs
 `propose` (also at a lower NMS threshold), `detect`, `eval-map` and `ablate
 --mode no-cls` on its checkpoint. Under TINY at 50 px, where the feature maps
@@ -196,6 +199,12 @@ def matrix() -> list[Case]:
         *ablate)
     add("reject-n-warmup", "bench", "--ckpt", ckpt["final"], "--data", test,
         "--n-warmup", "-1", *TINY)
+    add("reject-repeated-image", "detect", "--ckpt", ckpt["final"], "--data",
+        "{root}/repeated", *TINY, *SEED)
+    # the test data hold class 3, which a 2-class evaluation would drop
+    add("reject-eval-map-classes", "eval-map", "--detections",
+        "{root}/empty/detections.csv", "--manifest", manifest, *TINY, *SEED,
+        "--set", "detector.n_classes", "2")
     # accepted: the pairs of keys are checked once every `--set` is applied
     add("set-order", "train-rpn", *data, "--iters", "1", "--set", "rpn.neg_iou",
         "0.8", "--set", "rpn.pos_iou", "0.9")
@@ -214,6 +223,10 @@ def run_side(src: Path, root: Path, cases: list[Case]) -> dict[str, Outcome]:
     root.mkdir(parents=True)
     (root / "empty").mkdir()
     (root / "empty" / "manifest.jsonl").write_text("")
+    (root / "empty" / "detections.csv").write_text("image,class,score,x1,y1,x2,y2\n")
+    (root / "repeated").mkdir()
+    line = '{"image": "../test/images/000000.ppm", "width": 48, "height": 48, "objects": []}'
+    (root / "repeated" / "manifest.jsonl").write_text(f"{line}\n{line}\n")
     env = dict(os.environ, PYTHONPATH=str(src), **ENV)
     outcomes = {}
     for case in cases:
