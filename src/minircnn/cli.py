@@ -225,7 +225,7 @@ def cmd_ablate(args, cfg: RunConfig, out: Path):
             props.append(boxes)
     elif args.mode == "no-cls":
         # unscored: every decoded box (no IoU exceeds 1), in seeded random order
-        rng = Rng(cfg.seed, "sampling")
+        rng = Rng(cfg.seed).substream("sampling")
         props = []
         for s in scenes:
             n_all = len(state.anchors(s.width, s.height))

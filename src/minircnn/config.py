@@ -1,7 +1,8 @@
 """Flat key=value run configuration; every tunable in one place.
 
 File format: one `section.key=value` per line, `#` comments, blank lines
-ignored. Unknown keys and a key set twice are rejected; lists are comma-separated.
+ignored. Lists are comma-separated. Unknown keys, a key set twice and an empty
+list entry are rejected.
 
 The library takes each run value as an argument, so the defaults below are
 the package's, and `RunConfig._RANGES` is the one table of the values each
@@ -18,7 +19,10 @@ from pathlib import Path
 def _parse(text: str, like):
     """`text` as a value of the type of `like`, a tuple's entries comma-separated."""
     if isinstance(like, tuple):
-        return tuple(type(like[0])(x) for x in str(text).split(",") if x != "")
+        entries = str(text).split(",")
+        if "" in entries:
+            raise ValueError(f"entry {entries.index('') + 1} of {len(entries)} is empty")
+        return tuple(type(like[0])(x) for x in entries)
     return type(like)(text)
 
 

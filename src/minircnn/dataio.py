@@ -163,7 +163,7 @@ def gen_synthetic(out_dir, n_images: int, image_size: int = 128, seed: int = 0,
     """Write n_images scenes + manifest.jsonl under out_dir; returns manifest path."""
     out_dir = Path(out_dir)
     (out_dir / "images").mkdir(parents=True, exist_ok=True)
-    rng = Rng(seed, "data")
+    rng = Rng(seed).substream("data")
     lines = []
     for i in range(n_images):
         scene = make_scene(rng, image_size=image_size, max_objects=max_objects)

@@ -32,17 +32,13 @@ def _fnv1a(name: str) -> int:
 class Rng:
     """splitmix64 output sequence at counter positions; vectorized draws."""
 
-    def __init__(self, seed: int, stream: str = ""):
-        base = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
-        if stream:
-            base = _mix64(base ^ np.uint64(_fnv1a(stream)))
-        self._base = base
+    def __init__(self, seed: int):
+        self._base = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
         self._counter = 0
 
     def substream(self, stream: str) -> "Rng":
         r = Rng(0)
         r._base = _mix64(self._base ^ np.uint64(_fnv1a(stream)))
-        r._counter = 0
         return r
 
     def next_u64(self, n: int = 1) -> np.ndarray:

@@ -62,8 +62,6 @@ class TrainState:
     rpn_head: RpnHead | None = None
     det_head: DetectorHead | None = None
     onestage_head: OneStageHead | None = None
-    shared_frozen: bool = False
-    iteration: int = 0
     loss_log: list[dict] = field(default_factory=list)
     _anchor_sets: dict = field(default_factory=dict, init=False, repr=False,
                                compare=False)
@@ -122,7 +120,7 @@ class TrainState:
     @property
     def params(self) -> list[Param]:
         """Backbone parameters, then each present head's, in checkpoint order."""
-        heads = (self.rpn_head, self.det_head, self.onestage_head)
+        heads = (getattr(self, f"{h}_head") for h in HEADS)
         return self.backbone.params + [p for h in heads if h is not None
                                        for p in h.params]
 
@@ -211,7 +209,7 @@ def steps(scenes: list[Scene], state: TrainState, sched: TrainSchedule,
           train_proposals: ProposalParams | None,
           proposals: list[np.ndarray] | None = None):
     """Image-centric SGD, one image per minibatch, on the summed losses of the
-    heads `state` holds; the backbone trains unless `state.shared_frozen`.
+    heads `state` holds, training each parameter whose `requires_grad` is on.
     Yields (params, SgdConfig) after each backward pass for the caller to apply.
 
     The RPN loss runs on anchors labelled and sampled as `weights` says. The
@@ -240,16 +238,13 @@ def steps(scenes: list[Scene], state: TrainState, sched: TrainSchedule,
     if one is not None:
         windows = [label_windows(state.anchors(s.width, s.height), s.boxes, s.classes,
                                  roi_cfg.fg_iou) for s in scenes]
-    params = [p for h in (rpn, det, one) if h is not None for p in h.params]
-    if not state.shared_frozen:
-        params = state.backbone.params + params
-    state.backbone.set_trainable(not state.shared_frozen)
-    start, skip = state.iteration, None
+    params = [p for p in state.params if p.value.requires_grad]
+    start, skip = len(state.loss_log), None
 
     for it in range(sched.total_iters):
         i = next(order)
         s = scenes[i]
-        row = {"iteration": state.iteration, "lr": sched.lr_at(it)}
+        row = {"iteration": len(state.loss_log), "lr": sched.lr_at(it)}
         feats = loss = None
         if rpn is not None:
             labels, targets = labelled[i]
@@ -299,8 +294,7 @@ def steps(scenes: list[Scene], state: TrainState, sched: TrainSchedule,
         loss.backward()
         yield params, SgdConfig(row["lr"], sched.momentum, sched.weight_decay)
         state.loss_log.append(row)
-        state.iteration += 1
-    if sched.total_iters and state.iteration == start:
+    if sched.total_iters and len(state.loss_log) == start:
         raise RuntimeError(f"no training step taken: all {sched.total_iters} "
                            f"iterations skipped their image ({skip})")
 
@@ -348,15 +342,15 @@ def alternate_4step(scenes: list[Scene], sched_rpn: TrainSchedule,
               proposals=[s1.propose_scene(s, train_proposals)[0] for s in scenes])
 
     # step 3: train the RPN head on step-2's backbone, conv layers frozen
+    final.backbone.set_trainable(False)
     pre = backbone_checksum(final.backbone)
-    s3 = step("step3", replace(final, det_head=None, shared_frozen=True, loss_log=[]),
-              sched_rpn)
+    s3 = step("step3", replace(final, det_head=None, loss_log=[]), sched_rpn)
     assert backbone_checksum(final.backbone) == pre, "frozen backbone changed in step 3"
 
     # step 4: fine-tune the detector head, shared conv layers still frozen
     props = [final.propose_scene(s, train_proposals)[0] for s in scenes]
-    s4 = step("step4", replace(final, rpn_head=None, shared_frozen=True, loss_log=[]),
-              sched_det, proposals=props)
+    s4 = step("step4", replace(final, rpn_head=None, loss_log=[]), sched_det,
+              proposals=props)
     assert backbone_checksum(final.backbone) == pre, "frozen backbone changed in step 4"
 
     final.loss_log = s1.loss_log + s2.loss_log + s3.loss_log + s4.loss_log

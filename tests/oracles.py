@@ -58,6 +58,25 @@ def permutation_loop(rng, n: int) -> np.ndarray:
     return out
 
 
+def named_stream_words(seed: int, name: str, n: int) -> list[int]:
+    """The first n 64-bit words of the stream the two-argument constructor
+    `Rng(seed, name)` drew for a non-empty `name`, in plain Python integers:
+    splitmix64 at counters 1..n from the seed mixed with the FNV-1a hash of
+    `name`."""
+    mask = (1 << 64) - 1
+
+    def mix(z: int) -> int:
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        return z ^ (z >> 31)
+
+    h = 0xCBF29CE484222325
+    for byte in name.encode("utf-8"):
+        h = ((h ^ byte) * 0x100000001B3) & mask
+    base = mix((seed & mask) ^ h)
+    return [mix((base + i * 0x9E3779B97F4A7C15) & mask) for i in range(1, n + 1)]
+
+
 def relu_where(a: Tensor) -> Tensor:
     """ReLU through np.where's select; backward masks g with a > 0."""
     mask = a.data > 0

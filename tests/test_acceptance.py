@@ -40,7 +40,7 @@ IMAGE_SIZE = 128
 
 @pytest.fixture(scope="session")
 def shapes_data():
-    rng = Rng(11, "data")
+    rng = Rng(11).substream("data")
     train = [make_scene(rng, IMAGE_SIZE) for _ in range(N_TRAIN)]
     test = [make_scene(rng, IMAGE_SIZE) for _ in range(N_TEST)]
     return train, test
@@ -195,7 +195,7 @@ class TestCriterion2GradientSuite:
         gt = np.array([[4.0, 4.0, 14.0, 14.0], [16.0, 10.0, 30.0, 26.0]])
         anchor_labels, anchor_targets = assign_labels(aset, gt, *LABEL_IOUS)
         for i in range(20):
-            rows = sample_minibatch(anchor_labels, Rng(i, "sampling"), batch=16,
+            rows = sample_minibatch(anchor_labels, Rng(i).substream("sampling"), batch=16,
                                     max_pos=8)
             cls = t64(rng.normal(size=(2 * mini.k, 4, 4)))
             reg = t64(rng.normal(size=(4 * mini.k, 4, 4)) * 0.1)
@@ -239,7 +239,8 @@ class TestCriterion4LossStructure:
         inside_mask(aset, 32, 32)
         gt = np.array([[4.0, 4.0, 14.0, 14.0], [16.0, 10.0, 30.0, 26.0]])
         labels, targets = assign_labels(aset, gt, *LABEL_IOUS)
-        rows = sample_minibatch(labels, Rng(seed, "sampling"), batch=16, max_pos=8)
+        rows = sample_minibatch(labels, Rng(seed).substream("sampling"), batch=16,
+                                max_pos=8)
         rng = np.random.default_rng(seed)
         cls = Tensor(rng.normal(size=(2 * cfg.k, 4, 4)), requires_grad=True)
         reg = Tensor(rng.normal(size=(4 * cfg.k, 4, 4)) * 0.1,
@@ -251,7 +252,7 @@ class TestCriterion4LossStructure:
         # (a) no positives in the batch -> regression term exactly zero
         labels, targets, _ = t
         labels[labels == 1] = -1
-        rows = sample_minibatch(labels, Rng(0, "sampling"), 16, WEIGHTS.max_pos)
+        rows = sample_minibatch(labels, Rng(0).substream("sampling"), 16, WEIGHTS.max_pos)
         loss, cls_val, reg_val = rpn_loss(cls, reg, labels, targets, rows, cfg.k,
                                           WEIGHTS)
         loss.backward()
@@ -305,7 +306,7 @@ class TestCriterion6Ablations:
         a_ok = full70 - noreg70 >= 0.10
 
         # (b) score-ranked top-50 beats a random 50
-        rng = Rng(3, "sampling")
+        rng = Rng(3).substream("sampling")
         rand50 = [b[rng.permutation(b.shape[0])][:50] for b in props]
         top50 = recall_curve(props, gts, 50).at(0.5)
         rnd50 = recall_curve(rand50, gts, 50).at(0.5)

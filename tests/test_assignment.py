@@ -85,7 +85,7 @@ class TestAssignLabels:
         assert not aset.inside.any()
         labels, _ = assign_labels(aset, np.array([[1.0, 1.0, 6.0, 6.0]]), *LABEL_IOUS)
         assert np.all(labels == IGNORE)
-        assert sample_minibatch(labels, Rng(0, "sampling"), *MINIBATCH).size == 0
+        assert sample_minibatch(labels, Rng(0).substream("sampling"), *MINIBATCH).size == 0
 
     def test_needs_the_inside_mask(self):
         cfg = AnchorConfig(scales=(8.0,), ratios=(1.0,), stride=8)
@@ -153,54 +153,54 @@ class TestSampleMinibatch:
 
     def test_plenty_of_both(self):
         labels = self._labels(200, 1500)
-        rows = sample_minibatch(labels, Rng(1, "sampling"), *MINIBATCH)
+        rows = sample_minibatch(labels, Rng(1).substream("sampling"), *MINIBATCH)
         assert self._counts(labels, rows) == (128, 128)
 
     def test_few_positives_padded(self):
         labels = self._labels(30, 1500)
-        rows = sample_minibatch(labels, Rng(1, "sampling"), *MINIBATCH)
+        rows = sample_minibatch(labels, Rng(1).substream("sampling"), *MINIBATCH)
         assert self._counts(labels, rows) == (30, 226)
 
     def test_zero_positives_all_negative(self):
         labels = self._labels(0, 1500)
-        rows = sample_minibatch(labels, Rng(1, "sampling"), *MINIBATCH)
+        rows = sample_minibatch(labels, Rng(1).substream("sampling"), *MINIBATCH)
         assert self._counts(labels, rows) == (0, 256)
 
     def test_batch_below_positive_count_caps_the_draw(self):
         labels = self._labels(30, 1500)
-        rows = sample_minibatch(labels, Rng(1, "sampling"), 8, MINIBATCH[1])
+        rows = sample_minibatch(labels, Rng(1).substream("sampling"), 8, MINIBATCH[1])
         assert self._counts(labels, rows) == (8, 0)
         assert rows.size == 8
 
     def test_undershoot_when_scarce(self):
         labels = self._labels(3, 10)
-        rows = sample_minibatch(labels, Rng(1, "sampling"), *MINIBATCH)
+        rows = sample_minibatch(labels, Rng(1).substream("sampling"), *MINIBATCH)
         assert rows.size == 13
 
     def test_no_ignored_or_outside_sampled(self):
         aset = small_aset()
         labels, _ = assign_labels(aset, np.array([[8.0, 8.0, 24.0, 24.0]]), *LABEL_IOUS)
-        rows = sample_minibatch(labels, Rng(2, "sampling"), *MINIBATCH)
+        rows = sample_minibatch(labels, Rng(2).substream("sampling"), *MINIBATCH)
         assert rows.size
         assert np.all(labels[rows] != IGNORE)
         assert np.all(aset.inside[rows])
 
     def test_zero_labeled_samples_nothing(self):
         labels = self._labels(0, 0)
-        rows = sample_minibatch(labels, Rng(1, "sampling"), *MINIBATCH)
+        rows = sample_minibatch(labels, Rng(1).substream("sampling"), *MINIBATCH)
         assert rows.size == 0
 
     def test_rows_ascending_and_unique(self):
         labels = self._labels(200, 1500)
-        rows = sample_minibatch(labels, Rng(3, "sampling"), *MINIBATCH)
+        rows = sample_minibatch(labels, Rng(3).substream("sampling"), *MINIBATCH)
         assert np.all(np.diff(rows) > 0)
 
     def test_seed_reproducible_and_labels_untouched(self):
         labels = self._labels(200, 1500)
         before = labels.copy()
-        a = sample_minibatch(labels, Rng(5, "sampling"), *MINIBATCH)
-        b = sample_minibatch(labels, Rng(5, "sampling"), *MINIBATCH)
-        c = sample_minibatch(labels, Rng(6, "sampling"), *MINIBATCH)
+        a = sample_minibatch(labels, Rng(5).substream("sampling"), *MINIBATCH)
+        b = sample_minibatch(labels, Rng(5).substream("sampling"), *MINIBATCH)
+        c = sample_minibatch(labels, Rng(6).substream("sampling"), *MINIBATCH)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
         assert np.array_equal(labels, before)
@@ -211,7 +211,7 @@ class TestSampleFgBg:
 
     def test_fg_first_then_bg_each_sorted(self):
         labels = np.array([0, 2, -1, 0, 1, 0, 3, 0, 1, 0])
-        rows = sample_fg_bg(labels, 2, 5, Rng(4, "sampling"))
+        rows = sample_fg_bg(labels, 2, 5, Rng(4).substream("sampling"))
         fg, bg = rows[:2], rows[2:]
         assert np.all(labels[fg] > 0) and np.all(labels[bg] == 0)
         assert rows.size == 5
@@ -219,9 +219,9 @@ class TestSampleFgBg:
 
     def test_takes_a_side_whole_when_it_fits(self):
         labels = np.array([0, 2, -1, 0, 1, 0])
-        rows = sample_fg_bg(labels, 4, 10, Rng(4, "sampling"))
+        rows = sample_fg_bg(labels, 4, 10, Rng(4).substream("sampling"))
         np.testing.assert_array_equal(rows, [1, 4, 0, 3, 5])
 
     def test_ignored_rows_never_drawn(self):
         labels = np.full(20, -1)
-        assert sample_fg_bg(labels, 4, 10, Rng(4, "sampling")).size == 0
+        assert sample_fg_bg(labels, 4, 10, Rng(4).substream("sampling")).size == 0

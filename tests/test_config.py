@@ -150,6 +150,24 @@ def test_a_value_that_does_not_parse_names_the_key():
         RunConfig().set_key("backbone.channels", "4,8.5,8,8")
 
 
+@pytest.mark.parametrize("key,value,position", [
+    ("backbone.channels", "4,8,,8,8", "entry 3 of 5"),
+    ("anchors.scales", "16,32,", "entry 3 of 3"),
+    ("anchors.ratios", ",1", "entry 1 of 2"),
+    ("ablate.budgets", "", "entry 1 of 1"),
+])
+def test_an_empty_list_entry_names_the_key_and_its_position(tmp_path, key, value,
+                                                             position):
+    """An empty entry is an error, not a shorter list."""
+    message = re.escape(f"{key}: {position} is empty")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        RunConfig().set_key(key, value)
+    path = tmp_path / "run.cfg"
+    path.write_text(f"seed=3\n\n{key}={value}\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: {message}$"):
+        RunConfig.from_file(path)
+
+
 @pytest.mark.parametrize("low,high,low_value,high_value", [
     ("rpn.neg_iou", "rpn.pos_iou", 0.8, 0.75),
     ("proposals.post_nms_top_train", "proposals.pre_nms_top", 101, 100),

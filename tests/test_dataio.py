@@ -70,14 +70,14 @@ class TestPpm:
 
 class TestMakeScene:
     def test_deterministic(self):
-        a = make_scene(Rng(5, "data"))
-        b = make_scene(Rng(5, "data"))
+        a = make_scene(Rng(5).substream("data"))
+        b = make_scene(Rng(5).substream("data"))
         assert np.array_equal(a.image, b.image)
         assert np.array_equal(a.boxes, b.boxes)
         assert np.array_equal(a.classes, b.classes)
 
     def test_invariants(self):
-        rng = Rng(6, "data")
+        rng = Rng(6).substream("data")
         for _ in range(30):
             s = make_scene(rng)
             assert s.image.shape == (128, 128, 3) and s.image.dtype == np.uint8
@@ -90,7 +90,7 @@ class TestMakeScene:
 
     def test_boxes_tight_around_shapes(self):
         # oracle: re-rasterize each shape from its box extents and compare
-        rng = Rng(7, "data")
+        rng = Rng(7).substream("data")
         for _ in range(20):
             s = make_scene(rng)
             gray = s.image[:, :, 0]
@@ -102,7 +102,7 @@ class TestMakeScene:
                 assert (region >= 160).any()
 
     def test_limited_overlap(self):
-        rng = Rng(8, "data")
+        rng = Rng(8).substream("data")
         for _ in range(20):
             s = make_scene(rng)
             if len(s.boxes) > 1:
@@ -115,7 +115,7 @@ class TestMakeScene:
     def test_grayscale_fill(self):
         # shape fill is equal-RGB gray >= 160; background noise is rarely
         # both bright and exactly gray, so the fill dominates the box
-        s = make_scene(Rng(9, "data"))
+        s = make_scene(Rng(9).substream("data"))
         for box in s.boxes:
             x1, y1, x2, y2 = (int(round(v)) for v in box)
             region = s.image[y1:y2, x1:x2].astype(np.int64)

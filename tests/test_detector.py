@@ -28,7 +28,7 @@ from oracles import gradcheck
 
 
 def make_head(n_classes=3, in_ch=4, seed=0):
-    return DetectorHead(Rng(seed, "init"), in_ch, n_classes)
+    return DetectorHead(Rng(seed).substream("init"), in_ch, n_classes)
 
 
 def feat(seed=0, ch=4, hw=16):
@@ -89,7 +89,7 @@ class TestSampleRois:
 
     def test_gt_proposal_is_foreground_zero_deltas(self):
         batch = sample_rois(self.GT[:1].copy(), self.GT, self.CLS,
-                            ROI, Rng(0, "sampling"))
+                            ROI, Rng(0).substream("sampling"))
         i = next(j for j, r in enumerate(batch.rois)
                  if np.allclose(r, self.GT[0]))
         assert batch.labels[i] == 1
@@ -98,7 +98,7 @@ class TestSampleRois:
     def test_low_iou_is_background(self):
         props = np.array([[0.0, 0.0, 12.0, 12.0]])  # IoU < 0.5 with both gt
         batch = sample_rois(props, self.GT, self.CLS, ROI,
-                            Rng(0, "sampling"))
+                            Rng(0).substream("sampling"))
         bg = [lab for r, lab in zip(batch.rois, batch.labels)
               if np.allclose(r, props[0])]
         assert bg and all(v == 0 for v in bg)
@@ -110,21 +110,21 @@ class TestSampleRois:
         props = np.stack([x1, y1, x1 + rng.uniform(10, 48, 500),
                           y1 + rng.uniform(10, 48, 500)], axis=1)
         cfg = ROI
-        batch = sample_rois(props, self.GT, self.CLS, cfg, Rng(2, "sampling"))
+        batch = sample_rois(props, self.GT, self.CLS, cfg, Rng(2).substream("sampling"))
         assert len(batch.labels) <= cfg.rois_per_image
         assert (batch.labels > 0).sum() <= int(cfg.fg_fraction
                                                * cfg.rois_per_image)
 
     def test_fg_labels_match_gt_classes(self):
         batch = sample_rois(self.GT.copy(), self.GT, self.CLS,
-                            ROI, Rng(3, "sampling"))
+                            ROI, Rng(3).substream("sampling"))
         for lab in batch.labels:
             assert lab in (0, 1, 3)
 
     def test_degenerate_scene_all_background(self):
         props = np.array([[0.0, 0.0, 5.0, 5.0]])
         batch = sample_rois(props, np.zeros((0, 4)), np.zeros(0, dtype=int),
-                            ROI, Rng(4, "sampling"))
+                            ROI, Rng(4).substream("sampling"))
         assert np.all(batch.labels == 0)
 
 

@@ -1,8 +1,10 @@
 """One home for each idea the heads share: the two-term loss, the IoU
 labelling, the sliding-window head, the RPN objective, the model object and
-the range of each config key; and no package name that only tests read."""
+the range of each config key; one copy of each fact the model and its random
+streams keep; and no package name that only tests read."""
 
 import ast
+import inspect
 from dataclasses import fields
 from pathlib import Path
 
@@ -13,8 +15,9 @@ from minircnn.anchors import AnchorConfig
 from minircnn.config import RunConfig
 from minircnn.detector import RoiSampleConfig
 from minircnn.nn import SgdConfig
+from minircnn.rng import Rng
 from minircnn.rpn import LossWeights, ProposalParams
-from minircnn.training import TrainSchedule
+from minircnn.training import TrainSchedule, TrainState
 
 SRC = Path(minircnn.__file__).parent
 
@@ -166,6 +169,21 @@ def test_one_way_into_the_model():
     assert backbone_calls(methods["forward"]) == 1
     assert sum(backbone_calls(tree) for tree in modules().values()) == 1
     assert not {"features", "rpn_forward"} & methods.keys()
+
+
+def test_one_copy_of_each_model_fact():
+    """A frozen backbone is its parameters' `requires_grad`, set once by the
+    4-step scheme; the step count is the loss log's length; the checkpoint
+    order of the heads is `HEADS`; a named stream is derived by `substream`."""
+    assert not {"iteration", "shared_frozen"} & {f.name for f in fields(TrainState)}
+    assert list(inspect.signature(Rng.__init__).parameters) == ["self", "seed"]
+    rng = modules()["rng"]
+    assert sum(isinstance(n, ast.Call) and getattr(n.func, "id", None) == "_fnv1a"
+               for n in ast.walk(rng)) == 1
+    params = next(n for n in ast.walk(modules()["training"])
+                  if isinstance(n, ast.FunctionDef) and n.name == "params")
+    assert "HEADS" in {n.id for n in ast.walk(params) if isinstance(n, ast.Name)}
+    assert call_scopes("set_trainable") == {"training.alternate_4step"}
 
 
 def test_the_per_caller_model_paths_are_gone():

@@ -105,20 +105,20 @@ class TestMultitaskLoss:
 
 class TestGaussianInit:
     def test_deterministic(self):
-        a = gaussian_init((3, 4), 0.01, Rng(7, "init"))
-        b = gaussian_init((3, 4), 0.01, Rng(7, "init"))
+        a = gaussian_init((3, 4), 0.01, Rng(7).substream("init"))
+        b = gaussian_init((3, 4), 0.01, Rng(7).substream("init"))
         assert np.array_equal(a, b)
         assert a.shape == (3, 4) and a.dtype == np.float32
 
     def test_statistics(self):
-        x = gaussian_init((1_000_000,), 0.01, Rng(3, "init"))
+        x = gaussian_init((1_000_000,), 0.01, Rng(3).substream("init"))
         assert abs(float(x.mean())) <= 4 * (0.01 / 1000.0)
         assert abs(float(x.std()) - 0.01) <= 0.0001
 
 
 class TestCheckpoint:
     def _params(self):
-        rng = Rng(1, "init")
+        rng = Rng(1).substream("init")
         return [
             Param("a.w", gaussian_init((2, 3, 3, 3), 0.1, rng)),
             Param("a.b", gaussian_init((2,), 0.1, rng)),

@@ -23,7 +23,7 @@ ACFG = AnchorConfig(scales=(8.0, 16.0), ratios=(1.0, 2.0), stride=8)
 
 
 def make_head(seed=0, dim=16):
-    return OneStageHead(Rng(seed, "init"), dim, K, C, head_dim=8), dim
+    return OneStageHead(Rng(seed).substream("init"), dim, K, C, head_dim=8), dim
 
 
 class TestHeadShapes:
@@ -61,7 +61,7 @@ class TestHeadShapes:
 
     def test_is_a_class_specific_conv_head(self):
         head, dim = make_head(4)
-        conv = ConvHead("onestage", Rng(4, "init"), dim, K, C, 8)
+        conv = ConvHead("onestage", Rng(4).substream("init"), dim, K, C, 8)
         for a, b in zip(head.params, conv.params, strict=True):
             assert a.name == b.name
             np.testing.assert_array_equal(a.value.data, b.value.data)
@@ -101,7 +101,7 @@ class TestDetect:
 
     def setup_method(self):
         self.state = TrainState.build(5, ACFG, CHANNELS, 8, C, ("onestage",))
-        self.scene = make_scene(Rng(3, "data"), image_size=64)
+        self.scene = make_scene(Rng(3).substream("data"), image_size=64)
 
     def detect(self, score_thresh, max_per_image=POST[2]):
         return self.state.detect(self.scene, TEST_PROPOSALS, score_thresh, POST[1],
@@ -137,7 +137,7 @@ class TestDetect:
 
 class TestTraining:
     def make_scenes(self, n=3):
-        rng = Rng(9, "data")
+        rng = Rng(9).substream("data")
         return [make_scene(rng, image_size=64) for _ in range(n)]
 
     def test_empty_dataset_rejected(self):
@@ -149,7 +149,6 @@ class TestTraining:
         sched = schedule(8, seed=2)
         st = train_onestage(scenes, sched, ACFG, ROI, C,
                             head_dim=8, channels=CHANNELS)
-        assert st.iteration == 8
         assert len(st.loss_log) == 8
         assert {"loss_det_cls", "loss_det_reg"} <= set(st.loss_log[0])
         assert st.onestage_head is not None and st.rpn_head is None
@@ -167,7 +166,7 @@ class TestTraining:
 
     def test_every_step_skipped_raises(self, caplog):
         # at 8 px every window crosses the border, so none is labelable
-        scene = make_scene(Rng(9, "data"), image_size=64)
+        scene = make_scene(Rng(9).substream("data"), image_size=64)
         scene.image = scene.image[:8, :8]
         scene.boxes = np.zeros((0, 4))
         scene.classes = np.zeros(0, dtype=np.int64)

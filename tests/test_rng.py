@@ -7,77 +7,89 @@ from hypothesis import strategies as st
 
 from minircnn.rng import Rng
 
-from oracles import permutation_loop
+from oracles import named_stream_words, permutation_loop
 
 
 class TestDeterminism:
     def test_same_seed_same_stream(self):
-        a = Rng(42, "init")
-        b = Rng(42, "init")
+        a = Rng(42).substream("init")
+        b = Rng(42).substream("init")
         assert np.array_equal(a.next_u64(100), b.next_u64(100))
         assert np.array_equal(a.uniform(50), b.uniform(50))
         assert np.array_equal(a.normal(50), b.normal(50))
 
     def test_different_seeds_differ(self):
-        assert not np.array_equal(Rng(1, "init").next_u64(16),
-                                  Rng(2, "init").next_u64(16))
+        assert not np.array_equal(Rng(1).substream("init").next_u64(16),
+                                  Rng(2).substream("init").next_u64(16))
 
     def test_named_substreams_independent(self):
-        base = Rng(7, "init")
-        assert not np.array_equal(Rng(7, "init").next_u64(16),
-                                  Rng(7, "sampling").next_u64(16))
-        assert not np.array_equal(Rng(7, "sampling").next_u64(16),
-                                  Rng(7, "data").next_u64(16))
+        base = Rng(7).substream("init")
+        assert not np.array_equal(Rng(7).substream("init").next_u64(16),
+                                  Rng(7).substream("sampling").next_u64(16))
+        assert not np.array_equal(Rng(7).substream("sampling").next_u64(16),
+                                  Rng(7).substream("data").next_u64(16))
         # drawing from one stream does not perturb a fresh one with the same name
         base.next_u64(1000)
-        assert np.array_equal(Rng(7, "init").next_u64(8), Rng(7, "init").next_u64(8))
+        assert np.array_equal(Rng(7).substream("init").next_u64(8),
+                              Rng(7).substream("init").next_u64(8))
+
+    @given(st.one_of(st.integers(-2**80, -1), st.integers(0, 2**64 - 1),
+                     st.integers(2**64, 2**80)),
+           st.text(min_size=1), st.integers(1, 40))
+    @settings(max_examples=300, deadline=None)
+    def test_substream_is_the_named_stream(self, seed, name, n):
+        """`Rng(seed).substream(name)` draws what `Rng(seed, name)` drew
+        before `substream` became the one way to name a stream."""
+        r = Rng(seed).substream(name)
+        assert r.next_u64(n).tolist() == named_stream_words(seed, name, n)
+        assert r.next_u64(1).tolist() == named_stream_words(seed, name, n + 1)[n:]
 
     def test_substream_method(self):
-        r = Rng(7, "init")
+        r = Rng(7).substream("init")
         s1 = r.substream("child")
-        s2 = Rng(7, "init").substream("child")
+        s2 = Rng(7).substream("init").substream("child")
         assert np.array_equal(s1.next_u64(16), s2.next_u64(16))
 
 
 class TestDistributions:
     def test_uniform_range(self):
-        u = Rng(3, "data").uniform(100_000)
+        u = Rng(3).substream("data").uniform(100_000)
         assert u.min() >= 0.0 and u.max() < 1.0
         assert abs(u.mean() - 0.5) < 0.01
 
     def test_normal_statistics_million_draws(self):
         # CLT bound from the spec'd init distribution: stddev 0.01, 1e6 draws
-        x = 0.01 * Rng(9, "init").normal(1_000_000)
+        x = 0.01 * Rng(9).substream("init").normal(1_000_000)
         assert abs(x.mean()) <= 4 * (0.01 / 1000.0)
         assert abs(x.std() - 0.01) <= 0.0001
 
     def test_randint_bounds(self):
-        draws = Rng(5, "sampling").randint(3, 13, 1000)
+        draws = Rng(5).substream("sampling").randint(3, 13, 1000)
         assert draws.min() >= 3 and draws.max() < 13
         assert len(np.unique(draws)) == 10
         with pytest.raises(ValueError):
-            Rng(5, "sampling").randint(4, 4)
+            Rng(5).substream("sampling").randint(4, 4)
 
     def test_permutation_is_permutation(self):
-        p = Rng(1, "data").permutation(100)
+        p = Rng(1).substream("data").permutation(100)
         assert sorted(p.tolist()) == list(range(100))
 
     def test_choice_without_replacement(self):
-        c = Rng(1, "sampling").choice(50, 20)
+        c = Rng(1).substream("sampling").choice(50, 20)
         assert len(set(c.tolist())) == 20
         assert c.min() >= 0 and c.max() < 50
 
     @pytest.mark.parametrize("k", [-1, 51])
     def test_choice_outside_0_to_n_rejected(self, k):
         with pytest.raises(ValueError, match=f"cannot choose {k} from 50"):
-            Rng(1, "sampling").choice(50, k)
+            Rng(1).substream("sampling").choice(50, k)
 
 
 class TestPermutationMatchesLoop:
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 17, 256, 2409])
     def test_same_bytes_and_draws(self, n):
         for seed in range(20):
-            fast, loop = Rng(seed, "data"), Rng(seed, "data")
+            fast, loop = Rng(seed).substream("data"), Rng(seed).substream("data")
             got, want = fast.permutation(n), permutation_loop(loop, n)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
             assert fast.next_u64(1) == loop.next_u64(1)
@@ -91,7 +103,7 @@ class TestChoiceMatchesLoop:
     @settings(max_examples=300, deadline=None)
     def test_same_rows_and_draws(self, nk, seed):
         n, k = nk
-        fast, loop = Rng(seed, "sampling"), Rng(seed, "sampling")
+        fast, loop = Rng(seed).substream("sampling"), Rng(seed).substream("sampling")
         got, want = fast.choice(n, k), permutation_loop(loop, n)[:k]
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
         assert fast._counter == loop._counter

@@ -33,13 +33,13 @@ def micro_setup(seed=0, image=32):
     inside_mask(aset, image, image)
     gt = np.array([[4.0, 4.0, 14.0, 14.0], [16.0, 10.0, 30.0, 26.0]])
     labels, targets = assign_labels(aset, gt, *LABEL_IOUS)
-    rows = sample_minibatch(labels, Rng(seed, "sampling"), batch=16, max_pos=8)
+    rows = sample_minibatch(labels, Rng(seed).substream("sampling"), batch=16, max_pos=8)
     return cfg, aset, (labels, targets, rows)
 
 
 class TestHeadStructure:
     def test_channel_law(self):
-        rng = Rng(0, "init")
+        rng = Rng(0).substream("init")
         for k in (1, 5, 9):
             head = RpnHead(rng, 16, k, HEAD_DIM)
             assert head.cls.w.value.shape[0] == 2 * k
@@ -47,8 +47,8 @@ class TestHeadStructure:
 
     def test_is_the_one_class_conv_head(self):
         # same parameter names, shapes and init draws as ConvHead with C = 1
-        rpn, conv = RpnHead(Rng(3, "init"), 8, 5, 16), \
-            ConvHead("rpn", Rng(3, "init"), 8, 5, 1, 16)
+        rpn, conv = RpnHead(Rng(3).substream("init"), 8, 5, 16), \
+            ConvHead("rpn", Rng(3).substream("init"), 8, 5, 1, 16)
         assert [p.name for p in rpn.params] == \
             ["rpn.trunk.w", "rpn.trunk.b", "rpn.cls.w", "rpn.cls.b", "rpn.reg.w",
              "rpn.reg.b"]
@@ -57,7 +57,7 @@ class TestHeadStructure:
             np.testing.assert_array_equal(a.value.data, b.value.data)
 
     def test_spatial_dims_preserved(self):
-        rng = Rng(1, "init")
+        rng = Rng(1).substream("init")
         head = RpnHead(rng, 8, 9, head_dim=16)
         x = Tensor(np.random.default_rng(0).normal(
             size=(8, 10, 7)).astype(np.float32))
@@ -73,7 +73,7 @@ class TestHeadStructure:
 
     def test_shift_invariance(self):
         # shifting the feature map one cell shifts outputs one cell (interior)
-        rng = Rng(2, "init")
+        rng = Rng(2).substream("init")
         head = RpnHead(rng, 4, 2, head_dim=8)
         x = np.random.default_rng(2).normal(size=(4, 9, 9)).astype(np.float32)
         shifted = np.roll(x, 1, axis=2)
@@ -129,7 +129,7 @@ class TestRpnLoss:
     def test_zero_positives_reg_term_zero(self):
         cfg, aset, (labels, targets, _) = micro_setup()
         labels[labels == 1] = -1  # demote all positives to ignore
-        rows = sample_minibatch(labels, Rng(0, "sampling"), batch=16,
+        rows = sample_minibatch(labels, Rng(0).substream("sampling"), batch=16,
                                 max_pos=MINIBATCH[1])
         cls, reg = self._outputs(aset)
         loss, cls_val, reg_val = rpn_loss(cls, reg, labels, targets, rows, aset.k,
@@ -191,7 +191,7 @@ class TestRpnLoss:
         cls, reg = self._outputs(aset)
         _, _, r_full = rpn_loss(cls, reg, labels, targets, rows, aset.k, WEIGHTS)
         # recompute with a different sampled minibatch: reg term unchanged
-        rows2 = sample_minibatch(labels, Rng(99, "sampling"), batch=8, max_pos=0)
+        rows2 = sample_minibatch(labels, Rng(99).substream("sampling"), batch=8, max_pos=0)
         assert not np.any(labels[rows2] == 1)
         _, _, r_resampled = rpn_loss(cls, reg, labels, targets, rows2, aset.k, WEIGHTS)
         assert r_resampled == pytest.approx(r_full, rel=1e-12)
@@ -329,14 +329,14 @@ class TestProposals:
 
 class TestBackbone:
     def test_stride_and_channels(self):
-        bb = Backbone(Rng(0, "init"), CHANNELS)
+        bb = Backbone(Rng(0).substream("init"), CHANNELS)
         assert bb.stride == 8
         x = Tensor(np.zeros((3, 128, 128), dtype=np.float32))
         feats = bb.forward(x)
         assert feats.shape == (bb.out_dim, 16, 16)
 
     def test_deterministic_init(self):
-        a = Backbone(Rng(4, "init"), CHANNELS)
-        b = Backbone(Rng(4, "init"), CHANNELS)
+        a = Backbone(Rng(4).substream("init"), CHANNELS)
+        b = Backbone(Rng(4).substream("init"), CHANNELS)
         for pa, pb in zip(a.params, b.params):
             assert np.array_equal(pa.value.data, pb.value.data)

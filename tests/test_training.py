@@ -32,12 +32,12 @@ OBJECTIVES = (WEIGHTS, ROI, PROPS)     # what `train` samples and proposes with
 
 
 def scenes(n=3, seed=9):
-    rng = Rng(seed, "data")
+    rng = Rng(seed).substream("data")
     return [make_scene(rng, image_size=64) for _ in range(n)]
 
 
 def fresh_rpn_state(seed=1):
-    init = Rng(seed, "init")
+    init = Rng(seed).substream("init")
     bb = Backbone(init, CHANNELS)
     return TrainState(bb, ACFG, rpn_head=RpnHead(init, bb.out_dim, ACFG.k, 8))
 
@@ -86,12 +86,12 @@ class TestTrainRpn:
         train(data, st, schedule(0, seed=0), *OBJECTIVES)
         for p, b in zip(params_of(st), before):
             np.testing.assert_array_equal(p.value.data, b)
-        assert st.iteration == 0 and st.loss_log == []
+        assert st.loss_log == []
 
     def test_loss_log_and_iteration_counter(self):
         st = fresh_rpn_state()
         train(scenes(), st, schedule(6, seed=3), *OBJECTIVES)
-        assert st.iteration == 6
+        assert len(st.loss_log) == 6
         assert [r["iteration"] for r in st.loss_log] == list(range(6))
         assert list(st.loss_log[0]) == ["iteration", "lr", "loss_cls", "loss_reg"]
 
@@ -112,7 +112,7 @@ class TestTrainRpn:
 
     def test_frozen_backbone_untouched(self):
         st = fresh_rpn_state(5)
-        st.shared_frozen = True
+        st.backbone.set_trainable(False)
         pre = backbone_checksum(st.backbone)
         head_pre = [p.value.data.copy() for p in st.rpn_head.params]
         train(scenes(), st, schedule(4, seed=5), *OBJECTIVES)
@@ -129,16 +129,17 @@ class TestTrainDetector:
         train(data, st, schedule(20, seed=6), *OBJECTIVES)
         props = [st.propose_scene(s, PROPS)[0] for s in data]
         det = TrainState(st.backbone, ACFG,
-                         det_head=DetectorHead(Rng(1, "init"),
+                         det_head=DetectorHead(Rng(1).substream("init"),
                                                st.backbone.out_dim, 3))
         train(data, det, schedule(4, seed=6), *OBJECTIVES, proposals=props)
-        assert det.iteration == 4
+        assert len(det.loss_log) == 4
         assert list(det.loss_log[0]) == ["iteration", "lr", "loss_det_cls",
                                          "loss_det_reg"]
 
     def test_needs_proposals_without_an_rpn_head(self):
-        bb = Backbone(Rng(1, "init"), CHANNELS)
-        det = TrainState(bb, ACFG, det_head=DetectorHead(Rng(1, "init"), bb.out_dim, 3))
+        bb = Backbone(Rng(1).substream("init"), CHANNELS)
+        det = TrainState(bb, ACFG, det_head=DetectorHead(Rng(1).substream("init"),
+                                                         bb.out_dim, 3))
         with pytest.raises(ValueError, match="proposals"):
             train(scenes(), det, schedule(1, seed=0), *OBJECTIVES)
 
@@ -184,7 +185,7 @@ class TestJointTrain:
         st = joint_train(scenes(3), schedule(6, seed=1),
                          ACFG, WEIGHTS, ROI, n_classes=3, head_dim=8,
                          train_proposals=PROPS, channels=CHANNELS)
-        assert st.iteration == 6
+        assert len(st.loss_log) == 6
         for r in st.loss_log:
             assert {"loss_cls", "loss_reg", "loss_det_cls",
                     "loss_det_reg"} <= set(r)
@@ -207,7 +208,7 @@ class TestBuildAndOpen:
     def test_build_draws_heads_in_the_order_named(self):
         """The 4-step scheme's final model draws det before rpn; its
         parameters, the checkpoint order, are still backbone, rpn, det."""
-        init = Rng(3, "init")
+        init = Rng(3).substream("init")
         bb = Backbone(init, channels=CH)
         det = DetectorHead(init, bb.out_dim, 3)
         rpn = RpnHead(init, bb.out_dim, ACFG.k, 8)
@@ -310,7 +311,7 @@ class TestSkips:
     """Steps with nothing to learn from: skipped, or logged as zero."""
 
     def empty_scene(self, image_size=64):
-        s = make_scene(Rng(3, "data"), image_size=image_size, max_objects=1)
+        s = make_scene(Rng(3).substream("data"), image_size=image_size, max_objects=1)
         s.boxes, s.classes = np.zeros((0, 4)), np.zeros(0, dtype=np.int64)
         return s
 
@@ -330,30 +331,31 @@ class TestSkips:
             train([self.empty_scene(8)], st, schedule(1, seed=0), *OBJECTIVES)
         assert [r.getMessage() for r in caplog.records] == \
             ["skipping image 0: no labelable anchors"]
-        assert st.loss_log == [] and st.iteration == 0 and steps == []
+        assert st.loss_log == [] and steps == []
 
     def test_detector_step_without_roi_candidates(self, monkeypatch, caplog):
         steps = self.count_steps(monkeypatch)
-        bb = Backbone(Rng(1, "init"), CHANNELS)
-        st = TrainState(bb, ACFG, det_head=DetectorHead(Rng(1, "init"), bb.out_dim, 3))
+        bb = Backbone(Rng(1).substream("init"), CHANNELS)
+        st = TrainState(bb, ACFG, det_head=DetectorHead(Rng(1).substream("init"),
+                                                        bb.out_dim, 3))
         with pytest.raises(RuntimeError, match=r"\(no RoI candidates\)"):
             train([self.empty_scene()], st, schedule(1, seed=0), *OBJECTIVES,
                   proposals=[np.zeros((0, 4))])
         assert [r.getMessage() for r in caplog.records] == \
             ["skipping image 0: no RoI candidates"]
-        assert st.loss_log == [] and st.iteration == 0 and steps == []
+        assert st.loss_log == [] and steps == []
 
     def test_zero_iterations_take_no_step_and_pass(self):
         st = fresh_rpn_state()
         assert train([self.empty_scene(8)], st, schedule(0, seed=0),
-                     *OBJECTIVES) is st and st.iteration == 0
+                     *OBJECTIVES) is st and st.loss_log == []
 
     def test_one_step_is_enough(self):
         # one epoch: the 8 px scene is skipped, the 64 px one trains
         st = fresh_rpn_state()
         train([self.empty_scene(8), self.empty_scene()], st,
               schedule(2, seed=0), *OBJECTIVES)
-        assert st.iteration == 1
+        assert len(st.loss_log) == 1
 
     def test_detector_class_outside_the_head_rejected(self, monkeypatch):
         steps = self.count_steps(monkeypatch)
@@ -373,7 +375,7 @@ class TestSkips:
                          WEIGHTS, ROI, n_classes=3, head_dim=8,
                          train_proposals=replace(TEST_PROPOSALS, min_size=1e9),
                          channels=CHANNELS)
-        assert caplog.records == [] and steps == [1] and st.iteration == 1
+        assert caplog.records == [] and steps == [1] and len(st.loss_log) == 1
         (row,) = st.loss_log
         assert list(row) == ["iteration", "lr", "loss_cls", "loss_reg",
                              "loss_det_cls", "loss_det_reg"]

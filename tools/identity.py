@@ -11,9 +11,9 @@ that holds an RPN, `detect` and `eval-map` on every detector checkpoint,
 `propose` and `detect` at NMS thresholds so small that NMS prunes by overlap
 alone, `bench`, all five `ablate` modes, a set of rejected inputs and one
 accepted order of `--set`s. Among the rejected inputs are a manifest that
-lists one image twice and `eval-map` at fewer classes than the data hold;
-`run_side` writes the manifest, and a detections CSV with no rows, before
-the matrix runs.
+lists one image twice, `eval-map` at fewer classes than the data hold, and
+list keys with an empty entry; `run_side` writes the manifest, and a
+detections CSV with no rows, before the matrix runs.
 Under the default config at 96 px it makes data, runs `train-joint`, and runs
 `propose` (also at a lower NMS threshold), `detect`, `eval-map` and `ablate
 --mode no-cls` on its checkpoint. Under TINY at 50 px, where the feature maps
@@ -205,6 +205,11 @@ def matrix() -> list[Case]:
     add("reject-eval-map-classes", "eval-map", "--detections",
         "{root}/empty/detections.csv", "--manifest", manifest, *TINY, *SEED,
         "--set", "detector.n_classes", "2")
+    # an empty list entry is an error, not a shorter list
+    add("reject-empty-channel", "train-rpn", *data, "--iters", "1", "--set",
+        "backbone.channels", "4,8,,8,8")
+    add("reject-empty-scale", "propose", "--ckpt", ckpt["rpn"], "--data", test,
+        *TINY, *SEED, "--set", "anchors.scales", "8,16,")
     # accepted: the pairs of keys are checked once every `--set` is applied
     add("set-order", "train-rpn", *data, "--iters", "1", "--set", "rpn.neg_iou",
         "0.8", "--set", "rpn.pos_iou", "0.9")
