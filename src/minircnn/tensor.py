@@ -8,7 +8,6 @@ training dtype; passing float64 arrays switches the whole graph to the
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 
 class ShapeError(ValueError):
@@ -259,34 +258,17 @@ def _cols(a: np.ndarray, KH: int, KW: int, ph: int, pw: int) -> np.ndarray:
     return cols.reshape(C * KH * KW, Ho * Wo)
 
 
-def _window_rows(x: np.ndarray, KH: int, KW: int) -> np.ndarray:
-    """x's (C,KH,KW) windows as the (Ho*Wo, C*KH*KW) matrix np.tensordot
-    would multiply: a view if the reshape allows one, else a C-order copy,
-    filled per kernel offset from an (H,W,C) copy of x (faster than copying
-    the window view itself, whose inner runs are only KW long)."""
-    C = x.shape[0]
-    win = sliding_window_view(x, (KH, KW), axis=(1, 2))
-    Ho, Wo = win.shape[1], win.shape[2]
-    try:
-        return win.transpose(1, 2, 0, 3, 4).reshape(Ho * Wo, -1, copy=False)
-    except ValueError:
-        xt = np.ascontiguousarray(x.transpose(1, 2, 0))
-        rows = np.empty((Ho, Wo, C, KH, KW), dtype=x.dtype)
-        for u in range(KH):
-            for v in range(KW):
-                rows[:, :, :, u, v] = xt[u:u + Ho, v:v + Wo]
-        return rows.reshape(Ho * Wo, -1)
-
-
 def conv2d(x: Tensor, w: Tensor, b: Tensor, pad: int = 0) -> Tensor:
     """Stride-1 convolution, x:(C,H,W), w:(O,C,KH,KW), b:(O,) -> (O,Ho,Wo).
 
     y is one GEMM of the flattened kernel against `_cols` of x padded by
     pad, and dx one GEMM of the flipped kernel against `_cols` of g padded
-    by K-1, cropped to H x W. dW is one GEMM of g against the padded input's
-    window rows, built only in backward. Each operand is laid out as
-    np.tensordot lays it out, so that BLAS takes the same path and y, dx
-    and dW keep their bytes.
+    by K-1, cropped to H x W. dW is one GEMM of g against the transposed
+    view of forward's column matrix, which the tape keeps only while w needs
+    a gradient and drops once dW is taken. y and dx keep np.tensordot's
+    operand layouts, and so its bytes; dW keeps them at the default config's
+    shapes, but not at some narrow ones, where OpenBLAS's small-matrix kernel
+    reads a transposed operand in another order.
     """
     C, H, W = x.shape
     O, Cw, KH, KW = w.shape
@@ -295,13 +277,15 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, pad: int = 0) -> Tensor:
         raise ShapeError(f"conv2d: input has {C} channels, weight expects {Cw}")
     if Ho < 1 or Wo < 1:
         raise ShapeError(f"conv2d: a {KH}x{KW} kernel does not fit {H}x{W} padded by {pad}")
-    y = np.dot(w.data.reshape(O, -1), _cols(x.data, KH, KW, pad, pad)).reshape(O, Ho, Wo)
+    cols = _cols(x.data, KH, KW, pad, pad)
+    y = np.dot(w.data.reshape(O, -1), cols).reshape(O, Ho, Wo)
     y += b.data[:, None, None]
+    kept = [cols] if w.requires_grad else []      # dW's operand, until backward pops it
 
     def bwd(g):
         _accum(b, g.sum(axis=(1, 2)))
-        xp = np.pad(x.data, ((0, 0), (pad, pad), (pad, pad))) if pad else x.data
-        _accum(w, np.dot(g.reshape(O, -1), _window_rows(xp, KH, KW)).reshape(w.shape))
+        if kept:
+            _accum(w, np.dot(g.reshape(O, -1), kept.pop().T).reshape(w.shape))
         if x.requires_grad or x._backward is not None:
             wf = w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)  # (C,O,KH,KW)
             dx = np.dot(wf.reshape(C, -1), _cols(g, KH, KW, KH - 1, KW - 1))

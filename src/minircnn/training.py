@@ -90,7 +90,9 @@ class TrainState:
     def open(cls, path, anchor_cfg: AnchorConfig, channels, head_dim: int,
              n_classes: int) -> "TrainState":
         """The backbone and each head that owns an entry of checkpoint `path`,
-        restored; any entry left over, missing or misshapen is an error."""
+        restored for inference: no parameter needs a gradient, so a forward
+        pass builds no tape. Any entry left over, missing or misshapen is an
+        error."""
         saved = load_checkpoint(path)
         state = cls._assemble(_RESTORED, anchor_cfg, channels, head_dim, n_classes,
                               {name.split(".")[0] for name in saved} & set(HEADS))
@@ -102,6 +104,7 @@ class TrainState:
                 key = next(k for part, k in SHAPE_KEYS.items() if part in p.name)
                 raise ValueError(f"{path}: shape mismatch for '{p.name}': {got} in the "
                                  f"file, {want} from this run's {key}")
+            p.value.requires_grad = False
         restore_params(state.params, saved)
         stray = saved.keys() - {p.name for p in state.params}
         if stray:

@@ -127,9 +127,11 @@ def roi_pool_loop(x: np.ndarray, rois: np.ndarray, spatial_scale: float,
 
 def conv2d_tensordot(x: Tensor, w: Tensor, b: Tensor, pad: int = 0) -> Tensor:
     """Stride-1 convolution as one `tensordot` over the window view; dx is
-    the full correlation of g with the flipped kernel, cropped to H x W."""
+    the full correlation of g with the flipped kernel, cropped to H x W, and
+    dW one GEMM of g against the transposed view of the windows' C-order
+    (C*KH*KW, Ho*Wo) copy."""
     C, H, W = x.shape
-    _, Cw, KH, KW = w.shape
+    O, Cw, KH, KW = w.shape
     if Cw != C:
         raise ShapeError(f"conv2d: input has {C} channels, weight expects {Cw}")
     xp = np.pad(x.data, ((0, 0), (pad, pad), (pad, pad))) if pad else x.data
@@ -138,7 +140,8 @@ def conv2d_tensordot(x: Tensor, w: Tensor, b: Tensor, pad: int = 0) -> Tensor:
 
     def bwd(g):
         _accum(b, g.sum(axis=(1, 2)))
-        _accum(w, np.tensordot(g, win, axes=([1, 2], [1, 2])))
+        win_cols = np.ascontiguousarray(win.transpose(0, 3, 4, 1, 2)).reshape(C * KH * KW, -1)
+        _accum(w, np.dot(g.reshape(O, -1), win_cols.T).reshape(w.shape))
         if x.requires_grad or x._backward is not None:
             gp = np.pad(g, ((0, 0), (KH - 1, KH - 1), (KW - 1, KW - 1)))
             wf = w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)  # (C,O,KH,KW)

@@ -303,7 +303,9 @@ def capped_cluster_cases(draw):
     xy = rng.uniform(0, 200, (n - n_near, 2))
     loners = np.concatenate([xy, xy + rng.uniform(2, 40, (n - n_near, 2))], axis=1)
     boxes = np.concatenate([near, loners])
-    scores = np.concatenate([rng.uniform(0.5, 1, n_near), rng.uniform(0, 0.5, n - n_near)])
+    # loners stay below 0.45, so that rounding to 0.1 never ties one with a
+    # member at 0.5 and pulls it into the first 2 * max_keep rows
+    scores = np.concatenate([rng.uniform(0.5, 1, n_near), rng.uniform(0, 0.45, n - n_near)])
     if draw(st.booleans()):     # ties, kept in index order
         scores = np.round(scores, 1)
     perm = rng.permutation(n)

@@ -994,6 +994,21 @@ class TestIdentityMatrix:
         assert set(modes) <= {argv[argv.index("--mode") + 1] for argv in argvs
                               if argv[0] == "ablate" and "--mode" in argv}
 
+    def test_a_checkpoint_that_differs_is_shown_by_entry(self, tmp_path):
+        """A differing `.frpn` file is reported per entry: how many values
+        differ and the largest difference in float32 ulps, across zero too."""
+        w = np.array([1.0, 2.0, 3.0, -1e-45], dtype=np.float32)
+        up = w.copy()
+        up[1] = np.nextafter(np.nextafter(up[1], 4), 4)
+        up[3] = -up[3]
+        for side, value in (("parent", w), ("tree", up)):
+            (tmp_path / side).mkdir()
+            save_checkpoint([Param("a.b", [0.5]), Param("a.w", value)],
+                            tmp_path / side / "m.frpn")
+        diffs, n_files = identity.compare({}, {}, tmp_path / "parent", tmp_path / "tree")
+        assert n_files == 1
+        assert diffs == [("m.frpn: differs", ["a.w: 2 of 4 values differ, by at most 2 ulp"])]
+
     def test_a_used_work_dir_is_unusable(self, tmp_path, capsys):
         """Status 1 means "different", so a work directory an earlier run left
         is named and reported as unusable (2) before anything runs."""

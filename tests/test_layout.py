@@ -1,7 +1,8 @@
 """One home for each idea the heads share: the two-term loss, the IoU
 labelling, the sliding-window head, the RPN objective, the model object and
 the range of each config key; one copy of each fact the model and its random
-streams keep; and no package name that only tests read."""
+streams keep; one window matrix per convolution; and no package name that
+only tests read."""
 
 import ast
 import inspect
@@ -184,6 +185,14 @@ def test_one_copy_of_each_model_fact():
                   if isinstance(n, ast.FunctionDef) and n.name == "params")
     assert "HEADS" in {n.id for n in ast.walk(params) if isinstance(n, ast.Name)}
     assert call_scopes("set_trainable") == {"training.alternate_4step"}
+
+
+def test_conv2d_builds_one_window_matrix():
+    """conv2d's dW multiplies the column matrix its forward built: backward
+    pads no input and rebuilds no window view."""
+    assert not any(s.startswith("tensor.conv2d") for s in call_scopes("pad"))
+    tensor = (SRC / "tensor.py").read_text()
+    assert "_window_rows" not in tensor and "sliding_window_view" not in tensor
 
 
 def test_the_per_caller_model_paths_are_gone():

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 import minircnn.tensor as T
 from minircnn.tensor import ShapeError, Tensor
@@ -276,6 +277,23 @@ def tape_bytes(op, arrays, needs_grad, seed, **kw):
             for a in [y.data] + [t.grad for t in ts]]
 
 
+# (C, O, H, K, pad) of the default config's convolutions: the backbone at
+# 128 px, then at 96 px, and the 1x1 RPN and one-stage outputs on each map
+DEFAULT_CONVS = [
+    (3, 16, 128, 3, 1), (16, 32, 64, 3, 1), (32, 64, 32, 3, 1), (64, 64, 16, 3, 1),
+    (3, 16, 96, 3, 1), (16, 32, 48, 3, 1), (32, 64, 24, 3, 1), (64, 64, 12, 3, 1),
+    (64, 18, 16, 1, 0), (64, 36, 16, 1, 0), (64, 108, 16, 1, 0),
+    (64, 18, 12, 1, 0), (64, 36, 12, 1, 0), (64, 108, 12, 1, 0)]
+
+
+def package_conv(C, O, H, K, pad):
+    """float32 x (ReLU-clipped), w and b of one package-size convolution."""
+    rng = np.random.default_rng([C, O, H, K, pad])
+    x = np.maximum(rng.normal(size=(C, H, H)), 0).astype(np.float32)
+    w = (0.1 * rng.normal(size=(O, C, K, K))).astype(np.float32)
+    return x, w, rng.normal(size=O).astype(np.float32)
+
+
 @st.composite
 def conv_cases(draw):
     C, O = draw(st.integers(1, 5)), draw(st.integers(1, 5))
@@ -312,24 +330,33 @@ class TestTrunkOpsMatchOracles:
         assert got == want
 
     # (C, O, H, K, pad) of the package's convolutions: the default backbone
-    # at 128 px (its last layer has the shape of the 3x3 head trunk), the
-    # 1x1 RPN (18, 36) and one-stage (36, 108) outputs on its 16 px map,
-    # the CLI tests' TINY backbone and RPN outputs at 50 px (maps 50, 25,
-    # 13, 7), and a 1x1 kernel with padding
+    # at 128 px (its last layer has the shape of the 3x3 head trunk) and at
+    # 96 px, the 1x1 RPN (18, 36) and one-stage (36, 108) outputs on their
+    # 16 and 12 px maps, the CLI tests' TINY backbone and RPN outputs at
+    # 50 px (maps 50, 25, 13, 7), and a 1x1 kernel with padding
     @pytest.mark.parametrize("C, O, H, K, pad", [
-        (3, 16, 128, 3, 1), (16, 32, 64, 3, 1), (32, 64, 32, 3, 1), (64, 64, 16, 3, 1),
-        (64, 18, 16, 1, 0), (64, 36, 16, 1, 0), (64, 108, 16, 1, 0),
+        *DEFAULT_CONVS,
         (3, 4, 50, 3, 1), (4, 8, 25, 3, 1), (8, 8, 13, 3, 1), (8, 8, 7, 3, 1),
         (8, 8, 7, 1, 0), (8, 16, 7, 1, 0), (64, 18, 16, 1, 1)])
     def test_conv2d_bytes_at_package_sizes(self, C, O, H, K, pad):
-        rng = np.random.default_rng([C, O, H, K, pad])
-        x = np.maximum(rng.normal(size=(C, H, H)), 0).astype(np.float32)
-        w = (0.1 * rng.normal(size=(O, C, K, K))).astype(np.float32)
-        b = rng.normal(size=O).astype(np.float32)
+        x, w, b = package_conv(C, O, H, K, pad)
         got, want = (tape_bytes(op, (x, w, b), (True, True, True), H, pad=pad)
                      for op in (T.conv2d, conv2d_tensordot))
         assert all(a is not None for a in got)
         assert got == want
+
+    @pytest.mark.parametrize("C, O, H, K, pad", DEFAULT_CONVS)
+    def test_conv2d_weight_gradient_keeps_tensordot_bytes(self, C, O, H, K, pad):
+        """At the default config's shapes, dW from forward's column matrix
+        has the bytes of the tensordot over the window view it replaced, so
+        the 128 px acceptance runs keep their values."""
+        x, w, b = package_conv(C, O, H, K, pad)
+        xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
+        win = sliding_window_view(xp, (K, K), axis=(1, 2))
+        g = np.random.default_rng(H).normal(size=(O, *win.shape[1:3])).astype(np.float32)
+        got = tape_bytes(T.conv2d, (x, w, b), (False, True, True), H, pad=pad)[2]
+        want = np.tensordot(g, win, axes=([1, 2], [1, 2]))
+        assert got == (want.dtype, want.shape, want.tobytes())
 
     @given(pool_cases())
     @settings(max_examples=500, deadline=None)
@@ -519,6 +546,27 @@ class TestBackwardMechanics:
             y = T.mul(y, 1.0)
         T.tsum(y).backward()
         np.testing.assert_array_equal(a.grad, [1.0])
+
+    @pytest.mark.parametrize("w_grad", [True, False])
+    def test_conv2d_keeps_its_column_matrix_only_until_dw(self, w_grad):
+        """The tape holds forward's column matrix while w needs a gradient,
+        and releases it once backward has taken dW; a frozen w keeps none."""
+        made, real = [], T._cols
+
+        def cols(*args):
+            c = real(*args)
+            made.append(weakref.ref(c))
+            return c
+
+        rng = np.random.default_rng(5)
+        x, w, b = t64(rng.normal(size=(2, 5, 5))), rand64(rng, (3, 2, 3, 3)), t64(np.zeros(3))
+        w.requires_grad = w_grad
+        with mock.patch.object(T, "_cols", cols):
+            y = T.conv2d(x, w, b, pad=1)
+            assert (made[0]() is not None) == w_grad
+            T.tsum(y).backward()
+        assert made[0]() is None
+        assert (w.grad is not None) == w_grad
 
     def test_tape_freed_without_cycle_collector(self):
         # backward() must not tie the graph into a reference cycle, or every

@@ -242,6 +242,21 @@ class TestBuildAndOpen:
         assert [(p.name, p.value.data.tobytes()) for p in opened.params] == \
                [(p.name, p.value.data.tobytes()) for p in built.params]
 
+    def test_open_gives_an_inference_model(self, tmp_path):
+        """No opened parameter needs a gradient, so `forward` builds no tape;
+        proposals and detections keep the bytes of the trainable model."""
+        built = TrainState.build(4, ACFG, CH, 8, 3, ("rpn", "det", "onestage"))
+        save_checkpoint(built.params, tmp_path / "m.frpn")
+        opened = TrainState.open(tmp_path / "m.frpn", ACFG, CH, 8, 3)
+        assert not any(p.value.requires_grad for p in opened.params)
+        scene = scenes(1)[0]
+        for head in (opened.rpn_head, opened.onestage_head):
+            assert all(t._backward is None for t in opened.forward(scene, head))
+        got, want = (s.propose_scene(scene, PROPS) for s in (opened, built))
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+        assert opened.detect(scene, PROPS, *defaults.POST) == \
+               built.detect(scene, PROPS, *defaults.POST)
+
     def test_open_rejects_an_entry_no_head_owns(self, tmp_path):
         params = TrainState.build(4, ACFG, CH, 8, 3, ("rpn",)).params
         path = tmp_path / "m.frpn"

@@ -24,9 +24,12 @@ Every file written is compared byte for byte, except `timing.csv`, whose
 figures are wall-clock times and which is compared by its row names. Exit
 codes, stdout and stderr are compared with the output directory masked. The
 report names the numpy and BLAS build, the line count of `src/minircnn` on
-each side, each difference, and ends in one verdict line. Exit status 0 means
-identical, 1 different, 2 unusable (a revision that does not export, or a
-`--work` directory that is not empty).
+each side, each difference, and ends in one verdict line. A text file that
+differs is shown by its first differing lines, a checkpoint by each entry
+that differs, with how many of its values differ and the largest difference
+in float32 units in the last place. Exit status 0 means identical, 1
+different, 2 unusable (a revision that does not export, or a `--work`
+directory that is not empty).
 """
 from __future__ import annotations
 
@@ -45,6 +48,8 @@ from pathlib import Path
 import numpy as np
 
 REPO = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(REPO / "src"))
+from minircnn.nn import load_checkpoint  # noqa: E402
 
 # the small config of the matrix, which tests/test_cli.py runs too
 TINY = [
@@ -284,6 +289,37 @@ def line_diff(a: bytes, b: bytes, limit: int = 4) -> list[str]:
                           else [])
 
 
+def float32_ulps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """|a - b| per value in float32 units in the last place (the two zeros
+    are 0 apart)."""
+    def ordered(x):
+        i = x.view(np.int32).astype(np.int64)
+        return np.where(i < 0, -(i & 0x7FFFFFFF), i)
+
+    return np.abs(ordered(a) - ordered(b))
+
+
+def checkpoint_diff(a: Path, b: Path) -> list[str]:
+    """Each entry in which two checkpoints differ, in file order: how many of
+    its values differ and by how many float32 ulps at most."""
+    try:
+        ea, eb = load_checkpoint(a), load_checkpoint(b)
+    except ValueError as exc:
+        return [f"unreadable: {exc}"]
+    out = []
+    for name in dict.fromkeys([*ea, *eb]):
+        x, y = ea.get(name), eb.get(name)
+        if x is None or y is None:
+            out.append(f"{name}: only in {'parent' if y is None else 'tree'}")
+        elif x.shape != y.shape:
+            out.append(f"{name}: shape {x.shape} against {y.shape}")
+        elif x.tobytes() != y.tobytes():
+            n = np.count_nonzero(x.view(np.int32) != y.view(np.int32))
+            out.append(f"{name}: {n} of {x.size} values differ, by at most "
+                       f"{float32_ulps(x, y).max()} ulp")
+    return out
+
+
 def build_facts() -> str:
     cfg = np.show_config(mode="dicts")
     blas = cfg.get("Build Dependencies", {}).get("blas", {})
@@ -317,7 +353,9 @@ def compare(parent: dict, tree: dict, parent_root: Path,
         if name not in fa or name not in fb:
             diffs.append((f"{name}: only in {'parent' if name in fa else 'tree'}", []))
         elif comparable(name, fa[name]) != comparable(name, fb[name]):
-            diffs.append((f"{name}: differs", line_diff(fa[name], fb[name])))
+            diffs.append((f"{name}: differs",
+                          checkpoint_diff(parent_root / name, tree_root / name)
+                          if name.endswith(".frpn") else line_diff(fa[name], fb[name])))
     return diffs, len(fa.keys() | fb.keys())
 
 
