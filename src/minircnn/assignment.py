@@ -65,9 +65,9 @@ def sample_fg_bg(labels: np.ndarray, max_fg: int, total: int, rng: Rng) -> np.nd
     """
     fg, bg = np.flatnonzero(labels > 0), np.flatnonzero(labels == 0)
     n_fg = min(max_fg, total, fg.size)
-    take_fg = fg[np.sort(rng.choice(fg.size, n_fg))] if n_fg < fg.size else fg
+    take_fg = fg[np.sort(rng.permutation(fg.size, n_fg))] if n_fg < fg.size else fg
     n_bg = min(total - n_fg, bg.size)
-    take_bg = bg[np.sort(rng.choice(bg.size, n_bg))] if n_bg < bg.size else bg
+    take_bg = bg[np.sort(rng.permutation(bg.size, n_bg))] if n_bg < bg.size else bg
     return np.concatenate([take_fg, take_bg])
 
 

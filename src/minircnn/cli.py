@@ -373,7 +373,7 @@ def run(argv=None) -> int:
     except (KeyboardInterrupt,):
         return 1
     except Exception as exc:  # runtime failure -> exit 1
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

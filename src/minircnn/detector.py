@@ -144,9 +144,7 @@ def detect(features: Tensor, proposals: np.ndarray, head: DetectorHead,
            max_per_image: int) -> list[ScoredBox]:
     """Class-wise decode + NMS over proposals; returns detections, class_id >= 1."""
     proposals = np.asarray(proposals, dtype=np.float64).reshape(-1, 4)
-    # inference only: features off the tape, so roi_pool needs no rank keys
-    cls_logits, deltas = detector_forward(Tensor(features.data), proposals, head,
-                                          spatial_scale)
+    cls_logits, deltas = detector_forward(features, proposals, head, spatial_scale)
     per_class = deltas.data.reshape(proposals.shape[0], head.n_classes, 4)
     return classwise_detections(T.softmax(cls_logits.data, axis=1), per_class, proposals,
                                 image_w, image_h, score_thresh, nms_iou,

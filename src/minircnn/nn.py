@@ -1,6 +1,8 @@
 """Parameters, SGD with momentum + weight decay, and checkpoint IO."""
 from __future__ import annotations
 
+import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -81,18 +83,20 @@ def save_checkpoint(params: list[Param], path):
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
-    """name -> array of a checkpoint; truncation, trailing bytes and a repeated
-    name are rejected."""
+    """name -> array of a checkpoint; a size beyond the bytes left, trailing
+    bytes, a repeated name and a non-finite value are rejected."""
     with open(path, "rb") as f:
-        def read(n: int) -> bytes:
-            data = f.read(n)
-            if len(data) < n:
-                raise ValueError(f"{path}: truncated after {f.tell()} bytes")
-            return data
+        size = os.fstat(f.fileno()).st_size
+
+        def read(n: int, what: str = "the next field") -> bytes:
+            if n > size - f.tell():     # checked first: n may be far beyond memory
+                raise ValueError(f"{path}: truncated after {size} bytes: {what} needs "
+                                 f"{n} bytes, {size - f.tell()} are left")
+            return f.read(n)
 
         if f.read(4) != CHECKPOINT_MAGIC:
             raise ValueError(f"{path}: not a checkpoint file")
-        version, count = struct.unpack("<II", read(8))
+        version, count = struct.unpack("<II", read(8, "the header"))
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"{path}: unsupported version {version}")
         out = {}
@@ -107,7 +111,10 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
                 raise ValueError(f"{path}: entry '{name}' appears twice")
             (rank,) = struct.unpack("<B", read(1))
             shape = struct.unpack(f"<{rank}I", read(4 * rank))
-            data = np.frombuffer(read(4 * int(np.prod(shape))), dtype="<f4").reshape(shape)
+            data = np.frombuffer(read(4 * math.prod(shape), f"entry '{name}'"),
+                                 dtype="<f4").reshape(shape)
+            if not np.isfinite(data).all():
+                raise ValueError(f"{path}: entry '{name}' holds a non-finite value")
             out[name] = data.astype(np.float32)
         if f.read(1):
             raise ValueError(f"{path}: trailing bytes after its {count} entries")
@@ -115,10 +122,11 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
 
 
 def restore_params(params: list[Param], state: dict[str, np.ndarray]):
+    """Each parameter's value from `state`, for inference: it needs no gradient."""
     for p in params:
         if p.name not in state:
             raise KeyError(f"checkpoint missing parameter '{p.name}'")
         if state[p.name].shape != p.value.data.shape:
             raise ValueError(f"shape mismatch for '{p.name}'")
         p.value.data[...] = state[p.name]
-        p.velocity[...] = 0
+        p.value.requires_grad = False

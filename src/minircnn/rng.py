@@ -68,20 +68,11 @@ class Rng:
             raise ValueError(f"empty range [{lo}, {hi})")
         return lo + np.floor(self.uniform(n) * (hi - lo)).astype(np.int64)
 
-    def permutation(self, n: int) -> np.ndarray:
-        """Fisher-Yates permutation of range(n): for i = n-1 down to 1, swap
-        i with floor(u * (i + 1)), one uniform draw u per step."""
-        return self._first_of_permutation(n, n)
-
-    def choice(self, n: int, k: int) -> np.ndarray:
-        """k distinct indices from range(n), in random order: the first k of
-        `permutation(n)`, from the same draws."""
-        if not 0 <= k <= n:
-            raise ValueError(f"cannot choose {k} from {n}")
-        return self._first_of_permutation(n, k)
-
-    def _first_of_permutation(self, n: int, k: int) -> np.ndarray:
-        """permutation(n)[:k], running only its k - 1 swaps below k.
+    def permutation(self, n: int, k: int | None = None) -> np.ndarray:
+        """The first k (default all n) entries of a Fisher-Yates permutation of
+        range(n): for i = n-1 down to 1, swap i with floor(u * (i + 1)), one
+        uniform draw u per step. Every k draws the same uniforms; only the
+        k - 1 swaps below k are run.
 
         Each step i >= k fixes position i and moves the value held there to
         its target. So position t holds, before its own step (t >= k) or
@@ -90,6 +81,9 @@ class Rng:
         targets and that holds its own index. Pointer doubling follows the
         links.
         """
+        k = n if k is None else k
+        if not 0 <= k <= n:
+            raise ValueError(f"cannot choose {k} from {n}")
         if n <= 1:
             return np.arange(k)
         targets = (self.uniform(n - 1) * np.arange(n, 1, -1)).astype(np.int64)

@@ -104,7 +104,6 @@ class TrainState:
                 key = next(k for part, k in SHAPE_KEYS.items() if part in p.name)
                 raise ValueError(f"{path}: shape mismatch for '{p.name}': {got} in the "
                                  f"file, {want} from this run's {key}")
-            p.value.requires_grad = False
         restore_params(state.params, saved)
         stray = saved.keys() - {p.name for p in state.params}
         if stray:

@@ -4,6 +4,7 @@ import argparse
 import importlib.util
 import inspect
 import json
+import math
 import os
 import re
 import shutil
@@ -318,6 +319,30 @@ class TestCheckpointHeads:
         assert run(["propose", "--out", str(tmp_path / "p"), "--ckpt", str(ckpt),
                     "--data", str(dataset), "--n", "10", *TINY]) == 1
         assert f"{ckpt}: {message}" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("shape", [(2**31, 2**31), (2**32 - 1,) * 3])
+    def test_oversized_entry_is_named(self, dataset, tmp_path, capsys, shape):
+        # checked before the read: the first size overflows an index, and the
+        # second cannot be allocated
+        ckpt = tmp_path / "big.frpn"
+        ckpt.write_bytes(identity.one_entry_checkpoint("backbone.conv1.w", shape))
+        assert run(["detect", "--out", str(tmp_path / "d"), "--ckpt", str(ckpt),
+                    "--data", str(dataset), *TINY]) == 1
+        assert (f"{ckpt}: truncated after {ckpt.stat().st_size} bytes: entry "
+                f"'backbone.conv1.w' needs {4 * math.prod(shape)} bytes, 0 are left") \
+            in capsys.readouterr().err
+
+    def test_non_finite_entry_is_named(self, dataset, alt_run, tmp_path, capsys):
+        # relu maps a NaN bias to 0, so a run on it would not show it
+        params = [Param(n, v) for n, v in load_checkpoint(alt_run / "final.frpn").items()]
+        next(p for p in params if p.name == "backbone.conv1.b").value.data[0] = np.nan
+        ckpt = tmp_path / "nan.frpn"
+        save_checkpoint(params, ckpt)
+        assert run(["detect", "--out", str(tmp_path / "d"), "--ckpt", str(ckpt),
+                    "--data", str(dataset), *TINY, "--seed", "11"]) == 1
+        assert f"{ckpt}: entry 'backbone.conv1.b' holds a non-finite value" in \
+            capsys.readouterr().err
 
 
 def count_calls(monkeypatch, fn) -> list:
@@ -870,6 +895,14 @@ class TestExitCodes:
         cfg = RunConfig.from_file(tmp_path / "config.txt")
         assert (cfg.seed, cfg.data_n_images) == (4, 1)
         assert len(list(tmp_path.glob("images/*.ppm"))) == 1
+
+    def test_an_empty_message_prints_the_type(self, tmp_path, capsys, monkeypatch):
+        def handler(args, cfg, out):
+            raise MemoryError()
+
+        monkeypatch.setattr("minircnn.cli.cmd_gen_data", handler)
+        assert run(["gen-data", "--out", str(tmp_path), "--n", "1"]) == 1
+        assert capsys.readouterr().err == "error: MemoryError\n"
 
     def test_bad_usage_exit_2(self, capsys):
         assert run(["gen-data"]) == 2          # missing required --out

@@ -282,6 +282,21 @@ class TestDetect:
         head = make_head()
         assert detect(feat(), np.zeros((0, 4)), head, 1 / 8, 128, 128, *POST) == []
 
+    def test_features_with_a_tape_give_the_same_detections(self):
+        """roi_pool ranks taped features through its rank keys and untaped ones
+        through its value table; `detect` takes either, with the same bytes."""
+        head = make_head()
+        rng = np.random.default_rng(5)
+        x1, y1 = rng.uniform(0, 80, 100), rng.uniform(0, 80, 100)
+        props = np.stack([x1, y1, x1 + rng.uniform(4, 48, 100),
+                          y1 + rng.uniform(4, 48, 100)], axis=1)
+        taped = T.relu(Tensor(feat(11).data, requires_grad=True))
+        assert taped._backward is not None
+        plain = Tensor(taped.data.copy())
+        got, want = (detect(f, props, head, 1 / 8, 128, 128, 0.0, POST[1], 100)
+                     for f in (taped, plain))
+        assert len(want) > 10 and got == want
+
     def test_max_per_image(self):
         head = make_head()
         rng = np.random.default_rng(9)

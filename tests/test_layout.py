@@ -1,11 +1,12 @@
 """One home for each idea the heads share: the two-term loss, the IoU
 labelling, the sliding-window head, the RPN objective, the model object and
 the range of each config key; one copy of each fact the model and its random
-streams keep; one window matrix per convolution; and no package name that
-only tests read."""
+streams keep; one shuffled draw; one place that makes a model inference-only;
+one window matrix per convolution; and no package name that only tests read."""
 
 import ast
 import inspect
+import re
 from dataclasses import fields
 from pathlib import Path
 
@@ -27,9 +28,9 @@ def modules() -> dict[str, ast.Module]:
     return {p.stem: ast.parse(p.read_text(), str(p)) for p in SRC.glob("*.py")}
 
 
-def call_scopes(name: str, bare: bool = False) -> set[str]:
-    """`module.def[.def...]` of every call of `name`, bare or (unless `bare`)
-    as an attribute; just `module` for a call outside any def."""
+def scopes(match) -> set[str]:
+    """`module.def[.def...]` of every node that `match` accepts; just
+    `module` for a node outside any def."""
     found = set()
 
     def visit(node, scope):
@@ -37,16 +38,21 @@ def call_scopes(name: str, bare: bool = False) -> set[str]:
             inner = scope
             if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
                 inner = f"{scope}.{child.name}"
-            elif isinstance(child, ast.Call):
-                f = child.func
-                if getattr(f, "id", None) == name or \
-                        (not bare and getattr(f, "attr", None) == name):
-                    found.add(scope)
+            elif match(child):
+                found.add(scope)
             visit(child, inner)
 
     for mod, tree in modules().items():
         visit(tree, mod)
     return found
+
+
+def call_scopes(name: str, bare: bool = False) -> set[str]:
+    """The scopes of every call of `name`, bare or (unless `bare`) as an
+    attribute."""
+    return scopes(lambda n: isinstance(n, ast.Call) and (
+        getattr(n.func, "id", None) == name
+        or (not bare and getattr(n.func, "attr", None) == name)))
 
 
 def test_loss_terms_only_in_multitask_loss():
@@ -63,8 +69,13 @@ def test_iou_matrix_only_in_the_two_labellers_and_evaluation():
 
 def test_one_fg_bg_sampler():
     """Every head draws its minibatch rows from its labels with
-    `assignment.sample_fg_bg`, the one caller of `Rng.choice`."""
-    assert call_scopes("choice") == {"assignment.sample_fg_bg"}
+    `assignment.sample_fg_bg`; it, the scene order and `ablate --mode no-cls`
+    shuffle with `Rng.permutation`, the one shuffled draw."""
+    assert call_scopes("permutation") == {"assignment.sample_fg_bg",
+                                          "training.scene_order", "cli.cmd_ablate"}
+    for name in ("choice", "_first_of_permutation"):
+        assert not [p.name for p in SRC.glob("*.py")
+                    if re.search(rf"\b{name}\b", p.read_text())], name
     assert call_scopes("sample_fg_bg") == {"assignment.sample_minibatch",
                                            "detector.sample_rois", "training.steps"}
 
@@ -185,6 +196,22 @@ def test_one_copy_of_each_model_fact():
                   if isinstance(n, ast.FunctionDef) and n.name == "params")
     assert "HEADS" in {n.id for n in ast.walk(params) if isinstance(n, ast.Name)}
     assert call_scopes("set_trainable") == {"training.alternate_4step"}
+
+
+def test_one_place_makes_a_model_inference_only():
+    """Outside `Tensor.__init__`, `requires_grad` is set only by the 4-step
+    scheme's freeze and by `nn.restore_params`; `detector.detect` takes the
+    features it is given, with no detach of its own."""
+    def assigns(node) -> bool:
+        if not isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            return False
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return any(getattr(n, "attr", None) == "requires_grad"
+                   for t in targets for n in ast.walk(t))
+
+    assert scopes(assigns) == {"tensor.Tensor.__init__", "nn.restore_params",
+                               "rpn.Backbone.set_trainable"}
+    assert not [p.name for p in SRC.glob("*.py") if "Tensor(features.data)" in p.read_text()]
 
 
 def test_conv2d_builds_one_window_matrix():

@@ -17,6 +17,7 @@ from minircnn.nn import (
     sgd_step,
 )
 from minircnn.rng import Rng
+from minircnn.rpn import Backbone
 from minircnn.tensor import Tensor
 
 from defaults import CFG
@@ -169,6 +170,24 @@ class TestCheckpoint:
         restore_params(params, load_checkpoint(path))
         for p, want in zip(params, orig):
             assert np.array_equal(p.value.data, want)
+
+    def test_restored_parameters_need_no_gradient(self, tmp_path):
+        """A restored model is inference-only: its forward pass builds no tape."""
+        bb = Backbone(Rng(1).substream("init"), (4, 8, 8, 8))
+        save_checkpoint(bb.params, tmp_path / "bb.frpn")
+        restore_params(bb.params, load_checkpoint(tmp_path / "bb.frpn"))
+        assert not any(p.value.requires_grad for p in bb.params)
+        x = Tensor(np.random.default_rng(0).normal(size=(3, 16, 16)).astype(np.float32))
+        assert bb.forward(x)._backward is None
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_rejected(self, tmp_path, value):
+        params = self._params()
+        params[1].value.data[1] = value
+        path = tmp_path / "ck.frpn"
+        save_checkpoint(params, path)
+        with pytest.raises(ValueError, match="ck.frpn: entry 'a.b' holds a non-finite"):
+            load_checkpoint(path)
 
     def test_corrupt_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.frpn"

@@ -74,15 +74,22 @@ class TestDistributions:
         p = Rng(1).substream("data").permutation(100)
         assert sorted(p.tolist()) == list(range(100))
 
-    def test_choice_without_replacement(self):
-        c = Rng(1).substream("sampling").choice(50, 20)
+    def test_permutation_prefix_without_replacement(self):
+        c = Rng(1).substream("sampling").permutation(50, 20)
         assert len(set(c.tolist())) == 20
         assert c.min() >= 0 and c.max() < 50
 
     @pytest.mark.parametrize("k", [-1, 51])
-    def test_choice_outside_0_to_n_rejected(self, k):
+    def test_permutation_prefix_outside_0_to_n_rejected(self, k):
         with pytest.raises(ValueError, match=f"cannot choose {k} from 50"):
-            Rng(1).substream("sampling").choice(50, k)
+            Rng(1).substream("sampling").permutation(50, k)
+
+    @pytest.mark.parametrize("k", [0, 1, 50])
+    def test_permutation_prefix_is_the_full_permutations_head(self, k):
+        fast, full = Rng(3).substream("sampling"), Rng(3).substream("sampling")
+        got, want = fast.permutation(50, k), full.permutation(50)[:k]
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert fast.next_u64(1) == full.next_u64(1)
 
 
 class TestPermutationMatchesLoop:
@@ -95,8 +102,8 @@ class TestPermutationMatchesLoop:
             assert fast.next_u64(1) == loop.next_u64(1)
 
 
-class TestChoiceMatchesLoop:
-    """choice(n, k) is the loop's permutation(n)[:k], from the same draws."""
+class TestPermutationPrefixMatchesLoop:
+    """permutation(n, k) is the loop's permutation(n)[:k], from the same draws."""
 
     @given(st.one_of(st.integers(0, 40), st.integers(0, 2500)).flatmap(
         lambda n: st.tuples(st.just(n), st.integers(0, n))), st.integers(0, 2**64 - 1))
@@ -104,7 +111,7 @@ class TestChoiceMatchesLoop:
     def test_same_rows_and_draws(self, nk, seed):
         n, k = nk
         fast, loop = Rng(seed).substream("sampling"), Rng(seed).substream("sampling")
-        got, want = fast.choice(n, k), permutation_loop(loop, n)[:k]
+        got, want = fast.permutation(n, k), permutation_loop(loop, n)[:k]
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
         assert fast._counter == loop._counter
         assert fast.next_u64(1) == loop.next_u64(1)

@@ -11,9 +11,10 @@ that holds an RPN, `detect` and `eval-map` on every detector checkpoint,
 `propose` and `detect` at NMS thresholds so small that NMS prunes by overlap
 alone, `bench`, all five `ablate` modes, a set of rejected inputs and one
 accepted order of `--set`s. Among the rejected inputs are a manifest that
-lists one image twice, `eval-map` at fewer classes than the data hold, and
-list keys with an empty entry; `run_side` writes the manifest, and a
-detections CSV with no rows, before the matrix runs.
+lists one image twice, `eval-map` at fewer classes than the data hold, list
+keys with an empty entry, and a checkpoint entry that declares far more data
+than its file holds; `run_side` writes the manifest, the checkpoint and a
+detections CSV with no rows before the matrix runs.
 Under the default config at 96 px it makes data, runs `train-joint`, and runs
 `propose` (also at a lower NMS threshold), `detect`, `eval-map` and `ablate
 --mode no-cls` on its checkpoint. Under TINY at 50 px, where the feature maps
@@ -38,6 +39,7 @@ import io
 import os
 import platform
 import shutil
+import struct
 import subprocess
 import sys
 import tarfile
@@ -67,6 +69,13 @@ TINY = [
 SEED = ["--seed", "11"]
 # one thread everywhere, so a BLAS call sums in the same order on both sides
 ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+
+
+def one_entry_checkpoint(name: str, shape) -> bytes:
+    """A checkpoint of one entry `name` that declares `shape` and holds no data."""
+    raw = name.encode()
+    return (b"FRPN" + struct.pack("<IIH", 1, 1, len(raw)) + raw
+            + struct.pack(f"<B{len(shape)}I", len(shape), *shape))
 
 
 @dataclass(frozen=True)
@@ -215,6 +224,9 @@ def matrix() -> list[Case]:
         "backbone.channels", "4,8,,8,8")
     add("reject-empty-scale", "propose", "--ckpt", ckpt["rpn"], "--data", test,
         *TINY, *SEED, "--set", "anchors.scales", "8,16,")
+    # an entry of 2**62 floats in a file of 39 bytes
+    add("reject-oversized-entry", "detect", "--ckpt", "{root}/oversized.frpn",
+        "--data", test, *TINY, *SEED)
     # accepted: the pairs of keys are checked once every `--set` is applied
     add("set-order", "train-rpn", *data, "--iters", "1", "--set", "rpn.neg_iou",
         "0.8", "--set", "rpn.pos_iou", "0.9")
@@ -237,6 +249,8 @@ def run_side(src: Path, root: Path, cases: list[Case]) -> dict[str, Outcome]:
     (root / "repeated").mkdir()
     line = '{"image": "../test/images/000000.ppm", "width": 48, "height": 48, "objects": []}'
     (root / "repeated" / "manifest.jsonl").write_text(f"{line}\n{line}\n")
+    (root / "oversized.frpn").write_bytes(
+        one_entry_checkpoint("backbone.conv1.w", (2**31, 2**31)))
     env = dict(os.environ, PYTHONPATH=str(src), **ENV)
     outcomes = {}
     for case in cases:
