@@ -231,7 +231,8 @@ def cmd_ablate(args, cfg: RunConfig, out: Path):
             n_all = len(state.anchors(s.width, s.height))
             boxes, _ = state.propose_scene(
                 s, replace(p, nms_iou=1.0, pre_nms_top=n_all, post_nms_top=n_all))
-            props.append(boxes[rng.permutation(boxes.shape[0])][:p.post_nms_top])
+            n = boxes.shape[0]
+            props.append(boxes[rng.permutation(n, min(p.post_nms_top, n))])
     elif args.mode == "n-sweep":
         budgets = sorted(cfg.ablate_budgets)
         if budgets[-1] > p.pre_nms_top:

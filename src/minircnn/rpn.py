@@ -58,7 +58,7 @@ class Backbone:
     """Toy fully convolutional trunk, total stride 8.
 
     conv3x3x16/ReLU/pool2 -> conv3x3x32/ReLU/pool2 -> conv3x3x64/ReLU/pool2
-    -> conv3x3x64/ReLU.
+    -> conv3x3x64/ReLU, each ReLU/pool2 one `maxpool2x2`.
     """
 
     def __init__(self, rng: Rng, channels):
@@ -74,11 +74,9 @@ class Backbone:
         return -(-image_w // self.stride), -(-image_h // self.stride)
 
     def forward(self, x: Tensor) -> Tensor:
-        for i, conv in enumerate(self.convs):
-            x = T.relu(conv(x))
-            if i < 3:
-                x = T.maxpool2x2(x)
-        return x
+        for conv in self.convs[:3]:
+            x = T.maxpool2x2(conv(x))
+        return T.relu(self.convs[3](x))
 
     @property
     def params(self) -> list[Param]:

@@ -234,7 +234,7 @@ def softmax_logloss(logits: Tensor, labels) -> Tensor:
     y = lse - z[n, labels]
 
     def bwd(g):
-        p = np.exp(z) / np.exp(z).sum(axis=1, keepdims=True)
+        p = softmax(logits.data, axis=1)
         p[n, labels] -= 1
         _accum(logits, p * g[:, None])
 
@@ -295,50 +295,46 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, pad: int = 0) -> Tensor:
 
 
 def maxpool2x2(x: Tensor) -> Tensor:
-    """Non-overlapping 2x2 max pooling; odd extents padded with -inf.
+    """ReLU, then non-overlapping 2x2 max pooling, as one tape op; odd
+    extents are padded with zeros, which no ReLU output is below.
 
-    Each output is the cell np.argmax would pick from its window: the first
-    maximum in row-major order, NaN before any number. It is the np.maximum
-    of the row pairs (contiguous rows), then of their column pairs, re-read
-    from the first equal or NaN stride-2 quarter where that maximum is NaN
-    or, if the input holds a sign bit, zero (np.maximum may return either
-    zero of a -0.0/+0.0 tie). Backward rebuilds each quarter's first-hit
-    mask from y and gives that quarter's cells g's bits where it hits and
-    +0.0 elsewhere.
+    Each output has the bits of the cell np.argmax would pick from the ReLU
+    output's window: np.fmax of the row pairs (contiguous rows), then of
+    their column pairs, clamped at 0 plus +0.0. fmax skips NaN, and the
+    clamp turns NaN, negatives and both zeros into +0.0, so no full-size
+    ReLU output is built. Backward masks g with y > 0, as relu's would, and
+    sends it to the first stride-2 quarter equal to y or, where y is 0, to
+    the window's first cell (g * 0, sign carried); every other cell gets
+    +0.0. dx is C-contiguous, as relu's was, so conv2d's bias sum keeps its
+    bytes. The name stays because the benchmark traces `tensor.maxpool2x2`
+    and `tensor.relu` by name: the pooled stages' ReLU time reads under
+    `tensor.maxpool2x2.*`.
     """
     C, H, W = x.shape
     d = x.data
     if H % 2 or W % 2:
-        d = np.pad(d, ((0, 0), (0, H % 2), (0, W % 2)), constant_values=-np.inf)
+        d = np.pad(d, ((0, 0), (0, H % 2), (0, W % 2)))
     corners = ((0, 0), (0, 1), (1, 0), (1, 1))      # row-major within a window
     quarters = [d[:, i::2, j::2] for i, j in corners]
-    rows = np.maximum(d[:, 0::2], d[:, 1::2])
-    y = np.maximum(rows[:, :, 0::2], rows[:, :, 1::2])
-    fix = y != y
-    has_nan = fix.any()
-    if np.signbit(d).any():        # else no window holds a -0.0
-        fix |= y == 0
-    if fix.any():                  # np.nonzero costs a pass even when none is set
-        fix = np.nonzero(fix)
-        ys = y[fix]
-        for q in reversed(quarters):
-            qs = q[fix]
-            np.copyto(ys, qs, where=(qs == ys) | (qs != qs))
-        y[fix] = ys
+    rows = np.fmax(d[:, 0::2], d[:, 1::2])
+    y = np.fmax(rows[:, :, 0::2], rows[:, :, 1::2])
+    np.fmax(y, 0, out=y)
+    y += 0
 
     def bwd(g):
         bits = np.dtype(f"u{x.dtype.itemsize}")
+        free = y > 0
+        gm = (g * free).view(bits)
         dx = np.empty(d.shape, dtype=x.dtype)
-        free = np.ones(y.shape, dtype=bool)
+        free &= quarters[0] != y        # the first cell takes every y == 0 window
+        hit = ~free
         for (i, j), q in zip(corners, quarters):
-            hit = q == y
-            if has_nan:
-                hit |= q != q
-            hit &= free
-            free ^= hit
-            np.bitwise_and(g.view(bits), np.negative(hit, dtype=bits),
-                           out=dx[:, i::2, j::2].view(bits))
-        _accum(x, dx[:, :H, :W])
+            if i or j:
+                hit = q == y
+                hit &= free
+                free ^= hit
+            np.bitwise_and(gm, np.negative(hit, dtype=bits), out=dx[:, i::2, j::2].view(bits))
+        _accum(x, np.ascontiguousarray(dx[:, :H, :W]))
 
     return _make(y, (x,), bwd)
 

@@ -335,6 +335,20 @@ class TestBackbone:
         feats = bb.forward(x)
         assert feats.shape == (bb.out_dim, 16, 16)
 
+    def test_each_pooled_stage_is_one_tape_op(self):
+        """Stages 1-3 each leave conv2d and one maxpool2x2 (ReLU and pool
+        fused) on the tape, stage 4 conv2d and relu: no full-size ReLU
+        output is kept for a pool to read."""
+        bb = Backbone(Rng(0).substream("init"), CHANNELS)
+        bb.set_trainable(True)
+        ops, stack = [], [bb.forward(Tensor(np.ones((3, 32, 32), dtype=np.float32)))]
+        while stack:
+            t = stack.pop()
+            if t._backward is not None:
+                ops.append(t._backward.__qualname__.split(".")[0])
+            stack.extend(t._parents)
+        assert sorted(ops) == ["conv2d"] * 4 + ["maxpool2x2"] * 3 + ["relu"]
+
     def test_deterministic_init(self):
         a = Backbone(Rng(4).substream("init"), CHANNELS)
         b = Backbone(Rng(4).substream("init"), CHANNELS)

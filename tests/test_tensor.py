@@ -316,9 +316,15 @@ def pool_cases(draw):
     return trunk_array(draw, rng, (C, H, W), dtype), draw(st.integers(0, 2**32 - 1))
 
 
+def relu_then_argmax_pool(x: Tensor) -> Tensor:
+    """The two ops maxpool2x2 fuses, as separate tape nodes."""
+    return maxpool2x2_argmax(relu_where(x))
+
+
 class TestTrunkOpsMatchOracles:
-    """conv2d, maxpool2x2 and relu against the tensordot, argmax and np.where
-    forms they replaced: output and every gradient, byte for byte."""
+    """conv2d, maxpool2x2 and relu against the tensordot, np.where then
+    argmax, and np.where forms they replaced: output and every gradient,
+    byte for byte."""
 
     @given(conv_cases())
     @settings(max_examples=300, deadline=None)
@@ -364,7 +370,8 @@ class TestTrunkOpsMatchOracles:
         x, seed = case
         for x_grad in (True, False):
             got, want = (tape_bytes(op, (x,), (x_grad,), seed)
-                         for op in (T.maxpool2x2, maxpool2x2_argmax))
+                         for op in (T.maxpool2x2, relu_then_argmax_pool))
+            assert (got[1] is None) == (not x_grad)
             assert got == want
 
     @given(pool_cases())
@@ -384,15 +391,20 @@ class TestTrunkOpsMatchOracles:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_a_zero_window_keeps_its_first_zero(self, dtype):
-        # all 16 sign patterns of four zeros, one window each; np.maximum
-        # alone returns the other zero for some of them
+        # all 16 sign patterns of four zeros, one window each, twice: a
+        # window of zeros pools to +0.0 and sends g * 0, the sign of g
+        # carried, to its first cell, whichever zero that cell holds
         cells = np.array(list(itertools.product([0.0, -0.0], repeat=4)), dtype=dtype)
-        x = cells.reshape(16, 2, 2).transpose(1, 0, 2).reshape(1, 2, 32)
-        got, want = (tape_bytes(op, (x,), (True,), 0)
-                     for op in (T.maxpool2x2, maxpool2x2_argmax))
-        assert got == want
-        y = T.maxpool2x2(Tensor(x)).data
-        assert np.array_equal(np.signbit(y[0, 0]), np.signbit(cells[:, 0]))
+        x = np.tile(cells.reshape(16, 2, 2).transpose(1, 0, 2).reshape(1, 2, 32), 2)
+        g = np.concatenate([np.full(16, 1.5), np.full(16, -1.5)]).astype(dtype)
+        for op in (T.maxpool2x2, relu_then_argmax_pool):
+            xt = Tensor(x.copy(), requires_grad=True)
+            y = op(xt)
+            T.tsum(T.mul(y, Tensor(g.reshape(1, 1, 32)))).backward()
+            assert y.data.tobytes() == np.zeros((1, 1, 32), dtype).tobytes()
+            first = np.zeros((1, 2, 64), dtype)
+            first[0, 0, 0::2] = g * 0
+            assert xt.grad.tobytes() == first.tobytes()
 
 
 class TestGradchecks:
@@ -472,8 +484,9 @@ class TestGradchecks:
     def test_maxpool2x2(self):
         rng = np.random.default_rng(18)
         for _ in range(self.N):
-            # distinct values -> no ties anywhere near the max
-            x = rng.permutation(64).astype(np.float64).reshape(1, 8, 8)
+            # distinct values, none near 0 (the fused ReLU's kink) -> no ties
+            # anywhere near the max; half are negative, so some windows are too
+            x = (rng.permutation(64) - 31.5).astype(np.float64).reshape(1, 8, 8)
             x = t64(x * 0.1)
             assert gradcheck(
                 lambda x: T.tsum(T.mul(T.maxpool2x2(x), 0.3)), [x]) < self.TOL

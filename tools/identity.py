@@ -158,7 +158,7 @@ def matrix() -> list[Case]:
     add("ablate-no-cls-96", "ablate", "--mode", "no-cls", *on96)
 
     # TINY at 50 px, whose maps go 50 -> 25 -> 13 -> 7: maxpool2x2 pads odd
-    # maps with -inf and crops its backward, and grid_size rounds up
+    # maps with zeros and copies its backward's crop, and grid_size rounds up
     px50 = [*TINY, "--set", "data.image_size", "50"]
     on50 = ["--data", "{root}/test-50", *px50, *SEED]
     add("train-50", "gen-data", "--n", "4", *px50, *SEED)
