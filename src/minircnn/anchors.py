@@ -26,9 +26,6 @@ class AnchorConfig:
 @dataclass
 class AnchorSet:
     boxes: np.ndarray           # (W*H*k, 4), row-major grid, anchor fastest
-    feature_w: int
-    feature_h: int
-    k: int
     inside: np.ndarray | None = field(default=None)  # bool mask, set lazily
 
     def __len__(self) -> int:
@@ -63,7 +60,7 @@ def grid_anchors(cfg: AnchorConfig, feature_w: int, feature_h: int) -> AnchorSet
     shift[:, :, 0] = shift[:, :, 2] = cx[None, :]
     shift[:, :, 1] = shift[:, :, 3] = cy[:, None]
     boxes = (shift[:, :, None, :] + base[None, None, :, :]).reshape(-1, 4)
-    return AnchorSet(boxes=boxes, feature_w=feature_w, feature_h=feature_h, k=cfg.k)
+    return AnchorSet(boxes)
 
 
 def inside_mask(aset: AnchorSet, image_w: float, image_h: float) -> np.ndarray:

@@ -63,12 +63,12 @@ class DetectorHead:
 
 def detector_forward(features: Tensor, proposals: np.ndarray, head: DetectorHead,
                      spatial_scale: float) -> tuple[Tensor, Tensor]:
-    """Run the head on each proposal; returns (cls_logits (N,C+1), deltas (N,4C))."""
+    """Run the head on each proposal; returns (cls_logits (N,C+1), deltas (N,C,4))."""
     pooled = T.roi_pool(features, proposals, spatial_scale, ROI_POOL_SIZE)
     flat = pooled.reshape(-1, features.shape[0] * ROI_POOL_SIZE ** 2)
     h = T.relu(head.fc1(flat))
     h = T.relu(head.fc2(h))
-    return head.cls(h), head.reg(h)
+    return head.cls(h), head.reg(h).reshape(-1, head.n_classes, 4)
 
 
 def label_boxes(boxes: np.ndarray, gt_boxes: np.ndarray, gt_classes: np.ndarray,
@@ -132,8 +132,7 @@ def detector_loss(cls_logits: Tensor, deltas: Tensor,
     if n == 0:
         raise ValueError("detector_loss requires a nonempty RoI batch")
     fg = np.flatnonzero(rois.labels > 0)
-    pred = T.select_class(T.take_rows(deltas.reshape(n, -1, 4), fg),
-                          rois.labels[fg] - 1) if fg.size else None
+    pred = T.select_class(T.take_rows(deltas, fg), rois.labels[fg] - 1) if fg.size else None
     return multitask_loss(cls_logits, rois.labels, 1.0 / n,
                           pred, rois.targets[fg], 1.0 / max(fg.size, 1))
 
@@ -145,32 +144,30 @@ def detect(features: Tensor, proposals: np.ndarray, head: DetectorHead,
     """Class-wise decode + NMS over proposals; returns detections, class_id >= 1."""
     proposals = np.asarray(proposals, dtype=np.float64).reshape(-1, 4)
     cls_logits, deltas = detector_forward(features, proposals, head, spatial_scale)
-    per_class = deltas.data.reshape(proposals.shape[0], head.n_classes, 4)
-    return classwise_detections(T.softmax(cls_logits.data, axis=1), per_class, proposals,
-                                image_w, image_h, score_thresh, nms_iou,
-                                max_per_image)
+    return classwise_detections(cls_logits.data, deltas.data, proposals, image_w,
+                                image_h, score_thresh, nms_iou, max_per_image)
 
 
-def classwise_detections(probs: np.ndarray, per_class: np.ndarray,
+def classwise_detections(logits: np.ndarray, per_class: np.ndarray,
                          ref_boxes: np.ndarray, image_w: float, image_h: float,
                          score_thresh: float, nms_iou: float,
                          max_per_image: int) -> list[ScoredBox]:
     """Class-wise post-process shared by both detectors.
 
-    probs (N, C+1) holds class probabilities with background in column 0;
+    logits (N, C+1) holds raw class scores with background in column 0;
     per_class (N, C, 4) the class-specific deltas against ref_boxes (N, 4).
     For each class c >= 1, rows scoring at least score_thresh are decoded,
     clipped and NMS-filtered; the top max_per_image over all classes are
     returned, best first.
     """
+    probs = T.softmax(logits, axis=1)
     out = []
     for c in range(1, probs.shape[1]):
-        scores = probs[:, c]
-        keep = scores >= score_thresh
+        keep = probs[:, c] >= score_thresh
+        scores = probs[keep, c]
         boxes = decode_arr(per_class[keep, c - 1].astype(np.float64), ref_boxes[keep])
         boxes = clip_arr(boxes, image_w, image_h)
-        sel = nms_arr(boxes, scores[keep], nms_iou)
-        for i in sel:
-            out.append(ScoredBox(Box(*boxes[i]), float(scores[keep][i]), c))
+        for i in nms_arr(boxes, scores, nms_iou):
+            out.append(ScoredBox(Box(*boxes[i]), float(scores[i]), c))
     out.sort(key=lambda s: -s.score)
     return out[:max_per_image]

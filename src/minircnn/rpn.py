@@ -89,8 +89,9 @@ class Backbone:
 
 class ConvHead:
     """Sliding-window head: 3x3 trunk conv + ReLU, then sibling 1x1 convs with
-    (C+1)k class scores (class 0 = background) and 4Ck deltas for C classes
-    and k anchors per window, anchor-major as `anchor_rows` reads them."""
+    (C+1)k class-score channels (class 0 = background) and 4Ck delta channels
+    for C classes and k anchors per window, anchor-major: anchor a owns a
+    contiguous block of each. `forward` emits one row per anchor."""
 
     def __init__(self, name: str, rng: Rng, backbone_dim: int, k: int,
                  n_classes: int, head_dim: int):
@@ -101,8 +102,19 @@ class ConvHead:
         self.reg = ConvLayer(f"{name}.reg", head_dim, 4 * n_classes * k, 1, 0, rng)
 
     def forward(self, features: Tensor) -> tuple[Tensor, Tensor]:
+        """Raw scores (H*W*k, C+1) and deltas (H*W*k, C, 4), one row per
+        anchor in `grid_anchors` order (grid row-major, anchor fastest)."""
         t = T.relu(self.trunk(features))
-        return self.cls(t), self.reg(t)
+        return self._rows(self.cls(t), self.n_classes + 1), \
+            self._rows(self.reg(t), self.n_classes, 4)
+
+    def _rows(self, head_map: Tensor, *per) -> Tensor:
+        """(k*prod(per), H, W) map -> (H*W*k, *per) rows; anchor a's channels
+        [a*prod(per), (a+1)*prod(per)) are read as a `per`-shaped block."""
+        _, h, w = head_map.shape
+        n = len(per)
+        return head_map.reshape(self.k, *per, h, w) \
+                       .transpose(n + 1, n + 2, *range(n + 1)).reshape(h * w * self.k, *per)
 
     @property
     def params(self) -> list[Param]:
@@ -110,7 +122,7 @@ class ConvHead:
 
 
 class RpnHead(ConvHead):
-    """The class-agnostic head (C = 1); cls channel 2a+1 is anchor a's object score."""
+    """The class-agnostic head (C = 1); score column 1 is the object score."""
 
     def __init__(self, rng: Rng, backbone_dim: int, k: int, head_dim: int):
         super().__init__("rpn", rng, backbone_dim, k, 1, head_dim)
@@ -124,23 +136,11 @@ class OneStageHead(ConvHead):
         super().__init__("onestage", rng, backbone_dim, k, n_classes, head_dim)
 
 
-def anchor_rows(head_map, k: int, *per):
-    """(k*prod(per), H, W) head map -> (H*W*k, *per) rows in anchor order
-    (grid row-major, anchor fastest), for a Tensor or a raw array alike.
-
-    Channel layout is anchor-major: anchor a owns channels
-    [a*prod(per), (a+1)*prod(per)), read as a `per`-shaped block.
-    """
-    _, h, w = head_map.shape
-    n = len(per)
-    return head_map.reshape(k, *per, h, w).transpose(n + 1, n + 2, *range(n + 1)) \
-                   .reshape(h * w * k, *per)
-
-
 def rpn_loss(cls_scores: Tensor, reg_deltas: Tensor, labels: np.ndarray,
              targets: np.ndarray, rows: np.ndarray, k: int,
              weights: LossWeights) -> tuple[Tensor, float, float]:
-    """Two-term objectness + box loss on `assign_labels`' labels and targets.
+    """Two-term objectness + box loss of the head's anchor rows on
+    `assign_labels`' labels and targets.
 
     cls: log-loss summed over the sampled anchor `rows`, divided by `batch`.
     reg: smooth-L1 over ALL positive-labeled anchors, summed over the four
@@ -149,38 +149,30 @@ def rpn_loss(cls_scores: Tensor, reg_deltas: Tensor, labels: np.ndarray,
     """
     if rows.size == 0:
         raise ValueError("rpn_loss requires a sampled minibatch")
-    logits = anchor_rows(cls_scores, k, 2)
-    if logits.shape[0] != labels.shape[0]:
-        raise ValueError(f"rpn_loss: head outputs give {logits.shape[0]} anchor rows, "
-                         f"the targets label {labels.shape[0]} anchors")
+    if cls_scores.shape[0] != labels.shape[0]:
+        raise ValueError(f"rpn_loss: head outputs give {cls_scores.shape[0]} anchor "
+                         f"rows, the targets label {labels.shape[0]} anchors")
     pos = np.flatnonzero(labels > 0)
-    pred = T.take_rows(anchor_rows(reg_deltas, k, 4), pos) if pos.size else None
-    n_reg = reg_deltas.shape[1] * reg_deltas.shape[2]
-    return multitask_loss(T.take_rows(logits, rows), labels[rows].astype(np.int64),
-                          1.0 / weights.batch, pred, targets[pos], weights.lam / n_reg)
-
-
-def objectness_probs(cls_data: np.ndarray, k: int) -> np.ndarray:
-    """(2k,H,W) raw scores -> per-anchor object probability, anchor order."""
-    return T.softmax(anchor_rows(cls_data, k, 2), axis=1)[:, 1]
+    pred = T.take_rows(reg_deltas.reshape(-1, 4), pos) if pos.size else None
+    return multitask_loss(T.take_rows(cls_scores, rows), labels[rows].astype(np.int64),
+                          1.0 / weights.batch, pred, targets[pos],
+                          weights.lam / (labels.shape[0] // k))
 
 
 def propose_arrays(cls_data: np.ndarray, reg_data: np.ndarray, aset: AnchorSet,
                    image_w: float, image_h: float,
                    p: ProposalParams) -> tuple[np.ndarray, np.ndarray]:
-    """Proposal pipeline on raw head outputs; returns (boxes (N,4), scores (N,)).
+    """Proposal pipeline on the RPN head's rows; returns (boxes (N,4), scores (N,)).
 
     All anchors participate (cross-boundary included); decoded boxes are
     clipped, those with a side of 0 or under min_size dropped, the top
     pre_nms_top by score kept, NMS applied, and post_nms_top returned by score.
     """
-    k = aset.k
-    scores = objectness_probs(cls_data, k)
+    scores = T.softmax(cls_data, axis=1)[:, 1]
     if scores.shape[0] != len(aset):
         raise ValueError(f"propose_arrays: head outputs give {scores.shape[0]} anchor "
                          f"rows, the anchor set has {len(aset)} anchors")
-    deltas = anchor_rows(reg_data, k, 4)
-    boxes = clip_arr(decode_arr(deltas, aset.boxes), image_w, image_h)
+    boxes = clip_arr(decode_arr(reg_data, aset.boxes), image_w, image_h)
     side = np.minimum(boxes[:, 2] - boxes[:, 0], boxes[:, 3] - boxes[:, 1])
     big = (side > 0) & (side >= p.min_size)
     boxes, scores = boxes[big], scores[big]

@@ -21,8 +21,8 @@ from .nn import (Param, SgdConfig, load_checkpoint, multitask_loss, restore_para
                  save_checkpoint, sgd_step)
 from .rng import Rng
 from .rpn import (Backbone, ConvHead, LossWeights, OneStageHead, ProposalParams,
-                  RpnHead, anchor_rows, propose_arrays, rpn_loss)
-from .tensor import Tensor, select_class, softmax, take_rows
+                  RpnHead, propose_arrays, rpn_loss)
+from .tensor import Tensor, select_class, take_rows
 
 log = logging.getLogger(__name__)
 
@@ -138,15 +138,15 @@ class TrainState:
         return self._anchor_sets[key]
 
     def forward(self, scene: Scene, head: ConvHead | None = None):
-        """One scene's image through the shared backbone, then `head`'s raw
-        scores and deltas on those features: (features, cls, reg), with
+        """One scene's image through the shared backbone, then `head`'s rows
+        of raw scores and deltas on those features: (features, cls, reg), with
         cls and reg None when no head is named."""
         feats = self.backbone.forward(Tensor(image_to_input(scene.image)))
         return (feats, *(head.forward(feats) if head is not None else (None, None)))
 
     def propose(self, cls_data: np.ndarray, reg_data: np.ndarray, image_w: int,
                 image_h: int, p: ProposalParams) -> tuple[np.ndarray, np.ndarray]:
-        """Proposals (boxes, scores) from raw RPN head outputs for one image."""
+        """Proposals (boxes, scores) from the RPN head's rows for one image."""
         return propose_arrays(cls_data, reg_data, self.anchors(image_w, image_h),
                               image_w, image_h, p)
 
@@ -179,9 +179,7 @@ class TrainState:
             post = (scene.width, scene.height, score_thresh, nms_iou, max_per_image)
             if not one:
                 return detect(feats, boxes, self.det_head, 1 / self.backbone.stride, *post)
-            probs = softmax(anchor_rows(cls.data, head.k, head.n_classes + 1), axis=1)
-            return classwise_detections(
-                probs, anchor_rows(reg.data, head.k, head.n_classes, 4), boxes, *post)
+            return classwise_detections(cls.data, reg.data, boxes, *post)
 
         return conv, proposal, region
 
@@ -287,11 +285,9 @@ def steps(scenes: list[Scene], state: TrainState, sched: TrainSchedule,
                 continue
             fg = idx[labels[idx] > 0]
             _, cls, reg = state.forward(s, one)
-            logits = take_rows(anchor_rows(cls, one.k, one.n_classes + 1), idx)
-            pred = select_class(take_rows(anchor_rows(reg, one.k, one.n_classes, 4), fg),
-                                labels[fg] - 1) if fg.size else None
+            pred = select_class(take_rows(reg, fg), labels[fg] - 1) if fg.size else None
             loss, row["loss_det_cls"], row["loss_det_reg"] = multitask_loss(
-                logits, labels[idx], 1.0 / idx.size, pred, targets[fg],
+                take_rows(cls, idx), labels[idx], 1.0 / idx.size, pred, targets[fg],
                 1.0 / max(fg.size, 1))
         loss.backward()
         yield params, SgdConfig(row["lr"], sched.momentum, sched.weight_decay)

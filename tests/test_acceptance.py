@@ -23,7 +23,7 @@ from minircnn.evaluation import bench, mean_ap, recall_curve
 from minircnn.nn import load_checkpoint
 from minircnn.onestage import train_onestage
 from minircnn.rng import Rng
-from minircnn.rpn import rpn_loss
+from minircnn.rpn import RpnHead, rpn_loss
 from minircnn.tensor import Tensor
 from minircnn.training import TrainState, alternate_4step, train
 
@@ -188,27 +188,31 @@ class TestCriterion2GradientSuite:
                   lambda rp: T.tsum(T.mul(T.roi_pool(rp, rois, 1.0, 2), 0.4)),
                   [rp])
 
-        # both losses on labeled micro-instances
+        # both losses on labeled micro-instances; the RPN's through a float64
+        # head, so its map-to-rows layout is differenced too
         mini = AnchorConfig(scales=(8.0, 16.0), ratios=(1.0, 2.0), stride=8)
         aset = grid_anchors(mini, 4, 4)
         inside_mask(aset, 32, 32)
         gt = np.array([[4.0, 4.0, 14.0, 14.0], [16.0, 10.0, 30.0, 26.0]])
         anchor_labels, anchor_targets = assign_labels(aset, gt, *LABEL_IOUS)
+        head = RpnHead(Rng(0).substream("init"), 3, mini.k, 8)
         for i in range(20):
             rows = sample_minibatch(anchor_labels, Rng(i).substream("sampling"), batch=16,
                                     max_pos=8)
-            cls = t64(rng.normal(size=(2 * mini.k, 4, 4)))
-            reg = t64(rng.normal(size=(4 * mini.k, 4, 4)) * 0.1)
+            x = t64(rng.normal(size=(3, 4, 4)))
+            for p in head.params:
+                p.value = t64(rng.normal(size=p.value.shape) * 0.3)
             check("rpn_loss",
-                  lambda cls, reg: rpn_loss(cls, reg, anchor_labels, anchor_targets,
-                                            rows, mini.k, WEIGHTS)[0], [cls, reg])
+                  lambda x, *_: rpn_loss(*head.forward(x), anchor_labels, anchor_targets,
+                                         rows, mini.k, WEIGHTS)[0],
+                  [x, *(p.value for p in head.params)])
             n, C = 6, 3
             labels = rng.integers(0, C + 1, size=n)
             labels[0] = 1 + (i % C)                 # guarantee a foreground row
             batch = RoiBatch(rois=np.zeros((n, 4)), labels=labels,
                              targets=rng.uniform(-0.5, 0.5, (n, 4)))
             logits = t64(rng.normal(size=(n, C + 1)))
-            deltas = t64(rng.normal(size=(n, 4 * C)) * 0.3)
+            deltas = t64(rng.normal(size=(n, C, 4)) * 0.3)
             check("detector_loss",
                   lambda logits, deltas: detector_loss(logits, deltas,
                                                        batch)[0],
@@ -242,9 +246,8 @@ class TestCriterion4LossStructure:
         rows = sample_minibatch(labels, Rng(seed).substream("sampling"), batch=16,
                                 max_pos=8)
         rng = np.random.default_rng(seed)
-        cls = Tensor(rng.normal(size=(2 * cfg.k, 4, 4)), requires_grad=True)
-        reg = Tensor(rng.normal(size=(4 * cfg.k, 4, 4)) * 0.1,
-                     requires_grad=True)
+        cls = Tensor(rng.normal(size=(len(aset), 2)), requires_grad=True)
+        reg = Tensor(rng.normal(size=(len(aset), 1, 4)) * 0.1, requires_grad=True)
         return cfg, aset, (labels, targets, rows), cls, reg
 
     def test_zero_positives_and_lambda_scaling(self, announce):

@@ -77,7 +77,10 @@ class TestGridAnchors:
                                               stride=4))]:
             aset = grid_anchors(cfg, w, h)
             assert len(aset) == w * h * cfg.k
-            assert (aset.feature_w, aset.feature_h) == (w, h)
+            # the last k rows are the anchors of the last cell (x, y) = (w-1, h-1)
+            centres = (aset.boxes[-cfg.k:, :2] + aset.boxes[-cfg.k:, 2:]) / 2
+            np.testing.assert_allclose(centres, [[(w - 0.5) * cfg.stride,
+                                                  (h - 0.5) * cfg.stride]] * cfg.k)
 
     def test_paper_count_21600(self):
         assert len(grid_anchors(PAPER_CONFIG, 60, 40)) == 21600

@@ -804,7 +804,6 @@ class TestAblate:
         proposals.min_size, although TINY's anchors overlap above the 0.3
         set here."""
         from minircnn.boxes import clip_arr, decode_arr, iou_matrix_arr
-        from minircnn.rpn import anchor_rows
         real, seen = TrainState.propose_scene, []
 
         def spy(state, scene, p):
@@ -823,7 +822,7 @@ class TestAblate:
             np.fill_diagonal(iou, 0)
             assert iou.max() > 0.3
             _, _, reg = state.forward(scene, state.rpn_head)
-            want = clip_arr(decode_arr(anchor_rows(reg.data, aset.k, 4), aset.boxes),
+            want = clip_arr(decode_arr(reg.data, aset.boxes),
                             scene.width, scene.height)
             want = want[((want[:, 2:] - want[:, :2]) >= min_size).all(axis=1)]
             assert sorted(map(tuple, boxes.tolist())) == \

@@ -49,7 +49,7 @@ class TestForward:
         p = T.softmax(cls_logits.data, axis=1)
         assert p.shape == (2, 4)
         np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-6)
-        assert deltas.shape == (2, 12)
+        assert deltas.shape == (2, 3, 4)
 
     def test_constant_features_identical_rows(self):
         head = make_head()
@@ -200,7 +200,7 @@ class TestDetectorLoss:
 
     def test_perfect_is_zero(self):
         labels = np.array([0, 1, 2])
-        deltas = Tensor(np.zeros((3, 12)))
+        deltas = Tensor(np.zeros((3, 3, 4)))
         targets = np.zeros((3, 4))
         batch = RoiBatch(np.zeros((3, 4)), labels, targets)
         loss, _, _ = detector_loss(self._logits(labels), deltas, batch)
@@ -208,7 +208,7 @@ class TestDetectorLoss:
 
     def test_all_background_reg_term_zero(self):
         labels = np.zeros(4, dtype=int)
-        deltas = Tensor(np.random.default_rng(0).normal(size=(4, 12)))
+        deltas = Tensor(np.random.default_rng(0).normal(size=(4, 3, 4)))
         batch = RoiBatch(np.zeros((4, 4)), labels, np.zeros((4, 4)))
         loss, cls_val, reg_val = detector_loss(self._logits(labels), deltas, batch)
         assert reg_val == 0.0
@@ -216,8 +216,8 @@ class TestDetectorLoss:
 
     def test_single_fg_unit_delta_error_contributes_half(self):
         labels = np.array([2])
-        deltas = np.zeros((1, 12))
-        deltas[0, 4] = 1.0  # class 2 slice is columns 4..7; tx error of 1
+        deltas = np.zeros((1, 3, 4))
+        deltas[0, 1, 0] = 1.0  # class 2's slice, tx error of 1
         batch = RoiBatch(np.zeros((1, 4)), labels, np.zeros((1, 4)))
         loss, _, reg_val = detector_loss(self._logits(labels), Tensor(deltas),
                                          batch)
@@ -227,13 +227,13 @@ class TestDetectorLoss:
     def test_only_matched_class_slice_is_read(self):
         labels = np.array([1, 0])
         rng = np.random.default_rng(5)
-        deltas = rng.normal(size=(2, 12))
+        deltas = rng.normal(size=(2, 3, 4))
         targets = np.zeros((2, 4))
         batch = RoiBatch(np.zeros((2, 4)), labels, targets)
         base = detector_loss(self._logits(labels), Tensor(deltas.copy()),
                              batch)[0].item()
         noise = deltas.copy()
-        noise[0, 4:] = 99.0       # classes 2,3 slices of the fg row
+        noise[0, 1:] = 99.0       # classes 2,3 slices of the fg row
         noise[1, :] = -99.0       # background row entirely
         perturbed = detector_loss(self._logits(labels), Tensor(noise),
                                   batch)[0].item()
@@ -244,7 +244,7 @@ class TestDetectorLoss:
         labels = np.array([0, 1, 2, 3])
         targets = rng.normal(size=(4, 4)) * 0.3
         logits = Tensor(rng.normal(size=(4, 4)), requires_grad=True)
-        deltas = Tensor(rng.normal(size=(4, 12)) * 0.4, requires_grad=True)
+        deltas = Tensor(rng.normal(size=(4, 3, 4)) * 0.4, requires_grad=True)
         batch = RoiBatch(np.zeros((4, 4)), labels, targets)
         # random draws here stay away from smooth-L1 branch boundaries
         assert gradcheck(

@@ -2,7 +2,8 @@
 labelling, the sliding-window head, the RPN objective, the model object and
 the range of each config key; one copy of each fact the model and its random
 streams keep; one shuffled draw; one place that makes a model inference-only;
-one window matrix per convolution; and no package name that only tests read."""
+one window matrix per convolution; one row per box from every head; and no
+package name that only tests read."""
 
 import ast
 import inspect
@@ -10,15 +11,17 @@ import re
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import minircnn
 from minircnn.anchors import AnchorConfig
 from minircnn.config import RunConfig
-from minircnn.detector import RoiSampleConfig
+from minircnn.detector import DetectorHead, RoiSampleConfig, detector_forward
 from minircnn.nn import SgdConfig
 from minircnn.rng import Rng
-from minircnn.rpn import LossWeights, ProposalParams
+from minircnn.rpn import LossWeights, OneStageHead, ProposalParams, RpnHead
+from minircnn.tensor import Tensor
 from minircnn.training import TrainSchedule, TrainState
 
 SRC = Path(minircnn.__file__).parent
@@ -220,6 +223,26 @@ def test_conv2d_builds_one_window_matrix():
     assert not any(s.startswith("tensor.conv2d") for s in call_scopes("pad"))
     tensor = (SRC / "tensor.py").read_text()
     assert "_window_rows" not in tensor and "sliding_window_view" not in tensor
+
+
+def test_heads_emit_rows():
+    """Every head returns raw scores (N, C+1) and class deltas (N, C, 4), one
+    row per box, so no consumer re-derives a head's layout: a softmax runs
+    only where proposals and detections are ranked, and in the log-loss."""
+    for name in ("anchor_rows", "objectness_probs"):
+        assert not [p.name for p in SRC.glob("*.py") if name in p.read_text()], name
+    assert call_scopes("softmax") == {"rpn.propose_arrays",
+                                      "detector.classwise_detections",
+                                      "tensor.softmax_logloss.bwd"}
+    init, k, n_classes, (h, w) = Rng(0).substream("init"), 3, 2, (4, 5)
+    feats = Tensor(np.ones((6, h, w), dtype=np.float32))
+    for head, c in ((RpnHead(init, 6, k, 8), 1),
+                    (OneStageHead(init, 6, k, n_classes, 8), n_classes)):
+        cls, reg = head.forward(feats)
+        assert (cls.shape, reg.shape) == ((h * w * k, c + 1), (h * w * k, c, 4))
+    rois = np.array([[0.0, 0.0, 16.0, 16.0], [8.0, 8.0, 40.0, 32.0]])
+    cls, reg = detector_forward(feats, rois, DetectorHead(init, 6, n_classes), 1 / 8)
+    assert (cls.shape, reg.shape) == ((2, n_classes + 1), (2, n_classes, 4))
 
 
 def test_the_per_caller_model_paths_are_gone():

@@ -5,12 +5,12 @@ import pytest
 
 from minircnn import onestage
 from minircnn import tensor as T
-from minircnn.anchors import AnchorConfig, grid_anchors
+from minircnn.anchors import AnchorConfig, base_anchors, grid_anchors
 from minircnn.dataio import make_scene
 from minircnn.detector import classwise_detections
 from minircnn.onestage import OneStageHead, train_onestage
 from minircnn.rng import Rng
-from minircnn.rpn import ConvHead, anchor_rows
+from minircnn.rpn import ConvHead
 from minircnn.tensor import Tensor
 from minircnn.training import TrainState
 
@@ -32,32 +32,40 @@ class TestHeadShapes:
         feats = Tensor(np.random.default_rng(0).normal(size=(dim, 5, 6))
                        .astype(np.float32))
         cls, reg = head.forward(feats)
-        assert cls.shape == ((C + 1) * K, 5, 6)
-        assert reg.shape == (4 * C * K, 5, 6)
+        assert cls.shape == (5 * 6 * K, C + 1)
+        assert reg.shape == (5 * 6 * K, C, 4)
+        t = T.relu(head.trunk(feats))
+        assert head.cls(t).shape == ((C + 1) * K, 5, 6)
+        assert head.reg(t).shape == (4 * C * K, 5, 6)
 
     def test_window_probs_sum_to_one(self):
         head, dim = make_head(1)
         feats = Tensor(np.random.default_rng(1).normal(size=(dim, 4, 4))
                        .astype(np.float32))
         cls, _ = head.forward(feats)
-        probs = T.softmax(anchor_rows(cls, K, C + 1).data, axis=1)
+        probs = T.softmax(cls.data, axis=1)
         assert probs.shape == (4 * 4 * K, C + 1)
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-6)
 
     def test_flatten_layouts_agree(self):
-        # Window (y, x, anchor a) must land on the same flat row in both maps.
-        rng = np.random.default_rng(2)
+        # Window (y, x, anchor a) must land on the same row in both outputs,
+        # the row of grid_anchors' anchor a at that cell.
+        head, dim = make_head(2)
         h, w = 3, 5
-        cls = Tensor(rng.normal(size=((C + 1) * K, h, w)).astype(np.float32))
-        reg = Tensor(rng.normal(size=(4 * C * K, h, w)).astype(np.float32))
-        fc = anchor_rows(cls, K, C + 1).data
-        fr = anchor_rows(reg, K, C, 4).data
-        y, x, a = 2, 4, 3
-        row = (y * w + x) * K + a
-        np.testing.assert_array_equal(
-            fc[row], cls.data.reshape(K, C + 1, h, w)[a, :, y, x])
-        np.testing.assert_array_equal(
-            fr[row], reg.data.reshape(K, C, 4, h, w)[a, :, :, y, x])
+        feats = Tensor(np.random.default_rng(2).normal(size=(dim, h, w))
+                       .astype(np.float32))
+        fc, fr = (out.data for out in head.forward(feats))
+        t = T.relu(head.trunk(feats))
+        cmap, rmap = head.cls(t).data, head.reg(t).data
+        boxes, base = grid_anchors(ACFG, w, h).boxes, base_anchors(ACFG)
+        for y, x, a in [(0, 0, 0), (0, 1, 2), (2, 4, 3), (1, 3, 1)]:
+            row = (y * w + x) * K + a
+            np.testing.assert_array_equal(
+                fc[row], cmap.reshape(K, C + 1, h, w)[a, :, y, x])
+            np.testing.assert_array_equal(
+                fr[row], rmap.reshape(K, C, 4, h, w)[a, :, :, y, x])
+            centre = ((x + 0.5) * ACFG.stride, (y + 0.5) * ACFG.stride)
+            np.testing.assert_array_equal(boxes[row], base[a] + centre * 2)
 
     def test_is_a_class_specific_conv_head(self):
         head, dim = make_head(4)
@@ -73,27 +81,23 @@ class TestHeadShapes:
         assert all(n.startswith("onestage.") for n in names)
 
 
-def dense_candidate_count(aset) -> int:
-    """Class-specific boxes the head emits over the anchor set's grid, one
-    per window and class, as `TrainState.detect` scores them before NMS."""
+def dense_candidate_count(w: int, h: int) -> int:
+    """Class-specific boxes the head emits over a w x h grid, one per window
+    and class, as `TrainState.detect` scores them before NMS."""
     head, dim = make_head()
-    _, reg = head.forward(Tensor(np.zeros((dim, aset.feature_h, aset.feature_w),
-                                          dtype=np.float32)))
-    per_class = anchor_rows(reg, K, C, 4)
-    assert per_class.shape[0] == len(aset)
+    _, per_class = head.forward(Tensor(np.zeros((dim, h, w), dtype=np.float32)))
+    assert per_class.shape[0] == len(grid_anchors(ACFG, w, h))
     return per_class.shape[0] * per_class.shape[1]
 
 
 class TestDenseCount:
     def test_formula(self):
-        aset = grid_anchors(ACFG, 8, 8)
-        assert dense_candidate_count(aset) == 8 * 8 * K * C
+        assert dense_candidate_count(8, 8) == 8 * 8 * K * C
 
     def test_dwarfs_a_proposal_budget(self):
         # 128x128 at stride 8: the dense stage scores far more candidates
         # than a 300-proposal region stage ever considers.
-        aset = grid_anchors(ACFG, 16, 16)
-        assert dense_candidate_count(aset) >= 10 * 300
+        assert dense_candidate_count(16, 16) >= 10 * 300
 
 
 class TestDetect:
@@ -128,10 +132,8 @@ class TestDetect:
         # stage runs: the class-wise post-process of the head's own outputs
         head = self.state.onestage_head
         _, cls, reg = self.state.forward(self.scene, head)
-        want = classwise_detections(
-            T.softmax(anchor_rows(cls, K, C + 1).data, axis=1),
-            anchor_rows(reg, K, C, 4).data, self.state.anchors(64, 64).boxes,
-            64, 64, 0.0, 0.3, 100)
+        want = classwise_detections(cls.data, reg.data, self.state.anchors(64, 64).boxes,
+                                    64, 64, 0.0, 0.3, 100)
         assert self.detect(score_thresh=0.0) == want
 
 

@@ -14,8 +14,6 @@ from minircnn.rpn import (
     Backbone,
     ConvHead,
     RpnHead,
-    anchor_rows,
-    objectness_probs,
     propose_arrays,
     rpn_loss,
 )
@@ -57,43 +55,56 @@ class TestHeadStructure:
             np.testing.assert_array_equal(a.value.data, b.value.data)
 
     def test_spatial_dims_preserved(self):
+        # one row per anchor of the 10 x 7 grid: 2 scores and 1 x 4 deltas each
         rng = Rng(1).substream("init")
         head = RpnHead(rng, 8, 9, head_dim=16)
         x = Tensor(np.random.default_rng(0).normal(
             size=(8, 10, 7)).astype(np.float32))
         cls, reg = head.forward(x)
-        assert cls.shape == (18, 10, 7)
-        assert reg.shape == (36, 10, 7)
+        assert cls.shape == (10 * 7 * 9, 2)
+        assert reg.shape == (10 * 7 * 9, 1, 4)
 
     def test_objectness_pairs_softmax_to_one(self):
-        probs = objectness_probs(
-            np.random.default_rng(1).normal(size=(6, 4, 4)), k=3)
-        assert probs.shape == (48,)
-        assert probs.min() > 0 and probs.max() < 1
+        head = RpnHead(Rng(1).substream("init"), 6, 3, head_dim=8)
+        cls, _ = head.forward(Tensor(np.random.default_rng(1).normal(size=(6, 4, 4))))
+        probs = T.softmax(cls.data, axis=1)
+        assert probs.shape == (48, 2)
+        np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-6)
+        assert probs[:, 1].min() > 0 and probs[:, 1].max() < 1
 
     def test_shift_invariance(self):
         # shifting the feature map one cell shifts outputs one cell (interior)
         rng = Rng(2).substream("init")
-        head = RpnHead(rng, 4, 2, head_dim=8)
+        k = 2
+        head = RpnHead(rng, 4, k, head_dim=8)
         x = np.random.default_rng(2).normal(size=(4, 9, 9)).astype(np.float32)
         shifted = np.roll(x, 1, axis=2)
-        cls_a, _ = head.forward(Tensor(x))
-        cls_b, _ = head.forward(Tensor(shifted))
-        np.testing.assert_allclose(cls_a.data[:, 2:-2, 2:-2],
-                                   cls_b.data[:, 2:-2, 3:-1], atol=1e-5)
+        cls_a = head.forward(Tensor(x))[0].data.reshape(9, 9, k, 2)
+        cls_b = head.forward(Tensor(shifted))[0].data.reshape(9, 9, k, 2)
+        np.testing.assert_allclose(cls_a[2:-2, 2:-2], cls_b[2:-2, 3:-1], atol=1e-5)
 
     def test_flatten_layout(self):
-        # anchor-major channels: cls channels [2a, 2a+1] belong to anchor a
-        k, h, w = 3, 2, 2
-        data = np.arange(2 * k * h * w, dtype=np.float64).reshape(2 * k, h, w)
-        flat = anchor_rows(Tensor(data), k, 2).data
-        assert flat.shape == (h * w * k, 2)
-        # first grid cell (0,0), anchor 0 -> channels 0 and 1 at (0,0)
-        np.testing.assert_array_equal(flat[0], [data[0, 0, 0], data[1, 0, 0]])
-        # first grid cell, anchor 2 -> channels 4 and 5
-        np.testing.assert_array_equal(flat[2], [data[4, 0, 0], data[5, 0, 0]])
-        # second grid cell (0,1), anchor 0
-        np.testing.assert_array_equal(flat[k], [data[0, 0, 1], data[1, 0, 1]])
+        # anchor-major channels: cls channels [2a, 2a+1] and reg channels
+        # [4a, 4a+4] at cell (y, x) are the row of grid_anchors' anchor a there
+        cfg = AnchorConfig(scales=(8.0, 16.0, 32.0), ratios=(1.0,), stride=8)
+        k, h, w = cfg.k, 2, 3
+        head = RpnHead(Rng(6).substream("init"), 4, k, head_dim=8)
+        x = Tensor(np.random.default_rng(6).normal(size=(4, h, w)))
+        cls, reg = head.forward(x)
+        t = T.relu(head.trunk(x))
+        cmap, rmap = head.cls(t).data, head.reg(t).data
+        assert cls.shape == (h * w * k, 2) and reg.shape == (h * w * k, 1, 4)
+        aset = grid_anchors(cfg, w, h)
+        for y in range(h):
+            for xx in range(w):
+                for a in range(k):
+                    row = (y * w + xx) * k + a
+                    np.testing.assert_array_equal(cls.data[row], cmap[2 * a:2 * a + 2, y, xx])
+                    np.testing.assert_array_equal(reg.data[row, 0], rmap[4 * a:4 * a + 4, y, xx])
+                    box = aset.boxes[row]
+                    assert (box[0] + box[2]) / 2 == (xx + 0.5) * cfg.stride
+                    assert (box[1] + box[3]) / 2 == (y + 0.5) * cfg.stride
+                    assert box[2] - box[0] == cfg.scales[a]
 
 
 class TestLossWeights:
@@ -118,12 +129,11 @@ class TestLossWeights:
 
 class TestRpnLoss:
     def _outputs(self, aset, rng_seed=3, dtype=np.float64):
-        k = aset.k
+        """Head rows for every anchor of `aset`: scores (N, 2), deltas (N, 1, 4)."""
         rng = np.random.default_rng(rng_seed)
-        cls = Tensor(rng.normal(size=(2 * k, aset.feature_h, aset.feature_w))
-                     .astype(dtype), requires_grad=True)
-        reg = Tensor(rng.normal(size=(4 * k, aset.feature_h, aset.feature_w))
-                     .astype(dtype) * 0.1, requires_grad=True)
+        cls = Tensor(rng.normal(size=(len(aset), 2)).astype(dtype), requires_grad=True)
+        reg = Tensor(rng.normal(size=(len(aset), 1, 4)).astype(dtype) * 0.1,
+                     requires_grad=True)
         return cls, reg
 
     def test_zero_positives_reg_term_zero(self):
@@ -132,7 +142,7 @@ class TestRpnLoss:
         rows = sample_minibatch(labels, Rng(0).substream("sampling"), batch=16,
                                 max_pos=MINIBATCH[1])
         cls, reg = self._outputs(aset)
-        loss, cls_val, reg_val = rpn_loss(cls, reg, labels, targets, rows, aset.k,
+        loss, cls_val, reg_val = rpn_loss(cls, reg, labels, targets, rows, cfg.k,
                                           WEIGHTS)
         assert reg_val == 0.0
         assert loss.item() == pytest.approx(cls_val)
@@ -142,18 +152,12 @@ class TestRpnLoss:
     def test_perfect_predictions_near_zero(self):
         cfg, aset, t = micro_setup()
         labels, targets, _ = t
-        k = aset.k
-        h, w = aset.feature_h, aset.feature_w
-        logits = np.zeros((h * w * k, 2))
+        logits = np.zeros((len(aset), 2))
         logits[np.arange(len(aset)), labels.clip(0)] = 50.0
-        cls = Tensor(logits.reshape(h, w, k, 2).transpose(2, 3, 0, 1)
-                     .reshape(2 * k, h, w))
-        deltas = np.zeros((len(aset), 4))
+        deltas = np.zeros((len(aset), 1, 4))
         pos = np.flatnonzero(labels == 1)
-        deltas[pos] = targets[pos]
-        reg = Tensor(deltas.reshape(h, w, k, 4).transpose(2, 3, 0, 1)
-                     .reshape(4 * k, h, w))
-        loss, _, _ = rpn_loss(cls, reg, *t, k, WEIGHTS)
+        deltas[pos, 0] = targets[pos]
+        loss, _, _ = rpn_loss(Tensor(logits), Tensor(deltas), *t, cfg.k, WEIGHTS)
         assert loss.item() == pytest.approx(0.0, abs=1e-10)
 
     def test_normalizers_enter_exactly(self):
@@ -161,17 +165,17 @@ class TestRpnLoss:
         for image in (32, 56):
             cfg, aset, t = micro_setup(image=image)
             cls, reg = self._outputs(aset)
-            _, c1, r1 = rpn_loss(cls, reg, *t, aset.k, WEIGHTS)
-            _, c2, r2 = rpn_loss(cls, reg, *t, aset.k,
+            _, c1, r1 = rpn_loss(cls, reg, *t, cfg.k, WEIGHTS)
+            _, c2, r2 = rpn_loss(cls, reg, *t, cfg.k,
                                  replace(WEIGHTS, lam=10.0, batch=512))
             assert c2 == pytest.approx(c1 / 2.0, rel=1e-12)
             assert r2 == pytest.approx(r1, rel=1e-12)
             labels, targets, _ = t
             pos = np.flatnonzero(labels == 1)
             assert pos.size
-            x = anchor_rows(reg.data, aset.k, 4)[pos] - targets[pos]
+            x = reg.data[pos, 0] - targets[pos]
             smooth = np.where(np.abs(x) < 1, 0.5 * x * x, np.abs(x) - 0.5).sum()
-            n_reg = aset.feature_w * aset.feature_h
+            n_reg = len(aset) // cfg.k
             assert n_reg == (image // 8) ** 2
             assert r1 == pytest.approx(10.0 / n_reg * smooth, rel=1e-12)
 
@@ -180,7 +184,7 @@ class TestRpnLoss:
         grads = {}
         for c, lam in ((1.0, 10.0), (3.0, 30.0)):
             cls, reg = self._outputs(aset)
-            loss, _, _ = rpn_loss(cls, reg, *t, aset.k, replace(WEIGHTS, lam=lam))
+            loss, _, _ = rpn_loss(cls, reg, *t, cfg.k, replace(WEIGHTS, lam=lam))
             loss.backward()
             grads[c] = (reg.grad.copy(), cls.grad.copy())
         np.testing.assert_allclose(grads[3.0][0], 3.0 * grads[1.0][0], rtol=1e-12)
@@ -189,18 +193,18 @@ class TestRpnLoss:
     def test_reg_runs_over_all_positives_not_only_sampled(self):
         cfg, aset, (labels, targets, rows) = micro_setup()
         cls, reg = self._outputs(aset)
-        _, _, r_full = rpn_loss(cls, reg, labels, targets, rows, aset.k, WEIGHTS)
+        _, _, r_full = rpn_loss(cls, reg, labels, targets, rows, cfg.k, WEIGHTS)
         # recompute with a different sampled minibatch: reg term unchanged
         rows2 = sample_minibatch(labels, Rng(99).substream("sampling"), batch=8, max_pos=0)
         assert not np.any(labels[rows2] == 1)
-        _, _, r_resampled = rpn_loss(cls, reg, labels, targets, rows2, aset.k, WEIGHTS)
+        _, _, r_resampled = rpn_loss(cls, reg, labels, targets, rows2, cfg.k, WEIGHTS)
         assert r_resampled == pytest.approx(r_full, rel=1e-12)
 
     def test_no_sampled_anchors_raises(self):
         cfg, aset, (labels, targets, _) = micro_setup()
         cls, reg = self._outputs(aset)
         with pytest.raises(ValueError, match="sampled minibatch"):
-            rpn_loss(cls, reg, labels, targets, np.zeros(0, dtype=np.int64), aset.k,
+            rpn_loss(cls, reg, labels, targets, np.zeros(0, dtype=np.int64), cfg.k,
                      WEIGHTS)
 
     def test_anchor_count_mismatch_names_both_counts(self):
@@ -208,34 +212,36 @@ class TestRpnLoss:
         _, big, _ = micro_setup(image=40)          # 5x5 grid, 100 anchors
         cls, reg = self._outputs(big)
         with pytest.raises(ValueError, match=r"rpn_loss: .*100 .*64"):
-            rpn_loss(cls, reg, *t, aset.k, WEIGHTS)
+            rpn_loss(cls, reg, *t, cfg.k, WEIGHTS)
 
     def test_gradcheck_64bit_micro_instance(self):
         cfg, aset, t = micro_setup()
         cls, reg = self._outputs(aset)
 
         def fn(cls, reg):
-            return rpn_loss(cls, reg, *t, aset.k, WEIGHTS)[0]
+            return rpn_loss(cls, reg, *t, cfg.k, WEIGHTS)[0]
 
         assert gradcheck(fn, [cls, reg]) < 1e-4
 
     def test_gradcheck_through_head_convs(self):
-        # full chain in float64: trunk conv + sibling 1x1 convs -> loss
+        # full chain in float64: trunk conv + sibling 1x1 convs + the head's
+        # map-to-rows layout -> loss
         cfg, aset, t = micro_setup()
-        k = aset.k
+        k = cfg.k
         rng = np.random.default_rng(7)
-        x = Tensor(rng.normal(size=(3, aset.feature_h, aset.feature_w)))
+        x = Tensor(rng.normal(size=(3, 4, 4)))
+        head = RpnHead(Rng(7).substream("init"), 3, k, head_dim=4)
         wt = Tensor(rng.normal(size=(4, 3, 3, 3)) * 0.3, requires_grad=True)
         bt = Tensor(np.zeros(4), requires_grad=True)
         wc = Tensor(rng.normal(size=(2 * k, 4, 1, 1)) * 0.3, requires_grad=True)
         bc = Tensor(np.zeros(2 * k), requires_grad=True)
         wr = Tensor(rng.normal(size=(4 * k, 4, 1, 1)) * 0.3, requires_grad=True)
         br = Tensor(np.zeros(4 * k), requires_grad=True)
+        for p, v in zip(head.params, (wt, bt, wc, bc, wr, br), strict=True):
+            p.value = v
 
-        def fn(wt, bt, wc, bc, wr, br):
-            h = T.relu(T.conv2d(x, wt, bt, pad=1))
-            return rpn_loss(T.conv2d(h, wc, bc), T.conv2d(h, wr, br),
-                            *t, k, WEIGHTS)[0]
+        def fn(*_):
+            return rpn_loss(*head.forward(x), *t, k, WEIGHTS)[0]
 
         assert gradcheck(fn, [wt, bt, wc, bc, wr, br]) < 1e-4
 
@@ -246,8 +252,8 @@ class TestProposals:
                            stride=8)
         aset = grid_anchors(cfg, image // 8, image // 8)
         rng = np.random.default_rng(seed)
-        cls = rng.normal(size=(2 * cfg.k, image // 8, image // 8))
-        reg = rng.normal(size=(4 * cfg.k, image // 8, image // 8)) * 0.2
+        cls = rng.normal(size=(len(aset), 2))
+        reg = rng.normal(size=(len(aset), 1, 4)) * 0.2
         return cfg, aset, cls, reg, image
 
     def test_zero_deltas_yield_clipped_anchors(self):
@@ -255,7 +261,7 @@ class TestProposals:
         boxes, scores = propose_arrays(cls, np.zeros_like(reg), aset, image,
                                        image, TRAIN_PROPOSALS)
         clipped = np.clip(aset.boxes, 0, image)
-        probs = objectness_probs(cls, cfg.k)
+        probs = T.softmax(cls, axis=1)[:, 1]
         big = ((clipped[:, 2] - clipped[:, 0]) >= 2.0) & \
               ((clipped[:, 3] - clipped[:, 1]) >= 2.0)
         # every proposal is one of the clipped anchors
@@ -309,11 +315,11 @@ class TestProposals:
     def test_zero_size_boxes_dropped_at_min_size_zero(self):
         # anchor 0 of every cell decodes wholly right of the image and clips
         # to zero width; min_size 0 must still drop it
-        cfg, aset, cls, _, image = self._setup()
-        reg = np.zeros((cfg.k, 4, *cls.shape[1:]))
-        reg[0, 0] = 100.0
-        boxes, _ = propose_arrays(cls, reg.reshape(-1, *cls.shape[1:]), aset, image,
-                                  image, replace(TRAIN_PROPOSALS, min_size=0.0))
+        cfg, aset, cls, reg, image = self._setup()
+        reg = np.zeros_like(reg)
+        reg[::cfg.k, 0, 0] = 100.0
+        boxes, _ = propose_arrays(cls, reg, aset, image, image,
+                                  replace(TRAIN_PROPOSALS, min_size=0.0))
         assert boxes.shape[0] > 0
         assert np.all(boxes[:, 2] > boxes[:, 0]) and np.all(boxes[:, 3] > boxes[:, 1])
 
