@@ -2,12 +2,14 @@
 
 Boxes are continuous half-open rectangles (x1, y1, x2, y2), origin top-left,
 area = (x2-x1)*(y2-y1). Every entry point takes (N, 4) float arrays; `Box`
-and `ScoredBox` carry single detections out of the pipeline.
+and `ScoredBox` are the plain records single detections leave the pipeline
+as. They check nothing: the pipeline makes them from softmax scores and
+clipped boxes, and `eval-map` from the rows its reader has checked.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -15,32 +17,17 @@ import numpy as np
 DELTA_CLAMP = math.log(1000.0 / 16.0)
 
 
-@dataclass(frozen=True)
-class Box:
+class Box(NamedTuple):
     x1: float
     y1: float
     x2: float
     y2: float
 
-    def __post_init__(self):
-        if self.x2 < self.x1 or self.y2 < self.y1:
-            raise ValueError(f"invalid box {self}")
 
-    def to_array(self) -> np.ndarray:
-        return np.array([self.x1, self.y1, self.x2, self.y2], dtype=np.float64)
-
-
-@dataclass(frozen=True)
-class ScoredBox:
+class ScoredBox(NamedTuple):
     box: Box
     score: float
     class_id: int = 0
-
-    def __post_init__(self):
-        if not 0 <= self.score <= 1:
-            raise ValueError(f"score {self.score} outside [0, 1]")
-        if self.class_id < 0:
-            raise ValueError("class_id must be >= 0")
 
 
 def iou_matrix_arr(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -9,7 +9,8 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig
-from .dataio import gen_synthetic, load_manifest
+from .boxes import Box, ScoredBox
+from .dataio import gen_synthetic, load_manifest, read_lines, write_lines
 from .detector import check_classes
 from .evaluation import bench, mean_ap, recall_curve
 from .onestage import train_onestage
@@ -59,40 +60,48 @@ def _read_scene_rows(path, scenes, n_classes=None) -> list[list[tuple]]:
     row that does not parse, or whose image, score, box or class the pipeline
     could not have written, is rejected naming file:line."""
     groups = {s.path: [] for s in scenes}
-    with open(path) as f:
-        header = f.readline().strip().split(",")
-        cols = ("image", "score", "x1", "y1", "x2", "y2") + ("class",) * bool(n_classes)
-        missing = [c for c in cols if c not in header]
-        if missing:
-            raise ValueError(f"{path}:1: the header has no '{missing[0]}' column")
-        idx = [header.index(c) for c in cols]
-        for lineno, line in enumerate(f, start=2):
-            parts = line.strip().split(",")
-            if parts == [""]:
-                continue
-            where = f"{path}:{lineno}"
-            try:
-                image, *rest = (parts[i] for i in idx)
-                score, *box = (float(v) for v in rest[:5])
-                cls = [int(v) for v in rest[5:]]
-            except (IndexError, ValueError) as exc:
-                raise ValueError(f"{where}: {exc}") from None
-            if image not in groups:
-                raise ValueError(f"{where}: image {image} is not in the manifest")
-            if not 0 <= score <= 1:
-                raise ValueError(f"{where}: score {score} is outside [0, 1]")
-            if not (np.isfinite(box).all() and box[0] <= box[2] and box[1] <= box[3]):
-                raise ValueError(f"{where}: box {box} is non-finite or inverted")
-            if cls and not 1 <= cls[0] <= n_classes:
-                raise ValueError(f"{where}: class {cls[0]} is outside 1..{n_classes}")
-            groups[image].append((score, box, *cls))
+    lines = read_lines(path)
+    header = next(lines, (1, ""))[1].strip().split(",")
+    cols = ("image", "score", "x1", "y1", "x2", "y2") + ("class",) * bool(n_classes)
+    missing = [c for c in cols if c not in header]
+    if missing:
+        raise ValueError(f"{path}:1: the header has no '{missing[0]}' column")
+    idx = [header.index(c) for c in cols]
+    for lineno, line in lines:
+        parts = line.strip().split(",")
+        if parts == [""]:
+            continue
+        where = f"{path}:{lineno}"
+        try:
+            image, *rest = (parts[i] for i in idx)
+            score, *box = (float(v) for v in rest[:5])
+            cls = [int(v) for v in rest[5:]]
+        except (IndexError, ValueError) as exc:
+            raise ValueError(f"{where}: {exc}") from None
+        if image not in groups:
+            raise ValueError(f"{where}: image {image} is not in the manifest")
+        if not 0 <= score <= 1:
+            raise ValueError(f"{where}: score {score} is outside [0, 1]")
+        if not (np.isfinite(box).all() and box[0] <= box[2] and box[1] <= box[3]):
+            raise ValueError(f"{where}: box {box} is non-finite or inverted")
+        if cls and not 1 <= cls[0] <= n_classes:
+            raise ValueError(f"{where}: class {cls[0]} is outside 1..{n_classes}")
+        groups[image].append((score, box, *cls))
     return [groups[s.path] for s in scenes]
 
 
-def _report(path: Path, text: str):
+def _write_scene_rows(path, column: str, rows):
+    """The CSV `_read_scene_rows` reads: an `image,<column>,score,x1,y1,x2,y2`
+    line for each (image, rank or class, score, box) of `rows`."""
+    write_lines(path, [f"image,{column},score,x1,y1,x2,y2"] + [
+        ",".join([image, str(key), *(f"{v:.9g}" for v in (score, *box))])
+        for image, key, score, box in rows])
+
+
+def _report(path: Path, rows: list[str]):
     """Write a CSV report and echo it to stdout."""
-    path.write_text(text)
-    print(text, end="")
+    write_lines(path, rows)
+    print(*rows, sep="\n")
 
 
 # subcommand handlers ---------------------------------------------------
@@ -149,26 +158,18 @@ def cmd_propose(args, cfg: RunConfig, out: Path):
     scenes = _load_scenes(args.data)
     state = TrainState.open(args.ckpt, *_dims(cfg)).require("rpn")
     p = cfg.proposal_params(train=False)
-    rows = ["image,rank,score,x1,y1,x2,y2"]
-    for s in scenes:
-        boxes, scores = state.propose_scene(s, p)
-        for r, (b, sc) in enumerate(zip(boxes, scores)):
-            rows.append(f"{s.path},{r},{sc:.9g},{b[0]:.9g},{b[1]:.9g},"
-                        f"{b[2]:.9g},{b[3]:.9g}")
-    (out / "proposals.csv").write_text("\n".join(rows) + "\n")
+    _write_scene_rows(out / "proposals.csv", "rank", (
+        (s.path, r, score, box) for s in scenes
+        for r, (box, score) in enumerate(zip(*state.propose_scene(s, p)))))
     print(f"wrote proposals for {len(scenes)} images to {out / 'proposals.csv'}")
 
 
 def cmd_detect(args, cfg: RunConfig, out: Path):
     scenes = _load_scenes(args.data)
     state = TrainState.open(args.ckpt, *_dims(cfg))
-    rows = ["image,class,score,x1,y1,x2,y2"]
-    for s in scenes:
-        for d in state.detect(s, *_detect_args(cfg)):
-            b = d.box
-            rows.append(f"{s.path},{d.class_id},{d.score:.9g},{b.x1:.9g},"
-                        f"{b.y1:.9g},{b.x2:.9g},{b.y2:.9g}")
-    (out / "detections.csv").write_text("\n".join(rows) + "\n")
+    _write_scene_rows(out / "detections.csv", "class", (
+        (s.path, d.class_id, d.score, d.box) for s in scenes
+        for d in state.detect(s, *_detect_args(cfg))))
     print(f"wrote detections for {len(scenes)} images to {out / 'detections.csv'}")
 
 
@@ -178,13 +179,12 @@ def cmd_eval_recall(args, cfg: RunConfig, out: Path):
              .reshape(-1, 4) for rows in _read_scene_rows(args.proposals, scenes)]
     _report(out / "recall.csv",
             recall_curve(props, [s.boxes for s in scenes],
-                         cfg.proposals_post_nms_top_test).to_csv())
+                         cfg.proposals_post_nms_top_test).to_csv().splitlines())
 
 
 def cmd_eval_map(args, cfg: RunConfig, out: Path):
     scenes = _load_scenes(args.manifest)
     check_classes(scenes, cfg.detector_n_classes)
-    from .boxes import Box, ScoredBox
     dets = [[ScoredBox(Box(*box), score, c) for score, box, c in rows]
             for rows in _read_scene_rows(args.detections, scenes,
                                          cfg.detector_n_classes)]
@@ -192,8 +192,7 @@ def cmd_eval_map(args, cfg: RunConfig, out: Path):
                             [s.classes for s in scenes],
                             range(1, cfg.detector_n_classes + 1), cfg.eval_iou_thresh)
     rows = ["class,ap"] + [f"{c},{ap:.6g}" for c, ap in sorted(per_class.items())]
-    rows.append(f"mAP,{mp:.6g}")
-    (out / "map.csv").write_text("\n".join(rows) + "\n")
+    write_lines(out / "map.csv", rows + [f"mAP,{mp:.6g}"])
     print(f"mAP@{cfg.eval_iou_thresh:g} = {mp:.4f}")
 
 
@@ -204,7 +203,7 @@ def cmd_bench(args, cfg: RunConfig, out: Path):
     state = TrainState.open(args.ckpt, *_dims(cfg))
     report = bench(*state.stages(*_detect_args(cfg)), scenes,
                    n_warmup=cfg.bench_n_warmup, n_timed=cfg.bench_n_timed)
-    _report(out / "timing.csv", report.to_csv())
+    _report(out / "timing.csv", report.to_csv().splitlines())
 
 
 def cmd_ablate(args, cfg: RunConfig, out: Path):
@@ -244,7 +243,7 @@ def cmd_ablate(args, cfg: RunConfig, out: Path):
         for n in budgets:
             c = recall_curve(props, gt_boxes, n)
             rows += [f"{n},{t:.6g},{r:.6g}" for t, r in zip(c.iou_grid, c.recall)]
-        _report(out / "recall_n_sweep.csv", "\n".join(rows) + "\n")
+        _report(out / "recall_n_sweep.csv", rows)
     elif args.mode == "anchor-settings":
         mid = (cfg.anchors_scales[len(cfg.anchors_scales) // 2],)
         settings = [("3s3r", cfg.anchors_scales, cfg.anchors_ratios),
@@ -255,7 +254,7 @@ def cmd_ablate(args, cfg: RunConfig, out: Path):
             _, c = _retrain_recall(cfg, scenes, gt_boxes, p,
                                    anchors_scales=scales, anchors_ratios=ratios)
             rows.append(f"{name},{c.at(0.5):.6g},{c.at(0.7):.6g}")
-        _report(out / "anchor_settings.csv", "\n".join(rows) + "\n")
+        _report(out / "anchor_settings.csv", rows)
     elif args.mode == "lambda-sweep":
         rows = ["lambda,recall_at_0.5,recall_at_0.7,final_loss_cls,final_loss_reg"]
         for lam in cfg.ablate_lambdas:
@@ -263,10 +262,10 @@ def cmd_ablate(args, cfg: RunConfig, out: Path):
             last = state.loss_log[-1]
             rows.append(f"{lam:g},{c.at(0.5):.6g},{c.at(0.7):.6g},"
                         f"{last['loss_cls']:.6g},{last['loss_reg']:.6g}")
-        _report(out / "lambda_sweep.csv", "\n".join(rows) + "\n")
+        _report(out / "lambda_sweep.csv", rows)
     if args.mode in ("no-reg", "no-cls"):
         _report(out / f"recall_{args.mode.replace('-', '_')}.csv",
-                recall_curve(props, gt_boxes, p.post_nms_top).to_csv())
+                recall_curve(props, gt_boxes, p.post_nms_top).to_csv().splitlines())
 
 
 def _retrain_recall(cfg: RunConfig, scenes, gt_boxes, p, **overrides):

@@ -13,7 +13,8 @@ dest is a key, checks the result, and once the run succeeds writes it as
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from pathlib import Path
+
+from .dataio import read_lines, write_lines
 
 
 def _parse(text: str, like):
@@ -85,8 +86,9 @@ class RunConfig:
     bench_n_timed: int = 10
 
     # the values each key accepts; for a list key, those of each entry, and
-    # the list may not be empty. `seed` takes any int.
+    # the list may not be empty. `seed` takes the 2**64 seeds `Rng` tells apart.
     _RANGES = {key: interval for interval, keys in {
+        "[0, 18446744073709551616)": "seed",
         "[1, inf)": "data.n_images data.max_objects backbone.channels rpn.head_dim "
                     "rpn.batch proposals.pre_nms_top proposals.post_nms_top_train "
                     "proposals.post_nms_top_test detector.n_classes "
@@ -113,7 +115,7 @@ class RunConfig:
 
     @classmethod
     def keys(cls) -> dict[str, str]:
-        """Each key, spelled as `to_text` writes it, and the field it names."""
+        """Each key, spelled as `write` writes it, and the field it names."""
         return {f.name.replace("_", ".", 1): f.name for f in fields(cls)}
 
     def check(self, *unread: str):
@@ -160,7 +162,7 @@ class RunConfig:
     @classmethod
     def from_file(cls, path) -> "RunConfig":
         cfg, seen = cls(), {}
-        for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+        for lineno, raw in read_lines(path):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -176,7 +178,7 @@ class RunConfig:
                 raise type(exc)(f"{path}:{lineno}: {exc.args[0]}") from None
         return cfg
 
-    def to_text(self) -> str:
+    def write(self, path):
         lines = []
         for key, name in self.keys().items():
             v = getattr(self, name)
@@ -184,10 +186,7 @@ class RunConfig:
                 v = ",".join(_float_text(x) if isinstance(x, float) else str(x)
                              for x in v)
             lines.append(f"{key}={v}")
-        return "\n".join(lines) + "\n"
-
-    def write(self, path):
-        Path(path).write_text(self.to_text())
+        write_lines(path, lines)
 
     # typed views over the flat fields ---------------------------------
     def anchor_config(self):

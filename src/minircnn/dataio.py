@@ -1,4 +1,4 @@
-"""Synthetic shapes dataset and PPM/JSONL IO.
+"""Synthetic shapes dataset, PPM/JSONL IO, and the one UTF-8 text line pair.
 
 Images are binary PPM (P6, 8-bit RGB); annotations live in a JSON Lines
 manifest, one object per line:
@@ -175,8 +175,26 @@ def gen_synthetic(out_dir, n_images: int, image_size: int = 128, seed: int = 0,
         lines.append(json.dumps({"image": rel, "width": scene.width,
                                  "height": scene.height, "objects": objs}))
     manifest = out_dir / "manifest.jsonl"
-    manifest.write_text("\n".join(lines) + ("\n" if lines else ""))
+    write_lines(manifest, lines)
     return manifest
+
+
+def write_lines(path, lines):
+    """Write each of `lines` and a newline after it as UTF-8; no lines, an
+    empty file. The package writes every text file through here."""
+    Path(path).write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
+
+
+def read_lines(path):
+    """Yield (line number, text) of each line of the UTF-8 file `path`, split
+    at LF, CR LF or CR only. A byte that is not UTF-8 names file:line. The
+    package reads every text file through here."""
+    for lineno, raw in enumerate(Path(path).read_bytes().splitlines(), start=1):
+        try:
+            yield lineno, raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}:{lineno}: byte {exc.start + 1} "
+                             f"({raw[exc.start]:#04x}) is not UTF-8") from None
 
 
 class ManifestError(ValueError):
@@ -187,46 +205,44 @@ def load_manifest(path) -> DatasetManifest:
     path = Path(path)
     root = path.parent
     entries, first_line = [], {}
-    with open(path) as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                e = json.loads(line)
-                if type(e["image"]) is not str or not e["image"]:
-                    raise ManifestError(f"{path}:{lineno}: image {e['image']!r} is not "
-                                        "a file name")
-                w, h = e["width"], e["height"]
-                for key, v in (("width", w), ("height", h)):
-                    if type(v) is not int or v < 1:
-                        raise ManifestError(f"{path}:{lineno}: {key} {v!r} is not "
-                                            "an integer of at least 1")
-                for o in e["objects"]:
-                    if type(o["class"]) is not int or o["class"] not in CLASS_NAMES:
-                        raise ManifestError(
-                            f"{path}:{lineno}: unknown class {o['class']!r}")
-                    x1, y1, x2, y2 = box = tuple(o[k] for k in ("x1", "y1", "x2", "y2"))
-                    if any(type(v) not in (int, float) for v in box):
-                        raise ManifestError(f"{path}:{lineno}: object box {box} holds a "
-                                            "value that is not a number")
-                    if not (0 <= x1 < x2 <= w and 0 <= y1 < y2 <= h):
-                        raise ManifestError(f"{path}:{lineno}: object box {box} is empty "
-                                            f"or outside the {w}x{h} image")
-            except ManifestError:
-                raise
-            except (KeyError, ValueError, TypeError) as exc:
-                raise ManifestError(f"{path}:{lineno}: malformed entry: {exc}") from exc
-            img = root / e["image"]
-            if not img.exists():
-                raise ManifestError(f"{path}:{lineno}: missing image file {img}")
-            if not img.is_file():
-                raise ManifestError(f"{path}:{lineno}: image {img} is not a file")
-            if img in first_line:
-                raise ManifestError(f"{path}:{lineno}: image {e['image']} is already "
-                                    f"listed on line {first_line[img]}")
-            first_line[img] = lineno
-            entries.append(e)
+    for lineno, line in read_lines(path):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            e = json.loads(line)
+            if type(e["image"]) is not str or not e["image"]:
+                raise ManifestError(f"{path}:{lineno}: image {e['image']!r} is not "
+                                    "a file name")
+            w, h = e["width"], e["height"]
+            for key, v in (("width", w), ("height", h)):
+                if type(v) is not int or v < 1:
+                    raise ManifestError(f"{path}:{lineno}: {key} {v!r} is not "
+                                        "an integer of at least 1")
+            for o in e["objects"]:
+                if type(o["class"]) is not int or o["class"] not in CLASS_NAMES:
+                    raise ManifestError(f"{path}:{lineno}: unknown class {o['class']!r}")
+                x1, y1, x2, y2 = box = tuple(o[k] for k in ("x1", "y1", "x2", "y2"))
+                if any(type(v) not in (int, float) for v in box):
+                    raise ManifestError(f"{path}:{lineno}: object box {box} holds a "
+                                        "value that is not a number")
+                if not (0 <= x1 < x2 <= w and 0 <= y1 < y2 <= h):
+                    raise ManifestError(f"{path}:{lineno}: object box {box} is empty "
+                                        f"or outside the {w}x{h} image")
+        except ManifestError:
+            raise
+        except (KeyError, ValueError, TypeError) as exc:
+            raise ManifestError(f"{path}:{lineno}: malformed entry: {exc}") from exc
+        img = root / e["image"]
+        if not img.exists():
+            raise ManifestError(f"{path}:{lineno}: missing image file {img}")
+        if not img.is_file():
+            raise ManifestError(f"{path}:{lineno}: image {img} is not a file")
+        if img in first_line:
+            raise ManifestError(f"{path}:{lineno}: image {e['image']} is already "
+                                f"listed on line {first_line[img]}")
+        first_line[img] = lineno
+        entries.append(e)
     return DatasetManifest(root=root, entries=entries)
 
 

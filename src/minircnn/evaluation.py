@@ -79,7 +79,7 @@ def voc_ap(detections_per_image: list[list], gt_boxes_per_image: list[np.ndarray
     for i, dets in enumerate(detections_per_image):
         for d in dets:
             if d.class_id == class_id:
-                flat.append((d.score, i, d.box.to_array()))
+                flat.append((d.score, i, d.box))
     gts = [np.asarray(b, dtype=np.float64).reshape(-1, 4)[np.asarray(c) == class_id]
            for b, c in zip(gt_boxes_per_image, gt_classes_per_image)]
     n_gt = sum(g.shape[0] for g in gts)
@@ -92,7 +92,7 @@ def voc_ap(detections_per_image: list[list], gt_boxes_per_image: list[np.ndarray
         g = gts[img]
         if g.shape[0] == 0:
             continue
-        iou = iou_matrix_arr(box[None], g)[0]
+        iou = iou_matrix_arr(box, g)[0]
         iou[used[img]] = -1.0
         m = int(iou.argmax())
         if iou[m] >= iou_thresh:

@@ -12,7 +12,7 @@ import numpy as np
 
 from .anchors import AnchorConfig, AnchorSet, grid_anchors, inside_mask
 from .assignment import assign_labels, sample_fg_bg, sample_minibatch
-from .dataio import Scene, image_to_input
+from .dataio import Scene, image_to_input, write_lines
 from .boxes import ScoredBox
 from .detector import (DetectorHead, RoiSampleConfig, check_classes,
                        classwise_detections, detect, detector_forward,
@@ -372,14 +372,8 @@ def save_state(state: TrainState, path):
 
 def write_loss_log(state: TrainState, path):
     rows = state.loss_log
-    if not rows:
-        Path(path).write_text("")
-        return
     keys = list(dict.fromkeys(k for r in rows for k in r))   # first-seen order
-    lines = [",".join(keys)]
-    for r in rows:
-        lines.append(",".join(
-            "" if k not in r else
-            (f"{r[k]:.6g}" if isinstance(r[k], float) else str(r[k]))
-            for k in keys))
-    Path(path).write_text("\n".join(lines) + "\n")
+    table = [keys] + [["" if k not in r else
+                       (f"{r[k]:.6g}" if isinstance(r[k], float) else str(r[k]))
+                       for k in keys] for r in rows]
+    write_lines(path, (",".join(c) for c in table if c))   # no rows: an empty file

@@ -11,7 +11,6 @@ from minircnn import boxes as boxes_mod
 from minircnn.boxes import (
     DELTA_CLAMP,
     Box,
-    ScoredBox,
     clip_arr,
     decode_arr,
     encode_arr,
@@ -23,18 +22,6 @@ from oracles import brute_iou, brute_nms, random_boxes
 
 
 class TestTypes:
-    def test_box_invariant_rejected(self):
-        with pytest.raises(ValueError):
-            Box(5, 0, 4, 10)
-        with pytest.raises(ValueError):
-            Box(0, 5, 10, 4)
-
-    def test_scored_box_invariant(self):
-        with pytest.raises(ValueError):
-            ScoredBox(Box(0, 0, 1, 1), 1.5, 0)
-        with pytest.raises(ValueError):
-            ScoredBox(Box(0, 0, 1, 1), 0.5, -1)
-
     def test_zero_area_box_allowed(self):
         b = Box(3, 3, 3, 3)
         assert (b.x2 - b.x1) * (b.y2 - b.y1) == 0

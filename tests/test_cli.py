@@ -16,10 +16,10 @@ import numpy as np
 import pytest
 
 import minircnn
-from minircnn import anchors, training
+from minircnn import anchors, cli, training
 from minircnn.cli import build_parser, run
 from minircnn.config import RunConfig
-from minircnn.dataio import load_manifest
+from minircnn.dataio import Scene, load_manifest
 from minircnn.nn import Param, load_checkpoint, save_checkpoint
 from minircnn.training import TrainState
 
@@ -98,11 +98,15 @@ class TestGenData:
         for p in sorted(dataset.glob("images/*.ppm")):
             assert (tmp_path / "images" / p.name).read_bytes() == p.read_bytes()
 
-    def test_config_echo_roundtrips(self, dataset):
+    def test_config_echo_roundtrips(self, dataset, tmp_path):
         cfg = RunConfig.from_file(dataset / "config.txt")
         assert cfg.data_image_size == 48
         assert cfg.anchors_scales == (8.0, 16.0)
         assert cfg.seed == 11
+        cfg.write(tmp_path / "config.txt")
+        assert RunConfig.from_file(tmp_path / "config.txt") == cfg
+        assert (tmp_path / "config.txt").read_bytes() == \
+            (dataset / "config.txt").read_bytes()
 
 
 class TestTrainCommands:
@@ -422,6 +426,69 @@ class TestEvalRowsRejected:
         assert f"class {top} is outside the head's classes 1..{top - 1}" in \
             capsys.readouterr().err
         assert not (tmp_path / "out" / "map.csv").exists()
+
+
+class TestSceneRows:
+    """`propose` and `detect` write their rows with `_write_scene_rows`, and
+    `eval-recall` and `eval-map` read them with `_read_scene_rows`."""
+
+    @pytest.mark.parametrize("column,n_classes", [("rank", None), ("class", 3)])
+    def test_rows_read_back_as_written(self, tmp_path, column, n_classes):
+        """Byte for byte, with an image path that is not ASCII."""
+        blank = np.zeros((8, 8, 3), dtype=np.uint8)
+        scenes = [Scene(blank, np.zeros((0, 4)), np.zeros(0, dtype=np.int64), path=p)
+                  for p in ("images/a.ppm", "images/\u00e9t\u00e9.ppm")]
+        keys = (0, 0, 1) if column == "rank" else (1, 2, 3)
+        rows = [(image, key, score, box) for key, (image, score, box) in zip(keys, [
+            ("images/a.ppm", 0.875, (1.5, 2.0, 3.25, 4.0)),
+            ("images/\u00e9t\u00e9.ppm", 0.5, (0.0, 0.0, 1e-10, 7.0)),
+            ("images/\u00e9t\u00e9.ppm", 0.25, (2.0, 2.0, 5.0, 5.0))])]
+        path = tmp_path / "rows.csv"
+        cli._write_scene_rows(path, column, rows)
+        assert path.read_bytes() == (
+            f"image,{column},score,x1,y1,x2,y2\n"
+            f"images/a.ppm,{keys[0]},0.875,1.5,2,3.25,4\n"
+            f"images/\u00e9t\u00e9.ppm,{keys[1]},0.5,0,0,1e-10,7\n"
+            f"images/\u00e9t\u00e9.ppm,{keys[2]},0.25,2,2,5,5\n").encode("utf-8")
+        back = cli._read_scene_rows(path, scenes, n_classes)
+        if column == "rank":
+            again = [(s.path, rank, score, box) for s, group in zip(scenes, back)
+                     for rank, (score, box) in enumerate(group)]
+        else:
+            again = [(s.path, c, score, box) for s, group in zip(scenes, back)
+                     for score, box, c in group]
+        assert again == [(image, key, score, list(box)) for image, key, score, box in rows]
+        cli._write_scene_rows(tmp_path / "again.csv", column, again)
+        assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
+
+
+class TestNotUtf8:
+    """A byte that is not UTF-8 in a `--config` file, a manifest or a CSV is
+    an error naming file:line, whichever reader meets it."""
+
+    def test_config_file(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"# a comment\nseed=\xff\n")
+        assert run(["gen-data", "--out", str(tmp_path / "out"), "--n", "1",
+                    "--config", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}:2: ")
+
+    def test_manifest(self, dataset, alt_run, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(dataset, data)
+        manifest = data / "manifest.jsonl"
+        manifest.write_bytes(manifest.read_bytes() + b"\xff\n")
+        assert run(["detect", "--out", str(tmp_path / "out"), "--ckpt",
+                    str(alt_run / "final.frpn"), "--data", str(data), *TINY]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {manifest}:5: ")
+
+    def test_proposals_csv(self, dataset, tmp_path, capsys):
+        csv = tmp_path / "proposals.csv"
+        csv.write_bytes(b"image,rank,score,x1,y1,x2,y2\nimages/\xff.ppm,0,0.5,1,1,5,5\n")
+        assert run(["eval-recall", "--proposals", str(csv), "--manifest",
+                    str(dataset / "manifest.jsonl"), "--out", str(tmp_path / "out"),
+                    *TINY]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {csv}:2: ")
 
 
 class TestModelReuse:

@@ -85,8 +85,9 @@ def test_data_generator_defaults_are_the_configs(fn):
     assert params["max_objects"].default == cfg.data_max_objects
 
 
-# an out-of-range value of every key but `seed`, as `--set` spells it
+# an out-of-range value of every key, as `--set` spells it
 OUT_OF_RANGE = {
+    "seed": "-1",
     "data.n_images": "0", "data.image_size": "4", "data.max_objects": "0",
     "anchors.scales": "8,0", "anchors.ratios": "-1", "backbone.channels": "4,8,8",
     "rpn.head_dim": "0", "rpn.lambda": "0", "rpn.batch": "0", "rpn.max_pos": "-1",
@@ -113,16 +114,17 @@ def typed(name: str, text: str):
     return type(default)(text)
 
 
-def test_every_key_but_seed_has_an_out_of_range_case():
-    assert set(OUT_OF_RANGE) == set(RunConfig.keys()) - {"seed"}
+def test_every_key_has_an_out_of_range_case():
+    assert set(OUT_OF_RANGE) == set(RunConfig.keys())
     assert "anchors.scales" in FLOAT_KEYS and "train.lr" in FLOAT_KEYS
 
 
-@pytest.mark.parametrize("key,value", [*OUT_OF_RANGE.items(),
+@pytest.mark.parametrize("key,value", [*OUT_OF_RANGE.items(), ("seed", str(2**64)),
                                        *((key, "nan") for key in FLOAT_KEYS)])
 def test_out_of_range_names_the_key(tmp_path, key, value):
     """Rejected by `set_key`, by `from_file` naming the line, and by
-    `RunConfig(...)`; NaN is outside every range."""
+    `RunConfig(...)`; NaN is outside every range. A seed is one of the 2**64
+    that `Rng`, which reduces it modulo 2**64, tells apart."""
     names_key = f"{re.escape(key)}[ =]"
     with pytest.raises(ValueError, match=f"^{names_key}"):
         RunConfig().set_key(key, value)
@@ -136,11 +138,13 @@ def test_out_of_range_names_the_key(tmp_path, key, value):
 
 @pytest.mark.parametrize("key,value", [("data.image_size", "5"), ("detector.fg_iou", "1"),
                                        ("train.momentum", "0"), ("train.lr_drop_frac", "0"),
-                                       ("proposals.min_size", "0"), ("seed", "-3")])
+                                       ("proposals.min_size", "0"), ("seed", "0"),
+                                       ("seed", str(2**64 - 1))])
 def test_range_ends_are_accepted(key, value):
     cfg = RunConfig()
     cfg.set_key(key, value)
-    assert getattr(cfg, RunConfig.keys()[key]) == float(value)
+    name = RunConfig.keys()[key]
+    assert getattr(cfg, name) == typed(name, value)
 
 
 def test_a_value_that_does_not_parse_names_the_key():

@@ -180,10 +180,15 @@ class TestManifest:
         gen_synthetic(d, 3, seed=5)
         man = load_manifest(d / "manifest.jsonl")
         assert len(man) == 3
+        made = Rng(5).substream("data")     # the stream gen_synthetic draws from
         for i in range(3):
-            s = man.load_scene(i)
+            s, want = man.load_scene(i), make_scene(made)
             assert s.image.shape == (128, 128, 3)
             assert s.boxes.shape[0] == len(s.classes) >= 1
+            assert s.path == f"images/{i:06d}.ppm"
+            assert s.image.tobytes() == want.image.tobytes()
+            assert s.boxes.tolist() == want.boxes.tolist()
+            assert s.classes.tolist() == want.classes.tolist()
 
     def test_malformed_line_reports_number(self, tmp_path):
         d = tmp_path / "ds"

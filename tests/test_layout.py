@@ -2,8 +2,8 @@
 labelling, the sliding-window head, the RPN objective, the model object and
 the range of each config key; one copy of each fact the model and its random
 streams keep; one shuffled draw; one place that makes a model inference-only;
-one window matrix per convolution; one row per box from every head; and no
-package name that only tests read."""
+one window matrix per convolution; one row per box from every head; one
+UTF-8 text writer and reader; and no package name that only tests read."""
 
 import ast
 import inspect
@@ -16,6 +16,7 @@ import pytest
 
 import minircnn
 from minircnn.anchors import AnchorConfig
+from minircnn.boxes import Box, ScoredBox
 from minircnn.config import RunConfig
 from minircnn.detector import DetectorHead, RoiSampleConfig, detector_forward
 from minircnn.nn import SgdConfig
@@ -281,9 +282,25 @@ def test_the_typed_views_check_no_range():
         AnchorConfig(scales=(8.0,), ratios=(1.0,), stride=0)
 
 
-def test_every_key_but_seed_has_a_range():
+def test_every_key_has_a_range():
     keys = {f.name.replace("_", ".", 1) for f in fields(RunConfig)}
-    assert set(RunConfig._RANGES) == keys - {"seed"}
+    assert set(RunConfig._RANGES) == keys
+
+
+def test_one_text_reader_and_writer():
+    """Every text file is written by `dataio.write_lines` and read by
+    `dataio.read_lines`, as UTF-8; every other file the package opens is
+    binary. A detection record checks nothing of its own: the detections
+    reader checks the rows `eval-map` builds records from."""
+    assert call_scopes("write_text") == {"dataio.write_lines"}
+    assert call_scopes("read_text") | call_scopes("read_bytes") == {"dataio.read_lines"}
+    assert call_scopes("open", bare=True) == {"dataio.read_ppm", "dataio.write_ppm",
+                                              "nn.load_checkpoint", "nn.save_checkpoint"}
+    assert not scopes(lambda n: isinstance(n, ast.Call)
+                      and getattr(n.func, "id", None) == "open"
+                      and "b" not in ast.literal_eval(n.args[1]))
+    for cls in (Box, ScoredBox):
+        assert not {"__post_init__", "to_array"} & vars(cls).keys(), cls.__name__
 
 
 def test_one_path_per_input():

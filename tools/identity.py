@@ -12,9 +12,11 @@ that holds an RPN, `detect` and `eval-map` on every detector checkpoint,
 alone, `bench`, all five `ablate` modes, a set of rejected inputs and one
 accepted order of `--set`s. Among the rejected inputs are a manifest that
 lists one image twice, `eval-map` at fewer classes than the data hold, list
-keys with an empty entry, and a checkpoint entry that declares far more data
-than its file holds; `run_side` writes the manifest, the checkpoint and a
-detections CSV with no rows before the matrix runs.
+keys with an empty entry, a checkpoint entry that declares far more data
+than its file holds, and a byte that is not UTF-8 in a `--config` file, in
+a manifest line after a test image's and in a proposals CSV row; `run_side`
+writes those files, the manifest that repeats an image and a detections CSV
+with no rows before the matrix runs.
 Under the default config at 96 px it makes data, runs `train-joint`, and runs
 `propose` (also at a lower NMS threshold), `detect`, `eval-map` and `ablate
 --mode no-cls` on its checkpoint. Under TINY at 50 px, where the feature maps
@@ -227,6 +229,13 @@ def matrix() -> list[Case]:
     # an entry of 2**62 floats in a file of 39 bytes
     add("reject-oversized-entry", "detect", "--ckpt", "{root}/oversized.frpn",
         "--data", test, *TINY, *SEED)
+    # a byte that is not UTF-8, in each of the three text readers
+    add("reject-config-not-utf8", "gen-data", "--n", "1", "--config",
+        "{root}/not-utf8.cfg")
+    add("reject-manifest-not-utf8", "detect", "--ckpt", ckpt["final"], "--data",
+        "{root}/not-utf8", *TINY, *SEED)
+    add("reject-proposals-not-utf8", "eval-recall", "--proposals",
+        "{root}/not-utf8.csv", "--manifest", manifest, *TINY, *SEED)
     # accepted: the pairs of keys are checked once every `--set` is applied
     add("set-order", "train-rpn", *data, "--iters", "1", "--set", "rpn.neg_iou",
         "0.8", "--set", "rpn.pos_iou", "0.9")
@@ -251,6 +260,12 @@ def run_side(src: Path, root: Path, cases: list[Case]) -> dict[str, Outcome]:
     (root / "repeated" / "manifest.jsonl").write_text(f"{line}\n{line}\n")
     (root / "oversized.frpn").write_bytes(
         one_entry_checkpoint("backbone.conv1.w", (2**31, 2**31)))
+    (root / "not-utf8.cfg").write_bytes(b"seed=\xff\n")
+    (root / "not-utf8").mkdir()
+    (root / "not-utf8" / "manifest.jsonl").write_bytes(
+        f"{line}\n".encode() + b"\xff\n")
+    (root / "not-utf8.csv").write_bytes(
+        b"image,rank,score,x1,y1,x2,y2\nimages/000000.ppm,0,0.5,1,1,\xff,5\n")
     env = dict(os.environ, PYTHONPATH=str(src), **ENV)
     outcomes = {}
     for case in cases:
