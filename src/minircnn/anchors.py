@@ -1,7 +1,7 @@
 """Translation-invariant anchor pyramid over a feature grid."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,15 +23,6 @@ class AnchorConfig:
         return len(self.scales) * len(self.ratios)
 
 
-@dataclass
-class AnchorSet:
-    boxes: np.ndarray           # (W*H*k, 4), row-major grid, anchor fastest
-    inside: np.ndarray | None = field(default=None)  # bool mask, set lazily
-
-    def __len__(self) -> int:
-        return self.boxes.shape[0]
-
-
 def base_anchors(cfg: AnchorConfig) -> np.ndarray:
     """k boxes centered at the origin; scales outer, ratios inner.
 
@@ -49,8 +40,9 @@ def base_anchors(cfg: AnchorConfig) -> np.ndarray:
     return out
 
 
-def grid_anchors(cfg: AnchorConfig, feature_w: int, feature_h: int) -> AnchorSet:
-    """Replicate base anchors at every cell center ((j+0.5)*stride, (i+0.5)*stride)."""
+def grid_anchors(cfg: AnchorConfig, feature_w: int, feature_h: int) -> np.ndarray:
+    """Replicate base anchors at every cell center ((j+0.5)*stride, (i+0.5)*stride):
+    (W*H*k, 4) boxes, grid row-major, anchor fastest."""
     if feature_w < 1 or feature_h < 1:
         raise ValueError("feature grid must be at least 1x1")
     base = base_anchors(cfg)
@@ -59,11 +51,10 @@ def grid_anchors(cfg: AnchorConfig, feature_w: int, feature_h: int) -> AnchorSet
     shift = np.zeros((feature_h, feature_w, 4), dtype=np.float64)
     shift[:, :, 0] = shift[:, :, 2] = cx[None, :]
     shift[:, :, 1] = shift[:, :, 3] = cy[:, None]
-    boxes = (shift[:, :, None, :] + base[None, None, :, :]).reshape(-1, 4)
-    return AnchorSet(boxes)
+    return (shift[:, :, None, :] + base[None, None, :, :]).reshape(-1, 4)
 
 
-def inside_mask(aset: AnchorSet, image_w: float, image_h: float) -> np.ndarray:
+def inside_mask(boxes: np.ndarray, image_w: float, image_h: float) -> np.ndarray:
     """True iff the anchor lies entirely within the half-open [0, w) x [0, h).
 
     The image domain is half-open like the box convention itself: an anchor
@@ -71,7 +62,5 @@ def inside_mask(aset: AnchorSet, image_w: float, image_h: float) -> np.ndarray:
     """
     if image_w <= 0 or image_h <= 0:
         raise ValueError("image dimensions must be positive")
-    b = aset.boxes
-    mask = (b[:, 0] >= 0) & (b[:, 1] >= 0) & (b[:, 2] < image_w) & (b[:, 3] < image_h)
-    aset.inside = mask
-    return mask
+    x1, y1, x2, y2 = boxes.T
+    return (x1 >= 0) & (y1 >= 0) & (x2 < image_w) & (y2 < image_h)

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .anchors import AnchorSet
 from .boxes import encode_arr, iou_matrix_arr
 from .rng import Rng
 
@@ -13,30 +12,28 @@ NEGATIVE = 0
 IGNORE = -1
 
 
-def assign_labels(aset: AnchorSet, gt_boxes: np.ndarray, pos_iou: float,
-                  neg_iou: float) -> tuple[np.ndarray, np.ndarray]:
+def assign_labels(anchors: np.ndarray, inside: np.ndarray, gt_boxes: np.ndarray,
+                  pos_iou: float, neg_iou: float) -> tuple[np.ndarray, np.ndarray]:
     """Label anchors positive/negative/ignore and compute regression targets.
 
-    Cross-boundary anchors stay IGNORE. An anchor is positive if it is an
-    argmax anchor of some gt box (ties: all argmax anchors) or reaches
-    pos_iou with any gt; negative if its best IoU is below neg_iou.
-    Positives are matched to their single highest-IoU gt, ties to the
-    lowest gt index. Returns (labels int8, targets (N, 4)), the targets
-    encoded on positive rows only, zero elsewhere.
+    Cross-boundary anchors (False in the `inside` mask) stay IGNORE. An
+    anchor is positive if it is an argmax anchor of some gt box (ties: all
+    argmax anchors) or reaches pos_iou with any gt; negative if its best IoU
+    is below neg_iou. Positives are matched to their single highest-IoU gt,
+    ties to the lowest gt index. Returns (labels int8, targets (N, 4)), the
+    targets encoded on positive rows only, zero elsewhere.
     """
-    if aset.inside is None:
-        raise ValueError("assign_labels needs the anchors' inside mask (inside_mask)")
-    n = len(aset)
+    n = anchors.shape[0]
     labels = np.full(n, IGNORE, dtype=np.int8)
     deltas = np.zeros((n, 4), dtype=np.float64)
     gt_boxes = np.asarray(gt_boxes, dtype=np.float64).reshape(-1, 4)
 
-    ins = np.flatnonzero(aset.inside)
+    ins = np.flatnonzero(inside)
     if gt_boxes.shape[0] == 0:
         labels[ins] = NEGATIVE
         return labels, deltas
 
-    iou = iou_matrix_arr(aset.boxes[ins], gt_boxes)   # (n_inside, G)
+    iou = iou_matrix_arr(anchors[ins], gt_boxes)      # (n_inside, G)
     best = iou.max(axis=1)
     argbest = iou.argmax(axis=1)                      # ties -> lowest gt index
 
@@ -51,7 +48,7 @@ def assign_labels(aset: AnchorSet, gt_boxes: np.ndarray, pos_iou: float,
 
     labels[ins] = lab
     pidx = ins[pos]
-    deltas[pidx] = encode_arr(gt_boxes[argbest[pos]], aset.boxes[pidx])
+    deltas[pidx] = encode_arr(gt_boxes[argbest[pos]], anchors[pidx])
     return labels, deltas
 
 

@@ -177,9 +177,8 @@ def cmd_eval_recall(args, cfg: RunConfig, out: Path):
     scenes = _load_scenes(args.manifest)
     props = [np.array([box for _, box in sorted(rows, key=lambda r: -r[0])])
              .reshape(-1, 4) for rows in _read_scene_rows(args.proposals, scenes)]
-    _report(out / "recall.csv",
-            recall_curve(props, [s.boxes for s in scenes],
-                         cfg.proposals_post_nms_top_test).to_csv().splitlines())
+    _report(out / "recall.csv", recall_curve(props, [s.boxes for s in scenes],
+                                             cfg.proposals_post_nms_top_test).to_csv())
 
 
 def cmd_eval_map(args, cfg: RunConfig, out: Path):
@@ -203,7 +202,7 @@ def cmd_bench(args, cfg: RunConfig, out: Path):
     state = TrainState.open(args.ckpt, *_dims(cfg))
     report = bench(*state.stages(*_detect_args(cfg)), scenes,
                    n_warmup=cfg.bench_n_warmup, n_timed=cfg.bench_n_timed)
-    _report(out / "timing.csv", report.to_csv().splitlines())
+    _report(out / "timing.csv", report.to_csv())
 
 
 def cmd_ablate(args, cfg: RunConfig, out: Path):
@@ -227,7 +226,7 @@ def cmd_ablate(args, cfg: RunConfig, out: Path):
         rng = Rng(cfg.seed).substream("sampling")
         props = []
         for s in scenes:
-            n_all = len(state.anchors(s.width, s.height))
+            n_all = len(state.anchors(s.width, s.height)[0])
             boxes, _ = state.propose_scene(
                 s, replace(p, nms_iou=1.0, pre_nms_top=n_all, post_nms_top=n_all))
             n = boxes.shape[0]
@@ -265,7 +264,7 @@ def cmd_ablate(args, cfg: RunConfig, out: Path):
         _report(out / "lambda_sweep.csv", rows)
     if args.mode in ("no-reg", "no-cls"):
         _report(out / f"recall_{args.mode.replace('-', '_')}.csv",
-                recall_curve(props, gt_boxes, p.post_nms_top).to_csv().splitlines())
+                recall_curve(props, gt_boxes, p.post_nms_top).to_csv())
 
 
 def _retrain_recall(cfg: RunConfig, scenes, gt_boxes, p, **overrides):

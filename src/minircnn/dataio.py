@@ -214,6 +214,9 @@ def load_manifest(path) -> DatasetManifest:
             if type(e["image"]) is not str or not e["image"]:
                 raise ManifestError(f"{path}:{lineno}: image {e['image']!r} is not "
                                     "a file name")
+            if any(c in e["image"] for c in ",\r\n"):
+                raise ManifestError(f"{path}:{lineno}: image name {e['image']!r} holds a "
+                                    "comma or line break, which no CSV row can carry")
             w, h = e["width"], e["height"]
             for key, v in (("width", w), ("height", h)):
                 if type(v) is not int or v < 1:

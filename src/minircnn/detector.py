@@ -7,7 +7,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .anchors import AnchorSet
 from .assignment import sample_fg_bg
 from .boxes import Box, ScoredBox, clip_arr, decode_arr, encode_arr, iou_matrix_arr, nms_arr
 from .nn import Param, gaussian_init, multitask_loss
@@ -89,15 +88,14 @@ def label_boxes(boxes: np.ndarray, gt_boxes: np.ndarray, gt_classes: np.ndarray,
     return labels, targets
 
 
-def label_windows(aset: AnchorSet, gt_boxes: np.ndarray, gt_classes: np.ndarray,
-                  fg_iou: float) -> tuple[np.ndarray, np.ndarray]:
-    """`label_boxes` of the windows inside the image; -1 (ignore) and zero
-    targets for the windows that cross its border."""
-    labels = np.full(len(aset), -1, dtype=np.int64)
-    targets = np.zeros((len(aset), 4))
-    ins = np.flatnonzero(aset.inside)
-    labels[ins], targets[ins] = label_boxes(aset.boxes[ins], gt_boxes, gt_classes,
-                                            fg_iou)
+def label_windows(windows: np.ndarray, inside: np.ndarray, gt_boxes: np.ndarray,
+                  gt_classes: np.ndarray, fg_iou: float) -> tuple[np.ndarray, np.ndarray]:
+    """`label_boxes` of the windows inside the image (the `inside` mask); -1
+    (ignore) and zero targets for the windows that cross its border."""
+    labels = np.full(windows.shape[0], -1, dtype=np.int64)
+    targets = np.zeros((windows.shape[0], 4))
+    ins = np.flatnonzero(inside)
+    labels[ins], targets[ins] = label_boxes(windows[ins], gt_boxes, gt_classes, fg_iou)
     return labels, targets
 
 

@@ -23,11 +23,9 @@ class RecallCurve:
                 return r
         raise KeyError(f"threshold {tau} not on the grid")
 
-    def to_csv(self) -> str:
-        rows = ["tau,recall,n_proposals"]
-        rows += [f"{t:.6g},{r:.6g},{self.n_proposals}"
-                 for t, r in zip(self.iou_grid, self.recall)]
-        return "\n".join(rows) + "\n"
+    def to_csv(self) -> list[str]:
+        return ["tau,recall,n_proposals"] + [f"{t:.6g},{r:.6g},{self.n_proposals}"
+                                             for t, r in zip(self.iou_grid, self.recall)]
 
 
 @dataclass
@@ -38,11 +36,11 @@ class TimingReport:
     total_ms: float
     images_per_sec: float
 
-    def to_csv(self) -> str:
-        return ("stage,ms\nconv,{:.4f}\nproposal,{:.4f}\nregion-wise,{:.4f}\n"
-                "total,{:.4f}\nrate_images_per_sec,{:.4f}\n").format(
-            self.conv_ms, self.proposal_ms, self.region_ms, self.total_ms,
-            self.images_per_sec)
+    def to_csv(self) -> list[str]:
+        rows = zip(("conv", "proposal", "region-wise", "total", "rate_images_per_sec"),
+                   (self.conv_ms, self.proposal_ms, self.region_ms, self.total_ms,
+                    self.images_per_sec))
+        return ["stage,ms"] + [f"{name},{v:.4f}" for name, v in rows]
 
 
 def recall_curve(proposals_per_image: list[np.ndarray],

@@ -7,7 +7,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .anchors import AnchorSet
 from .boxes import clip_arr, decode_arr, nms_arr
 from .nn import Param, gaussian_init, multitask_loss
 from .rng import Rng
@@ -159,7 +158,7 @@ def rpn_loss(cls_scores: Tensor, reg_deltas: Tensor, labels: np.ndarray,
                           weights.lam / (labels.shape[0] // k))
 
 
-def propose_arrays(cls_data: np.ndarray, reg_data: np.ndarray, aset: AnchorSet,
+def propose_arrays(cls_data: np.ndarray, reg_data: np.ndarray, anchors: np.ndarray,
                    image_w: float, image_h: float,
                    p: ProposalParams) -> tuple[np.ndarray, np.ndarray]:
     """Proposal pipeline on the RPN head's rows; returns (boxes (N,4), scores (N,)).
@@ -169,10 +168,10 @@ def propose_arrays(cls_data: np.ndarray, reg_data: np.ndarray, aset: AnchorSet,
     pre_nms_top by score kept, NMS applied, and post_nms_top returned by score.
     """
     scores = T.softmax(cls_data, axis=1)[:, 1]
-    if scores.shape[0] != len(aset):
+    if scores.shape[0] != anchors.shape[0]:
         raise ValueError(f"propose_arrays: head outputs give {scores.shape[0]} anchor "
-                         f"rows, the anchor set has {len(aset)} anchors")
-    boxes = clip_arr(decode_arr(reg_data, aset.boxes), image_w, image_h)
+                         f"rows, the anchor set has {anchors.shape[0]} anchors")
+    boxes = clip_arr(decode_arr(reg_data, anchors), image_w, image_h)
     side = np.minimum(boxes[:, 2] - boxes[:, 0], boxes[:, 3] - boxes[:, 1])
     big = (side > 0) & (side >= p.min_size)
     boxes, scores = boxes[big], scores[big]

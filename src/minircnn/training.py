@@ -10,7 +10,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .anchors import AnchorConfig, AnchorSet, grid_anchors, inside_mask
+from .anchors import AnchorConfig, grid_anchors, inside_mask
 from .assignment import assign_labels, sample_fg_bg, sample_minibatch
 from .dataio import Scene, image_to_input, write_lines
 from .boxes import ScoredBox
@@ -63,8 +63,7 @@ class TrainState:
     det_head: DetectorHead | None = None
     onestage_head: OneStageHead | None = None
     loss_log: list[dict] = field(default_factory=list)
-    _anchor_sets: dict = field(default_factory=dict, init=False, repr=False,
-                               compare=False)
+    _anchors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def build(cls, seed: int, anchor_cfg: AnchorConfig, channels, head_dim: int,
@@ -126,16 +125,14 @@ class TrainState:
         return self.backbone.params + [p for h in heads if h is not None
                                        for p in h.params]
 
-    def anchors(self, image_w: int, image_h: int) -> AnchorSet:
-        """Anchors over the backbone's feature grid for this image size, with
-        the inside mask set; built once per size and anchor configuration."""
-        key = (self.anchor_cfg, image_w, image_h)
-        if key not in self._anchor_sets:
+    def anchors(self, image_w: int, image_h: int) -> tuple[np.ndarray, np.ndarray]:
+        """(boxes (N, 4), inside mask (N,)) of the anchors over the backbone's
+        feature grid for this image size; built once per size."""
+        if (image_w, image_h) not in self._anchors:
             cfg = replace(self.anchor_cfg, stride=self.backbone.stride)
-            aset = grid_anchors(cfg, *self.backbone.grid_size(image_w, image_h))
-            inside_mask(aset, image_w, image_h)
-            self._anchor_sets[key] = aset
-        return self._anchor_sets[key]
+            boxes = grid_anchors(cfg, *self.backbone.grid_size(image_w, image_h))
+            self._anchors[image_w, image_h] = boxes, inside_mask(boxes, image_w, image_h)
+        return self._anchors[image_w, image_h]
 
     def forward(self, scene: Scene, head: ConvHead | None = None):
         """One scene's image through the shared backbone, then `head`'s rows
@@ -147,7 +144,7 @@ class TrainState:
     def propose(self, cls_data: np.ndarray, reg_data: np.ndarray, image_w: int,
                 image_h: int, p: ProposalParams) -> tuple[np.ndarray, np.ndarray]:
         """Proposals (boxes, scores) from the RPN head's rows for one image."""
-        return propose_arrays(cls_data, reg_data, self.anchors(image_w, image_h),
+        return propose_arrays(cls_data, reg_data, self.anchors(image_w, image_h)[0],
                               image_w, image_h, p)
 
     def propose_scene(self, scene: Scene,
@@ -171,7 +168,7 @@ class TrainState:
         def proposal(c) -> np.ndarray:
             scene, _, cls, reg = c
             if one:
-                return self.anchors(scene.width, scene.height).boxes
+                return self.anchors(scene.width, scene.height)[0]
             return self.propose(cls.data, reg.data, scene.width, scene.height, p)[0]
 
         def region(c, boxes: np.ndarray) -> list[ScoredBox]:
@@ -233,10 +230,10 @@ def steps(scenes: list[Scene], state: TrainState, sched: TrainSchedule,
     order = scene_order(len(scenes), rng.substream("data"))
     sample_rng = rng.substream("sampling")
     if rpn is not None:
-        labelled = [assign_labels(state.anchors(s.width, s.height), s.boxes,
+        labelled = [assign_labels(*state.anchors(s.width, s.height), s.boxes,
                                   weights.pos_iou, weights.neg_iou) for s in scenes]
     if one is not None:
-        windows = [label_windows(state.anchors(s.width, s.height), s.boxes, s.classes,
+        windows = [label_windows(*state.anchors(s.width, s.height), s.boxes, s.classes,
                                  roi_cfg.fg_iou) for s in scenes]
     params = [p for p in state.params if p.value.requires_grad]
     start, skip = len(state.loss_log), None

@@ -191,10 +191,10 @@ class TestCriterion2GradientSuite:
         # both losses on labeled micro-instances; the RPN's through a float64
         # head, so its map-to-rows layout is differenced too
         mini = AnchorConfig(scales=(8.0, 16.0), ratios=(1.0, 2.0), stride=8)
-        aset = grid_anchors(mini, 4, 4)
-        inside_mask(aset, 32, 32)
+        anchors = grid_anchors(mini, 4, 4)
         gt = np.array([[4.0, 4.0, 14.0, 14.0], [16.0, 10.0, 30.0, 26.0]])
-        anchor_labels, anchor_targets = assign_labels(aset, gt, *LABEL_IOUS)
+        anchor_labels, anchor_targets = assign_labels(
+            anchors, inside_mask(anchors, 32, 32), gt, *LABEL_IOUS)
         head = RpnHead(Rng(0).substream("init"), 3, mini.k, 8)
         for i in range(20):
             rows = sample_minibatch(anchor_labels, Rng(i).substream("sampling"), batch=16,
@@ -229,9 +229,9 @@ class TestCriterion3AnchorCount:
     def test_paper_configuration(self, announce):
         cfg = AnchorConfig(scales=(128.0, 256.0, 512.0),
                            ratios=(0.5, 1.0, 2.0), stride=16)
-        aset = grid_anchors(cfg, 1000 // 16, 600 // 16)
-        total = len(aset)
-        inside = int(inside_mask(aset, 1000, 600).sum())
+        anchors = grid_anchors(cfg, 1000 // 16, 600 // 16)
+        total = len(anchors)
+        inside = int(inside_mask(anchors, 1000, 600).sum())
         ok = abs(total - 20000) <= 2000 and 5000 <= inside <= 8000
         announce(3, "anchor-count", ok, f"total={total}, inside={inside}")
 
@@ -239,19 +239,19 @@ class TestCriterion3AnchorCount:
 class TestCriterion4LossStructure:
     def _micro(self, seed=0):
         cfg = AnchorConfig(scales=(8.0, 16.0), ratios=(1.0, 2.0), stride=8)
-        aset = grid_anchors(cfg, 4, 4)
-        inside_mask(aset, 32, 32)
+        anchors = grid_anchors(cfg, 4, 4)
         gt = np.array([[4.0, 4.0, 14.0, 14.0], [16.0, 10.0, 30.0, 26.0]])
-        labels, targets = assign_labels(aset, gt, *LABEL_IOUS)
+        labels, targets = assign_labels(anchors, inside_mask(anchors, 32, 32), gt,
+                                        *LABEL_IOUS)
         rows = sample_minibatch(labels, Rng(seed).substream("sampling"), batch=16,
                                 max_pos=8)
         rng = np.random.default_rng(seed)
-        cls = Tensor(rng.normal(size=(len(aset), 2)), requires_grad=True)
-        reg = Tensor(rng.normal(size=(len(aset), 1, 4)) * 0.1, requires_grad=True)
-        return cfg, aset, (labels, targets, rows), cls, reg
+        cls = Tensor(rng.normal(size=(len(anchors), 2)), requires_grad=True)
+        reg = Tensor(rng.normal(size=(len(anchors), 1, 4)) * 0.1, requires_grad=True)
+        return cfg, anchors, (labels, targets, rows), cls, reg
 
     def test_zero_positives_and_lambda_scaling(self, announce):
-        cfg, aset, t, cls, reg = self._micro()
+        cfg, anchors, t, cls, reg = self._micro()
         # (a) no positives in the batch -> regression term exactly zero
         labels, targets, _ = t
         labels[labels == 1] = -1
@@ -263,7 +263,7 @@ class TestCriterion4LossStructure:
                                       or np.all(reg.grad == 0.0))
 
         # (b) lambda -> c * lambda multiplies the reg gradient by exactly c
-        cfg, aset, t, cls, reg = self._micro(1)
+        cfg, anchors, t, cls, reg = self._micro(1)
         c = 3.0
         grads = []
         for lam in (10.0, 10.0 * c):

@@ -64,10 +64,10 @@ class TestBaseAnchors:
 
 class TestGridAnchors:
     def test_single_cell(self):
-        aset = grid_anchors(ANCHORS, 1, 1)
-        assert len(aset) == 9
-        cx = (aset.boxes[:, 0] + aset.boxes[:, 2]) / 2
-        cy = (aset.boxes[:, 1] + aset.boxes[:, 3]) / 2
+        boxes = grid_anchors(ANCHORS, 1, 1)
+        assert len(boxes) == 9
+        cx = (boxes[:, 0] + boxes[:, 2]) / 2
+        cy = (boxes[:, 1] + boxes[:, 3]) / 2
         np.testing.assert_allclose(cx, 4.0, atol=1e-9)  # (0+0.5)*stride 8
         np.testing.assert_allclose(cy, 4.0, atol=1e-9)
 
@@ -75,10 +75,10 @@ class TestGridAnchors:
         for w, h, cfg in [(60, 40, PAPER_CONFIG), (16, 16, ANCHORS),
                           (3, 7, AnchorConfig(scales=(8.0, 16.0), ratios=(1.0,),
                                               stride=4))]:
-            aset = grid_anchors(cfg, w, h)
-            assert len(aset) == w * h * cfg.k
+            boxes = grid_anchors(cfg, w, h)
+            assert len(boxes) == w * h * cfg.k
             # the last k rows are the anchors of the last cell (x, y) = (w-1, h-1)
-            centres = (aset.boxes[-cfg.k:, :2] + aset.boxes[-cfg.k:, 2:]) / 2
+            centres = (boxes[-cfg.k:, :2] + boxes[-cfg.k:, 2:]) / 2
             np.testing.assert_allclose(centres, [[(w - 0.5) * cfg.stride,
                                                   (h - 0.5) * cfg.stride]] * cfg.k)
 
@@ -87,9 +87,9 @@ class TestGridAnchors:
 
     def test_translation_invariance(self):
         cfg = ANCHORS
-        aset = grid_anchors(cfg, 10, 8)
+        boxes = grid_anchors(cfg, 10, 8)
         k = cfg.k
-        grid = aset.boxes.reshape(8, 10, k, 4)
+        grid = boxes.reshape(8, 10, k, 4)
         shift_j = grid[:, 1:] - grid[:, :-1]
         np.testing.assert_allclose(shift_j[..., [0, 2]], cfg.stride, atol=1e-9)
         np.testing.assert_allclose(shift_j[..., [1, 3]], 0, atol=1e-9)
@@ -98,36 +98,36 @@ class TestGridAnchors:
         np.testing.assert_allclose(shift_i[..., [0, 2]], 0, atol=1e-9)
 
     def test_positive_extent(self):
-        aset = grid_anchors(ANCHORS, 5, 5)
-        assert np.all(aset.boxes[:, 2] > aset.boxes[:, 0])
-        assert np.all(aset.boxes[:, 3] > aset.boxes[:, 1])
+        boxes = grid_anchors(ANCHORS, 5, 5)
+        assert np.all(boxes[:, 2] > boxes[:, 0])
+        assert np.all(boxes[:, 3] > boxes[:, 1])
 
 
 class TestInsideMask:
     def test_simple(self):
         # anchor j,i spans [8j, 8j+8) x [8i, 8i+8); the image domain is
         # half-open, so edge-touching anchors in the last row/column are out
-        aset = grid_anchors(AnchorConfig(scales=(8.0,), ratios=(1.0,), stride=8),
-                            4, 4)
-        mask = inside_mask(aset, 33, 33)
+        boxes = grid_anchors(AnchorConfig(scales=(8.0,), ratios=(1.0,), stride=8),
+                             4, 4)
+        mask = inside_mask(boxes, 33, 33)
         assert mask.shape == (16,)
         assert mask.all()
-        assert inside_mask(aset, 32, 32).sum() == 9
-        assert inside_mask(aset, 31, 33).sum() == 12
+        assert inside_mask(boxes, 32, 32).sum() == 9
+        assert inside_mask(boxes, 31, 33).sum() == 12
 
     def test_cross_boundary_false(self):
-        aset = grid_anchors(AnchorConfig(scales=(64.0,), ratios=(1.0,), stride=8),
-                            4, 4)
-        assert not inside_mask(aset, 32, 32).any()
+        boxes = grid_anchors(AnchorConfig(scales=(64.0,), ratios=(1.0,), stride=8),
+                             4, 4)
+        assert not inside_mask(boxes, 32, 32).any()
 
     def test_paper_inside_band(self):
         # 1000x600 at stride 16 -> 62x37 grid of 9 anchors
-        aset = grid_anchors(PAPER_CONFIG, 1000 // 16, 600 // 16)
-        n_inside = int(inside_mask(aset, 1000, 600).sum())
+        boxes = grid_anchors(PAPER_CONFIG, 1000 // 16, 600 // 16)
+        n_inside = int(inside_mask(boxes, 1000, 600).sum())
         assert 5000 <= n_inside <= 8000
 
     def test_monotone_in_image_size(self):
-        aset = grid_anchors(ANCHORS, 8, 8)
-        small = inside_mask(aset, 50, 50)
-        big = inside_mask(aset, 64, 64)
+        boxes = grid_anchors(ANCHORS, 8, 8)
+        small = inside_mask(boxes, 50, 50)
+        big = inside_mask(boxes, 64, 64)
         assert np.all(big[small])

@@ -1,7 +1,6 @@
 """Anchor label assignment and 256-anchor minibatch sampling."""
 
 import numpy as np
-import pytest
 
 from minircnn.anchors import AnchorConfig, grid_anchors, inside_mask
 from minircnn.assignment import (
@@ -18,28 +17,28 @@ from minircnn.rng import Rng
 from defaults import LABEL_IOUS, MINIBATCH
 
 
-def small_aset(image=64):
+def small_anchors(image=64):
+    """(boxes, inside mask) of a small anchor grid over an `image` px square."""
     cfg = AnchorConfig(scales=(8.0, 16.0), ratios=(0.5, 1.0, 2.0), stride=8)
-    aset = grid_anchors(cfg, image // 8, image // 8)
-    inside_mask(aset, image, image)
-    return aset
+    anchors = grid_anchors(cfg, image // 8, image // 8)
+    return anchors, inside_mask(anchors, image, image)
 
 
 class TestAssignLabels:
     def test_high_iou_positive(self):
-        aset = small_aset()
+        anchors, inside = small_anchors()
         # gt exactly equal to an inside anchor -> IoU 1 -> positive
-        idx = np.flatnonzero(aset.inside)[10]
-        gt = aset.boxes[idx][None]
-        labels, _ = assign_labels(aset, gt, *LABEL_IOUS)
+        idx = np.flatnonzero(inside)[10]
+        gt = anchors[idx][None]
+        labels, _ = assign_labels(anchors, inside, gt, *LABEL_IOUS)
         assert labels[idx] == POSITIVE
 
     def test_low_iou_negative(self):
-        aset = small_aset()
+        anchors, inside = small_anchors()
         gt = np.array([[0.0, 0.0, 20.0, 20.0]])
-        labels, _ = assign_labels(aset, gt, *LABEL_IOUS)
-        ious = iou_matrix_arr(aset.boxes, gt).max(axis=1)
-        lows = aset.inside & (ious < 0.3)
+        labels, _ = assign_labels(anchors, inside, gt, *LABEL_IOUS)
+        ious = iou_matrix_arr(anchors, gt).max(axis=1)
+        lows = inside & (ious < 0.3)
         # rule (i) may rescue the single best anchor; all other low-IoU
         # inside anchors must be negative
         assert np.all(labels[lows] != IGNORE)
@@ -48,63 +47,58 @@ class TestAssignLabels:
 
     def test_argmax_rescue_below_threshold(self):
         # a gt whose best IoU is < 0.7 still gets its argmax anchor positive
-        aset = small_aset()
+        anchors, inside = small_anchors()
         gt = np.array([[3.0, 3.0, 17.0, 21.0]])
-        ious = iou_matrix_arr(aset.boxes, gt)[:, 0]
-        ious[~aset.inside] = -1.0
+        ious = iou_matrix_arr(anchors, gt)[:, 0]
+        ious[~inside] = -1.0
         assert ious.max() < 0.7
-        labels, _ = assign_labels(aset, gt, *LABEL_IOUS)
+        labels, _ = assign_labels(anchors, inside, gt, *LABEL_IOUS)
         assert labels[np.argmax(ious)] == POSITIVE
 
     def test_midband_non_argmax_ignored(self):
-        aset = small_aset()
+        anchors, inside = small_anchors()
         gt = np.array([[8.0, 8.0, 24.0, 24.0]])
-        ious = iou_matrix_arr(aset.boxes, gt)[:, 0]
-        ious_in = np.where(aset.inside, ious, -1.0)
-        mid = aset.inside & (ious >= 0.3) & (ious < 0.7) & (ious < ious_in.max())
+        ious = iou_matrix_arr(anchors, gt)[:, 0]
+        ious_in = np.where(inside, ious, -1.0)
+        mid = inside & (ious >= 0.3) & (ious < 0.7) & (ious < ious_in.max())
         if mid.any():
-            labels, _ = assign_labels(aset, gt, *LABEL_IOUS)
+            labels, _ = assign_labels(anchors, inside, gt, *LABEL_IOUS)
             assert np.all(labels[mid] == IGNORE)
 
     def test_outside_anchors_ignored(self):
-        aset = small_aset()
+        anchors, inside = small_anchors()
         gt = np.array([[8.0, 8.0, 24.0, 24.0]])
-        labels, _ = assign_labels(aset, gt, *LABEL_IOUS)
-        assert np.all(labels[~aset.inside] == IGNORE)
+        labels, _ = assign_labels(anchors, inside, gt, *LABEL_IOUS)
+        assert np.all(labels[~inside] == IGNORE)
 
     def test_empty_gt_all_inside_negative(self):
-        aset = small_aset()
-        labels, targets = assign_labels(aset, np.zeros((0, 4)), *LABEL_IOUS)
-        assert np.all(labels[aset.inside] == NEGATIVE)
-        assert np.all(labels[~aset.inside] == IGNORE)
+        anchors, inside = small_anchors()
+        labels, targets = assign_labels(anchors, inside, np.zeros((0, 4)), *LABEL_IOUS)
+        assert np.all(labels[inside] == NEGATIVE)
+        assert np.all(labels[~inside] == IGNORE)
         assert not targets.any()
 
     def test_no_inside_anchor_all_ignore(self):
         # an 8 px image: every anchor crosses the border
-        aset = small_aset(8)
-        assert not aset.inside.any()
-        labels, _ = assign_labels(aset, np.array([[1.0, 1.0, 6.0, 6.0]]), *LABEL_IOUS)
+        anchors, inside = small_anchors(8)
+        assert not inside.any()
+        labels, _ = assign_labels(anchors, inside, np.array([[1.0, 1.0, 6.0, 6.0]]),
+                                  *LABEL_IOUS)
         assert np.all(labels == IGNORE)
         assert sample_minibatch(labels, Rng(0).substream("sampling"), *MINIBATCH).size == 0
-
-    def test_needs_the_inside_mask(self):
-        cfg = AnchorConfig(scales=(8.0,), ratios=(1.0,), stride=8)
-        with pytest.raises(ValueError, match="inside_mask"):
-            assign_labels(grid_anchors(cfg, 2, 2), np.array([[1.0, 1.0, 6.0, 6.0]]),
-                          *LABEL_IOUS)
 
     def test_every_gt_owns_a_positive(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
-            aset = small_aset()
+            anchors, inside = small_anchors()
             n = int(rng.integers(1, 5))
             x1 = rng.uniform(0, 40, n)
             y1 = rng.uniform(0, 40, n)
             gt = np.stack([x1, y1, x1 + rng.uniform(8, 24, n),
                            y1 + rng.uniform(8, 24, n)], axis=1)
-            labels, _ = assign_labels(aset, gt, *LABEL_IOUS)
-            ious = iou_matrix_arr(aset.boxes, gt)
-            ious[~aset.inside] = -1.0
+            labels, _ = assign_labels(anchors, inside, gt, *LABEL_IOUS)
+            ious = iou_matrix_arr(anchors, gt)
+            ious[~inside] = -1.0
             for g in range(n):
                 if ious[:, g].max() > 0:
                     # all argmax anchors of this gt are positive (rule i)
@@ -113,28 +107,28 @@ class TestAssignLabels:
 
     def test_positive_targets_decode_to_matched_gt(self):
         rng = np.random.default_rng(12)
-        aset = small_aset()
+        anchors, inside = small_anchors()
         x1 = rng.uniform(0, 40, 3)
         y1 = rng.uniform(0, 40, 3)
         gt = np.stack([x1, y1, x1 + rng.uniform(8, 24, 3),
                        y1 + rng.uniform(8, 24, 3)], axis=1)
-        labels, targets = assign_labels(aset, gt, *LABEL_IOUS)
+        labels, targets = assign_labels(anchors, inside, gt, *LABEL_IOUS)
         pos = np.flatnonzero(labels == POSITIVE)
         assert pos.size > 0
-        back = decode_arr(targets[pos], aset.boxes[pos])
+        back = decode_arr(targets[pos], anchors[pos])
         # matched gt: the highest-IoU one, ties to the lowest index
-        want = gt[iou_matrix_arr(aset.boxes[pos], gt).argmax(axis=1)]
+        want = gt[iou_matrix_arr(anchors[pos], gt).argmax(axis=1)]
         assert np.abs(back - want).max() <= 1e-9 * max(1.0, np.abs(want).max())
         assert not targets[labels != POSITIVE].any()
 
     def test_matched_gt_is_highest_iou(self):
-        aset = small_aset()
+        anchors, inside = small_anchors()
         gt = np.array([[8.0, 8.0, 24.0, 24.0], [10.0, 8.0, 26.0, 24.0]])
-        labels, targets = assign_labels(aset, gt, *LABEL_IOUS)
-        ious = iou_matrix_arr(aset.boxes, gt)
+        labels, targets = assign_labels(anchors, inside, gt, *LABEL_IOUS)
+        ious = iou_matrix_arr(anchors, gt)
         pos = np.flatnonzero(labels == POSITIVE)
         assert pos.size > 0
-        back = decode_arr(targets[pos], aset.boxes[pos])
+        back = decode_arr(targets[pos], anchors[pos])
         for i, box in zip(pos, back):
             matched = np.abs(gt - box).max(axis=1).argmin()   # the box it encodes
             assert np.abs(gt[matched] - box).max() <= 1e-9
@@ -143,7 +137,7 @@ class TestAssignLabels:
 
 class TestSampleMinibatch:
     def _labels(self, n_pos, n_neg):
-        labels = np.full(len(small_aset()), IGNORE, dtype=np.int8)
+        labels = np.full(len(small_anchors()[0]), IGNORE, dtype=np.int8)
         labels[:n_pos] = POSITIVE
         labels[n_pos:n_pos + n_neg] = NEGATIVE
         return labels
@@ -178,12 +172,13 @@ class TestSampleMinibatch:
         assert rows.size == 13
 
     def test_no_ignored_or_outside_sampled(self):
-        aset = small_aset()
-        labels, _ = assign_labels(aset, np.array([[8.0, 8.0, 24.0, 24.0]]), *LABEL_IOUS)
+        anchors, inside = small_anchors()
+        labels, _ = assign_labels(anchors, inside, np.array([[8.0, 8.0, 24.0, 24.0]]),
+                                  *LABEL_IOUS)
         rows = sample_minibatch(labels, Rng(2).substream("sampling"), *MINIBATCH)
         assert rows.size
         assert np.all(labels[rows] != IGNORE)
-        assert np.all(aset.inside[rows])
+        assert np.all(inside[rows])
 
     def test_zero_labeled_samples_nothing(self):
         labels = self._labels(0, 0)

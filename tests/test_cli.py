@@ -884,13 +884,12 @@ class TestAblate:
                     "--set", "proposals.nms_iou", "0.3", "--seed", "11"]) == 0
         assert len(seen) == 4
         for state, scene, min_size, boxes in seen:
-            aset = state.anchors(scene.width, scene.height)
-            iou = iou_matrix_arr(aset.boxes, aset.boxes)
+            anchors, _ = state.anchors(scene.width, scene.height)
+            iou = iou_matrix_arr(anchors, anchors)
             np.fill_diagonal(iou, 0)
             assert iou.max() > 0.3
             _, _, reg = state.forward(scene, state.rpn_head)
-            want = clip_arr(decode_arr(reg.data, aset.boxes),
-                            scene.width, scene.height)
+            want = clip_arr(decode_arr(reg.data, anchors), scene.width, scene.height)
             want = want[((want[:, 2:] - want[:, :2]) >= min_size).all(axis=1)]
             assert sorted(map(tuple, boxes.tolist())) == \
                 sorted(map(tuple, want.tolist()))

@@ -30,6 +30,11 @@ class TestPpm:
         path = tmp_path / "x.ppm"
         write_ppm(path, img)
         assert np.array_equal(read_ppm(path), img)
+        # and back: an image gen_synthetic wrote is rewritten byte for byte
+        gen_synthetic(tmp_path / "ds", 1, image_size=48, seed=5)
+        made = tmp_path / "ds" / "images" / "000000.ppm"
+        write_ppm(path, read_ppm(made))
+        assert path.read_bytes() == made.read_bytes()
 
     def test_header(self, tmp_path):
         img = np.zeros((4, 6, 3), dtype=np.uint8)
@@ -198,6 +203,22 @@ class TestManifest:
         lines.insert(1, "{not json")
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ManifestError, match=":2:"):
+            load_manifest(path)
+
+    @pytest.mark.parametrize("char", [",", "\r", "\n"], ids=["comma", "cr", "lf"])
+    def test_image_name_a_csv_row_cannot_carry_rejected(self, tmp_path, char):
+        """The proposals and detections CSVs name each image in a row, so a
+        name holding a comma or line break would not read back."""
+        d = tmp_path / "ds"
+        gen_synthetic(d, 1, image_size=48, seed=5)
+        path = d / "manifest.jsonl"
+        entry = json.loads(path.read_text().splitlines()[0])
+        name = f"images/a{char}b.ppm"
+        (d / entry["image"]).rename(d / name)
+        entry["image"] = name
+        path.write_text(json.dumps(entry) + "\n")
+        with pytest.raises(ManifestError,
+                           match=re.escape(f"manifest.jsonl:1: image name {name!r} ")):
             load_manifest(path)
 
     def test_missing_image_reported(self, tmp_path):

@@ -157,16 +157,15 @@ class TestLabelBoxes:
         assert targets.shape == (3, 4) and not targets.any()
 
     def test_windows_across_the_border_are_ignored(self):
-        aset = grid_anchors(AnchorConfig(scales=(8.0, 16.0), ratios=(1.0,), stride=8),
-                            4, 4)
-        inside_mask(aset, 32, 32)
+        windows = grid_anchors(AnchorConfig(scales=(8.0, 16.0), ratios=(1.0,), stride=8),
+                               4, 4)
+        ins = inside_mask(windows, 32, 32)
         gt = np.array([[8.0, 8.0, 16.0, 16.0]])
-        labels, targets = label_windows(aset, gt, np.array([2]), 0.5)
-        ins = aset.inside
-        assert 0 < ins.sum() < len(aset)
+        labels, targets = label_windows(windows, ins, gt, np.array([2]), 0.5)
+        assert 0 < ins.sum() < len(windows)
         np.testing.assert_array_equal(labels[~ins], -1)
         assert not targets[~ins].any()
-        want = label_boxes(aset.boxes[ins], gt, np.array([2]), 0.5)
+        want = label_boxes(windows[ins], gt, np.array([2]), 0.5)
         np.testing.assert_array_equal(labels[ins], want[0])
         np.testing.assert_array_equal(targets[ins], want[1])
         assert (labels == 2).any()

@@ -114,7 +114,7 @@ class TestRecallCurve:
     def test_csv_format(self):
         gt = [np.array([[0.0, 0.0, 10.0, 10.0]])]
         c = recall_curve([gt[0].copy()], gt, 7)
-        lines = c.to_csv().strip().split("\n")
+        lines = c.to_csv()
         assert lines[0] == "tau,recall,n_proposals"
         assert len(lines) == 1 + len(DEFAULT_IOU_GRID)
         assert lines[1].endswith(",7")
@@ -234,7 +234,7 @@ class TestBench:
     def test_csv(self):
         r = bench(lambda x: x, lambda f: f, lambda f, p: [], [0],
                   n_warmup=0, n_timed=3)
-        lines = r.to_csv().strip().split("\n")
+        lines = r.to_csv()
         assert lines[0] == "stage,ms"
         stages = [ln.split(",")[0] for ln in lines[1:]]
         assert stages == ["conv", "proposal", "region-wise", "total",

@@ -3,7 +3,8 @@ labelling, the sliding-window head, the RPN objective, the model object and
 the range of each config key; one copy of each fact the model and its random
 streams keep; one shuffled draw; one place that makes a model inference-only;
 one window matrix per convolution; one row per box from every head; one
-UTF-8 text writer and reader; and no package name that only tests read."""
+UTF-8 text writer and reader; anchors as one array beside their mask; and no
+package name that only tests read."""
 
 import ast
 import inspect
@@ -319,6 +320,24 @@ def test_one_path_per_input():
         branches = [n for n in ast.walk(defs[name]) if isinstance(n, (ast.If, ast.IfExp))]
         assert all(isinstance(n, ast.If) and isinstance(n.body[-1], ast.Raise)
                    for n in branches), (name, [ast.unparse(n.test) for n in branches])
+
+
+def test_anchors_are_one_array():
+    """An image size's anchors are one (N, 4) array, and their inside mask
+    travels beside it: `anchors` defines no class to hold the two,
+    `inside_mask` returns the mask and writes into nothing, and each
+    labeller takes the mask."""
+    tree = modules()["anchors"]
+    assert [n.name for n in ast.walk(tree) if isinstance(n, ast.ClassDef)] == \
+        ["AnchorConfig"]
+    defs = {n.name: n for tree in modules().values() for n in ast.walk(tree)
+            if isinstance(n, ast.FunctionDef)}
+    assert ast.unparse(defs["grid_anchors"].returns) == "np.ndarray"
+    assert not [ast.unparse(n) for n in ast.walk(defs["inside_mask"])
+                if isinstance(n, (ast.Attribute, ast.Subscript))
+                and isinstance(n.ctx, ast.Store)]
+    for name in ("assign_labels", "label_windows"):
+        assert "inside" in [a.arg for a in defs[name].args.args], name
 
 
 def definitions(tree: ast.Module, mod: str) -> list[tuple[str, str, ast.AST]]:

@@ -5,6 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from minircnn.cli import _dims, run
+from minircnn.config import RunConfig
 from minircnn.nn import (
     GradientError,
     Param,
@@ -19,8 +21,10 @@ from minircnn.nn import (
 from minircnn.rng import Rng
 from minircnn.rpn import Backbone
 from minircnn.tensor import Tensor
+from minircnn.training import TrainState, save_state
 
 from defaults import CFG
+from test_cli import TINY
 
 
 def make_param(name, value, grad):
@@ -134,6 +138,16 @@ class TestCheckpoint:
         for p in params:
             assert np.array_equal(state[p.name], p.value.data)
             assert state[p.name].dtype == np.float32
+        # and back: a TINY train-rpn checkpoint, opened and saved, is rewritten
+        # byte for byte
+        data, run_dir = tmp_path / "data", tmp_path / "rpn"
+        assert run(["gen-data", "--out", str(data), "--n", "2", *TINY,
+                    "--seed", "11"]) == 0
+        assert run(["train-rpn", "--out", str(run_dir), "--data", str(data),
+                    "--iters", "2", *TINY, "--seed", "11"]) == 0
+        cfg = RunConfig.from_file(run_dir / "config.txt")
+        save_state(TrainState.open(run_dir / "rpn.frpn", *_dims(cfg)), path)
+        assert path.read_bytes() == (run_dir / "rpn.frpn").read_bytes()
 
     def test_binary_layout(self, tmp_path):
         params = self._params()

@@ -57,7 +57,7 @@ class TestHeadShapes:
         fc, fr = (out.data for out in head.forward(feats))
         t = T.relu(head.trunk(feats))
         cmap, rmap = head.cls(t).data, head.reg(t).data
-        boxes, base = grid_anchors(ACFG, w, h).boxes, base_anchors(ACFG)
+        boxes, base = grid_anchors(ACFG, w, h), base_anchors(ACFG)
         for y, x, a in [(0, 0, 0), (0, 1, 2), (2, 4, 3), (1, 3, 1)]:
             row = (y * w + x) * K + a
             np.testing.assert_array_equal(
@@ -132,7 +132,7 @@ class TestDetect:
         # stage runs: the class-wise post-process of the head's own outputs
         head = self.state.onestage_head
         _, cls, reg = self.state.forward(self.scene, head)
-        want = classwise_detections(cls.data, reg.data, self.state.anchors(64, 64).boxes,
+        want = classwise_detections(cls.data, reg.data, self.state.anchors(64, 64)[0],
                                     64, 64, 0.0, 0.3, 100)
         assert self.detect(score_thresh=0.0) == want
 

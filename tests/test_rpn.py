@@ -27,12 +27,12 @@ from oracles import gradcheck
 def micro_setup(seed=0, image=32):
     """Tiny grid + (labels, targets, sampled rows) for loss tests."""
     cfg = AnchorConfig(scales=(8.0, 16.0), ratios=(1.0, 2.0), stride=8)
-    aset = grid_anchors(cfg, image // 8, image // 8)
-    inside_mask(aset, image, image)
+    anchors = grid_anchors(cfg, image // 8, image // 8)
     gt = np.array([[4.0, 4.0, 14.0, 14.0], [16.0, 10.0, 30.0, 26.0]])
-    labels, targets = assign_labels(aset, gt, *LABEL_IOUS)
+    labels, targets = assign_labels(anchors, inside_mask(anchors, image, image), gt,
+                                    *LABEL_IOUS)
     rows = sample_minibatch(labels, Rng(seed).substream("sampling"), batch=16, max_pos=8)
-    return cfg, aset, (labels, targets, rows)
+    return cfg, anchors, (labels, targets, rows)
 
 
 class TestHeadStructure:
@@ -94,14 +94,14 @@ class TestHeadStructure:
         t = T.relu(head.trunk(x))
         cmap, rmap = head.cls(t).data, head.reg(t).data
         assert cls.shape == (h * w * k, 2) and reg.shape == (h * w * k, 1, 4)
-        aset = grid_anchors(cfg, w, h)
+        anchors = grid_anchors(cfg, w, h)
         for y in range(h):
             for xx in range(w):
                 for a in range(k):
                     row = (y * w + xx) * k + a
                     np.testing.assert_array_equal(cls.data[row], cmap[2 * a:2 * a + 2, y, xx])
                     np.testing.assert_array_equal(reg.data[row, 0], rmap[4 * a:4 * a + 4, y, xx])
-                    box = aset.boxes[row]
+                    box = anchors[row]
                     assert (box[0] + box[2]) / 2 == (xx + 0.5) * cfg.stride
                     assert (box[1] + box[3]) / 2 == (y + 0.5) * cfg.stride
                     assert box[2] - box[0] == cfg.scales[a]
@@ -128,20 +128,20 @@ class TestLossWeights:
 
 
 class TestRpnLoss:
-    def _outputs(self, aset, rng_seed=3, dtype=np.float64):
-        """Head rows for every anchor of `aset`: scores (N, 2), deltas (N, 1, 4)."""
+    def _outputs(self, anchors, rng_seed=3, dtype=np.float64):
+        """Head rows for every anchor of `anchors`: scores (N, 2), deltas (N, 1, 4)."""
         rng = np.random.default_rng(rng_seed)
-        cls = Tensor(rng.normal(size=(len(aset), 2)).astype(dtype), requires_grad=True)
-        reg = Tensor(rng.normal(size=(len(aset), 1, 4)).astype(dtype) * 0.1,
+        cls = Tensor(rng.normal(size=(len(anchors), 2)).astype(dtype), requires_grad=True)
+        reg = Tensor(rng.normal(size=(len(anchors), 1, 4)).astype(dtype) * 0.1,
                      requires_grad=True)
         return cls, reg
 
     def test_zero_positives_reg_term_zero(self):
-        cfg, aset, (labels, targets, _) = micro_setup()
+        cfg, anchors, (labels, targets, _) = micro_setup()
         labels[labels == 1] = -1  # demote all positives to ignore
         rows = sample_minibatch(labels, Rng(0).substream("sampling"), batch=16,
                                 max_pos=MINIBATCH[1])
-        cls, reg = self._outputs(aset)
+        cls, reg = self._outputs(anchors)
         loss, cls_val, reg_val = rpn_loss(cls, reg, labels, targets, rows, cfg.k,
                                           WEIGHTS)
         assert reg_val == 0.0
@@ -150,11 +150,11 @@ class TestRpnLoss:
         assert reg.grad is None or not np.any(reg.grad)
 
     def test_perfect_predictions_near_zero(self):
-        cfg, aset, t = micro_setup()
+        cfg, anchors, t = micro_setup()
         labels, targets, _ = t
-        logits = np.zeros((len(aset), 2))
-        logits[np.arange(len(aset)), labels.clip(0)] = 50.0
-        deltas = np.zeros((len(aset), 1, 4))
+        logits = np.zeros((len(anchors), 2))
+        logits[np.arange(len(anchors)), labels.clip(0)] = 50.0
+        deltas = np.zeros((len(anchors), 1, 4))
         pos = np.flatnonzero(labels == 1)
         deltas[pos, 0] = targets[pos]
         loss, _, _ = rpn_loss(Tensor(logits), Tensor(deltas), *t, cfg.k, WEIGHTS)
@@ -163,8 +163,8 @@ class TestRpnLoss:
     def test_normalizers_enter_exactly(self):
         # cls is divided by batch; reg is scaled by lam / (H*W) of the head map
         for image in (32, 56):
-            cfg, aset, t = micro_setup(image=image)
-            cls, reg = self._outputs(aset)
+            cfg, anchors, t = micro_setup(image=image)
+            cls, reg = self._outputs(anchors)
             _, c1, r1 = rpn_loss(cls, reg, *t, cfg.k, WEIGHTS)
             _, c2, r2 = rpn_loss(cls, reg, *t, cfg.k,
                                  replace(WEIGHTS, lam=10.0, batch=512))
@@ -175,15 +175,15 @@ class TestRpnLoss:
             assert pos.size
             x = reg.data[pos, 0] - targets[pos]
             smooth = np.where(np.abs(x) < 1, 0.5 * x * x, np.abs(x) - 0.5).sum()
-            n_reg = len(aset) // cfg.k
+            n_reg = len(anchors) // cfg.k
             assert n_reg == (image // 8) ** 2
             assert r1 == pytest.approx(10.0 / n_reg * smooth, rel=1e-12)
 
     def test_lambda_scales_reg_gradient_exactly(self):
-        cfg, aset, t = micro_setup()
+        cfg, anchors, t = micro_setup()
         grads = {}
         for c, lam in ((1.0, 10.0), (3.0, 30.0)):
-            cls, reg = self._outputs(aset)
+            cls, reg = self._outputs(anchors)
             loss, _, _ = rpn_loss(cls, reg, *t, cfg.k, replace(WEIGHTS, lam=lam))
             loss.backward()
             grads[c] = (reg.grad.copy(), cls.grad.copy())
@@ -191,8 +191,8 @@ class TestRpnLoss:
         np.testing.assert_array_equal(grads[3.0][1], grads[1.0][1])
 
     def test_reg_runs_over_all_positives_not_only_sampled(self):
-        cfg, aset, (labels, targets, rows) = micro_setup()
-        cls, reg = self._outputs(aset)
+        cfg, anchors, (labels, targets, rows) = micro_setup()
+        cls, reg = self._outputs(anchors)
         _, _, r_full = rpn_loss(cls, reg, labels, targets, rows, cfg.k, WEIGHTS)
         # recompute with a different sampled minibatch: reg term unchanged
         rows2 = sample_minibatch(labels, Rng(99).substream("sampling"), batch=8, max_pos=0)
@@ -201,22 +201,22 @@ class TestRpnLoss:
         assert r_resampled == pytest.approx(r_full, rel=1e-12)
 
     def test_no_sampled_anchors_raises(self):
-        cfg, aset, (labels, targets, _) = micro_setup()
-        cls, reg = self._outputs(aset)
+        cfg, anchors, (labels, targets, _) = micro_setup()
+        cls, reg = self._outputs(anchors)
         with pytest.raises(ValueError, match="sampled minibatch"):
             rpn_loss(cls, reg, labels, targets, np.zeros(0, dtype=np.int64), cfg.k,
                      WEIGHTS)
 
     def test_anchor_count_mismatch_names_both_counts(self):
-        cfg, aset, t = micro_setup(image=32)      # 4x4 grid, 64 anchors
+        cfg, anchors, t = micro_setup(image=32)      # 4x4 grid, 64 anchors
         _, big, _ = micro_setup(image=40)          # 5x5 grid, 100 anchors
         cls, reg = self._outputs(big)
         with pytest.raises(ValueError, match=r"rpn_loss: .*100 .*64"):
             rpn_loss(cls, reg, *t, cfg.k, WEIGHTS)
 
     def test_gradcheck_64bit_micro_instance(self):
-        cfg, aset, t = micro_setup()
-        cls, reg = self._outputs(aset)
+        cfg, anchors, t = micro_setup()
+        cls, reg = self._outputs(anchors)
 
         def fn(cls, reg):
             return rpn_loss(cls, reg, *t, cfg.k, WEIGHTS)[0]
@@ -226,7 +226,7 @@ class TestRpnLoss:
     def test_gradcheck_through_head_convs(self):
         # full chain in float64: trunk conv + sibling 1x1 convs + the head's
         # map-to-rows layout -> loss
-        cfg, aset, t = micro_setup()
+        cfg, anchors, t = micro_setup()
         k = cfg.k
         rng = np.random.default_rng(7)
         x = Tensor(rng.normal(size=(3, 4, 4)))
@@ -250,17 +250,17 @@ class TestProposals:
     def _setup(self, seed=5, image=64):
         cfg = AnchorConfig(scales=(8.0, 16.0, 32.0), ratios=(0.5, 1.0, 2.0),
                            stride=8)
-        aset = grid_anchors(cfg, image // 8, image // 8)
+        anchors = grid_anchors(cfg, image // 8, image // 8)
         rng = np.random.default_rng(seed)
-        cls = rng.normal(size=(len(aset), 2))
-        reg = rng.normal(size=(len(aset), 1, 4)) * 0.2
-        return cfg, aset, cls, reg, image
+        cls = rng.normal(size=(len(anchors), 2))
+        reg = rng.normal(size=(len(anchors), 1, 4)) * 0.2
+        return cfg, anchors, cls, reg, image
 
     def test_zero_deltas_yield_clipped_anchors(self):
-        cfg, aset, cls, reg, image = self._setup()
-        boxes, scores = propose_arrays(cls, np.zeros_like(reg), aset, image,
+        cfg, anchors, cls, reg, image = self._setup()
+        boxes, scores = propose_arrays(cls, np.zeros_like(reg), anchors, image,
                                        image, TRAIN_PROPOSALS)
-        clipped = np.clip(aset.boxes, 0, image)
+        clipped = np.clip(anchors, 0, image)
         probs = T.softmax(cls, axis=1)[:, 1]
         big = ((clipped[:, 2] - clipped[:, 0]) >= 2.0) & \
               ((clipped[:, 3] - clipped[:, 1]) >= 2.0)
@@ -271,9 +271,9 @@ class TestProposals:
         assert probs[big].max() == pytest.approx(scores[0], rel=1e-6)
 
     def test_count_and_order_invariants(self):
-        cfg, aset, cls, reg, image = self._setup()
+        cfg, anchors, cls, reg, image = self._setup()
         p = replace(TEST_PROPOSALS, post_nms_top=50, pre_nms_top=300)
-        boxes, scores = propose_arrays(cls, reg, aset, image, image, p)
+        boxes, scores = propose_arrays(cls, reg, anchors, image, image, p)
         assert boxes.shape[0] <= 50
         assert np.all(np.diff(scores) <= 1e-12)  # descending
         assert np.all(boxes[:, 0] >= 0) and np.all(boxes[:, 1] >= 0)
@@ -282,23 +282,23 @@ class TestProposals:
         assert np.all(boxes[:, 3] - boxes[:, 1] >= p.min_size)
 
     def test_no_surviving_pair_above_nms_iou(self):
-        cfg, aset, cls, reg, image = self._setup()
-        boxes, _ = propose_arrays(cls, reg, aset, image, image,
+        cfg, anchors, cls, reg, image = self._setup()
+        boxes, _ = propose_arrays(cls, reg, anchors, image, image,
                                   TRAIN_PROPOSALS)
         m = iou_matrix_arr(boxes, boxes)
         np.fill_diagonal(m, 0.0)
         assert m.max() <= 0.7
 
     def test_deterministic(self):
-        cfg, aset, cls, reg, image = self._setup()
+        cfg, anchors, cls, reg, image = self._setup()
         p = TEST_PROPOSALS
-        a, sa = propose_arrays(cls, reg, aset, image, image, p)
-        b, sb = propose_arrays(cls, reg, aset, image, image, p)
+        a, sa = propose_arrays(cls, reg, anchors, image, image, p)
+        b, sb = propose_arrays(cls, reg, anchors, image, image, p)
         assert np.array_equal(a, b) and np.array_equal(sa, sb)
 
     def test_generate_proposals_scored_boxes(self):
-        cfg, aset, cls, reg, image = self._setup()
-        boxes, scores = propose_arrays(cls, reg, aset, image, image,
+        cfg, anchors, cls, reg, image = self._setup()
+        boxes, scores = propose_arrays(cls, reg, anchors, image, image,
                                        replace(TEST_PROPOSALS, post_nms_top=20,
                                                pre_nms_top=100))
         assert boxes.shape == (scores.size, 4) and scores.size <= 20
@@ -308,17 +308,17 @@ class TestProposals:
     def test_anchor_count_mismatch_names_both_counts(self):
         # head outputs on an 8x8 grid against anchors built for a 7x7 grid
         cfg, _, cls, reg, image = self._setup()
-        aset = grid_anchors(cfg, 7, 7)
+        anchors = grid_anchors(cfg, 7, 7)
         with pytest.raises(ValueError, match=r"propose_arrays: .*576 .*441"):
-            propose_arrays(cls, reg, aset, image, image, TEST_PROPOSALS)
+            propose_arrays(cls, reg, anchors, image, image, TEST_PROPOSALS)
 
     def test_zero_size_boxes_dropped_at_min_size_zero(self):
         # anchor 0 of every cell decodes wholly right of the image and clips
         # to zero width; min_size 0 must still drop it
-        cfg, aset, cls, reg, image = self._setup()
+        cfg, anchors, cls, reg, image = self._setup()
         reg = np.zeros_like(reg)
         reg[::cfg.k, 0, 0] = 100.0
-        boxes, _ = propose_arrays(cls, reg, aset, image, image,
+        boxes, _ = propose_arrays(cls, reg, anchors, image, image,
                                   replace(TRAIN_PROPOSALS, min_size=0.0))
         assert boxes.shape[0] > 0
         assert np.all(boxes[:, 2] > boxes[:, 0]) and np.all(boxes[:, 3] > boxes[:, 1])

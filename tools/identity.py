@@ -13,10 +13,10 @@ alone, `bench`, all five `ablate` modes, a set of rejected inputs and one
 accepted order of `--set`s. Among the rejected inputs are a manifest that
 lists one image twice, `eval-map` at fewer classes than the data hold, list
 keys with an empty entry, a checkpoint entry that declares far more data
-than its file holds, and a byte that is not UTF-8 in a `--config` file, in
-a manifest line after a test image's and in a proposals CSV row; `run_side`
-writes those files, the manifest that repeats an image and a detections CSV
-with no rows before the matrix runs.
+than its file holds, a byte that is not UTF-8 in a `--config` file, in a
+manifest line after a test image's and in a proposals CSV row, and a manifest
+image name holding a comma; `run_side` writes those files, the manifest that
+repeats an image and a detections CSV with no rows before the matrix runs.
 Under the default config at 96 px it makes data, runs `train-joint`, and runs
 `propose` (also at a lower NMS threshold), `detect`, `eval-map` and `ablate
 --mode no-cls` on its checkpoint. Under TINY at 50 px, where the feature maps
@@ -236,6 +236,9 @@ def matrix() -> list[Case]:
         "{root}/not-utf8", *TINY, *SEED)
     add("reject-proposals-not-utf8", "eval-recall", "--proposals",
         "{root}/not-utf8.csv", "--manifest", manifest, *TINY, *SEED)
+    # an image name that a proposals or detections CSV row cannot carry back
+    add("reject-manifest-comma", "detect", "--ckpt", ckpt["final"], "--data",
+        "{root}/comma", *TINY, *SEED)
     # accepted: the pairs of keys are checked once every `--set` is applied
     add("set-order", "train-rpn", *data, "--iters", "1", "--set", "rpn.neg_iou",
         "0.8", "--set", "rpn.pos_iou", "0.9")
@@ -264,6 +267,9 @@ def run_side(src: Path, root: Path, cases: list[Case]) -> dict[str, Outcome]:
     (root / "not-utf8").mkdir()
     (root / "not-utf8" / "manifest.jsonl").write_bytes(
         f"{line}\n".encode() + b"\xff\n")
+    (root / "comma").mkdir()
+    (root / "comma" / "manifest.jsonl").write_text(
+        line.replace("../test/images/000000.ppm", "images/a,b.ppm") + "\n")
     (root / "not-utf8.csv").write_bytes(
         b"image,rank,score,x1,y1,x2,y2\nimages/000000.ppm,0,0.5,1,1,\xff,5\n")
     env = dict(os.environ, PYTHONPATH=str(src), **ENV)
