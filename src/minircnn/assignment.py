@@ -20,18 +20,16 @@ def assign_labels(anchors: np.ndarray, inside: np.ndarray, gt_boxes: np.ndarray,
     anchor is positive if it is an argmax anchor of some gt box (ties: all
     argmax anchors) or reaches pos_iou with any gt; negative if its best IoU
     is below neg_iou. Positives are matched to their single highest-IoU gt,
-    ties to the lowest gt index. Returns (labels int8, targets (N, 4)), the
-    targets encoded on positive rows only, zero elsewhere.
+    ties to the lowest gt index. Returns (labels int8 (N,), targets (P, 4)):
+    one target row per positive label, in row order.
     """
-    n = anchors.shape[0]
-    labels = np.full(n, IGNORE, dtype=np.int8)
-    deltas = np.zeros((n, 4), dtype=np.float64)
+    labels = np.full(anchors.shape[0], IGNORE, dtype=np.int8)
     gt_boxes = np.asarray(gt_boxes, dtype=np.float64).reshape(-1, 4)
 
     ins = np.flatnonzero(inside)
     if gt_boxes.shape[0] == 0:
         labels[ins] = NEGATIVE
-        return labels, deltas
+        return labels, np.zeros((0, 4))
 
     iou = iou_matrix_arr(anchors[ins], gt_boxes)      # (n_inside, G)
     best = iou.max(axis=1)
@@ -47,9 +45,7 @@ def assign_labels(anchors: np.ndarray, inside: np.ndarray, gt_boxes: np.ndarray,
     lab[pos] = POSITIVE
 
     labels[ins] = lab
-    pidx = ins[pos]
-    deltas[pidx] = encode_arr(gt_boxes[argbest[pos]], anchors[pidx])
-    return labels, deltas
+    return labels, encode_arr(gt_boxes[argbest[pos]], anchors[ins[pos]])
 
 
 def sample_fg_bg(labels: np.ndarray, max_fg: int, total: int, rng: Rng) -> np.ndarray:

@@ -115,16 +115,19 @@ class _PairIndex:
     x1 within a row's reach. Rows are sorted by class, then x1, so each
     neighbouring class holds a row's partners in one slice. Per-row arrays
     are indexed by row number; `retain` removes decided rows from the slices
-    without moving the others.
+    without moving the others. Rows of different `groups` are never
+    partners: each group's width classes lie apart from the others'.
     """
 
-    def __init__(self, x1, w, h, rows, t):
+    def __init__(self, x1, w, h, rows, t, groups):
         V = rows.size
         x, wr = x1[rows], w[rows]
         xs = np.sort(x)
         c = np.floor(np.log(np.stack([wr, h[rows]])) / (-math.log(t) if t else math.inf))
         # merging the classes past 4096 keeps every neighbour a neighbour
         c = np.minimum(c - c.min(1, keepdims=True, initial=np.inf), 4096)
+        if groups is not None:
+            c[0] += groups[rows] * (c[0].max(initial=0) + 2)
         K = c[1].max(initial=0) + 2
         # max(w_i, w_j) <= min(w_i / t, widest row), as the width ratio bounds w_j
         wmax = wr.max(initial=0)
@@ -165,9 +168,10 @@ class _PairIndex:
         return np.repeat(np.repeat(src, 9), count), self.rows.take(j)
 
 
-def _greedy_keep(ranked: np.ndarray, iou_threshold: float, limit: int) -> np.ndarray:
+def _greedy_keep(ranked: np.ndarray, iou_threshold: float, limit: int,
+                 groups: np.ndarray | None) -> np.ndarray:
     """Positions of the first `limit` boxes greedy NMS keeps among `ranked`,
-    which is in descending score order."""
+    which is in descending score order, with `groups` (or None) beside it."""
     n = ranked.shape[0]
     x1, y1, x2, y2 = ranked.T.copy()
     w = x2 - x1
@@ -211,7 +215,7 @@ def _greedy_keep(ranked: np.ndarray, iou_threshold: float, limit: int) -> np.nda
             first, end = end, min(n, max(2 * limit, 2 * end))
             keep = np.flatnonzero(valid[:first] & ~suppressed[:first])
             rows = np.concatenate([keep, first + np.flatnonzero(valid[first:end])])
-            index = _PairIndex(x1, w, h, rows, t)
+            index = _PairIndex(x1, w, h, rows, t, groups)
             suppress(keep, first)
         # Blocks of up to _BLOCK unsuppressed boxes in score order. Greedy
         # runs inside a block over its candidate pairs; then the boxes it
@@ -242,8 +246,9 @@ def _greedy_keep(ranked: np.ndarray, iou_threshold: float, limit: int) -> np.nda
 
 
 def nms_arr(boxes: np.ndarray, scores: np.ndarray, iou_threshold: float,
-            max_keep: int | None = None) -> np.ndarray:
+            max_keep: int | None = None, groups: np.ndarray | None = None) -> np.ndarray:
     """Greedy NMS with strict > suppression; score ties keep original order.
+    Given integer `groups` (N,), a box suppresses only boxes of its own group.
 
     Returns the indices of the kept boxes, best first, at most max_keep of
     them. IoU is computed only for the candidate pairs of a `_PairIndex`,
@@ -258,4 +263,5 @@ def nms_arr(boxes: np.ndarray, scores: np.ndarray, iou_threshold: float,
     scores = np.asarray(scores, dtype=np.float64).reshape(-1)
     order = np.argsort(-scores, kind="stable")
     limit = boxes.shape[0] if max_keep is None else max(max_keep, 0)
-    return order[_greedy_keep(boxes[order], iou_threshold, limit)]
+    ranked_groups = None if groups is None else np.asarray(groups, dtype=np.int64)[order]
+    return order[_greedy_keep(boxes[order], iou_threshold, limit, ranked_groups)]

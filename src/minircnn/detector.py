@@ -28,7 +28,7 @@ class RoiSampleConfig:
 class RoiBatch:
     rois: np.ndarray       # (N, 4)
     labels: np.ndarray     # (N,) int64, 0 = background
-    targets: np.ndarray    # (N, 4), defined where labels > 0
+    targets: np.ndarray    # (F, 4), one row per foreground label, in row order
 
 
 class LinearLayer:
@@ -74,28 +74,28 @@ def label_boxes(boxes: np.ndarray, gt_boxes: np.ndarray, gt_classes: np.ndarray,
                 fg_iou: float) -> tuple[np.ndarray, np.ndarray]:
     """Fast R-CNN labels of boxes (N, 4) against gt boxes (G, 4): the class of
     the best-IoU gt box (ties to the lowest index) where that IoU reaches
-    fg_iou, else 0 (background); and the regression targets (N, 4) of the
-    foreground rows toward that gt box, zero elsewhere."""
+    fg_iou, else 0 (background); and the regression targets (F, 4) toward
+    that gt box, one row per foreground label, in row order."""
     labels = np.zeros(boxes.shape[0], dtype=np.int64)
-    targets = np.zeros((boxes.shape[0], 4))
     if gt_boxes.shape[0] == 0:
-        return labels, targets
+        return labels, np.zeros((0, 4))
     iou = iou_matrix_arr(boxes, gt_boxes)
     arg = iou.argmax(axis=1)
     fg = iou.max(axis=1) >= fg_iou
     labels[fg] = gt_classes[arg[fg]]
-    targets[fg] = encode_arr(gt_boxes[arg[fg]], boxes[fg])
-    return labels, targets
+    return labels, encode_arr(gt_boxes[arg[fg]], boxes[fg])
 
 
 def label_windows(windows: np.ndarray, inside: np.ndarray, gt_boxes: np.ndarray,
                   gt_classes: np.ndarray, fg_iou: float) -> tuple[np.ndarray, np.ndarray]:
-    """`label_boxes` of the windows inside the image (the `inside` mask); -1
-    (ignore) and zero targets for the windows that cross its border."""
-    labels = np.full(windows.shape[0], -1, dtype=np.int64)
-    targets = np.zeros((windows.shape[0], 4))
+    """`label_boxes` of the windows inside the image (the `inside` mask), -1
+    (ignore) for the windows that cross its border; the labels in the
+    smallest integer type that holds -1 and every class. The targets are
+    `label_boxes`' own: one row per foreground label, in row order."""
+    labels = np.full(windows.shape[0], -1,
+                     dtype=np.min_scalar_type(-1 - gt_classes.max(initial=0)))
     ins = np.flatnonzero(inside)
-    labels[ins], targets[ins] = label_boxes(windows[ins], gt_boxes, gt_classes, fg_iou)
+    labels[ins], targets = label_boxes(windows[ins], gt_boxes, gt_classes, fg_iou)
     return labels, targets
 
 
@@ -119,7 +119,9 @@ def sample_rois(proposals: np.ndarray, gt_boxes: np.ndarray, gt_classes: np.ndar
     labels, targets = label_boxes(cand, gt_boxes, gt_classes, cfg.fg_iou)
     idx = sample_fg_bg(labels, int(cfg.fg_fraction * cfg.rois_per_image),
                        cfg.rois_per_image, rng)
-    return RoiBatch(cand[idx], labels[idx], targets[idx])
+    fg = idx[labels[idx] > 0]
+    return RoiBatch(cand[idx], labels[idx],
+                    targets[np.searchsorted(np.flatnonzero(labels > 0), fg)])
 
 
 def detector_loss(cls_logits: Tensor, deltas: Tensor,
@@ -132,7 +134,7 @@ def detector_loss(cls_logits: Tensor, deltas: Tensor,
     fg = np.flatnonzero(rois.labels > 0)
     pred = T.select_class(T.take_rows(deltas, fg), rois.labels[fg] - 1) if fg.size else None
     return multitask_loss(cls_logits, rois.labels, 1.0 / n,
-                          pred, rois.targets[fg], 1.0 / max(fg.size, 1))
+                          pred, rois.targets, 1.0 / max(fg.size, 1))
 
 
 def detect(features: Tensor, proposals: np.ndarray, head: DetectorHead,
@@ -154,18 +156,15 @@ def classwise_detections(logits: np.ndarray, per_class: np.ndarray,
 
     logits (N, C+1) holds raw class scores with background in column 0;
     per_class (N, C, 4) the class-specific deltas against ref_boxes (N, 4).
-    For each class c >= 1, rows scoring at least score_thresh are decoded,
-    clipped and NMS-filtered; the top max_per_image over all classes are
-    returned, best first.
+    Each (row, class c >= 1) scoring at least score_thresh is decoded and
+    clipped; one NMS call, in which boxes of different classes never suppress
+    each other, returns the top max_per_image over all classes, best first
+    (ties by class, then row).
     """
     probs = T.softmax(logits, axis=1)
-    out = []
-    for c in range(1, probs.shape[1]):
-        keep = probs[:, c] >= score_thresh
-        scores = probs[keep, c]
-        boxes = decode_arr(per_class[keep, c - 1].astype(np.float64), ref_boxes[keep])
-        boxes = clip_arr(boxes, image_w, image_h)
-        for i in nms_arr(boxes, scores, nms_iou):
-            out.append(ScoredBox(Box(*boxes[i]), float(scores[i]), c))
-    out.sort(key=lambda s: -s.score)
-    return out[:max_per_image]
+    cls, rows = np.nonzero(probs[:, 1:].T >= score_thresh)     # class-major
+    scores = probs[rows, cls + 1]
+    boxes = decode_arr(per_class[rows, cls].astype(np.float64), ref_boxes[rows])
+    boxes = clip_arr(boxes, image_w, image_h)
+    return [ScoredBox(Box(*boxes[i]), float(scores[i]), int(cls[i]) + 1)
+            for i in nms_arr(boxes, scores, nms_iou, max_keep=max_per_image, groups=cls)]

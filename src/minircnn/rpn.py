@@ -139,7 +139,7 @@ def rpn_loss(cls_scores: Tensor, reg_deltas: Tensor, labels: np.ndarray,
              targets: np.ndarray, rows: np.ndarray, k: int,
              weights: LossWeights) -> tuple[Tensor, float, float]:
     """Two-term objectness + box loss of the head's anchor rows on
-    `assign_labels`' labels and targets.
+    `assign_labels`' labels and targets (one row per positive label).
 
     cls: log-loss summed over the sampled anchor `rows`, divided by `batch`.
     reg: smooth-L1 over ALL positive-labeled anchors, summed over the four
@@ -154,7 +154,7 @@ def rpn_loss(cls_scores: Tensor, reg_deltas: Tensor, labels: np.ndarray,
     pos = np.flatnonzero(labels > 0)
     pred = T.take_rows(reg_deltas.reshape(-1, 4), pos) if pos.size else None
     return multitask_loss(T.take_rows(cls_scores, rows), labels[rows].astype(np.int64),
-                          1.0 / weights.batch, pred, targets[pos],
+                          1.0 / weights.batch, pred, targets,
                           weights.lam / (labels.shape[0] // k))
 
 

@@ -52,9 +52,11 @@ class Tensor:
                 stack.pop()
                 topo.append(t)
         self.grad = np.ones((), dtype=self.data.dtype)
+        # an op's output gives its gradient up once passed on; leaves keep theirs
         for t in reversed(topo):
             if t._backward is not None and t.grad is not None:
                 t._backward(t.grad)
+                t.grad = None
 
     # elementwise / arithmetic sugar ------------------------------------
     def __add__(self, other):

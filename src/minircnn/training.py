@@ -284,7 +284,8 @@ def steps(scenes: list[Scene], state: TrainState, sched: TrainSchedule,
             _, cls, reg = state.forward(s, one)
             pred = select_class(take_rows(reg, fg), labels[fg] - 1) if fg.size else None
             loss, row["loss_det_cls"], row["loss_det_reg"] = multitask_loss(
-                take_rows(cls, idx), labels[idx], 1.0 / idx.size, pred, targets[fg],
+                take_rows(cls, idx), labels[idx], 1.0 / idx.size, pred,
+                targets[np.searchsorted(np.flatnonzero(labels > 0), fg)],
                 1.0 / max(fg.size, 1))
         loss.backward()
         yield params, SgdConfig(row["lr"], sched.momentum, sched.weight_decay)

@@ -76,7 +76,7 @@ class TestAssignLabels:
         labels, targets = assign_labels(anchors, inside, np.zeros((0, 4)), *LABEL_IOUS)
         assert np.all(labels[inside] == NEGATIVE)
         assert np.all(labels[~inside] == IGNORE)
-        assert not targets.any()
+        assert targets.shape == (0, 4)
 
     def test_no_inside_anchor_all_ignore(self):
         # an 8 px image: every anchor crosses the border
@@ -115,11 +115,12 @@ class TestAssignLabels:
         labels, targets = assign_labels(anchors, inside, gt, *LABEL_IOUS)
         pos = np.flatnonzero(labels == POSITIVE)
         assert pos.size > 0
-        back = decode_arr(targets[pos], anchors[pos])
+        # one target row per positive label, in row order
+        assert targets.shape == ((labels > 0).sum(), 4)
+        back = decode_arr(targets, anchors[pos])
         # matched gt: the highest-IoU one, ties to the lowest index
         want = gt[iou_matrix_arr(anchors[pos], gt).argmax(axis=1)]
         assert np.abs(back - want).max() <= 1e-9 * max(1.0, np.abs(want).max())
-        assert not targets[labels != POSITIVE].any()
 
     def test_matched_gt_is_highest_iou(self):
         anchors, inside = small_anchors()
@@ -128,8 +129,9 @@ class TestAssignLabels:
         ious = iou_matrix_arr(anchors, gt)
         pos = np.flatnonzero(labels == POSITIVE)
         assert pos.size > 0
-        back = decode_arr(targets[pos], anchors[pos])
-        for i, box in zip(pos, back):
+        assert targets.shape == ((labels > 0).sum(), 4)
+        back = decode_arr(targets, anchors[pos])
+        for i, box in zip(pos, back, strict=True):
             matched = np.abs(gt - box).max(axis=1).argmin()   # the box it encodes
             assert np.abs(gt[matched] - box).max() <= 1e-9
             assert ious[i, matched] == ious[i].max()

@@ -269,6 +269,42 @@ class TestNmsMatchesBruteForce:
         assert got == want
 
 
+def brute_grouped_nms(boxes, scores, thresh, groups) -> list[int]:
+    """`brute_nms` of each group on its own, merged by (-score, group, index)."""
+    keep = []
+    for g in np.unique(groups):
+        idx = np.flatnonzero(groups == g)
+        keep += idx[brute_nms(boxes[idx], scores[idx], thresh)].tolist()
+    return sorted(keep, key=lambda i: (-scores[i], groups[i], i))
+
+
+class TestGroupedNms:
+    """Rows of different groups never suppress each other; given rows in
+    group order, as `classwise_detections` passes its classes, the result is
+    each group's own NMS merged by score, then group, then row."""
+
+    @given(nms_cases(), st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_keep_equals_brute_per_group(self, case, data):
+        boxes, scores, thr, max_keep = case
+        n_groups = data.draw(st.integers(1, 4))
+        groups = np.sort(np.array(data.draw(st.lists(
+            st.integers(0, n_groups - 1), min_size=len(scores), max_size=len(scores))),
+            dtype=np.int64))
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = list(nms_arr(boxes, scores, thr, max_keep=max_keep, groups=groups))
+            want = brute_grouped_nms(boxes, scores, thr, groups)[:max_keep]
+        assert got == want
+
+    @pytest.mark.parametrize("max_keep", [None, 3])
+    def test_identical_boxes_of_other_groups_survive(self, max_keep):
+        boxes = arr(*[(0, 0, 10, 10)] * 6)
+        scores = np.array([0.9, 0.8, 0.7, 0.6, 0.5, 0.4])
+        groups = np.array([0, 0, 1, 1, 2, 2])
+        assert list(nms_arr(boxes, scores, 0.5, max_keep=max_keep,
+                            groups=groups)) == [0, 2, 4][:max_keep]
+
+
 @st.composite
 def capped_cluster_cases(draw):
     """100-700 boxes whose best-scored `n_near` lie in tight clusters, fewer
@@ -330,9 +366,9 @@ class TestNmsPrunesByOverlapNearZero:
         taus = []
 
         class Recorded(boxes_mod._PairIndex):
-            def __init__(self, x1, w, h, rows, t):
+            def __init__(self, x1, w, h, rows, t, groups):
                 taus.append(t)
-                super().__init__(x1, w, h, rows, t)
+                super().__init__(x1, w, h, rows, t, groups)
 
         monkeypatch.setattr(boxes_mod, "_PairIndex", Recorded)
         rng = np.random.default_rng(21)

@@ -7,7 +7,7 @@ import pytest
 
 import minircnn.tensor as T
 from minircnn.anchors import AnchorConfig, grid_anchors, inside_mask
-from minircnn.boxes import decode_arr
+from minircnn.boxes import decode_arr, iou_matrix_arr
 from minircnn.detector import (
     DetectorHead,
     RoiBatch,
@@ -93,7 +93,10 @@ class TestSampleRois:
         i = next(j for j, r in enumerate(batch.rois)
                  if np.allclose(r, self.GT[0]))
         assert batch.labels[i] == 1
-        np.testing.assert_allclose(batch.targets[i], 0.0, atol=1e-12)
+        # targets hold one row per foreground row, in row order
+        fg = np.flatnonzero(batch.labels > 0)
+        assert batch.targets.shape == (fg.size, 4)
+        np.testing.assert_allclose(batch.targets[np.searchsorted(fg, i)], 0.0, atol=1e-12)
 
     def test_low_iou_is_background(self):
         props = np.array([[0.0, 0.0, 12.0, 12.0]])  # IoU < 0.5 with both gt
@@ -114,6 +117,12 @@ class TestSampleRois:
         assert len(batch.labels) <= cfg.rois_per_image
         assert (batch.labels > 0).sum() <= int(cfg.fg_fraction
                                                * cfg.rois_per_image)
+        # each foreground row's target decodes back to its best-IoU gt box
+        fg = batch.labels > 0
+        assert fg.any() and batch.targets.shape == (fg.sum(), 4)
+        want = self.GT[iou_matrix_arr(batch.rois[fg], self.GT).argmax(axis=1)]
+        np.testing.assert_allclose(decode_arr(batch.targets, batch.rois[fg]), want,
+                                   atol=1e-9)
 
     def test_fg_labels_match_gt_classes(self):
         batch = sample_rois(self.GT.copy(), self.GT, self.CLS,
@@ -141,10 +150,10 @@ class TestLabelBoxes:
         labels, targets = label_boxes(boxes, self.GT, self.CLS, 0.6)
         np.testing.assert_array_equal(labels, [2, 3, 0, 0])  # ties: lowest index
         assert labels.dtype == np.int64
-        # foreground targets encode the best gt box; background rows stay zero
-        np.testing.assert_allclose(decode_arr(targets[:2], boxes[:2]),
+        # one target row per foreground label, in row order, encoding its best gt box
+        assert targets.shape == ((labels > 0).sum(), 4)
+        np.testing.assert_allclose(decode_arr(targets, boxes[:2]),
                                    self.GT[[0, 2]], atol=1e-9)
-        np.testing.assert_array_equal(targets[2:], 0.0)
 
     def test_fg_iou_is_inclusive(self):
         boxes = np.array([[20.0, 20.0, 30.0, 40.0]])      # IoU exactly 1/2
@@ -154,7 +163,7 @@ class TestLabelBoxes:
         labels, targets = label_boxes(np.ones((3, 4)), np.zeros((0, 4)),
                                       np.zeros(0, dtype=np.int64), 0.5)
         np.testing.assert_array_equal(labels, 0)
-        assert targets.shape == (3, 4) and not targets.any()
+        assert targets.shape == (0, 4)
 
     def test_windows_across_the_border_are_ignored(self):
         windows = grid_anchors(AnchorConfig(scales=(8.0, 16.0), ratios=(1.0,), stride=8),
@@ -164,11 +173,15 @@ class TestLabelBoxes:
         labels, targets = label_windows(windows, ins, gt, np.array([2]), 0.5)
         assert 0 < ins.sum() < len(windows)
         np.testing.assert_array_equal(labels[~ins], -1)
-        assert not targets[~ins].any()
+        assert labels.dtype == np.int8     # holds -1 and class 2
         want = label_boxes(windows[ins], gt, np.array([2]), 0.5)
         np.testing.assert_array_equal(labels[ins], want[0])
-        np.testing.assert_array_equal(targets[ins], want[1])
+        np.testing.assert_array_equal(targets, want[1])
         assert (labels == 2).any()
+        # one target row per foreground window, in row order, decoding to the gt
+        assert targets.shape == ((labels > 0).sum(), 4)
+        np.testing.assert_allclose(decode_arr(targets, windows[labels > 0]),
+                                   np.repeat(gt, (labels > 0).sum(), axis=0), atol=1e-9)
 
     # the RoI sampler's settings are config keys, checked by `RunConfig`
     @pytest.mark.parametrize("fg_iou", [0.0, -0.5])
@@ -200,7 +213,7 @@ class TestDetectorLoss:
     def test_perfect_is_zero(self):
         labels = np.array([0, 1, 2])
         deltas = Tensor(np.zeros((3, 3, 4)))
-        targets = np.zeros((3, 4))
+        targets = np.zeros((2, 4))      # rows 1 and 2, the foreground
         batch = RoiBatch(np.zeros((3, 4)), labels, targets)
         loss, _, _ = detector_loss(self._logits(labels), deltas, batch)
         assert loss.item() == pytest.approx(0.0, abs=1e-10)
@@ -208,7 +221,7 @@ class TestDetectorLoss:
     def test_all_background_reg_term_zero(self):
         labels = np.zeros(4, dtype=int)
         deltas = Tensor(np.random.default_rng(0).normal(size=(4, 3, 4)))
-        batch = RoiBatch(np.zeros((4, 4)), labels, np.zeros((4, 4)))
+        batch = RoiBatch(np.zeros((4, 4)), labels, np.zeros((0, 4)))
         loss, cls_val, reg_val = detector_loss(self._logits(labels), deltas, batch)
         assert reg_val == 0.0
         assert loss.item() == pytest.approx(0.0, abs=1e-10)
@@ -227,7 +240,7 @@ class TestDetectorLoss:
         labels = np.array([1, 0])
         rng = np.random.default_rng(5)
         deltas = rng.normal(size=(2, 3, 4))
-        targets = np.zeros((2, 4))
+        targets = np.zeros((1, 4))      # row 0, the foreground
         batch = RoiBatch(np.zeros((2, 4)), labels, targets)
         base = detector_loss(self._logits(labels), Tensor(deltas.copy()),
                              batch)[0].item()
@@ -241,7 +254,7 @@ class TestDetectorLoss:
     def test_gradcheck_64bit(self):
         rng = np.random.default_rng(6)
         labels = np.array([0, 1, 2, 3])
-        targets = rng.normal(size=(4, 4)) * 0.3
+        targets = (rng.normal(size=(4, 4)) * 0.3)[labels > 0]    # the fg rows'
         logits = Tensor(rng.normal(size=(4, 4)), requires_grad=True)
         deltas = Tensor(rng.normal(size=(4, 3, 4)) * 0.4, requires_grad=True)
         batch = RoiBatch(np.zeros((4, 4)), labels, targets)

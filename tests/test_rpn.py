@@ -156,7 +156,7 @@ class TestRpnLoss:
         logits[np.arange(len(anchors)), labels.clip(0)] = 50.0
         deltas = np.zeros((len(anchors), 1, 4))
         pos = np.flatnonzero(labels == 1)
-        deltas[pos, 0] = targets[pos]
+        deltas[pos, 0] = targets     # one target row per positive, in row order
         loss, _, _ = rpn_loss(Tensor(logits), Tensor(deltas), *t, cfg.k, WEIGHTS)
         assert loss.item() == pytest.approx(0.0, abs=1e-10)
 
@@ -173,7 +173,7 @@ class TestRpnLoss:
             labels, targets, _ = t
             pos = np.flatnonzero(labels == 1)
             assert pos.size
-            x = reg.data[pos, 0] - targets[pos]
+            x = reg.data[pos, 0] - targets
             smooth = np.where(np.abs(x) < 1, 0.5 * x * x, np.abs(x) - 0.5).sum()
             n_reg = len(anchors) // cfg.k
             assert n_reg == (image // 8) ** 2
