@@ -164,18 +164,15 @@ def gen_synthetic(out_dir, n_images: int, image_size: int = 128, seed: int = 0,
     out_dir = Path(out_dir)
     (out_dir / "images").mkdir(parents=True, exist_ok=True)
     rng = Rng(seed).substream("data")
-    lines = []
-    for i in range(n_images):
+
+    def written(i: int) -> Scene:
         scene = make_scene(rng, image_size=image_size, max_objects=max_objects)
-        rel = f"images/{i:06d}.ppm"
-        write_ppm(out_dir / rel, scene.image)
-        objs = [{"class": int(c), "x1": float(b[0]), "y1": float(b[1]),
-                 "x2": float(b[2]), "y2": float(b[3])}
-                for c, b in zip(scene.classes, scene.boxes)]
-        lines.append(json.dumps({"image": rel, "width": scene.width,
-                                 "height": scene.height, "objects": objs}))
+        scene.path = f"images/{i:06d}.ppm"
+        write_ppm(out_dir / scene.path, scene.image)
+        return scene
+
     manifest = out_dir / "manifest.jsonl"
-    write_lines(manifest, lines)
+    write_manifest(manifest, (written(i) for i in range(n_images)))
     return manifest
 
 
@@ -199,6 +196,16 @@ def read_lines(path):
 
 class ManifestError(ValueError):
     pass
+
+
+def write_manifest(path, scenes):
+    """Write the manifest of `scenes`, one line each, naming its image by the
+    scene's `path`; `load_manifest` reads it back."""
+    write_lines(path, (json.dumps({
+        "image": s.path, "width": s.width, "height": s.height,
+        "objects": [{"class": int(c), "x1": float(b[0]), "y1": float(b[1]),
+                     "x2": float(b[2]), "y2": float(b[3])}
+                    for c, b in zip(s.classes, s.boxes)]}) for s in scenes))
 
 
 def load_manifest(path) -> DatasetManifest:

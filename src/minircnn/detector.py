@@ -108,20 +108,25 @@ def check_classes(scenes, n_classes: int):
                              f"head's classes 1..{n_classes}")
 
 
+def sample_fast_rcnn(labels: np.ndarray, targets: np.ndarray, cfg: RoiSampleConfig,
+                     rng: Rng) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Fast R-CNN's minibatch of labelled rows, `targets` one per foreground label:
+    up to fg_fraction of rois_per_image foreground rows, then background. Returns
+    (the rows, foreground first; the foreground rows; their targets)."""
+    rows = sample_fg_bg(labels, int(cfg.fg_fraction * cfg.rois_per_image),
+                        cfg.rois_per_image, rng)
+    fg = rows[labels[rows] > 0]
+    return rows, fg, targets[np.searchsorted(np.flatnonzero(labels > 0), fg)]
+
+
 def sample_rois(proposals: np.ndarray, gt_boxes: np.ndarray, gt_classes: np.ndarray,
                 cfg: RoiSampleConfig, rng: Rng) -> RoiBatch:
-    """Detector-stage sampling: gt boxes appended, fg/bg split by IoU at
-    `cfg.fg_iou`; the foreground rows come first."""
-    proposals = np.asarray(proposals, dtype=np.float64).reshape(-1, 4)
-    gt_boxes = np.asarray(gt_boxes, dtype=np.float64).reshape(-1, 4)
-    gt_classes = np.asarray(gt_classes, dtype=np.int64)
+    """Detector-stage sampling: gt boxes (G, 4) appended to the proposals (N, 4),
+    fg/bg split by IoU at `cfg.fg_iou`, then `sample_fast_rcnn`."""
     cand = np.concatenate([proposals, gt_boxes])
     labels, targets = label_boxes(cand, gt_boxes, gt_classes, cfg.fg_iou)
-    idx = sample_fg_bg(labels, int(cfg.fg_fraction * cfg.rois_per_image),
-                       cfg.rois_per_image, rng)
-    fg = idx[labels[idx] > 0]
-    return RoiBatch(cand[idx], labels[idx],
-                    targets[np.searchsorted(np.flatnonzero(labels > 0), fg)])
+    rows, _, fg_targets = sample_fast_rcnn(labels, targets, cfg, rng)
+    return RoiBatch(cand[rows], labels[rows], fg_targets)
 
 
 def detector_loss(cls_logits: Tensor, deltas: Tensor,
@@ -132,9 +137,8 @@ def detector_loss(cls_logits: Tensor, deltas: Tensor,
     if n == 0:
         raise ValueError("detector_loss requires a nonempty RoI batch")
     fg = np.flatnonzero(rois.labels > 0)
-    pred = T.select_class(T.take_rows(deltas, fg), rois.labels[fg] - 1) if fg.size else None
-    return multitask_loss(cls_logits, rois.labels, 1.0 / n,
-                          pred, rois.targets, 1.0 / max(fg.size, 1))
+    return multitask_loss(cls_logits, deltas, rois.labels, np.arange(n), fg,
+                          rois.targets, 1.0 / n, 1.0 / max(fg.size, 1))
 
 
 def detect(features: Tensor, proposals: np.ndarray, head: DetectorHead,

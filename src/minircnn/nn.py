@@ -49,17 +49,19 @@ def sgd_step(params: list[Param], cfg: SgdConfig):
         p.value.grad = None
 
 
-def multitask_loss(logits: Tensor, labels: np.ndarray, cls_scale: float,
-                   pred: Tensor | None, targets: np.ndarray,
+def multitask_loss(scores: Tensor, deltas: Tensor, labels: np.ndarray, rows: np.ndarray,
+                   fg: np.ndarray, targets: np.ndarray, cls_scale: float,
                    reg_scale: float) -> tuple[Tensor, float, float]:
-    """Fast R-CNN's two-term loss: cls_scale times the summed log-loss of the
-    `logits` rows, plus reg_scale times the summed smooth-L1 of `pred` minus
-    `targets`, if pred is not None. Returns (loss, cls value, reg value)."""
-    cls = T.mul(T.tsum(T.softmax_logloss(logits, labels)), cls_scale)
-    if pred is None:
+    """Fast R-CNN's two-term loss on a head's rows, scores (N, C+1) and deltas
+    (N, C, 4): cls_scale times the log-loss summed over `rows`, plus reg_scale
+    times the smooth-L1 summed over each `fg` row's class delta slice minus its
+    `targets` row. Returns (loss, cls value, reg value)."""
+    cls = T.mul(T.tsum(T.softmax_logloss(T.take_rows(scores, rows), labels[rows])),
+                cls_scale)
+    if fg.size == 0:
         return cls, cls.item(), 0.0
-    tgt = Tensor(targets.astype(pred.dtype))
-    reg = T.mul(T.tsum(T.smooth_l1(pred - tgt)), reg_scale)
+    pred = T.select_class(T.take_rows(deltas, fg), labels[fg] - 1)
+    reg = T.mul(T.tsum(T.smooth_l1(pred - Tensor(targets.astype(pred.dtype)))), reg_scale)
     return cls + reg, cls.item(), reg.item()
 
 

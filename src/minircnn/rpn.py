@@ -151,10 +151,8 @@ def rpn_loss(cls_scores: Tensor, reg_deltas: Tensor, labels: np.ndarray,
     if cls_scores.shape[0] != labels.shape[0]:
         raise ValueError(f"rpn_loss: head outputs give {cls_scores.shape[0]} anchor "
                          f"rows, the targets label {labels.shape[0]} anchors")
-    pos = np.flatnonzero(labels > 0)
-    pred = T.take_rows(reg_deltas.reshape(-1, 4), pos) if pos.size else None
-    return multitask_loss(T.take_rows(cls_scores, rows), labels[rows].astype(np.int64),
-                          1.0 / weights.batch, pred, targets,
+    return multitask_loss(cls_scores, reg_deltas, labels, rows,
+                          np.flatnonzero(labels > 0), targets, 1.0 / weights.batch,
                           weights.lam / (labels.shape[0] // k))
 
 

@@ -11,18 +11,18 @@ from types import SimpleNamespace
 import numpy as np
 
 from .anchors import AnchorConfig, grid_anchors, inside_mask
-from .assignment import assign_labels, sample_fg_bg, sample_minibatch
+from .assignment import assign_labels, sample_minibatch
 from .dataio import Scene, image_to_input, write_lines
 from .boxes import ScoredBox
 from .detector import (DetectorHead, RoiSampleConfig, check_classes,
                        classwise_detections, detect, detector_forward,
-                       detector_loss, label_windows, sample_rois)
+                       detector_loss, label_windows, sample_fast_rcnn, sample_rois)
 from .nn import (Param, SgdConfig, load_checkpoint, multitask_loss, restore_params,
                  save_checkpoint, sgd_step)
 from .rng import Rng
 from .rpn import (Backbone, ConvHead, LossWeights, OneStageHead, ProposalParams,
                   RpnHead, propose_arrays, rpn_loss)
-from .tensor import Tensor, select_class, take_rows
+from .tensor import Tensor
 
 log = logging.getLogger(__name__)
 
@@ -274,18 +274,14 @@ def steps(scenes: list[Scene], state: TrainState, sched: TrainSchedule,
                 continue
         if one is not None:
             labels, targets = windows[i]
-            idx = sample_fg_bg(labels, int(roi_cfg.fg_fraction * roi_cfg.rois_per_image),
-                               roi_cfg.rois_per_image, sample_rng)
-            if idx.size == 0:
+            rows, fg, fg_targets = sample_fast_rcnn(labels, targets, roi_cfg, sample_rng)
+            if rows.size == 0:
                 skip = "no labelable windows"
                 log.warning("skipping image %d: %s", i, skip)
                 continue
-            fg = idx[labels[idx] > 0]
             _, cls, reg = state.forward(s, one)
-            pred = select_class(take_rows(reg, fg), labels[fg] - 1) if fg.size else None
             loss, row["loss_det_cls"], row["loss_det_reg"] = multitask_loss(
-                take_rows(cls, idx), labels[idx], 1.0 / idx.size, pred,
-                targets[np.searchsorted(np.flatnonzero(labels > 0), fg)],
+                cls, reg, labels, rows, fg, fg_targets, 1.0 / rows.size,
                 1.0 / max(fg.size, 1))
         loss.backward()
         yield params, SgdConfig(row["lr"], sched.momentum, sched.weight_decay)

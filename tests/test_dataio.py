@@ -18,6 +18,7 @@ from minircnn.dataio import (
     load_manifest,
     make_scene,
     read_ppm,
+    write_manifest,
     write_ppm,
 )
 from minircnn.rng import Rng
@@ -194,6 +195,14 @@ class TestManifest:
             assert s.image.tobytes() == want.image.tobytes()
             assert s.boxes.tolist() == want.boxes.tolist()
             assert s.classes.tolist() == want.classes.tolist()
+
+    def test_rewrite_is_byte_identical(self, tmp_path):
+        """write(read(f)) == f for a manifest `gen_synthetic` wrote."""
+        path = gen_synthetic(tmp_path / "ds", 3, seed=5)
+        man = load_manifest(path)
+        again = tmp_path / "ds" / "again.jsonl"
+        write_manifest(again, (man.load_scene(i) for i in range(len(man))))
+        assert again.read_bytes() == path.read_bytes()
 
     def test_malformed_line_reports_number(self, tmp_path):
         d = tmp_path / "ds"

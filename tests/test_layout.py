@@ -1,9 +1,10 @@
-"""One home for each idea the heads share: the two-term loss, the IoU
-labelling, the sliding-window head, the RPN objective, the model object and
-the range of each config key; one copy of each fact the model and its random
-streams keep; one shuffled draw; one place that makes a model inference-only;
-one window matrix per convolution; one row per box from every head; one
-UTF-8 text writer and reader; anchors as one array beside their mask; and no
+"""One home for each idea the heads share: the two-term loss, which alone
+gathers a head's rows, the Fast R-CNN minibatch, the IoU labelling, the
+sliding-window head, the RPN objective, the model object and the range of
+each config key; one copy of each fact the model and its random streams
+keep; one shuffled draw; one place that makes a model inference-only; one
+window matrix per convolution; one row per box from every head; one UTF-8
+text writer and reader; anchors as one array beside their mask; and no
 package name that only tests read."""
 
 import ast
@@ -61,8 +62,10 @@ def call_scopes(name: str, bare: bool = False) -> set[str]:
 
 
 def test_loss_terms_only_in_multitask_loss():
-    assert call_scopes("softmax_logloss") == {"nn.multitask_loss"}
-    assert call_scopes("smooth_l1") == {"nn.multitask_loss"}
+    """The one loss takes a head's rows as the head emits them and alone
+    gathers the sampled rows and each foreground row's class slice."""
+    for name in ("softmax_logloss", "smooth_l1", "take_rows", "select_class"):
+        assert call_scopes(name) == {"nn.multitask_loss"}, name
 
 
 def test_iou_matrix_only_in_the_two_labellers_and_evaluation():
@@ -74,15 +77,21 @@ def test_iou_matrix_only_in_the_two_labellers_and_evaluation():
 
 def test_one_fg_bg_sampler():
     """Every head draws its minibatch rows from its labels with
-    `assignment.sample_fg_bg`; it, the scene order and `ablate --mode no-cls`
-    shuffle with `Rng.permutation`, the one shuffled draw."""
+    `assignment.sample_fg_bg`, the RPN through `assignment.sample_minibatch`
+    and the detector and one-stage heads through `detector.sample_fast_rcnn`;
+    it, the scene order and `ablate --mode no-cls` shuffle with
+    `Rng.permutation`, the one shuffled draw."""
     assert call_scopes("permutation") == {"assignment.sample_fg_bg",
                                           "training.scene_order", "cli.cmd_ablate"}
     for name in ("choice", "_first_of_permutation"):
         assert not [p.name for p in SRC.glob("*.py")
                     if re.search(rf"\b{name}\b", p.read_text())], name
     assert call_scopes("sample_fg_bg") == {"assignment.sample_minibatch",
-                                           "detector.sample_rois", "training.steps"}
+                                           "detector.sample_fast_rcnn"}
+    assert call_scopes("sample_fast_rcnn") == {"detector.sample_rois", "training.steps"}
+    imported = {a.name for n in ast.walk(modules()["training"])
+                if isinstance(n, ast.ImportFrom) for a in n.names}
+    assert not {"sample_fg_bg", "take_rows", "select_class"} & imported
 
 
 def test_one_sgd_loop():

@@ -81,8 +81,11 @@ class TestSgdStep:
 
 
 class TestMultitaskLoss:
+    """The loss reads a head's rows as the head emits them: scores (N, C+1),
+    deltas (N, C, 4), the labels, the sampled rows and the foreground rows."""
     LOGITS = np.array([[0.0, 0.0], [1.0, -1.0], [2.0, 0.5]])
     LABELS = np.array([1, 0, 0])
+    ROWS = np.arange(3)
 
     def logloss(self):
         z = self.LOGITS - self.LOGITS.max(axis=1, keepdims=True)
@@ -90,22 +93,50 @@ class TestMultitaskLoss:
         return -logp[np.arange(3), self.LABELS].sum()
 
     def test_class_term_only_without_pred(self):
-        loss, cls, reg = multitask_loss(Tensor(self.LOGITS), self.LABELS, 0.25,
-                                        None, np.zeros((0, 4)), 1.0)
+        """No foreground row, so no predicted delta: the class term alone."""
+        deltas = Tensor(np.ones((3, 1, 4)), requires_grad=True)
+        loss, cls, reg = multitask_loss(Tensor(self.LOGITS), deltas, self.LABELS,
+                                        self.ROWS, np.zeros(0, dtype=np.int64),
+                                        np.zeros((0, 4)), 0.25, 1.0)
         assert cls == pytest.approx(0.25 * self.logloss()) and reg == 0.0
         assert loss.item() == cls
+        loss.backward()
+        assert deltas.grad is None
 
     def test_both_terms_scaled(self):
-        pred = Tensor(np.array([[0.5, 0.0, -3.0, 0.0]]), requires_grad=True)
-        targets = np.zeros((1, 4))
-        loss, cls, reg = multitask_loss(Tensor(self.LOGITS), self.LABELS, 0.5,
-                                        pred, targets, 2.0)
+        data = np.zeros((3, 1, 4))
+        data[0, 0] = [0.5, 0.0, -3.0, 0.0]
+        deltas = Tensor(data, requires_grad=True)
+        loss, cls, reg = multitask_loss(Tensor(self.LOGITS), deltas, self.LABELS,
+                                        self.ROWS, np.array([0]), np.zeros((1, 4)),
+                                        0.5, 2.0)
         # smooth-L1: 0.5 * 0.5**2 + (3 - 0.5)
         assert reg == pytest.approx(2.0 * (0.125 + 2.5))
         assert cls == pytest.approx(0.5 * self.logloss())
         assert loss.item() == pytest.approx(cls + reg)
         loss.backward()
-        np.testing.assert_allclose(pred.grad, [[1.0, 0.0, -2.0, 0.0]])
+        want = np.zeros((3, 1, 4))
+        want[0, 0] = [1.0, 0.0, -2.0, 0.0]
+        np.testing.assert_allclose(deltas.grad, want)
+
+    def test_each_foreground_row_regresses_its_own_class(self):
+        labels = np.array([2, 0, 3, 1])
+        data = np.linspace(-2.0, 2.0, 4 * 3 * 4).reshape(4, 3, 4)
+        deltas = Tensor(data, requires_grad=True)
+        targets = np.array([[0.25, 0.0, 0.0, 0.0], [0.0, 0.0, -0.5, 0.0]])
+        # row 3 is labelled foreground but left out of both `rows` and `fg`
+        loss, _, reg = multitask_loss(Tensor(np.zeros((4, 4))), deltas, labels,
+                                      np.array([0, 1, 2]), np.array([0, 2]), targets,
+                                      1.0, 0.5)
+        diff = np.stack([data[0, 1], data[2, 2]]) - targets
+        small = np.abs(diff) < 1
+        assert reg == pytest.approx(
+            0.5 * np.where(small, 0.5 * diff ** 2, np.abs(diff) - 0.5).sum())
+        loss.backward()
+        want = np.zeros_like(data)
+        want[0, 1], want[2, 2] = 0.5 * np.clip(diff, -1, 1)
+        np.testing.assert_allclose(deltas.grad, want)
+        assert np.count_nonzero(np.abs(deltas.grad).sum(axis=2)) == 2
 
 
 class TestGaussianInit:

@@ -6,13 +6,14 @@ Runs one fixed matrix of `minircnn` commands twice: once with the package
 sources of the working tree, once with those of `<rev>` (exported with `git
 archive`, so the repository gains no worktree entry). Under the TINY config
 below, which tests/test_cli.py also runs, the matrix makes train and test
-data, runs the four trainings, `propose` and `eval-recall` on every checkpoint
-that holds an RPN, `detect` and `eval-map` on every detector checkpoint,
-`propose` and `detect` at NMS thresholds so small that NMS prunes by overlap
-alone, `bench`, all five `ablate` modes, a set of rejected inputs and one
-accepted order of `--set`s. Among the rejected inputs are a manifest that
-lists one image twice, `eval-map` at fewer classes than the data hold, list
-keys with an empty entry, a checkpoint entry that declares far more data
+data, runs the four trainings (the one-stage one also at a `detector.fg_iou`
+of 1, where no window is foreground), `propose` and `eval-recall` on every
+checkpoint that holds an RPN, `detect` and `eval-map` on every detector
+checkpoint, `propose` and `detect` at NMS thresholds so small that NMS prunes
+by overlap alone, `bench`, all five `ablate` modes, a set of rejected inputs
+and one accepted order of `--set`s. Among the rejected inputs are a manifest
+that lists one image twice, `eval-map` at fewer classes than the data hold,
+list keys with an empty entry, a checkpoint entry that declares far more data
 than its file holds, a byte that is not UTF-8 in a `--config` file, in a
 manifest line after a test image's and in a proposals CSV row, and a manifest
 image name holding a comma; `run_side` writes those files, the manifest that
@@ -106,6 +107,10 @@ def matrix() -> list[Case]:
     add("train-rpn", "train-rpn", "--data", train, "--iters", "4", *TINY, *SEED)
     for command in ("train-alt", "train-joint", "train-onestage"):
         add(command, command, "--data", train, "--iters", "3", *TINY, *SEED)
+    # no window of this data matches a gt box exactly, so at fg_iou 1 every
+    # step samples no foreground and runs the loss's no-foreground branch
+    add("train-onestage-fg-iou-1", "train-onestage", "--data", train, "--iters", "3",
+        *TINY, *SEED, "--set", "detector.fg_iou", "1")
     for name in ("rpn", "final", "joint"):
         add(f"propose-{name}", "propose", "--ckpt", ckpt[name], "--data", test,
             "--n", "10", *TINY, *SEED)
