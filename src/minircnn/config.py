@@ -89,12 +89,13 @@ class RunConfig:
     # the list may not be empty. `seed` takes the 2**64 seeds `Rng` tells apart.
     _RANGES = {key: interval for interval, keys in {
         "[0, 18446744073709551616)": "seed",
-        "[1, inf)": "data.n_images data.max_objects backbone.channels rpn.head_dim "
+        "[1, inf)": "data.n_images backbone.channels rpn.head_dim "
                     "rpn.batch proposals.pre_nms_top proposals.post_nms_top_train "
                     "proposals.post_nms_top_test detector.n_classes "
                     "detector.rois_per_image detector.max_per_image ablate.iters "
                     "ablate.budgets bench.n_timed",
-        "[5, inf)": "data.image_size",
+        "[5, 1024]": "data.image_size",
+        "[1, 100]": "data.max_objects",
         "(0, inf)": "anchors.scales anchors.ratios rpn.lambda train.lr train.det_lr "
                     "ablate.lambdas",
         "[0, inf)": "rpn.max_pos proposals.min_size train.iters train.joint_iters "
@@ -142,7 +143,7 @@ class RunConfig:
             if not ((lo < v if interval[0] == "(" else lo <= v) and
                     (v < hi if interval[-1] == ")" else v <= hi)):
                 what = f"{key} entry {v}" if is_list else f"{key}={v}"
-                raise ValueError(f"{what} is below {lo:g}" if v < lo and hi == float("inf")
+                raise ValueError(f"{what} is below {lo:g}" if v < lo
                                  else f"{what} is outside {interval}")
 
     def set_key(self, key: str, value: str):

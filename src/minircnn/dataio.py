@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .boxes import iou_matrix_arr
 from .rng import Rng
 
 CLASS_NAMES = {1: "rect", 2: "ellipse", 3: "triangle"}
@@ -86,33 +87,22 @@ def read_ppm(path) -> np.ndarray:
     return raster.reshape(h, w, 3).copy()
 
 
-def _raster_shape(cls: int, x0: int, y0: int, w: int, h: int,
-                  hh: int, ww: int) -> np.ndarray:
-    """Boolean mask (hh, ww) of a filled shape inside cell [x0,x0+w)x[y0,y0+h)."""
-    mask = np.zeros((hh, ww), dtype=bool)
-    ys = np.arange(y0, y0 + h)
-    xs = np.arange(x0, x0 + w)
+def _raster_shape(cls: int, w: int, h: int) -> np.ndarray:
+    """Boolean mask (h, w) of a filled shape of class `cls` in a w×h cell."""
     if cls == 1:  # rectangle
-        mask[y0:y0 + h, x0:x0 + w] = True
-    elif cls == 2:  # ellipse, pixel-center inclusion test
-        cx, cy = x0 + w / 2.0, y0 + h / 2.0
-        dx = (xs + 0.5 - cx) / (w / 2.0)
-        dy = (ys + 0.5 - cy) / (h / 2.0)
-        mask[y0:y0 + h, x0:x0 + w] = (dy[:, None] ** 2 + dx[None, :] ** 2) <= 1.0
-    elif cls == 3:  # triangle: apex top-center, base at the bottom (integer tests)
-        ax, ay = x0 + w // 2, y0
-        bx, by = x0, y0 + h - 1
-        cx2, cy2 = x0 + w - 1, y0 + h - 1
-        px = xs[None, :]
-        py = ys[:, None]
+        return np.ones((h, w), dtype=bool)
+    if cls == 2:  # ellipse, pixel-center inclusion test
+        dx = (np.arange(w) + 0.5 - w / 2.0) / (w / 2.0)
+        dy = (np.arange(h) + 0.5 - h / 2.0) / (h / 2.0)
+        return (dy[:, None] ** 2 + dx[None, :] ** 2) <= 1.0
+    if cls == 3:  # triangle: apex top-center, base at the bottom (integer tests)
+        (ax, ay), (bx, by), (cx2, cy2) = (w // 2, 0), (0, h - 1), (w - 1, h - 1)
+        px, py = np.arange(w)[None, :], np.arange(h)[:, None]
         d1 = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
         d2 = (cx2 - bx) * (py - by) - (cy2 - by) * (px - bx)
         d3 = (ax - cx2) * (py - cy2) - (ay - cy2) * (px - cx2)
-        inside = ((d1 >= 0) & (d2 >= 0) & (d3 >= 0)) | ((d1 <= 0) & (d2 <= 0) & (d3 <= 0))
-        mask[y0:y0 + h, x0:x0 + w] = inside
-    else:
-        raise ValueError(f"unknown shape class {cls}")
-    return mask
+        return ((d1 >= 0) & (d2 >= 0) & (d3 >= 0)) | ((d1 <= 0) & (d2 <= 0) & (d3 <= 0))
+    raise ValueError(f"unknown shape class {cls}")
 
 
 def make_scene(rng: Rng, image_size: int = 128, max_objects: int = 5) -> Scene:
@@ -120,8 +110,8 @@ def make_scene(rng: Rng, image_size: int = 128, max_objects: int = 5) -> Scene:
     hh = ww = image_size
     # Background noise is kept below the 160..255 shape-fill band so figure
     # and ground remain separable by intensity alone.
-    noise = rng.next_u64(hh * ww * 3)
-    image = (noise & np.uint64(0x7F)).astype(np.uint8).reshape(hh, ww, 3)
+    image = rng.next_u64(hh * ww * 3).astype(np.uint8).reshape(hh, ww, 3)
+    image &= 0x7F
 
     n_obj = int(rng.randint(1, max_objects + 1)[0])
     boxes, classes = [], []
@@ -138,19 +128,15 @@ def make_scene(rng: Rng, image_size: int = 128, max_objects: int = 5) -> Scene:
             x0 = int(rng.randint(2, ww - w - 1)[0])
             y0 = int(rng.randint(2, hh - h - 1)[0])
             cand = np.array([[x0, y0, x0 + w, y0 + h]], dtype=np.float64)
-            if placed.shape[0]:
-                from .boxes import iou_matrix_arr
-                if iou_matrix_arr(cand, placed).max() > 0.25:
-                    continue
+            if placed.shape[0] and iou_matrix_arr(cand, placed).max() > 0.25:
+                continue
             # bright gray fill: intensity varies, carries no class information
-            v = np.uint8(160 + int(rng.next_u64(1)[0] & np.uint64(0xFF)) * 96 // 256)
-            color = np.array([v, v, v], dtype=np.uint8)
-            mask = _raster_shape(cls, x0, y0, w, h, hh, ww)
-            image[mask] = color
-            rows = np.flatnonzero(mask.any(axis=1))
-            cols = np.flatnonzero(mask.any(axis=0))
-            boxes.append([float(cols[0]), float(rows[0]),
-                          float(cols[-1] + 1), float(rows[-1] + 1)])
+            v = 160 + (int(rng.next_u64(1)[0]) & 0xFF) * 96 // 256
+            mask = _raster_shape(cls, w, h)
+            image[y0:y0 + h, x0:x0 + w][mask] = v
+            rows, cols = np.flatnonzero(mask.any(axis=1)), np.flatnonzero(mask.any(axis=0))
+            boxes.append([float(x0 + cols[0]), float(y0 + rows[0]),
+                          float(x0 + cols[-1] + 1), float(y0 + rows[-1] + 1)])
             classes.append(cls)
             placed = np.concatenate([placed, cand])
             break

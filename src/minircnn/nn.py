@@ -66,8 +66,9 @@ def multitask_loss(scores: Tensor, deltas: Tensor, labels: np.ndarray, rows: np.
 
 
 def gaussian_init(shape, stddev: float, rng: Rng) -> np.ndarray:
-    n = int(np.prod(shape))
-    return (stddev * rng.normal(n)).astype(np.float32).reshape(shape)
+    x = rng.normal(int(np.prod(shape)))
+    x *= stddev
+    return x.astype(np.float32).reshape(shape)
 
 
 def save_checkpoint(params: list[Param], path):

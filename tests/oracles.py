@@ -58,6 +58,46 @@ def permutation_loop(rng, n: int) -> np.ndarray:
     return out
 
 
+def normal_concat(rng, n: int) -> np.ndarray:
+    """n standard normals drawn from `rng` by Box-Muller over whole arrays:
+    m = ceil(n / 2) uniforms u1, then m uniforms u2, and the first n of
+    r cos θ followed by r sin θ."""
+    m = (n + 1) // 2
+    u1 = np.maximum(rng.uniform(m), 2.0**-53)
+    u2 = rng.uniform(m)
+    r = np.sqrt(-2.0 * np.log(u1))
+    theta = 2.0 * np.pi * u2
+    return np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n]
+
+
+def raster_in_image(cls: int, x0: int, y0: int, w: int, h: int, hh: int,
+                    ww: int) -> np.ndarray:
+    """Boolean mask (hh, ww) of a filled shape of class `cls` in the cell
+    [x0, x0 + w) x [y0, y0 + h), computed in image coordinates."""
+    mask = np.zeros((hh, ww), dtype=bool)
+    ys = np.arange(y0, y0 + h)
+    xs = np.arange(x0, x0 + w)
+    if cls == 1:
+        mask[y0:y0 + h, x0:x0 + w] = True
+    elif cls == 2:
+        cx, cy = x0 + w / 2.0, y0 + h / 2.0
+        dx = (xs + 0.5 - cx) / (w / 2.0)
+        dy = (ys + 0.5 - cy) / (h / 2.0)
+        mask[y0:y0 + h, x0:x0 + w] = (dy[:, None] ** 2 + dx[None, :] ** 2) <= 1.0
+    elif cls == 3:
+        ax, ay = x0 + w // 2, y0
+        bx, by = x0, y0 + h - 1
+        cx2, cy2 = x0 + w - 1, y0 + h - 1
+        px = xs[None, :]
+        py = ys[:, None]
+        d1 = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
+        d2 = (cx2 - bx) * (py - by) - (cy2 - by) * (px - bx)
+        d3 = (ax - cx2) * (py - cy2) - (ay - cy2) * (px - cx2)
+        inside = ((d1 >= 0) & (d2 >= 0) & (d3 >= 0)) | ((d1 <= 0) & (d2 <= 0) & (d3 <= 0))
+        mask[y0:y0 + h, x0:x0 + w] = inside
+    return mask
+
+
 def named_stream_words(seed: int, name: str, n: int) -> list[int]:
     """The first n 64-bit words of the stream the two-argument constructor
     `Rng(seed, name)` drew for a non-empty `name`, in plain Python integers:

@@ -737,6 +737,10 @@ class TestRangesCheckedFirst:
         ("train-rpn", ["--set", "rpn.head_dim", "0"], "rpn.head_dim"),
         ("gen-data", ["--set", "data.max_objects", "0"], "data.max_objects"),
         ("gen-data", ["--set", "data.image_size", "4"], "data.image_size"),
+        ("gen-data", ["--set", "data.max_objects", "101"],
+         "data.max_objects=101 is outside [1, 100]"),
+        ("gen-data", ["--set", "data.image_size", "100000000"],
+         "data.image_size=100000000 is outside [5, 1024]"),
         ("train-rpn", ["--set", "anchors.ratios", "0,1"], "anchors.ratios"),
         ("train-rpn", ["--set", "anchors.scales", ""], "anchors.scales"),
         ("train-rpn", ["--set", "rpn.batch", "0"], "rpn.batch"),
@@ -752,8 +756,8 @@ class TestRangesCheckedFirst:
         ("detect", ["--set", "detector.score_thresh", "2"], "detector.score_thresh"),
         ("gen-data", ["--set", "train.momentum", "1.5"], "train.momentum"),
     ], ids=["momentum", "lr-drop-frac", "zero-width", "head-dim", "max-objects",
-            "image-size-4", "zero-ratio", "no-scales", "rpn-batch", "lr-nan",
-            "weight-decay-nan", "lambda-nan", "image-size-abc", "max-per-image-1",
+            "image-size-4", "max-objects-101", "image-size-1e8", "zero-ratio", "no-scales",
+            "rpn-batch", "lr-nan", "weight-decay-nan", "lambda-nan", "image-size-abc", "max-per-image-1",
             "max-per-image-5", "propose-n-0", "propose-n-5", "min-size-nan",
             "score-thresh", "gen-data-momentum"])
     def test_rejected_before_any_work(self, dataset, rpn_run, alt_run, tmp_path, capsys,

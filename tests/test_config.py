@@ -136,7 +136,17 @@ def test_out_of_range_names_the_key(tmp_path, key, value):
         RunConfig(**{RunConfig.keys()[key]: typed(RunConfig.keys()[key], value)})
 
 
-@pytest.mark.parametrize("key,value", [("data.image_size", "5"), ("detector.fg_iou", "1"),
+@pytest.mark.parametrize("key,value,bound", [
+    ("data.image_size", "1025", "[5, 1024]"), ("data.image_size", "100000000", "[5, 1024]"),
+    ("data.max_objects", "101", "[1, 100]"), ("data.max_objects", "1000000000", "[1, 100]")])
+def test_scene_sizes_have_an_upper_bound(key, value, bound):
+    with pytest.raises(ValueError, match=f"^{re.escape(key)}={value} is outside "
+                                         f"{re.escape(bound)}$"):
+        RunConfig().set_key(key, value)
+
+
+@pytest.mark.parametrize("key,value", [("data.image_size", "5"), ("data.image_size", "1024"),
+                                       ("data.max_objects", "100"), ("detector.fg_iou", "1"),
                                        ("train.momentum", "0"), ("train.lr_drop_frac", "0"),
                                        ("proposals.min_size", "0"), ("seed", "0"),
                                        ("seed", str(2**64 - 1))])

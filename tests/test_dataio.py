@@ -23,6 +23,8 @@ from minircnn.dataio import (
 )
 from minircnn.rng import Rng
 
+from oracles import raster_in_image
+
 
 class TestPpm:
     def test_roundtrip(self, tmp_path):
@@ -131,26 +133,44 @@ class TestMakeScene:
             assert gray.mean() >= 0.3
 
 
+def placed(cls, x0, y0, w, h, hh, ww):
+    """`_raster_shape`'s w×h window written into an empty (hh, ww) mask."""
+    mask = np.zeros((hh, ww), dtype=bool)
+    mask[y0:y0 + h, x0:x0 + w] = _raster_shape(cls, w, h)
+    return mask
+
+
 class TestRasterOracle:
     def test_rect_mask_extents(self):
-        m = _raster_shape(1, 3, 4, 10, 6, 32, 32)
+        m = placed(1, 3, 4, 10, 6, 32, 32)
         rows = np.flatnonzero(m.any(axis=1))
         cols = np.flatnonzero(m.any(axis=0))
         assert (cols[0], rows[0], cols[-1] + 1, rows[-1] + 1) == (3, 4, 13, 10)
 
     def test_ellipse_inside_cell(self):
-        m = _raster_shape(2, 2, 2, 12, 8, 32, 32)
+        m = placed(2, 2, 2, 12, 8, 32, 32)
         assert m.any()
         assert not m[:2].any() and not m[10:].any()
         assert not m[:, :2].any() and not m[:, 14:].any()
 
     def test_triangle_nondegenerate(self):
-        m = _raster_shape(3, 5, 5, 9, 9, 32, 32)
+        m = placed(3, 5, 5, 9, 9, 32, 32)
         assert m.sum() >= 9
 
     def test_unknown_class(self):
         with pytest.raises(ValueError):
-            _raster_shape(4, 0, 0, 4, 4, 16, 16)
+            _raster_shape(4, 4, 4)
+
+    @pytest.mark.parametrize("cls", [1, 2, 3])
+    def test_window_is_the_image_coordinate_raster(self, cls):
+        """A shape rasterised in its own window, then placed, has the bytes of
+        the same shape rasterised in image coordinates."""
+        rng = np.random.default_rng(cls)
+        for _ in range(200):
+            w, h = (int(v) for v in rng.integers(1, 73, size=2))
+            x0, y0 = (int(v) for v in rng.integers(0, 128 - 72, size=2))
+            want = raster_in_image(cls, x0, y0, w, h, 128, 128)
+            assert placed(cls, x0, y0, w, h, 128, 128).tobytes() == want.tobytes()
 
 
 class TestGenSynthetic:

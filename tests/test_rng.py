@@ -1,13 +1,15 @@
 """Deterministic counter-based PRNG: substreams, reproducibility, statistics."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minircnn.rng import Rng
+from minircnn.rng import _PAIRS, Rng
 
-from oracles import named_stream_words, permutation_loop
+from oracles import named_stream_words, normal_concat, permutation_loop
 
 
 class TestDeterminism:
@@ -39,10 +41,20 @@ class TestDeterminism:
     @settings(max_examples=300, deadline=None)
     def test_substream_is_the_named_stream(self, seed, name, n):
         """`Rng(seed).substream(name)` draws what `Rng(seed, name)` drew
-        before `substream` became the one way to name a stream."""
+        before `substream` became the one way to name a stream, with one-word
+        draws between array draws."""
         r = Rng(seed).substream(name)
-        assert r.next_u64(n).tolist() == named_stream_words(seed, name, n)
-        assert r.next_u64(1).tolist() == named_stream_words(seed, name, n + 1)[n:]
+        words = named_stream_words(seed, name, n + 9)
+        unit = [(w >> 11) * 2.0**-53 for w in words]
+        assert r.next_u64(n).tolist() == words[:n]
+        assert r.next_u64(1).tolist() == words[n:n + 1]
+        assert r.uniform(1).tolist() == unit[n + 1:n + 2]
+        assert r.randint(-3, 10, 1).tolist() == [-3 + math.floor(unit[n + 2] * 13)]
+        assert r.uniform(2).tolist() == unit[n + 3:n + 5]
+        assert r.randint(-3, 10, 3).tolist() == [-3 + math.floor(u * 13)
+                                                 for u in unit[n + 5:n + 8]]
+        assert r.next_u64(1).tolist() == words[n + 8:]
+        assert r._counter == n + 9
 
     def test_substream_method(self):
         r = Rng(7).substream("init")
@@ -90,6 +102,22 @@ class TestDistributions:
         got, want = fast.permutation(50, k), full.permutation(50)[:k]
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
         assert fast.next_u64(1) == full.next_u64(1)
+
+
+class TestNormalMatchesConcat:
+    """`normal`, filled `_PAIRS` pairs at a time, draws the bytes of
+    Box-Muller over whole arrays and leaves the stream where it does."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 2 * _PAIRS - 1, 2 * _PAIRS, 2 * _PAIRS + 1,
+                                   4 * _PAIRS + 1, 589_824])
+    def test_same_bytes_and_draws(self, n):
+        for seed in (0, 1, 41, 2**64 - 1):
+            blocked, whole = Rng(seed).substream("init"), Rng(seed).substream("init")
+            blocked.next_u64(3), whole.next_u64(3)
+            got, want = blocked.normal(n), normal_concat(whole, n)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            assert blocked._counter == whole._counter
+            assert blocked.next_u64(1) == whole.next_u64(1)
 
 
 class TestPermutationMatchesLoop:

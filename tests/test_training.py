@@ -1,6 +1,7 @@
 """Training loops: schedules, determinism, freezing, and the 4-step scheme."""
 
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -220,6 +221,20 @@ class TestBuildAndOpen:
         assert [p.name for p in other.params] == [p.name for p in built.params]
         assert not np.array_equal(other.det_head.params[0].value.data,
                                   det.params[0].value.data)
+
+    def test_build_holds_little_beyond_the_model(self):
+        """Drawing the init normals adds small temporaries: building the
+        default rpn+det model peaks at no more than 1.5x the bytes the model
+        keeps, its parameters and their velocities."""
+        tracemalloc.start()
+        try:
+            state = TrainState.build(1, defaults.ANCHORS, CHANNELS, defaults.HEAD_DIM,
+                                     defaults.CFG.detector_n_classes, ("rpn", "det"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kept = sum(p.value.data.nbytes + p.velocity.nbytes for p in state.params)
+        assert peak <= 1.5 * kept, (peak, kept)
 
     @pytest.mark.parametrize("heads", [("rpn",), ("det",), ("rpn", "det"),
                                        ("onestage",)])

@@ -22,7 +22,8 @@ Under the default config at 96 px it makes data, runs `train-joint`, and runs
 `propose` (also at a lower NMS threshold), `detect`, `eval-map` and `ablate
 --mode no-cls` on its checkpoint. Under TINY at 50 px, where the feature maps
 have odd sides, it makes data, runs `train-joint`, `propose` and `detect` on
-its checkpoint, and `detect` with the 48 px one-stage checkpoint.
+its checkpoint, and `detect` with the 48 px one-stage checkpoint. At the
+default 128 px it makes crowded data, up to 16 objects a scene.
 
 Every file written is compared byte for byte, except `timing.csv`, whose
 figures are wall-clock times and which is compared by its row names. Exit
@@ -164,6 +165,10 @@ def matrix() -> list[Case]:
     # its 64 px anchors overlap above proposals.nms_iou, so NMS would drop some
     add("ablate-no-cls-96", "ablate", "--mode", "no-cls", *on96)
 
+    # crowded 128 px scenes: many placements rejected for overlap, and many
+    # shapes of each class rasterised
+    add("crowded", "gen-data", "--n", "8", "--set", "data.max_objects", "16", *SEED)
+
     # TINY at 50 px, whose maps go 50 -> 25 -> 13 -> 7: maxpool2x2 pads odd
     # maps with zeros and copies its backward's crop, and grid_size rounds up
     px50 = [*TINY, "--set", "data.image_size", "50"]
@@ -207,6 +212,8 @@ def matrix() -> list[Case]:
         "train.momentum", "1.5")
     add("reject-image-size", "gen-data", "--n", "1", *TINY, "--set",
         "data.image_size", "4")
+    add("reject-max-objects", "gen-data", "--n", "1", *TINY, "--set",
+        "data.max_objects", "101")
     add("reject-max-per-image", "detect", "--ckpt", ckpt["final"], "--data", test,
         *TINY, *SEED, "--set", "detector.max_per_image", "-1")
     add("reject-propose-n", "propose", "--ckpt", ckpt["rpn"], "--data", test,
