@@ -2,9 +2,8 @@
 
 Boxes are continuous half-open rectangles (x1, y1, x2, y2), origin top-left,
 area = (x2-x1)*(y2-y1). Every entry point takes (N, 4) float arrays; `Box`
-and `ScoredBox` are the plain records single detections leave the pipeline
-as. They check nothing: the pipeline makes them from softmax scores and
-clipped boxes, and `eval-map` from the rows its reader has checked.
+and `ScoredBox` are the plain, unchecked records detections leave the pipeline
+as; every reader takes one as the (box, score, class) row it unpacks as.
 """
 from __future__ import annotations
 

@@ -9,7 +9,6 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig
-from .boxes import Box, ScoredBox
 from .dataio import gen_synthetic, load_manifest, read_lines, write_lines
 from .detector import check_classes
 from .evaluation import bench, mean_ap, recall_curve
@@ -20,6 +19,8 @@ from .training import (TrainState, alternate_4step, joint_train, save_state, tra
 
 # ablate modes that read a trained RPN checkpoint
 CKPT_MODES = ("no-reg", "no-cls", "n-sweep")
+# the one layout of a proposals CSV ("rank") and a detections CSV ("class")
+SCENE_HEADER = "image,{},score,x1,y1,x2,y2"
 
 
 def _load_config(args) -> RunConfig:
@@ -28,9 +29,9 @@ def _load_config(args) -> RunConfig:
     for key, value in args.set or []:
         cfg.set_key(key, value)
     for key in RunConfig.keys():
-        value = getattr(args, key, None)
-        if value is not None:    # a list flag's values, comma-separated
-            cfg.set_key(key, ",".join(map(str, np.atleast_1d(value))))
+        values = getattr(args, key, None)
+        if values is not None:    # a flag's text, a list flag's comma-separated
+            cfg.set_key(key, ",".join(values))
     cfg.check(*getattr(args, "unread", ()))
     return cfg
 
@@ -55,47 +56,43 @@ def _detect_args(cfg: RunConfig) -> tuple:
 
 
 def _read_scene_rows(path, scenes, n_classes=None) -> list[list[tuple]]:
-    """Each scene's (score, box) rows of a proposals CSV, or (score, box, class)
-    rows of a detections CSV if `n_classes` is given, matched by image path. A
-    row that does not parse, or whose image, score, box or class the pipeline
-    could not have written, is rejected naming file:line."""
+    """Each scene's (box, score, key) rows of `_write_scene_rows`' CSV, by image
+    path; the key is a rank, or a class if `n_classes` is given. Another header,
+    or a row the pipeline could not have written, is rejected naming file:line."""
     groups = {s.path: [] for s in scenes}
+    header = SCENE_HEADER.format("class" if n_classes else "rank")
     lines = read_lines(path)
-    header = next(lines, (1, ""))[1].strip().split(",")
-    cols = ("image", "score", "x1", "y1", "x2", "y2") + ("class",) * bool(n_classes)
-    missing = [c for c in cols if c not in header]
-    if missing:
-        raise ValueError(f"{path}:1: the header has no '{missing[0]}' column")
-    idx = [header.index(c) for c in cols]
+    if next(lines, (1, ""))[1] != header:
+        raise ValueError(f"{path}:1: the header is not {header}")
     for lineno, line in lines:
-        parts = line.strip().split(",")
-        if parts == [""]:
-            continue
-        where = f"{path}:{lineno}"
+        where, fields = f"{path}:{lineno}", line.split(",")
+        if len(fields) != 7:
+            raise ValueError(f"{where}: {len(fields)} fields, not the header's 7")
+        image, key, *values = fields
         try:
-            image, *rest = (parts[i] for i in idx)
-            score, *box = (float(v) for v in rest[:5])
-            cls = [int(v) for v in rest[5:]]
-        except (IndexError, ValueError) as exc:
-            raise ValueError(f"{where}: {exc}") from None
+            key, (score, *box) = int(key), [float(v) for v in values]
+        except ValueError:
+            raise ValueError(f"{where}: a field does not parse: {line}") from None
         if image not in groups:
             raise ValueError(f"{where}: image {image} is not in the manifest")
         if not 0 <= score <= 1:
             raise ValueError(f"{where}: score {score} is outside [0, 1]")
         if not (np.isfinite(box).all() and box[0] <= box[2] and box[1] <= box[3]):
             raise ValueError(f"{where}: box {box} is non-finite or inverted")
-        if cls and not 1 <= cls[0] <= n_classes:
-            raise ValueError(f"{where}: class {cls[0]} is outside 1..{n_classes}")
-        groups[image].append((score, box, *cls))
+        if any(float(f"{v:.9g}") != v for v in (score, *box)):
+            raise ValueError(f"{where}: a value has over 9 significant digits: {line}")
+        if n_classes and not 1 <= key <= n_classes:
+            raise ValueError(f"{where}: class {key} is outside 1..{n_classes}")
+        groups[image].append((box, score, key))
     return [groups[s.path] for s in scenes]
 
 
-def _write_scene_rows(path, column: str, rows):
-    """The CSV `_read_scene_rows` reads: an `image,<column>,score,x1,y1,x2,y2`
-    line for each (image, rank or class, score, box) of `rows`."""
-    write_lines(path, [f"image,{column},score,x1,y1,x2,y2"] + [
-        ",".join([image, str(key), *(f"{v:.9g}" for v in (score, *box))])
-        for image, key, score, box in rows])
+def _write_scene_rows(path, column: str, scenes, rows):
+    """The CSV `_read_scene_rows` reads: under `SCENE_HEADER` with its key
+    `column`, a line for each (box, score, key) of each scene's list in `rows`."""
+    write_lines(path, [SCENE_HEADER.format(column)] + [
+        ",".join([s.path, str(key), *(f"{v:.9g}" for v in (score, *box))])
+        for s, scene_rows in zip(scenes, rows) for box, score, key in scene_rows])
 
 
 def _report(path: Path, rows: list[str]):
@@ -158,24 +155,23 @@ def cmd_propose(args, cfg: RunConfig, out: Path):
     scenes = _load_scenes(args.data)
     state = TrainState.open(args.ckpt, *_dims(cfg)).require("rpn")
     p = cfg.proposal_params(train=False)
-    _write_scene_rows(out / "proposals.csv", "rank", (
-        (s.path, r, score, box) for s in scenes
-        for r, (box, score) in enumerate(zip(*state.propose_scene(s, p)))))
+    _write_scene_rows(out / "proposals.csv", "rank", scenes, (
+        [(box, score, r) for r, (box, score) in enumerate(zip(*state.propose_scene(s, p)))]
+        for s in scenes))
     print(f"wrote proposals for {len(scenes)} images to {out / 'proposals.csv'}")
 
 
 def cmd_detect(args, cfg: RunConfig, out: Path):
     scenes = _load_scenes(args.data)
     state = TrainState.open(args.ckpt, *_dims(cfg))
-    _write_scene_rows(out / "detections.csv", "class", (
-        (s.path, d.class_id, d.score, d.box) for s in scenes
-        for d in state.detect(s, *_detect_args(cfg))))
+    _write_scene_rows(out / "detections.csv", "class", scenes,
+                      (state.detect(s, *_detect_args(cfg)) for s in scenes))
     print(f"wrote detections for {len(scenes)} images to {out / 'detections.csv'}")
 
 
 def cmd_eval_recall(args, cfg: RunConfig, out: Path):
     scenes = _load_scenes(args.manifest)
-    props = [np.array([box for _, box in sorted(rows, key=lambda r: -r[0])])
+    props = [np.array([box for box, _, _ in sorted(rows, key=lambda r: -r[1])])
              .reshape(-1, 4) for rows in _read_scene_rows(args.proposals, scenes)]
     _report(out / "recall.csv", recall_curve(props, [s.boxes for s in scenes],
                                              cfg.proposals_post_nms_top_test).to_csv())
@@ -184,9 +180,7 @@ def cmd_eval_recall(args, cfg: RunConfig, out: Path):
 def cmd_eval_map(args, cfg: RunConfig, out: Path):
     scenes = _load_scenes(args.manifest)
     check_classes(scenes, cfg.detector_n_classes)
-    dets = [[ScoredBox(Box(*box), score, c) for score, box, c in rows]
-            for rows in _read_scene_rows(args.detections, scenes,
-                                         cfg.detector_n_classes)]
+    dets = _read_scene_rows(args.detections, scenes, cfg.detector_n_classes)
     mp, per_class = mean_ap(dets, [s.boxes for s in scenes],
                             [s.classes for s in scenes],
                             range(1, cfg.detector_n_classes + 1), cfg.eval_iou_thresh)
@@ -281,9 +275,9 @@ def build_parser() -> argparse.ArgumentParser:
                                  description="desk-scale two-stage detector")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def key_flag(p, flag, key, type=int, **kw):    # `_load_config` applies it
-        p.add_argument(flag, type=type, dest=key, help=f"sets {key}",
-                       metavar=flag[2:].upper().replace("-", "_"), **kw)
+    def key_flag(p, flag, key, nargs=1):    # `_load_config` applies its text
+        p.add_argument(flag, nargs=nargs, dest=key, help=f"sets {key}",
+                       metavar=flag[2:].upper().replace("-", "_"))
 
     def common(p):
         p.add_argument("--config", help="run-config file (key=value lines)")
@@ -349,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     key_flag(p, "--n", "proposals.post_nms_top_test")
     key_flag(p, "--iters", "ablate.iters")
     key_flag(p, "--budgets", "ablate.budgets", nargs="+")
-    key_flag(p, "--lambdas", "ablate.lambdas", type=float, nargs="+")
+    key_flag(p, "--lambdas", "ablate.lambdas", nargs="+")
     p.set_defaults(fn=cmd_ablate)
     return ap
 

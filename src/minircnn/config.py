@@ -86,16 +86,18 @@ class RunConfig:
     bench_n_timed: int = 10
 
     # the values each key accepts; for a list key, those of each entry, and
-    # the list may not be empty. `seed` takes the 2**64 seeds `Rng` tells apart.
+    # the list may not be empty. `seed` takes the 2**64 seeds `Rng` tells apart,
+    # and model sizes stop at the paper's widest (VGG-16, 512) and COCO's 80 classes.
     _RANGES = {key: interval for interval, keys in {
         "[0, 18446744073709551616)": "seed",
-        "[1, inf)": "data.n_images backbone.channels rpn.head_dim "
-                    "rpn.batch proposals.pre_nms_top proposals.post_nms_top_train "
-                    "proposals.post_nms_top_test detector.n_classes "
+        "[1, inf)": "data.n_images rpn.batch proposals.pre_nms_top "
+                    "proposals.post_nms_top_train proposals.post_nms_top_test "
                     "detector.rois_per_image detector.max_per_image ablate.iters "
                     "ablate.budgets bench.n_timed",
         "[5, 1024]": "data.image_size",
         "[1, 100]": "data.max_objects",
+        "[1, 512]": "backbone.channels rpn.head_dim",
+        "[1, 80]": "detector.n_classes",
         "(0, inf)": "anchors.scales anchors.ratios rpn.lambda train.lr train.det_lr "
                     "ablate.lambdas",
         "[0, inf)": "rpn.max_pos proposals.min_size train.iters train.joint_iters "
@@ -156,8 +158,7 @@ class RunConfig:
             value = _parse(value, getattr(RunConfig, name))     # the field's default
         except ValueError as exc:
             raise ValueError(f"{key}: {exc}") from None
-        if key in self._RANGES:
-            self._check_range(key, value)
+        self._check_range(key, value)
         setattr(self, name, value)
 
     @classmethod

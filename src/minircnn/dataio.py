@@ -113,25 +113,25 @@ def make_scene(rng: Rng, image_size: int = 128, max_objects: int = 5) -> Scene:
     image = rng.next_u64(hh * ww * 3).astype(np.uint8).reshape(hh, ww, 3)
     image &= 0x7F
 
-    n_obj = int(rng.randint(1, max_objects + 1)[0])
+    n_obj = rng.randint(1, max_objects + 1)
     boxes, classes = [], []
     placed = np.zeros((0, 4))
     for _ in range(n_obj):
         for _attempt in range(20):
-            cls = int(rng.randint(1, NUM_CLASSES + 1)[0])
-            size = 14 + rng.uniform(1)[0] * (72 - 14)
-            aspect = np.exp(np.log(0.5) + rng.uniform(1)[0] * (np.log(2) - np.log(0.5)))
+            cls = rng.randint(1, NUM_CLASSES + 1)
+            size = 14 + rng.random() * (72 - 14)
+            aspect = np.exp(np.log(0.5) + rng.random() * (np.log(2) - np.log(0.5)))
             w = int(round(size * np.sqrt(aspect)))
             h = int(round(size / np.sqrt(aspect)))
             w = min(max(w, 8), ww - 4)
             h = min(max(h, 8), hh - 4)
-            x0 = int(rng.randint(2, ww - w - 1)[0])
-            y0 = int(rng.randint(2, hh - h - 1)[0])
+            x0 = rng.randint(2, ww - w - 1)
+            y0 = rng.randint(2, hh - h - 1)
             cand = np.array([[x0, y0, x0 + w, y0 + h]], dtype=np.float64)
             if placed.shape[0] and iou_matrix_arr(cand, placed).max() > 0.25:
                 continue
             # bright gray fill: intensity varies, carries no class information
-            v = 160 + (int(rng.next_u64(1)[0]) & 0xFF) * 96 // 256
+            v = 160 + (rng.word() & 0xFF) * 96 // 256
             mask = _raster_shape(cls, w, h)
             image[y0:y0 + h, x0:x0 + w][mask] = v
             rows, cols = np.flatnonzero(mask.any(axis=1)), np.flatnonzero(mask.any(axis=0))

@@ -70,14 +70,11 @@ def voc_ap(detections_per_image: list[list], gt_boxes_per_image: list[np.ndarray
            iou_thresh: float) -> float | None:
     """Average precision for one class; None when the class is absent from gt.
 
-    Detections are ScoredBox lists. Greedy score-descending matching, each gt
-    matchable once; AP is the area under the precision envelope.
+    Detections are (box, score, class) rows. Greedy score-descending matching,
+    each gt matchable once; AP is the area under the precision envelope.
     """
-    flat = []  # (score, image, box)
-    for i, dets in enumerate(detections_per_image):
-        for d in dets:
-            if d.class_id == class_id:
-                flat.append((d.score, i, d.box))
+    flat = [(score, i, box) for i, dets in enumerate(detections_per_image)
+            for box, score, c in dets if c == class_id]
     gts = [np.asarray(b, dtype=np.float64).reshape(-1, 4)[np.asarray(c) == class_id]
            for b, c in zip(gt_boxes_per_image, gt_classes_per_image)]
     n_gt = sum(g.shape[0] for g in gts)

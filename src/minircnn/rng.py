@@ -48,7 +48,8 @@ def _fnv1a(name: str) -> int:
 
 
 class Rng:
-    """splitmix64 words at counter positions; one-word draws on Python ints."""
+    """splitmix64 words at counter positions; a one-word draw (`word`, `random`,
+    `randint`) is a Python number, an array draw a numpy array."""
 
     def __init__(self, seed: int):
         self._base = seed & _M64
@@ -59,9 +60,19 @@ class Rng:
         r._base = _mix(self._base ^ _fnv1a(stream))
         return r
 
-    def _word(self) -> int:
+    def word(self) -> int:
         self._counter += 1
         return _mix((self._base + self._counter * _GAMMA) & _M64)
+
+    def random(self) -> float:
+        """The next word's top 53 bits as a double in [0, 1)."""
+        return (self.word() >> 11) * 2.0**-53
+
+    def randint(self, lo: int, hi: int) -> int:
+        """One uniform integer in [lo, hi)."""
+        if hi <= lo:
+            raise ValueError(f"empty range [{lo}, {hi})")
+        return lo + int(self.random() * (hi - lo))     # >= 0, so int() floors
 
     def _words(self, start: int, n: int) -> np.ndarray:
         """The words at counters start + 1 .. start + n; does not advance."""
@@ -69,16 +80,12 @@ class Rng:
         z += np.uint64(self._base)
         return _mix64(z)
 
-    def next_u64(self, n: int = 1) -> np.ndarray:
-        if n == 1:
-            return np.array([self._word()], dtype=np.uint64)
+    def next_u64(self, n: int) -> np.ndarray:
         self._counter += n
         return self._words(self._counter - n, n)
 
-    def uniform(self, n: int = 1) -> np.ndarray:
+    def uniform(self, n: int) -> np.ndarray:
         """i.i.d. doubles in [0, 1) with 53 random bits."""
-        if n == 1:
-            return np.array([(self._word() >> 11) * 2.0**-53])
         return _unit(self.next_u64(n))
 
     def normal(self, n: int = 1) -> np.ndarray:
@@ -95,15 +102,6 @@ class Rng:
             out[m + s:m + s + k] = r[:k] * np.sin(theta[:k])
         self._counter += 2 * m
         return out
-
-    def randint(self, lo: int, hi: int, n: int = 1) -> np.ndarray:
-        """Uniform integers in [lo, hi)."""
-        if hi <= lo:
-            raise ValueError(f"empty range [{lo}, {hi})")
-        if n == 1:
-            u = (self._word() >> 11) * 2.0**-53     # >= 0, so int() floors
-            return np.array([lo + int(u * (hi - lo))], dtype=np.int64)
-        return lo + np.floor(self.uniform(n) * (hi - lo)).astype(np.int64)
 
     def permutation(self, n: int, k: int | None = None) -> np.ndarray:
         """The first k (default all n) entries of a Fisher-Yates permutation of

@@ -13,7 +13,6 @@ import numpy as np
 from .anchors import AnchorConfig, grid_anchors, inside_mask
 from .assignment import assign_labels, sample_minibatch
 from .dataio import Scene, image_to_input, write_lines
-from .boxes import ScoredBox
 from .detector import (DetectorHead, RoiSampleConfig, check_classes,
                        classwise_detections, detect, detector_forward,
                        detector_loss, label_windows, sample_fast_rcnn, sample_rois)
@@ -171,7 +170,7 @@ class TrainState:
                 return self.anchors(scene.width, scene.height)[0]
             return self.propose(cls.data, reg.data, scene.width, scene.height, p)[0]
 
-        def region(c, boxes: np.ndarray) -> list[ScoredBox]:
+        def region(c, boxes: np.ndarray) -> list[tuple]:
             scene, feats, cls, reg = c
             post = (scene.width, scene.height, score_thresh, nms_iou, max_per_image)
             if not one:
@@ -181,7 +180,7 @@ class TrainState:
         return conv, proposal, region
 
     def detect(self, scene: Scene, p: ProposalParams, score_thresh: float,
-               nms_iou: float, max_per_image: int) -> list[ScoredBox]:
+               nms_iou: float, max_per_image: int) -> list[tuple]:
         """One scene's detections by the detector the model holds (`stages`)."""
         conv, proposal, region = self.stages(p, score_thresh, nms_iou, max_per_image)
         c = conv(scene)

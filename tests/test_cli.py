@@ -14,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import minircnn
 from minircnn import anchors, cli, training
@@ -366,9 +368,12 @@ def count_calls(monkeypatch, fn) -> list:
 
 
 class TestEvalRowsRejected:
-    """eval-recall and eval-map reject a row they cannot use, naming file:line."""
+    """eval-recall and eval-map reject a row they cannot use, or a header that
+    is not the one `_write_scene_rows` writes, naming file:line."""
 
     BOTH = ("eval-recall", "eval-map")
+    FLAGS = {"eval-recall": "--proposals", "eval-map": "--detections"}
+    COLUMNS = {"eval-recall": "rank", "eval-map": "class"}
 
     @pytest.mark.parametrize("row,commands", [
         ("images/unknown.ppm,1,0.9,1,1,5,5", BOTH),
@@ -379,37 +384,53 @@ class TestEvalRowsRejected:
         ("{image},1,1.5,1,1,5,5", BOTH),
         ("{image},1,0.9,abc,1,5,5", BOTH),
         ("{image},1,0.9,1,1,5", BOTH),
+        ("{image},1,0.9,1,1,5,5,5", BOTH),
+        ("", BOTH),
         ("{image},9,0.9,1,1,5,5", ("eval-map",)),    # TINY holds 3 classes
         ("{image},1.0,0.9,1,1,5,5", ("eval-map",)),
     ], ids=["unknown-image", "nan", "inf", "x1>x2", "y1>y2", "score>1",
-            "x1-not-a-number", "short-row", "class>C", "class-not-an-int"])
+            "x1-not-a-number", "short-row", "long-row", "blank-line", "class>C",
+            "class-not-an-int"])
     def test_bad_row_names_the_line(self, dataset, tmp_path, capsys, row, commands):
         image = json.loads((dataset / "manifest.jsonl").read_text()
                            .splitlines()[0])["image"]
         csv = tmp_path / "rows.csv"
-        csv.write_text(f"image,class,score,x1,y1,x2,y2\n{image},1,0.9,1,1,5,5\n"
-                       f"{row.format(image=image)}\n")
         manifest = str(dataset / "manifest.jsonl")
-        flags = {"eval-recall": "--proposals", "eval-map": "--detections"}
         for command in commands:
-            assert run([command, flags[command], str(csv), "--manifest", manifest,
+            csv.write_text(f"image,{self.COLUMNS[command]},score,x1,y1,x2,y2\n"
+                           f"{image},1,0.9,1,1,5,5\n{row.format(image=image)}\n")
+            assert run([command, self.FLAGS[command], str(csv), "--manifest", manifest,
                         "--out", str(tmp_path / "out"), *TINY]) == 1, command
             assert f"{csv}:3: " in capsys.readouterr().err, command
 
-    @pytest.mark.parametrize("command,header,column", [
-        ("eval-map", "image,rank,score,x1,y1,x2,y2\n", "class"),
-        ("eval-recall", "", "image"),
+    @pytest.mark.parametrize("command,header", [
+        ("eval-map", "image,rank,score,x1,y1,x2,y2\n"),
+        ("eval-recall", ""),
     ], ids=["detections-without-class", "empty-file"])
     def test_header_without_a_column_names_line_one(self, dataset, tmp_path, capsys,
-                                                     command, header, column):
+                                                     command, header):
         csv = tmp_path / "rows.csv"
         csv.write_text(header)
-        flag = {"eval-recall": "--proposals", "eval-map": "--detections"}[command]
-        assert run([command, flag, str(csv), "--manifest",
+        assert run([command, self.FLAGS[command], str(csv), "--manifest",
                     str(dataset / "manifest.jsonl"), "--out", str(tmp_path / "out"),
                     *TINY]) == 1
-        assert f"error: {csv}:1: the header has no '{column}' column" in \
-            capsys.readouterr().err
+        assert f"error: {csv}:1: the header is not " \
+               f"image,{self.COLUMNS[command]},score,x1,y1,x2,y2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", BOTH)
+    def test_header_in_another_order_names_line_one(self, dataset, tmp_path, capsys,
+                                                    command):
+        """The columns are read at the writer's places, not looked up by name."""
+        image = json.loads((dataset / "manifest.jsonl").read_text()
+                           .splitlines()[0])["image"]
+        csv = tmp_path / "rows.csv"
+        csv.write_text(f"image,score,{self.COLUMNS[command]},x1,y1,x2,y2\n"
+                       f"{image},0.9,1,1,1,5,5\n")
+        assert run([command, self.FLAGS[command], str(csv), "--manifest",
+                    str(dataset / "manifest.jsonl"), "--out", str(tmp_path / "out"),
+                    *TINY]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {csv}:1: the header is not ")
+        assert not (tmp_path / "out" / "config.txt").exists()
 
     def test_classes_above_the_evaluated_ones_rejected(self, dataset, tmp_path, capsys):
         """Ground truth of a class that eval-map would not score is an error,
@@ -439,27 +460,115 @@ class TestSceneRows:
         scenes = [Scene(blank, np.zeros((0, 4)), np.zeros(0, dtype=np.int64), path=p)
                   for p in ("images/a.ppm", "images/\u00e9t\u00e9.ppm")]
         keys = (0, 0, 1) if column == "rank" else (1, 2, 3)
-        rows = [(image, key, score, box) for key, (image, score, box) in zip(keys, [
-            ("images/a.ppm", 0.875, (1.5, 2.0, 3.25, 4.0)),
-            ("images/\u00e9t\u00e9.ppm", 0.5, (0.0, 0.0, 1e-10, 7.0)),
-            ("images/\u00e9t\u00e9.ppm", 0.25, (2.0, 2.0, 5.0, 5.0))])]
+        rows = [[((1.5, 2.0, 3.25, 4.0), 0.875, keys[0])],
+                [((0.0, 0.0, 1e-10, 7.0), 0.5, keys[1]),
+                 ((2.0, 2.0, 5.0, 5.0), 0.25, keys[2])]]
         path = tmp_path / "rows.csv"
-        cli._write_scene_rows(path, column, rows)
+        cli._write_scene_rows(path, column, scenes, rows)
         assert path.read_bytes() == (
             f"image,{column},score,x1,y1,x2,y2\n"
             f"images/a.ppm,{keys[0]},0.875,1.5,2,3.25,4\n"
             f"images/\u00e9t\u00e9.ppm,{keys[1]},0.5,0,0,1e-10,7\n"
             f"images/\u00e9t\u00e9.ppm,{keys[2]},0.25,2,2,5,5\n").encode("utf-8")
         back = cli._read_scene_rows(path, scenes, n_classes)
-        if column == "rank":
-            again = [(s.path, rank, score, box) for s, group in zip(scenes, back)
-                     for rank, (score, box) in enumerate(group)]
-        else:
-            again = [(s.path, c, score, box) for s, group in zip(scenes, back)
-                     for score, box, c in group]
-        assert again == [(image, key, score, list(box)) for image, key, score, box in rows]
-        cli._write_scene_rows(tmp_path / "again.csv", column, again)
+        assert back == [[(list(box), score, key) for box, score, key in group]
+                        for group in rows]
+        cli._write_scene_rows(tmp_path / "again.csv", column, scenes, back)
         assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
+
+
+def mutate(data: bytes, op) -> bytes:
+    """`data` with one mutation `op`: a byte set to any value or added, a
+    truncation, or a field of a line inserted, deleted, swapped with another or set."""
+    kind, *args = op
+    if not data:
+        return data
+    if kind in ("flip", "add"):
+        i = args[0] % len(data)
+        return data[:i] + bytes([args[1]]) + data[i + (kind == "flip"):]
+    if kind == "truncate":
+        return data[:args[0] % (len(data) + 1)]
+    lines = data.split(b"\n")
+    line = args[0] % max(len(lines) - 1, 1)
+    fields = lines[line].split(b",")
+    j = args[1] % (len(fields) + (kind == "insert"))
+    if kind == "insert":
+        fields.insert(j, args[2])
+    elif kind == "delete":
+        del fields[j]
+    elif kind == "swap":
+        k = args[2] % len(fields)
+        fields[j], fields[k] = fields[k], fields[j]
+    else:
+        fields[j] = args[2]
+    lines[line] = b",".join(fields)
+    return b"\n".join(lines)
+
+
+# field texts a mutation puts in: number extremes, other columns' names, junk
+FIELD_TEXTS = [b"nan", b"-nan", b"inf", b"-inf", b"+inf", b"Infinity", b"1e400", b"-1e400",
+               b"1e-400", b"-0", b"0", b"1.7976931348623157e308", b"", b"abc", b"image",
+               b"rank", b"class", b"score", b"x1", b"\xff"]
+POS = st.integers(0, 10**6)
+MUTATIONS = st.lists(st.one_of(
+    st.tuples(st.sampled_from(["flip", "add"]), POS,
+              st.one_of(st.integers(0, 255), st.sampled_from(b"0123456789.,-+eE\n\r "))),
+    st.tuples(st.just("truncate"), POS),
+    st.tuples(st.just("insert"), POS, POS, st.sampled_from(FIELD_TEXTS)),
+    st.tuples(st.just("delete"), POS, POS),
+    st.tuples(st.just("swap"), POS, POS, POS),
+    st.tuples(st.just("set"), POS, POS, st.sampled_from(FIELD_TEXTS))),
+    min_size=1, max_size=3)
+# what Python or numpy says of a bad value, with nothing of the file's own
+BARE = re.compile(r"invalid literal|could not convert|out of range|values to unpack|"
+                  r"codec|object is not|argument")
+
+
+class TestSceneRowsFuzz:
+    """A mutated proposals or detections CSV either reads into rows that
+    `_write_scene_rows` writes to a file that reads back into the same rows,
+    or is a `ValueError` naming `<path>:<line>: ` and its cause."""
+
+    SCENES = [Scene(np.zeros((8, 8, 3), dtype=np.uint8), np.zeros((0, 4)),
+                    np.zeros(0, dtype=np.int64), path=f"images/00000{i}.ppm")
+              for i in range(2)]
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        """A proposals and a detections CSV as `propose` and `detect` write
+        them: float32 scores and clipped boxes, 9 significant digits each."""
+        d, rng = tmp_path_factory.mktemp("fuzz"), np.random.default_rng(0)
+        written = {}
+        for column, first in (("rank", 0), ("class", 1)):
+            rows = []
+            for _ in self.SCENES:
+                xy = np.sort(rng.uniform(0, 48, (3, 2, 2)), axis=2)    # (box, axis, end)
+                xy = xy.transpose(0, 2, 1).reshape(3, 4)
+                scores = np.sort(rng.uniform(0, 1, 3).astype(np.float32))[::-1]
+                rows.append([(box, s, first + k) for k, (box, s) in enumerate(zip(xy, scores))])
+            cli._write_scene_rows(d / f"{column}.csv", column, self.SCENES, rows)
+            written[column] = (d / f"{column}.csv").read_bytes()
+        return d, written
+
+    @pytest.mark.parametrize("column,n_classes", [("rank", None), ("class", 3)])
+    @given(ops=MUTATIONS)
+    @settings(max_examples=800, deadline=None, derandomize=True)
+    def test_read_back_or_named(self, files, column, n_classes, ops):
+        d, written = files
+        data = written[column]
+        for op in ops:
+            data = mutate(data, op)
+        path = d / "mutant.csv"
+        path.write_bytes(data)
+        try:
+            rows = cli._read_scene_rows(path, self.SCENES, n_classes)
+        except ValueError as exc:
+            m = re.fullmatch(rf"{re.escape(str(path))}:(\d+): (.+)", str(exc), re.S)
+            assert m, str(exc)
+            assert 1 <= int(m[1]) <= data.count(b"\n") + 1 and not BARE.search(m[2]), m[0]
+            return
+        cli._write_scene_rows(d / "again.csv", column, self.SCENES, rows)
+        assert cli._read_scene_rows(d / "again.csv", self.SCENES, n_classes) == rows
 
 
 class TestNotUtf8:
@@ -755,11 +864,18 @@ class TestRangesCheckedFirst:
         ("propose", ["--set", "proposals.min_size", "nan"], "proposals.min_size"),
         ("detect", ["--set", "detector.score_thresh", "2"], "detector.score_thresh"),
         ("gen-data", ["--set", "train.momentum", "1.5"], "train.momentum"),
+        # a model size above its bound fails in a command that builds no model
+        ("gen-data", ["--set", "backbone.channels", "4,8,8,513"],
+         "backbone.channels entry 513 is outside [1, 512]"),
+        ("gen-data", ["--set", "rpn.head_dim", "513"], "rpn.head_dim=513 is outside [1, 512]"),
+        ("gen-data", ["--set", "detector.n_classes", "81"],
+         "detector.n_classes=81 is outside [1, 80]"),
     ], ids=["momentum", "lr-drop-frac", "zero-width", "head-dim", "max-objects",
             "image-size-4", "max-objects-101", "image-size-1e8", "zero-ratio", "no-scales",
             "rpn-batch", "lr-nan", "weight-decay-nan", "lambda-nan", "image-size-abc", "max-per-image-1",
             "max-per-image-5", "propose-n-0", "propose-n-5", "min-size-nan",
-            "score-thresh", "gen-data-momentum"])
+            "score-thresh", "gen-data-momentum", "channels-513", "head-dim-513",
+            "n-classes-81"])
     def test_rejected_before_any_work(self, dataset, rpn_run, alt_run, tmp_path, capsys,
                                       command, args, key):
         inputs = {"gen-data": ["--n", "1"],
@@ -972,6 +1088,21 @@ class TestExitCodes:
         monkeypatch.setattr("minircnn.cli.cmd_gen_data", handler)
         assert run(["gen-data", "--out", str(tmp_path), "--n", "1"]) == 1
         assert capsys.readouterr().err == "error: MemoryError\n"
+
+    @pytest.mark.parametrize("argv,key", [
+        (["train-rpn", "--iters", "4.5"], "train.iters"),
+        (["train-joint", "--iters", "x"], "train.joint_iters"),
+        (["train-alt", "--seed", "1e3"], "seed"),
+        (["ablate", "--mode", "lambda-sweep", "--lambdas", "1", "ten"], "ablate.lambdas"),
+    ], ids=["iters", "joint-iters", "seed", "lambdas"])
+    def test_a_flag_that_does_not_parse_names_the_key(self, dataset, tmp_path, capsys,
+                                                       argv, key):
+        """A key flag's text goes to the config as `--set`'s does: exit 1
+        naming the key, before any work."""
+        out = tmp_path / "out"
+        assert run([*argv, "--out", str(out), "--data", str(dataset), *TINY]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {key}: ")
+        assert not out.exists()
 
     def test_bad_usage_exit_2(self, capsys):
         assert run(["gen-data"]) == 2          # missing required --out

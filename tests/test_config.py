@@ -145,8 +145,24 @@ def test_scene_sizes_have_an_upper_bound(key, value, bound):
         RunConfig().set_key(key, value)
 
 
+@pytest.mark.parametrize("key,value,bound", [
+    ("backbone.channels", "4,8,8,1000000000", "[1, 512]"),
+    ("backbone.channels", "513,8,8,8", "[1, 512]"),
+    ("rpn.head_dim", "1000000000", "[1, 512]"), ("rpn.head_dim", "513", "[1, 512]"),
+    ("detector.n_classes", "1000000000", "[1, 80]"), ("detector.n_classes", "81", "[1, 80]")])
+def test_model_sizes_have_an_upper_bound(key, value, bound):
+    """Rejected by the range check, naming the key and the bound, before
+    anything allocates the model the value would size."""
+    v = max(value.split(","), key=int)
+    what = f"{key} entry {v}" if "," in value else f"{key}={v}"
+    with pytest.raises(ValueError, match=f"^{re.escape(what)} is outside {re.escape(bound)}$"):
+        RunConfig().set_key(key, value)
+
+
 @pytest.mark.parametrize("key,value", [("data.image_size", "5"), ("data.image_size", "1024"),
                                        ("data.max_objects", "100"), ("detector.fg_iou", "1"),
+                                       ("backbone.channels", "512,512,512,512"),
+                                       ("rpn.head_dim", "512"), ("detector.n_classes", "80"),
                                        ("train.momentum", "0"), ("train.lr_drop_frac", "0"),
                                        ("proposals.min_size", "0"), ("seed", "0"),
                                        ("seed", str(2**64 - 1))])

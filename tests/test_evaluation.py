@@ -175,6 +175,21 @@ class TestVocAp:
             else:
                 assert got == pytest.approx(want, abs=1e-12)
 
+    def test_plain_rows_score_as_records(self):
+        """A detection is read as a (box, score, class) row, which a
+        `ScoredBox` unpacks as: plain rows, as `eval-map` reads them from a
+        CSV, give each class the AP of the same rows as records."""
+        rng = np.random.default_rng(5)
+        gts = [random_boxes(rng, 5, hi=60, min_size=5) for _ in range(3)]
+        clss = [rng.integers(1, 4, 5) for _ in gts]
+        rows = [[(list(b), float(s), int(c)) for b, s, c in zip(
+            random_boxes(rng, 9, hi=60, min_size=5), rng.uniform(0, 1, 9),
+            rng.integers(1, 4, 9))] for _ in gts]
+        records = [[det(*b, s, cls=c) for b, s, c in dets] for dets in rows]
+        for c in (1, 2, 3):
+            got = voc_ap(rows, gts, clss, c, IOU_THRESH)
+            assert got is not None and got == voc_ap(records, gts, clss, c, IOU_THRESH)
+
     def test_ap_in_unit_interval(self):
         rng = np.random.default_rng(4)
         for _ in range(20):

@@ -4,8 +4,9 @@ sliding-window head, the RPN objective, the model object and the range of
 each config key; one copy of each fact the model and its random streams
 keep; one shuffled draw; one place that makes a model inference-only; one
 window matrix per convolution; one row per box from every head; one UTF-8
-text writer and reader; anchors as one array beside their mask; and no
-package name that only tests read."""
+text writer and reader; anchors as one array beside their mask; one form
+per value from where it is made to where it is read; and no package name
+that only tests read."""
 
 import ast
 import inspect
@@ -404,3 +405,32 @@ def test_every_package_name_is_read():
               for q, name, node in definitions(tree, mod)
               if not read.get(name, set()) - {id(n) for n in ast.walk(node)}]
     assert not unread, unread
+
+
+def test_one_form_per_value():
+    """A value keeps one form from where the package makes it to where it
+    reads it: the detection records stay where `classwise_detections` makes
+    them, a key flag's text goes to the config unparsed, the scene-row reader
+    reads its columns at the writer's places, and a one-word draw is a
+    Python number that no caller unwraps."""
+    package = modules()
+    named = {mod for mod, tree in package.items() for name, _ in reads(tree)
+             if name in ("Box", "ScoredBox")}
+    assert named == {"boxes", "detector"}
+    defs = {n.name: n for tree in package.values() for n in ast.walk(tree)
+            if isinstance(n, ast.FunctionDef)}
+    flag = defs["key_flag"]
+    assert "type" not in [a.arg for a in flag.args.args + flag.args.kwonlyargs]
+    assert not [n for n in ast.walk(flag) if isinstance(n, ast.keyword) and n.arg == "type"]
+    assert not [n for n in ast.walk(package["cli"]) if isinstance(n, ast.keyword)
+                and n.arg == "type"]
+    assert "atleast_1d" not in [name for name, _ in reads(package["cli"])]
+    assert "index" not in [n.func.attr for n in ast.walk(defs["_read_scene_rows"])
+                           if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)]
+    # `permutation`'s `n <= 1` is the shuffle of at most one element, not a draw's size
+    assert [ast.unparse(n) for n in ast.walk(package["rng"]) if isinstance(n, ast.Compare)
+            and re.search(r"\bn\b", ast.unparse(n)) and re.search(r"\b1\b", ast.unparse(n))] \
+        == ["n <= 1"]
+    assert not [ast.unparse(n) for n in ast.walk(defs["make_scene"])
+                if isinstance(n, ast.Subscript) and isinstance(n.value, ast.Call)
+                and ast.unparse(n.value.func).startswith("rng.")]

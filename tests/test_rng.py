@@ -42,18 +42,18 @@ class TestDeterminism:
     def test_substream_is_the_named_stream(self, seed, name, n):
         """`Rng(seed).substream(name)` draws what `Rng(seed, name)` drew
         before `substream` became the one way to name a stream, with one-word
-        draws between array draws."""
+        draws, which are Python numbers, between array draws."""
         r = Rng(seed).substream(name)
         words = named_stream_words(seed, name, n + 9)
         unit = [(w >> 11) * 2.0**-53 for w in words]
         assert r.next_u64(n).tolist() == words[:n]
-        assert r.next_u64(1).tolist() == words[n:n + 1]
-        assert r.uniform(1).tolist() == unit[n + 1:n + 2]
-        assert r.randint(-3, 10, 1).tolist() == [-3 + math.floor(unit[n + 2] * 13)]
+        assert type(w := r.word()) is int and w == words[n]
+        assert type(u := r.random()) is float and u == unit[n + 1]
+        assert type(i := r.randint(-3, 10)) is int and i == -3 + math.floor(unit[n + 2] * 13)
         assert r.uniform(2).tolist() == unit[n + 3:n + 5]
-        assert r.randint(-3, 10, 3).tolist() == [-3 + math.floor(u * 13)
-                                                 for u in unit[n + 5:n + 8]]
-        assert r.next_u64(1).tolist() == words[n + 8:]
+        assert [r.randint(-3, 10) for _ in range(3)] == [-3 + math.floor(u * 13)
+                                                         for u in unit[n + 5:n + 8]]
+        assert r.word() == words[n + 8]
         assert r._counter == n + 9
 
     def test_substream_method(self):
@@ -76,9 +76,10 @@ class TestDistributions:
         assert abs(x.std() - 0.01) <= 0.0001
 
     def test_randint_bounds(self):
-        draws = Rng(5).substream("sampling").randint(3, 13, 1000)
-        assert draws.min() >= 3 and draws.max() < 13
-        assert len(np.unique(draws)) == 10
+        r = Rng(5).substream("sampling")
+        draws = [r.randint(3, 13) for _ in range(1000)]
+        assert min(draws) >= 3 and max(draws) < 13
+        assert len(set(draws)) == 10
         with pytest.raises(ValueError):
             Rng(5).substream("sampling").randint(4, 4)
 

@@ -10,14 +10,17 @@ data, runs the four trainings (the one-stage one also at a `detector.fg_iou`
 of 1, where no window is foreground), `propose` and `eval-recall` on every
 checkpoint that holds an RPN, `detect` and `eval-map` on every detector
 checkpoint, `propose` and `detect` at NMS thresholds so small that NMS prunes
-by overlap alone, `bench`, all five `ablate` modes, a set of rejected inputs
-and one accepted order of `--set`s. Among the rejected inputs are a manifest
-that lists one image twice, `eval-map` at fewer classes than the data hold,
-list keys with an empty entry, a checkpoint entry that declares far more data
-than its file holds, a byte that is not UTF-8 in a `--config` file, in a
-manifest line after a test image's and in a proposals CSV row, and a manifest
-image name holding a comma; `run_side` writes those files, the manifest that
-repeats an image and a detections CSV with no rows before the matrix runs.
+by overlap alone, `bench`, all five `ablate` modes and a set of rejected
+inputs. Among the rejected inputs are a manifest that lists one image twice,
+`eval-map` at fewer classes than the data hold, list keys with an empty
+entry, a checkpoint entry that declares far more data than its file holds, a
+byte that is not UTF-8 in a `--config` file, in a manifest line after a test
+image's and in a proposals CSV row, and a manifest image name holding a
+comma. Accepted besides are one order of `--set`s, a `train-rpn` run that
+reads the first one's `config.txt` as its `--config`, and `train-joint` and
+`train-onestage` on one image without objects. `run_side` writes those
+files, the manifests that repeat an image and that hold one image without
+objects, and a detections CSV with no rows before the matrix runs.
 Under the default config at 96 px it makes data, runs `train-joint`, and runs
 `propose` (also at a lower NMS threshold), `detect`, `eval-map` and `ablate
 --mode no-cls` on its checkpoint. Under TINY at 50 px, where the feature maps
@@ -196,6 +199,8 @@ def matrix() -> list[Case]:
         "detector.rois_per_image", "0")
     add("reject-all-skipped", "train-rpn", *data, "--iters", "2", "--set",
         "anchors.scales", "64,128")
+    add("reject-all-skipped-onestage", "train-onestage", *data, "--iters", "2", "--set",
+        "anchors.scales", "64,128")
     add("reject-missing-head", "detect", "--ckpt", ckpt["rpn"], "--data", test,
         *TINY, *SEED)
     add("reject-no-ckpt", "ablate", "--mode", "no-reg", "--data", test)
@@ -251,6 +256,14 @@ def matrix() -> list[Case]:
     # an image name that a proposals or detections CSV row cannot carry back
     add("reject-manifest-comma", "detect", "--ckpt", ckpt["final"], "--data",
         "{root}/comma", *TINY, *SEED)
+    # accepted: a run's config.txt read back as its --config file
+    add("config-train-rpn", "train-rpn", "--data", train, "--config",
+        "{root}/train-rpn/config.txt")
+    # accepted: one training image without objects, so every anchor and
+    # window is labelled against no ground truth
+    for command in ("train-joint", "train-onestage"):
+        add(f"{command}-no-objects", command, "--data", "{root}/no-objects", "--iters",
+            "2", *TINY, *SEED)
     # accepted: the pairs of keys are checked once every `--set` is applied
     add("set-order", "train-rpn", *data, "--iters", "1", "--set", "rpn.neg_iou",
         "0.8", "--set", "rpn.pos_iou", "0.9")
@@ -273,6 +286,9 @@ def run_side(src: Path, root: Path, cases: list[Case]) -> dict[str, Outcome]:
     (root / "repeated").mkdir()
     line = '{"image": "../test/images/000000.ppm", "width": 48, "height": 48, "objects": []}'
     (root / "repeated" / "manifest.jsonl").write_text(f"{line}\n{line}\n")
+    (root / "no-objects").mkdir()
+    (root / "no-objects" / "manifest.jsonl").write_text(
+        line.replace("../test/", "../train/") + "\n")
     (root / "oversized.frpn").write_bytes(
         one_entry_checkpoint("backbone.conv1.w", (2**31, 2**31)))
     (root / "not-utf8.cfg").write_bytes(b"seed=\xff\n")
